@@ -8,7 +8,7 @@ associated two-point Poincare-Cartan forms with a numerical conformal-condition
 verifier, and a CLI experiment driver over a small built-in system catalog.
 """
 
-from .atlas import (Chart, ConformalAtlas, LeeForm, TransitionMap, a_matrix,
+from .atlas import (Chart, ConformalAtlas, TransitionMap, a_matrix,
                     cocycle_check, lcs_two_form_matrix, lee_form,
                     transition_apply)
 from .continuous import (ContinuousHamiltonian, ContinuousLagrangian,

@@ -1,4 +1,4 @@
-"""Charts, conformal factors, transitions, and the pointwise conformal-symplectic data.
+r"""Charts, conformal factors, transitions, and the pointwise conformal-symplectic data.
 
 A configuration space is covered by box charts, each carrying a scalar conformal
 factor sigma(q).  On chart overlaps the conformal factors may only differ by a
@@ -17,16 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import fd_gradient
+from .numerics import as_vector, fd_gradient, fd_jacobian
 
 Vector = np.ndarray
 
 COCYCLE_TOL = 1e-10
 _FD_SIGMA_EPS = 1e-6
-
-
-def _as_array(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,8 @@ class Chart:
     periodic: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _as_array(self.lower))
-        object.__setattr__(self, "upper", _as_array(self.upper))
+        object.__setattr__(self, "lower", as_vector(self.lower))
+        object.__setattr__(self, "upper", as_vector(self.upper))
         if self.lower.size != self.dim or self.upper.size != self.dim:
             raise ValueError(f"chart {self.id}: bounds must have length {self.dim}")
         if not np.all(self.lower < self.upper):
@@ -63,26 +59,19 @@ class Chart:
 
     def contains(self, q: Vector, margin: float = 0.0) -> bool:
         """True if q lies in the domain shrunk on each side by margin*width."""
-        q = _as_array(q)
+        q = as_vector(q)
         pad = margin * self.width
         return bool(np.all(q >= self.lower + pad) and np.all(q <= self.upper - pad))
 
     def grad(self, q: Vector) -> np.ndarray:
         if self.sigma_grad is not None:
-            return _as_array(self.sigma_grad(_as_array(q)))
-        return fd_gradient(self.sigma, _as_array(q), _FD_SIGMA_EPS)
+            return as_vector(self.sigma_grad(as_vector(q)))
+        return fd_gradient(self.sigma, as_vector(q), _FD_SIGMA_EPS)
 
     def hess(self, q: Vector) -> np.ndarray:
         if self.sigma_hess is not None:
-            return np.atleast_2d(np.asarray(self.sigma_hess(_as_array(q)), dtype=float))
-        q = _as_array(q)
-        cols = []
-        for j in range(self.dim):
-            qp, qm = q.copy(), q.copy()
-            qp[j] += _FD_SIGMA_EPS
-            qm[j] -= _FD_SIGMA_EPS
-            cols.append((self.grad(qp) - self.grad(qm)) / (2 * _FD_SIGMA_EPS))
-        return np.column_stack(cols)
+            return np.atleast_2d(np.asarray(self.sigma_hess(as_vector(q)), dtype=float))
+        return fd_jacobian(self.grad, as_vector(q), _FD_SIGMA_EPS)
 
 
 @dataclass(frozen=True)
@@ -102,24 +91,14 @@ class TransitionMap:
     jacobian: Callable[[Vector], np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "overlap_lower", _as_array(self.overlap_lower))
-        object.__setattr__(self, "overlap_upper", _as_array(self.overlap_upper))
+        object.__setattr__(self, "overlap_lower", as_vector(self.overlap_lower))
+        object.__setattr__(self, "overlap_upper", as_vector(self.overlap_upper))
         if not np.all(self.overlap_lower < self.overlap_upper):
             raise ValueError("transition: empty overlap box")
 
     def contains(self, q: Vector) -> bool:
-        q = _as_array(q)
+        q = as_vector(q)
         return bool(np.all(q >= self.overlap_lower) and np.all(q <= self.overlap_upper))
-
-
-@dataclass(frozen=True)
-class LeeForm:
-    """The closed one-form phi with per-chart components phi_i = d sigma / d q^i."""
-
-    atlas: "ConformalAtlas"
-
-    def components(self, chart: int, q: Vector) -> np.ndarray:
-        return lee_form(self.atlas, chart, q)
 
 
 @dataclass(frozen=True)
@@ -152,7 +131,7 @@ class ConformalAtlas:
 
     def require_inside(self, chart_id: int, q: Vector) -> Chart:
         c = self.chart(chart_id)
-        q = _as_array(q)
+        q = as_vector(q)
         for i in range(c.dim):
             if not (c.lower[i] <= q[i] <= c.upper[i]):
                 raise DomainError(
@@ -171,8 +150,14 @@ class ConformalAtlas:
                 return t
         return None
 
-    def lee(self) -> LeeForm:
-        return LeeForm(self)
+    def require_transition(self, from_chart: int, to_chart: int, q: Vector
+                           ) -> TransitionMap:
+        """The declared transition from one chart to another whose overlap holds q."""
+        t = self.find_transition(from_chart, to_chart, q)
+        if t is None:
+            raise DomainError(f"no transition carries {q} from chart {from_chart} "
+                              f"to chart {to_chart}")
+        return t
 
 
 def lee_form(atlas: ConformalAtlas, chart: int, q: Vector) -> np.ndarray:
@@ -183,8 +168,8 @@ def lee_form(atlas: ConformalAtlas, chart: int, q: Vector) -> np.ndarray:
 
 def a_matrix(phi: Vector, p: Vector) -> np.ndarray:
     """Antisymmetric pairing A_ij = phi_i p_j - phi_j p_i of a one-form and a momentum."""
-    phi = _as_array(phi)
-    p = _as_array(p)
+    phi = as_vector(phi)
+    p = as_vector(p)
     if phi.size != p.size:
         raise ValueError(f"length mismatch: phi has {phi.size}, p has {p.size}")
     return np.outer(phi, p) - np.outer(p, phi)
@@ -217,15 +202,11 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     """
     if momentum_kind not in ("r", "p"):
         raise ValueError(f"momentum_kind must be 'r' or 'p', got {momentum_kind!r}")
-    q = _as_array(q)
-    t = atlas.find_transition(from_chart, to_chart, q)
-    if t is None:
-        raise DomainError(
-            f"point {q} is not in a declared overlap from chart {from_chart} "
-            f"to chart {to_chart}")
-    q_new = _as_array(t.forward(q))
+    q = as_vector(q)
+    t = atlas.require_transition(from_chart, to_chart, q)
+    q_new = as_vector(t.forward(q))
     J = np.atleast_2d(np.asarray(t.jacobian(q), dtype=float))
-    p_new = np.linalg.solve(J.T, _as_array(momentum))
+    p_new = np.linalg.solve(J.T, as_vector(momentum))
     if momentum_kind == "r":
         s_from = atlas.chart(from_chart).sigma(q)
         s_to = atlas.chart(to_chart).sigma(q_new)
@@ -287,7 +268,7 @@ def cocycle_check(atlas: ConformalAtlas, samples: int = 16, seed: int = 0
         pts = np.vstack([pts, 0.5 * (lo + hi)])
         s_from = atlas.chart(t.from_chart).sigma
         s_to = atlas.chart(t.to_chart).sigma
-        offsets = np.array([s_from(q) - s_to(_as_array(t.forward(q))) for q in pts])
+        offsets = np.array([s_from(q) - s_to(as_vector(t.forward(q))) for q in pts])
         mean = float(np.mean(offsets))
         entries.append(OverlapCocycle(
             from_chart=t.from_chart, to_chart=t.to_chart, n_samples=samples,

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,21 @@ from .hamiltonian_discrete import (build_left_hamiltonian,
                                    build_right_hamiltonian,
                                    integrate_hamiltonian)
 from .numerics import StepperConfig
-from .systems import CATALOG, System, get_system, with_constant_sigma
+from .systems import (CATALOG, DEFAULT_SIGMA_PARAMS, System, get_system,
+                      with_constant_sigma)
+from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import integrate
 from . import verification
 
-METHODS = ("del", "dlcel", "rd", "ld", "rdlch", "ldlch", "rk4-lcel", "rk4-lcshe")
+# method -> (march, conformal): the Lagrangian three-point march, a right or
+# left discrete Hamiltonian march, or RK4 on the Lagrangian or Hamiltonian field.
+METHOD_TABLE = {
+    "del": ("lagrangian", False), "dlcel": ("lagrangian", True),
+    "rd": ("right", False), "ld": ("left", False),
+    "rdlch": ("right", True), "ldlch": ("left", True),
+    "rk4-lcel": ("lcel", True), "rk4-lcshe": ("lcshe", True),
+}
+METHODS = tuple(METHOD_TABLE)
 TWO_POINT_METHODS = ("del", "dlcel")
 RULES = ("midpoint", "trapezoidal")
 
@@ -94,30 +105,29 @@ class ExperimentConfig:
         return asdict(self)
 
     def validate(self) -> None:
-        if self.system not in CATALOG:
-            raise ConfigError(f"unknown system {self.system!r}; "
-                              f"available: {sorted(CATALOG)}", "system")
-        if self.method not in METHODS:
-            raise ConfigError(f"must be one of {METHODS}", "method")
-        if self.rule not in RULES:
-            raise ConfigError(f"must be one of {RULES}", "rule")
-        if not self.h > 0:
-            raise ConfigError("must be positive", "h")
-        if self.steps < 1:
-            raise ConfigError("must be >= 1", "steps")
-        if self.method in TWO_POINT_METHODS and self.steps < 2:
-            raise ConfigError("two-point methods need steps >= 2", "steps")
-        if not self.tol >= 1e-14:
-            raise ConfigError("must be >= 1e-14", "tol")
-        if self.max_iter < 1:
-            raise ConfigError("must be >= 1", "max_iter")
+        _require(isinstance(self.system, str) and self.system in CATALOG,
+                 f"unknown system {self.system!r}; available: {sorted(CATALOG)}",
+                 "system")
+        _require(self.method in METHODS, f"must be one of {METHODS}", "method")
+        _require(self.rule in RULES, f"must be one of {RULES}", "rule")
+        _require(_is_number(self.h) and self.h > 0, "must be a positive number", "h")
+        _require(_is_number(self.steps, int) and self.steps >= 1,
+                 "must be an integer >= 1", "steps")
+        _require(self.method not in TWO_POINT_METHODS or self.steps >= 2,
+                 "two-point methods need steps >= 2", "steps")
+        _require(_is_number(self.tol) and self.tol >= 1e-14,
+                 "must be a number >= 1e-14", "tol")
+        _require(_is_number(self.max_iter, int) and self.max_iter >= 1,
+                 "must be an integer >= 1", "max_iter")
+        if self.sigma_params:
+            _check_sigma_params(self.system, self.sigma_params)
         n = self._system().n
-        keys = set(self.initial)
-        if keys not in ({"q0", "q1"}, {"q", "p"}):
-            raise ConfigError('needs keys {"q0", "q1"} or {"q", "p"}', "initial")
+        _require(isinstance(self.initial, dict)
+                 and set(self.initial) in ({"q0", "q1"}, {"q", "p"}),
+                 'needs keys {"q0", "q1"} or {"q", "p"}', "initial")
         for key, vec in self.initial.items():
-            if not isinstance(vec, (list, tuple)) or len(vec) != n:
-                raise ConfigError(f"must be a list of {n} numbers", f"initial.{key}")
+            _require(_is_vector(vec, n), f"must be a list of {n} finite numbers",
+                     f"initial.{key}")
 
     def require_initial(self, *keys: str) -> None:
         """Enforce the initial-data form a command needs for this method."""
@@ -132,15 +142,34 @@ class ExperimentConfig:
         return StepperConfig(tol=self.tol, max_iter=self.max_iter)
 
 
+def _require(ok: bool, message: str, field: str) -> None:
+    if not ok:
+        raise ConfigError(message, field)
+
+
+def _is_number(x, kinds=(int, float)) -> bool:
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _is_vector(x, n: int) -> bool:
+    """A list of n finite numbers."""
+    return isinstance(x, (list, tuple)) and len(x) == n \
+        and all(_is_number(v) and math.isfinite(v) for v in x)
+
+
+def _check_sigma_params(system_name: str, params) -> None:
+    """Raise :class:`ConfigError` unless params fit the catalog system's conformal factor."""
+    want = len(DEFAULT_SIGMA_PARAMS[system_name])
+    _require(_is_vector(params, want),
+             f"{system_name} takes {want} finite conformal coefficient(s)", "sigma_params")
+
+
 def _fmt(x) -> str:
     return "" if x is None else f"{float(x):.17g}"
 
 
 def write_trajectory_csv(path: str, n: int, rows: list[dict]) -> None:
-    header = (["k", "t", "chart"]
-              + [f"q_{i}" for i in range(n)]
-              + [f"p_{i}" for i in range(n)]
-              + [f"r_{i}" for i in range(n)]
+    header = (["k", "t", "chart"] + [f"{c}_{i}" for c in "qpr" for i in range(n)]
               + ["sigma", "energy"])
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -160,13 +189,13 @@ def _trajectory_rows(config: ExperimentConfig, system: System) -> tuple[list[dic
     cfg = config.stepper_config()
     h, N = config.h, config.steps
     atlas, chart = system.atlas, system.start_chart
-    H = system.hamiltonian
-    newton = {"total_iterations": 0, "max_residual": 0.0}
-    switches = 0
-    config.require_initial(*(("q0", "q1") if config.method in TWO_POINT_METHODS
-                             else ("q", "p")))
+    march, conformal = METHOD_TABLE[config.method]
+    keys = ("q0", "q1") if config.method in TWO_POINT_METHODS else ("q", "p")
+    config.require_initial(*keys)
+    # b is q1 for the two-point methods and p0 for all others
+    q0, b = (np.asarray(config.initial[key], dtype=float) for key in keys)
 
-    def make_rule(sys_: System, conformal: bool):
+    def make_rule(sys_: System):
         # Conformal methods discretize the chart-local Lagrangian (second-order
         # in the conformal recursion); plain methods never consult sigma.
         if conformal:
@@ -176,53 +205,40 @@ def _trajectory_rows(config: ExperimentConfig, system: System) -> tuple[list[dic
         builder = midpoint_rule if config.rule == "midpoint" else trapezoidal_rule
         return builder(sys_.lagrangian, h)
 
-    if config.method in TWO_POINT_METHODS:
-        q0 = np.asarray(config.initial["q0"], dtype=float)
-        q1 = np.asarray(config.initial["q1"], dtype=float)
-        conformal = config.method == "dlcel"
-        Ld = make_rule(system, conformal)
-        traj = integrate(Ld, atlas, chart, q0, q1, N, cfg, conformal=conformal)
-        newton["total_iterations"] = sum(s.iterations for s in traj.steps)
-        newton["max_residual"] = max((s.residual for s in traj.steps), default=0.0)
-        switches = traj.n_switches()
-        rows = [_point_row(system, pt, h) for pt in traj.points]
-    elif config.method in ("rd", "ld", "rdlch", "ldlch"):
-        q = np.asarray(config.initial["q"], dtype=float)
-        p = np.asarray(config.initial["p"], dtype=float)
-        conformal = config.method in ("rdlch", "ldlch")
-        build_system = system if conformal else with_constant_sigma(system, 0.0)
-        Ld = make_rule(build_system, conformal)
-        build = build_right_hamiltonian if config.method in ("rd", "rdlch") \
-            else build_left_hamiltonian
-        Hd = build(Ld, build_system.atlas, chart)
-        traj = integrate_hamiltonian(Hd, build_system.atlas, chart, q, p, N, cfg,
+    if march == "lagrangian":
+        traj = integrate(make_rule(system), atlas, chart, q0, b, N, cfg,
+                         conformal=conformal)
+    elif march in ("right", "left"):
+        built = system if conformal else with_constant_sigma(system, 0.0)
+        build = build_right_hamiltonian if march == "right" else build_left_hamiltonian
+        Hd = build(make_rule(built), built.atlas, chart)
+        traj = integrate_hamiltonian(Hd, built.atlas, chart, q0, b, N, cfg,
                                      conformal=conformal)
-        newton["total_iterations"] = sum(s.iterations for s in traj.steps)
-        newton["max_residual"] = max((s.residual for s in traj.steps), default=0.0)
-        rows = [_point_row(system, pt, h) for pt in traj.points]
-    elif config.method == "rk4-lcshe":
-        q = np.asarray(config.initial["q"], dtype=float)
-        p = np.asarray(config.initial["p"], dtype=float)
-        states = rk4_integrate(make_lcshe_field(H, atlas, chart),
-                               np.concatenate([q, p]), h, N)
-        rows = [_continuous_row(system, k, h, x[:n], p=x[n:]) for k, x in
-                enumerate(states)]
-    else:  # rk4-lcel
-        q = np.asarray(config.initial["q"], dtype=float)
-        p = np.asarray(config.initial["p"], dtype=float)
-        v = fiber_legendre_inv(system.lagrangian, q, p)
-        states = rk4_integrate(make_lcel_field(system.lagrangian, atlas, chart),
-                               np.concatenate([q, v]), h, N)
-        rows = [_continuous_row(system, k, h, x[:n], v=x[n:]) for k, x in
-                enumerate(states)]
+    else:
+        if march == "lcshe":
+            states = rk4_integrate(make_lcshe_field(system.hamiltonian, atlas, chart),
+                                   np.concatenate([q0, b]), h, N)
+            qps = [(x[:n], x[n:]) for x in states]
+        else:
+            v = fiber_legendre_inv(system.lagrangian, q0, b)
+            states = rk4_integrate(make_lcel_field(system.lagrangian, atlas, chart),
+                                   np.concatenate([q0, v]), h, N)
+            qps = [(x[:n], fiber_legendre(system.lagrangian, x[:n], x[n:]))
+                   for x in states]
+        sigma = atlas.chart(chart).sigma
+        traj = DiscreteTrajectory(h=h, points=[
+            TrajectoryPoint(k=k, chart=chart, q=q, p=p, r=np.exp(-float(sigma(q))) * p)
+            for k, (q, p) in enumerate(qps)])
 
+    rows = [_point_row(system, pt, h) for pt in traj.points]
     final = rows[-1]
     summary = {
         "system": system.name,
         "method": config.method,
         "rows": len(rows),
-        "newton": newton,
-        "chart_switches": switches,
+        "newton": {"total_iterations": sum(s.iterations for s in traj.steps),
+                   "max_residual": max((s.residual for s in traj.steps), default=0.0)},
+        "chart_switches": traj.n_switches(),
         "final": {"k": final["k"], "t": final["t"], "chart": final["chart"],
                   "q": list(final["q"]),
                   "p": list(final["p"]) if final.get("p") is not None else None},
@@ -238,17 +254,6 @@ def _point_row(system: System, pt, h: float) -> dict:
             "r": pt.r, "sigma": sigma, "energy": energy}
 
 
-def _continuous_row(system: System, k: int, h: float, q, p=None, v=None) -> dict:
-    if p is None:
-        p = fiber_legendre(system.lagrangian, q, v)
-    ch = system.atlas.chart(system.start_chart)
-    sigma = float(ch.sigma(q))
-    r = np.exp(-sigma) * p
-    return {"k": k, "t": k * h, "chart": system.start_chart, "q": q, "p": p,
-            "r": r, "sigma": sigma,
-            "energy": float(system.hamiltonian.value(q, p))}
-
-
 def cmd_integrate(config: ExperimentConfig) -> dict:
     """Run one trajectory; write CSV (+ .summary.json) when output_path is set.
 
@@ -260,22 +265,28 @@ def cmd_integrate(config: ExperimentConfig) -> dict:
     try:
         rows, summary = _trajectory_rows(config, system)
     except IntegrationError as e:
-        if config.output_path and e.partial is not None:
+        if isinstance(e.partial, DiscreteTrajectory):
             rows = [_point_row(system, pt, config.h) for pt in e.partial.points]
-            write_trajectory_csv(config.output_path, system.n, rows)
-            spath = Path(config.output_path).with_suffix(".summary.json")
-            spath.write_text(json.dumps(
-                {"system": system.name, "method": config.method,
-                 "failed_at_index": e.index, "rows": len(rows),
-                 "error": str(e)}, indent=2) + "\n")
+            _write_outputs(config, system.n, rows, {
+                "system": system.name, "method": config.method,
+                "failed_at_index": e.index, "rows": len(rows), "error": str(e)})
         raise
-    if config.output_path:
-        write_trajectory_csv(config.output_path, system.n, rows)
-        spath = Path(config.output_path).with_suffix(".summary.json")
-        spath.write_text(json.dumps(summary, indent=2) + "\n")
+    spath = _write_outputs(config, system.n, rows, summary)
+    if spath is not None:
         summary["csv_path"] = str(config.output_path)
         summary["summary_path"] = str(spath)
     return summary
+
+
+def _write_outputs(config: ExperimentConfig, n: int, rows: list[dict],
+                   summary: dict) -> Path | None:
+    """Write the CSV and its .summary.json when the config names an output path."""
+    if not config.output_path:
+        return None
+    write_trajectory_csv(config.output_path, n, rows)
+    spath = Path(config.output_path).with_suffix(".summary.json")
+    spath.write_text(json.dumps(summary, indent=2) + "\n")
+    return spath
 
 
 def cmd_convergence(config: ExperimentConfig, h_list: list[float],
@@ -298,31 +309,21 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
     q0 = np.asarray(config.initial["q"], dtype=float)
     p0 = np.asarray(config.initial["p"], dtype=float)
     v0 = fiber_legendre_inv(system.lagrangian, q0, p0)
-    ref_steps = int(round(t_final / h_ref))
-    if abs(ref_steps * h_ref - t_final) > 1e-9 * t_final:
-        raise ConfigError("h_ref must divide the final time", "h_ref")
+    ref_steps = _steps_to(t_final, h_ref, "h_ref must divide the final time", "h_ref")
     reference = rk4_integrate(
         make_lcel_field(system.lagrangian, system.atlas, system.start_chart),
         np.concatenate([q0, v0]), h_ref, ref_steps)
 
     def ref_at(t: float) -> np.ndarray:
-        idx = int(round(t / h_ref))
-        if abs(idx * h_ref - t) > 1e-9 * max(1.0, t):
-            raise ConfigError(f"step size {t} is not resolved by h_ref={h_ref}",
-                              "h_list")
-        return reference[idx]
+        return reference[_steps_to(t, h_ref, f"step size {t} is not resolved by "
+                                   f"h_ref={h_ref}", "h_list")]
 
     errors = []
     for h in h_list:
-        N = int(round(t_final / h))
-        if abs(N * h - t_final) > 1e-9 * t_final:
-            raise ConfigError(f"h={h} does not divide final time {t_final}",
-                              "h_list")
-        sub = ExperimentConfig(
-            system=config.system, method=config.method, h=h, steps=N,
-            initial=_initial_for(config.method, q0, p0, ref_at(h)[:n]),
-            sigma_params=list(config.sigma_params), rule=config.rule,
-            tol=config.tol, max_iter=config.max_iter)
+        N = _steps_to(t_final, h, f"h={h} does not divide final time {t_final}",
+                      "h_list")
+        sub = replace(config, h=h, steps=N, output_path=None,
+                      initial=_initial_for(config.method, q0, p0, ref_at(h)[:n]))
         rows, _ = _trajectory_rows(sub, system)
         q_end = np.asarray(rows[-1]["q"], dtype=float)
         errors.append(float(np.max(np.abs(q_end - ref_at(t_final)[:n]))))
@@ -338,6 +339,13 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
     return report
 
 
+def _steps_to(t: float, h: float, message: str, field: str) -> int:
+    """The whole number of steps of size h that reach t, or a ConfigError."""
+    steps = int(round(t / h))
+    _require(abs(steps * h - t) <= 1e-9 * max(1.0, t), message, field)
+    return steps
+
+
 def _initial_for(method: str, q0, p0, q_at_h) -> dict:
     if method in TWO_POINT_METHODS:
         return {"q0": [float(x) for x in q0], "q1": [float(x) for x in q_at_h]}
@@ -345,6 +353,8 @@ def _initial_for(method: str, q0, p0, q_at_h) -> dict:
 
 
 def cmd_verify(system_name: str, seed: int = 0, sigma_params=None) -> dict:
+    if sigma_params is not None:
+        _check_sigma_params(system_name, sigma_params)
     system = get_system(system_name, sigma_params)
     return verification.run_all(system, seed=seed)
 

@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import ConformalAtlas, a_matrix, lee_form
+from .atlas import ConformalAtlas
 from .errors import IntegrationError, RegularityError
-from .numerics import StepperConfig, newton_solve, solve_linear
+from .numerics import (StepperConfig, as_vector, fd_jacobian, newton_solve,
+                       solve_linear)
 
 Vector = np.ndarray
 
@@ -71,13 +72,9 @@ def lcs_hamiltonian_field(H: ContinuousHamiltonian, atlas: ConformalAtlas,
                           chart: int, q: Vector, p: Vector
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dq/dt, dp/dt) of the conformal Hamilton equations."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    phi = lee_form(atlas, chart, q)
-    qdot = np.atleast_1d(np.asarray(H.grad_p(q, p), dtype=float))
-    pdot = -np.atleast_1d(np.asarray(H.grad_q(q, p), dtype=float)) \
-        - a_matrix(phi, p) @ qdot + H.value(q, p) * phi
-    return qdot, pdot
+    q = as_vector(q)
+    x = make_lcshe_field(H, atlas, chart)(np.concatenate([q, as_vector(p)]))
+    return x[:q.size], x[q.size:]
 
 
 def lcel_acceleration(L: ContinuousLagrangian, atlas: ConformalAtlas,
@@ -88,41 +85,30 @@ def lcel_acceleration(L: ContinuousLagrangian, atlas: ConformalAtlas,
     partial pivoting; raises :class:`RegularityError` when the velocity Hessian
     has condition number above 1e12.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    phi = lee_form(atlas, chart, q)
-    gv = np.atleast_1d(np.asarray(L.grad_v(q, v), dtype=float))
-    rhs = np.atleast_1d(np.asarray(L.grad_q(q, v), dtype=float)) \
-        - np.atleast_2d(L.hess_vq(q, v)) @ v \
-        + float(phi @ v) * gv - L.value(q, v) * phi
-    return solve_linear(L.hess_vv(q, v), rhs)
+    q = as_vector(q)
+    x = make_lcel_field(L, atlas, chart)(np.concatenate([q, as_vector(v)]))
+    return x[q.size:]
 
 
-def energy(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int,
-           q: Vector, v: Vector) -> float:
+def energy(L: ContinuousLagrangian, q: Vector, v: Vector) -> float:
     """Energy v . dL/dv - L.
 
     The conformal factor plays no role here: rescaling L rescales both terms
-    identically, so this is already the globally consistent energy.  The atlas
-    and chart arguments are accepted for interface uniformity.
+    identically, so this is already the globally consistent energy.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    q, v = as_vector(q), as_vector(v)
     return float(v @ np.atleast_1d(L.grad_v(q, v))) - float(L.value(q, v))
 
 
 def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
     """Momentum p = dL/dv of the fiber Legendre map."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return np.atleast_1d(np.asarray(L.grad_v(q, v), dtype=float))
+    return as_vector(L.grad_v(as_vector(q), as_vector(v)))
 
 
 def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector,
                        cfg: StepperConfig | None = None) -> np.ndarray:
     """Velocity v solving dL/dv (q, v) = p, by Newton on the fiber."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    q, p = as_vector(q), as_vector(p)
     cfg = cfg or StepperConfig(tol=1e-12)
     res = newton_solve(lambda v: fiber_legendre(L, q, v) - p, p, cfg,
                        jacobian=lambda v: L.hess_vv(q, v))
@@ -136,7 +122,7 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
         raise ValueError("h must be positive")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = as_vector(x0)
     out = np.empty((steps + 1, x.size))
     out[0] = x
     for k in range(steps):
@@ -154,19 +140,10 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
 
 def divergence_numeric(field: Callable[[Vector], Vector], x: Vector,
                        eps: float) -> float:
-    """Central-difference divergence (sum of diagonal partials) of a vector field."""
+    """Central-difference divergence (trace of the differenced Jacobian) of a vector field."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = 0.0
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        total += (float(np.atleast_1d(field(xp))[i]) -
-                  float(np.atleast_1d(field(xm))[i])) / (2.0 * eps)
-    return total
+    return float(np.trace(fd_jacobian(field, as_vector(x), eps)))
 
 
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int

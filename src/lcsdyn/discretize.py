@@ -37,7 +37,8 @@ from .atlas import ConformalAtlas
 from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
-from .numerics import StepperConfig, fd_gradient, newton_solve
+from .numerics import (StepperConfig, as_vector, fd_gradient, fd_jacobian,
+                       fd_mixed_second, newton_solve)
 
 Vector = np.ndarray
 
@@ -58,10 +59,6 @@ class DiscreteLagrangian:
     d1d2: Callable[[Vector, Vector], np.ndarray]
 
 
-def _arr(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
     if h <= 0:
@@ -69,28 +66,29 @@ def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     n = L.n
 
     def value(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         return h * float(L.value(0.5 * (q0 + q1), (q1 - q0) / h))
 
     def d1(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-        return 0.5 * h * _arr(L.grad_q(m, w)) - _arr(L.grad_v(m, w))
+        return 0.5 * h * as_vector(L.grad_q(m, w)) - as_vector(L.grad_v(m, w))
 
     def d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-        return 0.5 * h * _arr(L.grad_q(m, w)) + _arr(L.grad_v(m, w))
+        return 0.5 * h * as_vector(L.grad_q(m, w)) + as_vector(L.grad_v(m, w))
 
     def d1d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h
         vq = np.atleast_2d(L.hess_vq(m, w))
         out = 0.5 * (vq.T - vq) - np.atleast_2d(L.hess_vv(m, w)) / h
         if L.hess_qq is not None:
             out = out + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
         else:
-            out = out + 0.25 * h * _fd_qq(L, m, w)
+            out = out + 0.25 * h * fd_jacobian(lambda x: as_vector(L.grad_q(x, w)),
+                                               m, 1e-6)
         return out
 
     return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
@@ -103,24 +101,24 @@ def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     n = L.n
 
     def value(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w = (q1 - q0) / h
         return 0.5 * h * (float(L.value(q0, w)) + float(L.value(q1, w)))
 
     def d1(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w = (q1 - q0) / h
-        return 0.5 * h * _arr(L.grad_q(q0, w)) \
-            - 0.5 * (_arr(L.grad_v(q0, w)) + _arr(L.grad_v(q1, w)))
+        return 0.5 * h * as_vector(L.grad_q(q0, w)) \
+            - 0.5 * (as_vector(L.grad_v(q0, w)) + as_vector(L.grad_v(q1, w)))
 
     def d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w = (q1 - q0) / h
-        return 0.5 * h * _arr(L.grad_q(q1, w)) \
-            + 0.5 * (_arr(L.grad_v(q0, w)) + _arr(L.grad_v(q1, w)))
+        return 0.5 * h * as_vector(L.grad_q(q1, w)) \
+            + 0.5 * (as_vector(L.grad_v(q0, w)) + as_vector(L.grad_v(q1, w)))
 
     def d1d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w = (q1 - q0) / h
         vq0 = np.atleast_2d(L.hess_vq(q0, w))
         vq1 = np.atleast_2d(L.hess_vq(q1, w))
@@ -128,17 +126,6 @@ def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
         return 0.5 * (vq0.T - vq1) - vv / (2.0 * h)
 
     return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
-
-
-def _fd_qq(L: ContinuousLagrangian, q: Vector, v: Vector, eps: float = 1e-6
-           ) -> np.ndarray:
-    cols = []
-    for j in range(q.size):
-        qp, qm = q.copy(), q.copy()
-        qp[j] += eps
-        qm[j] -= eps
-        cols.append((_arr(L.grad_q(qp, v)) - _arr(L.grad_q(qm, v))) / (2 * eps))
-    return np.column_stack(cols)
 
 
 def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
@@ -160,27 +147,27 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         return mid, np.exp(s0 - sm), a, b, trivial
 
     def value(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         _, E, _, _, trivial = _weights(q0, q1)
         base_val = base.value(q0, q1)
         return base_val if trivial else E * base_val
 
     def d1(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         _, E, a, _, trivial = _weights(q0, q1)
         if trivial:
             return base.d1(q0, q1)
         return E * (a * base.value(q0, q1) + base.d1(q0, q1))
 
     def d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         _, E, _, b, trivial = _weights(q0, q1)
         if trivial:
             return base.d2(q0, q1)
         return E * (b * base.value(q0, q1) + base.d2(q0, q1))
 
     def d1d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         mid, E, a, b, trivial = _weights(q0, q1)
         if trivial:
             return base.d1d2(q0, q1)
@@ -213,40 +200,40 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     plain = trapezoidal_rule(L, h)
 
     def value(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w, G, _, _, trivial = _parts(q0, q1)
         if trivial:
             return plain.value(q0, q1)
         return 0.5 * h * (float(L.value(q0, w)) + G * float(L.value(q1, w)))
 
     def d1(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w, G, phi0, _, trivial = _parts(q0, q1)
         if trivial:
             return plain.d1(q0, q1)
         U = 0.5 * h * float(L.value(q1, w))
-        T1 = 0.5 * h * _arr(L.grad_q(q0, w)) - 0.5 * _arr(L.grad_v(q0, w))
-        U1 = -0.5 * _arr(L.grad_v(q1, w))
+        T1 = 0.5 * h * as_vector(L.grad_q(q0, w)) - 0.5 * as_vector(L.grad_v(q0, w))
+        U1 = -0.5 * as_vector(L.grad_v(q1, w))
         return T1 + G * (phi0 * U + U1)
 
     def d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w, G, _, phi1, trivial = _parts(q0, q1)
         if trivial:
             return plain.d2(q0, q1)
         U = 0.5 * h * float(L.value(q1, w))
-        T2 = 0.5 * _arr(L.grad_v(q0, w))
-        U2 = 0.5 * h * _arr(L.grad_q(q1, w)) + 0.5 * _arr(L.grad_v(q1, w))
+        T2 = 0.5 * as_vector(L.grad_v(q0, w))
+        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
         return T2 + G * (-phi1 * U + U2)
 
     def d1d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         w, G, phi0, phi1, trivial = _parts(q0, q1)
         if trivial:
             return plain.d1d2(q0, q1)
         U = 0.5 * h * float(L.value(q1, w))
-        U1 = -0.5 * _arr(L.grad_v(q1, w))
-        U2 = 0.5 * h * _arr(L.grad_q(q1, w)) + 0.5 * _arr(L.grad_v(q1, w))
+        U1 = -0.5 * as_vector(L.grad_v(q1, w))
+        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
         S = -phi1 * U + U2
         vq0 = np.atleast_2d(L.hess_vq(q0, w))
         vq1 = np.atleast_2d(L.hess_vq(q1, w))
@@ -315,7 +302,7 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         return 0.5 * h * total
 
     def value(q0, q1):
-        return _value_at(_arr(q0), _arr(q1), bvp_tol)
+        return _value_at(as_vector(q0), as_vector(q1), bvp_tol)
 
     # Finite-difference steps below are tuned to the value's solver noise floor:
     # first partials at 1e-4, the mixed second partial at 1e-3 with a tightened
@@ -323,28 +310,16 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
     eps1, eps2, tight = 1e-4, 1e-3, 1e-12
 
     def d1(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         return fd_gradient(lambda x: _value_at(x, q1, tight), q0, eps1)
 
     def d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
+        q0, q1 = as_vector(q0), as_vector(q1)
         return fd_gradient(lambda x: _value_at(q0, x, tight), q1, eps1)
 
     def d1d2(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                qpp, qpm = q0.copy(), q0.copy()
-                qpp[i] += eps2
-                qpm[i] -= eps2
-                q1p, q1m = q1.copy(), q1.copy()
-                q1p[j] += eps2
-                q1m[j] -= eps2
-                out[i, j] = (_value_at(qpp, q1p, tight) - _value_at(qpp, q1m, tight)
-                             - _value_at(qpm, q1p, tight) + _value_at(qpm, q1m, tight)
-                             ) / (4.0 * eps2 * eps2)
-        return out
+        return fd_mixed_second(lambda x, y: _value_at(x, y, tight), as_vector(q0),
+                               as_vector(q1), eps2)
 
     return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
 

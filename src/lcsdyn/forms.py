@@ -19,12 +19,9 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .discretize import DiscreteLagrangian
+from .numerics import as_vector, fd_jacobian
 
 Vector = np.ndarray
-
-
-def _arr(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class TwoFormField:
     components: Callable[[Vector, Vector], np.ndarray]
 
     def matrix(self, x: Vector) -> np.ndarray:
-        x = _arr(x)
+        x = as_vector(x)
         n = self.dim // 2
         return self.components(x[:n], x[n:])
 
@@ -55,15 +52,15 @@ def _block(M: np.ndarray) -> np.ndarray:
 def pc_one_forms(Ld: DiscreteLagrangian, q0: Vector, q1: Vector
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (theta_plus on dq1, theta_minus on dq0) at (q0, q1)."""
-    q0, q1 = _arr(q0), _arr(q1)
-    return _arr(Ld.d2(q0, q1)), -_arr(Ld.d1(q0, q1))
+    q0, q1 = as_vector(q0), as_vector(q1)
+    return as_vector(Ld.d2(q0, q1)), -as_vector(Ld.d1(q0, q1))
 
 
 def pc_two_form(Ld: DiscreteLagrangian) -> TwoFormField:
     """The two-form with (q0, q1) block -d1d2 Ld."""
 
     def components(q0, q1):
-        return _block(-np.atleast_2d(Ld.d1d2(_arr(q0), _arr(q1))))
+        return _block(-np.atleast_2d(Ld.d1d2(as_vector(q0), as_vector(q1))))
 
     return TwoFormField(dim=2 * Ld.n, components=components)
 
@@ -86,7 +83,7 @@ class RegularityReport:
 def regularity_check(Ld: DiscreteLagrangian, q0: Vector, q1: Vector,
                      threshold: float = 1e-10) -> RegularityReport:
     """Invertibility of the mixed second partial at (q0, q1)."""
-    B = np.atleast_2d(Ld.d1d2(_arr(q0), _arr(q1)))
+    B = np.atleast_2d(Ld.d1d2(as_vector(q0), as_vector(q1)))
     return RegularityReport(det=float(np.linalg.det(B)),
                             condition=float(np.linalg.cond(B)),
                             threshold=threshold)
@@ -102,8 +99,8 @@ def lc_pc_two_form(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int
     ch = atlas.chart(chart)
 
     def components(q0, q1):
-        q0, q1 = _arr(q0), _arr(q1)
-        M = -np.atleast_2d(Ld.d1d2(q0, q1)) + np.outer(ch.grad(q0), _arr(Ld.d2(q0, q1)))
+        q0, q1 = as_vector(q0), as_vector(q1)
+        M = -np.atleast_2d(Ld.d1d2(q0, q1)) + np.outer(ch.grad(q0), as_vector(Ld.d2(q0, q1)))
         return _block(M)
 
     return TwoFormField(dim=2 * Ld.n, components=components)
@@ -143,18 +140,13 @@ def lcs_condition_check(form: TwoFormField, lee: Callable[[Vector], Vector],
     deviations = []
     tol = 0.0
     for x in sample_points:
-        x = _arr(x)
+        x = as_vector(x)
         omega = form.matrix(x)
-        partials = []
-        for kcoord in range(dim):
-            xp, xm = x.copy(), x.copy()
-            xp[kcoord] += eps
-            xm[kcoord] -= eps
-            partials.append((form.matrix(xp) - form.matrix(xm)) / (2 * eps))
-        psi = np.concatenate([_arr(lee(x[:n])), np.zeros(n)])
+        D = fd_jacobian(form.matrix, x, eps)  # D[b, c, a] = d omega_bc / dx_a
+        psi = np.concatenate([as_vector(lee(x[:n])), np.zeros(n)])
         worst = 0.0
         for a, b, c in triples:
-            d_omega = partials[a][b, c] + partials[b][c, a] + partials[c][a, b]
+            d_omega = D[b, c, a] + D[c, a, b] + D[a, b, c]
             wedge = psi[a] * omega[b, c] - psi[b] * omega[a, c] + psi[c] * omega[a, b]
             worst = max(worst, abs(d_omega - wedge))
         deviations.append(worst)

@@ -46,18 +46,14 @@ import numpy as np
 
 from .atlas import Chart, ConformalAtlas, transition_apply
 from .discretize import DiscreteLagrangian
-from .errors import (ConsistencyError, IntegrationError, NewtonError,
-                     RegularityError)
-from .numerics import StepperConfig, newton_solve
-from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
+from .errors import ConsistencyError, DomainError, IntegrationError
+from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
+from .trajectory import DiscreteTrajectory, TrajectoryPoint
+from .variational import DEFAULT_SWITCH_MARGIN, _into_chart, _march
 
 Vector = np.ndarray
 
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
-
-
-def _arr(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -85,32 +81,20 @@ class LegendreMomenta(NamedTuple):
 def discrete_legendre(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
                       q0: Vector, q1: Vector) -> LegendreMomenta:
     """Right/left momenta of the two-point Legendre transform at (q0, q1)."""
-    q0, q1 = _arr(q0), _arr(q1)
+    q0, q1 = as_vector(q0), as_vector(q1)
     ch = atlas.require_inside(chart, q0)
     atlas.require_inside(chart, q1)
     sigma0 = float(ch.sigma(q0))
-    p_plus = _arr(Ld.d2(q0, q1))
-    p_minus = ch.grad(q0) * float(Ld.value(q0, q1)) - _arr(Ld.d1(q0, q1))
+    p_plus = as_vector(Ld.d2(q0, q1))
+    p_minus = _p_minus(Ld, ch, q0, q1)
     scale = np.exp(-sigma0)
     return LegendreMomenta(r_plus=scale * p_plus, r_minus=scale * p_minus,
                            p_plus=p_plus, p_minus=p_minus)
 
 
-def _pair_momentum_forward(Ld, ch: Chart, qa: Vector, qb: Vector, conformal: bool
-                           ) -> np.ndarray:
-    """p-(qa, qb): the global momentum anchored at qa."""
-    if not conformal:
-        return -_arr(Ld.d1(qa, qb))
-    return ch.grad(qa) * float(Ld.value(qa, qb)) - _arr(Ld.d1(qa, qb))
-
-
-def _pair_momentum_backward(Ld, ch: Chart, qa: Vector, qb: Vector, conformal: bool
-                            ) -> np.ndarray:
-    """exp(sigma(qb) - sigma(qa)) p+(qa, qb): the global momentum anchored at qb."""
-    p_plus = _arr(Ld.d2(qa, qb))
-    if not conformal:
-        return p_plus
-    return np.exp(float(ch.sigma(qb)) - float(ch.sigma(qa))) * p_plus
+def _p_minus(Ld, ch: Chart, q0: Vector, q1: Vector) -> np.ndarray:
+    """p-(q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1)."""
+    return ch.grad(q0) * float(Ld.value(q0, q1)) - as_vector(Ld.d1(q0, q1))
 
 
 def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -127,20 +111,30 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     if len(pts) < 2:
         raise ValueError("momenta need at least two lattice points")
     last = len(pts) - 1
+
+    def in_chart(q, from_chart, to_chart):
+        try:
+            return _into_chart(atlas, q, from_chart, to_chart)
+        except DomainError as e:
+            raise ConsistencyError(str(e), index=k) from e
+
     for k, pt in enumerate(pts):
         ch = atlas.chart(pt.chart)
         p_fwd = p_bwd = None
         if k < last:
             nxt = pts[k + 1]
-            qb = nxt.q if nxt.chart == pt.chart else _transport_point(
-                atlas, nxt.q, nxt.chart, pt.chart)
-            p_fwd = _pair_momentum_forward(Ld, ch, pt.q, qb, conformal)
+            qb = in_chart(nxt.q, nxt.chart, pt.chart)
+            # p-(q_k, q_{k+1}), anchored at q_k
+            p_fwd = _p_minus(Ld, ch, pt.q, qb) if conformal \
+                else -as_vector(Ld.d1(pt.q, qb))
         if k > 0:
             prv = pts[k - 1]
             cha = atlas.chart(prv.chart)
-            qk_in_a = pt.q if pt.chart == prv.chart else _transport_point(
-                atlas, pt.q, pt.chart, prv.chart)
-            p_bwd = _pair_momentum_backward(Ld, cha, prv.q, qk_in_a, conformal)
+            qk_in_a = in_chart(pt.q, pt.chart, prv.chart)
+            # exp(sigma(q_k) - sigma(q_{k-1})) p+(q_{k-1}, q_k), anchored at q_k
+            p_bwd = as_vector(Ld.d2(prv.q, qk_in_a))
+            if conformal:
+                p_bwd = np.exp(float(cha.sigma(qk_in_a)) - float(cha.sigma(prv.q))) * p_bwd
             if pt.chart != prv.chart:
                 _, p_bwd = transition_apply(atlas, prv.chart, pt.chart,
                                             qk_in_a, p_bwd, "p")
@@ -154,16 +148,6 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         r = np.exp(-float(ch.sigma(pt.q))) * p if conformal else p.copy()
         pt.p, pt.r = p, r
     return traj
-
-
-def _transport_point(atlas: ConformalAtlas, q: Vector, from_chart: int,
-                     to_chart: int) -> np.ndarray:
-    t = atlas.find_transition(from_chart, to_chart, q)
-    if t is None:
-        raise ConsistencyError(
-            f"no transition carries {q} from chart {from_chart} to {to_chart}",
-            index=-1)
-    return _arr(t.forward(q))
 
 
 @dataclass(frozen=True)
@@ -181,7 +165,7 @@ class LagrangianSource:
         s0 = float(ch.sigma(q0))
 
         def g(x):
-            return np.exp(float(ch.sigma(x)) - s0) * _arr(self.Ld.d2(q0, x)) - P
+            return np.exp(float(ch.sigma(x)) - s0) * as_vector(self.Ld.d2(q0, x)) - P
 
         x0 = seed if seed is not None else q0 + self.Ld.h * P
         return newton_solve(g, x0, cfg).x
@@ -192,8 +176,7 @@ class LagrangianSource:
         ch = self.atlas.chart(self.chart)
 
         def g(x):
-            return ch.grad(x) * float(self.Ld.value(x, q1)) \
-                - _arr(self.Ld.d1(x, q1)) - P
+            return _p_minus(self.Ld, ch, x, q1) - P
 
         x0 = seed if seed is not None else q1 - self.Ld.h * P
         return newton_solve(g, x0, cfg).x
@@ -225,18 +208,6 @@ class DiscreteHamiltonian:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
-def _fd_d2_in_second(Ld: DiscreteLagrangian, q0: Vector, q1: Vector,
-                     eps: float = 1e-6) -> np.ndarray:
-    """d/dq1 of d2 Ld (the second-slot Hessian), by central differences."""
-    cols = []
-    for j in range(q1.size):
-        xp, xm = q1.copy(), q1.copy()
-        xp[j] += eps
-        xm[j] -= eps
-        cols.append((_arr(Ld.d2(q0, xp)) - _arr(Ld.d2(q0, xm))) / (2 * eps))
-    return np.column_stack(cols)
-
-
 def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                             chart: int, cfg: StepperConfig = _INVERT_CFG
                             ) -> DiscreteHamiltonian:
@@ -249,8 +220,13 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
+    def _J_star(q0, q1, d2v, em, phi1):
+        # d/dq1 of the inverted relation; the second-slot Hessian of Ld is differenced.
+        d2_in_q1 = fd_jacobian(lambda x: as_vector(Ld.d2(q0, x)), q1, 1e-6)
+        return (1.0 / em) * (np.outer(d2v, phi1) + d2_in_q1)
+
     def _core(q0: Vector, P: Vector):
-        q0, P = _arr(q0), _arr(P)
+        q0, P = as_vector(q0), as_vector(P)
         q1 = source.invert_right(q0, P, cfg=cfg)
         em = np.exp(float(ch.sigma(q0)) - float(ch.sigma(q1)))
         return q0, P, q1, em
@@ -263,12 +239,12 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         q0, P, q1, em = _core(q0, P)
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
         coupling = em * float(P @ q1)
-        base = phi0 * coupling - _arr(Ld.d1(q0, q1))
+        base = phi0 * coupling - as_vector(Ld.d1(q0, q1))
         corr = -phi1 * coupling
         if not np.any(corr):
             return base
-        d2v = _arr(Ld.d2(q0, q1))
-        J_star = (1.0 / em) * (np.outer(d2v, phi1) + _fd_d2_in_second(Ld, q0, q1))
+        d2v = as_vector(Ld.d2(q0, q1))
+        J_star = _J_star(q0, q1, d2v, em, phi1)
         dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T - np.outer(d2v, phi0))
         dq1_dq0 = -np.linalg.solve(np.atleast_2d(J_star), dgdq)
         return base + np.atleast_2d(dq1_dq0).T @ corr
@@ -280,8 +256,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         corr = -phi1 * em * float(P @ q1)
         if not np.any(corr):
             return base
-        d2v = _arr(Ld.d2(q0, q1))
-        J_star = (1.0 / em) * (np.outer(d2v, phi1) + _fd_d2_in_second(Ld, q0, q1))
+        J_star = _J_star(q0, q1, as_vector(Ld.d2(q0, q1)), em, phi1)
         dq1_dP = np.linalg.inv(np.atleast_2d(J_star))
         return base + dq1_dP.T @ corr
 
@@ -298,7 +273,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
     def _core(q1: Vector, P: Vector):
-        q1, P = _arr(q1), _arr(P)
+        q1, P = as_vector(q1), as_vector(P)
         q0 = source.invert_left(q1, P, cfg=cfg)
         E = np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
         return q1, P, q0, E
@@ -307,28 +282,19 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         q1, P, q0, E = _core(q1, P)
         return E * (-float(P @ q0) - float(Ld.value(q0, q1)))
 
-    def _g_jacobian(q0: Vector, q1: Vector, eps: float = 1e-6) -> np.ndarray:
-        # d/dq0 of [phi(q0) Ld(q0,q1) - d1 Ld(q0,q1)]; needs the sigma Hessian,
-        # so it is differenced.
-        cols = []
-        for j in range(q0.size):
-            xp, xm = q0.copy(), q0.copy()
-            xp[j] += eps
-            xm[j] -= eps
-            gp = ch.grad(xp) * float(Ld.value(xp, q1)) - _arr(Ld.d1(xp, q1))
-            gm = ch.grad(xm) * float(Ld.value(xm, q1)) - _arr(Ld.d1(xm, q1))
-            cols.append((gp - gm) / (2 * eps))
-        return np.column_stack(cols)
+    def _g_jacobian(q0: Vector, q1: Vector) -> np.ndarray:
+        # d/dq0 of p-(q0, q1); needs the sigma Hessian, so it is differenced.
+        return fd_jacobian(lambda x: _p_minus(Ld, ch, x, q1), q0, 1e-6)
 
     def d1(q1, P):
         q1, P, q0, E = _core(q1, P)
         phi1, phi0 = ch.grad(q1), ch.grad(q0)
         H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
-        base = phi1 * H - E * _arr(Ld.d2(q0, q1))
+        base = phi1 * H - E * as_vector(Ld.d2(q0, q1))
         corr = phi0 * (E * float(P @ q0))
         if not np.any(corr):
             return base
-        dgdq1 = np.outer(phi0, _arr(Ld.d2(q0, q1))) - np.atleast_2d(Ld.d1d2(q0, q1))
+        dgdq1 = np.outer(phi0, as_vector(Ld.d2(q0, q1))) - np.atleast_2d(Ld.d1d2(q0, q1))
         dgdq0 = _g_jacobian(q0, q1)
         dq0_dq1 = -np.linalg.solve(dgdq0, dgdq1)
         return base + np.atleast_2d(dq0_dq1).T @ corr
@@ -348,46 +314,45 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                                source=source)
 
 
-def _rd_core(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
-             cfg: StepperConfig):
-    def F(P):
-        return _arr(Hd.d1(q_curr, P)) - p_curr
+def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
+    if Hd.side != side:
+        raise ValueError(f"{stepper} needs a {side}-side discrete Hamiltonian")
 
-    res = newton_solve(F, p_curr, cfg)
-    return _arr(Hd.d2(q_curr, res.x)), res.x, res
+
+def _plain_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
+                cfg: StepperConfig):
+    """Newton solve of the plain step on Hd's side; returns (q_next, p_next, result)."""
+    if Hd.side == "right":
+        def F(P):
+            return as_vector(Hd.d1(q_curr, P)) - p_curr
+
+        res = newton_solve(F, p_curr, cfg)
+        return as_vector(Hd.d2(q_curr, res.x)), res.x, res
+
+    def F(x):
+        return as_vector(Hd.d2(x, p_curr)) + q_curr
+
+    res = newton_solve(F, q_curr + Hd.h * p_curr, cfg)
+    return res.x, -as_vector(Hd.d1(res.x, p_curr)), res
 
 
 def rd_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plain right step: solve p_k = d1 H+(q_k, p_{k+1}), then q_{k+1} = d2 H+."""
-    if Hd.side != "right":
-        raise ValueError("rd_step needs a right-side discrete Hamiltonian")
-    q_next, p_next, _ = _rd_core(Hd, _arr(q_curr), _arr(p_curr), cfg)
-    return q_next, p_next
-
-
-def _ld_core(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
-             cfg: StepperConfig):
-    def F(x):
-        return _arr(Hd.d2(x, p_curr)) + q_curr
-
-    res = newton_solve(F, q_curr + Hd.h * p_curr, cfg)
-    return res.x, -_arr(Hd.d1(res.x, p_curr)), res
+    _require_side(Hd, "right", "rd_step")
+    return _plain_step(Hd, as_vector(q_curr), as_vector(p_curr), cfg)[:2]
 
 
 def ld_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plain left step: solve q_k = -d2 H-(q_{k+1}, p_k), then p_{k+1} = -d1 H-."""
-    if Hd.side != "left":
-        raise ValueError("ld_step needs a left-side discrete Hamiltonian")
-    q_next, p_next, _ = _ld_core(Hd, _arr(q_curr), _arr(p_curr), cfg)
-    return q_next, p_next
+    _require_side(Hd, "left", "ld_step")
+    return _plain_step(Hd, as_vector(q_curr), as_vector(p_curr), cfg)[:2]
 
 
-def _conformal_pair_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
-                         chart: int, q_curr: Vector, p_curr: Vector,
-                         cfg: StepperConfig):
-    """Coupled 2n Newton solve of the conformal generating relations.
+def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
+                         p_curr: Vector, cfg: StepperConfig):
+    """Coupled 2n Newton solve of the conformal generating relations on chart ``ch``.
 
     Unknowns (q_next, p_next) satisfy
 
@@ -397,29 +362,39 @@ def _conformal_pair_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     The Jacobian is finite-differenced; q_next sits inside the exponential of
     the second relation, which is why the system is solved simultaneously.
     """
-    if Hd.source is None:
-        raise ValueError(
-            "conformal stepping needs a Lagrangian-generated discrete Hamiltonian "
-            "(build one with build_right_hamiltonian/build_left_hamiltonian)")
-    if Hd.source.chart != chart:
-        raise ValueError(f"discrete Hamiltonian was built on chart "
-                         f"{Hd.source.chart}, stepped on chart {chart}")
-    Ld = Hd.source.Ld
-    ch = atlas.require_inside(chart, q_curr)
-    q_curr, p_curr = _arr(q_curr), _arr(p_curr)
-    n = Hd.n
+    n = Ld.n
     s_curr = float(ch.sigma(q_curr))
     phi_curr = ch.grad(q_curr)
 
     def F(z):
         qn, pn = z[:n], z[n:]
-        r1 = p_curr - (phi_curr * float(Ld.value(q_curr, qn)) - _arr(Ld.d1(q_curr, qn)))
-        r2 = pn - np.exp(float(ch.sigma(qn)) - s_curr) * _arr(Ld.d2(q_curr, qn))
+        r1 = p_curr - (phi_curr * float(Ld.value(q_curr, qn)) - as_vector(Ld.d1(q_curr, qn)))
+        r2 = pn - np.exp(float(ch.sigma(qn)) - s_curr) * as_vector(Ld.d2(q_curr, qn))
         return np.concatenate([r1, r2])
 
-    z0 = np.concatenate([q_curr + Hd.h * p_curr, p_curr])
+    z0 = np.concatenate([q_curr + Ld.h * p_curr, p_curr])
     res = newton_solve(F, z0, cfg)
     return res.x[:n], res.x[n:], res
+
+
+def _require_source(Hd: DiscreteHamiltonian) -> LagrangianSource:
+    if Hd.source is None:
+        raise ValueError(
+            "conformal stepping needs a Lagrangian-generated discrete Hamiltonian "
+            "(build one with build_right_hamiltonian/build_left_hamiltonian)")
+    return Hd.source
+
+
+def _conformal_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
+                    q_curr: Vector, p_curr: Vector, cfg: StepperConfig):
+    """The chart-checked single conformal step behind rdlch_step and ldlch_step."""
+    source = _require_source(Hd)
+    if source.chart != chart:
+        raise ValueError(f"discrete Hamiltonian was built on chart "
+                         f"{source.chart}, stepped on chart {chart}")
+    ch = atlas.require_inside(chart, q_curr)
+    return _conformal_pair_step(source.Ld, ch, as_vector(q_curr), as_vector(p_curr),
+                                cfg)[:2]
 
 
 def rdlch_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
@@ -430,70 +405,64 @@ def rdlch_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
     The right and left conformal systems generate the same two-point map (as in
     the plain case); this entry point validates the right-side Hamiltonian.
     """
-    if Hd.side != "right":
-        raise ValueError("rdlch_step needs a right-side discrete Hamiltonian")
-    q_next, p_next, _ = _conformal_pair_step(Hd, atlas, chart, q_curr, p_curr, cfg)
-    return q_next, p_next
+    _require_side(Hd, "right", "rdlch_step")
+    return _conformal_step(Hd, atlas, chart, q_curr, p_curr, cfg)
 
 
 def ldlch_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
                q_curr: Vector, p_curr: Vector, cfg: StepperConfig
                ) -> tuple[np.ndarray, np.ndarray]:
     """Conformal left step in global momenta; reduces to ld_step for constant sigma."""
-    if Hd.side != "left":
-        raise ValueError("ldlch_step needs a left-side discrete Hamiltonian")
-    q_next, p_next, _ = _conformal_pair_step(Hd, atlas, chart, q_curr, p_curr, cfg)
-    return q_next, p_next
+    _require_side(Hd, "left", "ldlch_step")
+    return _conformal_step(Hd, atlas, chart, q_curr, p_curr, cfg)
 
 
 def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
                           chart: int, q0: Vector, p0: Vector, N: int,
                           cfg: StepperConfig, conformal: bool = True
                           ) -> DiscreteTrajectory:
-    """March N steps of the (plain or conformal) Hamiltonian recursion on one chart.
+    """March N steps of the (plain or conformal) Hamiltonian recursion.
 
-    Fills p and r at every point.  For Lagrangian-generated Hamiltonians the
-    sign of det d1d2 along consecutive pairs is monitored; a flip means the
-    momentum inversion jumped to a different branch and the march aborts with
-    the partial trajectory.
+    Fills p and r at every point.  Chart switches follow ``integrate``: when a
+    point leaves the core of its chart the march moves to a neighbouring chart,
+    carrying p as a covector and recomputing r = exp(-sigma) p there; each
+    conformal step is posed on the active chart with the generating Ld.  For
+    Lagrangian-generated Hamiltonians the sign of det d1d2 along consecutive
+    pairs is monitored; a flip means the momentum inversion jumped to a
+    different branch and the march aborts with the partial trajectory.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    q, p = _arr(q0), _arr(p0)
-    ch = atlas.require_inside(chart, q)
+    q, p = as_vector(q0), as_vector(p0)
+    atlas.require_inside(chart, q)
+    Ld = _require_source(Hd).Ld if conformal else None
     traj = DiscreteTrajectory(h=Hd.h)
-
-    def push(k, q, p):
-        r = np.exp(-float(ch.sigma(q))) * p if conformal else p.copy()
-        traj.points.append(TrajectoryPoint(k=k, chart=chart, q=q, p=p, r=r))
-
-    push(0, q, p)
     branch_sign = None
-    for k in range(N):
-        try:
-            if conformal:
-                q_next, p_next, res = _conformal_pair_step(Hd, atlas, chart, q, p, cfg)
-            elif Hd.side == "right":
-                q_next, p_next, res = _rd_core(Hd, q, p, cfg)
-            else:
-                q_next, p_next, res = _ld_core(Hd, q, p, cfg)
-        except (NewtonError, RegularityError) as e:
-            raise IntegrationError(f"Hamiltonian step to point {k + 1} failed: {e}",
-                                   partial=traj, index=k + 1) from e
+
+    def point(k, chart_id, q_k, p_k):
+        r_k = np.exp(-float(atlas.chart(chart_id).sigma(q_k))) * p_k if conformal \
+            else p_k.copy()
+        return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=r_k)
+
+    def step(ch, q_curr, p_curr):
+        nonlocal branch_sign
+        if conformal:
+            q_next, p_next, res = _conformal_pair_step(Ld, ch, q_curr, p_curr, cfg)
+        else:
+            q_next, p_next, res = _plain_step(Hd, q_curr, p_curr, cfg)
         if Hd.source is not None:
             sign = float(np.sign(np.linalg.det(
-                np.atleast_2d(Hd.source.Ld.d1d2(q, q_next)))))
+                np.atleast_2d(Hd.source.Ld.d1d2(q_curr, q_next)))))
             if branch_sign is not None and sign != 0 and sign != branch_sign:
-                raise IntegrationError(
-                    f"discrete Legendre branch jump at step {k + 1}",
-                    partial=traj, index=k + 1)
+                k = len(traj.points)
+                raise IntegrationError(f"discrete Legendre branch jump at step {k}",
+                                       partial=traj, index=k)
             branch_sign = sign if sign != 0 else branch_sign
-        if not ch.contains(q_next):
-            raise IntegrationError(
-                f"point {k + 1} left chart {chart}; Hamiltonian marching is "
-                f"single-chart", partial=traj, index=k + 1)
-        push(k + 1, q_next, p_next)
-        traj.steps.append(StepRecord(k=k + 1, iterations=res.iterations,
-                                     residual=res.residual))
-        q, p = q_next, p_next
-    return traj
+        return q_next, p_next, res
+
+    def carry(t, q_next, p_next):
+        return transition_apply(atlas, t.from_chart, t.to_chart, q_next, p_next, "p")[1]
+
+    traj.points.append(point(0, chart, q, p))
+    return _march(atlas, chart, q, p, traj, N, step, carry, point,
+                  DEFAULT_SWITCH_MARGIN)

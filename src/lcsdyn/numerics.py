@@ -44,21 +44,18 @@ class NewtonResult:
     residual: float
 
 
-def fd_gradient(f: Callable[[Vector], float], x: Vector, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        g[i] = (f(xp) - f(xm)) / (2.0 * eps)
-    return g
+def as_vector(x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def fd_jacobian(F: Callable[[Vector], Vector], x: Vector, eps: float) -> np.ndarray:
-    """Central-difference Jacobian of a vector function (rows: outputs, cols: inputs)."""
+def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.ndarray:
+    """Central-difference derivative of a scalar-, vector- or matrix-valued function.
+
+    The result has shape ``F(x).shape + (x.size,)``: the last axis indexes the
+    differenced input, so a vector function gives the usual Jacobian (rows:
+    outputs, cols: inputs) and a scalar function its gradient.
+    """
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
@@ -67,7 +64,29 @@ def fd_jacobian(F: Callable[[Vector], Vector], x: Vector, eps: float) -> np.ndar
         xp[i] += eps
         xm[i] -= eps
         cols.append((np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float)) / (2.0 * eps))
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
+
+
+def fd_gradient(f: Callable[[Vector], float], x: Vector, eps: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function."""
+    return fd_jacobian(f, x, eps)
+
+
+def fd_mixed_second(f: Callable[[Vector, Vector], float], x: Vector, y: Vector,
+                    eps: float) -> np.ndarray:
+    """Four-point central difference of d^2 f / dx_i dy_j, shape (x.size, y.size)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    out = np.empty((x.size, y.size))
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        for j in range(y.size):
+            yp, ym = y.copy(), y.copy()
+            yp[j] += eps
+            ym[j] -= eps
+            out[i, j] = (f(xp, yp) - f(xp, ym) - f(xm, yp) + f(xm, ym)) / (4.0 * eps * eps)
+    return out
 
 
 def newton_solve(
@@ -84,8 +103,8 @@ def newton_solve(
     ``cfg.max_iter`` is exceeded and :class:`RegularityError` on a Jacobian with
     condition number above 1e14.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r = np.atleast_1d(np.asarray(F(x), dtype=float))
+    x = as_vector(x0).copy()
+    r = as_vector(F(x))
     if not np.all(np.isfinite(r)):
         raise NewtonError("residual not finite at the initial guess",
                           residual=float("nan"), iterations=0)
@@ -105,13 +124,17 @@ def newton_solve(
         best_x, best_r, best_rnorm = None, None, np.inf
         for _ in range(cfg.damping_halvings + 1):
             x_try = x + step * dx
-            r_try = np.atleast_1d(np.asarray(F(x_try), dtype=float))
+            r_try = as_vector(F(x_try))
             rnorm_try = float(np.max(np.abs(r_try))) if np.all(np.isfinite(r_try)) else np.inf
             if rnorm_try < best_rnorm:
                 best_x, best_r, best_rnorm = x_try, r_try, rnorm_try
             if rnorm_try < rnorm:
                 break
             step *= 0.5
+        if best_x is None:
+            raise NewtonError(
+                f"no damped Newton trial has a finite residual (last finite "
+                f"residual {rnorm:.3e})", residual=rnorm, iterations=it + 1)
         # Residuals pinned at the rounding floor stall rather than shrink; two
         # stalled iterations in a row end the iteration.
         stalls = stalls + 1 if best_rnorm >= rnorm else 0

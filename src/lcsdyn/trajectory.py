@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import as_vector
+
 
 @dataclass
 class TrajectoryPoint:
@@ -50,7 +52,6 @@ class DiscreteTrajectory:
     @classmethod
     def from_points(cls, h: float, chart: int, qs) -> "DiscreteTrajectory":
         """Build a bare trajectory (no momenta, no diagnostics) on a single chart."""
-        pts = [TrajectoryPoint(k=k, chart=chart,
-                               q=np.atleast_1d(np.asarray(q, dtype=float)))
+        pts = [TrajectoryPoint(k=k, chart=chart, q=as_vector(q))
                for k, q in enumerate(qs)]
         return cls(h=h, points=pts)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .atlas import Chart, ConformalAtlas
 from .discretize import DiscreteLagrangian
-from .errors import DomainError, IntegrationError, NewtonError, RegularityError
-from .numerics import StepperConfig, newton_solve
+from .errors import IntegrationError, NewtonError, RegularityError
+from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
 
 Vector = np.ndarray
@@ -38,16 +38,12 @@ Vector = np.ndarray
 DEFAULT_SWITCH_MARGIN = 0.1
 
 
-def _arr(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
 def _del_system(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector
                 ) -> tuple[Callable, Callable]:
-    lhs = _arr(Ld.d2(q_prev, q_curr))
+    lhs = as_vector(Ld.d2(q_prev, q_curr))
 
     def F(x):
-        return lhs + _arr(Ld.d1(q_curr, x))
+        return lhs + as_vector(Ld.d1(q_curr, x))
 
     def J(x):
         return np.atleast_2d(Ld.d1d2(q_curr, x))
@@ -58,14 +54,14 @@ def _del_system(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector
 def _dlcel_system(Ld: DiscreteLagrangian, chart: Chart, q_prev: Vector,
                   q_curr: Vector) -> tuple[Callable, Callable]:
     scale = np.exp(float(chart.sigma(q_curr)) - float(chart.sigma(q_prev)))
-    lhs = scale * _arr(Ld.d2(q_prev, q_curr))
+    lhs = scale * as_vector(Ld.d2(q_prev, q_curr))
     phi = chart.grad(q_curr)
 
     def F(x):
-        return lhs - (phi * Ld.value(q_curr, x) - _arr(Ld.d1(q_curr, x)))
+        return lhs - (phi * Ld.value(q_curr, x) - as_vector(Ld.d1(q_curr, x)))
 
     def J(x):
-        return np.atleast_2d(Ld.d1d2(q_curr, x)) - np.outer(phi, _arr(Ld.d2(q_curr, x)))
+        return np.atleast_2d(Ld.d1d2(q_curr, x)) - np.outer(phi, as_vector(Ld.d2(q_curr, x)))
 
     return F, J
 
@@ -73,7 +69,7 @@ def _dlcel_system(Ld: DiscreteLagrangian, chart: Chart, q_prev: Vector,
 def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,
              cfg: StepperConfig) -> np.ndarray:
     """Advance the plain three-point recursion; Newton seed is 2 q_curr - q_prev."""
-    q_prev, q_curr = _arr(q_prev), _arr(q_curr)
+    q_prev, q_curr = as_vector(q_prev), as_vector(q_curr)
     F, J = _del_system(Ld, q_prev, q_curr)
     return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J).x
 
@@ -81,7 +77,7 @@ def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,
 def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
                q_prev: Vector, q_curr: Vector, cfg: StepperConfig) -> np.ndarray:
     """Advance the conformal three-point recursion on a single chart."""
-    q_prev, q_curr = _arr(q_prev), _arr(q_curr)
+    q_prev, q_curr = as_vector(q_prev), as_vector(q_curr)
     atlas.require_inside(chart, q_prev)
     ch = atlas.require_inside(chart, q_curr)
     F, J = _dlcel_system(Ld, ch, q_prev, q_curr)
@@ -102,47 +98,66 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    q0, q1 = _arr(q0), _arr(q1)
+    q0, q1 = as_vector(q0), as_vector(q1)
     atlas.require_inside(start_chart, q0)
     atlas.require_inside(start_chart, q1)
     traj = DiscreteTrajectory(h=Ld.h)
     traj.points.append(TrajectoryPoint(k=0, chart=start_chart, q=q0))
     traj.points.append(TrajectoryPoint(k=1, chart=start_chart, q=q1))
 
-    chart_id = start_chart
-    q_prev, q_curr = q0, q1
-    for k in range(1, N):
-        ch = atlas.chart(chart_id)
-        if conformal:
-            F, J = _dlcel_system(Ld, ch, q_prev, q_curr)
-        else:
-            F, J = _del_system(Ld, q_prev, q_curr)
-        try:
-            res = newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
-        except (NewtonError, RegularityError) as e:
-            raise IntegrationError(f"step to lattice point {k + 1} failed: {e}",
-                                   partial=traj, index=k + 1) from e
-        q_next = res.x
-        switched = False
-        if not ch.contains(q_next, margin=switch_margin):
-            t = _find_switch(atlas, chart_id, q_curr, q_next, switch_margin)
-            if t is not None:
-                q_curr = _arr(t.forward(q_curr))
-                q_next = _arr(t.forward(q_next))
-                chart_id = t.to_chart
-                switched = True
-            elif not ch.contains(q_next):
-                raise IntegrationError(
-                    f"lattice point {k + 1} left chart {chart_id} with no usable "
-                    f"transition", partial=traj, index=k + 1)
-        traj.points.append(TrajectoryPoint(k=k + 1, chart=chart_id, q=q_next))
-        traj.steps.append(StepRecord(k=k + 1, iterations=res.iterations,
-                                     residual=res.residual, switched=switched))
-        q_prev, q_curr = q_curr, q_next
+    def step(ch, q_curr, q_prev):
+        F, J = _dlcel_system(Ld, ch, q_prev, q_curr) if conformal \
+            else _del_system(Ld, q_prev, q_curr)
+        res = newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
+        return res.x, q_curr, res
+
+    _march(atlas, start_chart, q1, q0, traj, N, step,
+           carry=lambda t, q_next, q_curr: as_vector(t.forward(q_curr)),
+           point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart, q=q),
+           switch_margin=switch_margin)
 
     from .hamiltonian_discrete import momenta_along_trajectory
     momenta_along_trajectory(Ld, atlas, traj, tol=max(10.0 * cfg.tol, 1e-13),
                              conformal=conformal)
+    return traj
+
+
+def _march(atlas: ConformalAtlas, chart_id: int, q: Vector, aux,
+           traj: DiscreteTrajectory, N: int, step: Callable, carry: Callable,
+           point: Callable, switch_margin: float) -> DiscreteTrajectory:
+    """Append lattice points len(traj.points) .. N to ``traj``, one step each.
+
+    The window (q, aux) is posed on chart ``chart_id``: q is the current point
+    and aux whatever else the step needs (the previous point, or the current
+    momentum).  ``step(chart, q, aux)`` returns (q_next, aux_next,
+    NewtonResult).  When q_next leaves the core of its chart the window moves
+    across a transition holding q and q_next into a chart whose core holds
+    q_next; ``carry(t, q_next, aux_next)`` transports aux_next, given q_next
+    in the old chart.  ``point(k, chart_id, q, aux)`` builds each recorded point.
+    """
+    for k in range(len(traj.points), N + 1):
+        ch = atlas.chart(chart_id)
+        try:
+            q_next, aux_next, res = step(ch, q, aux)
+        except (NewtonError, RegularityError) as e:
+            raise IntegrationError(f"step to lattice point {k} failed: {e}",
+                                   partial=traj, index=k) from e
+        switched = False
+        if not ch.contains(q_next, margin=switch_margin):
+            t = _find_switch(atlas, chart_id, q, q_next, switch_margin)
+            if t is not None:
+                aux_next = carry(t, q_next, aux_next)
+                q_next = as_vector(t.forward(q_next))
+                chart_id = t.to_chart
+                switched = True
+            elif not ch.contains(q_next):
+                raise IntegrationError(
+                    f"lattice point {k} left chart {chart_id} with no usable "
+                    f"transition", partial=traj, index=k)
+        traj.points.append(point(k, chart_id, q_next, aux_next))
+        traj.steps.append(StepRecord(k=k, iterations=res.iterations,
+                                     residual=res.residual, switched=switched))
+        q, aux = q_next, aux_next
     return traj
 
 
@@ -152,7 +167,7 @@ def _find_switch(atlas: ConformalAtlas, chart_id: int, q_curr: Vector,
     for t in atlas.transitions:
         if t.from_chart != chart_id or not (t.contains(q_next) and t.contains(q_curr)):
             continue
-        if atlas.chart(t.to_chart).contains(_arr(t.forward(q_next)), margin=margin):
+        if atlas.chart(t.to_chart).contains(as_vector(t.forward(q_next)), margin=margin):
             return t
     return None
 
@@ -171,17 +186,13 @@ def _into_chart(atlas: ConformalAtlas, q: Vector, from_chart: int, to_chart: int
                 ) -> np.ndarray:
     if from_chart == to_chart:
         return q
-    t = atlas.find_transition(from_chart, to_chart, q)
-    if t is None:
-        raise DomainError(f"no transition carries {q} from chart {from_chart} "
-                          f"to chart {to_chart}")
-    return _arr(t.forward(q))
+    return as_vector(atlas.require_transition(from_chart, to_chart, q).forward(q))
 
 
 def action_sum(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart_assignment,
                qs: Sequence[Vector]) -> float:
     """Discrete action sum of the local Lagrangian, sum_k e^{-sigma(q_k)} Ld(q_k, q_{k+1})."""
-    qs = [_arr(q) for q in qs]
+    qs = [as_vector(q) for q in qs]
     if len(qs) < 2:
         raise ValueError("action sum needs at least two lattice points")
     charts = _normalize_charts(chart_assignment, len(qs))
@@ -208,27 +219,16 @@ def stationarity_residual(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     else:
         if chart is None:
             raise ValueError("a chart id is required for a bare point sequence")
-        qs = [_arr(q) for q in points]
+        qs = [as_vector(q) for q in points]
         charts = [chart] * len(qs)
     if len(qs) < 3:
         raise ValueError("stationarity needs at least one interior point")
 
     worst = 0.0
     for k in range(1, len(qs) - 1):
-        ca, ck = charts[k - 1], charts[k]
-        qa = qs[k - 1]
-        qb = _into_chart(atlas, qs[k + 1], charts[k + 1], ck)
-        sig_a = float(atlas.chart(ca).sigma(qa))
-        cha = atlas.chart(ck)
-
-        def local_action(x):
-            x_in_a = _into_chart(atlas, x, ck, ca)
-            return (np.exp(-sig_a) * float(Ld.value(qa, x_in_a))
-                    + np.exp(-float(cha.sigma(x))) * float(Ld.value(x, qb)))
-
-        for i in range(qs[k].size):
-            xp, xm = qs[k].copy(), qs[k].copy()
-            xp[i] += eps
-            xm[i] -= eps
-            worst = max(worst, abs(local_action(xp) - local_action(xm)) / (2 * eps))
+        # only the two terms of the action sum that contain q_k depend on it
+        window = charts[k - 1:k + 2]
+        grad = fd_jacobian(
+            lambda x: action_sum(Ld, atlas, window, [qs[k - 1], x, qs[k + 1]]), qs[k], eps)
+        worst = max(worst, float(np.max(np.abs(grad))))
     return worst

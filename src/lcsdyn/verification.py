@@ -20,7 +20,7 @@ from .hamiltonian_discrete import (build_left_hamiltonian,
                                    build_right_hamiltonian,
                                    integrate_hamiltonian, ld_step, ldlch_step,
                                    rd_step, rdlch_step)
-from .numerics import StepperConfig
+from .numerics import StepperConfig, as_vector
 from .systems import System, rotor_extended_chart, with_constant_sigma
 from .variational import del_step, dlcel_step, integrate, stationarity_residual
 
@@ -35,6 +35,16 @@ def _entry(name, passed, measured, tolerance, note=""):
     return out
 
 
+def _sup(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _trajectory_gap(one, two) -> float:
+    """Largest q or p difference between corresponding points of two trajectories."""
+    return max((max(_sup(a.q, b.q), _sup(a.p, b.p))
+                for a, b in zip(one.points, two.points)), default=0.0)
+
+
 def check_cocycle(system: System) -> dict:
     report = cocycle_check(system.atlas)
     return _entry("cocycle", report.passed, report.max_deviation, 1e-10)
@@ -46,8 +56,8 @@ def check_reduction(system: System, seed: int = 0, n_seeds: int = 100) -> dict:
     Ld = midpoint_rule(const.lagrangian, _H)
     cfg = StepperConfig(tol=1e-13)
     chart = const.start_chart
-    Hdr = build_right_hamiltonian(Ld, const.atlas, chart)
-    Hdl = build_left_hamiltonian(Ld, const.atlas, chart)
+    steppers = ((rdlch_step, rd_step, build_right_hamiltonian(Ld, const.atlas, chart)),
+                (ldlch_step, ld_step, build_left_hamiltonian(Ld, const.atlas, chart)))
     ch = const.atlas.chart(chart)
     center = 0.5 * (ch.lower + ch.upper)
     span = 0.25 * ch.width
@@ -56,71 +66,56 @@ def check_reduction(system: System, seed: int = 0, n_seeds: int = 100) -> dict:
     for _ in range(n_seeds):
         q_prev = center + span * rng.uniform(-1, 1, const.n)
         q_curr = q_prev + rng.uniform(-0.1, 0.1, const.n)
-        worst = max(worst, float(np.max(np.abs(
-            dlcel_step(Ld, const.atlas, chart, q_prev, q_curr, cfg)
-            - del_step(Ld, q_prev, q_curr, cfg)))))
+        worst = max(worst, _sup(dlcel_step(Ld, const.atlas, chart, q_prev, q_curr, cfg),
+                                del_step(Ld, q_prev, q_curr, cfg)))
         q = center + span * rng.uniform(-1, 1, const.n)
         p = rng.uniform(-1, 1, const.n)
-        qr, pr = rdlch_step(Hdr, const.atlas, chart, q, p, cfg)
-        q0, p0 = rd_step(Hdr, q, p, cfg)
-        worst = max(worst, float(np.max(np.abs(qr - q0))),
-                    float(np.max(np.abs(pr - p0))))
-        ql, pl = ldlch_step(Hdl, const.atlas, chart, q, p, cfg)
-        q1, p1 = ld_step(Hdl, q, p, cfg)
-        worst = max(worst, float(np.max(np.abs(ql - q1))),
-                    float(np.max(np.abs(pl - p1))))
+        for conformal_step, plain_step, Hd in steppers:
+            qc, pc = conformal_step(Hd, const.atlas, chart, q, p, cfg)
+            qp, pp = plain_step(Hd, q, p, cfg)
+            worst = max(worst, _sup(qc, qp), _sup(pc, pp))
     return _entry("reduction_constant_sigma", worst <= 1e-12, worst, 1e-12)
 
 
-def check_stationarity(system: System, steps: int = 100) -> dict:
+def _reference_march(system: System):
+    """The 100-step conformal-midpoint march from q0 = 1, q1 = q0 - 0.01 that three checks share.
+
+    Returns ``(Ld, trajectory)``.
+    """
     Ld = conformal_midpoint_rule(system.lagrangian, system.atlas,
                                  system.start_chart, _H)
-    cfg = StepperConfig(tol=1e-12)
     q0 = np.full(system.n, 1.0)
-    q1 = q0 - 0.01
-    traj = integrate(Ld, system.atlas, system.start_chart, q0, q1, steps, cfg)
+    traj = integrate(Ld, system.atlas, system.start_chart, q0, q0 - 0.01, 100,
+                     StepperConfig(tol=1e-12))
+    return Ld, traj
+
+
+def check_stationarity(system: System, march) -> dict:
+    Ld, traj = march
     res = stationarity_residual(Ld, system.atlas, traj)
     return _entry("stationarity", res <= 1e-8, res, 1e-8)
 
 
-def _commutation_worst(system: System, side: str, steps: int, tol: float) -> float:
-    Ld = conformal_midpoint_rule(system.lagrangian, system.atlas,
-                                 system.start_chart, _H)
-    cfg = StepperConfig(tol=1e-12)
-    chart = system.start_chart
-    q0 = np.full(system.n, 1.0)
-    q1 = q0 - 0.01
-    traj = integrate(Ld, system.atlas, chart, q0, q1, steps, cfg)
-    build = build_right_hamiltonian if side == "right" else build_left_hamiltonian
-    Hd = build(Ld, system.atlas, chart)
-    ham = integrate_hamiltonian(Hd, system.atlas, chart, traj.points[0].q,
-                                traj.points[0].p, steps, cfg)
-    worst = 0.0
-    for a, b in zip(traj.points, ham.points):
-        worst = max(worst, float(np.max(np.abs(a.q - b.q))),
-                    float(np.max(np.abs(a.p - b.p))))
-    return worst
-
-
-def check_legendre_commutation(system: System, steps: int = 100) -> dict:
+def check_legendre_commutation(system: System, march) -> dict:
     """The Lagrangian march with momenta equals both conformal Hamiltonian marches."""
+    Ld, traj = march
+    chart = system.start_chart
     tol = 5e-10
-    worst = max(_commutation_worst(system, "right", steps, tol),
-                _commutation_worst(system, "left", steps, tol))
+    worst = 0.0
+    for build in (build_right_hamiltonian, build_left_hamiltonian):
+        ham = integrate_hamiltonian(build(Ld, system.atlas, chart), system.atlas, chart,
+                                    traj.points[0].q, traj.points[0].p,
+                                    len(traj.points) - 1, StepperConfig(tol=1e-12))
+        worst = max(worst, _trajectory_gap(traj, ham))
     return _entry("legendre_commutation", worst <= tol, worst, tol)
 
 
-def check_momentum_relation(system: System, steps: int = 100) -> dict:
-    Ld = conformal_midpoint_rule(system.lagrangian, system.atlas,
-                                 system.start_chart, _H)
-    cfg = StepperConfig(tol=1e-12)
-    q0 = np.full(system.n, 1.0)
-    traj = integrate(Ld, system.atlas, system.start_chart, q0, q0 - 0.01,
-                     steps, cfg)
+def check_momentum_relation(system: System, march) -> dict:
+    _, traj = march
     worst = 0.0
     for pt in traj.points:
         sigma = float(system.atlas.chart(pt.chart).sigma(pt.q))
-        worst = max(worst, float(np.max(np.abs(pt.r - np.exp(-sigma) * pt.p))))
+        worst = max(worst, _sup(pt.r, np.exp(-sigma) * pt.p))
     return _entry("momentum_relation", worst <= 1e-12, worst, 1e-12)
 
 
@@ -163,7 +158,7 @@ def check_divergence_identity(system: System, seed: int = 0,
         p = rng.uniform(-2, 2, n)
         x = np.concatenate([q, p])
         phi = lee_form(system.atlas, system.start_chart, q)
-        qdot = np.atleast_1d(system.hamiltonian.grad_p(q, p))
+        qdot = as_vector(system.hamiltonian.grad_p(q, p))
         expected = n * float(phi @ qdot)
         worst = max(worst, abs(divergence_numeric(field, x, 1e-5) - expected))
     return _entry(
@@ -186,7 +181,7 @@ def check_continuous_equivalence(system: System, h: float = 1e-3,
     lag = rk4_integrate(make_lcel_field(system.lagrangian, system.atlas,
                                         system.start_chart),
                         np.concatenate([q0, v0]), h, steps)
-    worst = float(np.max(np.abs(ham[:, :n] - lag[:, :n])))
+    worst = _sup(ham[:, :n], lag[:, :n])
     return _entry("continuous_equivalence", worst <= 1e-8, worst, 1e-8)
 
 
@@ -207,21 +202,19 @@ def check_globalization(system: System, steps: int = 95) -> dict:
     if two.n_switches() == 0:
         return _entry("globalization", False, float("inf"), 1e-9,
                       note="trajectory never crossed a chart overlap")
-    worst = 0.0
-    for a, b in zip(two.points, one.points):
-        worst = max(worst, float(np.max(np.abs(a.q - b.q))),
-                    float(np.max(np.abs(a.p - b.p))))
+    worst = _trajectory_gap(two, one)
     return _entry("globalization", worst <= 1e-9, worst, 1e-9,
                   note=f"{two.n_switches()} chart switches")
 
 
 def run_all(system: System, seed: int = 0) -> dict:
+    march = _reference_march(system)
     checks = [
         check_cocycle(system),
         check_reduction(system, seed=seed),
-        check_stationarity(system),
-        check_legendre_commutation(system),
-        check_momentum_relation(system),
+        check_stationarity(system, march),
+        check_legendre_commutation(system, march),
+        check_momentum_relation(system, march),
         check_lcs_condition(system, seed=seed),
         check_divergence_identity(system, seed=seed),
         check_continuous_equivalence(system),

@@ -165,9 +165,3 @@ def test_chart_requires_nonempty_domain():
         Chart(id=0, dim=1, lower=[1.0], upper=[1.0], sigma=lambda q: 0.0)
     with pytest.raises(ValueError):
         Chart(id=0, dim=2, lower=[0.0], upper=[1.0], sigma=lambda q: 0.0)
-
-
-def test_lee_form_accessor_object():
-    system = harmonic_1d(0.2)
-    lee = system.atlas.lee()
-    assert np.allclose(lee.components(0, [1.0]), [0.2])

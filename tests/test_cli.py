@@ -201,6 +201,36 @@ def test_verify_unknown_system_is_config_error():
     assert main(["verify", "--system", "nope"]) == EXIT_CONFIG
 
 
+def test_verify_sigma_params_length_is_config_error():
+    assert main(["verify", "--system", "planar_2d", "--sigma-params", "0.1"]) \
+        == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sigma_params": [0.1, 0.2]},
+    {"initial": {"q0": ["one"], "q1": [0.99]}},
+    {"steps": "10"},
+    {"initial": {"q0": [float("nan")], "q1": [0.99]}},
+], ids=["sigma_params_length", "non_numeric_initial", "string_steps", "nan_initial"])
+def test_bad_config_is_config_error(tmp_path, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(str(cfg_path))
+    assert main(["integrate", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+
+def test_hamiltonian_method_switches_rotor_charts(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "system": "free_rotor_circle", "sigma_params": [-0.1], "method": "rdlch",
+        "h": 0.05, "steps": 2000, "initial": {"q": [0.3], "p": [1.0]},
+        "tol": 1e-12}))
+    assert main(["integrate", "--config", str(cfg_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["chart_switches"] >= 8
+
+
 def test_integrate_failure_writes_partial(tmp_path):
     out = tmp_path / "partial.csv"
     cfg = ExperimentConfig.from_dict({

@@ -64,18 +64,18 @@ def test_acceleration_singular_hessian(harmonic):
 
 def test_energy_values(harmonic):
     L = harmonic.lagrangian
-    assert energy(L, harmonic.atlas, 0, [1.0], [1.0]) == pytest.approx(1.0)
+    assert energy(L, [1.0], [1.0]) == pytest.approx(1.0)
     # homogeneous degree one in velocity -> zero energy
     L1 = ContinuousLagrangian(
         n=1, value=lambda q, v: 3.0 * float(v[0]), grad_q=lambda q, v: np.zeros(1),
         grad_v=lambda q, v: np.array([3.0]), hess_vv=lambda q, v: np.zeros((1, 1)),
         hess_vq=lambda q, v: np.zeros((1, 1)))
-    assert energy(L1, harmonic.atlas, 0, [0.5], [2.0]) == pytest.approx(0.0)
+    assert energy(L1, [0.5], [2.0]) == pytest.approx(0.0)
     free = ContinuousLagrangian(
         n=1, value=lambda q, v: 0.5 * float(v @ v), grad_q=lambda q, v: np.zeros(1),
         grad_v=lambda q, v: np.asarray(v, float), hess_vv=lambda q, v: np.eye(1),
         hess_vq=lambda q, v: np.zeros((1, 1)))
-    assert energy(free, harmonic.atlas, 0, [0.0], [2.0]) == pytest.approx(2.0)
+    assert energy(free, [0.0], [2.0]) == pytest.approx(2.0)
 
 
 def test_fiber_legendre(harmonic):

@@ -5,7 +5,7 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     StepperConfig, build_left_hamiltonian,
                     build_right_hamiltonian, conformal_midpoint_rule,
                     discrete_legendre, integrate, integrate_hamiltonian,
-                    ld_step, ldlch_step, midpoint_rule,
+                    free_rotor_circle, ld_step, ldlch_step, midpoint_rule,
                     momenta_along_trajectory, rd_step, rdlch_step,
                     with_constant_sigma)
 from lcsdyn.numerics import fd_gradient
@@ -221,6 +221,24 @@ def test_legendre_commutation_conformal(side, harmonic, tight_cfg):
         assert np.max(np.abs(a.q - b.q)) <= 50 * tight_cfg.tol
         assert np.max(np.abs(a.p - b.p)) <= 50 * tight_cfg.tol
         assert np.array_equal(a.r, np.exp(-0.1 * a.q) * a.p)
+
+
+def test_hamiltonian_marches_cross_charts_like_integrate(tight_cfg):
+    # c < 0 keeps the rotor turning at a decaying speed through many overlaps
+    rotor = free_rotor_circle(-0.1)
+    Ld = conformal_midpoint_rule(rotor.lagrangian, rotor.atlas, 0, 0.05)
+    traj = integrate(Ld, rotor.atlas, 0, [0.3], [0.35], 2000, tight_cfg)
+    for build in (build_right_hamiltonian, build_left_hamiltonian):
+        Hd = build(Ld, rotor.atlas, 0)
+        ham = integrate_hamiltonian(Hd, rotor.atlas, 0, traj.points[0].q,
+                                    traj.points[0].p, 2000, tight_cfg)
+        assert ham.n_switches() >= 8
+        assert ham.charts() == traj.charts()
+        for a, b in zip(traj.points, ham.points):
+            assert np.max(np.abs(a.q - b.q)) <= 5e-10
+            assert np.max(np.abs(a.p - b.p)) <= 5e-10
+            sigma = rotor.atlas.chart(b.chart).sigma(b.q)
+            assert np.max(np.abs(b.r - np.exp(-sigma) * b.p)) <= 1e-12
 
 
 def test_momentum_pair_relation_defect(free_line):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import NewtonError, RegularityError, StepperConfig
-from lcsdyn.numerics import (fd_gradient, fd_jacobian, gauss_legendre,
-                             newton_solve, solve_linear)
+from lcsdyn.numerics import (fd_gradient, fd_jacobian, fd_mixed_second,
+                             gauss_legendre, newton_solve, solve_linear)
 
 
 def test_config_validation():
@@ -48,6 +48,19 @@ def test_newton_nonconvergence_carries_residual():
     assert exc.value.iterations == 3
 
 
+def test_newton_no_finite_trial_raises_newton_error():
+    # finite only at the initial guess: every damped trial is NaN
+    cfg = StepperConfig(tol=1e-12, max_iter=5)
+
+    def F(x):
+        return np.array([1.0]) if x[0] == 0.0 else np.array([np.nan])
+
+    with pytest.raises(NewtonError) as exc:
+        newton_solve(F, np.array([0.0]), cfg, jacobian=lambda x: np.eye(1))
+    assert exc.value.residual == 1.0
+    assert exc.value.iterations == 1
+
+
 def test_newton_quadratic_convergence():
     # residual ratios e_{k+1}/e_k^2 stay bounded for F(x) = x^2 - 2
     residuals = []
@@ -73,6 +86,52 @@ def test_fd_jacobian_linear():
     M = np.array([[2.0, 1.0], [0.0, -3.0]])
     J = fd_jacobian(lambda x: M @ x, np.array([0.3, -0.7]), 1e-6)
     assert np.allclose(J, M, atol=1e-9)
+
+
+def _reference_central_differences(F, x, eps):
+    """The column-by-column central-difference loop the kernel replaced."""
+    cols = []
+    for i in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += eps
+        xm[i] -= eps
+        cols.append((np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float))
+                    / (2 * eps))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("F", [
+    lambda x: float(np.sin(x[0]) * np.exp(x[1]) + x[2] ** 3),
+    lambda x: np.array([np.sin(x[0] * x[1]), np.cos(x[2]) / (1.0 + x[0] ** 2)]),
+    lambda x: np.outer(np.sin(x), np.exp(x)) - np.diag(x ** 3),
+], ids=["scalar", "vector", "matrix"])
+def test_fd_jacobian_bitwise_equals_reference_loop(F):
+    x = np.array([0.3, -0.7, 1.1])
+    for eps in (1e-6, 1e-4):
+        got = fd_jacobian(F, x, eps)
+        want = _reference_central_differences(F, x, eps)
+        assert got.shape == np.shape(F(x)) + (x.size,)
+        assert np.array_equal(got, want)
+        if np.ndim(F(x)) == 0:
+            assert np.array_equal(fd_gradient(F, x, eps), want)
+
+
+def test_fd_mixed_second_bitwise_equals_four_point_loop():
+    def f(x, y):
+        return float(np.sin(x[0] * y[1]) + np.exp(x[1] - y[0]) * x[0] * y[1] ** 2)
+
+    x, y, eps = np.array([0.4, -0.2]), np.array([1.3, 0.6]), 1e-3
+    want = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += eps
+            xm[i] -= eps
+            yp, ym = y.copy(), y.copy()
+            yp[j] += eps
+            ym[j] -= eps
+            want[i, j] = (f(xp, yp) - f(xp, ym) - f(xm, yp) + f(xm, ym)) / (4.0 * eps * eps)
+    assert np.array_equal(fd_mixed_second(f, x, y, eps), want)
 
 
 def test_quadrature_examples():
