@@ -16,6 +16,7 @@ sigma is constant.  A fixed-step classical RK4 integrator serves as reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,21 +118,48 @@ def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector,
 
 def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
                   steps: int) -> np.ndarray:
-    """Classical fixed-step 4th-order Runge-Kutta; returns (steps+1, dim) states."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    """Classical fixed-step 4th-order Runge-Kutta; returns (steps+1, d) states.
+
+    ``field`` is called exactly four times per step, each time on a fresh
+    float64 array of shape ``(d,)``, and must return an array-like of ``d``
+    real components.  The stages are combined in Python floats, component by
+    component, in the order ``x + (h/2) k`` and
+    ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.
+
+    Raises ``ValueError`` when ``h`` is not a positive finite number, when
+    ``steps < 1`` and when a field output does not have ``d`` components, and
+    :class:`IntegrationError` at the first step whose state is not finite,
+    with the states before it as ``partial``.
+    """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x = as_vector(x0)
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
+    x0 = as_vector(x0)
+    d = x0.size
+    shape = (d,)
+    out = np.empty((steps + 1, d))
+    out[0] = x0
+    x = out[0].tolist()
+    half, sixth = 0.5 * h, h / 6.0
+
+    def stage(y: list) -> list:
+        k = np.asarray(field(np.array(y)), dtype=float)
+        if k.shape != shape:
+            if k.size != d:
+                raise ValueError(f"field returned {k.size} components for a state "
+                                 f"of length {d}")
+            k = k.reshape(shape)
+        return k.tolist()
+
     for k in range(steps):
-        k1 = np.asarray(field(x))
-        k2 = np.asarray(field(x + 0.5 * h * k1))
-        k3 = np.asarray(field(x + 0.5 * h * k2))
-        k4 = np.asarray(field(x + h * k3))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        k1 = stage(x)
+        k2 = stage([a + half * b for a, b in zip(x, k1)])
+        k3 = stage([a + half * b for a, b in zip(x, k2)])
+        k4 = stage([a + h * b for a, b in zip(x, k3)])
+        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, x)):
             raise IntegrationError(f"non-finite state at step {k + 1}",
                                    partial=out[:k + 1], index=k + 1)
         out[k + 1] = x
@@ -150,8 +178,10 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
 
-    The chart is resolved once and the bounds check uses plain floats:
-    reference integrations call this closure hundreds of thousands of times.
+    The chart is resolved once, and the bounds check and the assembly of
+    ``pdot`` run on Python floats: reference integrations call this closure
+    hundreds of thousands of times.  ``H``'s callables get array views of x;
+    a ``grad_q`` or Lee form without n components raises ``ValueError``.
     """
     n = H.n
     ch = atlas.chart(chart)
@@ -161,22 +191,40 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
 
     def field(x: Vector) -> np.ndarray:
         q, p = x[:n], x[n:]
+        xs = x.tolist()
         for i in range(n):
-            if not lo[i] <= x[i] <= hi[i]:
+            if not lo[i] <= xs[i] <= hi[i]:
                 atlas.require_inside(chart, q)
-        phi = grad(q)
-        qdot = np.asarray(H.grad_p(q, p), dtype=float)
-        pdot = -np.asarray(H.grad_q(q, p), dtype=float) \
-            - (phi * float(p @ qdot) - p * float(phi @ qdot)) \
-            + H.value(q, p) * phi
-        return np.concatenate([qdot, pdot])
+        phi_a = grad(q)
+        phi = phi_a.tolist()
+        qdot_a = np.asarray(H.grad_p(q, p), dtype=float)
+        qdot = qdot_a.tolist()
+        gq = np.asarray(H.grad_q(q, p), dtype=float).tolist()
+        hval = float(H.value(q, p))
+        ps = xs[n:]
+        if n == 1:
+            # numpy rounds a one-element dot like 0.0 + a*b; longer dots may
+            # fuse a multiply-add, so they stay numpy calls.
+            s_p = 0.0 + ps[0] * qdot[0]
+            s_phi = 0.0 + phi[0] * qdot[0]
+        else:
+            s_p, s_phi = float(p @ qdot_a), float(phi_a @ qdot_a)
+        pdot = [-g - (f * s_p - pi * s_phi) + hval * f
+                for g, f, pi in zip(gq, phi, ps, strict=True)]
+        return np.array(qdot + pdot)
 
     return field
 
 
 def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                     ) -> Callable[[Vector], np.ndarray]:
-    """Flatten the conformal Euler-Lagrange equations to a field on x = (q, v)."""
+    """Flatten the conformal Euler-Lagrange equations to a field on x = (q, v).
+
+    Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
+    floats and a ``grad_q``, ``grad_v`` or Lee form without n components
+    raises ``ValueError``.  The acceleration solves ``hess_vv a = rhs`` by one
+    division when n = 1 and by :func:`solve_linear` otherwise.
+    """
     n = L.n
     ch = atlas.chart(chart)
     lo = [float(b) for b in ch.lower]
@@ -185,21 +233,34 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
 
     def field(x: Vector) -> np.ndarray:
         q, v = x[:n], x[n:]
+        xs = x.tolist()
         for i in range(n):
-            if not lo[i] <= x[i] <= hi[i]:
+            if not lo[i] <= xs[i] <= hi[i]:
                 atlas.require_inside(chart, q)
-        phi = grad(q)
-        gv = np.asarray(L.grad_v(q, v), dtype=float)
-        rhs = np.asarray(L.grad_q(q, v), dtype=float) - L.hess_vq(q, v) @ v \
-            + float(phi @ v) * gv - L.value(q, v) * phi
+        vs = xs[n:]
+        phi_a = grad(q)
+        phi = phi_a.tolist()
+        gv = np.asarray(L.grad_v(q, v), dtype=float).tolist()
+        gq = np.asarray(L.grad_q(q, v), dtype=float).tolist()
+        hvq = L.hess_vq(q, v)
+        if n == 1:
+            # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
+            s = 0.0 + phi[0] * vs[0]
+            hv = [0.0 + float(hvq[0, 0]) * vs[0]]
+        else:
+            s, hv = float(phi_a @ v), (hvq @ v).tolist()
+        lval = float(L.value(q, v))
+        rhs = [a - b + s * c - lval * f
+               for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
         M = L.hess_vv(q, v)
         if n == 1:
-            if M[0, 0] == 0.0:
+            m = float(M[0, 0])
+            if m == 0.0:
                 raise RegularityError("singular 1x1 velocity Hessian",
                                       condition=float("inf"))
-            acc = rhs / M[0, 0]
+            acc = [rhs[0] / m]
         else:
-            acc = solve_linear(M, rhs)
-        return np.concatenate([v, acc])
+            acc = solve_linear(M, rhs).tolist()
+        return np.array(vs + acc)
 
     return field

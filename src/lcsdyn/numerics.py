@@ -5,6 +5,7 @@ All residual norms are infinity norms and all finite differences are central.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,6 +16,7 @@ from .errors import NewtonError, RegularityError
 Vector = np.ndarray
 
 _COND_LIMIT_NEWTON = 1e14
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,14 @@ class NewtonResult:
 
 
 def as_vector(x) -> np.ndarray:
-    """``x`` as a float array of at least one dimension."""
+    """``x`` as a float array of at least one dimension.
+
+    A float64 ndarray of one or more dimensions is returned as it is (the
+    conversion below would return that same object); anything else, ndarray
+    subclasses included, is converted.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
+        return x
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
@@ -163,14 +172,29 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float, order: int) 
 
 
 def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarray:
-    """Solve A x = b, raising :class:`RegularityError` when cond(A) exceeds the limit."""
+    """Solve A x = b as ``inv(A) @ b``; raise :class:`RegularityError` when the
+    2-norm condition number cond(A) exceeds ``cond_limit``.
+
+    cond(A) is computed by SVD only when the upper bound
+    ``||A||_F ||inv(A)||_F`` exceeds ``cond_limit / 4`` (the 4 covers rounding
+    in the bound) or when inversion finds A singular.  The error carries that
+    SVD value as ``condition``; it is raised when the value is above the limit
+    or not finite, and always for a singular A.  A 1x1 system raises only when
+    its entry is zero.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape == (1, 1):
         if A[0, 0] == 0.0:
             raise RegularityError("singular 1x1 system", condition=float("inf"))
         return np.atleast_1d(b / A[0, 0])
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise RegularityError(f"ill-conditioned linear system (cond ~ {cond:.3e})",
-                              condition=cond)
-    return np.linalg.solve(A, np.asarray(b, dtype=float))
+    try:
+        A_inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        A_inv = None
+    if A_inv is None or not (math.sqrt(float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv)))
+                             <= 0.25 * cond_limit):
+        cond = np.linalg.cond(A)
+        if A_inv is None or not np.isfinite(cond) or cond > cond_limit:
+            raise RegularityError(f"ill-conditioned linear system (cond ~ {cond:.3e})",
+                                  condition=cond)
+    return A_inv @ np.asarray(b, dtype=float)

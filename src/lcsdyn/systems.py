@@ -41,7 +41,7 @@ def _mechanical(n: int, grad_V, V, hess_V):
         n=n,
         value=lambda q, v: 0.5 * float(v @ v) - V(q),
         grad_q=lambda q, v: -grad_V(q),
-        grad_v=lambda q, v: np.asarray(v, dtype=float).copy(),
+        grad_v=lambda q, v: np.array(v, dtype=float),
         hess_vv=lambda q, v: eye,
         hess_vq=lambda q, v: zeros,
         hess_qq=lambda q, v: -hess_V(q),
@@ -50,7 +50,7 @@ def _mechanical(n: int, grad_V, V, hess_V):
         n=n,
         value=lambda q, p: 0.5 * float(p @ p) + V(q),
         grad_q=lambda q, p: grad_V(q),
-        grad_p=lambda q, p: np.asarray(p, dtype=float).copy(),
+        grad_p=lambda q, p: np.array(p, dtype=float),
     )
     return L, H
 
@@ -70,7 +70,7 @@ def harmonic_1d(c: float = 0.1) -> System:
     L, H = _mechanical(
         1,
         V=lambda q: 0.5 * float(q @ q),
-        grad_V=lambda q: np.atleast_1d(q).astype(float).copy(),
+        grad_V=lambda q: np.array(q, dtype=float, ndmin=1),
         hess_V=lambda q: np.eye(1),
     )
     return System(name="harmonic_1d", n=1, atlas=ConformalAtlas(charts=(chart,)),
@@ -84,7 +84,7 @@ def planar_2d(c1: float = 0.3, c2: float = 0.1) -> System:
     L, H = _mechanical(
         2,
         V=lambda q: 0.5 * float(q @ q),
-        grad_V=lambda q: np.asarray(q, dtype=float).copy(),
+        grad_V=lambda q: np.array(q, dtype=float),
         hess_V=lambda q: np.eye(2),
     )
     return System(name="planar_2d", n=2, atlas=ConformalAtlas(charts=(chart,)),
@@ -118,7 +118,7 @@ def free_rotor_circle(c: float = 0.1) -> System:
     chart 2.
     """
     chart1, chart2 = _rotor_charts(c)
-    ident = lambda q: np.atleast_1d(np.asarray(q, dtype=float)).copy()
+    ident = lambda q: np.array(q, dtype=float, ndmin=1)
     one = lambda q: np.eye(1)
     transitions = (
         TransitionMap(from_chart=0, to_chart=1,

@@ -113,6 +113,116 @@ def test_rk4_rejects_nonfinite():
     assert exc.value.index is not None
 
 
+def test_rk4_rejects_wrong_length_field_output():
+    # one component for a two-component state used to broadcast silently
+    with pytest.raises(ValueError, match=r"1 components.*length 2"):
+        rk4_integrate(lambda x: np.array([1.0]), [0.0, 0.0], 0.1, 2)
+
+
+def test_fields_reject_wrong_length_gradients(harmonic):
+    # a two-component grad_q for n = 1 used to broadcast into a 3-vector field
+    L, H = harmonic.lagrangian, harmonic.hamiltonian
+    L2 = ContinuousLagrangian(n=1, value=L.value, grad_q=lambda q, v: np.zeros(2),
+                              grad_v=L.grad_v, hess_vv=L.hess_vv, hess_vq=L.hess_vq)
+    H2 = ContinuousHamiltonian(n=1, value=H.value, grad_q=lambda q, p: np.zeros(2),
+                               grad_p=H.grad_p)
+    x = np.array([0.5, 0.2])
+    with pytest.raises(ValueError):
+        make_lcel_field(L2, harmonic.atlas, 0)(x)
+    with pytest.raises(ValueError):
+        make_lcshe_field(H2, harmonic.atlas, 0)(x)
+
+
+def test_rk4_rejects_nan_step():
+    with pytest.raises(ValueError, match="h must be positive"):
+        rk4_integrate(lambda x: x, [1.0], float("nan"), 3)
+
+
+# The numpy RK4 loop and field formulas the float-level kernel replaced, kept
+# as the reference that it must reproduce bit for bit.
+
+def _reference_rk4(field, x0, h, steps):
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    out = np.empty((steps + 1, x.size))
+    out[0] = x
+    for k in range(steps):
+        k1 = np.asarray(field(x))
+        k2 = np.asarray(field(x + 0.5 * h * k1))
+        k3 = np.asarray(field(x + 0.5 * h * k2))
+        k4 = np.asarray(field(x + h * k3))
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = x
+    return out
+
+
+def _reference_lcshe_field(H, atlas, chart):
+    n, grad = H.n, atlas.chart(chart).grad
+
+    def field(x):
+        q, p = x[:n], x[n:]
+        phi = grad(q)
+        qdot = np.asarray(H.grad_p(q, p), dtype=float)
+        pdot = -np.asarray(H.grad_q(q, p), dtype=float) \
+            - (phi * float(p @ qdot) - p * float(phi @ qdot)) \
+            + H.value(q, p) * phi
+        return np.concatenate([qdot, pdot])
+
+    return field
+
+
+def _reference_lcel_field(L, atlas, chart):
+    n, grad = L.n, atlas.chart(chart).grad
+
+    def field(x):
+        q, v = x[:n], x[n:]
+        phi = grad(q)
+        gv = np.asarray(L.grad_v(q, v), dtype=float)
+        rhs = np.asarray(L.grad_q(q, v), dtype=float) - L.hess_vq(q, v) @ v \
+            + float(phi @ v) * gv - L.value(q, v) * phi
+        M = L.hess_vv(q, v)
+        acc = rhs / M[0, 0] if n == 1 else np.linalg.solve(M, rhs)
+        return np.concatenate([v, acc])
+
+    return field
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
+def test_rk4_fields_bitwise_equal_numpy_reference(system_fn):
+    system = system_fn()
+    n = system.n
+    starts = [np.zeros(2 * n), np.concatenate([np.full(n, 1.0), -np.zeros(n)]),
+              np.random.default_rng(3).uniform(-1, 1, 2 * n)]
+    pairs = [(make_lcshe_field(system.hamiltonian, system.atlas, 0),
+              _reference_lcshe_field(system.hamiltonian, system.atlas, 0)),
+             (make_lcel_field(system.lagrangian, system.atlas, 0),
+              _reference_lcel_field(system.lagrangian, system.atlas, 0))]
+    for x0 in starts:
+        for field, reference in pairs:
+            got = rk4_integrate(field, x0, 1e-3, 500)
+            want = _reference_rk4(reference, x0, 1e-3, 500)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_lcel_field_matches_reference_with_coupled_hessians():
+    # L = v.Mv/2 + v.Bq - q.Kq/2: non-identity hess_vv = M, hess_vq = B != 0.
+    # solve_linear goes through inv(M), which rounds differently from LU.
+    M = np.array([[2.0, 0.3], [0.3, 0.7]])
+    B = np.array([[0.0, 0.4], [-0.25, 0.1]])
+    K = np.array([[1.0, 0.2], [0.2, 1.5]])
+    L = ContinuousLagrangian(
+        n=2,
+        value=lambda q, v: 0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
+        grad_q=lambda q, v: B.T @ v - K @ q,
+        grad_v=lambda q, v: M @ v + B @ q,
+        hess_vv=lambda q, v: M,
+        hess_vq=lambda q, v: B)
+    system = planar_2d()
+    x0 = np.array([0.6, -0.4, 0.2, 0.9])
+    got = rk4_integrate(make_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
+    want = _reference_rk4(_reference_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def test_divergence_linear_field_trace():
     M = np.array([[1.0, 2.0], [3.0, -4.0]])
     div = divergence_numeric(lambda x: M @ x, np.array([0.3, 0.8]), 1e-5)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import NewtonError, RegularityError, StepperConfig
-from lcsdyn.numerics import (fd_gradient, fd_jacobian, fd_mixed_second,
+from lcsdyn.numerics import (as_vector, fd_gradient, fd_jacobian, fd_mixed_second,
                              gauss_legendre, newton_solve, solve_linear)
 
 
@@ -168,3 +168,39 @@ def test_solve_linear_condition_limit():
     assert exc.value.condition is None or exc.value.condition > 1e12
     x = solve_linear(np.array([[2.0]]), np.array([3.0]))
     assert np.allclose(x, [1.5])
+
+
+def test_solve_linear_frobenius_screen_falls_back_to_svd():
+    # cond 8.3e11 is under the limit; the Frobenius bound 1.18e12 is over it
+    A = np.diag([1.0, 1.2e-12, 1.2e-12])
+    assert np.linalg.cond(A) < 1e12 < np.linalg.norm(A) * np.linalg.norm(np.linalg.inv(A))
+    x = solve_linear(A, np.array([1.0, 1.2e-12, 2.4e-12]))
+    assert np.allclose(x, [1.0, 1.0, 2.0], rtol=1e-12, atol=0.0)
+
+
+def test_solve_linear_reports_svd_condition():
+    A = np.diag([1.0, 1e-13])
+    with pytest.raises(RegularityError) as exc:
+        solve_linear(A, np.array([1.0, 1.0]))
+    assert exc.value.condition == np.linalg.cond(A)
+
+
+def test_solve_linear_exactly_singular_is_regularity_error():
+    with pytest.raises(RegularityError):
+        solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+
+
+def test_as_vector_contract():
+    for x in (np.array([1.0, 2.0]), np.zeros((2, 3)), np.arange(4.0)[1:3]):
+        assert as_vector(x) is x
+
+    class Sub(np.ndarray):
+        pass
+
+    inputs = ([1.0, 2.0], 3, np.array(2.5), np.array([1.0, 2.0], dtype=np.float32),
+              np.array([1.0, 2.0]).view(Sub), np.array([1, 2]))
+    for x in inputs:
+        y = as_vector(x)
+        assert y is not x and type(y) is np.ndarray
+        assert y.dtype == np.float64 and y.ndim >= 1
+        assert np.array_equal(y, np.atleast_1d(x))
