@@ -81,6 +81,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"the config must be a JSON object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         for key in d:
             if key not in known:
@@ -110,13 +112,13 @@ class ExperimentConfig:
                  "system")
         _require(self.method in METHODS, f"must be one of {METHODS}", "method")
         _require(self.rule in RULES, f"must be one of {RULES}", "rule")
-        _require(_is_number(self.h) and self.h > 0, "must be a positive number", "h")
+        _require(_is_positive(self.h), "must be a finite positive number", "h")
         _require(_is_number(self.steps, int) and self.steps >= 1,
                  "must be an integer >= 1", "steps")
         _require(self.method not in TWO_POINT_METHODS or self.steps >= 2,
                  "two-point methods need steps >= 2", "steps")
-        _require(_is_number(self.tol) and self.tol >= 1e-14,
-                 "must be a number >= 1e-14", "tol")
+        _require(_is_positive(self.tol) and self.tol >= 1e-14,
+                 "must be a finite number >= 1e-14", "tol")
         _require(_is_number(self.max_iter, int) and self.max_iter >= 1,
                  "must be an integer >= 1", "max_iter")
         if self.sigma_params:
@@ -151,6 +153,11 @@ def _is_number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _is_positive(x) -> bool:
+    """A finite number > 0."""
+    return _is_number(x) and math.isfinite(x) and x > 0
+
+
 def _is_vector(x, n: int) -> bool:
     """A list of n finite numbers."""
     return isinstance(x, (list, tuple)) and len(x) == n \
@@ -171,16 +178,24 @@ def _fmt(x) -> str:
 def write_trajectory_csv(path: str, n: int, rows: list[dict]) -> None:
     header = (["k", "t", "chart"] + [f"{c}_{i}" for c in "qpr" for i in range(n)]
               + ["sigma", "energy"])
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [str(row["k"]), _fmt(row["t"]), str(row["chart"])]
-            for key in ("q", "p", "r"):
-                vec = row.get(key)
-                cells += [_fmt(v) for v in vec] if vec is not None else [""] * n
-            cells.append(_fmt(row.get("sigma")))
-            cells.append(_fmt(row.get("energy")))
-            f.write(",".join(cells) + "\n")
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [str(row["k"]), _fmt(row["t"]), str(row["chart"])]
+        for key in ("q", "p", "r"):
+            vec = row.get(key)
+            cells += [_fmt(v) for v in vec] if vec is not None else [""] * n
+        cells.append(_fmt(row.get("sigma")))
+        cells.append(_fmt(row.get("energy")))
+        lines.append(",".join(cells))
+    _write_text(path, "\n".join(lines) + "\n", "output_path")
+
+
+def _write_text(path, text: str, field: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a config error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {str(path)!r}: {e.strerror or e}", field) from e
 
 
 def _trajectory_rows(config: ExperimentConfig, system: System) -> tuple[list[dict], dict]:
@@ -285,7 +300,7 @@ def _write_outputs(config: ExperimentConfig, n: int, rows: list[dict],
         return None
     write_trajectory_csv(config.output_path, n, rows)
     spath = Path(config.output_path).with_suffix(".summary.json")
-    spath.write_text(json.dumps(summary, indent=2) + "\n")
+    _write_text(spath, json.dumps(summary, indent=2) + "\n", "output_path")
     return spath
 
 
@@ -299,8 +314,10 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
     """
     if len(h_list) < 3:
         raise ConfigError("need at least 3 step sizes", "h_list")
-    if any(h <= 0 for h in h_list):
-        raise ConfigError("step sizes must be positive", "h_list")
+    if not all(_is_positive(h) for h in h_list):
+        raise ConfigError("step sizes must be finite positive numbers", "h_list")
+    if h_ref is not None and not _is_positive(h_ref):
+        raise ConfigError("must be a finite positive number", "h_ref")
     config.require_initial("q", "p")
     system = config._system()
     n = system.n
@@ -335,7 +352,7 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
         "order": slope,
     }
     if config.output_path:
-        Path(config.output_path).write_text(json.dumps(report, indent=2) + "\n")
+        _write_text(config.output_path, json.dumps(report, indent=2) + "\n", "output_path")
     return report
 
 
@@ -353,17 +370,19 @@ def _initial_for(method: str, q0, p0, q_at_h) -> dict:
 
 
 def cmd_verify(system_name: str, seed: int = 0, sigma_params=None) -> dict:
+    _require(_is_number(seed, int) and seed >= 0, "must be an integer >= 0", "seed")
     if sigma_params is not None:
         _check_sigma_params(system_name, sigma_params)
     system = get_system(system_name, sigma_params)
     return verification.run_all(system, seed=seed)
 
 
-def _parse_h_list(text: str) -> list[float]:
+def _parse_floats(text: str, field: str) -> list[float]:
+    """A comma-separated list of numbers from the command line."""
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
-        raise ConfigError(f"bad --h list {text!r}: {e}", "h_list") from e
+        raise ConfigError(f"bad comma-separated number list {text!r}: {e}", field) from e
 
 
 def main(argv=None) -> int:
@@ -396,18 +415,19 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "convergence":
             report = cmd_convergence(ExperimentConfig.from_json(args.config),
-                                     _parse_h_list(args.h), h_ref=args.h_ref)
+                                     _parse_floats(args.h, "h_list"), h_ref=args.h_ref)
             print(json.dumps(report, indent=2))
             return EXIT_OK
         if args.command == "verify":
-            params = _parse_h_list(args.sigma_params) if args.sigma_params else None
+            params = (_parse_floats(args.sigma_params, "sigma_params")
+                      if args.sigma_params else None)
             try:
                 report = cmd_verify(args.system, seed=args.seed, sigma_params=params)
             except KeyError as e:
                 raise ConfigError(str(e), "system") from e
             text = json.dumps(report, indent=2)
             if args.output:
-                Path(args.output).write_text(text + "\n")
+                _write_text(args.output, text + "\n", "output")
             print(text)
             return EXIT_OK if report["passed"] else EXIT_VERIFY
     except ConfigError as e:

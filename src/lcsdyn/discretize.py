@@ -128,57 +128,79 @@ def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
 
 
+def _memoized_pair_rule(n: int, h: float, pair_data, d1d2_from) -> DiscreteLagrangian:
+    """A two-point function whose callables share one evaluation per lattice pair.
+
+    ``pair_data(q0, q1)`` returns ``(value, d1, d2, extra)`` and
+    ``d1d2_from(q0, q1, extra)`` the mixed partial.  The last pair's data is
+    kept in a one-entry memo keyed by the pair's bytes, so value, d1, d2 and
+    d1d2 at one pair evaluate the Lagrangian and the chart data once.  Returned
+    arrays are fresh copies, and an input mutated in place between calls
+    misses the memo.  The memo belongs to the rule object; it is not
+    thread-safe.
+    """
+    key, data = None, None
+
+    def lookup(q0, q1):
+        nonlocal key, data
+        k = (q0.shape, q1.shape, q0.tobytes(), q1.tobytes())
+        if k != key:
+            data = pair_data(q0, q1)
+            key = k
+        return data
+
+    def value(q0, q1):
+        return lookup(as_vector(q0), as_vector(q1))[0]
+
+    def d1(q0, q1):
+        return lookup(as_vector(q0), as_vector(q1))[1].copy()
+
+    def d2(q0, q1):
+        return lookup(as_vector(q0), as_vector(q1))[2].copy()
+
+    def d1d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        return d1d2_from(q0, q1, lookup(q0, q1)[3])
+
+    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+
+
 def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
                             chart: int, h: float) -> DiscreteLagrangian:
     """Midpoint rule of the chart-local Lagrangian, expressed globally.
 
     Ld(q0, q1) = exp(sigma(q0) - sigma(m)) h L(m, w) with m the pair midpoint
-    and w the divided difference.
+    and w the divided difference.  Value, d1 and d2 at a pair come from one
+    evaluation of L, sigma and the Lee form, so ``L``'s callables and the
+    chart's sigma callables must be pure functions of their arguments.
     """
     base = midpoint_rule(L, h)
     ch = atlas.chart(chart)
 
-    def _weights(q0, q1):
+    def pair_data(q0, q1):
         mid = 0.5 * (q0 + q1)
         s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
-        a = ch.grad(q0) - 0.5 * ch.grad(mid)
-        b = -0.5 * ch.grad(mid)
+        grad_mid = ch.grad(mid)
+        a = ch.grad(q0) - 0.5 * grad_mid
+        b = -0.5 * grad_mid
         trivial = s0 == sm and not np.any(a) and not np.any(b)
-        return mid, np.exp(s0 - sm), a, b, trivial
-
-    def value(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        _, E, _, _, trivial = _weights(q0, q1)
-        base_val = base.value(q0, q1)
-        return base_val if trivial else E * base_val
-
-    def d1(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        _, E, a, _, trivial = _weights(q0, q1)
+        val, bd1, bd2 = base.value(q0, q1), base.d1(q0, q1), base.d2(q0, q1)
         if trivial:
-            return base.d1(q0, q1)
-        return E * (a * base.value(q0, q1) + base.d1(q0, q1))
+            return val, bd1, bd2, None
+        E = np.exp(s0 - sm)
+        return (E * val, E * (a * val + bd1), E * (b * val + bd2),
+                (mid, E, a, b, val, bd1, bd2))
 
-    def d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        _, E, _, b, trivial = _weights(q0, q1)
-        if trivial:
-            return base.d2(q0, q1)
-        return E * (b * base.value(q0, q1) + base.d2(q0, q1))
-
-    def d1d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        mid, E, a, b, trivial = _weights(q0, q1)
-        if trivial:
+    def d1d2_from(q0, q1, extra):
+        if extra is None:
             return base.d1d2(q0, q1)
-        val = base.value(q0, q1)
-        bd1, bd2 = base.d1(q0, q1), base.d2(q0, q1)
+        mid, E, a, b, val, bd1, bd2 = extra
         return E * (np.outer(a, b * val + bd2)
                     - 0.25 * val * ch.hess(mid).T
                     + np.outer(bd1, b)
                     + base.d1d2(q0, q1))
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+    return _memoized_pair_rule(L.n, h, pair_data, d1d2_from)
 
 
 def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
@@ -186,55 +208,36 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     """Trapezoidal rule of the chart-local Lagrangian, expressed globally.
 
     Ld(q0, q1) = (h/2) [L(q0, w) + exp(sigma(q0) - sigma(q1)) L(q1, w)].
+    Value, d1 and d2 at a pair come from one evaluation of L, sigma and the
+    Lee form, so ``L``'s callables and the chart's sigma callables must be
+    pure functions of their arguments.
     """
     ch = atlas.chart(chart)
-    n = L.n
+    plain = trapezoidal_rule(L, h)
 
-    def _parts(q0, q1):
+    def pair_data(q0, q1):
         w = (q1 - q0) / h
         s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
-        trivial = s0 == s1 and not np.any(phi0) and not np.any(phi1)
-        return w, np.exp(s0 - s1), phi0, phi1, trivial
-
-    plain = trapezoidal_rule(L, h)
-
-    def value(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w, G, _, _, trivial = _parts(q0, q1)
-        if trivial:
-            return plain.value(q0, q1)
-        return 0.5 * h * (float(L.value(q0, w)) + G * float(L.value(q1, w)))
-
-    def d1(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w, G, phi0, _, trivial = _parts(q0, q1)
-        if trivial:
-            return plain.d1(q0, q1)
-        U = 0.5 * h * float(L.value(q1, w))
-        T1 = 0.5 * h * as_vector(L.grad_q(q0, w)) - 0.5 * as_vector(L.grad_v(q0, w))
-        U1 = -0.5 * as_vector(L.grad_v(q1, w))
-        return T1 + G * (phi0 * U + U1)
-
-    def d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w, G, _, phi1, trivial = _parts(q0, q1)
-        if trivial:
-            return plain.d2(q0, q1)
-        U = 0.5 * h * float(L.value(q1, w))
-        T2 = 0.5 * as_vector(L.grad_v(q0, w))
-        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
-        return T2 + G * (-phi1 * U + U2)
-
-    def d1d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w, G, phi0, phi1, trivial = _parts(q0, q1)
-        if trivial:
-            return plain.d1d2(q0, q1)
-        U = 0.5 * h * float(L.value(q1, w))
-        U1 = -0.5 * as_vector(L.grad_v(q1, w))
-        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
+        if s0 == s1 and not np.any(phi0) and not np.any(phi1):
+            return (plain.value(q0, q1), plain.d1(q0, q1), plain.d2(q0, q1), None)
+        G = np.exp(s0 - s1)
+        L1 = float(L.value(q1, w))
+        U = 0.5 * h * L1
+        gv0, gv1 = as_vector(L.grad_v(q0, w)), as_vector(L.grad_v(q1, w))
+        T1 = 0.5 * h * as_vector(L.grad_q(q0, w)) - 0.5 * gv0
+        U1 = -0.5 * gv1
+        T2 = 0.5 * gv0
+        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * gv1
         S = -phi1 * U + U2
+        return (0.5 * h * (float(L.value(q0, w)) + G * L1),
+                T1 + G * (phi0 * U + U1), T2 + G * S,
+                (w, G, phi0, phi1, U1, S))
+
+    def d1d2_from(q0, q1, extra):
+        if extra is None:
+            return plain.d1d2(q0, q1)
+        w, G, phi0, phi1, U1, S = extra
         vq0 = np.atleast_2d(L.hess_vq(q0, w))
         vq1 = np.atleast_2d(L.hess_vq(q1, w))
         vv0 = np.atleast_2d(L.hess_vv(q0, w))
@@ -244,7 +247,7 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         dS = -np.outer(U1, phi1) + dU2
         return dT2 + G * (np.outer(phi0, S) + dS)
 
-    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+    return _memoized_pair_rule(L.n, h, pair_data, d1d2_from)
 
 
 def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,

@@ -359,8 +359,11 @@ def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
         p_curr = phi(q_curr) Ld(q_curr, q_next) - d1 Ld(q_curr, q_next),
         p_next = exp(sigma(q_next) - sigma(q_curr)) d2 Ld(q_curr, q_next).
 
-    The Jacobian is finite-differenced; q_next sits inside the exponential of
-    the second relation, which is why the system is solved simultaneously.
+    The system is block-triangular in (q_next, p_next): the first relation
+    involves q_next alone, and given q_next the second one is explicit in
+    p_next.  It is nevertheless solved as one coupled 2n system with a
+    finite-differenced Jacobian, because a sequential solve would take
+    different Newton iterates and so change trajectories in their last bits.
     """
     n = Ld.n
     s_curr = float(ch.sigma(q_curr))

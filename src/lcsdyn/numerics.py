@@ -110,7 +110,8 @@ def newton_solve(
     norm does not decrease; after exhausting the halvings the best candidate is
     accepted and iteration continues.  Raises :class:`NewtonError` when
     ``cfg.max_iter`` is exceeded and :class:`RegularityError` on a Jacobian with
-    condition number above 1e14.
+    2-norm condition number above 1e14 or not finite (checked as in
+    :func:`solve_linear`, so the SVD runs only on a doubtful Jacobian).
     """
     x = as_vector(x0).copy()
     r = as_vector(F(x))
@@ -124,10 +125,9 @@ def newton_solve(
             return NewtonResult(x=x, iterations=it, residual=rnorm)
         J = jacobian(x) if jacobian is not None else fd_jacobian(F, x, cfg.fd_epsilon)
         J = np.atleast_2d(np.asarray(J, dtype=float))
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > _COND_LIMIT_NEWTON:
-            raise RegularityError(
-                f"singular Jacobian in Newton iteration (cond ~ {cond:.3e})", condition=cond)
+        # A finite nonzero 1x1 Jacobian has 2-norm condition number exactly 1.
+        if not (J.shape == (1, 1) and math.isfinite(J[0, 0]) and J[0, 0] != 0.0):
+            _checked_inverse(J, _COND_LIMIT_NEWTON, "singular Jacobian in Newton iteration")
         dx = np.linalg.solve(J, -r)
         step = 1.0
         best_x, best_r, best_rnorm = None, None, np.inf
@@ -175,26 +175,38 @@ def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarr
     """Solve A x = b as ``inv(A) @ b``; raise :class:`RegularityError` when the
     2-norm condition number cond(A) exceeds ``cond_limit``.
 
-    cond(A) is computed by SVD only when the upper bound
-    ``||A||_F ||inv(A)||_F`` exceeds ``cond_limit / 4`` (the 4 covers rounding
-    in the bound) or when inversion finds A singular.  The error carries that
-    SVD value as ``condition``; it is raised when the value is above the limit
-    or not finite, and always for a singular A.  A 1x1 system raises only when
-    its entry is zero.
+    The check is :func:`_checked_inverse`.  A 1x1 system raises only when its
+    entry is zero.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape == (1, 1):
         if A[0, 0] == 0.0:
             raise RegularityError("singular 1x1 system", condition=float("inf"))
         return np.atleast_1d(b / A[0, 0])
+    A_inv = _checked_inverse(A, cond_limit, "ill-conditioned linear system")
+    return A_inv @ np.asarray(b, dtype=float)
+
+
+def _checked_inverse(A: np.ndarray, cond_limit: float, what: str) -> np.ndarray:
+    """inv(A), or :class:`RegularityError` when cond(A) exceeds ``cond_limit``.
+
+    cond(A) is computed by SVD only when the upper bound
+    ``||A||_F ||inv(A)||_F`` exceeds ``cond_limit / 4`` (the 4 covers rounding
+    in the bound) or when inversion finds A singular.  The error carries that
+    SVD value as ``condition`` (NaN when the SVD does not converge); it is
+    raised when the value is above the limit or not finite, and always for a
+    singular A.
+    """
     try:
         A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         A_inv = None
     if A_inv is None or not (math.sqrt(float(np.vdot(A, A)) * float(np.vdot(A_inv, A_inv)))
                              <= 0.25 * cond_limit):
-        cond = np.linalg.cond(A)
-        if A_inv is None or not np.isfinite(cond) or cond > cond_limit:
-            raise RegularityError(f"ill-conditioned linear system (cond ~ {cond:.3e})",
-                                  condition=cond)
-    return A_inv @ np.asarray(b, dtype=float)
+        try:
+            cond = np.linalg.cond(A)
+        except np.linalg.LinAlgError:
+            cond = float("nan")
+        if A_inv is None or not math.isfinite(cond) or cond > cond_limit:
+            raise RegularityError(f"{what} (cond ~ {cond:.3e})", condition=cond)
+    return A_inv

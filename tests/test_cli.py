@@ -245,3 +245,68 @@ def test_integrate_failure_writes_partial(tmp_path):
     assert len(lines) >= 2  # at least the seed point was recorded
     summary = json.loads((tmp_path / "partial.summary.json").read_text())
     assert summary["failed_at_index"] >= 1
+
+
+def _write_config(tmp_path, data) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+CONVERGENCE_CONFIG = base_config(method="dlcel", h=0.1, steps=10,
+                                 initial={"q": [1.0], "p": [0.0]})
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["verify", "--system", "harmonic_1d", "--seed", "-1"], "seed"),
+    (["verify", "--system", "harmonic_1d", "--sigma-params", "abc"], "sigma_params"),
+    (["convergence", "--config", "{cfg}", "--h", "0.1,0.05,0.025", "--h-ref", "0"],
+     "h_ref"),
+    (["convergence", "--config", "{cfg}", "--h", "0.1,0.05,0.025", "--h-ref", "nan"],
+     "h_ref"),
+    (["convergence", "--config", "{cfg}", "--h", "0.1,nan,0.025"], "h_list"),
+], ids=["negative_seed", "sigma_params_not_numbers", "zero_h_ref", "nan_h_ref",
+        "nan_in_h_list"])
+def test_bad_command_line_value_is_config_error(tmp_path, capsys, argv, field):
+    cfg = _write_config(tmp_path, CONVERGENCE_CONFIG)
+    assert main([a.replace("{cfg}", cfg) for a in argv]) == EXIT_CONFIG
+    assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [None, [base_config()], "harmonic_1d"],
+                         ids=["null", "list", "string"])
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, data):
+    cfg = _write_config(tmp_path, data)
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        ExperimentConfig.from_json(cfg)
+    assert main(["integrate", "--config", cfg]) == EXIT_CONFIG
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"method": "rk4-lcel", "h": float("inf"), "initial": {"q": [1.0], "p": [0.0]}},
+     "h"),
+    ({"tol": float("inf")}, "tol"),
+], ids=["infinite_h", "infinite_tol"])
+def test_infinite_step_or_tolerance_is_config_error(tmp_path, overrides, field):
+    cfg = _write_config(tmp_path, base_config(**overrides))
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_json(cfg)
+    assert exc.value.field == field
+    assert main(["integrate", "--config", cfg]) == EXIT_CONFIG
+
+
+def test_unwritable_verify_output_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--system", "harmonic_1d", "--output", str(target)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "output:" in err and str(target) in err
+
+
+def test_unwritable_integrate_output_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "traj.csv"
+    cfg = _write_config(tmp_path, base_config(output_path=str(target)))
+    assert main(["integrate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "output_path:" in err and str(target) in err

@@ -1,12 +1,15 @@
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from lcsdyn import (ShootingError, conformal_midpoint_rule,
+from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rule,
                     conformal_trapezoidal_rule, exact_discrete_lagrangian,
-                    harmonic_1d, midpoint_rule, planar_2d, trapezoidal_rule)
-from lcsdyn.numerics import fd_gradient
+                    free_rotor_circle, harmonic_1d, midpoint_rule, planar_2d,
+                    trapezoidal_rule, with_constant_sigma)
+from lcsdyn.discretize import DiscreteLagrangian
+from lcsdyn.numerics import as_vector, fd_gradient
 from conftest import free_line_system
 
 
@@ -170,3 +173,196 @@ def test_conformal_exact_inherits_sigma():
     Lf = exact_discrete_lagrangian(flat.lagrangian, flat.atlas, 0, 0.1)
     assert Lc.value([0.0], [0.3]) != pytest.approx(Lf.value([0.0], [0.3]),
                                                    abs=1e-10)
+
+
+# --- one evaluation per lattice pair ---------------------------------------
+#
+# The conformal rules keep the last pair's data in a one-entry memo.  The two
+# constructors below are the formulas as they stood before the memo, with every
+# partial evaluated from scratch on every call; the memoized rules must return
+# the same bits in any call order.
+
+def reference_conformal_midpoint(L, atlas, chart, h):
+    base = midpoint_rule(L, h)
+    ch = atlas.chart(chart)
+
+    def _weights(q0, q1):
+        mid = 0.5 * (q0 + q1)
+        s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
+        a = ch.grad(q0) - 0.5 * ch.grad(mid)
+        b = -0.5 * ch.grad(mid)
+        trivial = s0 == sm and not np.any(a) and not np.any(b)
+        return mid, np.exp(s0 - sm), a, b, trivial
+
+    def value(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        _, E, _, _, trivial = _weights(q0, q1)
+        base_val = base.value(q0, q1)
+        return base_val if trivial else E * base_val
+
+    def d1(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        _, E, a, _, trivial = _weights(q0, q1)
+        if trivial:
+            return base.d1(q0, q1)
+        return E * (a * base.value(q0, q1) + base.d1(q0, q1))
+
+    def d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        _, E, _, b, trivial = _weights(q0, q1)
+        if trivial:
+            return base.d2(q0, q1)
+        return E * (b * base.value(q0, q1) + base.d2(q0, q1))
+
+    def d1d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        mid, E, a, b, trivial = _weights(q0, q1)
+        if trivial:
+            return base.d1d2(q0, q1)
+        val = base.value(q0, q1)
+        bd1, bd2 = base.d1(q0, q1), base.d2(q0, q1)
+        return E * (np.outer(a, b * val + bd2)
+                    - 0.25 * val * ch.hess(mid).T
+                    + np.outer(bd1, b)
+                    + base.d1d2(q0, q1))
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+
+
+def reference_conformal_trapezoidal(L, atlas, chart, h):
+    ch = atlas.chart(chart)
+    plain = trapezoidal_rule(L, h)
+
+    def _parts(q0, q1):
+        w = (q1 - q0) / h
+        s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
+        phi0, phi1 = ch.grad(q0), ch.grad(q1)
+        trivial = s0 == s1 and not np.any(phi0) and not np.any(phi1)
+        return w, np.exp(s0 - s1), phi0, phi1, trivial
+
+    def value(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w, G, _, _, trivial = _parts(q0, q1)
+        if trivial:
+            return plain.value(q0, q1)
+        return 0.5 * h * (float(L.value(q0, w)) + G * float(L.value(q1, w)))
+
+    def d1(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w, G, phi0, _, trivial = _parts(q0, q1)
+        if trivial:
+            return plain.d1(q0, q1)
+        U = 0.5 * h * float(L.value(q1, w))
+        T1 = 0.5 * h * as_vector(L.grad_q(q0, w)) - 0.5 * as_vector(L.grad_v(q0, w))
+        U1 = -0.5 * as_vector(L.grad_v(q1, w))
+        return T1 + G * (phi0 * U + U1)
+
+    def d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w, G, _, phi1, trivial = _parts(q0, q1)
+        if trivial:
+            return plain.d2(q0, q1)
+        U = 0.5 * h * float(L.value(q1, w))
+        T2 = 0.5 * as_vector(L.grad_v(q0, w))
+        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
+        return T2 + G * (-phi1 * U + U2)
+
+    def d1d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w, G, phi0, phi1, trivial = _parts(q0, q1)
+        if trivial:
+            return plain.d1d2(q0, q1)
+        U = 0.5 * h * float(L.value(q1, w))
+        U1 = -0.5 * as_vector(L.grad_v(q1, w))
+        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
+        S = -phi1 * U + U2
+        vq0 = np.atleast_2d(L.hess_vq(q0, w))
+        vq1 = np.atleast_2d(L.hess_vq(q1, w))
+        vv0 = np.atleast_2d(L.hess_vv(q0, w))
+        vv1 = np.atleast_2d(L.hess_vv(q1, w))
+        dT2 = 0.5 * vq0.T - vv0 / (2.0 * h)
+        dU2 = -0.5 * vq1 - vv1 / (2.0 * h)
+        dS = -np.outer(U1, phi1) + dU2
+        return dT2 + G * (np.outer(phi0, S) + dS)
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+
+
+def curved_planar():
+    """planar_2d with a non-linear conformal factor (nonzero, varying Hessian)."""
+    system = planar_2d()
+    c = system.atlas.charts[0]
+    chart = Chart(id=0, dim=2, lower=c.lower, upper=c.upper,
+                  sigma=lambda q: 0.2 * q[0] ** 2 + 0.1 * np.sin(q[1]),
+                  sigma_grad=lambda q: np.array([0.4 * q[0], 0.1 * np.cos(q[1])]),
+                  sigma_hess=lambda q: np.array([[0.4, 0.0],
+                                                 [0.0, -0.1 * np.sin(q[1])]]))
+    return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
+
+
+MEMO_RULES = [(conformal_midpoint_rule, reference_conformal_midpoint),
+              (conformal_trapezoidal_rule, reference_conformal_trapezoidal)]
+MEMO_SYSTEMS = {
+    "harmonic_1d": lambda: harmonic_1d(0.1),
+    "planar_2d": lambda: planar_2d(0.3, -0.2),
+    "free_rotor_circle": lambda: free_rotor_circle(-0.1),
+    "curved_planar": curved_planar,
+    "constant_sigma": lambda: with_constant_sigma(planar_2d(), 0.7),
+}
+PARTS = ("value", "d1", "d2", "d1d2")
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _call_orders(n):
+    rng = np.random.default_rng(21)
+    p = [(rng.uniform(-0.8, 0.8, n) + 0.2, rng.uniform(-0.8, 0.8, n) + 0.3)
+         for _ in range(3)]
+    repeated = [(part, p[0]) for part in PARTS + PARTS[::-1] + PARTS]
+    alternating = [(part, p[i % 2]) for i, part in enumerate(PARTS * 3)]
+    d1d2_first = [("d1d2", p[2]), ("d2", p[2]), ("value", p[2]), ("d1d2", p[1]),
+                  ("d1", p[1]), ("d1d2", p[1]), ("value", p[0])]
+    return {"repeated": repeated, "alternating": alternating, "d1d2_first": d1d2_first}
+
+
+@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("system_name", list(MEMO_SYSTEMS))
+def test_memoized_rules_bitwise_equal_reference_formulas(rule, reference, system_name):
+    system = MEMO_SYSTEMS[system_name]()
+    Ld = rule(system.lagrangian, system.atlas, system.start_chart, 0.1)
+    ref = reference(system.lagrangian, system.atlas, system.start_chart, 0.1)
+    for order_name, calls in _call_orders(system.n).items():
+        for part, (q0, q1) in calls:
+            got = getattr(Ld, part)(q0, q1)
+            want = getattr(ref, part)(q0, q1)
+            assert type(got) is type(want), (order_name, part)
+            assert _bits(got) == _bits(want), (order_name, part)
+
+
+@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=["midpoint", "trapezoidal"])
+def test_memoized_rules_return_fresh_arrays(rule, reference):
+    system = curved_planar()
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
+    ref = reference(system.lagrangian, system.atlas, 0, 0.1)
+    q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
+    for part in ("d1", "d2", "d1d2"):
+        first = getattr(Ld, part)(q0, q1)
+        first[...] = 99.0
+        assert _bits(getattr(Ld, part)(q0, q1)) == _bits(getattr(ref, part)(q0, q1))
+
+
+@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("mutated", [0, 1], ids=["q0", "q1"])
+def test_memoized_rules_see_inputs_mutated_in_place(rule, reference, mutated):
+    system = curved_planar()
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
+    ref = reference(system.lagrangian, system.atlas, 0, 0.1)
+    pair = [np.array([0.3, -0.2]), np.array([0.35, -0.1])]
+    before = Ld.value(*pair), Ld.d1(*pair)
+    pair[mutated][1] += 0.05
+    for part in PARTS:
+        assert _bits(getattr(Ld, part)(*pair)) == _bits(getattr(ref, part)(*pair))
+    assert _bits(Ld.value(*pair)) != _bits(before[0])
+    assert _bits(Ld.d1(*pair)) != _bits(before[1])

@@ -73,6 +73,47 @@ def test_newton_quadratic_convergence():
             assert a <= 0.5 * b * b / 0.5  # e' <= e^2 up to the constant 1/(2 sqrt 2)
 
 
+def _linear_newton(J, x_star):
+    """Newton on F(x) = J (x - x_star) with the exact Jacobian, from the origin."""
+    J = np.asarray(J, dtype=float)
+    x_star = np.asarray(x_star, dtype=float)
+    return newton_solve(lambda x: J @ (x - x_star), np.zeros(x_star.size),
+                        StepperConfig(tol=1e-12), jacobian=lambda x: J)
+
+
+@pytest.mark.parametrize("entry", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+def test_newton_degenerate_1x1_jacobian_is_regularity_error(entry):
+    with pytest.raises(RegularityError):
+        newton_solve(lambda x: x - 1.0, np.array([0.0]), StepperConfig(),
+                     jacobian=lambda x: np.array([[entry]]))
+
+
+def test_newton_frobenius_screen_falls_back_to_svd():
+    # cond 5e13 is under Newton's limit 1e14; the Frobenius bound is over 1e14 / 4
+    J = np.diag([1.0, 2e-14])
+    assert np.linalg.norm(J) * np.linalg.norm(np.linalg.inv(J)) > 2.5e13
+    assert np.linalg.cond(J) == pytest.approx(5e13)
+    res = _linear_newton(J, [1.0, -3.0])
+    assert np.allclose(res.x, [1.0, -3.0], rtol=1e-12, atol=0.0)
+
+
+def test_newton_reports_svd_condition():
+    J = np.array([[1.0, 0.5], [0.0, 5e-15]])
+    assert np.linalg.cond(J) > 1e14
+    with pytest.raises(RegularityError) as exc:
+        _linear_newton(J, [1.0, 1.0])
+    assert exc.value.condition == np.linalg.cond(J)
+
+
+@pytest.mark.parametrize("J", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
+                               [[1.0, 0.0], [0.0, np.nan]]],
+                         ids=["rank_one", "zero", "nan"])
+def test_newton_singular_jacobian_is_regularity_error(J):
+    with pytest.raises(RegularityError):
+        newton_solve(lambda x: x - 1.0, np.zeros(2), StepperConfig(),
+                     jacobian=lambda x: np.asarray(J))
+
+
 def test_fd_gradient_examples():
     g = fd_gradient(lambda x: 0.5 * float(x @ x), np.array([1.0, -2.0, 0.5]), 1e-6)
     assert np.allclose(g, [1.0, -2.0, 0.5], atol=1e-9)
