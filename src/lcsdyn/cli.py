@@ -308,21 +308,22 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
                     h_ref: float | None = None) -> dict:
     """Error-vs-h study against an RK4 reference of the continuous Lagrangian flow.
 
-    The target time is ``config.h * config.steps``; every h in ``h_list`` must
-    divide it.  Initial data is the (q, p) form; two-point methods seed their
-    second point from the reference trajectory at t = h.
+    The target time is ``config.h * config.steps``; the h in ``h_list`` must be
+    distinct, divide it and exceed ``h_ref``.  Initial data is the (q, p) form;
+    two-point methods seed their second point from the reference at t = h.  An
+    error of exactly 0 leaves the order undefined: :class:`IntegrationError`.
     """
-    if len(h_list) < 3:
-        raise ConfigError("need at least 3 step sizes", "h_list")
-    if not all(_is_positive(h) for h in h_list):
-        raise ConfigError("step sizes must be finite positive numbers", "h_list")
-    if h_ref is not None and not _is_positive(h_ref):
-        raise ConfigError("must be a finite positive number", "h_ref")
+    _require(len(h_list) >= 3, "need at least 3 step sizes", "h_list")
+    _require(all(_is_positive(h) for h in h_list),
+             "step sizes must be finite positive numbers", "h_list")
+    _require(len(set(h_list)) == len(h_list), "step sizes must be distinct", "h_list")
+    _require(h_ref is None or _is_positive(h_ref), "must be a finite positive number", "h_ref")
+    h_ref = h_ref if h_ref is not None else min(h_list) / 100.0
+    _require(h_ref < min(h_list), f"must be below every step size, got {h_ref}", "h_ref")
     config.require_initial("q", "p")
     system = config._system()
     n = system.n
     t_final = config.h * config.steps
-    h_ref = h_ref if h_ref is not None else min(h_list) / 100.0
     q0 = np.asarray(config.initial["q"], dtype=float)
     p0 = np.asarray(config.initial["p"], dtype=float)
     v0 = fiber_legendre_inv(system.lagrangian, q0, p0)
@@ -344,6 +345,8 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
         rows, _ = _trajectory_rows(sub, system)
         q_end = np.asarray(rows[-1]["q"], dtype=float)
         errors.append(float(np.max(np.abs(q_end - ref_at(t_final)[:n]))))
+        if errors[-1] == 0.0:
+            raise IntegrationError(f"h={h}: error 0 against the reference, no order to fit")
 
     slope = float(np.polyfit(np.log(np.asarray(h_list)), np.log(errors), 1)[0])
     report = {
@@ -352,7 +355,8 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
         "order": slope,
     }
     if config.output_path:
-        _write_text(config.output_path, json.dumps(report, indent=2) + "\n", "output_path")
+        _write_text(config.output_path, json.dumps(report, indent=2, allow_nan=False)
+                    + "\n", "output_path")
     return report
 
 
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "convergence":
             report = cmd_convergence(ExperimentConfig.from_json(args.config),
                                      _parse_floats(args.h, "h_list"), h_ref=args.h_ref)
-            print(json.dumps(report, indent=2))
+            print(json.dumps(report, indent=2, allow_nan=False))
             return EXIT_OK
         if args.command == "verify":
             params = (_parse_floats(args.sigma_params, "sigma_params")

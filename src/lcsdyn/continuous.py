@@ -82,9 +82,11 @@ def lcel_acceleration(L: ContinuousLagrangian, atlas: ConformalAtlas,
                       chart: int, q: Vector, v: Vector) -> np.ndarray:
     """Acceleration solving the conformal Euler-Lagrange equations.
 
-    Solves  hess_vv a = grad_q - hess_vq v + (phi.v) grad_v - L phi  by LU with
-    partial pivoting; raises :class:`RegularityError` when the velocity Hessian
-    has condition number above 1e12.
+    Solves  hess_vv a = grad_q - hess_vq v + (phi.v) grad_v - L phi  through
+    :func:`make_lcel_field`: by one division when n = 1, raising
+    :class:`RegularityError` only for a zero Hessian, and by
+    :func:`solve_linear` (its screened inverse, which raises when the condition
+    number exceeds 1e12) when n >= 2.
     """
     q = as_vector(q)
     x = make_lcel_field(L, atlas, chart)(np.concatenate([q, as_vector(v)]))

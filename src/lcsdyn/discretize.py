@@ -59,6 +59,13 @@ class DiscreteLagrangian:
     d1d2: Callable[[Vector, Vector], np.ndarray]
 
 
+def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
+    """(m, w, d1, d2) of the midpoint rule at a pair, from one gradient evaluation."""
+    m, w = 0.5 * (q0 + q1), (q1 - q0) / h
+    gq, gv = 0.5 * h * as_vector(L.grad_q(m, w)), as_vector(L.grad_v(m, w))
+    return m, w, gq - gv, gq + gv
+
+
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
     if h <= 0:
@@ -70,14 +77,10 @@ def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
         return h * float(L.value(0.5 * (q0 + q1), (q1 - q0) / h))
 
     def d1(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-        return 0.5 * h * as_vector(L.grad_q(m, w)) - as_vector(L.grad_v(m, w))
+        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[2]
 
     def d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-        return 0.5 * h * as_vector(L.grad_q(m, w)) + as_vector(L.grad_v(m, w))
+        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[3]
 
     def d1d2(q0, q1):
         q0, q1 = as_vector(q0), as_vector(q1)
@@ -178,14 +181,13 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     ch = atlas.chart(chart)
 
     def pair_data(q0, q1):
-        mid = 0.5 * (q0 + q1)
+        mid, w, bd1, bd2 = _midpoint_partials(L, h, q0, q1)
+        val = h * float(L.value(mid, w))
         s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
         grad_mid = ch.grad(mid)
         a = ch.grad(q0) - 0.5 * grad_mid
         b = -0.5 * grad_mid
-        trivial = s0 == sm and not np.any(a) and not np.any(b)
-        val, bd1, bd2 = base.value(q0, q1), base.d1(q0, q1), base.d2(q0, q1)
-        if trivial:
+        if s0 == sm and not np.any(a) and not np.any(b):
             return val, bd1, bd2, None
         E = np.exp(s0 - sm)
         return (E * val, E * (a * val + bd1), E * (b * val + bd2),

@@ -20,6 +20,7 @@ import numpy as np
 from .atlas import ConformalAtlas
 from .discretize import DiscreteLagrangian
 from .numerics import as_vector, fd_jacobian
+from .variational import _dp_minus_dq1
 
 Vector = np.ndarray
 
@@ -91,7 +92,7 @@ def regularity_check(Ld: DiscreteLagrangian, q0: Vector, q1: Vector,
 
 def lc_pc_two_form(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int
                    ) -> TwoFormField:
-    """Conformal two-form: (q0, q1) block -d1d2 Ld + phi(q0) (x) d2 Ld.
+    """Conformal two-form: (q0, q1) block -d1d2 Ld + phi(q0) (x) d2 Ld = dp-/dq1.
 
     The (q1, q1) block vanishes by symmetry of second partials, so the matrix
     keeps the same off-diagonal block structure as the plain form.
@@ -100,8 +101,7 @@ def lc_pc_two_form(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int
 
     def components(q0, q1):
         q0, q1 = as_vector(q0), as_vector(q1)
-        M = -np.atleast_2d(Ld.d1d2(q0, q1)) + np.outer(ch.grad(q0), as_vector(Ld.d2(q0, q1)))
-        return _block(M)
+        return _block(_dp_minus_dq1(Ld, q0, q1, ch.grad(q0)))
 
     return TwoFormField(dim=2 * Ld.n, components=components)
 

@@ -2,39 +2,37 @@
 
 Momenta come in two coordinate systems: local momenta r matching each chart's
 own symplectic coordinates, and global momenta p = exp(sigma(q)) r.  The
-two-point Legendre data of a discrete Lagrangian Ld on a chart with factor
-sigma and phi = D sigma are
+conformal discrete Legendre maps of a discrete Lagrangian Ld on a chart with
+factor sigma and phi = D sigma (defined once, in ``variational``) are
 
-    p+ (q0, q1) = d2 Ld(q0, q1),
-    p- (q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1),
-    r+- = exp(-sigma(q0)) p+-.
+    p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld(q0, q1),    a covector at q1,
+    p-(q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1),          a covector at q0.
 
 Along a conformal trajectory the single-point momenta are
 
-    p_k = exp(sigma(q_k) - sigma(q_{k-1})) p+(q_{k-1}, q_k) = p-(q_k, q_{k+1}),
-    r_k = exp(-sigma(q_k)) p_k,
+    p_k = p+(q_{k-1}, q_k) = p-(q_k, q_{k+1}),    r_k = exp(-sigma(q_k)) p_k,
 
 and the agreement of the two p_k expressions is precisely the conformal
-three-point recursion.
+three-point recursion.  ``discrete_legendre`` reports a pair's data scaled at
+q0: its p_plus is d2 Ld = exp(sigma(q0) - sigma(q1)) p+, and r+- = exp(-sigma(q0)) p+-.
 
 The right discrete Hamiltonian eliminates q1 from
 
-    H+(q0, P) = exp(sigma(q0) - sigma(q1)) P . q1 - Ld(q0, q1),
-    where  P = exp(sigma(q1) - sigma(q0)) d2 Ld(q0, q1)
+    H+(q0, P) = exp(sigma(q0) - sigma(q1)) P . q1 - Ld(q0, q1),   P = p+(q0, q1)
 
 (Newton inversion), and the left one eliminates q0 from
 
-    H-(q1, P) = exp(sigma(q1) - sigma(q0)) (-P . q0 - Ld(q0, q1)),
-    where  P = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1).
+    H-(q1, P) = exp(sigma(q1) - sigma(q0)) (-P . q0 - Ld(q0, q1)),   P = p-(q0, q1).
 
 Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
 (implicit-function differentiation; exact when sigma is constant).  The plain
 steppers ``rd_step``/``ld_step`` use these partials directly.  The conformal
-steppers solve the generating relations of the Hamiltonian's underlying
-Lagrangian: that coupled system is what the conformal Hamilton equations
-assert once the eliminated argument is held fixed under differentiation, and
-it is exactly conjugate to the conformal Lagrangian recursion, so the
-Lagrangian and Hamiltonian marches commute through the Legendre transform.
+steppers step the generating Lagrangian instead: q_next solves
+p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
+recursion, and p_next = p+(q_curr, q_next) is then explicit.  That is what
+the conformal Hamilton equations assert once the eliminated argument is held
+fixed under differentiation, and it makes the Lagrangian and Hamiltonian
+marches commute through the Legendre transform.
 """
 
 from __future__ import annotations
@@ -49,7 +47,8 @@ from .discretize import DiscreteLagrangian
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
-from .variational import DEFAULT_SWITCH_MARGIN, _into_chart, _march
+from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq1,
+                          _into_chart, _march, _p_minus, _p_plus)
 
 Vector = np.ndarray
 
@@ -84,17 +83,11 @@ def discrete_legendre(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
     q0, q1 = as_vector(q0), as_vector(q1)
     ch = atlas.require_inside(chart, q0)
     atlas.require_inside(chart, q1)
-    sigma0 = float(ch.sigma(q0))
     p_plus = as_vector(Ld.d2(q0, q1))
-    p_minus = _p_minus(Ld, ch, q0, q1)
-    scale = np.exp(-sigma0)
+    p_minus = _p_minus(Ld, q0, q1, ch.grad(q0))
+    scale = np.exp(-float(ch.sigma(q0)))
     return LegendreMomenta(r_plus=scale * p_plus, r_minus=scale * p_minus,
                            p_plus=p_plus, p_minus=p_minus)
-
-
-def _p_minus(Ld, ch: Chart, q0: Vector, q1: Vector) -> np.ndarray:
-    """p-(q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1)."""
-    return ch.grad(q0) * float(Ld.value(q0, q1)) - as_vector(Ld.d1(q0, q1))
 
 
 def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -102,51 +95,47 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                              conformal: bool = True) -> DiscreteTrajectory:
     """Fill per-point momenta (r, p) of a conformal-recursion trajectory in place.
 
-    At interior points the forward and backward expressions for p_k must agree
-    to ``tol`` (their difference is the step residual); a larger disagreement
+    Each lattice pair is carried once into the chart of its first point q_k
+    and gives p-(q_k, q_{k+1}) at q_k and p+(q_k, q_{k+1}) at q_{k+1}, moved
+    into q_{k+1}'s chart on a switch (with ``conformal=False``, -d1 Ld and
+    d2 Ld).  At interior points the two expressions for p_k must agree to
+    ``tol`` (their difference is the step residual); a larger disagreement
     raises :class:`ConsistencyError` naming the lattice index.  Endpoints use
     the single available expression.
     """
     pts = traj.points
     if len(pts) < 2:
         raise ValueError("momenta need at least two lattice points")
-    last = len(pts) - 1
-
-    def in_chart(q, from_chart, to_chart):
-        try:
-            return _into_chart(atlas, q, from_chart, to_chart)
-        except DomainError as e:
-            raise ConsistencyError(str(e), index=k) from e
-
+    sigmas = [float(atlas.chart(pt.chart).sigma(pt.q)) for pt in pts] if conformal \
+        else None
+    p_bwd = None
     for k, pt in enumerate(pts):
-        ch = atlas.chart(pt.chart)
-        p_fwd = p_bwd = None
-        if k < last:
+        p_fwd = p_next = None
+        if k + 1 < len(pts):
             nxt = pts[k + 1]
-            qb = in_chart(nxt.q, nxt.chart, pt.chart)
-            # p-(q_k, q_{k+1}), anchored at q_k
-            p_fwd = _p_minus(Ld, ch, pt.q, qb) if conformal \
-                else -as_vector(Ld.d1(pt.q, qb))
-        if k > 0:
-            prv = pts[k - 1]
-            cha = atlas.chart(prv.chart)
-            qk_in_a = in_chart(pt.q, pt.chart, prv.chart)
-            # exp(sigma(q_k) - sigma(q_{k-1})) p+(q_{k-1}, q_k), anchored at q_k
-            p_bwd = as_vector(Ld.d2(prv.q, qk_in_a))
+            try:
+                qb = _into_chart(atlas, nxt.q, nxt.chart, pt.chart)
+            except DomainError as e:
+                raise ConsistencyError(str(e), index=k) from e
             if conformal:
-                p_bwd = np.exp(float(cha.sigma(qk_in_a)) - float(cha.sigma(prv.q))) * p_bwd
-            if pt.chart != prv.chart:
-                _, p_bwd = transition_apply(atlas, prv.chart, pt.chart,
-                                            qk_in_a, p_bwd, "p")
+                ch = atlas.chart(pt.chart)
+                s_b = sigmas[k + 1] if nxt.chart == pt.chart else float(ch.sigma(qb))
+                p_fwd = _p_minus(Ld, pt.q, qb, ch.grad(pt.q))
+                p_next = _p_plus(Ld, pt.q, qb, sigmas[k], s_b)
+            else:
+                p_fwd = -as_vector(Ld.d1(pt.q, qb))
+                p_next = as_vector(Ld.d2(pt.q, qb))
+            if nxt.chart != pt.chart:
+                _, p_next = transition_apply(atlas, pt.chart, nxt.chart, qb, p_next, "p")
         if p_fwd is not None and p_bwd is not None:
             gap = float(np.max(np.abs(p_fwd - p_bwd)))
             if gap > tol:
                 raise ConsistencyError(
                     f"momentum expressions disagree by {gap:.3e} (tol {tol:.1e}) "
                     f"at lattice point {k}", index=k)
-        p = p_fwd if p_fwd is not None else p_bwd
-        r = np.exp(-float(ch.sigma(pt.q))) * p if conformal else p.copy()
-        pt.p, pt.r = p, r
+        pt.p = p_fwd if p_fwd is not None else p_bwd
+        pt.r = np.exp(-sigmas[k]) * pt.p if conformal else pt.p.copy()
+        p_bwd = p_next
     return traj
 
 
@@ -158,28 +147,24 @@ class LagrangianSource:
     atlas: ConformalAtlas
     chart: int
 
-    def invert_right(self, q0: Vector, P: Vector, seed: Vector | None = None,
-                     cfg: StepperConfig = _INVERT_CFG) -> np.ndarray:
-        """q1 solving P = exp(sigma(q1) - sigma(q0)) d2 Ld(q0, q1)."""
+    def invert_right(self, q0: Vector, P: Vector) -> np.ndarray:
+        """q1 solving P = p+(q0, q1), from the seed q0 + h P."""
         ch = self.atlas.chart(self.chart)
         s0 = float(ch.sigma(q0))
 
         def g(x):
-            return np.exp(float(ch.sigma(x)) - s0) * as_vector(self.Ld.d2(q0, x)) - P
+            return _p_plus(self.Ld, q0, x, s0, float(ch.sigma(x))) - P
 
-        x0 = seed if seed is not None else q0 + self.Ld.h * P
-        return newton_solve(g, x0, cfg).x
+        return newton_solve(g, q0 + self.Ld.h * P, _INVERT_CFG).x
 
-    def invert_left(self, q1: Vector, P: Vector, seed: Vector | None = None,
-                    cfg: StepperConfig = _INVERT_CFG) -> np.ndarray:
-        """q0 solving P = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1)."""
+    def invert_left(self, q1: Vector, P: Vector) -> np.ndarray:
+        """q0 solving P = p-(q0, q1), from the seed q1 - h P."""
         ch = self.atlas.chart(self.chart)
 
         def g(x):
-            return _p_minus(self.Ld, ch, x, q1) - P
+            return _p_minus(self.Ld, x, q1, ch.grad(x)) - P
 
-        x0 = seed if seed is not None else q1 - self.Ld.h * P
-        return newton_solve(g, x0, cfg).x
+        return newton_solve(g, q1 - self.Ld.h * P, _INVERT_CFG).x
 
 
 @dataclass(frozen=True)
@@ -188,8 +173,8 @@ class DiscreteHamiltonian:
 
     ``d1``/``d2`` are partials of ``value`` with respect to its two arguments
     (finite-difference consistent).  ``source`` carries the generating
-    Lagrangian data when ``provenance == "from_lagrangian"``; the conformal
-    steppers require it.
+    Lagrangian data of a Hamiltonian built from a discrete Lagrangian; the
+    conformal steppers require it.
     """
 
     n: int
@@ -198,19 +183,15 @@ class DiscreteHamiltonian:
     value: Callable[[Vector, Vector], float]
     d1: Callable[[Vector, Vector], Vector]
     d2: Callable[[Vector, Vector], Vector]
-    provenance: str = "analytic"
     source: LagrangianSource | None = None
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
-        if self.provenance not in ("analytic", "from_lagrangian"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
-                            chart: int, cfg: StepperConfig = _INVERT_CFG
-                            ) -> DiscreteHamiltonian:
+                            chart: int) -> DiscreteHamiltonian:
     """Right discrete Hamiltonian H+(q_k, p_{k+1}) generated by Ld on a chart.
 
     The value Newton-inverts the forward momentum relation for q_{k+1}; the
@@ -220,14 +201,14 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def _J_star(q0, q1, d2v, em, phi1):
-        # d/dq1 of the inverted relation; the second-slot Hessian of Ld is differenced.
-        d2_in_q1 = fd_jacobian(lambda x: as_vector(Ld.d2(q0, x)), q1, 1e-6)
-        return (1.0 / em) * (np.outer(d2v, phi1) + d2_in_q1)
+    def _dp_plus_dq1(q0, q1):
+        # d/dq1 of the inverted relation P = p+(q0, q1), differenced.
+        s0 = float(ch.sigma(q0))
+        return fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
 
     def _core(q0: Vector, P: Vector):
         q0, P = as_vector(q0), as_vector(P)
-        q1 = source.invert_right(q0, P, cfg=cfg)
+        q1 = source.invert_right(q0, P)
         em = np.exp(float(ch.sigma(q0)) - float(ch.sigma(q1)))
         return q0, P, q1, em
 
@@ -244,9 +225,8 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         if not np.any(corr):
             return base
         d2v = as_vector(Ld.d2(q0, q1))
-        J_star = _J_star(q0, q1, d2v, em, phi1)
         dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T - np.outer(d2v, phi0))
-        dq1_dq0 = -np.linalg.solve(np.atleast_2d(J_star), dgdq)
+        dq1_dq0 = -np.linalg.solve(_dp_plus_dq1(q0, q1), dgdq)
         return base + np.atleast_2d(dq1_dq0).T @ corr
 
     def d2(q0, P):
@@ -256,25 +236,22 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         corr = -phi1 * em * float(P @ q1)
         if not np.any(corr):
             return base
-        J_star = _J_star(q0, q1, as_vector(Ld.d2(q0, q1)), em, phi1)
-        dq1_dP = np.linalg.inv(np.atleast_2d(J_star))
+        dq1_dP = np.linalg.inv(_dp_plus_dq1(q0, q1))
         return base + dq1_dP.T @ corr
 
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value,
-                               d1=d1, d2=d2, provenance="from_lagrangian",
-                               source=source)
+                               d1=d1, d2=d2, source=source)
 
 
 def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
-                           chart: int, cfg: StepperConfig = _INVERT_CFG
-                           ) -> DiscreteHamiltonian:
+                           chart: int) -> DiscreteHamiltonian:
     """Left discrete Hamiltonian H-(q_{k+1}, p_k); mirror of the right builder."""
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
     def _core(q1: Vector, P: Vector):
         q1, P = as_vector(q1), as_vector(P)
-        q0 = source.invert_left(q1, P, cfg=cfg)
+        q0 = source.invert_left(q1, P)
         E = np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
         return q1, P, q0, E
 
@@ -282,9 +259,9 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         q1, P, q0, E = _core(q1, P)
         return E * (-float(P @ q0) - float(Ld.value(q0, q1)))
 
-    def _g_jacobian(q0: Vector, q1: Vector) -> np.ndarray:
+    def _dp_minus_dq0(q0: Vector, q1: Vector) -> np.ndarray:
         # d/dq0 of p-(q0, q1); needs the sigma Hessian, so it is differenced.
-        return fd_jacobian(lambda x: _p_minus(Ld, ch, x, q1), q0, 1e-6)
+        return fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
 
     def d1(q1, P):
         q1, P, q0, E = _core(q1, P)
@@ -294,9 +271,8 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         corr = phi0 * (E * float(P @ q0))
         if not np.any(corr):
             return base
-        dgdq1 = np.outer(phi0, as_vector(Ld.d2(q0, q1))) - np.atleast_2d(Ld.d1d2(q0, q1))
-        dgdq0 = _g_jacobian(q0, q1)
-        dq0_dq1 = -np.linalg.solve(dgdq0, dgdq1)
+        dq0_dq1 = -np.linalg.solve(_dp_minus_dq0(q0, q1),
+                                   _dp_minus_dq1(Ld, q0, q1, phi0))
         return base + np.atleast_2d(dq0_dq1).T @ corr
 
     def d2(q1, P):
@@ -306,12 +282,11 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         corr = phi0 * (E * float(P @ q0))
         if not np.any(corr):
             return base
-        dq0_dP = np.linalg.inv(np.atleast_2d(_g_jacobian(q0, q1)))
+        dq0_dP = np.linalg.inv(_dp_minus_dq0(q0, q1))
         return base + dq0_dP.T @ corr
 
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value,
-                               d1=d1, d2=d2, provenance="from_lagrangian",
-                               source=source)
+                               d1=d1, d2=d2, source=source)
 
 
 def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
@@ -352,32 +327,17 @@ def ld_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
 
 def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
                          p_curr: Vector, cfg: StepperConfig):
-    """Coupled 2n Newton solve of the conformal generating relations on chart ``ch``.
+    """One conformal step of the generating Lagrangian on chart ``ch``.
 
-    Unknowns (q_next, p_next) satisfy
-
-        p_curr = phi(q_curr) Ld(q_curr, q_next) - d1 Ld(q_curr, q_next),
-        p_next = exp(sigma(q_next) - sigma(q_curr)) d2 Ld(q_curr, q_next).
-
-    The system is block-triangular in (q_next, p_next): the first relation
-    involves q_next alone, and given q_next the second one is explicit in
-    p_next.  It is nevertheless solved as one coupled 2n system with a
-    finite-differenced Jacobian, because a sequential solve would take
-    different Newton iterates and so change trajectories in their last bits.
+    q_next solves p_curr = p-(q_curr, q_next): the n-unknown system of the
+    conformal three-point recursion (``variational._dlcel_system``, analytic
+    Jacobian), seeded here with q_curr + h p_curr.  Then
+    p_next = p+(q_curr, q_next) is explicit.  Returns (q_next, p_next, result).
     """
-    n = Ld.n
-    s_curr = float(ch.sigma(q_curr))
-    phi_curr = ch.grad(q_curr)
-
-    def F(z):
-        qn, pn = z[:n], z[n:]
-        r1 = p_curr - (phi_curr * float(Ld.value(q_curr, qn)) - as_vector(Ld.d1(q_curr, qn)))
-        r2 = pn - np.exp(float(ch.sigma(qn)) - s_curr) * as_vector(Ld.d2(q_curr, qn))
-        return np.concatenate([r1, r2])
-
-    z0 = np.concatenate([q_curr + Ld.h * p_curr, p_curr])
-    res = newton_solve(F, z0, cfg)
-    return res.x[:n], res.x[n:], res
+    F, J = _dlcel_system(Ld, ch, q_curr, p_curr)
+    res = newton_solve(F, q_curr + Ld.h * p_curr, cfg, jacobian=J)
+    p_next = _p_plus(Ld, q_curr, res.x, float(ch.sigma(q_curr)), float(ch.sigma(res.x)))
+    return res.x, p_next, res
 
 
 def _require_source(Hd: DiscreteHamiltonian) -> LagrangianSource:

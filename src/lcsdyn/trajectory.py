@@ -37,12 +37,6 @@ class DiscreteTrajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    def qs(self) -> np.ndarray:
-        return np.array([pt.q for pt in self.points])
-
-    def ps(self) -> np.ndarray:
-        return np.array([pt.p for pt in self.points])
-
     def charts(self) -> list[int]:
         return [pt.chart for pt in self.points]
 

@@ -10,9 +10,14 @@ phi = D sigma, reads
     exp(sigma(q_curr) - sigma(q_prev)) d2 Ld(q_prev, q_curr)
         = phi(q_curr) Ld(q_curr, q_next) - d1 Ld(q_curr, q_next).
 
-Both are solved for q_next by damped Newton.  ``integrate`` marches a
-trajectory, transporting the active two-point window across chart transitions
-whenever a point leaves the core of its chart, and fills momenta afterwards.
+Written with the conformal discrete Legendre maps, defined once here,
+p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld and p-(q0, q1) = phi(q0) Ld - d1 Ld,
+it reads p+(q_prev, q_curr) = p-(q_curr, q_next).  The conformal Hamiltonian
+pair step solves the same system, ``_dlcel_system``, for its carried momentum.
+Both recursions are solved for q_next by damped Newton with an analytic
+Jacobian.  ``integrate`` marches a trajectory, transporting the active
+two-point window across chart transitions whenever a point leaves the core of
+its chart, and fills momenta afterwards.
 The discrete action sum uses the local (conformally rescaled) Lagrangian
 
     S([q]) = sum_k exp(-sigma(q_k)) Ld(q_k, q_{k+1});
@@ -51,27 +56,62 @@ def _del_system(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector
     return F, J
 
 
-def _dlcel_system(Ld: DiscreteLagrangian, chart: Chart, q_prev: Vector,
-                  q_curr: Vector) -> tuple[Callable, Callable]:
-    scale = np.exp(float(chart.sigma(q_curr)) - float(chart.sigma(q_prev)))
-    lhs = scale * as_vector(Ld.d2(q_prev, q_curr))
+def _p_plus(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, s0: float,
+            s1: float) -> np.ndarray:
+    """p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld(q0, q1), a covector at q1.
+
+    ``s0``, ``s1`` are sigma(q0), sigma(q1) on the pair's chart.
+    """
+    return np.exp(s1 - s0) * as_vector(Ld.d2(q0, q1))
+
+
+def _p_minus(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector
+             ) -> np.ndarray:
+    """p-(q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1), a covector at q0."""
+    return phi0 * float(Ld.value(q0, q1)) - as_vector(Ld.d1(q0, q1))
+
+
+def _dp_minus_dq1(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector
+                  ) -> np.ndarray:
+    """d p-(q0, q1) / d q1 = phi(q0) (x) d2 Ld(q0, q1) - d1d2 Ld(q0, q1)."""
+    return np.outer(phi0, as_vector(Ld.d2(q0, q1))) - np.atleast_2d(Ld.d1d2(q0, q1))
+
+
+def _dlcel_system(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector,
+                  p_curr: Vector) -> tuple[Callable, Callable]:
+    """The conformal step: q_next solving p_curr = p-(q_curr, q_next).
+
+    The three-point recursion poses it with p_curr = p+(q_prev, q_curr), the
+    conformal Hamiltonian pair step with the momentum it carries.
+    """
     phi = chart.grad(q_curr)
 
     def F(x):
-        return lhs - (phi * Ld.value(q_curr, x) - as_vector(Ld.d1(q_curr, x)))
+        return p_curr - _p_minus(Ld, q_curr, x, phi)
 
     def J(x):
-        return np.atleast_2d(Ld.d1d2(q_curr, x)) - np.outer(phi, as_vector(Ld.d2(q_curr, x)))
+        return -_dp_minus_dq1(Ld, q_curr, x, phi)
 
     return F, J
+
+
+def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vector,
+                      q_curr: Vector, cfg: StepperConfig, conformal: bool):
+    """Newton solve for q_next from the seed 2 q_curr - q_prev; returns the result."""
+    if conformal:
+        p_curr = _p_plus(Ld, q_prev, q_curr, float(chart.sigma(q_prev)),
+                         float(chart.sigma(q_curr)))
+        F, J = _dlcel_system(Ld, chart, q_curr, p_curr)
+    else:
+        F, J = _del_system(Ld, q_prev, q_curr)
+    return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
 
 
 def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,
              cfg: StepperConfig) -> np.ndarray:
     """Advance the plain three-point recursion; Newton seed is 2 q_curr - q_prev."""
-    q_prev, q_curr = as_vector(q_prev), as_vector(q_curr)
-    F, J = _del_system(Ld, q_prev, q_curr)
-    return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J).x
+    return _three_point_step(Ld, None, as_vector(q_prev), as_vector(q_curr), cfg,
+                             conformal=False).x
 
 
 def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
@@ -80,8 +120,7 @@ def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
     q_prev, q_curr = as_vector(q_prev), as_vector(q_curr)
     atlas.require_inside(chart, q_prev)
     ch = atlas.require_inside(chart, q_curr)
-    F, J = _dlcel_system(Ld, ch, q_prev, q_curr)
-    return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J).x
+    return _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal=True).x
 
 
 def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
@@ -106,9 +145,7 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     traj.points.append(TrajectoryPoint(k=1, chart=start_chart, q=q1))
 
     def step(ch, q_curr, q_prev):
-        F, J = _dlcel_system(Ld, ch, q_prev, q_curr) if conformal \
-            else _del_system(Ld, q_prev, q_curr)
-        res = newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
+        res = _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal)
         return res.x, q_curr, res
 
     _march(atlas, start_chart, q1, q0, traj, N, step,

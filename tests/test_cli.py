@@ -265,12 +265,27 @@ CONVERGENCE_CONFIG = base_config(method="dlcel", h=0.1, steps=10,
     (["convergence", "--config", "{cfg}", "--h", "0.1,0.05,0.025", "--h-ref", "nan"],
      "h_ref"),
     (["convergence", "--config", "{cfg}", "--h", "0.1,nan,0.025"], "h_list"),
+    (["convergence", "--config", "{cfg}", "--h", "0.1,0.1,0.1", "--h-ref", "0.001"],
+     "h_list"),
+    (["convergence", "--config", "{cfg}", "--h", "0.1,0.05,0.025", "--h-ref", "0.025"],
+     "h_ref"),
 ], ids=["negative_seed", "sigma_params_not_numbers", "zero_h_ref", "nan_h_ref",
-        "nan_in_h_list"])
+        "nan_in_h_list", "duplicate_h", "h_not_above_h_ref"])
 def test_bad_command_line_value_is_config_error(tmp_path, capsys, argv, field):
     cfg = _write_config(tmp_path, CONVERGENCE_CONFIG)
     assert main([a.replace("{cfg}", cfg) for a in argv]) == EXIT_CONFIG
     assert f"{field}:" in capsys.readouterr().err
+
+
+def test_convergence_with_zero_error_is_numerical_failure(tmp_path, capsys):
+    # at the equilibrium every method is exact, so no order can be fitted
+    report = tmp_path / "report.json"
+    cfg = _write_config(tmp_path, dict(CONVERGENCE_CONFIG, initial={"q": [0.0], "p": [0.0]},
+                                       output_path=str(report)))
+    assert main(["convergence", "--config", cfg, "--h", "0.1,0.05,0.025"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "h=0.1" in captured.err and captured.out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("data", [None, [base_config()], "harmonic_1d"],

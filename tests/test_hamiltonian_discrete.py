@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
-                    StepperConfig, build_left_hamiltonian,
+                    StepperConfig, TrajectoryPoint, build_left_hamiltonian,
                     build_right_hamiltonian, conformal_midpoint_rule,
-                    discrete_legendre, integrate, integrate_hamiltonian,
-                    free_rotor_circle, ld_step, ldlch_step, midpoint_rule,
-                    momenta_along_trajectory, rd_step, rdlch_step,
-                    with_constant_sigma)
-from lcsdyn.numerics import fd_gradient
+                    conformal_trapezoidal_rule, discrete_legendre, get_system,
+                    integrate, integrate_hamiltonian, free_rotor_circle, ld_step,
+                    ldlch_step, midpoint_rule, momenta_along_trajectory, rd_step,
+                    rdlch_step, transition_apply, with_constant_sigma)
+from lcsdyn.numerics import as_vector, fd_gradient, newton_solve
 
 
 def analytic_free_right(h):
@@ -88,7 +88,7 @@ def test_right_hamiltonian_free_particle_closed_form(free_line_flat):
     for q, p in [(0.5, 2.0), (-0.3, 1.0), (0.0, 0.7)]:
         want = p * q + 0.05 * p * p
         assert Hd.value([q], [p]) == pytest.approx(want, abs=1e-12)
-    assert Hd.provenance == "from_lagrangian"
+    assert Hd.source is not None
 
 
 def test_left_hamiltonian_free_particle_closed_form(free_line_flat):
@@ -250,3 +250,94 @@ def test_momentum_pair_relation_defect(free_line):
     assert good.relation_defect(free_line.atlas) == 0.0
     bad = MomentumPair(r=p.copy(), p=p, chart=0, q=q)
     assert bad.relation_defect(free_line.atlas) > 1e-3
+
+
+def coupled_pair_step_reference(Ld, ch, q_curr, p_curr, cfg):
+    """The former conformal pair step: one coupled Newton solve for (q_next,
+    p_next) in 2n unknowns with a finite-differenced Jacobian."""
+    n = Ld.n
+    s_curr = float(ch.sigma(q_curr))
+    phi_curr = ch.grad(q_curr)
+
+    def F(z):
+        qn, pn = z[:n], z[n:]
+        r1 = p_curr - (phi_curr * float(Ld.value(q_curr, qn)) - as_vector(Ld.d1(q_curr, qn)))
+        r2 = pn - np.exp(float(ch.sigma(qn)) - s_curr) * as_vector(Ld.d2(q_curr, qn))
+        return np.concatenate([r1, r2])
+
+    z = newton_solve(F, np.concatenate([q_curr + Ld.h * p_curr, p_curr]), cfg).x
+    return z[:n], z[n:]
+
+
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d", "free_rotor_circle"])
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule])
+def test_conformal_steps_match_the_coupled_solve(name, rule, tight_cfg):
+    system = get_system(name)
+    chart = system.start_chart
+    ch = system.atlas.chart(chart)
+    Ld = rule(system.lagrangian, system.atlas, chart, 0.1)
+    steppers = ((rdlch_step, build_right_hamiltonian(Ld, system.atlas, chart)),
+                (ldlch_step, build_left_hamiltonian(Ld, system.atlas, chart)))
+    center, span = 0.5 * (ch.lower + ch.upper), 0.25 * np.minimum(ch.width, 4.0)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        q = center + span * rng.uniform(-1, 1, system.n)
+        p = rng.uniform(-1, 1, system.n)
+        q_ref, p_ref = coupled_pair_step_reference(Ld, ch, q, p, tight_cfg)
+        for step, Hd in steppers:
+            q_next, p_next = step(Hd, system.atlas, chart, q, p, tight_cfg)
+            assert np.max(np.abs(q_next - q_ref)) <= 1e-11
+            assert np.max(np.abs(p_next - p_ref)) <= 1e-11
+            # p_next is p+(q, q_next), and q_next solves p = p-(q, q_next)
+            p_plus = np.exp(float(ch.sigma(q_next)) - float(ch.sigma(q))) \
+                * as_vector(Ld.d2(q, q_next))
+            assert p_next.tobytes() == p_plus.tobytes()
+            p_minus = ch.grad(q) * float(Ld.value(q, q_next)) - as_vector(Ld.d1(q, q_next))
+            assert np.max(np.abs(p - p_minus)) <= tight_cfg.tol
+
+
+def pointwise_momenta_reference(Ld, atlas, traj, tol, conformal):
+    """The former momentum fill: each point evaluates its forward pair and,
+    carried into the previous point's chart, its backward pair."""
+    pts = traj.points
+    for k, pt in enumerate(pts):
+        ch = atlas.chart(pt.chart)
+        p_fwd = p_bwd = None
+        if k < len(pts) - 1:
+            nxt = pts[k + 1]
+            qb = nxt.q if nxt.chart == pt.chart else as_vector(
+                atlas.require_transition(nxt.chart, pt.chart, nxt.q).forward(nxt.q))
+            p_fwd = ch.grad(pt.q) * float(Ld.value(pt.q, qb)) - as_vector(Ld.d1(pt.q, qb)) \
+                if conformal else -as_vector(Ld.d1(pt.q, qb))
+        if k > 0:
+            prv = pts[k - 1]
+            cha = atlas.chart(prv.chart)
+            qk = pt.q if pt.chart == prv.chart else as_vector(
+                atlas.require_transition(pt.chart, prv.chart, pt.q).forward(pt.q))
+            p_bwd = as_vector(Ld.d2(prv.q, qk))
+            if conformal:
+                p_bwd = np.exp(float(cha.sigma(qk)) - float(cha.sigma(prv.q))) * p_bwd
+            if pt.chart != prv.chart:
+                _, p_bwd = transition_apply(atlas, prv.chart, pt.chart, qk, p_bwd, "p")
+        if p_fwd is not None and p_bwd is not None:
+            assert np.max(np.abs(p_fwd - p_bwd)) <= tol
+        p = p_fwd if p_fwd is not None else p_bwd
+        pt.p = p
+        pt.r = np.exp(-float(ch.sigma(pt.q))) * p if conformal else p.copy()
+    return traj
+
+
+@pytest.mark.parametrize("conformal", [True, False])
+def test_pairwise_momentum_fill_matches_pointwise_fill(conformal, tight_cfg):
+    rotor = free_rotor_circle(-0.1)
+    Ld = conformal_midpoint_rule(rotor.lagrangian, rotor.atlas, 0, 0.05) if conformal \
+        else midpoint_rule(rotor.lagrangian, 0.05)
+    traj = integrate(Ld, rotor.atlas, 0, [0.3], [0.35], 2000, tight_cfg,
+                     conformal=conformal)
+    assert traj.n_switches() >= 8
+    bare = DiscreteTrajectory(h=traj.h, points=[
+        TrajectoryPoint(k=pt.k, chart=pt.chart, q=pt.q) for pt in traj.points])
+    ref = pointwise_momenta_reference(Ld, rotor.atlas, bare, 1e-11, conformal)
+    for a, b in zip(traj.points, ref.points):
+        assert a.p.tobytes() == b.p.tobytes()
+        assert a.r.tobytes() == b.r.tobytes()
