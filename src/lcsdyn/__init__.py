@@ -34,7 +34,7 @@ from .hamiltonian_discrete import (DiscreteHamiltonian, LagrangianSource,
                                    momenta_along_trajectory, rd_step,
                                    rdlch_step)
 from .numerics import (NewtonResult, StepperConfig, fd_gradient, fd_jacobian,
-                       gauss_legendre, newton_solve, solve_linear)
+                       newton_solve, solve_linear)
 from .systems import (CATALOG, System, free_rotor_circle, get_system,
                       harmonic_1d, planar_2d, rotor_extended_chart,
                       with_constant_sigma)

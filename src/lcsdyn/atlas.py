@@ -30,7 +30,10 @@ class Chart:
     """A box (or angular-interval) chart with a conformal factor.
 
     ``sigma_grad`` and ``sigma_hess`` may be omitted; central finite-difference
-    fallbacks are used.  ``periodic`` flags angular coordinates (the
+    fallbacks are used.  A chart whose sigma is affine may instead declare its
+    Lee form as ``constant_lee`` (n components): ``grad`` then returns a copy
+    of it and ``hess`` zeros without calling anything, and the continuous
+    fields read it once.  ``periodic`` flags angular coordinates (the
     identification itself is handled by transitions).
     """
 
@@ -42,12 +45,18 @@ class Chart:
     sigma_grad: Callable[[Vector], Vector] | None = None
     sigma_hess: Callable[[Vector], np.ndarray] | None = None
     periodic: tuple[bool, ...] = ()
+    constant_lee: Vector | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lower", as_vector(self.lower))
         object.__setattr__(self, "upper", as_vector(self.upper))
         if self.lower.size != self.dim or self.upper.size != self.dim:
             raise ValueError(f"chart {self.id}: bounds must have length {self.dim}")
+        if self.constant_lee is not None:
+            object.__setattr__(self, "constant_lee", as_vector(self.constant_lee).copy())
+            if self.constant_lee.shape != (self.dim,):
+                raise ValueError(f"chart {self.id}: constant_lee must have length "
+                                 f"{self.dim}")
         if not np.all(self.lower < self.upper):
             raise ValueError(f"chart {self.id}: empty domain (need lower < upper)")
         if not self.periodic:
@@ -64,11 +73,15 @@ class Chart:
         return bool(np.all(q >= self.lower + pad) and np.all(q <= self.upper - pad))
 
     def grad(self, q: Vector) -> np.ndarray:
+        if self.constant_lee is not None:
+            return self.constant_lee.copy()
         if self.sigma_grad is not None:
             return as_vector(self.sigma_grad(as_vector(q)))
         return fd_gradient(self.sigma, as_vector(q), _FD_SIGMA_EPS)
 
     def hess(self, q: Vector) -> np.ndarray:
+        if self.constant_lee is not None:
+            return np.zeros((self.dim, self.dim))
         if self.sigma_hess is not None:
             return np.atleast_2d(np.asarray(self.sigma_hess(as_vector(q)), dtype=float))
         return fd_jacobian(self.grad, as_vector(q), _FD_SIGMA_EPS)

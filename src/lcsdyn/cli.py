@@ -123,12 +123,18 @@ class ExperimentConfig:
                  "must be an integer >= 1", "max_iter")
         if self.sigma_params:
             _check_sigma_params(self.system, self.sigma_params)
-        n = self._system().n
+        system = self._system()
+        n = system.n
         _require(isinstance(self.initial, dict)
                  and set(self.initial) in ({"q0", "q1"}, {"q", "p"}),
                  'needs keys {"q0", "q1"} or {"q", "p"}', "initial")
+        chart = system.atlas.chart(system.start_chart)
         for key, vec in self.initial.items():
             _require(_is_vector(vec, n), f"must be a list of {n} finite numbers",
+                     f"initial.{key}")
+            _require(key == "p" or chart.contains(vec),
+                     f"{vec} lies outside start chart {chart.id} (lower "
+                     f"{chart.lower.tolist()}, upper {chart.upper.tolist()})",
                      f"initial.{key}")
 
     def require_initial(self, *keys: str) -> None:
@@ -429,7 +435,7 @@ def main(argv=None) -> int:
                 report = cmd_verify(args.system, seed=args.seed, sigma_params=params)
             except KeyError as e:
                 raise ConfigError(str(e), "system") from e
-            text = json.dumps(report, indent=2)
+            text = json.dumps(report, indent=2, allow_nan=False)
             if args.output:
                 _write_text(args.output, text + "\n", "output")
             print(text)

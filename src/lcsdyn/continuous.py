@@ -24,8 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import IntegrationError, RegularityError
-from .numerics import (StepperConfig, as_vector, fd_jacobian, newton_solve,
-                       solve_linear)
+from .numerics import (StepperConfig, _solve_2x2, as_vector, fd_jacobian,
+                       newton_solve, solve_linear)
 
 Vector = np.ndarray
 
@@ -38,6 +38,14 @@ class ContinuousLagrangian:
     wherever the dynamics are evaluated.  ``hess_qq`` is optional; it is only
     needed to assemble analytic mixed partials of quadrature-rule discrete
     Lagrangians.
+
+    ``jet`` is optional: the same Lagrangian as one fused evaluation on Python
+    floats.  ``jet(q, v)``, with q and v lists of n floats, returns
+    ``(value, grad_q, grad_v, hess_vv, hess_vq)``: a float, two lists of n
+    floats and two (n, n) float arrays, bit for bit what the callables return
+    at that point.  The continuous fields, the midpoint rule's partials and
+    both conformal rules' pair data call it once where they would call the
+    callables one by one.  :meth:`from_jet` derives the callables from a jet.
     """
 
     n: int
@@ -47,16 +55,87 @@ class ContinuousLagrangian:
     hess_vv: Callable[[Vector, Vector], np.ndarray]
     hess_vq: Callable[[Vector, Vector], np.ndarray]
     hess_qq: Callable[[Vector, Vector], np.ndarray] | None = None
+    jet: Callable[[list, list], tuple] | None = None
+
+    @classmethod
+    def from_jet(cls, n: int, jet: Callable[[list, list], tuple],
+                 hess_vv: np.ndarray | None = None, hess_vq: np.ndarray | None = None,
+                 hess_qq: np.ndarray | None = None) -> "ContinuousLagrangian":
+        """The Lagrangian whose callables evaluate ``jet``.
+
+        A Hessian passed as an (n, n) array is constant: its callable returns
+        that array without evaluating the jet.  ``hess_qq`` exists only if passed.
+        """
+        def const(M):
+            return lambda q, v: M
+
+        return cls(n, _jet_part(jet, 0, float), _jet_part(jet, 1, np.array),
+                   _jet_part(jet, 2, np.array),
+                   _jet_part(jet, 3, np.asarray) if hess_vv is None else const(hess_vv),
+                   _jet_part(jet, 4, np.asarray) if hess_vq is None else const(hess_vq),
+                   None if hess_qq is None else const(hess_qq), jet)
 
 
 @dataclass(frozen=True)
 class ContinuousHamiltonian:
-    """A Hamiltonian H(q, p) with analytic gradients."""
+    """A Hamiltonian H(q, p) with analytic gradients.
+
+    ``jet`` is optional, as on :class:`ContinuousLagrangian`: ``jet(q, p)``
+    on lists of n floats returns ``(value, grad_q, grad_p)`` as a float and
+    two lists of n floats, bit for bit what the callables return.  The
+    Hamiltonian field calls it once per evaluation.
+    """
 
     n: int
     value: Callable[[Vector, Vector], float]
     grad_q: Callable[[Vector, Vector], Vector]
     grad_p: Callable[[Vector, Vector], Vector]
+    jet: Callable[[list, list], tuple] | None = None
+
+    @classmethod
+    def from_jet(cls, n: int, jet: Callable[[list, list], tuple]
+                 ) -> "ContinuousHamiltonian":
+        """The Hamiltonian whose callables evaluate ``jet``."""
+        return cls(n, _jet_part(jet, 0, float), _jet_part(jet, 1, np.array),
+                   _jet_part(jet, 2, np.array), jet)
+
+
+def _jet_part(jet: Callable, index: int, convert: Callable) -> Callable:
+    """The public callable ``(q, x) -> convert(jet(q, x)[index])``."""
+    def part(q, x):
+        return convert(jet(as_vector(q).tolist(), as_vector(x).tolist())[index])
+
+    return part
+
+
+def _floats(y) -> list:
+    return np.asarray(y, dtype=float).tolist()
+
+
+def _lagrangian_jet(L: ContinuousLagrangian) -> Callable[[list, list], tuple]:
+    """``L.jet``, or the same five-part evaluation through ``L``'s callables."""
+    if L.jet is not None:
+        return L.jet
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return (float(L.value(q, v)), _floats(L.grad_q(q, v)), _floats(L.grad_v(q, v)),
+                np.asarray(L.hess_vv(q, v), dtype=float),
+                np.asarray(L.hess_vq(q, v), dtype=float))
+
+    return jet
+
+
+def _hamiltonian_jet(H: ContinuousHamiltonian) -> Callable[[list, list], tuple]:
+    """``H.jet``, or the same three-part evaluation through ``H``'s callables."""
+    if H.jet is not None:
+        return H.jet
+
+    def jet(q, p):
+        q, p = np.array(q), np.array(p)
+        return float(H.value(q, p)), _floats(H.grad_q(q, p)), _floats(H.grad_p(q, p))
+
+    return jet
 
 
 @dataclass(frozen=True)
@@ -84,9 +163,9 @@ def lcel_acceleration(L: ContinuousLagrangian, atlas: ConformalAtlas,
 
     Solves  hess_vv a = grad_q - hess_vq v + (phi.v) grad_v - L phi  through
     :func:`make_lcel_field`: by one division when n = 1, raising
-    :class:`RegularityError` only for a zero Hessian, and by
-    :func:`solve_linear` (its screened inverse, which raises when the condition
-    number exceeds 1e12) when n >= 2.
+    :class:`RegularityError` only for a zero Hessian, and as
+    :func:`solve_linear` does (raising when the condition number exceeds
+    1e12) when n >= 2.
     """
     q = as_vector(q)
     x = make_lcel_field(L, atlas, chart)(np.concatenate([q, as_vector(v)]))
@@ -124,9 +203,12 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
 
     ``field`` is called exactly four times per step, each time on a fresh
     float64 array of shape ``(d,)``, and must return an array-like of ``d``
-    real components.  The stages are combined in Python floats, component by
-    component, in the order ``x + (h/2) k`` and
-    ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.
+    real components.  A field made by :func:`make_lcel_field` or
+    :func:`make_lcshe_field` is called through its float entry
+    ``field._floats`` instead, which takes and returns a list of d floats (or
+    raises) and gives the same bits without the arrays.  The stages are
+    combined in Python floats, component by component, in the order
+    ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.
 
     Raises ``ValueError`` when ``h`` is not a positive finite number, when
     ``steps < 1`` and when a field output does not have ``d`` components, and
@@ -154,6 +236,7 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
             k = k.reshape(shape)
         return k.tolist()
 
+    stage = getattr(field, "_floats", stage)
     for k in range(steps):
         k1 = stage(x)
         k2 = stage([a + half * b for a, b in zip(x, k1)])
@@ -176,46 +259,81 @@ def divergence_numeric(field: Callable[[Vector], Vector], x: Vector,
     return float(np.trace(fd_jacobian(field, as_vector(x), eps)))
 
 
+def _float_field(floats: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
+    """The public field ``x -> ndarray`` around a float kernel, which it carries
+    as ``_floats`` for :func:`rk4_integrate`."""
+    def field(x: Vector) -> np.ndarray:
+        return np.array(floats(as_vector(x).tolist()))
+
+    field._floats = floats
+    return field
+
+
+def _chart_data(atlas: ConformalAtlas, chart: int, n: int):
+    """(inside, lee) for a field on one chart, resolved once.
+
+    ``inside(xs)`` raises :class:`DomainError` when the first n floats of xs
+    leave the chart's box.  ``lee(q)`` returns the Lee form at q as a list and
+    an array; a declared constant Lee form is read here, once.
+    """
+    ch = atlas.chart(chart)
+    lo, hi = ch.lower.tolist(), ch.upper.tolist()
+
+    if n == 1:  # a zip loop would cost several times the comparison
+        (lo0,), (hi0,) = lo, hi
+
+        def inside(xs: list) -> None:
+            if not lo0 <= xs[0] <= hi0:
+                atlas.require_inside(chart, np.array(xs[:1]))
+    else:
+        def inside(xs: list) -> None:
+            for i in range(n):
+                if not lo[i] <= xs[i] <= hi[i]:
+                    atlas.require_inside(chart, np.array(xs[:n]))
+
+    if ch.constant_lee is not None:
+        const = (ch.constant_lee.tolist(), ch.constant_lee.copy())
+        return inside, lambda q: const
+
+    def lee(q: list):
+        phi = ch.grad(np.array(q))
+        return phi.tolist(), phi
+
+    return inside, lee
+
+
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
 
-    The chart is resolved once, and the bounds check and the assembly of
-    ``pdot`` run on Python floats: reference integrations call this closure
-    hundreds of thousands of times.  ``H``'s callables get array views of x;
-    a ``grad_q`` or Lee form without n components raises ``ValueError``.
+    The chart, its Lee form when it is constant, and ``H``'s jet (or the
+    callables) are resolved once, and ``pdot`` is assembled on Python floats:
+    reference integrations call this field hundreds of thousands of times.
+    For n >= 2 the dot products stay numpy calls, which may round through a
+    fused multiply-add.  A ``grad_q`` or Lee form without n components raises
+    ``ValueError``.
     """
     n = H.n
-    ch = atlas.chart(chart)
-    lo = [float(b) for b in ch.lower]
-    hi = [float(b) for b in ch.upper]
-    grad = ch.grad
+    inside, lee = _chart_data(atlas, chart, n)
+    jet = _hamiltonian_jet(H)
 
-    def field(x: Vector) -> np.ndarray:
-        q, p = x[:n], x[n:]
-        xs = x.tolist()
-        for i in range(n):
-            if not lo[i] <= xs[i] <= hi[i]:
-                atlas.require_inside(chart, q)
-        phi_a = grad(q)
-        phi = phi_a.tolist()
-        qdot_a = np.asarray(H.grad_p(q, p), dtype=float)
-        qdot = qdot_a.tolist()
-        gq = np.asarray(H.grad_q(q, p), dtype=float).tolist()
-        hval = float(H.value(q, p))
-        ps = xs[n:]
+    def floats(xs: list) -> list:
+        inside(xs)
+        q, ps = xs[:n], xs[n:]
+        hval, gq, qdot = jet(q, ps)
+        phi, phi_a = lee(q)
         if n == 1:
-            # numpy rounds a one-element dot like 0.0 + a*b; longer dots may
-            # fuse a multiply-add, so they stay numpy calls.
-            s_p = 0.0 + ps[0] * qdot[0]
-            s_phi = 0.0 + phi[0] * qdot[0]
-        else:
-            s_p, s_phi = float(p @ qdot_a), float(phi_a @ qdot_a)
-        pdot = [-g - (f * s_p - pi * s_phi) + hval * f
-                for g, f, pi in zip(gq, phi, ps, strict=True)]
-        return np.array(qdot + pdot)
+            (g,), (f,), (p,), (qd,) = gq, phi, ps, qdot
+            # numpy rounds a one-element dot like 0.0 + a*b
+            s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
+            return [qd, -g - (f * s_p - p * s_phi) + hval * f]
+        qdot_a = np.array(qdot)
+        s_p, s_phi = float(np.array(ps) @ qdot_a), float(phi_a @ qdot_a)
+        # qdot joins the zip only to have its length checked
+        return qdot + [-g - (f * s_p - p * s_phi) + hval * f
+                       for g, f, p, _ in zip(gq, phi, ps, qdot, strict=True)]
 
-    return field
+    return _float_field(floats)
 
 
 def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
@@ -223,46 +341,35 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     """Flatten the conformal Euler-Lagrange equations to a field on x = (q, v).
 
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
-    floats and a ``grad_q``, ``grad_v`` or Lee form without n components
-    raises ``ValueError``.  The acceleration solves ``hess_vv a = rhs`` by one
-    division when n = 1 and by :func:`solve_linear` otherwise.
+    floats from one jet evaluation, and a ``grad_q``, ``grad_v`` or Lee form
+    without n components raises ``ValueError``.  The acceleration solves
+    ``hess_vv a = rhs`` by one division when n = 1, by the closed-form 2x2
+    solve of :func:`solve_linear` when n = 2 and by :func:`solve_linear`
+    otherwise; each raises :class:`RegularityError` as ``solve_linear`` does.
     """
     n = L.n
-    ch = atlas.chart(chart)
-    lo = [float(b) for b in ch.lower]
-    hi = [float(b) for b in ch.upper]
-    grad = ch.grad
+    inside, lee = _chart_data(atlas, chart, n)
+    jet = _lagrangian_jet(L)
 
-    def field(x: Vector) -> np.ndarray:
-        q, v = x[:n], x[n:]
-        xs = x.tolist()
-        for i in range(n):
-            if not lo[i] <= xs[i] <= hi[i]:
-                atlas.require_inside(chart, q)
-        vs = xs[n:]
-        phi_a = grad(q)
-        phi = phi_a.tolist()
-        gv = np.asarray(L.grad_v(q, v), dtype=float).tolist()
-        gq = np.asarray(L.grad_q(q, v), dtype=float).tolist()
-        hvq = L.hess_vq(q, v)
+    def floats(xs: list) -> list:
+        inside(xs)
+        q, vs = xs[:n], xs[n:]
+        lval, gq, gv, M, hvq = jet(q, vs)
+        phi, phi_a = lee(q)
         if n == 1:
-            # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
-            s = 0.0 + phi[0] * vs[0]
-            hv = [0.0 + float(hvq[0, 0]) * vs[0]]
-        else:
-            s, hv = float(phi_a @ v), (hvq @ v).tolist()
-        lval = float(L.value(q, v))
-        rhs = [a - b + s * c - lval * f
-               for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
-        M = L.hess_vv(q, v)
-        if n == 1:
+            (g,), (c,), (f,), (v,) = gq, gv, phi, vs
             m = float(M[0, 0])
             if m == 0.0:
                 raise RegularityError("singular 1x1 velocity Hessian",
                                       condition=float("inf"))
-            acc = [rhs[0] / m]
-        else:
-            acc = solve_linear(M, rhs).tolist()
-        return np.array(vs + acc)
+            # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
+            hv, s = 0.0 + float(hvq[0, 0]) * v, 0.0 + f * v
+            return [v, (g - hv + s * c - lval * f) / m]
+        v = np.array(vs)
+        s, hv = float(phi_a @ v), (hvq @ v).tolist()
+        rhs = [a - b + s * c - lval * f
+               for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
+        acc = _solve_2x2(M.tolist(), rhs, 1e12) if n == 2 else None
+        return vs + (acc if acc is not None else solve_linear(M, rhs).tolist())
 
-    return field
+    return _float_field(floats)

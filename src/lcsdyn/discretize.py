@@ -59,11 +59,20 @@ class DiscreteLagrangian:
     d1d2: Callable[[Vector, Vector], np.ndarray]
 
 
+def _first_order(L: ContinuousLagrangian, q: Vector, v: Vector):
+    """(L, dL/dq, dL/dv) at (q, v), from one call of ``L.jet`` when L has one."""
+    if L.jet is not None:
+        val, gq, gv = L.jet(q.tolist(), v.tolist())[:3]
+        return val, np.array(gq), np.array(gv)
+    return float(L.value(q, v)), as_vector(L.grad_q(q, v)), as_vector(L.grad_v(q, v))
+
+
 def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
-    """(m, w, d1, d2) of the midpoint rule at a pair, from one gradient evaluation."""
+    """(m, w, L(m, w), d1, d2) of the midpoint rule at a pair, from one evaluation."""
     m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-    gq, gv = 0.5 * h * as_vector(L.grad_q(m, w)), as_vector(L.grad_v(m, w))
-    return m, w, gq - gv, gq + gv
+    val, gq, gv = _first_order(L, m, w)
+    gq = 0.5 * h * gq
+    return m, w, val, gq - gv, gq + gv
 
 
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
@@ -77,10 +86,10 @@ def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
         return h * float(L.value(0.5 * (q0 + q1), (q1 - q0) / h))
 
     def d1(q0, q1):
-        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[2]
+        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[3]
 
     def d2(q0, q1):
-        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[3]
+        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[4]
 
     def d1d2(q0, q1):
         q0, q1 = as_vector(q0), as_vector(q1)
@@ -181,8 +190,8 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     ch = atlas.chart(chart)
 
     def pair_data(q0, q1):
-        mid, w, bd1, bd2 = _midpoint_partials(L, h, q0, q1)
-        val = h * float(L.value(mid, w))
+        mid, w, val, bd1, bd2 = _midpoint_partials(L, h, q0, q1)
+        val = h * val
         s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
         grad_mid = ch.grad(mid)
         a = ch.grad(q0) - 0.5 * grad_mid
@@ -224,15 +233,15 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         if s0 == s1 and not np.any(phi0) and not np.any(phi1):
             return (plain.value(q0, q1), plain.d1(q0, q1), plain.d2(q0, q1), None)
         G = np.exp(s0 - s1)
-        L1 = float(L.value(q1, w))
+        L0, gq0, gv0 = _first_order(L, q0, w)
+        L1, gq1, gv1 = _first_order(L, q1, w)
         U = 0.5 * h * L1
-        gv0, gv1 = as_vector(L.grad_v(q0, w)), as_vector(L.grad_v(q1, w))
-        T1 = 0.5 * h * as_vector(L.grad_q(q0, w)) - 0.5 * gv0
+        T1 = 0.5 * h * gq0 - 0.5 * gv0
         U1 = -0.5 * gv1
         T2 = 0.5 * gv0
-        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * gv1
+        U2 = 0.5 * h * gq1 + 0.5 * gv1
         S = -phi1 * U + U2
-        return (0.5 * h * (float(L.value(q0, w)) + G * L1),
+        return (0.5 * h * (L0 + G * L1),
                 T1 + G * (phi0 * U + U1), T2 + G * S,
                 (w, G, phi0, phi1, U1, S))
 
@@ -269,8 +278,9 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         raise ValueError("h must be positive")
     n = L.n
     field = make_lcel_field(L, atlas, chart)
-    nodes, weights = np.polynomial.legendre.leggauss(
-        _checked_order(quad_order))
+    if not 1 <= quad_order <= 10:
+        raise ValueError(f"quadrature order must be in 1..10, got {quad_order}")
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
 
     def _shoot(q0: Vector, q1: Vector, tol: float) -> np.ndarray:
         def endpoint(v0):
@@ -327,9 +337,3 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
                                as_vector(q1), eps2)
 
     return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
-
-
-def _checked_order(order: int) -> int:
-    if not (1 <= order <= 10):
-        raise ValueError(f"quadrature order must be in 1..10, got {order}")
-    return order

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: damped Newton, finite differences, quadrature, linear solves.
+"""Shared numerical kernels: damped Newton, finite differences, linear solves.
 
 All residual norms are infinity norms and all finite differences are central.
 """
@@ -159,32 +159,45 @@ def newton_solve(
         residual=rnorm, iterations=cfg.max_iter)
 
 
-def gauss_legendre(f: Callable[[float], float], a: float, b: float, order: int) -> float:
-    """Gauss-Legendre quadrature of f over [a, b] at the given node count (1..10)."""
-    if not (1 <= order <= 10):
-        raise ValueError(f"quadrature order must be in 1..10, got {order}")
-    if not a < b:
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(sum(w * f(mid + half * t) for t, w in zip(nodes, weights)))
-
-
 def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarray:
-    """Solve A x = b as ``inv(A) @ b``; raise :class:`RegularityError` when the
-    2-norm condition number cond(A) exceeds ``cond_limit``.
+    """Solve A x = b; raise :class:`RegularityError` when the 2-norm condition
+    number cond(A) exceeds ``cond_limit``.
 
-    The check is :func:`_checked_inverse`.  A 1x1 system raises only when its
-    entry is zero.
+    A 1x1 system raises only when its entry is zero.  A 2x2 system is solved
+    in closed form by :func:`_solve_2x2`; any other system, and a 2x2 one that
+    fails its screen, as ``inv(A) @ b`` with the check of
+    :func:`_checked_inverse`.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape == (1, 1):
         if A[0, 0] == 0.0:
             raise RegularityError("singular 1x1 system", condition=float("inf"))
         return np.atleast_1d(b / A[0, 0])
+    b = np.asarray(b, dtype=float)
+    if A.shape == (2, 2) and b.shape == (2,):
+        x = _solve_2x2(A.tolist(), b.tolist(), cond_limit)
+        if x is not None:
+            return np.array(x)
     A_inv = _checked_inverse(A, cond_limit, "ill-conditioned linear system")
-    return A_inv @ np.asarray(b, dtype=float)
+    return A_inv @ b
+
+
+def _solve_2x2(A: list, b: list, cond_limit: float) -> list | None:
+    """Cramer's rule for a 2x2 system in floats, or None when it is doubtful.
+
+    ``A`` is a nested list ``[[a, b], [c, d]]``.  The screen is that of
+    :func:`_checked_inverse`: for a 2x2 matrix ``||A||_F ||inv(A)||_F`` equals
+    ``||A||_F^2 / |det A|``, and the solution is returned only when that bound
+    is at most ``cond_limit / 4`` and det A is finite and nonzero.  On None
+    the caller takes the checked-inverse path, which runs the SVD and raises.
+    """
+    (a, b01), (c, d) = A
+    r0, r1 = b
+    det = a * d - b01 * c
+    if not (0.0 < abs(det) < math.inf
+            and a * a + b01 * b01 + c * c + d * d <= 0.25 * cond_limit * abs(det)):
+        return None
+    return [(d * r0 - b01 * r1) / det, (a * r1 - c * r0) / det]
 
 
 def _checked_inverse(A: np.ndarray, cond_limit: float, what: str) -> np.ndarray:

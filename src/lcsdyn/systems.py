@@ -6,11 +6,18 @@
     sigma = c * theta in each chart's own angle branch; the one-form c d(theta)
     is closed but not exact on the circle, so the two factors differ by the
     constant 2 pi c on the wrap-around overlap (the cocycle condition).
+
+Each system is written once, as float jets (see ``ContinuousLagrangian``): a
+Lagrangian jet and, coded separately so that the Lagrangian and Hamiltonian
+flows stay independent checks of each other, a Hamiltonian jet.  The public
+callables are derived from the jets, and the constant Hessians are
+precomputed arrays.  Every sigma is linear in the chart coordinates, so every
+chart declares its constant Lee form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,81 +40,63 @@ class System:
     sigma_params: tuple[float, ...]
 
 
-def _mechanical(n: int, grad_V, V, hess_V):
-    """Kinetic-minus-potential Lagrangian and its Hamiltonian twin."""
-    eye = np.eye(n)
-    zeros = np.zeros((n, n))
-    L = ContinuousLagrangian(
-        n=n,
-        value=lambda q, v: 0.5 * float(v @ v) - V(q),
-        grad_q=lambda q, v: -grad_V(q),
-        grad_v=lambda q, v: np.array(v, dtype=float),
-        hess_vv=lambda q, v: eye,
-        hess_vq=lambda q, v: zeros,
-        hess_qq=lambda q, v: -hess_V(q),
-    )
-    H = ContinuousHamiltonian(
-        n=n,
-        value=lambda q, p: 0.5 * float(p @ p) + V(q),
-        grad_q=lambda q, p: grad_V(q),
-        grad_p=lambda q, p: np.array(p, dtype=float),
-    )
-    return L, H
+def _sq(x: list) -> float:
+    """x . x, summed left to right from 0.0 (for n = 1, numpy's rounding)."""
+    total = 0.0
+    for a in x:
+        total += a * a
+    return total
 
 
-def _linear_sigma(coeffs: np.ndarray):
+def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
+    """L = |v|^2/2 - V(q) and its Hamiltonian twin H = |p|^2/2 + V(q).
+
+    ``V`` and ``grad_V`` take a list of n floats and return a float and a
+    fresh list; ``hess_V`` is the constant Hessian of V.
+    """
+    eye, zeros = np.eye(n), np.zeros((n, n))
+
+    def L_jet(q, v):
+        return 0.5 * _sq(v) - V(q), [-g for g in grad_V(q)], list(v), eye, zeros
+
+    def H_jet(q, p):
+        return 0.5 * _sq(p) + V(q), grad_V(q), list(p)
+
+    return (ContinuousLagrangian.from_jet(n, L_jet, hess_vv=eye, hess_vq=zeros,
+                                          hess_qq=-hess_V),
+            ContinuousHamiltonian.from_jet(n, H_jet))
+
+
+def _harmonic(n: int):
+    return _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
+
+
+def _free_particle(n: int):
+    return _mechanical(n, V=lambda q: 0.0, grad_V=lambda q: [0.0] * n,
+                       hess_V=np.zeros((n, n)))
+
+
+def _linear_chart(id: int, lower, upper, coeffs, periodic=()) -> Chart:
+    """A box chart with sigma = coeffs . q and so the constant Lee form coeffs."""
     coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.size
-    return (lambda q: float(coeffs @ np.atleast_1d(q)),
-            lambda q: coeffs.copy(),
-            lambda q: np.zeros((n, n)))
+    return Chart(id=id, dim=coeffs.size, lower=lower, upper=upper,
+                 sigma=lambda q: float(coeffs @ np.atleast_1d(q)),
+                 constant_lee=coeffs, periodic=periodic)
 
 
 def harmonic_1d(c: float = 0.1) -> System:
-    sigma, sigma_grad, sigma_hess = _linear_sigma([c])
-    chart = Chart(id=0, dim=1, lower=[-_BOX], upper=[_BOX],
-                  sigma=sigma, sigma_grad=sigma_grad, sigma_hess=sigma_hess)
-    L, H = _mechanical(
-        1,
-        V=lambda q: 0.5 * float(q @ q),
-        grad_V=lambda q: np.array(q, dtype=float, ndmin=1),
-        hess_V=lambda q: np.eye(1),
-    )
+    chart = _linear_chart(0, [-_BOX], [_BOX], [c])
+    L, H = _harmonic(1)
     return System(name="harmonic_1d", n=1, atlas=ConformalAtlas(charts=(chart,)),
                   lagrangian=L, hamiltonian=H, start_chart=0, sigma_params=(c,))
 
 
 def planar_2d(c1: float = 0.3, c2: float = 0.1) -> System:
-    sigma, sigma_grad, sigma_hess = _linear_sigma([c1, c2])
-    chart = Chart(id=0, dim=2, lower=[-_BOX, -_BOX], upper=[_BOX, _BOX],
-                  sigma=sigma, sigma_grad=sigma_grad, sigma_hess=sigma_hess)
-    L, H = _mechanical(
-        2,
-        V=lambda q: 0.5 * float(q @ q),
-        grad_V=lambda q: np.array(q, dtype=float),
-        hess_V=lambda q: np.eye(2),
-    )
+    chart = _linear_chart(0, [-_BOX, -_BOX], [_BOX, _BOX], [c1, c2])
+    L, H = _harmonic(2)
     return System(name="planar_2d", n=2, atlas=ConformalAtlas(charts=(chart,)),
                   lagrangian=L, hamiltonian=H, start_chart=0,
                   sigma_params=(c1, c2))
-
-
-def _free_particle(n: int):
-    return _mechanical(n,
-                       V=lambda q: 0.0,
-                       grad_V=lambda q: np.zeros(n),
-                       hess_V=lambda q: np.zeros((n, n)))
-
-
-def _rotor_charts(c: float) -> tuple[Chart, Chart]:
-    sigma, sigma_grad, sigma_hess = _linear_sigma([c])
-    chart1 = Chart(id=0, dim=1, lower=[-np.pi / 4], upper=[5 * np.pi / 4],
-                   sigma=sigma, sigma_grad=sigma_grad, sigma_hess=sigma_hess,
-                   periodic=(True,))
-    chart2 = Chart(id=1, dim=1, lower=[3 * np.pi / 4], upper=[9 * np.pi / 4],
-                   sigma=sigma, sigma_grad=sigma_grad, sigma_hess=sigma_hess,
-                   periodic=(True,))
-    return chart1, chart2
 
 
 def free_rotor_circle(c: float = 0.1) -> System:
@@ -117,23 +106,18 @@ def free_rotor_circle(c: float = 0.1) -> System:
     wrap-around overlap identifies theta in chart 1 with theta + 2pi in
     chart 2.
     """
-    chart1, chart2 = _rotor_charts(c)
-    ident = lambda q: np.array(q, dtype=float, ndmin=1)
-    one = lambda q: np.eye(1)
-    transitions = (
-        TransitionMap(from_chart=0, to_chart=1,
-                      overlap_lower=[3 * np.pi / 4], overlap_upper=[5 * np.pi / 4],
-                      forward=ident, jacobian=one),
-        TransitionMap(from_chart=1, to_chart=0,
-                      overlap_lower=[3 * np.pi / 4], overlap_upper=[5 * np.pi / 4],
-                      forward=ident, jacobian=one),
-        TransitionMap(from_chart=1, to_chart=0,
-                      overlap_lower=[7 * np.pi / 4], overlap_upper=[9 * np.pi / 4],
-                      forward=lambda q: np.atleast_1d(q) - 2 * np.pi, jacobian=one),
-        TransitionMap(from_chart=0, to_chart=1,
-                      overlap_lower=[-np.pi / 4], overlap_upper=[np.pi / 4],
-                      forward=lambda q: np.atleast_1d(q) + 2 * np.pi, jacobian=one),
-    )
+    chart1 = _linear_chart(0, [-np.pi / 4], [5 * np.pi / 4], [c], periodic=(True,))
+    chart2 = _linear_chart(1, [3 * np.pi / 4], [9 * np.pi / 4], [c], periodic=(True,))
+    def shift(from_chart, to_chart, lower, upper, by):
+        return TransitionMap(from_chart=from_chart, to_chart=to_chart,
+                             overlap_lower=[lower], overlap_upper=[upper],
+                             forward=lambda q: np.atleast_1d(q) + by,
+                             jacobian=lambda q: np.eye(1))
+
+    transitions = (shift(0, 1, 3 * np.pi / 4, 5 * np.pi / 4, 0.0),
+                   shift(1, 0, 3 * np.pi / 4, 5 * np.pi / 4, 0.0),
+                   shift(1, 0, 7 * np.pi / 4, 9 * np.pi / 4, -2 * np.pi),
+                   shift(0, 1, -np.pi / 4, np.pi / 4, 2 * np.pi))
     L, H = _free_particle(1)
     atlas = ConformalAtlas(charts=(chart1, chart2), transitions=transitions)
     return System(name="free_rotor_circle", n=1, atlas=atlas, lagrangian=L,
@@ -142,10 +126,7 @@ def free_rotor_circle(c: float = 0.1) -> System:
 
 def rotor_extended_chart(c: float = 0.1) -> System:
     """The rotor unrolled onto a single chart (-pi/4, 9pi/4), for cross-checks."""
-    sigma, sigma_grad, sigma_hess = _linear_sigma([c])
-    chart = Chart(id=0, dim=1, lower=[-np.pi / 4], upper=[9 * np.pi / 4],
-                  sigma=sigma, sigma_grad=sigma_grad, sigma_hess=sigma_hess,
-                  periodic=(True,))
+    chart = _linear_chart(0, [-np.pi / 4], [9 * np.pi / 4], [c], periodic=(True,))
     L, H = _free_particle(1)
     return System(name="rotor_extended_chart", n=1,
                   atlas=ConformalAtlas(charts=(chart,)), lagrangian=L,
@@ -175,13 +156,9 @@ def get_system(name: str, sigma_params=None) -> System:
 
 def with_constant_sigma(system: System, value: float = 0.0) -> System:
     """The same system with every chart's conformal factor frozen to a constant."""
-    charts = tuple(
-        Chart(id=c.id, dim=c.dim, lower=c.lower, upper=c.upper,
-              sigma=lambda q, _v=value: _v,
-              sigma_grad=lambda q, _n=c.dim: np.zeros(_n),
-              sigma_hess=lambda q, _n=c.dim: np.zeros((_n, _n)),
-              periodic=c.periodic)
-        for c in system.atlas.charts)
+    charts = tuple(replace(c, sigma=lambda q: value, sigma_grad=None, sigma_hess=None,
+                           constant_lee=np.zeros(c.dim))
+                   for c in system.atlas.charts)
     atlas = ConformalAtlas(charts=charts, transitions=system.atlas.transitions)
     return System(name=system.name, n=system.n, atlas=atlas,
                   lagrangian=system.lagrangian, hamiltonian=system.hamiltonian,

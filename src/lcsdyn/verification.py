@@ -2,7 +2,8 @@
 
 Each check returns a plain dict with ``name``, ``passed``, ``measured`` and
 ``tolerance`` (plus an optional ``note``), so reports serialize directly to
-JSON.  Checks are system-aware: single-chart systems skip the globalization
+JSON; ``measured`` is null when a check has nothing to measure, and the note
+says why.  Checks are system-aware: single-chart systems skip the globalization
 check, one-degree-of-freedom systems pass the two-form condition trivially.
 """
 
@@ -28,7 +29,12 @@ _H = 0.1
 
 
 def _entry(name, passed, measured, tolerance, note=""):
-    out = {"name": name, "passed": bool(passed), "measured": float(measured),
+    """One check's report; a missing or non-finite measurement is reported as null."""
+    if measured is not None and not np.isfinite(measured):
+        note = "; ".join(filter(None, (note, f"measured {float(measured)}")))
+        measured = None
+    out = {"name": name, "passed": bool(passed),
+           "measured": None if measured is None else float(measured),
            "tolerance": float(tolerance)}
     if note:
         out["note"] = note
@@ -200,7 +206,7 @@ def check_globalization(system: System, steps: int = 95) -> dict:
     two = integrate(Ld, system.atlas, system.start_chart, q0, q1, steps, cfg)
     one = integrate(Ld, ext.atlas, ext.start_chart, q0, q1, steps, cfg)
     if two.n_switches() == 0:
-        return _entry("globalization", False, float("inf"), 1e-9,
+        return _entry("globalization", False, None, 1e-9,
                       note="trajectory never crossed a chart overlap")
     worst = _trajectory_gap(two, one)
     return _entry("globalization", worst <= 1e-9, worst, 1e-9,

@@ -165,3 +165,16 @@ def test_chart_requires_nonempty_domain():
         Chart(id=0, dim=1, lower=[1.0], upper=[1.0], sigma=lambda q: 0.0)
     with pytest.raises(ValueError):
         Chart(id=0, dim=2, lower=[0.0], upper=[1.0], sigma=lambda q: 0.0)
+
+
+def test_constant_lee_form_is_checked_and_copied():
+    coeffs = np.array([0.3, 0.1])
+    chart = Chart(id=0, dim=2, lower=[-1, -1], upper=[1, 1],
+                  sigma=lambda q: float(coeffs @ q), constant_lee=coeffs)
+    coeffs[0] = 9.0  # the chart holds its own copy
+    phi = chart.grad([0.2, 0.4])
+    phi[1] = 9.0     # and hands out copies
+    assert chart.grad([0.0, 0.0]).tolist() == [0.3, 0.1]
+    with pytest.raises(ValueError, match="constant_lee"):
+        Chart(id=0, dim=2, lower=[-1, -1], upper=[1, 1], sigma=lambda q: 0.0,
+              constant_lee=[0.3])

@@ -325,3 +325,41 @@ def test_unwritable_integrate_output_is_config_error(tmp_path, capsys):
     assert main(["integrate", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "output_path:" in err and str(target) in err
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_report_without_a_measurement_is_valid_json(tmp_path, capsys):
+    # with c < 0 the rotor march slows down and never reaches an overlap
+    report_path = tmp_path / "r.json"
+    code = main(["verify", "--system", "free_rotor_circle", "--sigma-params=-0.5",
+                 "--output", str(report_path)])
+    assert code == EXIT_VERIFY
+    for text in (capsys.readouterr().out, report_path.read_text()):
+        report = _strict_json(text)
+        glob = next(c for c in report["checks"] if c["name"] == "globalization")
+        assert glob["measured"] is None and not glob["passed"]
+        assert "never crossed" in glob["note"]
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"initial": {"q0": [100.0], "q1": [0.99]}}, "q0"),
+    ({"initial": {"q0": [1.0], "q1": [-60.0]}}, "q1"),
+    ({"method": "rdlch", "initial": {"q": [100.0], "p": [0.0]}}, "q"),
+    ({"method": "rk4-lcshe", "initial": {"q": [-51.0], "p": [0.0]}}, "q"),
+    ({"system": "free_rotor_circle", "method": "rk4-lcel",
+      "initial": {"q": [4.0], "p": [1.0]}}, "q"),
+], ids=["q0", "q1", "q_hamiltonian", "q_rk4", "q_rotor"])
+def test_initial_point_outside_start_chart_is_config_error(tmp_path, capsys,
+                                                           overrides, key):
+    cfg = _write_config(tmp_path, base_config(**overrides))
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_json(cfg)
+    assert exc.value.field == f"initial.{key}"
+    assert main(["integrate", "--config", cfg]) == EXIT_CONFIG
+    assert f"initial.{key}:" in capsys.readouterr().err

@@ -4,9 +4,9 @@ import pytest
 from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     ContinuousLagrangian, IntegrationError, RegularityError,
                     divergence_numeric, energy, fiber_legendre,
-                    fiber_legendre_inv, harmonic_1d, lcel_acceleration,
-                    lcs_hamiltonian_field, lee_form, make_lcel_field,
-                    make_lcshe_field, planar_2d, rk4_integrate)
+                    fiber_legendre_inv, free_rotor_circle, harmonic_1d,
+                    lcel_acceleration, lcs_hamiltonian_field, lee_form,
+                    make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate)
 
 
 def test_field_flat_reduces_to_canonical(harmonic_flat):
@@ -221,6 +221,70 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
     got = rk4_integrate(make_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
     want = _reference_rk4(_reference_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _starts(n):
+    return [np.concatenate([np.full(n, 0.5), -np.zeros(n)]),
+            np.random.default_rng(4).uniform(0.2, 1.0, 2 * n)]
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle])
+def test_rk4_float_entry_equals_public_field(system_fn):
+    # A wrapper without ``_floats`` (as a tracing wrapper is) takes the public
+    # array path; both must give the same bits.
+    system = system_fn()
+    n = system.n
+    for make, F in ((make_lcel_field, system.lagrangian),
+                    (make_lcshe_field, system.hamiltonian)):
+        field = make(F, system.atlas, 0)
+        assert callable(field._floats)
+        for x0 in _starts(n):
+            got = rk4_integrate(field, x0, 1e-3, 400)
+            want = rk4_integrate(lambda x: field(x), x0, 1e-3, 400)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
+def test_fields_without_a_jet_take_the_callables(system_fn):
+    system = system_fn()
+    n = system.n
+    L, H = system.lagrangian, system.hamiltonian
+    calls = []
+
+    def counted(f):
+        def wrapper(q, x):
+            calls.append(1)
+            return f(q, x)
+        return wrapper
+
+    L0 = ContinuousLagrangian(n=n, value=counted(L.value), grad_q=L.grad_q,
+                              grad_v=L.grad_v, hess_vv=L.hess_vv, hess_vq=L.hess_vq)
+    H0 = ContinuousHamiltonian(n=n, value=counted(H.value), grad_q=H.grad_q,
+                               grad_p=H.grad_p)
+    assert L0.jet is None and H0.jet is None
+    for plain, jetted, make in ((L0, L, make_lcel_field), (H0, H, make_lcshe_field)):
+        for x0 in _starts(n):
+            calls.clear()
+            got = rk4_integrate(make(plain, system.atlas, 0), x0, 1e-3, 100)
+            assert len(calls) == 400
+            want = rk4_integrate(make(jetted, system.atlas, 0), x0, 1e-3, 100)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_field_reads_a_non_constant_lee_form_per_call():
+    # sigma = q0^2/2 + q1: the Lee form (q0, 1) changes along the flow
+    grads = []
+    chart = Chart(id=0, dim=2, lower=[-5, -5], upper=[5, 5],
+                  sigma=lambda q: 0.5 * float(q[0]) ** 2 + float(q[1]),
+                  sigma_grad=lambda q: grads.append(1) or np.array([q[0], 1.0]))
+    system = planar_2d()
+    atlas = ConformalAtlas(charts=(chart,))
+    x0 = np.array([0.6, -0.4, 0.2, 0.9])
+    got = rk4_integrate(make_lcel_field(system.lagrangian, atlas, 0), x0, 1e-3, 50)
+    assert len(grads) == 200
+    want = _reference_rk4(_reference_lcel_field(system.lagrangian, atlas, 0), x0,
+                          1e-3, 50)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_divergence_linear_field_trace():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lcsdyn import NewtonError, RegularityError, StepperConfig
-from lcsdyn.numerics import (as_vector, fd_gradient, fd_jacobian, fd_mixed_second,
-                             gauss_legendre, newton_solve, solve_linear)
+from lcsdyn.numerics import (_solve_2x2, as_vector, fd_gradient, fd_jacobian,
+                             fd_mixed_second, newton_solve, solve_linear)
 
 
 def test_config_validation():
@@ -175,34 +174,6 @@ def test_fd_mixed_second_bitwise_equals_four_point_loop():
     assert np.array_equal(fd_mixed_second(f, x, y, eps), want)
 
 
-def test_quadrature_examples():
-    assert abs(gauss_legendre(lambda t: t * t, 0, 1, 2) - 1 / 3) <= 1e-14
-    assert abs(gauss_legendre(lambda t: 4.0, -1, 3, 1) - 16.0) <= 1e-13
-    assert abs(gauss_legendre(np.sin, 0, np.pi, 5) - 2.0) <= 1e-6
-
-
-def test_quadrature_order_validation():
-    with pytest.raises(ValueError):
-        gauss_legendre(lambda t: t, 0, 1, 0)
-    with pytest.raises(ValueError):
-        gauss_legendre(lambda t: t, 0, 1, 11)
-    with pytest.raises(ValueError):
-        gauss_legendre(lambda t: t, 1, 0, 3)
-
-
-@settings(max_examples=60, deadline=None)
-@given(order=st.integers(1, 10), data=st.data())
-def test_quadrature_polynomial_exactness(order, data):
-    # exact for polynomials up to degree 2*order - 1
-    deg = data.draw(st.integers(0, 2 * order - 1))
-    coeffs = data.draw(st.lists(
-        st.floats(-2, 2, allow_nan=False), min_size=deg + 1, max_size=deg + 1))
-    poly = np.polynomial.Polynomial(coeffs)
-    exact = poly.integ()(1.5) - poly.integ()(-0.5)
-    got = gauss_legendre(poly, -0.5, 1.5, order)
-    assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
-
-
 def test_solve_linear_condition_limit():
     with pytest.raises(RegularityError) as exc:
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.array([1.0, 2.0]))
@@ -229,6 +200,43 @@ def test_solve_linear_reports_svd_condition():
 def test_solve_linear_exactly_singular_is_regularity_error():
     with pytest.raises(RegularityError):
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, np.nan], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1e-13]],
+    [[1.0, 1.0], [1.0, 1.0 + 1e-13]], [[1e-200, 0.0], [0.0, 1e-200]]],
+    ids=["singular", "zero", "nan", "inf", "cond_1e13", "near_singular", "tiny"])
+def test_closed_form_2x2_screens_like_the_checked_inverse(A):
+    # Doubtful matrices leave the closed form and raise on the SVD path, with
+    # the SVD's condition number; the tiny diagonal has cond 1 and solves.
+    A = np.array(A)
+    b = np.array([1.0, -2.0])
+    assert _solve_2x2(A.tolist(), b.tolist(), 1e12) is None
+    if np.all(np.isfinite(A)) and np.linalg.cond(A) <= 1e12:
+        assert np.allclose(solve_linear(A, b) @ A.T, b, rtol=1e-12, atol=0)
+        return
+    with pytest.raises(RegularityError) as exc:
+        solve_linear(A, b)
+    try:
+        want = np.linalg.cond(A)
+    except np.linalg.LinAlgError:
+        want = np.nan
+    assert np.array_equal(exc.value.condition, want, equal_nan=True)
+
+
+def test_closed_form_2x2_agrees_with_lu():
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        B = rng.uniform(-1, 1, (2, 2))
+        A = B @ B.T + np.eye(2)  # a mass matrix: symmetric, cond <= 5
+        b = rng.uniform(-3, 3, 2)
+        x = solve_linear(A, b)
+        assert x.tolist() == _solve_2x2(A.tolist(), b.tolist(), 1e12)
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-13
+    # identity: the closed form returns b itself
+    b = rng.uniform(-3, 3, 2)
+    assert solve_linear(np.eye(2), b).tobytes() == b.tobytes()
 
 
 def test_as_vector_contract():

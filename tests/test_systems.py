@@ -1,0 +1,85 @@
+"""The catalog's jets against the per-callable catalog code they replaced."""
+
+import numpy as np
+import pytest
+
+from lcsdyn import (free_rotor_circle, harmonic_1d, planar_2d, rotor_extended_chart,
+                    with_constant_sigma)
+
+
+# The former catalog lambdas, kept as the reference the jets must reproduce.
+
+def _former_mechanical(n, grad_V, V, hess_V):
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    L = dict(value=lambda q, v: 0.5 * float(v @ v) - V(q),
+             grad_q=lambda q, v: -grad_V(q),
+             grad_v=lambda q, v: np.array(v, dtype=float),
+             hess_vv=lambda q, v: eye, hess_vq=lambda q, v: zeros,
+             hess_qq=lambda q, v: -hess_V(q))
+    H = dict(value=lambda q, p: 0.5 * float(p @ p) + V(q),
+             grad_q=lambda q, p: grad_V(q),
+             grad_p=lambda q, p: np.array(p, dtype=float))
+    return L, H
+
+
+def _former_harmonic(n):
+    return _former_mechanical(n, V=lambda q: 0.5 * float(q @ q),
+                              grad_V=lambda q: np.array(q, dtype=float, ndmin=1),
+                              hess_V=lambda q: np.eye(n))
+
+
+def _former_free(n):
+    return _former_mechanical(n, V=lambda q: 0.0, grad_V=lambda q: np.zeros(n),
+                              hess_V=lambda q: np.zeros((n, n)))
+
+
+CASES = [(harmonic_1d, _former_harmonic), (planar_2d, _former_harmonic),
+         (free_rotor_circle, _former_free), (rotor_extended_chart, _former_free)]
+
+
+def _points(n):
+    rng = np.random.default_rng(21)
+    pts = [rng.uniform(-2, 2, (2, n)) for _ in range(200)]
+    return pts + [np.zeros((2, n)), -np.zeros((2, n)), np.array([np.ones(n), -np.zeros(n)])]
+
+
+@pytest.mark.parametrize("system_fn, former", CASES)
+def test_jet_callables_equal_the_former_lambdas(system_fn, former):
+    system = system_fn()
+    n = system.n
+    L, H = system.lagrangian, system.hamiltonian
+    ref_L, ref_H = former(n)
+    for q, v in _points(n):
+        for F, refs in ((L, ref_L), (H, ref_H)):
+            for name, ref in refs.items():
+                got, want = getattr(F, name)(q, v), ref(q, v)
+                if name == "value" and n > 1:
+                    # the jet sums in floats; numpy's dot may fuse a multiply-add,
+                    # so each squared norm may differ in its last bit
+                    assert abs(got - want) <= 4e-16 * float(q @ q + v @ v)
+                else:
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        # the jet itself agrees with its callables
+        val, gq, gv, hvv, hvq = L.jet(q.tolist(), v.tolist())
+        assert (val, gq, gv) == (L.value(q, v), L.grad_q(q, v).tolist(),
+                                 L.grad_v(q, v).tolist())
+        assert hvv is L.hess_vv(q, v) and hvq is L.hess_vq(q, v)
+        assert H.jet(q.tolist(), v.tolist()) == (H.value(q, v), H.grad_q(q, v).tolist(),
+                                                 H.grad_p(q, v).tolist())
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle])
+def test_catalog_charts_declare_their_lee_form(system_fn):
+    system = system_fn()
+    coeffs = np.array(system.sigma_params)
+    for chart in system.atlas.charts:
+        q = 0.5 * (chart.lower + chart.upper)
+        assert chart.sigma_grad is None
+        assert chart.grad(q).tobytes() == coeffs.tobytes()
+        assert chart.grad(q) is not chart.grad(q)
+        assert np.array_equal(chart.hess(q), np.zeros((system.n, system.n)))
+        assert chart.sigma(q) == float(coeffs @ q)
+    for chart in with_constant_sigma(system, 0.7).atlas.charts:
+        q = 0.5 * (chart.lower + chart.upper)
+        assert chart.sigma(q) == 0.7
+        assert chart.grad(q).tobytes() == np.zeros(system.n).tobytes()
