@@ -252,18 +252,6 @@ class CocycleReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "overlaps": [
-                {"from": e.from_chart, "to": e.to_chart, "samples": e.n_samples,
-                 "mean_offset": e.mean_offset, "deviation": e.deviation,
-                 "passed": e.passed}
-                for e in self.entries
-            ],
-        }
-
 
 def cocycle_check(atlas: ConformalAtlas, samples: int = 16, seed: int = 0
                   ) -> CocycleReport:

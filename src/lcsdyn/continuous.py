@@ -24,8 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import IntegrationError, RegularityError
-from .numerics import (StepperConfig, _solve_2x2, as_vector, fd_jacobian,
-                       newton_solve, solve_linear)
+from .numerics import (StepperConfig, _checked_inverse, _solve_2x2, as_vector,
+                       fd_jacobian, newton_solve)
 
 Vector = np.ndarray
 
@@ -45,7 +45,8 @@ class ContinuousLagrangian:
     floats and two (n, n) float arrays, bit for bit what the callables return
     at that point.  The continuous fields, the midpoint rule's partials and
     both conformal rules' pair data call it once where they would call the
-    callables one by one.  :meth:`from_jet` derives the callables from a jet.
+    callables one by one.  :meth:`from_jet` derives the callables from a jet
+    and constant Hessians.
     """
 
     n: int
@@ -58,22 +59,13 @@ class ContinuousLagrangian:
     jet: Callable[[list, list], tuple] | None = None
 
     @classmethod
-    def from_jet(cls, n: int, jet: Callable[[list, list], tuple],
-                 hess_vv: np.ndarray | None = None, hess_vq: np.ndarray | None = None,
-                 hess_qq: np.ndarray | None = None) -> "ContinuousLagrangian":
-        """The Lagrangian whose callables evaluate ``jet``.
-
-        A Hessian passed as an (n, n) array is constant: its callable returns
-        that array without evaluating the jet.  ``hess_qq`` exists only if passed.
-        """
-        def const(M):
-            return lambda q, v: M
-
+    def from_jet(cls, n: int, jet: Callable[[list, list], tuple], hess_vv: np.ndarray,
+                 hess_vq: np.ndarray, hess_qq: np.ndarray) -> "ContinuousLagrangian":
+        """The Lagrangian with constant (n, n) Hessians whose first-order
+        callables evaluate ``jet``; each Hessian callable returns its array."""
         return cls(n, _jet_part(jet, 0, float), _jet_part(jet, 1, np.array),
-                   _jet_part(jet, 2, np.array),
-                   _jet_part(jet, 3, np.asarray) if hess_vv is None else const(hess_vv),
-                   _jet_part(jet, 4, np.asarray) if hess_vq is None else const(hess_vq),
-                   None if hess_qq is None else const(hess_qq), jet)
+                   _jet_part(jet, 2, np.array), lambda q, v: hess_vv,
+                   lambda q, v: hess_vq, lambda q, v: hess_qq, jet)
 
 
 @dataclass(frozen=True)
@@ -343,9 +335,9 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
     floats from one jet evaluation, and a ``grad_q``, ``grad_v`` or Lee form
     without n components raises ``ValueError``.  The acceleration solves
-    ``hess_vv a = rhs`` by one division when n = 1, by the closed-form 2x2
-    solve of :func:`solve_linear` when n = 2 and by :func:`solve_linear`
-    otherwise; each raises :class:`RegularityError` as ``solve_linear`` does.
+    ``hess_vv a = rhs`` by one division when n = 1 and otherwise as
+    :func:`solve_linear` does (in closed form behind its screen when n = 2),
+    raising :class:`RegularityError` as it does.
     """
     n = L.n
     inside, lee = _chart_data(atlas, chart, n)
@@ -370,6 +362,9 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
         rhs = [a - b + s * c - lval * f
                for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
         acc = _solve_2x2(M.tolist(), rhs, 1e12) if n == 2 else None
-        return vs + (acc if acc is not None else solve_linear(M, rhs).tolist())
+        if acc is None:  # n >= 3, or a 2x2 the closed form declines
+            acc = (_checked_inverse(M, 1e12, "ill-conditioned linear system")
+                   @ np.array(rhs)).tolist()
+        return vs + acc
 
     return _float_field(floats)

@@ -59,18 +59,24 @@ class DiscreteLagrangian:
     d1d2: Callable[[Vector, Vector], np.ndarray]
 
 
-def _first_order(L: ContinuousLagrangian, q: Vector, v: Vector):
-    """(L, dL/dq, dL/dv) at (q, v), from one call of ``L.jet`` when L has one."""
+def _first_order(L: ContinuousLagrangian, q: Vector, v: Vector, value: bool = True):
+    """(L, dL/dq, dL/dv) at (q, v), from one call of ``L.jet`` when L has one.
+
+    Without a jet, L(q, v) is evaluated only when ``value`` is true (else None).
+    """
     if L.jet is not None:
         val, gq, gv = L.jet(q.tolist(), v.tolist())[:3]
         return val, np.array(gq), np.array(gv)
-    return float(L.value(q, v)), as_vector(L.grad_q(q, v)), as_vector(L.grad_v(q, v))
+    val = float(L.value(q, v)) if value else None
+    return val, as_vector(L.grad_q(q, v)), as_vector(L.grad_v(q, v))
 
 
-def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
-    """(m, w, L(m, w), d1, d2) of the midpoint rule at a pair, from one evaluation."""
+def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector,
+                       value: bool = True):
+    """(m, w, L(m, w), d1, d2) of the midpoint rule at a pair, from one
+    evaluation; ``value`` as in :func:`_first_order`."""
     m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-    val, gq, gv = _first_order(L, m, w)
+    val, gq, gv = _first_order(L, m, w, value)
     gq = 0.5 * h * gq
     return m, w, val, gq - gv, gq + gv
 
@@ -86,10 +92,10 @@ def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
         return h * float(L.value(0.5 * (q0 + q1), (q1 - q0) / h))
 
     def d1(q0, q1):
-        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[3]
+        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1), False)[3]
 
     def d2(q0, q1):
-        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1))[4]
+        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1), False)[4]
 
     def d1d2(q0, q1):
         q0, q1 = as_vector(q0), as_vector(q1)

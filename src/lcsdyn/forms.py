@@ -76,10 +76,6 @@ class RegularityReport:
     def passed(self) -> bool:
         return abs(self.det) > self.threshold
 
-    def to_dict(self) -> dict:
-        return {"det": self.det, "condition": self.condition,
-                "threshold": self.threshold, "passed": self.passed}
-
 
 def regularity_check(Ld: DiscreteLagrangian, q0: Vector, q1: Vector,
                      threshold: float = 1e-10) -> RegularityReport:
@@ -113,11 +109,6 @@ class LcsConditionReport:
     tolerance: float
     deviations: tuple[float, ...] = ()
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "max_deviation": self.max_deviation,
-                "tolerance": self.tolerance, "deviations": list(self.deviations),
-                "note": self.note}
 
 
 def lcs_condition_check(form: TwoFormField, lee: Callable[[Vector], Vector],

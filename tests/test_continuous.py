@@ -6,7 +6,8 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     divergence_numeric, energy, fiber_legendre,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d,
                     lcel_acceleration, lcs_hamiltonian_field, lee_form,
-                    make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate)
+                    make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate,
+                    solve_linear)
 
 
 def test_field_flat_reduces_to_canonical(harmonic_flat):
@@ -347,3 +348,26 @@ def test_phase_state_container():
     state = PhaseState(chart=0, q=np.array([1.0]), p=np.array([0.5]), t=2.0)
     assert state.chart == 0 and state.t == 2.0
     assert np.allclose(state.q, [1.0]) and np.allclose(state.p, [0.5])
+
+
+@pytest.mark.parametrize("M", [
+    [[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-13]]],
+    ids=["singular_2x2", "cond_1e13_2x2", "cond_1e13_3x3"])
+def test_lcel_field_raises_on_a_doubtful_velocity_hessian(M):
+    # As solve_linear does: the closed form declines, and the SVD's condition
+    # number is raised with the error.
+    M = np.array(M)
+    n = len(M)
+    L = ContinuousLagrangian(
+        n=n, value=lambda q, v: 0.5 * float(v @ M @ v), grad_q=lambda q, v: np.zeros(n),
+        grad_v=lambda q, v: M @ v, hess_vv=lambda q, v: M,
+        hess_vq=lambda q, v: np.zeros((n, n)))
+    chart = Chart(id=0, dim=n, lower=[-5] * n, upper=[5] * n,
+                  sigma=lambda q: 0.1 * float(q[0]), constant_lee=[0.1] + [0.0] * (n - 1))
+    field = make_lcel_field(L, ConformalAtlas(charts=(chart,)), 0)
+    with pytest.raises(RegularityError) as exc:
+        field(np.full(2 * n, 0.5))
+    with pytest.raises(RegularityError) as want:
+        solve_linear(M, np.ones(n))
+    assert exc.value.condition == want.value.condition == np.linalg.cond(M)

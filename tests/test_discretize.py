@@ -8,6 +8,7 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
                     conformal_trapezoidal_rule, exact_discrete_lagrangian,
                     free_rotor_circle, harmonic_1d, midpoint_rule, planar_2d,
                     trapezoidal_rule, with_constant_sigma)
+from lcsdyn.continuous import ContinuousLagrangian
 from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import as_vector, fd_gradient
 from conftest import free_line_system
@@ -366,3 +367,28 @@ def test_memoized_rules_see_inputs_mutated_in_place(rule, reference, mutated):
         assert _bits(getattr(Ld, part)(*pair)) == _bits(getattr(ref, part)(*pair))
     assert _bits(Ld.value(*pair)) != _bits(before[0])
     assert _bits(Ld.d1(*pair)) != _bits(before[1])
+
+
+def test_rules_without_a_jet_take_the_callables():
+    # a Lagrangian without a jet: the plain midpoint partials leave L.value
+    # alone, and every rule gives the bits of the jet-backed Lagrangian
+    system = planar_2d()
+    L = system.lagrangian
+    values = []
+
+    def value(q, v):
+        values.append(1)
+        return L.value(q, v)
+
+    L0 = ContinuousLagrangian(n=2, value=value, grad_q=L.grad_q, grad_v=L.grad_v,
+                              hess_vv=L.hess_vv, hess_vq=L.hess_vq, hess_qq=L.hess_qq)
+    assert L0.jet is None
+    q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
+    plain = midpoint_rule(L0, 0.1)
+    assert _bits(plain.d1(q0, q1)) == _bits(midpoint_rule(L, 0.1).d1(q0, q1))
+    assert _bits(plain.d2(q0, q1)) == _bits(midpoint_rule(L, 0.1).d2(q0, q1))
+    assert values == []
+    for rule in (conformal_midpoint_rule, conformal_trapezoidal_rule):
+        got, want = (rule(lag, system.atlas, 0, 0.1) for lag in (L0, L))
+        for part in PARTS:
+            assert _bits(getattr(got, part)(q0, q1)) == _bits(getattr(want, part)(q0, q1))
