@@ -12,7 +12,7 @@ from .atlas import (Chart, ConformalAtlas, TransitionMap, a_matrix,
                     cocycle_check, lcs_two_form_matrix, lee_form,
                     transition_apply)
 from .continuous import (ContinuousHamiltonian, ContinuousLagrangian,
-                         PhaseState, divergence_numeric, energy,
+                         divergence_numeric, energy,
                          fiber_legendre, fiber_legendre_inv,
                          lcel_acceleration, lcs_hamiltonian_field,
                          make_lcel_field, make_lcshe_field, rk4_integrate)
@@ -23,11 +23,10 @@ from .discretize import (DiscreteLagrangian, conformal_midpoint_rule,
 from .errors import (ConfigError, ConsistencyError, DomainError,
                      IntegrationError, NewtonError, RegularityError,
                      ShootingError)
-from .forms import (LcsConditionReport, RegularityReport, TwoFormField,
-                    lc_pc_two_form, lcs_condition_check, pc_one_forms,
-                    pc_two_form, regularity_check)
+from .forms import (LcsConditionReport, TwoFormField, lc_pc_two_form,
+                    lcs_condition_check, pc_two_form)
 from .hamiltonian_discrete import (DiscreteHamiltonian, LagrangianSource,
-                                   LegendreMomenta, MomentumPair,
+                                   LegendreMomenta,
                                    build_left_hamiltonian,
                                    build_right_hamiltonian, discrete_legendre,
                                    integrate_hamiltonian, ld_step, ldlch_step,

@@ -33,8 +33,7 @@ class Chart:
     fallbacks are used.  A chart whose sigma is affine may instead declare its
     Lee form as ``constant_lee`` (n components): ``grad`` then returns a copy
     of it and ``hess`` zeros without calling anything, and the continuous
-    fields read it once.  ``periodic`` flags angular coordinates (the
-    identification itself is handled by transitions).
+    fields read it once.
     """
 
     id: int
@@ -44,7 +43,6 @@ class Chart:
     sigma: Callable[[Vector], float]
     sigma_grad: Callable[[Vector], Vector] | None = None
     sigma_hess: Callable[[Vector], np.ndarray] | None = None
-    periodic: tuple[bool, ...] = ()
     constant_lee: Vector | None = None
 
     def __post_init__(self):
@@ -59,8 +57,6 @@ class Chart:
                                  f"{self.dim}")
         if not np.all(self.lower < self.upper):
             raise ValueError(f"chart {self.id}: empty domain (need lower < upper)")
-        if not self.periodic:
-            object.__setattr__(self, "periodic", tuple(False for _ in range(self.dim)))
 
     @property
     def width(self) -> np.ndarray:

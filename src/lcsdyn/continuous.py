@@ -43,10 +43,9 @@ class ContinuousLagrangian:
     floats.  ``jet(q, v)``, with q and v lists of n floats, returns
     ``(value, grad_q, grad_v, hess_vv, hess_vq)``: a float, two lists of n
     floats and two (n, n) float arrays, bit for bit what the callables return
-    at that point.  The continuous fields, the midpoint rule's partials and
-    both conformal rules' pair data call it once where they would call the
-    callables one by one.  :meth:`from_jet` derives the callables from a jet
-    and constant Hessians.
+    at that point.  The continuous fields and the four quadrature rules' pair
+    data call it once where they would call the callables one by one.
+    :meth:`from_jet` derives the callables from a jet and constant Hessians.
     """
 
     n: int
@@ -128,16 +127,6 @@ def _hamiltonian_jet(H: ContinuousHamiltonian) -> Callable[[list, list], tuple]:
         return float(H.value(q, p)), _floats(H.grad_q(q, p)), _floats(H.grad_p(q, p))
 
     return jet
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A point of phase space anchored to a chart."""
-
-    chart: int
-    q: np.ndarray
-    p: np.ndarray
-    t: float = 0.0
 
 
 def lcs_hamiltonian_field(H: ContinuousHamiltonian, atlas: ConformalAtlas,

@@ -20,6 +20,12 @@ local form is a second-order quadrature of the local action keeps the
 resulting integrator second order.  When sigma is constant on a chart the
 conformal constructors return bitwise the plain rule's values.
 
+All four quadrature rules share one memoized evaluation per lattice pair
+(``_memoized_pair_rule``): value, d1, d2 and d1d2 at a pair evaluate L (and
+the chart data) once.  The rule objects are therefore stateful and not
+thread-safe, and ``L``'s callables and the charts' sigma callables must be
+pure functions of their arguments.
+
 ``exact_discrete_lagrangian`` evaluates the action integral along the solution
 of the continuous conformal Euler-Lagrange equations with prescribed endpoints
 (single shooting on the initial velocity, then Gauss-Legendre quadrature);
@@ -59,103 +65,60 @@ class DiscreteLagrangian:
     d1d2: Callable[[Vector, Vector], np.ndarray]
 
 
-def _first_order(L: ContinuousLagrangian, q: Vector, v: Vector, value: bool = True):
-    """(L, dL/dq, dL/dv) at (q, v), from one call of ``L.jet`` when L has one.
-
-    Without a jet, L(q, v) is evaluated only when ``value`` is true (else None).
-    """
+def _first_order(L: ContinuousLagrangian, q: Vector, v: Vector):
+    """(L, dL/dq, dL/dv) at (q, v), from one call of ``L.jet`` when L has one."""
     if L.jet is not None:
         val, gq, gv = L.jet(q.tolist(), v.tolist())[:3]
         return val, np.array(gq), np.array(gv)
-    val = float(L.value(q, v)) if value else None
-    return val, as_vector(L.grad_q(q, v)), as_vector(L.grad_v(q, v))
+    return float(L.value(q, v)), as_vector(L.grad_q(q, v)), as_vector(L.grad_v(q, v))
 
 
-def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector,
-                       value: bool = True):
-    """(m, w, L(m, w), d1, d2) of the midpoint rule at a pair, from one
-    evaluation; ``value`` as in :func:`_first_order`."""
+def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
+    """(m, w, value, d1, d2) of the midpoint rule at a pair, from one evaluation."""
     m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-    val, gq, gv = _first_order(L, m, w, value)
+    val, gq, gv = _first_order(L, m, w)
     gq = 0.5 * h * gq
-    return m, w, val, gq - gv, gq + gv
+    return m, w, h * val, gq - gv, gq + gv
 
 
-def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
-    """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    n = L.n
-
-    def value(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        return h * float(L.value(0.5 * (q0 + q1), (q1 - q0) / h))
-
-    def d1(q0, q1):
-        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1), False)[3]
-
-    def d2(q0, q1):
-        return _midpoint_partials(L, h, as_vector(q0), as_vector(q1), False)[4]
-
-    def d1d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-        vq = np.atleast_2d(L.hess_vq(m, w))
-        out = 0.5 * (vq.T - vq) - np.atleast_2d(L.hess_vv(m, w)) / h
-        if L.hess_qq is not None:
-            out = out + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
-        else:
-            out = out + 0.25 * h * fd_jacobian(lambda x: as_vector(L.grad_q(x, w)),
-                                               m, 1e-6)
-        return out
-
-    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+def _midpoint_d1d2(L: ContinuousLagrangian, h: float, m: Vector, w: Vector) -> np.ndarray:
+    """d1d2 of the midpoint rule at the pair with midpoint m and divided difference w."""
+    vq = np.atleast_2d(L.hess_vq(m, w))
+    out = 0.5 * (vq.T - vq) - np.atleast_2d(L.hess_vv(m, w)) / h
+    if L.hess_qq is not None:
+        return out + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
+    return out + 0.25 * h * fd_jacobian(lambda x: as_vector(L.grad_q(x, w)), m, 1e-6)
 
 
-def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
-    """Ld(q0, q1) = (h/2) [L(q0, w) + L(q1, w)] with w = (q1-q0)/h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    n = L.n
+def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
+    """(value, d1, d2, w) of the trapezoidal rule at a pair, from one evaluation
+    of L at each endpoint; w is the divided difference."""
+    w = (q1 - q0) / h
+    (L0, gq0, gv0), (L1, gq1, gv1) = _first_order(L, q0, w), _first_order(L, q1, w)
+    gv = 0.5 * (gv0 + gv1)
+    return 0.5 * h * (L0 + L1), 0.5 * h * gq0 - gv, 0.5 * h * gq1 + gv, w
 
-    def value(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w = (q1 - q0) / h
-        return 0.5 * h * (float(L.value(q0, w)) + float(L.value(q1, w)))
 
-    def d1(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w = (q1 - q0) / h
-        return 0.5 * h * as_vector(L.grad_q(q0, w)) \
-            - 0.5 * (as_vector(L.grad_v(q0, w)) + as_vector(L.grad_v(q1, w)))
-
-    def d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w = (q1 - q0) / h
-        return 0.5 * h * as_vector(L.grad_q(q1, w)) \
-            + 0.5 * (as_vector(L.grad_v(q0, w)) + as_vector(L.grad_v(q1, w)))
-
-    def d1d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        w = (q1 - q0) / h
-        vq0 = np.atleast_2d(L.hess_vq(q0, w))
-        vq1 = np.atleast_2d(L.hess_vq(q1, w))
-        vv = np.atleast_2d(L.hess_vv(q0, w)) + np.atleast_2d(L.hess_vv(q1, w))
-        return 0.5 * (vq0.T - vq1) - vv / (2.0 * h)
-
-    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+def _trapezoidal_d1d2(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector,
+                      w: Vector) -> np.ndarray:
+    vq0 = np.atleast_2d(L.hess_vq(q0, w))
+    vq1 = np.atleast_2d(L.hess_vq(q1, w))
+    vv = np.atleast_2d(L.hess_vv(q0, w)) + np.atleast_2d(L.hess_vv(q1, w))
+    return 0.5 * (vq0.T - vq1) - vv / (2.0 * h)
 
 
 def _memoized_pair_rule(n: int, h: float, pair_data, d1d2_from) -> DiscreteLagrangian:
     """A two-point function whose callables share one evaluation per lattice pair.
 
-    ``pair_data(q0, q1)`` returns ``(value, d1, d2, extra)`` and
-    ``d1d2_from(q0, q1, extra)`` the mixed partial.  The last pair's data is
-    kept in a one-entry memo keyed by the pair's bytes, so value, d1, d2 and
-    d1d2 at one pair evaluate the Lagrangian and the chart data once.  Returned
-    arrays are fresh copies, and an input mutated in place between calls
-    misses the memo.  The memo belongs to the rule object; it is not
-    thread-safe.
+    All four quadrature rules are built on it.  ``pair_data(q0, q1)`` returns
+    ``(value, d1, d2, extra)`` and ``d1d2_from(q0, q1, extra)`` the mixed
+    partial.  The last pair's data is kept in a one-entry memo keyed by the
+    pair's bytes, so value, d1, d2 and d1d2 at one pair evaluate the
+    Lagrangian and the chart data once.  Returned arrays are fresh copies, and
+    an input mutated in place between calls misses the memo.  The memo belongs
+    to the rule object, which is therefore stateful and not thread-safe, and
+    it requires the Lagrangian's and the chart's callables to be pure
+    functions of their arguments.
     """
     key, data = None, None
 
@@ -183,6 +146,28 @@ def _memoized_pair_rule(n: int, h: float, pair_data, d1d2_from) -> DiscreteLagra
     return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
 
 
+def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
+    """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+
+    def pair_data(q0, q1):
+        m, w, val, d1, d2 = _midpoint_partials(L, h, q0, q1)
+        return val, d1, d2, (m, w)
+
+    return _memoized_pair_rule(L.n, h, pair_data,
+                               lambda q0, q1, mw: _midpoint_d1d2(L, h, *mw))
+
+
+def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
+    """Ld(q0, q1) = (h/2) [L(q0, w) + L(q1, w)] with w = (q1-q0)/h."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    return _memoized_pair_rule(
+        L.n, h, lambda q0, q1: _trapezoidal_pair(L, h, q0, q1),
+        lambda q0, q1, w: _trapezoidal_d1d2(L, h, q0, q1, w))
+
+
 def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
                             chart: int, h: float) -> DiscreteLagrangian:
     """Midpoint rule of the chart-local Lagrangian, expressed globally.
@@ -192,30 +177,29 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     evaluation of L, sigma and the Lee form, so ``L``'s callables and the
     chart's sigma callables must be pure functions of their arguments.
     """
-    base = midpoint_rule(L, h)
     ch = atlas.chart(chart)
 
     def pair_data(q0, q1):
         mid, w, val, bd1, bd2 = _midpoint_partials(L, h, q0, q1)
-        val = h * val
         s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
         grad_mid = ch.grad(mid)
         a = ch.grad(q0) - 0.5 * grad_mid
         b = -0.5 * grad_mid
         if s0 == sm and not np.any(a) and not np.any(b):
-            return val, bd1, bd2, None
+            return val, bd1, bd2, (mid, w, None)
         E = np.exp(s0 - sm)
         return (E * val, E * (a * val + bd1), E * (b * val + bd2),
-                (mid, E, a, b, val, bd1, bd2))
+                (mid, w, (E, a, b, val, bd1, bd2)))
 
     def d1d2_from(q0, q1, extra):
-        if extra is None:
-            return base.d1d2(q0, q1)
-        mid, E, a, b, val, bd1, bd2 = extra
+        mid, w, conformal = extra
+        if conformal is None:
+            return _midpoint_d1d2(L, h, mid, w)
+        E, a, b, val, bd1, bd2 = conformal
         return E * (np.outer(a, b * val + bd2)
                     - 0.25 * val * ch.hess(mid).T
                     + np.outer(bd1, b)
-                    + base.d1d2(q0, q1))
+                    + _midpoint_d1d2(L, h, mid, w))
 
     return _memoized_pair_rule(L.n, h, pair_data, d1d2_from)
 
@@ -230,17 +214,17 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     pure functions of their arguments.
     """
     ch = atlas.chart(chart)
-    plain = trapezoidal_rule(L, h)
 
     def pair_data(q0, q1):
-        w = (q1 - q0) / h
         s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
         if s0 == s1 and not np.any(phi0) and not np.any(phi1):
-            return (plain.value(q0, q1), plain.d1(q0, q1), plain.d2(q0, q1), None)
-        G = np.exp(s0 - s1)
+            val, d1, d2, w = _trapezoidal_pair(L, h, q0, q1)
+            return val, d1, d2, (w, None)
+        w = (q1 - q0) / h
         L0, gq0, gv0 = _first_order(L, q0, w)
         L1, gq1, gv1 = _first_order(L, q1, w)
+        G = np.exp(s0 - s1)
         U = 0.5 * h * L1
         T1 = 0.5 * h * gq0 - 0.5 * gv0
         U1 = -0.5 * gv1
@@ -249,12 +233,13 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         S = -phi1 * U + U2
         return (0.5 * h * (L0 + G * L1),
                 T1 + G * (phi0 * U + U1), T2 + G * S,
-                (w, G, phi0, phi1, U1, S))
+                (w, (G, phi0, phi1, U1, S)))
 
     def d1d2_from(q0, q1, extra):
-        if extra is None:
-            return plain.d1d2(q0, q1)
-        w, G, phi0, phi1, U1, S = extra
+        w, conformal = extra
+        if conformal is None:
+            return _trapezoidal_d1d2(L, h, q0, q1, w)
+        G, phi0, phi1, U1, S = conformal
         vq0 = np.atleast_2d(L.hess_vq(q0, w))
         vq1 = np.atleast_2d(L.hess_vq(q1, w))
         vv0 = np.atleast_2d(L.hess_vv(q0, w))

@@ -50,13 +50,6 @@ def _block(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def pc_one_forms(Ld: DiscreteLagrangian, q0: Vector, q1: Vector
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (theta_plus on dq1, theta_minus on dq0) at (q0, q1)."""
-    q0, q1 = as_vector(q0), as_vector(q1)
-    return as_vector(Ld.d2(q0, q1)), -as_vector(Ld.d1(q0, q1))
-
-
 def pc_two_form(Ld: DiscreteLagrangian) -> TwoFormField:
     """The two-form with (q0, q1) block -d1d2 Ld."""
 
@@ -64,26 +57,6 @@ def pc_two_form(Ld: DiscreteLagrangian) -> TwoFormField:
         return _block(-np.atleast_2d(Ld.d1d2(as_vector(q0), as_vector(q1))))
 
     return TwoFormField(dim=2 * Ld.n, components=components)
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    det: float
-    condition: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.det) > self.threshold
-
-
-def regularity_check(Ld: DiscreteLagrangian, q0: Vector, q1: Vector,
-                     threshold: float = 1e-10) -> RegularityReport:
-    """Invertibility of the mixed second partial at (q0, q1)."""
-    B = np.atleast_2d(Ld.d1d2(as_vector(q0), as_vector(q1)))
-    return RegularityReport(det=float(np.linalg.det(B)),
-                            condition=float(np.linalg.cond(B)),
-                            threshold=threshold)
 
 
 def lc_pc_two_form(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int

@@ -55,21 +55,6 @@ Vector = np.ndarray
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
 
 
-@dataclass(frozen=True)
-class MomentumPair:
-    """Local and global momenta anchored at a lattice point; r = exp(-sigma(q)) p."""
-
-    r: np.ndarray
-    p: np.ndarray
-    chart: int
-    q: np.ndarray
-
-    def relation_defect(self, atlas: ConformalAtlas) -> float:
-        """Max componentwise violation of r = exp(-sigma(q)) p."""
-        sigma = float(atlas.chart(self.chart).sigma(self.q))
-        return float(np.max(np.abs(self.r - np.exp(-sigma) * self.p)))
-
-
 class LegendreMomenta(NamedTuple):
     r_plus: np.ndarray
     r_minus: np.ndarray

@@ -108,10 +108,10 @@ def newton_solve(
 
     The step is halved up to ``cfg.damping_halvings`` times whenever the residual
     norm does not decrease; after exhausting the halvings the best candidate is
-    accepted and iteration continues.  Raises :class:`NewtonError` when
-    ``cfg.max_iter`` is exceeded and :class:`RegularityError` on a Jacobian with
-    2-norm condition number above 1e14 or not finite (checked as in
-    :func:`solve_linear`, so the SVD runs only on a doubtful Jacobian).
+    accepted and iteration continues.  Each step is one :func:`solve_linear`
+    with condition limit 1e14.  Raises :class:`NewtonError` when
+    ``cfg.max_iter`` is exceeded and :class:`RegularityError` when that solve
+    does.
     """
     x = as_vector(x0).copy()
     r = as_vector(F(x))
@@ -124,11 +124,7 @@ def newton_solve(
         if rnorm <= cfg.tol:
             return NewtonResult(x=x, iterations=it, residual=rnorm)
         J = jacobian(x) if jacobian is not None else fd_jacobian(F, x, cfg.fd_epsilon)
-        J = np.atleast_2d(np.asarray(J, dtype=float))
-        # A finite nonzero 1x1 Jacobian has 2-norm condition number exactly 1.
-        if not (J.shape == (1, 1) and math.isfinite(J[0, 0]) and J[0, 0] != 0.0):
-            _checked_inverse(J, _COND_LIMIT_NEWTON, "singular Jacobian in Newton iteration")
-        dx = np.linalg.solve(J, -r)
+        dx = solve_linear(J, -r, _COND_LIMIT_NEWTON)
         step = 1.0
         best_x, best_r, best_rnorm = None, None, np.inf
         for _ in range(cfg.damping_halvings + 1):
@@ -163,15 +159,17 @@ def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarr
     """Solve A x = b; raise :class:`RegularityError` when the 2-norm condition
     number cond(A) exceeds ``cond_limit``.
 
-    A 1x1 system raises only when its entry is zero.  A 2x2 system is solved
-    in closed form by :func:`_solve_2x2`; any other system, and a 2x2 one that
-    fails its screen, as ``inv(A) @ b`` with the check of
+    A 1x1 system raises only when its entry is zero or not finite.  A 2x2
+    system is solved in closed form by :func:`_solve_2x2`; any other system,
+    and a 2x2 one that fails its screen, as ``inv(A) @ b`` with the check of
     :func:`_checked_inverse`.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape == (1, 1):
         if A[0, 0] == 0.0:
             raise RegularityError("singular 1x1 system", condition=float("inf"))
+        if not math.isfinite(A[0, 0]):
+            raise RegularityError("non-finite 1x1 system", condition=float("nan"))
         return np.atleast_1d(b / A[0, 0])
     b = np.asarray(b, dtype=float)
     if A.shape == (2, 2) and b.shape == (2,):

@@ -76,12 +76,12 @@ def _free_particle(n: int):
                        hess_V=np.zeros((n, n)))
 
 
-def _linear_chart(id: int, lower, upper, coeffs, periodic=()) -> Chart:
+def _linear_chart(id: int, lower, upper, coeffs) -> Chart:
     """A box chart with sigma = coeffs . q and so the constant Lee form coeffs."""
     coeffs = np.asarray(coeffs, dtype=float)
     return Chart(id=id, dim=coeffs.size, lower=lower, upper=upper,
                  sigma=lambda q: float(coeffs @ np.atleast_1d(q)),
-                 constant_lee=coeffs, periodic=periodic)
+                 constant_lee=coeffs)
 
 
 def harmonic_1d(c: float = 0.1) -> System:
@@ -106,8 +106,8 @@ def free_rotor_circle(c: float = 0.1) -> System:
     wrap-around overlap identifies theta in chart 1 with theta + 2pi in
     chart 2.
     """
-    chart1 = _linear_chart(0, [-np.pi / 4], [5 * np.pi / 4], [c], periodic=(True,))
-    chart2 = _linear_chart(1, [3 * np.pi / 4], [9 * np.pi / 4], [c], periodic=(True,))
+    chart1 = _linear_chart(0, [-np.pi / 4], [5 * np.pi / 4], [c])
+    chart2 = _linear_chart(1, [3 * np.pi / 4], [9 * np.pi / 4], [c])
     def shift(from_chart, to_chart, lower, upper, by):
         return TransitionMap(from_chart=from_chart, to_chart=to_chart,
                              overlap_lower=[lower], overlap_upper=[upper],
@@ -126,7 +126,7 @@ def free_rotor_circle(c: float = 0.1) -> System:
 
 def rotor_extended_chart(c: float = 0.1) -> System:
     """The rotor unrolled onto a single chart (-pi/4, 9pi/4), for cross-checks."""
-    chart = _linear_chart(0, [-np.pi / 4], [9 * np.pi / 4], [c], periodic=(True,))
+    chart = _linear_chart(0, [-np.pi / 4], [9 * np.pi / 4], [c])
     L, H = _free_particle(1)
     return System(name="rotor_extended_chart", n=1,
                   atlas=ConformalAtlas(charts=(chart,)), lagrangian=L,

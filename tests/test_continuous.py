@@ -343,13 +343,6 @@ def test_flat_collapse_is_exact(harmonic_flat):
         assert np.array_equal(a, -q)
 
 
-def test_phase_state_container():
-    from lcsdyn import PhaseState
-    state = PhaseState(chart=0, q=np.array([1.0]), p=np.array([0.5]), t=2.0)
-    assert state.chart == 0 and state.t == 2.0
-    assert np.allclose(state.q, [1.0]) and np.allclose(state.p, [0.5])
-
-
 @pytest.mark.parametrize("M", [
     [[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-13]],
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-13]]],

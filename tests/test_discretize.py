@@ -10,7 +10,7 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
                     trapezoidal_rule, with_constant_sigma)
 from lcsdyn.continuous import ContinuousLagrangian
 from lcsdyn.discretize import DiscreteLagrangian
-from lcsdyn.numerics import as_vector, fd_gradient
+from lcsdyn.numerics import as_vector, fd_gradient, fd_jacobian
 from conftest import free_line_system
 
 
@@ -23,7 +23,10 @@ def test_midpoint_values(free_line_flat, harmonic):
     assert Ld.value([0.0], [0.1]) == pytest.approx(0.05, abs=1e-15)
     Ldh = midpoint_rule(harmonic.lagrangian, 0.1)
     assert Ldh.value([1.0], [1.0]) == pytest.approx(-0.05, abs=1e-15)
+    # d2 = (q1 - q0)/h - (h/4)(q0 + q1) = -0.05
+    assert Ldh.d2([1.0], [1.0])[0] == pytest.approx(-0.05, abs=1e-14)
     assert np.allclose(Ld.d2([0.0], [0.1]), [1.0])
+    assert np.allclose(Ld.d1([0.0], [0.1]), [-1.0])
 
 
 def test_trapezoidal_values(free_line_flat):
@@ -178,13 +181,72 @@ def test_conformal_exact_inherits_sigma():
 
 # --- one evaluation per lattice pair ---------------------------------------
 #
-# The conformal rules keep the last pair's data in a one-entry memo.  The two
+# All four rules keep the last pair's data in a one-entry memo.  The
 # constructors below are the formulas as they stood before the memo, with every
-# partial evaluated from scratch on every call; the memoized rules must return
-# the same bits in any call order.
+# partial evaluated from scratch on every call through L's callables; the
+# memoized rules must return the same bits in any call order.
+
+def reference_midpoint(L, h):
+    def value(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        return h * float(L.value(0.5 * (q0 + q1), (q1 - q0) / h))
+
+    def d1(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
+        return 0.5 * h * as_vector(L.grad_q(m, w)) - as_vector(L.grad_v(m, w))
+
+    def d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
+        return 0.5 * h * as_vector(L.grad_q(m, w)) + as_vector(L.grad_v(m, w))
+
+    def d1d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
+        vq = np.atleast_2d(L.hess_vq(m, w))
+        out = 0.5 * (vq.T - vq) - np.atleast_2d(L.hess_vv(m, w)) / h
+        if L.hess_qq is not None:
+            out = out + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
+        else:
+            out = out + 0.25 * h * fd_jacobian(lambda x: as_vector(L.grad_q(x, w)),
+                                               m, 1e-6)
+        return out
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+
+
+def reference_trapezoidal(L, h):
+    def value(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w = (q1 - q0) / h
+        return 0.5 * h * (float(L.value(q0, w)) + float(L.value(q1, w)))
+
+    def d1(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w = (q1 - q0) / h
+        return 0.5 * h * as_vector(L.grad_q(q0, w)) \
+            - 0.5 * (as_vector(L.grad_v(q0, w)) + as_vector(L.grad_v(q1, w)))
+
+    def d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w = (q1 - q0) / h
+        return 0.5 * h * as_vector(L.grad_q(q1, w)) \
+            + 0.5 * (as_vector(L.grad_v(q0, w)) + as_vector(L.grad_v(q1, w)))
+
+    def d1d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w = (q1 - q0) / h
+        vq0 = np.atleast_2d(L.hess_vq(q0, w))
+        vq1 = np.atleast_2d(L.hess_vq(q1, w))
+        vv = np.atleast_2d(L.hess_vv(q0, w)) + np.atleast_2d(L.hess_vv(q1, w))
+        return 0.5 * (vq0.T - vq1) - vv / (2.0 * h)
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+
 
 def reference_conformal_midpoint(L, atlas, chart, h):
-    base = midpoint_rule(L, h)
+    base = reference_midpoint(L, h)
     ch = atlas.chart(chart)
 
     def _weights(q0, q1):
@@ -232,7 +294,7 @@ def reference_conformal_midpoint(L, atlas, chart, h):
 
 def reference_conformal_trapezoidal(L, atlas, chart, h):
     ch = atlas.chart(chart)
-    plain = trapezoidal_rule(L, h)
+    plain = reference_trapezoidal(L, h)
 
     def _parts(q0, q1):
         w = (q1 - q0) / h
@@ -301,8 +363,16 @@ def curved_planar():
     return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
 
 
+def _plain(rule):
+    """``rule(L, h)`` with the conformal constructors' signature."""
+    return lambda L, atlas, chart, h: rule(L, h)
+
+
 MEMO_RULES = [(conformal_midpoint_rule, reference_conformal_midpoint),
-              (conformal_trapezoidal_rule, reference_conformal_trapezoidal)]
+              (conformal_trapezoidal_rule, reference_conformal_trapezoidal),
+              (_plain(midpoint_rule), _plain(reference_midpoint)),
+              (_plain(trapezoidal_rule), _plain(reference_trapezoidal))]
+MEMO_IDS = ["midpoint", "trapezoidal", "plain_midpoint", "plain_trapezoidal"]
 MEMO_SYSTEMS = {
     "harmonic_1d": lambda: harmonic_1d(0.1),
     "planar_2d": lambda: planar_2d(0.3, -0.2),
@@ -328,7 +398,7 @@ def _call_orders(n):
     return {"repeated": repeated, "alternating": alternating, "d1d2_first": d1d2_first}
 
 
-@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=MEMO_IDS)
 @pytest.mark.parametrize("system_name", list(MEMO_SYSTEMS))
 def test_memoized_rules_bitwise_equal_reference_formulas(rule, reference, system_name):
     system = MEMO_SYSTEMS[system_name]()
@@ -342,7 +412,7 @@ def test_memoized_rules_bitwise_equal_reference_formulas(rule, reference, system
             assert _bits(got) == _bits(want), (order_name, part)
 
 
-@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=MEMO_IDS)
 def test_memoized_rules_return_fresh_arrays(rule, reference):
     system = curved_planar()
     Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
@@ -354,7 +424,7 @@ def test_memoized_rules_return_fresh_arrays(rule, reference):
         assert _bits(getattr(Ld, part)(q0, q1)) == _bits(getattr(ref, part)(q0, q1))
 
 
-@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=MEMO_IDS)
 @pytest.mark.parametrize("mutated", [0, 1], ids=["q0", "q1"])
 def test_memoized_rules_see_inputs_mutated_in_place(rule, reference, mutated):
     system = curved_planar()
@@ -370,25 +440,49 @@ def test_memoized_rules_see_inputs_mutated_in_place(rule, reference, mutated):
 
 
 def test_rules_without_a_jet_take_the_callables():
-    # a Lagrangian without a jet: the plain midpoint partials leave L.value
-    # alone, and every rule gives the bits of the jet-backed Lagrangian
+    # a Lagrangian without a jet: the midpoint d1 and d2 at one pair evaluate
+    # each callable once, and every rule gives the bits of the jet-backed one
     system = planar_2d()
     L = system.lagrangian
-    values = []
+    calls = []
 
-    def value(q, v):
-        values.append(1)
-        return L.value(q, v)
+    def counted(name):
+        def part(q, v):
+            calls.append(name)
+            return getattr(L, name)(q, v)
+        return part
 
-    L0 = ContinuousLagrangian(n=2, value=value, grad_q=L.grad_q, grad_v=L.grad_v,
-                              hess_vv=L.hess_vv, hess_vq=L.hess_vq, hess_qq=L.hess_qq)
+    L0 = ContinuousLagrangian(n=2, value=counted("value"), grad_q=counted("grad_q"),
+                              grad_v=counted("grad_v"), hess_vv=L.hess_vv,
+                              hess_vq=L.hess_vq, hess_qq=L.hess_qq)
     assert L0.jet is None
     q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
     plain = midpoint_rule(L0, 0.1)
     assert _bits(plain.d1(q0, q1)) == _bits(midpoint_rule(L, 0.1).d1(q0, q1))
     assert _bits(plain.d2(q0, q1)) == _bits(midpoint_rule(L, 0.1).d2(q0, q1))
-    assert values == []
-    for rule in (conformal_midpoint_rule, conformal_trapezoidal_rule):
+    assert sorted(calls) == ["grad_q", "grad_v", "value"]
+    for rule in (conformal_midpoint_rule, conformal_trapezoidal_rule,
+                 _plain(midpoint_rule), _plain(trapezoidal_rule)):
         got, want = (rule(lag, system.atlas, 0, 0.1) for lag in (L0, L))
         for part in PARTS:
             assert _bits(getattr(got, part)(q0, q1)) == _bits(getattr(want, part)(q0, q1))
+
+
+@pytest.mark.parametrize("rule, jet_calls", [(midpoint_rule, 1), (trapezoidal_rule, 2)],
+                         ids=["midpoint", "trapezoidal"])
+def test_plain_rules_evaluate_the_jet_once_per_pair_point(rule, jet_calls):
+    # value, d1, d2 and d1d2 at one pair: one jet call per quadrature node
+    L = planar_2d().lagrangian
+    calls = []
+
+    def jet(q, v):
+        calls.append(1)
+        return L.jet(q, v)
+
+    counted = ContinuousLagrangian.from_jet(2, jet, hess_vv=np.eye(2),
+                                            hess_vq=np.zeros((2, 2)), hess_qq=-np.eye(2))
+    Ld = rule(counted, 0.1)
+    q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
+    for part in PARTS:
+        getattr(Ld, part)(q0, q1)
+    assert len(calls) == jet_calls

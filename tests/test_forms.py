@@ -3,33 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import (lc_pc_two_form, lcs_condition_check, midpoint_rule,
-                    pc_one_forms, pc_two_form, planar_2d, regularity_check,
-                    trapezoidal_rule)
+                    pc_two_form, planar_2d, trapezoidal_rule)
 from lcsdyn.discretize import DiscreteLagrangian
 from conftest import free_line_system
-
-
-def test_pc_one_forms_free_particle(free_line_flat):
-    Ld = midpoint_rule(free_line_flat.lagrangian, 0.1)
-    theta_plus, theta_minus = pc_one_forms(Ld, [0.0], [0.1])
-    assert np.allclose(theta_plus, [1.0])
-    assert np.allclose(theta_minus, [1.0])
-
-
-def test_pc_one_forms_are_the_differential(harmonic):
-    # (-theta_minus, theta_plus) assembles the gradient of Ld on the doubled space
-    Ld = midpoint_rule(harmonic.lagrangian, 0.1)
-    q0, q1 = np.array([0.7]), np.array([0.55])
-    theta_plus, theta_minus = pc_one_forms(Ld, q0, q1)
-    assert np.allclose(-theta_minus, Ld.d1(q0, q1))
-    assert np.allclose(theta_plus, Ld.d2(q0, q1))
-
-
-def test_pc_one_forms_harmonic_value(harmonic_flat):
-    Ld = midpoint_rule(harmonic_flat.lagrangian, 0.1)
-    theta_plus, _ = pc_one_forms(Ld, [1.0], [1.0])
-    # d2 = (q1 - q0)/h - (h/4)(q0 + q1) = -0.05
-    assert theta_plus[0] == pytest.approx(-0.05, abs=1e-14)
 
 
 def test_pc_two_form_free_particle_regular(free_line_flat):
@@ -37,8 +13,7 @@ def test_pc_two_form_free_particle_regular(free_line_flat):
     form = pc_two_form(Ld)
     M = form.components([0.2], [0.3])
     assert np.array_equal(M, [[0.0, 10.0], [-10.0, 0.0]])
-    rep = regularity_check(Ld, [0.2], [0.3])
-    assert rep.passed and rep.det == pytest.approx(-10.0)
+    assert np.linalg.det(Ld.d1d2([0.2], [0.3])) == pytest.approx(-10.0)
 
 
 def test_pc_two_form_separable_degenerate():
@@ -48,16 +23,12 @@ def test_pc_two_form_separable_degenerate():
         d1=lambda q0, q1: np.array([2 * q0[0]]),
         d2=lambda q0, q1: np.array([np.cos(q1[0])]),
         d1d2=lambda q0, q1: np.zeros((1, 1)))
-    rep = regularity_check(Ld, [0.2], [0.3])
-    assert not rep.passed
-    assert rep.det == 0.0
+    assert np.linalg.det(Ld.d1d2([0.2], [0.3])) == 0.0
 
 
 def test_pc_two_form_harmonic_value(harmonic_flat):
     Ld = midpoint_rule(harmonic_flat.lagrangian, 0.1)
-    rep = regularity_check(Ld, [1.0], [1.0])
-    assert rep.passed
-    assert rep.det == pytest.approx(-10.025, abs=1e-13)
+    assert np.linalg.det(Ld.d1d2([1.0], [1.0])) == pytest.approx(-10.025, abs=1e-13)
 
 
 def test_lc_pc_flat_equals_plain(harmonic_flat):

@@ -241,17 +241,6 @@ def test_hamiltonian_marches_cross_charts_like_integrate(tight_cfg):
             assert np.max(np.abs(b.r - np.exp(-sigma) * b.p)) <= 1e-12
 
 
-def test_momentum_pair_relation_defect(free_line):
-    from lcsdyn import MomentumPair
-    q = np.array([0.4])
-    p = np.array([1.3])
-    sigma = free_line.atlas.chart(0).sigma(q)
-    good = MomentumPair(r=np.exp(-sigma) * p, p=p, chart=0, q=q)
-    assert good.relation_defect(free_line.atlas) == 0.0
-    bad = MomentumPair(r=p.copy(), p=p, chart=0, q=q)
-    assert bad.relation_defect(free_line.atlas) > 1e-3
-
-
 def coupled_pair_step_reference(Ld, ch, q_curr, p_curr, cfg):
     """The former conformal pair step: one coupled Newton solve for (q_next,
     p_next) in 2n unknowns with a finite-differenced Jacobian."""

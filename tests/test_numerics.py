@@ -197,6 +197,13 @@ def test_solve_linear_reports_svd_condition():
     assert exc.value.condition == np.linalg.cond(A)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_solve_linear_non_finite_1x1_is_regularity_error(entry):
+    # as a non-finite 2x2 system does; Newton's steps take this path for n = 1
+    with pytest.raises(RegularityError):
+        solve_linear(np.array([[entry]]), np.array([1.0]))
+
+
 def test_solve_linear_exactly_singular_is_regularity_error():
     with pytest.raises(RegularityError):
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
