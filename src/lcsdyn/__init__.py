@@ -32,8 +32,8 @@ from .hamiltonian_discrete import (DiscreteHamiltonian, LagrangianSource,
                                    integrate_hamiltonian, ld_step, ldlch_step,
                                    momenta_along_trajectory, rd_step,
                                    rdlch_step)
-from .numerics import (NewtonResult, StepperConfig, fd_gradient, fd_jacobian,
-                       newton_solve, solve_linear)
+from .numerics import (NewtonResult, StepperConfig, fd_jacobian, newton_solve,
+                       solve_linear)
 from .systems import (CATALOG, System, free_rotor_circle, get_system,
                       harmonic_1d, planar_2d, rotor_extended_chart,
                       with_constant_sigma)

@@ -236,20 +236,27 @@ def _trajectory_rows(config: ExperimentConfig, system: System) -> tuple[list[dic
         traj = integrate_hamiltonian(Hd, built.atlas, chart, q0, b, N, cfg,
                                      conformal=conformal)
     else:
+        L = system.lagrangian
         if march == "lcshe":
-            states = rk4_integrate(make_lcshe_field(system.hamiltonian, atlas, chart),
-                                   np.concatenate([q0, b]), h, N)
-            qps = [(x[:n], x[n:]) for x in states]
+            field = make_lcshe_field(system.hamiltonian, atlas, chart)
+            x0 = np.concatenate([q0, b])
         else:
-            v = fiber_legendre_inv(system.lagrangian, q0, b)
-            states = rk4_integrate(make_lcel_field(system.lagrangian, atlas, chart),
-                                   np.concatenate([q0, v]), h, N)
-            qps = [(x[:n], fiber_legendre(system.lagrangian, x[:n], x[n:]))
-                   for x in states]
+            field = make_lcel_field(L, atlas, chart)
+            x0 = np.concatenate([q0, fiber_legendre_inv(L, q0, b)])
+        # a state leaving the start chart ends the run; its rows are still written
+        try:
+            states, failure = rk4_integrate(field, x0, h, N), None
+        except IntegrationError as e:
+            states, failure = e.partial, e
+        qps = ([(x[:n], x[n:]) for x in states] if march == "lcshe"
+               else [(x[:n], fiber_legendre(L, x[:n], x[n:])) for x in states])
         sigma = atlas.chart(chart).sigma
         traj = DiscreteTrajectory(h=h, points=[
             TrajectoryPoint(k=k, chart=chart, q=q, p=p, r=np.exp(-float(sigma(q))) * p)
             for k, (q, p) in enumerate(qps)])
+        if failure is not None:
+            raise IntegrationError(str(failure), partial=traj,
+                                   index=failure.index) from failure
 
     rows = [_point_row(system, pt, h) for pt in traj.points]
     final = rows[-1]

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .atlas import ConformalAtlas
-from .errors import IntegrationError, RegularityError
+from .errors import DomainError, IntegrationError, RegularityError
 from .numerics import (StepperConfig, _checked_inverse, _solve_2x2, as_vector,
                        fd_jacobian, newton_solve)
 
@@ -32,101 +32,64 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class ContinuousLagrangian:
-    """A Lagrangian L(q, v) with analytic first and second derivatives.
+    """A Lagrangian L(q, v), defined by one fused evaluation on Python floats.
 
-    ``hess_vq[i, j] = d^2 L / dv_i dq_j`` and ``hess_vv`` must be invertible
-    wherever the dynamics are evaluated.  ``hess_qq`` is optional; it is only
-    needed to assemble analytic mixed partials of quadrature-rule discrete
-    Lagrangians.
-
-    ``jet`` is optional: the same Lagrangian as one fused evaluation on Python
-    floats.  ``jet(q, v)``, with q and v lists of n floats, returns
+    ``jet(q, v)``, with q and v lists of n floats, returns
     ``(value, grad_q, grad_v, hess_vv, hess_vq)``: a float, two lists of n
-    floats and two (n, n) float arrays, bit for bit what the callables return
-    at that point.  The continuous fields and the four quadrature rules' pair
-    data call it once where they would call the callables one by one.
-    :meth:`from_jet` derives the callables from a jet and constant Hessians.
+    floats and two (n, n) float arrays, with ``hess_vq[i, j] = d^2 L / dv_i
+    dq_j``.  ``hess_vv`` must be invertible wherever the dynamics are
+    evaluated.  The continuous fields and the quadrature rules call the jet
+    once where they need several parts; each method below calls it once and
+    returns one part.  ``hess_qq(q, v)`` is optional; it is only needed to
+    assemble analytic mixed partials of quadrature-rule discrete Lagrangians.
     """
 
     n: int
-    value: Callable[[Vector, Vector], float]
-    grad_q: Callable[[Vector, Vector], Vector]
-    grad_v: Callable[[Vector, Vector], Vector]
-    hess_vv: Callable[[Vector, Vector], np.ndarray]
-    hess_vq: Callable[[Vector, Vector], np.ndarray]
+    jet: Callable[[list, list], tuple]
     hess_qq: Callable[[Vector, Vector], np.ndarray] | None = None
-    jet: Callable[[list, list], tuple] | None = None
 
-    @classmethod
-    def from_jet(cls, n: int, jet: Callable[[list, list], tuple], hess_vv: np.ndarray,
-                 hess_vq: np.ndarray, hess_qq: np.ndarray) -> "ContinuousLagrangian":
-        """The Lagrangian with constant (n, n) Hessians whose first-order
-        callables evaluate ``jet``; each Hessian callable returns its array."""
-        return cls(n, _jet_part(jet, 0, float), _jet_part(jet, 1, np.array),
-                   _jet_part(jet, 2, np.array), lambda q, v: hess_vv,
-                   lambda q, v: hess_vq, lambda q, v: hess_qq, jet)
+    def _at(self, q: Vector, v: Vector) -> tuple:
+        return self.jet(as_vector(q).tolist(), as_vector(v).tolist())
+
+    def value(self, q: Vector, v: Vector) -> float:
+        return float(self._at(q, v)[0])
+
+    def grad_q(self, q: Vector, v: Vector) -> np.ndarray:
+        return np.array(self._at(q, v)[1])
+
+    def grad_v(self, q: Vector, v: Vector) -> np.ndarray:
+        return np.array(self._at(q, v)[2])
+
+    def hess_vv(self, q: Vector, v: Vector) -> np.ndarray:
+        return self._at(q, v)[3]
+
+    def hess_vq(self, q: Vector, v: Vector) -> np.ndarray:
+        return self._at(q, v)[4]
 
 
 @dataclass(frozen=True)
 class ContinuousHamiltonian:
-    """A Hamiltonian H(q, p) with analytic gradients.
+    """A Hamiltonian H(q, p), defined by one fused evaluation on Python floats.
 
-    ``jet`` is optional, as on :class:`ContinuousLagrangian`: ``jet(q, p)``
-    on lists of n floats returns ``(value, grad_q, grad_p)`` as a float and
-    two lists of n floats, bit for bit what the callables return.  The
-    Hamiltonian field calls it once per evaluation.
+    ``jet(q, p)`` on lists of n floats returns ``(value, grad_q, grad_p)`` as
+    a float and two lists of n floats.  The Hamiltonian field calls it once
+    per evaluation; each method below calls it once and returns one part.
     """
 
     n: int
-    value: Callable[[Vector, Vector], float]
-    grad_q: Callable[[Vector, Vector], Vector]
-    grad_p: Callable[[Vector, Vector], Vector]
-    jet: Callable[[list, list], tuple] | None = None
+    jet: Callable[[list, list], tuple]
 
-    @classmethod
-    def from_jet(cls, n: int, jet: Callable[[list, list], tuple]
-                 ) -> "ContinuousHamiltonian":
-        """The Hamiltonian whose callables evaluate ``jet``."""
-        return cls(n, _jet_part(jet, 0, float), _jet_part(jet, 1, np.array),
-                   _jet_part(jet, 2, np.array), jet)
+    def _at(self, q: Vector, p: Vector) -> tuple:
+        return self.jet(as_vector(q).tolist(), as_vector(p).tolist())
 
+    def value(self, q: Vector, p: Vector) -> float:
+        return float(self._at(q, p)[0])
 
-def _jet_part(jet: Callable, index: int, convert: Callable) -> Callable:
-    """The public callable ``(q, x) -> convert(jet(q, x)[index])``."""
-    def part(q, x):
-        return convert(jet(as_vector(q).tolist(), as_vector(x).tolist())[index])
+    def grad_q(self, q: Vector, p: Vector) -> np.ndarray:
+        return np.array(self._at(q, p)[1])
 
-    return part
-
-
-def _floats(y) -> list:
-    return np.asarray(y, dtype=float).tolist()
-
-
-def _lagrangian_jet(L: ContinuousLagrangian) -> Callable[[list, list], tuple]:
-    """``L.jet``, or the same five-part evaluation through ``L``'s callables."""
-    if L.jet is not None:
-        return L.jet
-
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
-        return (float(L.value(q, v)), _floats(L.grad_q(q, v)), _floats(L.grad_v(q, v)),
-                np.asarray(L.hess_vv(q, v), dtype=float),
-                np.asarray(L.hess_vq(q, v), dtype=float))
-
-    return jet
-
-
-def _hamiltonian_jet(H: ContinuousHamiltonian) -> Callable[[list, list], tuple]:
-    """``H.jet``, or the same three-part evaluation through ``H``'s callables."""
-    if H.jet is not None:
-        return H.jet
-
-    def jet(q, p):
-        q, p = np.array(q), np.array(p)
-        return float(H.value(q, p)), _floats(H.grad_q(q, p)), _floats(H.grad_p(q, p))
-
-    return jet
+    def grad_p(self, q: Vector, p: Vector) -> np.ndarray:
+        return np.array(self._at(q, p)[2])
 
 
 def lcs_hamiltonian_field(H: ContinuousHamiltonian, atlas: ConformalAtlas,
@@ -159,13 +122,14 @@ def energy(L: ContinuousLagrangian, q: Vector, v: Vector) -> float:
     The conformal factor plays no role here: rescaling L rescales both terms
     identically, so this is already the globally consistent energy.
     """
-    q, v = as_vector(q), as_vector(v)
-    return float(v @ np.atleast_1d(L.grad_v(q, v))) - float(L.value(q, v))
+    v = as_vector(v)
+    val, _, gv = L._at(q, v)[:3]
+    return float(v @ np.array(gv)) - float(val)
 
 
 def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
     """Momentum p = dL/dv of the fiber Legendre map."""
-    return as_vector(L.grad_v(as_vector(q), as_vector(v)))
+    return L.grad_v(q, v)
 
 
 def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector,
@@ -193,8 +157,8 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
 
     Raises ``ValueError`` when ``h`` is not a positive finite number, when
     ``steps < 1`` and when a field output does not have ``d`` components, and
-    :class:`IntegrationError` at the first step whose state is not finite,
-    with the states before it as ``partial``.
+    :class:`IntegrationError` at the first step whose state is not finite or
+    that leaves the chart (a DomainError), with the states before it as ``partial``.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
@@ -218,17 +182,20 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
         return k.tolist()
 
     stage = getattr(field, "_floats", stage)
-    for k in range(steps):
-        k1 = stage(x)
-        k2 = stage([a + half * b for a, b in zip(x, k1)])
-        k3 = stage([a + half * b for a, b in zip(x, k2)])
-        k4 = stage([a + h * b for a, b in zip(x, k3)])
-        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, x)):
-            raise IntegrationError(f"non-finite state at step {k + 1}",
-                                   partial=out[:k + 1], index=k + 1)
-        out[k + 1] = x
+    try:
+        for k in range(steps):
+            k1 = stage(x)
+            k2 = stage([a + half * b for a, b in zip(x, k1)])
+            k3 = stage([a + half * b for a, b in zip(x, k2)])
+            k4 = stage([a + h * b for a, b in zip(x, k3)])
+            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
+                raise IntegrationError(f"non-finite state at step {k + 1}",
+                                       partial=out[:k + 1], index=k + 1)
+            out[k + 1] = x
+    except DomainError as e:
+        raise IntegrationError(str(e), partial=out[:k + 1], index=k + 1) from e
     return out
 
 
@@ -287,8 +254,8 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
 
-    The chart, its Lee form when it is constant, and ``H``'s jet (or the
-    callables) are resolved once, and ``pdot`` is assembled on Python floats:
+    The chart, its Lee form when it is constant, and ``H``'s jet are resolved
+    once, and ``pdot`` is assembled on Python floats:
     reference integrations call this field hundreds of thousands of times.
     For n >= 2 the dot products stay numpy calls, which may round through a
     fused multiply-add.  A ``grad_q`` or Lee form without n components raises
@@ -296,7 +263,7 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     """
     n = H.n
     inside, lee = _chart_data(atlas, chart, n)
-    jet = _hamiltonian_jet(H)
+    jet = H.jet
 
     def floats(xs: list) -> list:
         inside(xs)
@@ -330,7 +297,7 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     """
     n = L.n
     inside, lee = _chart_data(atlas, chart, n)
-    jet = _lagrangian_jet(L)
+    jet = L.jet
 
     def floats(xs: list) -> list:
         inside(xs)

@@ -24,6 +24,8 @@ from .variational import _dp_minus_dq1
 
 Vector = np.ndarray
 
+_LCS_FD_EPS = 1e-4
+_LCS_TOL_FACTOR = 1e-4
 
 @dataclass(frozen=True)
 class TwoFormField:
@@ -85,8 +87,7 @@ class LcsConditionReport:
 
 
 def lcs_condition_check(form: TwoFormField, lee: Callable[[Vector], Vector],
-                        sample_points: Sequence[Vector], eps: float = 1e-4,
-                        tol_factor: float = 1e-4) -> LcsConditionReport:
+                        sample_points: Sequence[Vector]) -> LcsConditionReport:
     """Check d omega = phi /\\ omega at the sample points by finite differences.
 
     ``lee`` maps q0 to the one-form components on the q0 block (zero on the q1
@@ -106,7 +107,7 @@ def lcs_condition_check(form: TwoFormField, lee: Callable[[Vector], Vector],
     for x in sample_points:
         x = as_vector(x)
         omega = form.matrix(x)
-        D = fd_jacobian(form.matrix, x, eps)  # D[b, c, a] = d omega_bc / dx_a
+        D = fd_jacobian(form.matrix, x, _LCS_FD_EPS)  # D[b, c, a] = d omega_bc / dx_a
         psi = np.concatenate([as_vector(lee(x[:n])), np.zeros(n)])
         worst = 0.0
         for a, b, c in triples:
@@ -114,7 +115,7 @@ def lcs_condition_check(form: TwoFormField, lee: Callable[[Vector], Vector],
             wedge = psi[a] * omega[b, c] - psi[b] * omega[a, c] + psi[c] * omega[a, b]
             worst = max(worst, abs(d_omega - wedge))
         deviations.append(worst)
-        tol = max(tol, tol_factor * max(1.0, float(np.max(np.abs(omega)))))
+        tol = max(tol, _LCS_TOL_FACTOR * max(1.0, float(np.max(np.abs(omega)))))
     max_dev = max(deviations)
     return LcsConditionReport(passed=max_dev <= tol, max_deviation=max_dev,
                               tolerance=tol, deviations=tuple(deviations))

@@ -16,6 +16,7 @@ from .errors import NewtonError, RegularityError
 Vector = np.ndarray
 
 _COND_LIMIT_NEWTON = 1e14
+_DAMPING_HALVINGS = 6
 _FLOAT64 = np.dtype(float)
 
 
@@ -25,7 +26,6 @@ class StepperConfig:
 
     tol: float = 1e-10
     max_iter: int = 50
-    damping_halvings: int = 6
     fd_epsilon: float = 1e-6
 
     def __post_init__(self):
@@ -33,8 +33,6 @@ class StepperConfig:
             raise ValueError(f"tol must be >= 1e-14, got {self.tol}")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        if self.damping_halvings < 0:
-            raise ValueError("damping_halvings must be nonnegative")
         if self.fd_epsilon <= 0:
             raise ValueError("fd_epsilon must be positive")
 
@@ -76,11 +74,6 @@ def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.
     return np.stack(cols, axis=-1)
 
 
-def fd_gradient(f: Callable[[Vector], float], x: Vector, eps: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    return fd_jacobian(f, x, eps)
-
-
 def fd_mixed_second(f: Callable[[Vector, Vector], float], x: Vector, y: Vector,
                     eps: float) -> np.ndarray:
     """Four-point central difference of d^2 f / dx_i dy_j, shape (x.size, y.size)."""
@@ -106,8 +99,8 @@ def newton_solve(
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0.
 
-    The step is halved up to ``cfg.damping_halvings`` times whenever the residual
-    norm does not decrease; after exhausting the halvings the best candidate is
+    The step is halved up to six times whenever the residual norm does not
+    decrease; after exhausting the halvings the best candidate is
     accepted and iteration continues.  Each step is one :func:`solve_linear`
     with condition limit 1e14.  Raises :class:`NewtonError` when
     ``cfg.max_iter`` is exceeded and :class:`RegularityError` when that solve
@@ -127,7 +120,7 @@ def newton_solve(
         dx = solve_linear(J, -r, _COND_LIMIT_NEWTON)
         step = 1.0
         best_x, best_r, best_rnorm = None, None, np.inf
-        for _ in range(cfg.damping_halvings + 1):
+        for _ in range(_DAMPING_HALVINGS + 1):
             x_try = x + step * dx
             r_try = as_vector(F(x_try))
             rnorm_try = float(np.max(np.abs(r_try))) if np.all(np.isfinite(r_try)) else np.inf

@@ -9,10 +9,10 @@
 
 Each system is written once, as float jets (see ``ContinuousLagrangian``): a
 Lagrangian jet and, coded separately so that the Lagrangian and Hamiltonian
-flows stay independent checks of each other, a Hamiltonian jet.  The public
-callables are derived from the jets, and the constant Hessians are
-precomputed arrays.  Every sigma is linear in the chart coordinates, so every
-chart declares its constant Lee form.
+flows stay independent checks of each other, a Hamiltonian jet.  The constant
+Hessians are precomputed arrays that the jets return as they are.  Every sigma
+is linear in the chart coordinates, so every chart declares its constant Lee
+form.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     ``V`` and ``grad_V`` take a list of n floats and return a float and a
     fresh list; ``hess_V`` is the constant Hessian of V.
     """
-    eye, zeros = np.eye(n), np.zeros((n, n))
+    eye, zeros, hess_qq = np.eye(n), np.zeros((n, n)), -hess_V
 
     def L_jet(q, v):
         return 0.5 * _sq(v) - V(q), [-g for g in grad_V(q)], list(v), eye, zeros
@@ -62,9 +62,8 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     def H_jet(q, p):
         return 0.5 * _sq(p) + V(q), grad_V(q), list(p)
 
-    return (ContinuousLagrangian.from_jet(n, L_jet, hess_vv=eye, hess_vq=zeros,
-                                          hess_qq=-hess_V),
-            ContinuousHamiltonian.from_jet(n, H_jet))
+    return (ContinuousLagrangian(n, L_jet, hess_qq=lambda q, v: hess_qq),
+            ContinuousHamiltonian(n, H_jet))
 
 
 def _harmonic(n: int):

@@ -21,11 +21,16 @@ from .hamiltonian_discrete import (build_left_hamiltonian,
                                    build_right_hamiltonian,
                                    integrate_hamiltonian, ld_step, ldlch_step,
                                    rd_step, rdlch_step)
-from .numerics import StepperConfig, as_vector
+from .numerics import StepperConfig
 from .systems import System, rotor_extended_chart, with_constant_sigma
 from .variational import del_step, dlcel_step, integrate, stationarity_residual
 
 _H = 0.1
+_REDUCTION_SEEDS = 100
+_LCS_POINTS = 20
+_DIVERGENCE_POINTS = 50
+_EQUIVALENCE_H, _EQUIVALENCE_STEPS = 1e-3, 1000  # RK4 to t = 1
+_GLUE_STEPS = 95
 
 
 def _entry(name, passed, measured, tolerance, note=""):
@@ -56,7 +61,7 @@ def check_cocycle(system: System) -> dict:
     return _entry("cocycle", report.passed, report.max_deviation, 1e-10)
 
 
-def check_reduction(system: System, seed: int = 0, n_seeds: int = 100) -> dict:
+def check_reduction(system: System, seed: int = 0) -> dict:
     """With a constant conformal factor the conformal steppers equal the plain ones."""
     const = with_constant_sigma(system, 0.7)
     Ld = midpoint_rule(const.lagrangian, _H)
@@ -69,7 +74,7 @@ def check_reduction(system: System, seed: int = 0, n_seeds: int = 100) -> dict:
     span = 0.25 * ch.width
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_seeds):
+    for _ in range(_REDUCTION_SEEDS):
         q_prev = center + span * rng.uniform(-1, 1, const.n)
         q_curr = q_prev + rng.uniform(-0.1, 0.1, const.n)
         worst = max(worst, _sup(dlcel_step(Ld, const.atlas, chart, q_prev, q_curr, cfg),
@@ -125,12 +130,12 @@ def check_momentum_relation(system: System, march) -> dict:
     return _entry("momentum_relation", worst <= 1e-12, worst, 1e-12)
 
 
-def check_lcs_condition(system: System, seed: int = 0, n_points: int = 20) -> dict:
+def check_lcs_condition(system: System, seed: int = 0) -> dict:
     if system.n < 2:
         return _entry("lcs_two_form_condition", True, 0.0, 0.0,
                       note="dim < 4: all three-forms vanish identically")
     rng = np.random.default_rng(seed)
-    pts = [rng.uniform(-1, 1, 2 * system.n) for _ in range(n_points)]
+    pts = [rng.uniform(-1, 1, 2 * system.n) for _ in range(_LCS_POINTS)]
     worst, tol = 0.0, 0.0
     for rule in (midpoint_rule, trapezoidal_rule):
         Ld = rule(system.lagrangian, _H)
@@ -144,8 +149,7 @@ def check_lcs_condition(system: System, seed: int = 0, n_points: int = 20) -> di
     return _entry("lcs_two_form_condition", worst <= tol, worst, tol)
 
 
-def check_divergence_identity(system: System, seed: int = 0,
-                              n_points: int = 50) -> dict:
+def check_divergence_identity(system: System, seed: int = 0) -> dict:
     """div(xi_H) against n <phi, qdot> with the coordinate volume.
 
     The factor here is n = dim Q, obtained directly from the coordinate
@@ -159,12 +163,12 @@ def check_divergence_identity(system: System, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = system.n
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(_DIVERGENCE_POINTS):
         q = center + span * rng.uniform(-1, 1, n)
         p = rng.uniform(-2, 2, n)
         x = np.concatenate([q, p])
         phi = lee_form(system.atlas, system.start_chart, q)
-        qdot = as_vector(system.hamiltonian.grad_p(q, p))
+        qdot = system.hamiltonian.grad_p(q, p)
         expected = n * float(phi @ qdot)
         worst = max(worst, abs(divergence_numeric(field, x, 1e-5) - expected))
     return _entry(
@@ -173,11 +177,9 @@ def check_divergence_identity(system: System, seed: int = 0,
              "with n = dim Q; the half-factor convention (n/2) is not adopted")
 
 
-def check_continuous_equivalence(system: System, h: float = 1e-3,
-                                 t_final: float = 1.0) -> dict:
+def check_continuous_equivalence(system: System) -> dict:
     """Matched RK4 runs of the Hamiltonian and Lagrangian formulations agree."""
-    n = system.n
-    steps = int(round(t_final / h))
+    n, h, steps = system.n, _EQUIVALENCE_H, _EQUIVALENCE_STEPS
     q0 = np.full(n, 1.0)
     p0 = np.full(n, 0.5)
     v0 = fiber_legendre_inv(system.lagrangian, q0, p0)
@@ -191,7 +193,7 @@ def check_continuous_equivalence(system: System, h: float = 1e-3,
     return _entry("continuous_equivalence", worst <= 1e-8, worst, 1e-8)
 
 
-def check_globalization(system: System, steps: int = 95) -> dict:
+def check_globalization(system: System) -> dict:
     """Two-chart rotor march against the single extended chart, plus transport."""
     if system.name != "free_rotor_circle":
         return _entry("globalization", True, 0.0, 0.0,
@@ -203,8 +205,8 @@ def check_globalization(system: System, steps: int = 95) -> dict:
     Ld = conformal_midpoint_rule(system.lagrangian, system.atlas,
                                  system.start_chart, h)
     q0, q1 = np.array([0.0]), np.array([0.05])
-    two = integrate(Ld, system.atlas, system.start_chart, q0, q1, steps, cfg)
-    one = integrate(Ld, ext.atlas, ext.start_chart, q0, q1, steps, cfg)
+    two = integrate(Ld, system.atlas, system.start_chart, q0, q1, _GLUE_STEPS, cfg)
+    one = integrate(Ld, ext.atlas, ext.start_chart, q0, q1, _GLUE_STEPS, cfg)
     if two.n_switches() == 0:
         return _entry("globalization", False, None, 1e-9,
                       note="trajectory never crossed a chart overlap")

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from lcsdyn import (Chart, ConformalAtlas, DomainError, a_matrix, cocycle_check,
                     free_rotor_circle, harmonic_1d, lcs_two_form_matrix,
                     lee_form, planar_2d, transition_apply)
-from lcsdyn.numerics import fd_gradient
+from lcsdyn.numerics import fd_jacobian
 
 
 def chart_2d(sigma, grad=None):
@@ -48,7 +48,7 @@ def test_lee_form_matches_finite_differences():
     for _ in range(100):
         q = rng.uniform(-4, 4, 2)
         phi = lee_form(atlas, 0, q)
-        fd = fd_gradient(atlas.chart(0).sigma, q, 1e-5)
+        fd = fd_jacobian(atlas.chart(0).sigma, q, 1e-5)
         scale = max(1.0, float(np.max(np.abs(phi))))
         assert np.max(np.abs(phi - fd)) <= 1e-6 * scale
 

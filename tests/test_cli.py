@@ -231,20 +231,30 @@ def test_hamiltonian_method_switches_rotor_charts(tmp_path, capsys):
     assert summary["chart_switches"] >= 8
 
 
-def test_integrate_failure_writes_partial(tmp_path):
-    out = tmp_path / "partial.csv"
-    cfg = ExperimentConfig.from_dict({
-        "system": "free_rotor_circle", "sigma_params": [0.1], "method": "rd",
-        "h": 0.5, "steps": 400, "initial": {"q": [1.0], "p": [9.0]},
-        "tol": 1e-10, "output_path": str(out)})
+def test_integrate_failure_writes_partial(tmp_path, capsys):
+    # a discrete march that fails, and the RK4 references, which stay on the
+    # start chart, once the rotor leaves it
     from lcsdyn import IntegrationError
-    with pytest.raises(IntegrationError):
-        cmd_integrate(cfg)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("k,t,chart")
-    assert len(lines) >= 2  # at least the seed point was recorded
-    summary = json.loads((tmp_path / "partial.summary.json").read_text())
-    assert summary["failed_at_index"] >= 1
+    runs = [("rd", 0.5, [1.0], [9.0]), ("rk4-lcel", 0.1, [0.1], [1.5]),
+            ("rk4-lcshe", 0.1, [0.1], [1.5])]
+    for method, h, q, p in runs:
+        out = tmp_path / f"{method}.csv"
+        data = {"system": "free_rotor_circle", "sigma_params": [0.1], "method": method,
+                "h": h, "steps": 400, "initial": {"q": q, "p": p}, "tol": 1e-10,
+                "output_path": str(out)}
+        with pytest.raises(IntegrationError) as exc:
+            cmd_integrate(ExperimentConfig.from_dict(data))
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("k,t,chart")
+        assert len(lines) >= 2  # at least the seed point was recorded
+        summary = json.loads((tmp_path / f"{method}.summary.json").read_text())
+        assert summary["failed_at_index"] >= 1
+        assert summary["error"] == str(exc.value)
+        if method.startswith("rk4"):
+            assert "outside chart 0" in summary["error"]
+            assert len(lines) == summary["failed_at_index"] + 1
+            assert main(["integrate", "--config", _write_config(tmp_path, data)]) == EXIT_NUMERICAL
+            assert "outside chart 0" in capsys.readouterr().err
 
 
 def _write_config(tmp_path, data) -> str:

@@ -29,9 +29,8 @@ def test_field_conformal_2d():
     atlas = ConformalAtlas(charts=(Chart(
         id=0, dim=2, lower=[-5, -5], upper=[5, 5],
         sigma=lambda q: float(q[0]), sigma_grad=lambda q: np.array([1.0, 0.0])),))
-    H = ContinuousHamiltonian(n=2, value=lambda q, p: 0.5 * float(p @ p),
-                              grad_q=lambda q, p: np.zeros(2),
-                              grad_p=lambda q, p: np.asarray(p, float).copy())
+    H = ContinuousHamiltonian(
+        n=2, jet=lambda q, p: (0.5 * (p[0] * p[0] + p[1] * p[1]), [0.0, 0.0], list(p)))
     qd, pd = lcs_hamiltonian_field(H, atlas, 0, [0.0, 0.0], [1.0, 1.0])
     assert np.allclose(qd, [1.0, 1.0])
     assert np.allclose(pd, [0.0, 1.0])
@@ -56,9 +55,7 @@ def test_acceleration_free_particle(free_line):
 
 def test_acceleration_singular_hessian(harmonic):
     degenerate = ContinuousLagrangian(
-        n=1, value=lambda q, v: float(v[0]), grad_q=lambda q, v: np.zeros(1),
-        grad_v=lambda q, v: np.ones(1), hess_vv=lambda q, v: np.zeros((1, 1)),
-        hess_vq=lambda q, v: np.zeros((1, 1)))
+        n=1, jet=lambda q, v: (v[0], [0.0], [1.0], np.zeros((1, 1)), np.zeros((1, 1))))
     with pytest.raises(RegularityError):
         lcel_acceleration(degenerate, harmonic.atlas, 0, [0.0], [1.0])
 
@@ -68,14 +65,12 @@ def test_energy_values(harmonic):
     assert energy(L, [1.0], [1.0]) == pytest.approx(1.0)
     # homogeneous degree one in velocity -> zero energy
     L1 = ContinuousLagrangian(
-        n=1, value=lambda q, v: 3.0 * float(v[0]), grad_q=lambda q, v: np.zeros(1),
-        grad_v=lambda q, v: np.array([3.0]), hess_vv=lambda q, v: np.zeros((1, 1)),
-        hess_vq=lambda q, v: np.zeros((1, 1)))
+        n=1, jet=lambda q, v: (3.0 * v[0], [0.0], [3.0], np.zeros((1, 1)),
+                               np.zeros((1, 1))))
     assert energy(L1, [0.5], [2.0]) == pytest.approx(0.0)
     free = ContinuousLagrangian(
-        n=1, value=lambda q, v: 0.5 * float(v @ v), grad_q=lambda q, v: np.zeros(1),
-        grad_v=lambda q, v: np.asarray(v, float), hess_vv=lambda q, v: np.eye(1),
-        hess_vq=lambda q, v: np.zeros((1, 1)))
+        n=1, jet=lambda q, v: (0.5 * v[0] * v[0], [0.0], list(v), np.eye(1),
+                               np.zeros((1, 1))))
     assert energy(free, [0.0], [2.0]) == pytest.approx(2.0)
 
 
@@ -84,9 +79,8 @@ def test_fiber_legendre(harmonic):
     assert np.allclose(fiber_legendre(L, [0.0], [3.0]), [3.0])
     assert np.allclose(fiber_legendre_inv(L, [0.0], [3.0]), [3.0])
     mass2 = ContinuousLagrangian(
-        n=1, value=lambda q, v: float(v @ v), grad_q=lambda q, v: np.zeros(1),
-        grad_v=lambda q, v: 2.0 * np.asarray(v, float),
-        hess_vv=lambda q, v: 2.0 * np.eye(1), hess_vq=lambda q, v: np.zeros((1, 1)))
+        n=1, jet=lambda q, v: (v[0] * v[0], [0.0], [2.0 * v[0]], 2.0 * np.eye(1),
+                               np.zeros((1, 1))))
     assert np.allclose(fiber_legendre(mass2, [0.0], [1.0]), [2.0])
     assert np.allclose(fiber_legendre_inv(mass2, [0.0], [2.0]), [1.0])
 
@@ -123,10 +117,16 @@ def test_rk4_rejects_wrong_length_field_output():
 def test_fields_reject_wrong_length_gradients(harmonic):
     # a two-component grad_q for n = 1 used to broadcast into a 3-vector field
     L, H = harmonic.lagrangian, harmonic.hamiltonian
-    L2 = ContinuousLagrangian(n=1, value=L.value, grad_q=lambda q, v: np.zeros(2),
-                              grad_v=L.grad_v, hess_vv=L.hess_vv, hess_vq=L.hess_vq)
-    H2 = ContinuousHamiltonian(n=1, value=H.value, grad_q=lambda q, p: np.zeros(2),
-                               grad_p=H.grad_p)
+
+    def two_gradients(jet):
+        def wrong(q, x):
+            parts = list(jet(q, x))
+            parts[1] = [0.0, 0.0]
+            return tuple(parts)
+        return wrong
+
+    L2 = ContinuousLagrangian(n=1, jet=two_gradients(L.jet))
+    H2 = ContinuousHamiltonian(n=1, jet=two_gradients(H.jet))
     x = np.array([0.5, 0.2])
     with pytest.raises(ValueError):
         make_lcel_field(L2, harmonic.atlas, 0)(x)
@@ -210,13 +210,13 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
     M = np.array([[2.0, 0.3], [0.3, 0.7]])
     B = np.array([[0.0, 0.4], [-0.25, 0.1]])
     K = np.array([[1.0, 0.2], [0.2, 1.5]])
-    L = ContinuousLagrangian(
-        n=2,
-        value=lambda q, v: 0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
-        grad_q=lambda q, v: B.T @ v - K @ q,
-        grad_v=lambda q, v: M @ v + B @ q,
-        hess_vv=lambda q, v: M,
-        hess_vq=lambda q, v: B)
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
+                (B.T @ v - K @ q).tolist(), (M @ v + B @ q).tolist(), M, B)
+
+    L = ContinuousLagrangian(n=2, jet=jet)
     system = planar_2d()
     x0 = np.array([0.6, -0.4, 0.2, 0.9])
     got = rk4_integrate(make_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
@@ -232,43 +232,26 @@ def _starts(n):
 @pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle])
 def test_rk4_float_entry_equals_public_field(system_fn):
     # A wrapper without ``_floats`` (as a tracing wrapper is) takes the public
-    # array path; both must give the same bits.
+    # array path; both must give the same bits.  Each field call is one jet call.
     system = system_fn()
-    n = system.n
-    for make, F in ((make_lcel_field, system.lagrangian),
-                    (make_lcshe_field, system.hamiltonian)):
+    n, L, H = system.n, system.lagrangian, system.hamiltonian
+    calls = []
+
+    def counted(jet):
+        def wrapper(q, x):
+            calls.append(1)
+            return jet(q, x)
+        return wrapper
+
+    for make, F in ((make_lcel_field, ContinuousLagrangian(n, counted(L.jet), L.hess_qq)),
+                    (make_lcshe_field, ContinuousHamiltonian(n, counted(H.jet)))):
         field = make(F, system.atlas, 0)
         assert callable(field._floats)
         for x0 in _starts(n):
-            got = rk4_integrate(field, x0, 1e-3, 400)
-            want = rk4_integrate(lambda x: field(x), x0, 1e-3, 400)
-            assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
-def test_fields_without_a_jet_take_the_callables(system_fn):
-    system = system_fn()
-    n = system.n
-    L, H = system.lagrangian, system.hamiltonian
-    calls = []
-
-    def counted(f):
-        def wrapper(q, x):
-            calls.append(1)
-            return f(q, x)
-        return wrapper
-
-    L0 = ContinuousLagrangian(n=n, value=counted(L.value), grad_q=L.grad_q,
-                              grad_v=L.grad_v, hess_vv=L.hess_vv, hess_vq=L.hess_vq)
-    H0 = ContinuousHamiltonian(n=n, value=counted(H.value), grad_q=H.grad_q,
-                               grad_p=H.grad_p)
-    assert L0.jet is None and H0.jet is None
-    for plain, jetted, make in ((L0, L, make_lcel_field), (H0, H, make_lcshe_field)):
-        for x0 in _starts(n):
             calls.clear()
-            got = rk4_integrate(make(plain, system.atlas, 0), x0, 1e-3, 100)
-            assert len(calls) == 400
-            want = rk4_integrate(make(jetted, system.atlas, 0), x0, 1e-3, 100)
+            got = rk4_integrate(field, x0, 1e-3, 400)
+            assert len(calls) == 1600
+            want = rk4_integrate(lambda x: field(x), x0, 1e-3, 400)
             assert got.tobytes() == want.tobytes()
 
 
@@ -352,10 +335,12 @@ def test_lcel_field_raises_on_a_doubtful_velocity_hessian(M):
     # number is raised with the error.
     M = np.array(M)
     n = len(M)
-    L = ContinuousLagrangian(
-        n=n, value=lambda q, v: 0.5 * float(v @ M @ v), grad_q=lambda q, v: np.zeros(n),
-        grad_v=lambda q, v: M @ v, hess_vv=lambda q, v: M,
-        hess_vq=lambda q, v: np.zeros((n, n)))
+
+    def jet(q, v):
+        v = np.array(v)
+        return 0.5 * float(v @ M @ v), [0.0] * n, (M @ v).tolist(), M, np.zeros((n, n))
+
+    L = ContinuousLagrangian(n=n, jet=jet)
     chart = Chart(id=0, dim=n, lower=[-5] * n, upper=[5] * n,
                   sigma=lambda q: 0.1 * float(q[0]), constant_lee=[0.1] + [0.0] * (n - 1))
     field = make_lcel_field(L, ConformalAtlas(charts=(chart,)), 0)

@@ -10,7 +10,7 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
                     trapezoidal_rule, with_constant_sigma)
 from lcsdyn.continuous import ContinuousLagrangian
 from lcsdyn.discretize import DiscreteLagrangian
-from lcsdyn.numerics import as_vector, fd_gradient, fd_jacobian
+from lcsdyn.numerics import as_vector, fd_jacobian
 from conftest import free_line_system
 
 
@@ -67,8 +67,8 @@ def test_partials_match_finite_differences(rule, system_fn):
     for _ in range(100):
         q0 = rng.uniform(-1.5, 1.5, n)
         q1 = q0 + rng.uniform(-0.3, 0.3, n)
-        fd1 = fd_gradient(lambda x: Ld.value(x, q1), q0, eps)
-        fd2 = fd_gradient(lambda x: Ld.value(q0, x), q1, eps)
+        fd1 = fd_jacobian(lambda x: Ld.value(x, q1), q0, eps)
+        fd2 = fd_jacobian(lambda x: Ld.value(q0, x), q1, eps)
         scale = max(1.0, float(np.max(np.abs(fd1))), float(np.max(np.abs(fd2))))
         assert np.max(np.abs(Ld.d1(q0, q1) - fd1)) <= 1e-6 * scale
         assert np.max(np.abs(Ld.d2(q0, q1) - fd2)) <= 1e-6 * scale
@@ -88,8 +88,8 @@ def test_conformal_rules_match_finite_differences(rule):
     for _ in range(50):
         q0 = rng.uniform(-1.5, 1.5, 2)
         q1 = q0 + rng.uniform(-0.3, 0.3, 2)
-        fd1 = fd_gradient(lambda x: Ld.value(x, q1), q0, eps)
-        fd2 = fd_gradient(lambda x: Ld.value(q0, x), q1, eps)
+        fd1 = fd_jacobian(lambda x: Ld.value(x, q1), q0, eps)
+        fd2 = fd_jacobian(lambda x: Ld.value(q0, x), q1, eps)
         scale = max(1.0, float(np.max(np.abs(fd1))), float(np.max(np.abs(fd2))))
         assert np.max(np.abs(Ld.d1(q0, q1) - fd1)) <= 1e-6 * scale
         assert np.max(np.abs(Ld.d2(q0, q1) - fd2)) <= 1e-6 * scale
@@ -183,8 +183,8 @@ def test_conformal_exact_inherits_sigma():
 #
 # All four rules keep the last pair's data in a one-entry memo.  The
 # constructors below are the formulas as they stood before the memo, with every
-# partial evaluated from scratch on every call through L's callables; the
-# memoized rules must return the same bits in any call order.
+# partial evaluated from scratch on every call through L's one-part methods;
+# the memoized rules must return the same bits in any call order.
 
 def reference_midpoint(L, h):
     def value(q0, q1):
@@ -363,6 +363,31 @@ def curved_planar():
     return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
 
 
+def varying_mass():
+    """planar_2d with L = mu(q)|v|^2/2 + A(q).v - |q|^2/2, mu = 1 + |q|^2/10 and
+    A = (0.3 q1^2, 0.5 q0): hess_vv = mu(q) I and the non-symmetric
+    hess_vq = v (x) grad mu + dA vary with the point; hess_qq is analytic."""
+
+    def jet(q, v):
+        (q0, q1), (v0, v1) = q, v
+        mu, vv = 1.0 + 0.1 * (q0 * q0 + q1 * q1), v0 * v0 + v1 * v1
+        value = 0.5 * mu * vv + 0.3 * q1 * q1 * v0 + 0.5 * q0 * v1 \
+            - 0.5 * (q0 * q0 + q1 * q1)
+        grad_q = [0.1 * vv * q0 + 0.5 * v1 - q0, 0.1 * vv * q1 + 0.6 * q1 * v0 - q1]
+        grad_v = [mu * v0 + 0.3 * q1 * q1, mu * v1 + 0.5 * q0]
+        hess_vq = np.array([[0.2 * v0 * q0, 0.2 * v0 * q1 + 0.6 * q1],
+                            [0.2 * v1 * q0 + 0.5, 0.2 * v1 * q1]])
+        return value, grad_q, grad_v, mu * np.eye(2), hess_vq
+
+    def hess_qq(q, v):
+        v = as_vector(v)
+        return (0.1 * float(v @ v) - 1.0) * np.eye(2) + np.array([[0.0, 0.0],
+                                                                  [0.0, 0.6 * v[0]]])
+
+    system = planar_2d(0.3, -0.2)
+    return dataclasses.replace(system, lagrangian=ContinuousLagrangian(2, jet, hess_qq))
+
+
 def _plain(rule):
     """``rule(L, h)`` with the conformal constructors' signature."""
     return lambda L, atlas, chart, h: rule(L, h)
@@ -379,6 +404,7 @@ MEMO_SYSTEMS = {
     "free_rotor_circle": lambda: free_rotor_circle(-0.1),
     "curved_planar": curved_planar,
     "constant_sigma": lambda: with_constant_sigma(planar_2d(), 0.7),
+    "varying_mass": varying_mass,
 }
 PARTS = ("value", "d1", "d2", "d1d2")
 
@@ -439,49 +465,23 @@ def test_memoized_rules_see_inputs_mutated_in_place(rule, reference, mutated):
     assert _bits(Ld.d1(*pair)) != _bits(before[1])
 
 
-def test_rules_without_a_jet_take_the_callables():
-    # a Lagrangian without a jet: the midpoint d1 and d2 at one pair evaluate
-    # each callable once, and every rule gives the bits of the jet-backed one
-    system = planar_2d()
-    L = system.lagrangian
-    calls = []
-
-    def counted(name):
-        def part(q, v):
-            calls.append(name)
-            return getattr(L, name)(q, v)
-        return part
-
-    L0 = ContinuousLagrangian(n=2, value=counted("value"), grad_q=counted("grad_q"),
-                              grad_v=counted("grad_v"), hess_vv=L.hess_vv,
-                              hess_vq=L.hess_vq, hess_qq=L.hess_qq)
-    assert L0.jet is None
-    q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
-    plain = midpoint_rule(L0, 0.1)
-    assert _bits(plain.d1(q0, q1)) == _bits(midpoint_rule(L, 0.1).d1(q0, q1))
-    assert _bits(plain.d2(q0, q1)) == _bits(midpoint_rule(L, 0.1).d2(q0, q1))
-    assert sorted(calls) == ["grad_q", "grad_v", "value"]
-    for rule in (conformal_midpoint_rule, conformal_trapezoidal_rule,
-                 _plain(midpoint_rule), _plain(trapezoidal_rule)):
-        got, want = (rule(lag, system.atlas, 0, 0.1) for lag in (L0, L))
-        for part in PARTS:
-            assert _bits(getattr(got, part)(q0, q1)) == _bits(getattr(want, part)(q0, q1))
-
-
-@pytest.mark.parametrize("rule, jet_calls", [(midpoint_rule, 1), (trapezoidal_rule, 2)],
-                         ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("rule, jet_calls", [
+    (_plain(midpoint_rule), 1), (_plain(trapezoidal_rule), 2),
+    (conformal_midpoint_rule, 1), (conformal_trapezoidal_rule, 2)],
+    ids=["midpoint", "trapezoidal", "conformal_midpoint", "conformal_trapezoidal"])
 def test_plain_rules_evaluate_the_jet_once_per_pair_point(rule, jet_calls):
-    # value, d1, d2 and d1d2 at one pair: one jet call per quadrature node
-    L = planar_2d().lagrangian
+    # value, d1, d2 and d1d2 at one pair, plain and conformal rules alike: one
+    # jet call per quadrature node, so d1d2 reads the velocity Hessians from
+    # the memo and calls neither L.hess_vv nor L.hess_vq (each calls the jet)
+    system = curved_planar()
+    L = system.lagrangian
     calls = []
 
     def jet(q, v):
         calls.append(1)
         return L.jet(q, v)
 
-    counted = ContinuousLagrangian.from_jet(2, jet, hess_vv=np.eye(2),
-                                            hess_vq=np.zeros((2, 2)), hess_qq=-np.eye(2))
-    Ld = rule(counted, 0.1)
+    Ld = rule(ContinuousLagrangian(2, jet, L.hess_qq), system.atlas, 0, 0.1)
     q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
     for part in PARTS:
         getattr(Ld, part)(q0, q1)

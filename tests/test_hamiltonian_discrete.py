@@ -8,7 +8,7 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     integrate, integrate_hamiltonian, free_rotor_circle, ld_step,
                     ldlch_step, midpoint_rule, momenta_along_trajectory, rd_step,
                     rdlch_step, transition_apply, with_constant_sigma)
-from lcsdyn.numerics import as_vector, fd_gradient, newton_solve
+from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve
 
 
 def analytic_free_right(h):
@@ -119,8 +119,8 @@ def test_hamiltonian_partials_match_finite_differences(harmonic):
         for _ in range(10):
             a = rng.uniform(-0.8, 0.8, 1)
             b = rng.uniform(0.3, 1.2, 1)
-            fd1 = fd_gradient(lambda x: Hd.value(x, b), a, 1e-5)
-            fd2 = fd_gradient(lambda x: Hd.value(a, x), b, 1e-5)
+            fd1 = fd_jacobian(lambda x: Hd.value(x, b), a, 1e-5)
+            fd2 = fd_jacobian(lambda x: Hd.value(a, x), b, 1e-5)
             assert np.max(np.abs(Hd.d1(a, b) - fd1)) <= 1e-6
             assert np.max(np.abs(Hd.d2(a, b) - fd2)) <= 1e-6
 

@@ -59,7 +59,7 @@ def test_jet_callables_equal_the_former_lambdas(system_fn, former):
                     assert abs(got - want) <= 4e-16 * float(q @ q + v @ v)
                 else:
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
-        # the jet itself agrees with its callables
+        # the one-part methods return the jet's own parts
         val, gq, gv, hvv, hvq = L.jet(q.tolist(), v.tolist())
         assert (val, gq, gv) == (L.value(q, v), L.grad_q(q, v).tolist(),
                                  L.grad_v(q, v).tolist())
