@@ -149,14 +149,10 @@ class ConformalAtlas:
                     f"[{c.lower[i]}, {c.upper[i]}]")
         return c
 
-    def find_transition(self, from_chart: int, to_chart: int | None, q: Vector
+    def find_transition(self, from_chart: int, to_chart: int, q: Vector
                         ) -> TransitionMap | None:
         for t in self.transitions:
-            if t.from_chart != from_chart:
-                continue
-            if to_chart is not None and t.to_chart != to_chart:
-                continue
-            if t.contains(q):
+            if t.from_chart == from_chart and t.to_chart == to_chart and t.contains(q):
                 return t
         return None
 

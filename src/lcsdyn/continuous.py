@@ -28,6 +28,7 @@ from .numerics import (StepperConfig, _checked_inverse, _solve_2x2, as_vector,
                        fd_jacobian, newton_solve)
 
 Vector = np.ndarray
+_FIBER_CFG = StepperConfig(tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,10 @@ def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
     return L.grad_v(q, v)
 
 
-def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector,
-                       cfg: StepperConfig | None = None) -> np.ndarray:
+def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndarray:
     """Velocity v solving dL/dv (q, v) = p, by Newton on the fiber."""
     q, p = as_vector(q), as_vector(p)
-    cfg = cfg or StepperConfig(tol=1e-12)
-    res = newton_solve(lambda v: fiber_legendre(L, q, v) - p, p, cfg,
+    res = newton_solve(lambda v: fiber_legendre(L, q, v) - p, p, _FIBER_CFG,
                        jacobian=lambda v: L.hess_vv(q, v))
     return res.x
 

@@ -21,10 +21,11 @@ resulting integrator second order.  When sigma is constant on a chart the
 conformal constructors return bitwise the plain rule's values.
 
 All four quadrature rules share one memoized evaluation per lattice pair
-(``_memoized_pair_rule``): value, d1, d2 and d1d2 at a pair call L's jet
-once per quadrature node (and evaluate the chart data once).  The rule
-objects are therefore stateful and not thread-safe, and ``L``'s jet and the
-charts' sigma callables must be pure functions of their arguments.
+(``_pair_memo``, which the discrete Hamiltonians use too): value, d1, d2 and
+d1d2 at a pair call L's jet once per quadrature node (and evaluate the chart
+data once).  The rule objects are therefore stateful and not thread-safe,
+and ``L``'s jet and the charts' sigma callables must be pure functions of
+their arguments.
 
 ``exact_discrete_lagrangian`` evaluates the action integral along the solution
 of the continuous conformal Euler-Lagrange equations with prescribed endpoints
@@ -107,43 +108,40 @@ def _trapezoidal_d1d2(h: float, hess: tuple) -> np.ndarray:
     return 0.5 * (vq0.T - vq1) - (vv0 + vv1) / (2.0 * h)
 
 
-def _memoized_pair_rule(n: int, h: float, pair_data, d1d2_from) -> DiscreteLagrangian:
-    """A two-point function whose callables share one evaluation per lattice pair.
+def _pair_memo(pair_data):
+    """``(value, d1, d2, extra)`` callables that share one evaluation per pair.
 
-    All four quadrature rules are built on it.  ``pair_data(q0, q1)`` returns
-    ``(value, d1, d2, extra)`` and ``d1d2_from(extra)`` the mixed partial.
-    The last pair's data is kept in a one-entry memo keyed by the pair's
-    bytes, so value, d1, d2 and d1d2 at one pair evaluate the Lagrangian and
-    the chart data once.  Returned arrays are fresh copies, and an input
-    mutated in place between calls misses the memo.  The memo belongs to the
-    rule object, which is therefore stateful and not thread-safe, and it
-    requires the Lagrangian's jet and the chart's callables to be pure
-    functions of their arguments.
+    ``pair_data(a, b)`` returns ``(value, d1, d2, extra)``.  The last pair's
+    data is kept in a one-entry memo keyed by the pair's bytes, so the four
+    callables at one pair run ``pair_data`` once.  ``d1`` and ``d2`` return
+    fresh copies, an input mutated in place between calls misses the memo,
+    and a pair whose ``pair_data`` raises is not memoized.  The memo makes
+    the callables stateful and not thread-safe, and it requires ``pair_data``
+    to be a pure function of its arguments.  Both the quadrature rules and
+    the discrete Hamiltonians of ``hamiltonian_discrete`` are built on it.
     """
     key, data = None, None
 
-    def lookup(q0, q1):
+    def lookup(a, b):
         nonlocal key, data
-        q0, q1 = as_vector(q0), as_vector(q1)
-        k = (q0.shape, q1.shape, q0.tobytes(), q1.tobytes())
+        a, b = as_vector(a), as_vector(b)
+        k = (a.shape, b.shape, a.tobytes(), b.tobytes())
         if k != key:
-            data = pair_data(q0, q1)
+            data = pair_data(a, b)
             key = k
         return data
 
-    def value(q0, q1):
-        return lookup(q0, q1)[0]
+    return (lambda a, b: lookup(a, b)[0], lambda a, b: lookup(a, b)[1].copy(),
+            lambda a, b: lookup(a, b)[2].copy(), lambda a, b: lookup(a, b)[3])
 
-    def d1(q0, q1):
-        return lookup(q0, q1)[1].copy()
 
-    def d2(q0, q1):
-        return lookup(q0, q1)[2].copy()
-
-    def d1d2(q0, q1):
-        return d1d2_from(lookup(q0, q1)[3])
-
-    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+def _memoized_pair_rule(n: int, h: float, pair_data, d1d2_from) -> DiscreteLagrangian:
+    """A quadrature rule on :func:`_pair_memo`; ``d1d2_from(extra)`` is the
+    mixed partial, so value, d1, d2 and d1d2 at one pair evaluate the
+    Lagrangian and the chart data once."""
+    value, d1, d2, extra = _pair_memo(pair_data)
+    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2,
+                              d1d2=lambda q0, q1: d1d2_from(extra(q0, q1)))
 
 
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:

@@ -25,8 +25,11 @@ The right discrete Hamiltonian eliminates q1 from
     H-(q1, P) = exp(sigma(q1) - sigma(q0)) (-P . q0 - Ld(q0, q1)),   P = p-(q0, q1).
 
 Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
-(implicit-function differentiation; exact when sigma is constant).  The plain
-steppers ``rd_step``/``ld_step`` use these partials directly.  The conformal
+(implicit-function differentiation; exact when sigma is constant).  One Newton
+inversion at (q, P) gives the value and both partials: the builders sit on the
+quadrature rules' one-entry pair memo (``discretize._pair_memo``), so a built
+Hamiltonian is stateful and not thread-safe.  The plain steppers
+``rd_step``/``ld_step`` use these partials directly.  The conformal
 steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, and p_next = p+(q_curr, q_next) is then explicit.  That is what
@@ -43,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .atlas import Chart, ConformalAtlas, transition_apply
-from .discretize import DiscreteLagrangian
+from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
@@ -157,7 +160,8 @@ class DiscreteHamiltonian:
     """One-step generating Hamiltonian; right side takes (q_k, p_{k+1}), left (q_{k+1}, p_k).
 
     ``d1``/``d2`` are partials of ``value`` with respect to its two arguments
-    (finite-difference consistent).  ``source`` carries the generating
+    (finite-difference consistent).  The builders below make the three share
+    one evaluation per (q, P).  ``source`` carries the generating
     Lagrangian data of a Hamiltonian built from a discrete Lagrangian; the
     conformal steppers require it.
     """
@@ -179,51 +183,37 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                             chart: int) -> DiscreteHamiltonian:
     """Right discrete Hamiltonian H+(q_k, p_{k+1}) generated by Ld on a chart.
 
-    The value Newton-inverts the forward momentum relation for q_{k+1}; the
-    partials come from implicit-function differentiation, reducing to
-    d1 = -d1 Ld and d2 = q_{k+1} when sigma is constant.
+    One Newton inversion of the forward momentum relation for q_{k+1} gives
+    the value and both partials; the partials come from implicit-function
+    differentiation, reducing to d1 = -d1 Ld and d2 = q_{k+1} when sigma is
+    constant.
     """
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def _dp_plus_dq1(q0, q1):
-        # d/dq1 of the inverted relation P = p+(q0, q1), differenced.
-        s0 = float(ch.sigma(q0))
-        return fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
-
-    def _core(q0: Vector, P: Vector):
-        q0, P = as_vector(q0), as_vector(P)
+    def pair_data(q0, P):
         q1 = source.invert_right(q0, P)
-        em = np.exp(float(ch.sigma(q0)) - float(ch.sigma(q1)))
-        return q0, P, q1, em
-
-    def value(q0, P):
-        q0, P, q1, em = _core(q0, P)
-        return em * float(P @ q1) - float(Ld.value(q0, q1))
-
-    def d1(q0, P):
-        q0, P, q1, em = _core(q0, P)
+        s0 = float(ch.sigma(q0))
+        em = np.exp(s0 - float(ch.sigma(q1)))
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
         coupling = em * float(P @ q1)
-        base = phi0 * coupling - as_vector(Ld.d1(q0, q1))
-        corr = -phi1 * coupling
-        if not np.any(corr):
-            return base
-        d2v = as_vector(Ld.d2(q0, q1))
-        dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T - np.outer(d2v, phi0))
-        dq1_dq0 = -np.linalg.solve(_dp_plus_dq1(q0, q1), dgdq)
-        return base + np.atleast_2d(dq1_dq0).T @ corr
+        d1 = phi0 * coupling - as_vector(Ld.d1(q0, q1))
+        d2 = em * q1
+        # the same correction rounded in two orders, one per partial; the tests
+        # compare both partials bit for bit with the reference builders
+        corr1, corr2 = -phi1 * coupling, -phi1 * em * float(P @ q1)
+        if np.any(corr1) or np.any(corr2):
+            # d/dq1 of the inverted relation P = p+(q0, q1), differenced
+            J = fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
+            if np.any(corr1):
+                dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T
+                                     - np.outer(as_vector(Ld.d2(q0, q1)), phi0))
+                d1 = d1 + np.atleast_2d(-np.linalg.solve(J, dgdq)).T @ corr1
+            if np.any(corr2):
+                d2 = d2 + np.linalg.inv(J).T @ corr2
+        return coupling - float(Ld.value(q0, q1)), d1, d2, None
 
-    def d2(q0, P):
-        q0, P, q1, em = _core(q0, P)
-        phi1 = ch.grad(q1)
-        base = em * q1
-        corr = -phi1 * em * float(P @ q1)
-        if not np.any(corr):
-            return base
-        dq1_dP = np.linalg.inv(_dp_plus_dq1(q0, q1))
-        return base + dq1_dP.T @ corr
-
+    value, d1, d2, _ = _pair_memo(pair_data)
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value,
                                d1=d1, d2=d2, source=source)
 
@@ -234,42 +224,23 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def _core(q1: Vector, P: Vector):
-        q1, P = as_vector(q1), as_vector(P)
+    def pair_data(q1, P):
         q0 = source.invert_left(q1, P)
         E = np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
-        return q1, P, q0, E
-
-    def value(q1, P):
-        q1, P, q0, E = _core(q1, P)
-        return E * (-float(P @ q0) - float(Ld.value(q0, q1)))
-
-    def _dp_minus_dq0(q0: Vector, q1: Vector) -> np.ndarray:
-        # d/dq0 of p-(q0, q1); needs the sigma Hessian, so it is differenced.
-        return fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
-
-    def d1(q1, P):
-        q1, P, q0, E = _core(q1, P)
         phi1, phi0 = ch.grad(q1), ch.grad(q0)
         H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
-        base = phi1 * H - E * as_vector(Ld.d2(q0, q1))
+        d1 = phi1 * H - E * as_vector(Ld.d2(q0, q1))
+        d2 = -E * q0
         corr = phi0 * (E * float(P @ q0))
-        if not np.any(corr):
-            return base
-        dq0_dq1 = -np.linalg.solve(_dp_minus_dq0(q0, q1),
-                                   _dp_minus_dq1(Ld, q0, q1, phi0))
-        return base + np.atleast_2d(dq0_dq1).T @ corr
+        if np.any(corr):
+            # d/dq0 of p-(q0, q1); needs the sigma Hessian, so it is differenced
+            J = fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
+            dq0_dq1 = -np.linalg.solve(J, _dp_minus_dq1(Ld, q0, q1, phi0))
+            d1 = d1 + np.atleast_2d(dq0_dq1).T @ corr
+            d2 = d2 + np.linalg.inv(J).T @ corr
+        return H, d1, d2, None
 
-    def d2(q1, P):
-        q1, P, q0, E = _core(q1, P)
-        phi0 = ch.grad(q0)
-        base = -E * q0
-        corr = phi0 * (E * float(P @ q0))
-        if not np.any(corr):
-            return base
-        dq0_dP = np.linalg.inv(_dp_minus_dq0(q0, q1))
-        return base + dq0_dP.T @ corr
-
+    value, d1, d2, _ = _pair_memo(pair_data)
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value,
                                d1=d1, d2=d2, source=source)
 

@@ -41,6 +41,7 @@ from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
 Vector = np.ndarray
 
 DEFAULT_SWITCH_MARGIN = 0.1
+_STATIONARITY_EPS = 1e-6
 
 
 def _del_system(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector
@@ -243,21 +244,10 @@ def action_sum(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart_assignment,
 
 
 def stationarity_residual(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
-                          points, chart: int | None = None,
-                          eps: float = 1e-6) -> float:
-    """Max over interior points of the action-sum gradient magnitude (central FD).
-
-    ``points`` is a :class:`DiscreteTrajectory` or a sequence of lattice points
-    with a single ``chart`` id.
-    """
-    if isinstance(points, DiscreteTrajectory):
-        qs = [pt.q for pt in points.points]
-        charts = [pt.chart for pt in points.points]
-    else:
-        if chart is None:
-            raise ValueError("a chart id is required for a bare point sequence")
-        qs = [as_vector(q) for q in points]
-        charts = [chart] * len(qs)
+                          traj: DiscreteTrajectory) -> float:
+    """Max over interior points of the action-sum gradient magnitude (central FD)."""
+    qs = [pt.q for pt in traj.points]
+    charts = [pt.chart for pt in traj.points]
     if len(qs) < 3:
         raise ValueError("stationarity needs at least one interior point")
 
@@ -265,7 +255,7 @@ def stationarity_residual(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     for k in range(1, len(qs) - 1):
         # only the two terms of the action sum that contain q_k depend on it
         window = charts[k - 1:k + 2]
-        grad = fd_jacobian(
-            lambda x: action_sum(Ld, atlas, window, [qs[k - 1], x, qs[k + 1]]), qs[k], eps)
+        grad = fd_jacobian(lambda x: action_sum(Ld, atlas, window, [qs[k - 1], x, qs[k + 1]]),
+                           qs[k], _STATIONARITY_EPS)
         worst = max(worst, float(np.max(np.abs(grad))))
     return worst

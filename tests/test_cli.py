@@ -373,3 +373,38 @@ def test_initial_point_outside_start_chart_is_config_error(tmp_path, capsys,
     assert exc.value.field == f"initial.{key}"
     assert main(["integrate", "--config", cfg]) == EXIT_CONFIG
     assert f"initial.{key}:" in capsys.readouterr().err
+
+
+# Edge configs for the Hamiltonian and conformal Lagrangian marches.  Each
+# case gives the (q, p) start and, for dlcel, the seed pair (q0, q1).
+EDGE_CASES = {
+    "h_50": {"h": 50.0},
+    "h_1e-300": {"h": 1e-300},
+    "p_1e200": {"initial": {"q": [1.0], "p": [1e200]}, "pair": [[1.0], [50.0]]},
+    "q_edge_p_1e6": {"initial": {"q": [49.99], "p": [1e6]}, "pair": [[49.99], [50.0]]},
+    "planar_p_1e8": {"system": "planar_2d", "sigma_params": [0.3, 0.1],
+                     "initial": {"q": [0.1, 0.1], "p": [1e8, 0.0]},
+                     "pair": [[0.1, 0.1], [50.0, 0.1]]},
+    "rotor_leaves_atlas": {"system": "free_rotor_circle", "sigma_params": [0.1],
+                           "initial": {"q": [0.1], "p": [100.0]}, "pair": [[0.1], [3.9]]},
+    "max_iter_1": {"max_iter": 1},
+    "sigma_800": {"sigma_params": [800.0]},
+    "sigma_-800": {"sigma_params": [-800.0]},
+    "sigma_1e308": {"sigma_params": [1e308]},
+}
+
+
+# the inputs are chosen to overflow, so numpy's overflow warnings are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+@pytest.mark.parametrize("method", ["rd", "ld", "rdlch", "ldlch", "dlcel"])
+def test_edge_configs_end_in_success_or_numerical_failure(tmp_path, capsys, method, case):
+    data = dict(base_config(method=method, steps=5, tol=1e-10,
+                            initial={"q": [1.0], "p": [0.5]}), **EDGE_CASES[case])
+    q0, q1 = data.pop("pair", [[1.0], [0.99]])
+    if method == "dlcel":
+        data["initial"] = {"q0": q0, "q1": q1}
+    code = main(["integrate", "--config", _write_config(tmp_path, data)])
+    assert code in (0, EXIT_NUMERICAL)
+    if code == EXIT_NUMERICAL:
+        assert capsys.readouterr().err.startswith("numerical failure: ")

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
-                    StepperConfig, TrajectoryPoint, build_left_hamiltonian,
-                    build_right_hamiltonian, conformal_midpoint_rule,
-                    conformal_trapezoidal_rule, discrete_legendre, get_system,
-                    integrate, integrate_hamiltonian, free_rotor_circle, ld_step,
-                    ldlch_step, midpoint_rule, momenta_along_trajectory, rd_step,
-                    rdlch_step, transition_apply, with_constant_sigma)
+                    LagrangianSource, NewtonError, StepperConfig, TrajectoryPoint,
+                    build_left_hamiltonian, build_right_hamiltonian,
+                    conformal_midpoint_rule, conformal_trapezoidal_rule,
+                    discrete_legendre, get_system, integrate, integrate_hamiltonian,
+                    free_rotor_circle, ld_step, ldlch_step, midpoint_rule,
+                    momenta_along_trajectory, rd_step, rdlch_step, transition_apply,
+                    with_constant_sigma)
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve
+from lcsdyn.variational import _dp_minus_dq1, _p_minus, _p_plus
 
 
 def analytic_free_right(h):
@@ -330,3 +332,200 @@ def test_pairwise_momentum_fill_matches_pointwise_fill(conformal, tight_cfg):
     for a, b in zip(traj.points, ref.points):
         assert a.p.tobytes() == b.p.tobytes()
         assert a.r.tobytes() == b.r.tobytes()
+
+
+# --- one inversion per (q, P) -------------------------------------------------
+#
+# Both builders keep the last (q, P)'s value and partials in a one-entry memo.
+# The constructors below are the builders as they stood before the memo: three
+# closures that each invert the momentum relation at (q, P), and partials that
+# each difference the inverted relation again.  The memoized builders must
+# return the same bits in any call order.
+
+def reference_right(Ld, atlas, chart):
+    ch = atlas.chart(chart)
+    source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
+
+    def dp_plus_dq1(q0, q1):
+        s0 = float(ch.sigma(q0))
+        return fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
+
+    def core(q0, P):
+        q0, P = as_vector(q0), as_vector(P)
+        q1 = source.invert_right(q0, P)
+        return q0, P, q1, np.exp(float(ch.sigma(q0)) - float(ch.sigma(q1)))
+
+    def value(q0, P):
+        q0, P, q1, em = core(q0, P)
+        return em * float(P @ q1) - float(Ld.value(q0, q1))
+
+    def d1(q0, P):
+        q0, P, q1, em = core(q0, P)
+        phi0, phi1 = ch.grad(q0), ch.grad(q1)
+        coupling = em * float(P @ q1)
+        base = phi0 * coupling - as_vector(Ld.d1(q0, q1))
+        corr = -phi1 * coupling
+        if not np.any(corr):
+            return base
+        d2v = as_vector(Ld.d2(q0, q1))
+        dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T - np.outer(d2v, phi0))
+        dq1_dq0 = -np.linalg.solve(dp_plus_dq1(q0, q1), dgdq)
+        return base + np.atleast_2d(dq1_dq0).T @ corr
+
+    def d2(q0, P):
+        q0, P, q1, em = core(q0, P)
+        base = em * q1
+        corr = -ch.grad(q1) * em * float(P @ q1)
+        if not np.any(corr):
+            return base
+        return base + np.linalg.inv(dp_plus_dq1(q0, q1)).T @ corr
+
+    return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value, d1=d1,
+                               d2=d2, source=source)
+
+
+def reference_left(Ld, atlas, chart):
+    ch = atlas.chart(chart)
+    source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
+
+    def dp_minus_dq0(q0, q1):
+        return fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
+
+    def core(q1, P):
+        q1, P = as_vector(q1), as_vector(P)
+        q0 = source.invert_left(q1, P)
+        return q1, P, q0, np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
+
+    def value(q1, P):
+        q1, P, q0, E = core(q1, P)
+        return E * (-float(P @ q0) - float(Ld.value(q0, q1)))
+
+    def d1(q1, P):
+        q1, P, q0, E = core(q1, P)
+        phi1, phi0 = ch.grad(q1), ch.grad(q0)
+        H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
+        base = phi1 * H - E * as_vector(Ld.d2(q0, q1))
+        corr = phi0 * (E * float(P @ q0))
+        if not np.any(corr):
+            return base
+        dq0_dq1 = -np.linalg.solve(dp_minus_dq0(q0, q1), _dp_minus_dq1(Ld, q0, q1, phi0))
+        return base + np.atleast_2d(dq0_dq1).T @ corr
+
+    def d2(q1, P):
+        q1, P, q0, E = core(q1, P)
+        base = -E * q0
+        corr = ch.grad(q0) * (E * float(P @ q0))
+        if not np.any(corr):
+            return base
+        return base + np.linalg.inv(dp_minus_dq0(q0, q1)).T @ corr
+
+    return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value, d1=d1,
+                               d2=d2, source=source)
+
+
+BUILDERS = {"right": (build_right_hamiltonian, reference_right),
+            "left": (build_left_hamiltonian, reference_left)}
+H_PARTS = ("value", "d1", "d2")
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _memo_points(system, count):
+    ch = system.atlas.chart(system.start_chart)
+    center, span = 0.5 * (ch.lower + ch.upper), 0.25 * np.minimum(ch.width, 4.0)
+    rng = np.random.default_rng(17)
+    return [(center + span * rng.uniform(-1, 1, system.n), rng.uniform(-1, 1, system.n))
+            for _ in range(count)]
+
+
+def _h_call_orders(points):
+    a, b, c = points
+    return {"repeated": [(part, a) for part in H_PARTS + H_PARTS[::-1]],
+            "alternating": [(part, (a, b)[i % 2]) for i, part in enumerate(H_PARTS * 2)],
+            "d2_first": [("d2", c), ("d1", c), ("value", c), ("d2", b), ("value", a)]}
+
+
+def _memo_case(name, sigma, rule, side):
+    system = get_system(name)
+    if sigma == "constant":
+        system = with_constant_sigma(system, 0.7)
+    chart = system.start_chart
+    Ld = rule(system.lagrangian, system.atlas, chart, 0.1)
+    build, reference = BUILDERS[side]
+    return system, build(Ld, system.atlas, chart), reference(Ld, system.atlas, chart)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule],
+                         ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("sigma", ["conformal", "constant"])
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d", "free_rotor_circle"])
+def test_memoized_hamiltonians_bitwise_equal_reference(name, sigma, rule, side):
+    system, Hd, ref = _memo_case(name, sigma, rule, side)
+    for order_name, calls in _h_call_orders(_memo_points(system, 3)).items():
+        for part, (q, P) in calls:
+            got, want = getattr(Hd, part)(q, P), getattr(ref, part)(q, P)
+            assert type(got) is type(want), (order_name, part)
+            assert _bits(got) == _bits(want), (order_name, part)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+def test_memoized_hamiltonians_return_fresh_arrays(side):
+    system, Hd, ref = _memo_case("planar_2d", "conformal", conformal_midpoint_rule, side)
+    (q, P), = _memo_points(system, 1)
+    for part in ("d1", "d2"):
+        getattr(Hd, part)(q, P)[...] = 99.0
+        assert _bits(getattr(Hd, part)(q, P)) == _bits(getattr(ref, part)(q, P))
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("mutated", [0, 1], ids=["q", "P"])
+def test_memoized_hamiltonians_see_inputs_mutated_in_place(side, mutated):
+    system, Hd, ref = _memo_case("planar_2d", "conformal", conformal_midpoint_rule, side)
+    pair = list(_memo_points(system, 1)[0])
+    before = Hd.value(*pair), Hd.d1(*pair)
+    pair[mutated][1] += 0.05
+    for part in H_PARTS:
+        assert _bits(getattr(Hd, part)(*pair)) == _bits(getattr(ref, part)(*pair))
+    assert _bits(Hd.value(*pair)) != _bits(before[0])
+    assert _bits(Hd.d1(*pair)) != _bits(before[1])
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    for name in ("invert_right", "invert_left"):
+        original = getattr(LagrangianSource, name)
+
+        def counted(self, a, P, original=original):
+            calls.append(1)
+            return original(self, a, P)
+
+        monkeypatch.setattr(LagrangianSource, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+def test_memoized_hamiltonians_do_not_keep_a_failed_inversion(side, monkeypatch):
+    system, Hd, ref = _memo_case("harmonic_1d", "conformal", conformal_midpoint_rule, side)
+    (q, P), = _memo_points(system, 1)
+    calls = _count_inversions(monkeypatch)
+    bad = np.array([1e200])  # the Newton seed q -+ h P has no finite residual
+    for attempt in (1, 2):
+        with np.errstate(all="ignore"), pytest.raises(NewtonError):
+            Hd.d1(q, bad)
+        assert len(calls) == attempt
+    for part in H_PARTS:
+        assert _bits(getattr(Hd, part)(q, P)) == _bits(getattr(ref, part)(q, P))
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("sigma", ["conformal", "constant"])
+def test_hamiltonian_parts_at_one_point_invert_once(side, sigma, monkeypatch):
+    system, Hd, _ = _memo_case("planar_2d", sigma, conformal_midpoint_rule, side)
+    (q, P), = _memo_points(system, 1)
+    calls = _count_inversions(monkeypatch)
+    for part in H_PARTS:
+        getattr(Hd, part)(q, P)
+    assert len(calls) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcsdyn import (IntegrationError, StepperConfig, action_sum,
+from lcsdyn import (DiscreteTrajectory, IntegrationError, StepperConfig, action_sum,
                     conformal_midpoint_rule, del_step, dlcel_step,
                     free_rotor_circle, harmonic_1d, integrate, make_lcel_field,
                     midpoint_rule, rk4_integrate, rotor_extended_chart,
@@ -137,7 +137,8 @@ def test_stationarity_detects_perturbation(free_line, tight_cfg):
 def test_stationarity_needs_interior_point(free_line):
     Ld = midpoint_rule(free_line.lagrangian, 0.1)
     with pytest.raises(ValueError):
-        stationarity_residual(Ld, free_line.atlas, [[0.0], [0.1]], chart=0)
+        stationarity_residual(Ld, free_line.atlas,
+                              DiscreteTrajectory.from_points(0.1, 0, [[0.0], [0.1]]))
 
 
 def test_variational_consistency_scaled_tolerance(harmonic):
