@@ -402,6 +402,8 @@ def _parse_floats(text: str, field: str) -> list[float]:
         raise ConfigError(f"bad comma-separated number list {text!r}: {e}", field) from e
 
 
+# a numerical failure is reported by its exception, not by numpy's warnings
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lcsdyn",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -134,11 +135,11 @@ def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
 
 
 def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndarray:
-    """Velocity v solving dL/dv (q, v) = p, by Newton on the fiber."""
-    q, p = as_vector(q), as_vector(p)
-    res = newton_solve(lambda v: fiber_legendre(L, q, v) - p, p, _FIBER_CFG,
-                       jacobian=lambda v: L.hess_vv(q, v))
-    return res.x
+    """Velocity v solving dL/dv (q, v) = p by Newton, one jet call per iterate."""
+    q, p = as_vector(q).tolist(), as_vector(p)
+    jet = lru_cache(maxsize=1)(lambda key: L.jet(q, np.frombuffer(key).tolist()))
+    return newton_solve(lambda v: np.array(jet(v.tobytes())[2]) - p, p, _FIBER_CFG,
+                        jacobian=lambda v: jet(v.tobytes())[3]).x
 
 
 def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,

@@ -28,8 +28,11 @@ Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
 (implicit-function differentiation; exact when sigma is constant).  One Newton
 inversion at (q, P) gives the value and both partials: the builders sit on the
 quadrature rules' one-entry pair memo (``discretize._pair_memo``), so a built
-Hamiltonian is stateful and not thread-safe.  The plain steppers
-``rd_step``/``ld_step`` use these partials directly.  The conformal
+Hamiltonian is stateful and not thread-safe.  Their ``d1d2`` is lazy: where the
+Lee form (and the sigma Hessian at the eliminated point) vanishes it is
+-d1d2 Ld inv(dp+/dq1) (right) or -E (d1d2 Ld)^T inv(dp-/dq0) (left, E the
+exponential in H-), else 2n more inversions difference ``d1`` in P (right) or
+``d2`` in q1 (left).  Plain ``rd_step``/``ld_step`` use it as Newton Jacobian.  The conformal
 steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, and p_next = p+(q_curr, q_next) is then explicit.  That is what
@@ -48,7 +51,7 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas, transition_apply
 from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
+from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve, solve_linear
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq1,
                           _into_chart, _march, _p_minus, _p_plus)
@@ -56,6 +59,8 @@ from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq1,
 Vector = np.ndarray
 
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
+# d1 and d2 carry a differenced correction rounding at about 1e-11: too much for 1e-6
+_MIXED_FD_EPS = 1e-5
 
 
 class LegendreMomenta(NamedTuple):
@@ -159,11 +164,11 @@ class LagrangianSource:
 class DiscreteHamiltonian:
     """One-step generating Hamiltonian; right side takes (q_k, p_{k+1}), left (q_{k+1}, p_k).
 
-    ``d1``/``d2`` are partials of ``value`` with respect to its two arguments
-    (finite-difference consistent).  The builders below make the three share
-    one evaluation per (q, P).  ``source`` carries the generating
-    Lagrangian data of a Hamiltonian built from a discrete Lagrangian; the
-    conformal steppers require it.
+    ``d1``/``d2`` are partials of ``value`` in its two arguments and ``d1d2[i, j]
+    = d^2 H / da_i db_j`` (finite-difference consistent).  The builders make the
+    four share one inversion per (q, P), ``d1d2`` lazily, closed-form where the
+    Lee form vanishes and differenced elsewhere.  ``source`` carries the
+    generating data of a Lagrangian-built Hamiltonian; conformal steppers need it.
     """
 
     n: int
@@ -172,6 +177,7 @@ class DiscreteHamiltonian:
     value: Callable[[Vector, Vector], float]
     d1: Callable[[Vector, Vector], Vector]
     d2: Callable[[Vector, Vector], Vector]
+    d1d2: Callable[[Vector, Vector], np.ndarray]
     source: LagrangianSource | None = None
 
     def __post_init__(self):
@@ -211,11 +217,19 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                 d1 = d1 + np.atleast_2d(-np.linalg.solve(J, dgdq)).T @ corr1
             if np.any(corr2):
                 d2 = d2 + np.linalg.inv(J).T @ corr2
-        return coupling - float(Ld.value(q0, q1)), d1, d2, None
+        return coupling - float(Ld.value(q0, q1)), d1, d2, (q1, s0, phi0, phi1)
 
-    value, d1, d2, _ = _pair_memo(pair_data)
-    return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value,
-                               d1=d1, d2=d2, source=source)
+    def mixed(q0, P, q1, s0, phi0, phi1):
+        if np.any(phi0) or np.any(phi1) or np.any(ch.hess(q1)):
+            return fd_jacobian(lambda x: pair_data(q0, x)[1], P, _MIXED_FD_EPS)
+        dLd = np.atleast_2d(Ld.d1d2(q0, q1))  # read before the difference moves Ld's memo
+        J = fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
+        return -np.array([solve_linear(J.T, row) for row in dLd])
+
+    value, d1, d2, extra = _pair_memo(pair_data)
+    return DiscreteHamiltonian(
+        n=Ld.n, h=Ld.h, side="right", value=value, d1=d1, d2=d2, source=source,
+        d1d2=lambda q0, P: mixed(as_vector(q0), as_vector(P), *extra(q0, P)))
 
 
 def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -238,11 +252,19 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
             dq0_dq1 = -np.linalg.solve(J, _dp_minus_dq1(Ld, q0, q1, phi0))
             d1 = d1 + np.atleast_2d(dq0_dq1).T @ corr
             d2 = d2 + np.linalg.inv(J).T @ corr
-        return H, d1, d2, None
+        return H, d1, d2, (q0, E, phi0, phi1)
 
-    value, d1, d2, _ = _pair_memo(pair_data)
-    return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value,
-                               d1=d1, d2=d2, source=source)
+    def mixed(q1, P, q0, E, phi0, phi1):
+        if np.any(phi0) or np.any(phi1) or np.any(ch.hess(q0)):
+            return fd_jacobian(lambda x: pair_data(x, P)[2], q1, _MIXED_FD_EPS).T
+        dLd = np.atleast_2d(Ld.d1d2(q0, q1))
+        J = fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
+        return -E * np.array([solve_linear(J.T, col) for col in dLd.T])
+
+    value, d1, d2, extra = _pair_memo(pair_data)
+    return DiscreteHamiltonian(
+        n=Ld.n, h=Ld.h, side="left", value=value, d1=d1, d2=d2, source=source,
+        d1d2=lambda q1, P: mixed(as_vector(q1), as_vector(P), *extra(q1, P)))
 
 
 def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
@@ -254,16 +276,11 @@ def _plain_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
                 cfg: StepperConfig):
     """Newton solve of the plain step on Hd's side; returns (q_next, p_next, result)."""
     if Hd.side == "right":
-        def F(P):
-            return as_vector(Hd.d1(q_curr, P)) - p_curr
-
-        res = newton_solve(F, p_curr, cfg)
+        res = newton_solve(lambda P: as_vector(Hd.d1(q_curr, P)) - p_curr, p_curr, cfg,
+                           jacobian=lambda P: Hd.d1d2(q_curr, P))
         return as_vector(Hd.d2(q_curr, res.x)), res.x, res
-
-    def F(x):
-        return as_vector(Hd.d2(x, p_curr)) + q_curr
-
-    res = newton_solve(F, q_curr + Hd.h * p_curr, cfg)
+    res = newton_solve(lambda x: as_vector(Hd.d2(x, p_curr)) + q_curr,
+                       q_curr + Hd.h * p_curr, cfg, jacobian=lambda x: Hd.d1d2(x, p_curr).T)
     return res.x, -as_vector(Hd.d1(res.x, p_curr)), res
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,8 +398,8 @@ EDGE_CASES = {
 }
 
 
-# the inputs are chosen to overflow, so numpy's overflow warnings are expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the inputs are chosen to overflow; main keeps numpy's warnings to itself
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(EDGE_CASES))
 @pytest.mark.parametrize("method", ["rd", "ld", "rdlch", "ldlch", "dlcel"])
 def test_edge_configs_end_in_success_or_numerical_failure(tmp_path, capsys, method, case):
@@ -408,3 +412,29 @@ def test_edge_configs_end_in_success_or_numerical_failure(tmp_path, capsys, meth
     assert code in (0, EXIT_NUMERICAL)
     if code == EXIT_NUMERICAL:
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+# Edge configs whose numpy overflow or invalid-value warnings used to reach
+# stderr ahead of the failure line.  Only a separate process shows what a user
+# sees: pytest captures warnings raised in its own process.
+STDERR_CASES = {
+    "ld_h_1e-300": {"method": "ld", "h": 1e-300},
+    "dlcel_sigma_800": {"method": "dlcel", "sigma_params": [800.0]},
+    "dlcel_sigma_-800": {"method": "dlcel", "sigma_params": [-800.0]},
+    "rdlch_sigma_-800": {"method": "rdlch", "sigma_params": [-800.0]},
+}
+
+
+@pytest.mark.parametrize("case", list(STDERR_CASES))
+def test_numerical_failure_prints_one_line_to_stderr(tmp_path, case):
+    data = dict(base_config(steps=5, tol=1e-10), **STDERR_CASES[case])
+    if data["method"] != "dlcel":
+        data["initial"] = {"q": [1.0], "p": [0.5]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "lcsdyn.cli", "integrate", "--config",
+                           _write_config(tmp_path, data)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_NUMERICAL
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), done.stderr

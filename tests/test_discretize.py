@@ -8,9 +8,9 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
                     conformal_trapezoidal_rule, exact_discrete_lagrangian,
                     free_rotor_circle, harmonic_1d, midpoint_rule, planar_2d,
                     trapezoidal_rule, with_constant_sigma)
-from lcsdyn.continuous import ContinuousLagrangian
+from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
 from lcsdyn.discretize import DiscreteLagrangian
-from lcsdyn.numerics import as_vector, fd_jacobian
+from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
 from conftest import free_line_system
 
 
@@ -486,3 +486,21 @@ def test_plain_rules_evaluate_the_jet_once_per_pair_point(rule, jet_calls):
     for part in PARTS:
         getattr(Ld, part)(q0, q1)
     assert len(calls) == jet_calls
+
+
+def test_fiber_legendre_inv_calls_the_jet_once_per_velocity():
+    # Newton's residual and Jacobian at one iterate share one jet call
+    L = varying_mass().lagrangian
+    velocities = []
+
+    def jet(q, v):
+        velocities.append(tuple(v))
+        return L.jet(q, v)
+
+    q, p = np.array([0.3, -0.2]), np.array([0.7, 0.4])
+    v = fiber_legendre_inv(ContinuousLagrangian(2, jet, L.hess_qq), q, p)
+    assert len(velocities) == len(set(velocities)) >= 2
+    # bitwise the former solve, which called the jet through grad_v and hess_vv
+    ref = newton_solve(lambda x: L.grad_v(q, x) - p, p, StepperConfig(tol=1e-12),
+                       jacobian=lambda x: L.hess_vv(q, x)).x
+    assert v.tobytes() == ref.tobytes()

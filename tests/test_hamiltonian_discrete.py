@@ -9,6 +9,7 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     free_rotor_circle, ld_step, ldlch_step, midpoint_rule,
                     momenta_along_trajectory, rd_step, rdlch_step, transition_apply,
                     with_constant_sigma)
+from lcsdyn import hamiltonian_discrete, numerics
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve
 from lcsdyn.variational import _dp_minus_dq1, _p_minus, _p_plus
 
@@ -19,7 +20,8 @@ def analytic_free_right(h):
         n=1, h=h, side="right",
         value=lambda q, p: float(p @ q) + 0.5 * h * float(p @ p),
         d1=lambda q, p: np.asarray(p, float).copy(),
-        d2=lambda q, p: np.asarray(q, float) + h * np.asarray(p, float))
+        d2=lambda q, p: np.asarray(q, float) + h * np.asarray(p, float),
+        d1d2=lambda q, p: np.array([[1.0]]))
 
 
 def analytic_free_left(h):
@@ -28,7 +30,8 @@ def analytic_free_left(h):
         n=1, h=h, side="left",
         value=lambda q, p: -float(p @ q) + 0.5 * h * float(p @ p),
         d1=lambda q, p: -np.asarray(p, float).copy(),
-        d2=lambda q, p: -np.asarray(q, float) + h * np.asarray(p, float))
+        d2=lambda q, p: -np.asarray(q, float) + h * np.asarray(p, float),
+        d1d2=lambda q, p: np.array([[-1.0]]))
 
 
 def test_discrete_legendre_flat(free_line_flat):
@@ -334,6 +337,11 @@ def test_pairwise_momentum_fill_matches_pointwise_fill(conformal, tight_cfg):
         assert a.r.tobytes() == b.r.tobytes()
 
 
+def differenced_d1d2(d1):
+    """d1d2 as a central difference of ``d1`` in the second argument."""
+    return lambda a, b: fd_jacobian(lambda x: as_vector(d1(a, x)), as_vector(b), 1e-4)
+
+
 # --- one inversion per (q, P) -------------------------------------------------
 #
 # Both builders keep the last (q, P)'s value and partials in a one-entry memo.
@@ -381,7 +389,7 @@ def reference_right(Ld, atlas, chart):
         return base + np.linalg.inv(dp_plus_dq1(q0, q1)).T @ corr
 
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value, d1=d1,
-                               d2=d2, source=source)
+                               d2=d2, d1d2=differenced_d1d2(d1), source=source)
 
 
 def reference_left(Ld, atlas, chart):
@@ -420,7 +428,7 @@ def reference_left(Ld, atlas, chart):
         return base + np.linalg.inv(dp_minus_dq0(q0, q1)).T @ corr
 
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value, d1=d1,
-                               d2=d2, source=source)
+                               d2=d2, d1d2=differenced_d1d2(d1), source=source)
 
 
 BUILDERS = {"right": (build_right_hamiltonian, reference_right),
@@ -529,3 +537,91 @@ def test_hamiltonian_parts_at_one_point_invert_once(side, sigma, monkeypatch):
     for part in H_PARTS:
         getattr(Hd, part)(q, P)
     assert len(calls) == 1
+
+
+# --- the mixed partial d1d2 ----------------------------------------------------
+#
+# d1d2 is closed-form where the Lee form vanishes (constant sigma) and a
+# difference of the memo's d1 or d2 otherwise; the reference builders'
+# d1d2 differences their own d1 at another step.
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("sigma", ["conformal", "constant"])
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d"])
+def test_hamiltonian_d1d2_matches_differenced_d1(name, sigma, side):
+    system, Hd, ref = _memo_case(name, sigma, conformal_midpoint_rule, side)
+    for q, P in _memo_points(system, 10):
+        got = Hd.d1d2(q, P)
+        assert got.shape == (system.n, system.n)
+        assert np.max(np.abs(got - ref.d1d2(q, P))) <= 1e-6
+        # the memo still serves the pair's own value and partials
+        for part in H_PARTS:
+            assert _bits(getattr(Hd, part)(q, P)) == _bits(getattr(ref, part)(q, P))
+
+
+def reference_plain_step(Hd, q_curr, p_curr, cfg):
+    """The former plain step: Newton on Hd's partials with a finite-difference
+    Jacobian, so every differenced residual is another inversion."""
+    q_curr, p_curr = as_vector(q_curr), as_vector(p_curr)
+    if Hd.side == "right":
+        P = newton_solve(lambda x: as_vector(Hd.d1(q_curr, x)) - p_curr, p_curr, cfg).x
+        return as_vector(Hd.d2(q_curr, P)), P
+    x = newton_solve(lambda x: as_vector(Hd.d2(x, p_curr)) + q_curr,
+                     q_curr + Hd.h * p_curr, cfg).x
+    return x, -as_vector(Hd.d1(x, p_curr))
+
+
+PLAIN_STEPS = {"right": rd_step, "left": ld_step}
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("sigma", ["conformal", "constant"])
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d"])
+def test_plain_steps_match_the_differenced_newton(name, sigma, side, tight_cfg):
+    system, Hd, _ = _memo_case(name, sigma, conformal_midpoint_rule, side)
+    for q, p in _memo_points(system, 10):
+        q_ref, p_ref = reference_plain_step(Hd, q, p, tight_cfg)
+        q_next, p_next = PLAIN_STEPS[side](Hd, q, p, tight_cfg)
+        assert np.max(np.abs(q_next - q_ref)) <= 10 * tight_cfg.tol
+        assert np.max(np.abs(p_next - p_ref)) <= 10 * tight_cfg.tol
+
+
+def _count_outer_residuals(monkeypatch):
+    """Count the calls of the plain step's residual made outside a finite
+    difference; the inversions' own Newton solves are not counted."""
+    calls, differencing = [], []
+    fd, newton = numerics.fd_jacobian, hamiltonian_discrete.newton_solve
+
+    def counted_fd(F, x, eps):
+        differencing.append(1)
+        try:
+            return fd(F, x, eps)
+        finally:
+            differencing.pop()
+
+    def outer_newton(F, x0, cfg, jacobian=None):
+        monkeypatch.setattr(hamiltonian_discrete, "newton_solve", newton)
+
+        def counted(x):
+            if not differencing:
+                calls.append(1)
+            return F(x)
+
+        return newton(counted, x0, cfg, jacobian=jacobian)
+
+    monkeypatch.setattr(numerics, "fd_jacobian", counted_fd)
+    monkeypatch.setattr(hamiltonian_discrete, "newton_solve", outer_newton)
+    return calls
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d"])
+def test_constant_sigma_plain_step_inverts_once_per_residual(name, side, monkeypatch,
+                                                             tight_cfg):
+    system, Hd, _ = _memo_case(name, "constant", conformal_midpoint_rule, side)
+    for q, p in _memo_points(system, 5):
+        inversions = _count_inversions(monkeypatch)
+        residuals = _count_outer_residuals(monkeypatch)
+        PLAIN_STEPS[side](Hd, q, p, tight_cfg)
+        assert 2 <= len(residuals) and len(inversions) <= len(residuals)
+        monkeypatch.undo()
