@@ -42,13 +42,13 @@ class ContinuousLagrangian:
     dq_j``.  ``hess_vv`` must be invertible wherever the dynamics are
     evaluated.  The continuous fields and the quadrature rules call the jet
     once where they need several parts; each method below calls it once and
-    returns one part.  ``hess_qq(q, v)`` is optional; it is only needed to
-    assemble analytic mixed partials of quadrature-rule discrete Lagrangians.
+    returns one part.  ``hess_qq(q, v)`` returns the (n, n) array
+    d^2 L / dq dq; the quadrature rules' second partials read it.
     """
 
     n: int
     jet: Callable[[list, list], tuple]
-    hess_qq: Callable[[Vector, Vector], np.ndarray] | None = None
+    hess_qq: Callable[[Vector, Vector], np.ndarray]
 
     def _at(self, q: Vector, v: Vector) -> tuple:
         return self.jet(as_vector(q).tolist(), as_vector(v).tolist())

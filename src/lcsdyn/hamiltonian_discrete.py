@@ -24,16 +24,24 @@ The right discrete Hamiltonian eliminates q1 from
 
     H-(q1, P) = exp(sigma(q1) - sigma(q0)) (-P . q0 - Ld(q0, q1)),   P = p-(q0, q1).
 
+Both inversions are Newton solves with the closed-form Jacobians
+
+    dp+/dq1 = exp(sigma(q1) - sigma(q0)) (d2d2 Ld + d2 Ld (x) phi(q1)),
+    dp-/dq0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld.
+
 Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
-(implicit-function differentiation; exact when sigma is constant).  One Newton
+(implicit-function differentiation through the same Jacobians).  One Newton
 inversion at (q, P) gives the value and both partials: the builders sit on the
 quadrature rules' one-entry pair memo (``discretize._pair_memo``), so a built
 Hamiltonian is stateful and not thread-safe.  Their ``d1d2`` is lazy: where the
 Lee form (and the sigma Hessian at the eliminated point) vanishes it is
 -d1d2 Ld inv(dp+/dq1) (right) or -E (d1d2 Ld)^T inv(dp-/dq0) (left, E the
-exponential in H-), else 2n more inversions difference ``d1`` in P (right) or
-``d2`` in q1 (left).  Plain ``rd_step``/``ld_step`` use it as Newton Jacobian.  The conformal
-steppers step the generating Lagrangian instead: q_next solves
+exponential in H-).  Elsewhere ``d1`` is differenced in P along the inverted
+relation's tangent, the eliminated point moving by inv(dp/dq) dP, with no
+further inversion: where the Lee form at the eliminated point is nonzero the
+exact mixed partial carries third partials of Ld, which no rule provides.
+Plain ``rd_step``/``ld_step`` use ``d1d2`` as Newton Jacobian.
+The conformal steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, and p_next = p+(q_curr, q_next) is then explicit.  That is what
 the conformal Hamilton equations assert once the eliminated argument is held
@@ -53,14 +61,15 @@ from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve, solve_linear
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
-from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq1,
-                          _into_chart, _march, _p_minus, _p_plus)
+from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq0,
+                          _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
+                          _p_plus)
 
 Vector = np.ndarray
 
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
-# d1 and d2 carry a differenced correction rounding at about 1e-11: too much for 1e-6
-_MIXED_FD_EPS = 1e-5
+# the tangent difference's truncation (third partials of d1) against its rounding
+_TANGENT_FD_EPS = 1e-5
 
 
 class LegendreMomenta(NamedTuple):
@@ -141,23 +150,31 @@ class LagrangianSource:
     chart: int
 
     def invert_right(self, q0: Vector, P: Vector) -> np.ndarray:
-        """q1 solving P = p+(q0, q1), from the seed q0 + h P."""
+        """q1 solving P = p+(q0, q1), by Newton with the closed-form dp+/dq1
+        from the seed q0 + h P."""
         ch = self.atlas.chart(self.chart)
         s0 = float(ch.sigma(q0))
 
         def g(x):
             return _p_plus(self.Ld, q0, x, s0, float(ch.sigma(x))) - P
 
-        return newton_solve(g, q0 + self.Ld.h * P, _INVERT_CFG).x
+        def J(x):
+            return _dp_plus_dq1(self.Ld, q0, x, s0, float(ch.sigma(x)), ch.grad(x))
+
+        return newton_solve(g, q0 + self.Ld.h * P, _INVERT_CFG, jacobian=J).x
 
     def invert_left(self, q1: Vector, P: Vector) -> np.ndarray:
-        """q0 solving P = p-(q0, q1), from the seed q1 - h P."""
+        """q0 solving P = p-(q0, q1), by Newton with the closed-form dp-/dq0
+        from the seed q1 - h P."""
         ch = self.atlas.chart(self.chart)
 
         def g(x):
             return _p_minus(self.Ld, x, q1, ch.grad(x)) - P
 
-        return newton_solve(g, q1 - self.Ld.h * P, _INVERT_CFG).x
+        def J(x):
+            return _dp_minus_dq0(self.Ld, x, q1, ch.grad(x), ch.hess(x))
+
+        return newton_solve(g, q1 - self.Ld.h * P, _INVERT_CFG, jacobian=J).x
 
 
 @dataclass(frozen=True)
@@ -166,9 +183,11 @@ class DiscreteHamiltonian:
 
     ``d1``/``d2`` are partials of ``value`` in its two arguments and ``d1d2[i, j]
     = d^2 H / da_i db_j`` (finite-difference consistent).  The builders make the
-    four share one inversion per (q, P), ``d1d2`` lazily, closed-form where the
-    Lee form vanishes and differenced elsewhere.  ``source`` carries the
-    generating data of a Lagrangian-built Hamiltonian; conformal steppers need it.
+    four share one inversion per (q, P), solved and differentiated through the
+    closed-form Jacobian of the momentum relation; ``d1d2`` is lazy, closed-form
+    where the Lee form vanishes and elsewhere differenced along the inverted
+    relation without further inversions.  ``source`` carries the generating
+    data of a Lagrangian-built Hamiltonian; conformal steppers need it.
     """
 
     n: int
@@ -185,48 +204,50 @@ class DiscreteHamiltonian:
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
 
 
+def _along_inversion(partial, P: Vector, J: np.ndarray) -> np.ndarray:
+    """d/dP of ``partial(t, dx)``, the Hamiltonian's first partial at P + t with
+    the eliminated point moved by dx = inv(J) t: a central difference along
+    the inverted momentum relation (J its Jacobian in the eliminated point)."""
+    return fd_jacobian(lambda t: partial(t, solve_linear(J, t)), np.zeros(P.size),
+                       _TANGENT_FD_EPS)
+
+
 def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                             chart: int) -> DiscreteHamiltonian:
     """Right discrete Hamiltonian H+(q_k, p_{k+1}) generated by Ld on a chart.
 
     One Newton inversion of the forward momentum relation for q_{k+1} gives
     the value and both partials; the partials come from implicit-function
-    differentiation, reducing to d1 = -d1 Ld and d2 = q_{k+1} when sigma is
-    constant.
+    differentiation through the closed-form dp+/dq1, reducing to d1 = -d1 Ld
+    and d2 = q_{k+1} when sigma is constant.
     """
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def pair_data(q0, P):
-        q1 = source.invert_right(q0, P)
-        s0 = float(ch.sigma(q0))
-        em = np.exp(s0 - float(ch.sigma(q1)))
+    def partials(q0, P, q1):
+        s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
+        em = np.exp(s0 - s1)
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
         coupling = em * float(P @ q1)
         d1 = phi0 * coupling - as_vector(Ld.d1(q0, q1))
         d2 = em * q1
-        # the same correction rounded in two orders, one per partial; the tests
-        # compare both partials bit for bit with the reference builders
-        corr1, corr2 = -phi1 * coupling, -phi1 * em * float(P @ q1)
-        if np.any(corr1) or np.any(corr2):
-            # d/dq1 of the inverted relation P = p+(q0, q1), differenced
-            J = fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
-            if np.any(corr1):
-                dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T
-                                     - np.outer(as_vector(Ld.d2(q0, q1)), phi0))
-                d1 = d1 + np.atleast_2d(-np.linalg.solve(J, dgdq)).T @ corr1
-            if np.any(corr2):
-                d2 = d2 + np.linalg.inv(J).T @ corr2
-        return coupling - float(Ld.value(q0, q1)), d1, d2, (q1, s0, phi0, phi1)
+        if np.any(phi1):
+            # dH+/dq1 at fixed (q0, P) is -phi1 coupling; it reaches the partials
+            # through dq1/dP = inv(J) and dq1/dq0 = -inv(J) dp+/dq0
+            y = solve_linear(_dp_plus_dq1(Ld, q0, q1, s0, s1, phi1).T, -phi1 * coupling)
+            dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T
+                                 - np.outer(as_vector(Ld.d2(q0, q1)), phi0))
+            d1 = d1 - dgdq.T @ y
+            d2 = d2 + y
+        return coupling - float(Ld.value(q0, q1)), d1, d2, (q1, s0, s1, phi0, phi1)
 
-    def mixed(q0, P, q1, s0, phi0, phi1):
+    def mixed(q0, P, q1, s0, s1, phi0, phi1):
+        J = _dp_plus_dq1(Ld, q0, q1, s0, s1, phi1)
         if np.any(phi0) or np.any(phi1) or np.any(ch.hess(q1)):
-            return fd_jacobian(lambda x: pair_data(q0, x)[1], P, _MIXED_FD_EPS)
-        dLd = np.atleast_2d(Ld.d1d2(q0, q1))  # read before the difference moves Ld's memo
-        J = fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
-        return -np.array([solve_linear(J.T, row) for row in dLd])
+            return _along_inversion(lambda t, dx: partials(q0, P + t, q1 + dx)[1], P, J)
+        return -np.array([solve_linear(J.T, row) for row in np.atleast_2d(Ld.d1d2(q0, q1))])
 
-    value, d1, d2, extra = _pair_memo(pair_data)
+    value, d1, d2, extra = _pair_memo(lambda q0, P: partials(q0, P, source.invert_right(q0, P)))
     return DiscreteHamiltonian(
         n=Ld.n, h=Ld.h, side="right", value=value, d1=d1, d2=d2, source=source,
         d1d2=lambda q0, P: mixed(as_vector(q0), as_vector(P), *extra(q0, P)))
@@ -238,30 +259,30 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def pair_data(q1, P):
-        q0 = source.invert_left(q1, P)
+    def partials(q1, P, q0):
         E = np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
         phi1, phi0 = ch.grad(q1), ch.grad(q0)
         H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
         d1 = phi1 * H - E * as_vector(Ld.d2(q0, q1))
         d2 = -E * q0
-        corr = phi0 * (E * float(P @ q0))
-        if np.any(corr):
-            # d/dq0 of p-(q0, q1); needs the sigma Hessian, so it is differenced
-            J = fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
-            dq0_dq1 = -np.linalg.solve(J, _dp_minus_dq1(Ld, q0, q1, phi0))
-            d1 = d1 + np.atleast_2d(dq0_dq1).T @ corr
-            d2 = d2 + np.linalg.inv(J).T @ corr
+        if np.any(phi0):
+            # dH-/dq0 at fixed (q1, P) is phi0 E P.q0; it reaches the partials
+            # through dq0/dP = inv(J) and dq0/dq1 = -inv(J) dp-/dq1
+            y = solve_linear(_dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0)).T,
+                             phi0 * (E * float(P @ q0)))
+            d1 = d1 - _dp_minus_dq1(Ld, q0, q1, phi0).T @ y
+            d2 = d2 + y
         return H, d1, d2, (q0, E, phi0, phi1)
 
     def mixed(q1, P, q0, E, phi0, phi1):
-        if np.any(phi0) or np.any(phi1) or np.any(ch.hess(q0)):
-            return fd_jacobian(lambda x: pair_data(x, P)[2], q1, _MIXED_FD_EPS).T
+        hess0 = ch.hess(q0)
+        J = _dp_minus_dq0(Ld, q0, q1, phi0, hess0)
+        if np.any(phi0) or np.any(phi1) or np.any(hess0):
+            return _along_inversion(lambda t, dx: partials(q1, P + t, q0 + dx)[1], P, J)
         dLd = np.atleast_2d(Ld.d1d2(q0, q1))
-        J = fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
         return -E * np.array([solve_linear(J.T, col) for col in dLd.T])
 
-    value, d1, d2, extra = _pair_memo(pair_data)
+    value, d1, d2, extra = _pair_memo(lambda q1, P: partials(q1, P, source.invert_left(q1, P)))
     return DiscreteHamiltonian(
         n=Ld.n, h=Ld.h, side="left", value=value, d1=d1, d2=d2, source=source,
         d1d2=lambda q1, P: mixed(as_vector(q1), as_vector(P), *extra(q1, P)))

@@ -78,6 +78,20 @@ def _dp_minus_dq1(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector
     return np.outer(phi0, as_vector(Ld.d2(q0, q1))) - np.atleast_2d(Ld.d1d2(q0, q1))
 
 
+def _dp_plus_dq1(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, s0: float, s1: float,
+                 phi1: Vector) -> np.ndarray:
+    """d p+(q0, q1) / d q1 = exp(s1 - s0) (d2d2 Ld + d2 Ld (x) phi(q1))."""
+    return np.exp(s1 - s0) * (np.atleast_2d(Ld.d2d2(q0, q1))
+                              + np.outer(as_vector(Ld.d2(q0, q1)), phi1))
+
+
+def _dp_minus_dq0(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector,
+                  hess0: np.ndarray) -> np.ndarray:
+    """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld."""
+    return (hess0 * float(Ld.value(q0, q1)) + np.outer(phi0, as_vector(Ld.d1(q0, q1)))
+            - np.atleast_2d(Ld.d1d1(q0, q1)))
+
+
 def _dlcel_system(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector,
                   p_curr: Vector) -> tuple[Callable, Callable]:
     """The conformal step: q_next solving p_curr = p-(q_curr, q_next).

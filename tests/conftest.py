@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lcsdyn import (Chart, ConformalAtlas, StepperConfig, System,
-                    harmonic_1d)
+                    harmonic_1d, planar_2d)
+from lcsdyn.continuous import ContinuousLagrangian
+from lcsdyn.numerics import as_vector
 from lcsdyn.systems import _free_particle
 
 
@@ -15,6 +19,43 @@ def free_line_system(c: float = 0.1, box: float = 50.0) -> System:
     L, H = _free_particle(1)
     return System(name="free_line", n=1, atlas=ConformalAtlas(charts=(chart,)),
                   lagrangian=L, hamiltonian=H, start_chart=0, sigma_params=(c,))
+
+
+def curved_planar():
+    """planar_2d with a non-linear conformal factor (nonzero, varying Hessian)."""
+    system = planar_2d()
+    c = system.atlas.charts[0]
+    chart = Chart(id=0, dim=2, lower=c.lower, upper=c.upper,
+                  sigma=lambda q: 0.2 * q[0] ** 2 + 0.1 * np.sin(q[1]),
+                  sigma_grad=lambda q: np.array([0.4 * q[0], 0.1 * np.cos(q[1])]),
+                  sigma_hess=lambda q: np.array([[0.4, 0.0],
+                                                 [0.0, -0.1 * np.sin(q[1])]]))
+    return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
+
+
+def varying_mass():
+    """planar_2d with L = mu(q)|v|^2/2 + A(q).v - |q|^2/2, mu = 1 + |q|^2/10 and
+    A = (0.3 q1^2, 0.5 q0): hess_vv = mu(q) I and the non-symmetric
+    hess_vq = v (x) grad mu + dA vary with the point; hess_qq is analytic."""
+
+    def jet(q, v):
+        (q0, q1), (v0, v1) = q, v
+        mu, vv = 1.0 + 0.1 * (q0 * q0 + q1 * q1), v0 * v0 + v1 * v1
+        value = 0.5 * mu * vv + 0.3 * q1 * q1 * v0 + 0.5 * q0 * v1 \
+            - 0.5 * (q0 * q0 + q1 * q1)
+        grad_q = [0.1 * vv * q0 + 0.5 * v1 - q0, 0.1 * vv * q1 + 0.6 * q1 * v0 - q1]
+        grad_v = [mu * v0 + 0.3 * q1 * q1, mu * v1 + 0.5 * q0]
+        hess_vq = np.array([[0.2 * v0 * q0, 0.2 * v0 * q1 + 0.6 * q1],
+                            [0.2 * v1 * q0 + 0.5, 0.2 * v1 * q1]])
+        return value, grad_q, grad_v, mu * np.eye(2), hess_vq
+
+    def hess_qq(q, v):
+        v = as_vector(v)
+        return (0.1 * float(v @ v) - 1.0) * np.eye(2) + np.array([[0.0, 0.0],
+                                                                  [0.0, 0.6 * v[0]]])
+
+    system = planar_2d(0.3, -0.2)
+    return dataclasses.replace(system, lagrangian=ContinuousLagrangian(2, jet, hess_qq))
 
 
 @pytest.fixture

@@ -55,7 +55,8 @@ def test_acceleration_free_particle(free_line):
 
 def test_acceleration_singular_hessian(harmonic):
     degenerate = ContinuousLagrangian(
-        n=1, jet=lambda q, v: (v[0], [0.0], [1.0], np.zeros((1, 1)), np.zeros((1, 1))))
+        n=1, jet=lambda q, v: (v[0], [0.0], [1.0], np.zeros((1, 1)), np.zeros((1, 1))),
+        hess_qq=lambda q, v: np.zeros((1, 1)))
     with pytest.raises(RegularityError):
         lcel_acceleration(degenerate, harmonic.atlas, 0, [0.0], [1.0])
 
@@ -66,11 +67,13 @@ def test_energy_values(harmonic):
     # homogeneous degree one in velocity -> zero energy
     L1 = ContinuousLagrangian(
         n=1, jet=lambda q, v: (3.0 * v[0], [0.0], [3.0], np.zeros((1, 1)),
-                               np.zeros((1, 1))))
+                               np.zeros((1, 1))),
+        hess_qq=lambda q, v: np.zeros((1, 1)))
     assert energy(L1, [0.5], [2.0]) == pytest.approx(0.0)
     free = ContinuousLagrangian(
         n=1, jet=lambda q, v: (0.5 * v[0] * v[0], [0.0], list(v), np.eye(1),
-                               np.zeros((1, 1))))
+                               np.zeros((1, 1))),
+        hess_qq=lambda q, v: np.zeros((1, 1)))
     assert energy(free, [0.0], [2.0]) == pytest.approx(2.0)
 
 
@@ -80,7 +83,8 @@ def test_fiber_legendre(harmonic):
     assert np.allclose(fiber_legendre_inv(L, [0.0], [3.0]), [3.0])
     mass2 = ContinuousLagrangian(
         n=1, jet=lambda q, v: (v[0] * v[0], [0.0], [2.0 * v[0]], 2.0 * np.eye(1),
-                               np.zeros((1, 1))))
+                               np.zeros((1, 1))),
+        hess_qq=lambda q, v: np.zeros((1, 1)))
     assert np.allclose(fiber_legendre(mass2, [0.0], [1.0]), [2.0])
     assert np.allclose(fiber_legendre_inv(mass2, [0.0], [2.0]), [1.0])
 
@@ -125,7 +129,7 @@ def test_fields_reject_wrong_length_gradients(harmonic):
             return tuple(parts)
         return wrong
 
-    L2 = ContinuousLagrangian(n=1, jet=two_gradients(L.jet))
+    L2 = ContinuousLagrangian(n=1, jet=two_gradients(L.jet), hess_qq=L.hess_qq)
     H2 = ContinuousHamiltonian(n=1, jet=two_gradients(H.jet))
     x = np.array([0.5, 0.2])
     with pytest.raises(ValueError):
@@ -216,7 +220,7 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
         return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
                 (B.T @ v - K @ q).tolist(), (M @ v + B @ q).tolist(), M, B)
 
-    L = ContinuousLagrangian(n=2, jet=jet)
+    L = ContinuousLagrangian(n=2, jet=jet, hess_qq=lambda q, v: -K)
     system = planar_2d()
     x0 = np.array([0.6, -0.4, 0.2, 0.9])
     got = rk4_integrate(make_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
@@ -340,7 +344,7 @@ def test_lcel_field_raises_on_a_doubtful_velocity_hessian(M):
         v = np.array(v)
         return 0.5 * float(v @ M @ v), [0.0] * n, (M @ v).tolist(), M, np.zeros((n, n))
 
-    L = ContinuousLagrangian(n=n, jet=jet)
+    L = ContinuousLagrangian(n=n, jet=jet, hess_qq=lambda q, v: np.zeros((n, n)))
     chart = Chart(id=0, dim=n, lower=[-5] * n, upper=[5] * n,
                   sigma=lambda q: 0.1 * float(q[0]), constant_lee=[0.1] + [0.0] * (n - 1))
     field = make_lcel_field(L, ConformalAtlas(charts=(chart,)), 0)

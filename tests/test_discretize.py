@@ -1,8 +1,8 @@
-import dataclasses
 import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rule,
                     conformal_trapezoidal_rule, exact_discrete_lagrangian,
@@ -11,7 +11,7 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
 from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
 from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
-from conftest import free_line_system
+from conftest import curved_planar, free_line_system, varying_mass
 
 
 def harmonic_exact_value(q0, q1, h):
@@ -157,6 +157,9 @@ def test_exact_partials_match_finite_differences(harmonic_flat):
         assert np.max(np.abs(Ld.d2(q0, q1) - d2_true)) <= 1e-6
         d1d2_true = -1.0 / np.sin(0.1)
         assert abs(Ld.d1d2(q0, q1)[0, 0] - d1d2_true) <= 1e-4 * abs(d1d2_true)
+        same_true = np.cos(0.1) / np.sin(0.1)
+        assert abs(Ld.d1d1(q0, q1)[0, 0] - same_true) <= 1e-4 * same_true
+        assert abs(Ld.d2d2(q0, q1)[0, 0] - same_true) <= 1e-4 * same_true
 
 
 def test_exact_shooting_failure_reports_residual():
@@ -206,14 +209,19 @@ def reference_midpoint(L, h):
         m, w = 0.5 * (q0 + q1), (q1 - q0) / h
         vq = np.atleast_2d(L.hess_vq(m, w))
         out = 0.5 * (vq.T - vq) - np.atleast_2d(L.hess_vv(m, w)) / h
-        if L.hess_qq is not None:
-            out = out + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
-        else:
-            out = out + 0.25 * h * fd_jacobian(lambda x: as_vector(L.grad_q(x, w)),
-                                               m, 1e-6)
-        return out
+        return out + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+    def same(q0, q1, k):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        m, w = 0.5 * (q0 + q1), (q1 - q0) / h
+        vq = np.atleast_2d(L.hess_vq(m, w))
+        sym = 0.5 * (vq + vq.T)
+        return (0.25 * h * np.atleast_2d(L.hess_qq(m, w)) + (sym if k else -sym)
+                + np.atleast_2d(L.hess_vv(m, w)) / h)
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
+                              d1d1=lambda q0, q1: same(q0, q1, 0),
+                              d2d2=lambda q0, q1: same(q0, q1, 1))
 
 
 def reference_trapezoidal(L, h):
@@ -242,7 +250,19 @@ def reference_trapezoidal(L, h):
         vv = np.atleast_2d(L.hess_vv(q0, w)) + np.atleast_2d(L.hess_vv(q1, w))
         return 0.5 * (vq0.T - vq1) - vv / (2.0 * h)
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+    def same(q0, q1, k):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w = (q1 - q0) / h
+        q, other = (q1, q0) if k else (q0, q1)
+        vq = np.atleast_2d(L.hess_vq(q, w))
+        sym = 0.5 * (vq + vq.T)
+        node = (0.5 * h * np.atleast_2d(L.hess_qq(q, w)) + (sym if k else -sym)
+                + np.atleast_2d(L.hess_vv(q, w)) / (2.0 * h))
+        return node + np.atleast_2d(L.hess_vv(other, w)) / (2.0 * h)
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
+                              d1d1=lambda q0, q1: same(q0, q1, 0),
+                              d2d2=lambda q0, q1: same(q0, q1, 1))
 
 
 def reference_conformal_midpoint(L, atlas, chart, h):
@@ -254,7 +274,8 @@ def reference_conformal_midpoint(L, atlas, chart, h):
         s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
         a = ch.grad(q0) - 0.5 * ch.grad(mid)
         b = -0.5 * ch.grad(mid)
-        trivial = s0 == sm and not np.any(a) and not np.any(b)
+        trivial = (s0 == sm and not np.any(a) and not np.any(b)
+                   and not np.any(ch.hess(q0)) and not np.any(ch.hess(mid)))
         return mid, np.exp(s0 - sm), a, b, trivial
 
     def value(q0, q1):
@@ -289,7 +310,27 @@ def reference_conformal_midpoint(L, atlas, chart, h):
                     + np.outer(bd1, b)
                     + base.d1d2(q0, q1))
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+    def d1d1(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        mid, E, a, _, trivial = _weights(q0, q1)
+        if trivial:
+            return base.d1d1(q0, q1)
+        val, bd1 = base.value(q0, q1), base.d1(q0, q1)
+        da = -0.25 * ch.hess(mid) + ch.hess(q0)
+        return E * (np.outer(a, a * val + bd1) + np.outer(bd1, a) + val * da
+                    + base.d1d1(q0, q1))
+
+    def d2d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        mid, E, _, b, trivial = _weights(q0, q1)
+        if trivial:
+            return base.d2d2(q0, q1)
+        val, bd2 = base.value(q0, q1), base.d2(q0, q1)
+        return E * (np.outer(b, b * val + bd2) + np.outer(bd2, b)
+                    + val * (-0.25 * ch.hess(mid)) + base.d2d2(q0, q1))
+
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
+                              d1d1=d1d1, d2d2=d2d2)
 
 
 def reference_conformal_trapezoidal(L, atlas, chart, h):
@@ -300,7 +341,8 @@ def reference_conformal_trapezoidal(L, atlas, chart, h):
         w = (q1 - q0) / h
         s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
-        trivial = s0 == s1 and not np.any(phi0) and not np.any(phi1)
+        trivial = (s0 == s1 and not np.any(phi0) and not np.any(phi1)
+                   and not np.any(ch.hess(q0)) and not np.any(ch.hess(q1)))
         return w, np.exp(s0 - s1), phi0, phi1, trivial
 
     def value(q0, q1):
@@ -348,44 +390,37 @@ def reference_conformal_trapezoidal(L, atlas, chart, h):
         dS = -np.outer(U1, phi1) + dU2
         return dT2 + G * (np.outer(phi0, S) + dS)
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2)
+    def node_term(q, w, k):
+        # d^2/dq^2 of (h/2) L(q, w) with w = (q1 - q0)/h, q = q0 (k = 0) or q1
+        vq = np.atleast_2d(L.hess_vq(q, w))
+        sym = 0.5 * (vq + vq.T)
+        return (0.5 * h * np.atleast_2d(L.hess_qq(q, w)) + (sym if k else -sym)
+                + np.atleast_2d(L.hess_vv(q, w)) / (2.0 * h))
 
+    def d1d1(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w, G, phi0, _, trivial = _parts(q0, q1)
+        if trivial:
+            return plain.d1d1(q0, q1)
+        U = 0.5 * h * float(L.value(q1, w))
+        U1 = -0.5 * as_vector(L.grad_v(q1, w))
+        return node_term(q0, w, 0) + G * (
+            np.atleast_2d(L.hess_vv(q1, w)) / (2.0 * h) + np.outer(phi0 * U + U1, phi0)
+            + U * ch.hess(q0) + np.outer(phi0, U1))
 
-def curved_planar():
-    """planar_2d with a non-linear conformal factor (nonzero, varying Hessian)."""
-    system = planar_2d()
-    c = system.atlas.charts[0]
-    chart = Chart(id=0, dim=2, lower=c.lower, upper=c.upper,
-                  sigma=lambda q: 0.2 * q[0] ** 2 + 0.1 * np.sin(q[1]),
-                  sigma_grad=lambda q: np.array([0.4 * q[0], 0.1 * np.cos(q[1])]),
-                  sigma_hess=lambda q: np.array([[0.4, 0.0],
-                                                 [0.0, -0.1 * np.sin(q[1])]]))
-    return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
+    def d2d2(q0, q1):
+        q0, q1 = as_vector(q0), as_vector(q1)
+        w, G, _, phi1, trivial = _parts(q0, q1)
+        if trivial:
+            return plain.d2d2(q0, q1)
+        U = 0.5 * h * float(L.value(q1, w))
+        U2 = 0.5 * h * as_vector(L.grad_q(q1, w)) + 0.5 * as_vector(L.grad_v(q1, w))
+        return np.atleast_2d(L.hess_vv(q0, w)) / (2.0 * h) + G * (
+            node_term(q1, w, 1) - np.outer(-phi1 * U + U2, phi1)
+            - U * ch.hess(q1) - np.outer(phi1, U2))
 
-
-def varying_mass():
-    """planar_2d with L = mu(q)|v|^2/2 + A(q).v - |q|^2/2, mu = 1 + |q|^2/10 and
-    A = (0.3 q1^2, 0.5 q0): hess_vv = mu(q) I and the non-symmetric
-    hess_vq = v (x) grad mu + dA vary with the point; hess_qq is analytic."""
-
-    def jet(q, v):
-        (q0, q1), (v0, v1) = q, v
-        mu, vv = 1.0 + 0.1 * (q0 * q0 + q1 * q1), v0 * v0 + v1 * v1
-        value = 0.5 * mu * vv + 0.3 * q1 * q1 * v0 + 0.5 * q0 * v1 \
-            - 0.5 * (q0 * q0 + q1 * q1)
-        grad_q = [0.1 * vv * q0 + 0.5 * v1 - q0, 0.1 * vv * q1 + 0.6 * q1 * v0 - q1]
-        grad_v = [mu * v0 + 0.3 * q1 * q1, mu * v1 + 0.5 * q0]
-        hess_vq = np.array([[0.2 * v0 * q0, 0.2 * v0 * q1 + 0.6 * q1],
-                            [0.2 * v1 * q0 + 0.5, 0.2 * v1 * q1]])
-        return value, grad_q, grad_v, mu * np.eye(2), hess_vq
-
-    def hess_qq(q, v):
-        v = as_vector(v)
-        return (0.1 * float(v @ v) - 1.0) * np.eye(2) + np.array([[0.0, 0.0],
-                                                                  [0.0, 0.6 * v[0]]])
-
-    system = planar_2d(0.3, -0.2)
-    return dataclasses.replace(system, lagrangian=ContinuousLagrangian(2, jet, hess_qq))
+    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
+                              d1d1=d1d1, d2d2=d2d2)
 
 
 def _plain(rule):
@@ -406,7 +441,7 @@ MEMO_SYSTEMS = {
     "constant_sigma": lambda: with_constant_sigma(planar_2d(), 0.7),
     "varying_mass": varying_mass,
 }
-PARTS = ("value", "d1", "d2", "d1d2")
+PARTS = ("value", "d1", "d2", "d1d1", "d1d2", "d2d2")
 
 
 def _bits(x) -> bytes:
@@ -444,7 +479,7 @@ def test_memoized_rules_return_fresh_arrays(rule, reference):
     Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
     ref = reference(system.lagrangian, system.atlas, 0, 0.1)
     q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
-    for part in ("d1", "d2", "d1d2"):
+    for part in PARTS[1:]:
         first = getattr(Ld, part)(q0, q1)
         first[...] = 99.0
         assert _bits(getattr(Ld, part)(q0, q1)) == _bits(getattr(ref, part)(q0, q1))
@@ -504,3 +539,55 @@ def test_fiber_legendre_inv_calls_the_jet_once_per_velocity():
     ref = newton_solve(lambda x: L.grad_v(q, x) - p, p, StepperConfig(tol=1e-12),
                        jacobian=lambda x: L.hess_vv(q, x)).x
     assert v.tobytes() == ref.tobytes()
+
+
+# --- the same-point second partials -----------------------------------------
+#
+# d1d1 and d2d2 are closed forms over the memo's node data, L.hess_qq and, for
+# the conformal rules, Chart.hess; each must be the derivative of d1 in q0 and
+# of d2 in q1.
+
+SECOND_SYSTEMS = {
+    "planar_2d": lambda: planar_2d(0.3, -0.2),  # constant Lee form
+    "varying_mass": varying_mass,  # hess_vv, hess_vq vary with the point
+    "curved_planar": curved_planar,  # nonzero sigma Hessian
+}
+_COORD = st.floats(-1.0, 1.0, allow_nan=False)
+_STEP = st.floats(-0.3, 0.3, allow_nan=False)
+
+
+@pytest.mark.parametrize("rule", [rule for rule, _ in MEMO_RULES], ids=MEMO_IDS)
+@pytest.mark.parametrize("system_name", list(SECOND_SYSTEMS))
+@settings(max_examples=30, deadline=None)
+@given(q0=st.tuples(_COORD, _COORD), step=st.tuples(_STEP, _STEP))
+def test_same_point_second_partials_match_differenced_first_partials(rule, system_name,
+                                                                      q0, step):
+    system = SECOND_SYSTEMS[system_name]()
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
+    q0 = np.array(q0)
+    q1 = q0 + np.array(step)
+    fd11 = fd_jacobian(lambda x: Ld.d1(x, q1), q0, 1e-6)
+    fd22 = fd_jacobian(lambda x: Ld.d2(q0, x), q1, 1e-6)
+    scale = max(1.0, float(np.max(np.abs(fd11))), float(np.max(np.abs(fd22))))
+    assert np.max(np.abs(Ld.d1d1(q0, q1) - fd11)) <= 1e-7 * scale
+    assert np.max(np.abs(Ld.d2d2(q0, q1) - fd22)) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule])
+def test_second_partials_keep_sigma_hessian_where_the_lee_form_vanishes(rule):
+    # sigma = 0.2 q0^2 + 0.1 q1^2 has a zero Lee form but a nonzero Hessian at
+    # the origin; with L(0, 0) = 1 the terms Ld Hsigma are nonzero there
+    system = planar_2d()
+    c, L = system.atlas.charts[0], system.lagrangian
+    chart = Chart(id=0, dim=2, lower=c.lower, upper=c.upper,
+                  sigma=lambda q: 0.2 * q[0] ** 2 + 0.1 * q[1] ** 2,
+                  sigma_grad=lambda q: np.array([0.4 * q[0], 0.2 * q[1]]),
+                  sigma_hess=lambda q: np.diag([0.4, 0.2]))
+    shifted = ContinuousLagrangian(2, lambda q, v: (L.jet(q, v)[0] + 1.0,) + L.jet(q, v)[1:],
+                                   L.hess_qq)
+    Ld = rule(shifted, ConformalAtlas(charts=(chart,)), 0, 0.1)
+    q0 = q1 = np.zeros(2)
+    for got, fd in ((Ld.d1d1, fd_jacobian(lambda x: Ld.d1(x, q1), q0, 1e-6)),
+                    (Ld.d1d2, fd_jacobian(lambda x: Ld.d1(q0, x), q1, 1e-6)),
+                    (Ld.d2d2, fd_jacobian(lambda x: Ld.d2(q0, x), q1, 1e-6))):
+        assert np.max(np.abs(got(q0, q1) - fd)) <= 1e-8

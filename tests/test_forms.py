@@ -22,7 +22,9 @@ def test_pc_two_form_separable_degenerate():
         value=lambda q0, q1: float(q0[0] ** 2 + np.sin(q1[0])),
         d1=lambda q0, q1: np.array([2 * q0[0]]),
         d2=lambda q0, q1: np.array([np.cos(q1[0])]),
-        d1d2=lambda q0, q1: np.zeros((1, 1)))
+        d1d1=lambda q0, q1: np.array([[2.0]]),
+        d1d2=lambda q0, q1: np.zeros((1, 1)),
+        d2d2=lambda q0, q1: np.array([[-np.sin(q1[0])]]))
     assert np.linalg.det(Ld.d1d2([0.2], [0.3])) == 0.0
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     momenta_along_trajectory, rd_step, rdlch_step, transition_apply,
                     with_constant_sigma)
 from lcsdyn import hamiltonian_discrete, numerics
-from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve
-from lcsdyn.variational import _dp_minus_dq1, _p_minus, _p_plus
+from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
+from lcsdyn.variational import _dp_minus_dq0, _dp_minus_dq1, _dp_plus_dq1
+from conftest import curved_planar, varying_mass
 
 
 def analytic_free_right(h):
@@ -347,46 +350,47 @@ def differenced_d1d2(d1):
 # Both builders keep the last (q, P)'s value and partials in a one-entry memo.
 # The constructors below are the builders as they stood before the memo: three
 # closures that each invert the momentum relation at (q, P), and partials that
-# each difference the inverted relation again.  The memoized builders must
+# each form the inverted relation's Jacobian again.  They use the builders'
+# closed-form Jacobians and linear solves, so the memoized builders must
 # return the same bits in any call order.
 
 def reference_right(Ld, atlas, chart):
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def dp_plus_dq1(q0, q1):
-        s0 = float(ch.sigma(q0))
-        return fd_jacobian(lambda x: _p_plus(Ld, q0, x, s0, float(ch.sigma(x))), q1, 1e-6)
-
     def core(q0, P):
         q0, P = as_vector(q0), as_vector(P)
         q1 = source.invert_right(q0, P)
-        return q0, P, q1, np.exp(float(ch.sigma(q0)) - float(ch.sigma(q1)))
+        s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
+        return q0, P, q1, s0, s1, np.exp(s0 - s1)
+
+    def correction(q0, P, q1, s0, s1, em):
+        # J^-T dH+/dq1, dH+/dq1 = -phi1 em P.q1 at fixed (q0, P)
+        phi1 = ch.grad(q1)
+        J = _dp_plus_dq1(Ld, q0, q1, s0, s1, phi1)
+        return solve_linear(J.T, -phi1 * (em * float(P @ q1)))
 
     def value(q0, P):
-        q0, P, q1, em = core(q0, P)
+        q0, P, q1, _, _, em = core(q0, P)
         return em * float(P @ q1) - float(Ld.value(q0, q1))
 
     def d1(q0, P):
-        q0, P, q1, em = core(q0, P)
-        phi0, phi1 = ch.grad(q0), ch.grad(q1)
-        coupling = em * float(P @ q1)
-        base = phi0 * coupling - as_vector(Ld.d1(q0, q1))
-        corr = -phi1 * coupling
-        if not np.any(corr):
+        q0, P, q1, s0, s1, em = core(q0, P)
+        phi0 = ch.grad(q0)
+        base = phi0 * (em * float(P @ q1)) - as_vector(Ld.d1(q0, q1))
+        if not np.any(ch.grad(q1)):
             return base
+        y = correction(q0, P, q1, s0, s1, em)
         d2v = as_vector(Ld.d2(q0, q1))
         dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T - np.outer(d2v, phi0))
-        dq1_dq0 = -np.linalg.solve(dp_plus_dq1(q0, q1), dgdq)
-        return base + np.atleast_2d(dq1_dq0).T @ corr
+        return base - dgdq.T @ y
 
     def d2(q0, P):
-        q0, P, q1, em = core(q0, P)
+        q0, P, q1, s0, s1, em = core(q0, P)
         base = em * q1
-        corr = -ch.grad(q1) * em * float(P @ q1)
-        if not np.any(corr):
+        if not np.any(ch.grad(q1)):
             return base
-        return base + np.linalg.inv(dp_plus_dq1(q0, q1)).T @ corr
+        return base + correction(q0, P, q1, s0, s1, em)
 
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value, d1=d1,
                                d2=d2, d1d2=differenced_d1d2(d1), source=source)
@@ -396,13 +400,16 @@ def reference_left(Ld, atlas, chart):
     ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
 
-    def dp_minus_dq0(q0, q1):
-        return fd_jacobian(lambda x: _p_minus(Ld, x, q1, ch.grad(x)), q0, 1e-6)
-
     def core(q1, P):
         q1, P = as_vector(q1), as_vector(P)
         q0 = source.invert_left(q1, P)
         return q1, P, q0, np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
+
+    def correction(q1, P, q0, E):
+        # J^-T dH-/dq0, dH-/dq0 = phi0 E P.q0 at fixed (q1, P)
+        phi0 = ch.grad(q0)
+        J = _dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0))
+        return solve_linear(J.T, phi0 * (E * float(P @ q0)))
 
     def value(q1, P):
         q1, P, q0, E = core(q1, P)
@@ -413,19 +420,17 @@ def reference_left(Ld, atlas, chart):
         phi1, phi0 = ch.grad(q1), ch.grad(q0)
         H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
         base = phi1 * H - E * as_vector(Ld.d2(q0, q1))
-        corr = phi0 * (E * float(P @ q0))
-        if not np.any(corr):
+        if not np.any(phi0):
             return base
-        dq0_dq1 = -np.linalg.solve(dp_minus_dq0(q0, q1), _dp_minus_dq1(Ld, q0, q1, phi0))
-        return base + np.atleast_2d(dq0_dq1).T @ corr
+        y = correction(q1, P, q0, E)
+        return base - _dp_minus_dq1(Ld, q0, q1, phi0).T @ y
 
     def d2(q1, P):
         q1, P, q0, E = core(q1, P)
         base = -E * q0
-        corr = ch.grad(q0) * (E * float(P @ q0))
-        if not np.any(corr):
+        if not np.any(ch.grad(q0)):
             return base
-        return base + np.linalg.inv(dp_minus_dq0(q0, q1)).T @ corr
+        return base + correction(q1, P, q0, E)
 
     return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value, d1=d1,
                                d2=d2, d1d2=differenced_d1d2(d1), source=source)
@@ -625,3 +630,84 @@ def test_constant_sigma_plain_step_inverts_once_per_residual(name, side, monkeyp
         PLAIN_STEPS[side](Hd, q, p, tight_cfg)
         assert 2 <= len(residuals) and len(inversions) <= len(residuals)
         monkeypatch.undo()
+
+
+# --- closed-form Jacobians ------------------------------------------------------
+#
+# The inversions and the implicit-function corrections use dp+/dq1 and dp-/dq0
+# in closed form, so they take no finite difference; where the Lee form
+# vanishes neither does d1d2, and the plain steps that use it as Newton
+# Jacobian.  Only the conformal d1d2 differences, along the inversion.
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule],
+                         ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("system_fn", [curved_planar, varying_mass],
+                         ids=["curved_planar", "varying_mass"])
+def test_hamiltonian_partials_match_differences_off_the_catalog(system_fn, rule, side):
+    # a non-constant Lee form (its Hessian enters dp-/dq0 and the corrections)
+    # and point-dependent velocity Hessians, which no catalog system has
+    system = system_fn()
+    Hd = BUILDERS[side][0](rule(system.lagrangian, system.atlas, 0, 0.1), system.atlas, 0)
+    for q, P in _memo_points(system, 5):
+        fd1 = fd_jacobian(lambda x: Hd.value(x, P), q, 1e-5)
+        fd2 = fd_jacobian(lambda x: Hd.value(q, x), P, 1e-5)
+        fdm = fd_jacobian(lambda x: Hd.d1(q, x), P, 1e-5)
+        assert np.max(np.abs(Hd.d1(q, P) - fd1)) <= 1e-8
+        assert np.max(np.abs(Hd.d2(q, P) - fd2)) <= 1e-8
+        assert np.max(np.abs(Hd.d1d2(q, P) - fdm)) <= 1e-8
+
+
+def _forbid_differences(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite difference taken")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lcsdyn.") and hasattr(module, "fd_jacobian"):
+            monkeypatch.setattr(module, "fd_jacobian", refuse)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("sigma", ["conformal", "constant"])
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d"])
+def test_inversions_and_partials_take_no_difference(name, sigma, side, monkeypatch):
+    system, Hd, _ = _memo_case(name, sigma, conformal_midpoint_rule, side)
+    points = _memo_points(system, 3)
+    _forbid_differences(monkeypatch)
+    for q, P in points:
+        for part in H_PARTS:
+            getattr(Hd, part)(q, P)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d"])
+def test_constant_sigma_plain_steps_take_no_difference(name, side, monkeypatch, tight_cfg):
+    system, Hd, _ = _memo_case(name, "constant", conformal_midpoint_rule, side)
+    points = _memo_points(system, 3)
+    _forbid_differences(monkeypatch)
+    for q, p in points:
+        assert Hd.d1d2(q, p).shape == (system.n, system.n)
+        PLAIN_STEPS[side](Hd, q, p, tight_cfg)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d"])
+def test_conformal_d1d2_runs_no_inversion(name, side, monkeypatch):
+    system, Hd, _ = _memo_case(name, "conformal", conformal_midpoint_rule, side)
+    for q, P in _memo_points(system, 3):
+        Hd.value(q, P)
+        calls = _count_inversions(monkeypatch)
+        Hd.d1d2(q, P)
+        assert not calls
+        monkeypatch.undo()
+
+
+def test_constant_sigma_takes_no_correction_from_an_infinite_coupling():
+    # P.q1 overflows and phi1 is zero: their product is NaN, which must not
+    # read as an implicit-function correction (it used to reach an unchecked
+    # linear solve); d2 stays the eliminated point itself
+    system, Hd, _ = _memo_case("harmonic_1d", "constant", conformal_midpoint_rule, "right")
+    q, P = np.array([1.0]), np.array([1e200])
+    with np.errstate(all="ignore"):
+        q1 = Hd.source.invert_right(q, P)
+        assert Hd.d2(q, P).tobytes() == q1.tobytes()
