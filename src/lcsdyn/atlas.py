@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import as_vector, fd_jacobian
+from .numerics import as_vector, fd_jacobian, solve_linear
 
 Vector = np.ndarray
 
@@ -64,10 +64,13 @@ class Chart:
         return self.upper - self.lower
 
     def contains(self, q: Vector, margin: float = 0.0) -> bool:
-        """True if q lies in the domain shrunk on each side by margin*width."""
-        q = as_vector(q)
-        pad = margin * self.width
-        return bool(np.all(q >= self.lower + pad) and np.all(q <= self.upper - pad))
+        """True if q lies in the domain shrunk on each side by margin*width.
+
+        Compared in floats, a coordinate at a time: every step of a march asks.
+        """
+        return all(lo + margin * (hi - lo) <= x <= hi - margin * (hi - lo)
+                   for lo, hi, x in zip(self.lower.tolist(), self.upper.tolist(),
+                                        as_vector(q).tolist(), strict=True))
 
     def grad(self, q: Vector) -> np.ndarray:
         if self.constant_lee is not None:
@@ -82,6 +85,24 @@ class Chart:
         if self.sigma_hess is not None:
             return np.atleast_2d(np.asarray(self.sigma_hess(as_vector(q)), dtype=float))
         return fd_jacobian(self.grad, as_vector(q), _FD_SIGMA_EPS)
+
+
+def _chart_floats(ch: Chart):
+    """``(sigma, grad, hess)`` of a chart on lists of floats.
+
+    ``sigma(q)`` is a float, ``grad(q)`` a list and ``hess(q)`` a nested list.
+    Each calls the chart's own method on a fresh array, so sigma keeps its
+    array contract; a declared constant Lee form and its zero Hessian are
+    read once and returned as shared lists, which callers must not change.
+    """
+    def sigma(q) -> float:
+        return float(ch.sigma(np.array(q)))
+
+    if ch.constant_lee is not None:
+        lee, zero = ch.constant_lee.tolist(), np.zeros((ch.dim, ch.dim)).tolist()
+        return sigma, lambda q: lee, lambda q: zero
+    return (sigma, lambda q: ch.grad(np.array(q)).tolist(),
+            lambda q: ch.hess(np.array(q)).tolist())
 
 
 @dataclass(frozen=True)
@@ -202,7 +223,9 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Carry a point and a covector across a declared chart transition.
 
-    Covectors transport through the inverse-transpose Jacobian.  Local momenta
+    Covectors transport through the inverse-transpose Jacobian, solved by
+    :func:`solve_linear`: a singular, non-finite or ill-conditioned Jacobian
+    raises :class:`RegularityError`.  Local momenta
     (kind ``"r"``) are additionally rescaled by exp(sigma_from(q) - sigma_to(q'))
     so that the corresponding global momentum p = exp(sigma) r is continuous.
     """
@@ -212,7 +235,7 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     t = atlas.require_transition(from_chart, to_chart, q)
     q_new = as_vector(t.forward(q))
     J = np.atleast_2d(np.asarray(t.jacobian(q), dtype=float))
-    p_new = np.linalg.solve(J.T, as_vector(momentum))
+    p_new = solve_linear(J.T, as_vector(momentum))
     if momentum_kind == "r":
         s_from = atlas.chart(from_chart).sigma(q)
         s_to = atlas.chart(to_chart).sigma(q_new)

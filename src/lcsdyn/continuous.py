@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _checked_inverse, _solve_2x2, as_vector,
-                       fd_jacobian, newton_solve)
+from .numerics import (StepperConfig, _checked_inverse, _newton, _solve_2x2,
+                       as_vector, fd_jacobian)
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -136,10 +135,13 @@ def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
 
 def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndarray:
     """Velocity v solving dL/dv (q, v) = p by Newton, one jet call per iterate."""
-    q, p = as_vector(q).tolist(), as_vector(p)
-    jet = lru_cache(maxsize=1)(lambda key: L.jet(q, np.frombuffer(key).tolist()))
-    return newton_solve(lambda v: np.array(jet(v.tobytes())[2]) - p, p, _FIBER_CFG,
-                        jacobian=lambda v: jet(v.tobytes())[3]).x
+    q, p = as_vector(q).tolist(), as_vector(p).tolist()
+
+    def system(v: list):
+        _, _, gv, hess_vv, _ = L.jet(q, v)
+        return [g - b for g, b in zip(gv, p)], hess_vv.tolist
+
+    return np.array(_newton(system, p, _FIBER_CFG)[0])
 
 
 def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,

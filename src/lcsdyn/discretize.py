@@ -22,19 +22,23 @@ local form is a second-order quadrature of the local action keeps the
 resulting integrator second order.  When sigma is constant on a chart the
 conformal constructors return bitwise the plain rule's values.
 
-All four quadrature rules share one memoized evaluation per lattice pair
-(``_pair_memo``, which the discrete Hamiltonians use too): value, d1, d2 and
-the second partials at a pair call L's jet once per quadrature node (and
-evaluate the chart data once); each second partial adds only ``L.hess_qq``
-and, for the conformal rules, ``Chart.hess`` where it needs them.  The rule
-objects are therefore stateful and not thread-safe, and ``L``'s jet and
-``hess_qq`` and the charts' sigma callables must be pure functions of their
-arguments.
+Every discrete Lagrangian has a float pair jet, ``Ld.jet(q0, q1)`` on lists of
+floats, returning value, d1, d2 and d1d2 at once; the conformal steps, their
+Newton iteration and the momentum fill run on it.  The four quadrature rules
+compute the jet on Python floats, with one call of L's jet per quadrature node
+and one evaluation of the chart data, and keep the last pair's entry in a
+one-entry memo keyed on the pair's float tuples (``_pair_memo``, which the
+discrete Hamiltonians use too).  Their array parts are views of that entry:
+value, d1, d2 and d1d2 convert it, and d1d1 and d2d2 add only ``L.hess_qq``
+and, for the conformal rules, ``Chart.hess``.  Each formula is written once.
+The rule objects are therefore stateful and not thread-safe, and ``L``'s jet
+and ``hess_qq`` and the charts' sigma callables must be pure functions of
+their arguments.
 
 ``exact_discrete_lagrangian`` evaluates the action integral along the solution
 of the continuous conformal Euler-Lagrange equations with prescribed endpoints
 (single shooting on the initial velocity, then Gauss-Legendre quadrature);
-its partials are finite differences.
+its partials are finite differences, and its jet is built from them.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import ConformalAtlas
+from .atlas import ConformalAtlas, _chart_floats
 from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
@@ -63,6 +67,15 @@ class DiscreteLagrangian:
     matrix is invertible.  ``d1d1[i, j] = d^2 Ld / dq0_i dq0_j`` and
     ``d2d2[i, j] = d^2 Ld / dq1_i dq1_j`` differentiate the discrete Legendre
     maps in their own point.
+
+    ``jet(q0, q1)``, on two lists of n floats, returns ``(value, d1, d2,
+    d1d2)`` at the pair as a float, two lists of n floats and an (n, n)
+    nested list, bit for bit the array parts.  The quadrature rules supply
+    their own; when it is omitted it is built from ``value``, ``d1``, ``d2``
+    and ``d1d2``, each called once per pair on fresh arrays with the last
+    pair kept.  A jet may return shared lists, so callers must not change
+    what it returns.  ``dataclasses.replace`` keeps the jet; a copy with other
+    array parts and ``jet=None`` builds its own.
     """
 
     n: int
@@ -73,52 +86,134 @@ class DiscreteLagrangian:
     d1d1: Callable[[Vector, Vector], np.ndarray]
     d1d2: Callable[[Vector, Vector], np.ndarray]
     d2d2: Callable[[Vector, Vector], np.ndarray]
+    jet: Callable[[list, list], tuple] | None = None
+
+    def __post_init__(self):
+        if self.jet is None:
+            object.__setattr__(self, "jet", _parts_jet(self))
 
 
-def _jet_at(L: ContinuousLagrangian, q: Vector, v: Vector):
-    """(L, dL/dq, dL/dv, hess_vv, hess_vq) at (q, v), from one call of ``L.jet``."""
-    val, gq, gv, vv, vq = L.jet(q.tolist(), v.tolist())
-    return val, np.array(gq), np.array(gv), vv, vq
+def _pair_memo(pair_data):
+    """``lookup(a, b)``: ``pair_data`` at a pair of float lists, kept for the last pair.
+
+    The one entry is keyed on the pair's float tuples, and ``pair_data``
+    receives those tuples, so an entry never sees a later change to the
+    caller's lists.  As 0.0 == -0.0, a pair with a zero coordinate is always
+    evaluated afresh.  A pair whose ``pair_data`` raises is not kept.  The
+    memo makes ``lookup`` stateful and not thread-safe, and it requires
+    ``pair_data`` to be a pure function of its arguments.  The quadrature
+    rules, the jet of a Lagrangian given by its array parts and the discrete
+    Hamiltonians of ``hamiltonian_discrete`` are built on it.
+    """
+    key, data = None, None
+
+    def lookup(a, b):
+        nonlocal key, data
+        k = (tuple(a), tuple(b))
+        if k != key or 0.0 in k[0] or 0.0 in k[1]:
+            data = pair_data(*k)
+            key = k
+        return data
+
+    return lookup
 
 
-def _midpoint_partials(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
-    """(value, d1, d2, node) of the midpoint rule at a pair, from one jet call
-    at the midpoint m and divided difference w; node is (m, w, hess_vv, hess_vq)."""
-    m, w = 0.5 * (q0 + q1), (q1 - q0) / h
-    val, gq, gv, vv, vq = _jet_at(L, m, w)
-    gq = 0.5 * h * gq
-    return h * val, gq - gv, gq + gv, (m, w, vv, vq)
+def _on_arrays(lookup):
+    """``lookup(a, b)`` of float lists as a function of two array-likes."""
+    return lambda a, b: lookup(as_vector(a).tolist(), as_vector(b).tolist())
 
 
-def _midpoint_d1d2(L: ContinuousLagrangian, h: float, m: Vector, w: Vector,
-                   vv: np.ndarray, vq: np.ndarray) -> np.ndarray:
-    """d1d2 of the midpoint rule from the node data of :func:`_midpoint_partials`."""
-    return 0.5 * (vq.T - vq) - vv / h + 0.25 * h * np.atleast_2d(L.hess_qq(m, w))
+def _parts_jet(Ld: DiscreteLagrangian):
+    """The pair jet of a Lagrangian given by its array parts: value, d1, d2
+    and d1d2 called once per pair on fresh arrays, the last pair kept."""
+    def pair_data(q0, q1):
+        a, b = np.array(q0), np.array(q1)
+        return (float(Ld.value(a, b)), as_vector(Ld.d1(a, b)).tolist(),
+                as_vector(Ld.d2(a, b)).tolist(), np.atleast_2d(Ld.d1d2(a, b)).tolist())
+
+    return _pair_memo(pair_data)
 
 
-def _midpoint_same(L: ContinuousLagrangian, h: float, k: int, m: Vector, w: Vector,
+def _memoized_pair_rule(n: int, h: float, pair_data, same_from) -> DiscreteLagrangian:
+    """A quadrature rule on :func:`_pair_memo`.
+
+    ``pair_data(q0, q1)`` on float tuples returns ``(jet, extra)`` with
+    ``jet`` the pair's ``(value, d1, d2, d1d2)``: the ``jet`` field returns
+    it and value, d1, d2 and d1d2 are array views of it.  ``same_from(extra,
+    k)`` is d1d1 (k = 0) or d2d2 (k = 1), so all parts at one pair evaluate
+    the Lagrangian and the chart data once.
+    """
+    lookup = _pair_memo(pair_data)
+    at = _on_arrays(lookup)
+    return DiscreteLagrangian(
+        n=n, h=h, jet=lambda q0, q1: lookup(q0, q1)[0],
+        value=lambda q0, q1: at(q0, q1)[0][0],
+        d1=lambda q0, q1: np.array(at(q0, q1)[0][1]),
+        d2=lambda q0, q1: np.array(at(q0, q1)[0][2]),
+        d1d2=lambda q0, q1: np.array(at(q0, q1)[0][3]),
+        d1d1=lambda q0, q1: same_from(at(q0, q1)[1], 0),
+        d2d2=lambda q0, q1: same_from(at(q0, q1)[1], 1))
+
+
+def _hess_qq(L: ContinuousLagrangian, q, v) -> np.ndarray:
+    """``L.hess_qq`` at float sequences, called on fresh arrays, as an (n, n) array."""
+    return np.atleast_2d(L.hess_qq(np.array(q), np.array(v)))
+
+
+def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
+    """(value, d1, d2, node) of the midpoint rule at a pair of float
+    sequences, from one jet call at the midpoint m and the divided difference
+    w; node is (m, w, hess_vv, hess_vq), from which :func:`_midpoint_d1d2`
+    and :func:`_midpoint_same` build the second partials."""
+    m = [0.5 * (a + b) for a, b in zip(q0, q1)]
+    w = [(b - a) / h for a, b in zip(q0, q1)]
+    val, gq, gv, vv, vq = L.jet(m, w)
+    c = 0.5 * h
+    return (h * val, [c * g - v for g, v in zip(gq, gv)],
+            [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
+
+
+def _midpoint_d1d2(L: ContinuousLagrangian, h: float, m: list, w: list,
+                   vv: np.ndarray, vq: np.ndarray) -> list:
+    """d1d2 of the midpoint rule from its node data, as a nested list:
+    0.5 (vq^T - vq) - vv / h + 0.25 h hess_qq."""
+    vv, vq, qq, c = vv.tolist(), vq.tolist(), _hess_qq(L, m, w).tolist(), 0.25 * h
+    idx = range(len(m))
+    return [[0.5 * (vq[j][i] - vq[i][j]) - vv[i][j] / h + c * qq[i][j] for j in idx]
+            for i in idx]
+
+
+def _midpoint_same(L: ContinuousLagrangian, h: float, k: int, m: list, w: list,
                    vv: np.ndarray, vq: np.ndarray) -> np.ndarray:
     """d1d1 (k = 0) or d2d2 (k = 1) of the midpoint rule from the node data:
     0.25 h hess_qq -+ 0.5 (vq + vq^T) + vv / h."""
     sym = 0.5 * (vq + vq.T)
-    return 0.25 * h * np.atleast_2d(L.hess_qq(m, w)) + (sym if k else -sym) + vv / h
+    return 0.25 * h * _hess_qq(L, m, w) + (sym if k else -sym) + vv / h
 
 
-def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0: Vector, q1: Vector):
-    """(value, d1, d2, nodes) of the trapezoidal rule at a pair, from one jet
-    call at each endpoint; nodes is ((q0, w, hess_vv, hess_vq) at (q0, w),
-    then the same at (q1, w)), with w the divided difference."""
-    w = (q1 - q0) / h
-    L0, gq0, gv0, vv0, vq0 = _jet_at(L, q0, w)
-    L1, gq1, gv1, vv1, vq1 = _jet_at(L, q1, w)
-    gv = 0.5 * (gv0 + gv1)
-    return (0.5 * h * (L0 + L1), 0.5 * h * gq0 - gv, 0.5 * h * gq1 + gv,
+def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0, q1):
+    """(value, d1, d2, nodes) of the trapezoidal rule at a pair of float
+    sequences, from one jet call at each endpoint; nodes is ((q0, w,
+    hess_vv, hess_vq) at (q0, w), then the same at (q1, w)), with w the
+    divided difference."""
+    w = [(b - a) / h for a, b in zip(q0, q1)]
+    L0, gq0, gv0, vv0, vq0 = L.jet(list(q0), w)
+    L1, gq1, gv1, vv1, vq1 = L.jet(list(q1), w)
+    c = 0.5 * h
+    gv = [0.5 * (a + b) for a, b in zip(gv0, gv1)]
+    return (c * (L0 + L1), [c * g - v for g, v in zip(gq0, gv)],
+            [c * g + v for g, v in zip(gq1, gv)],
             ((q0, w, vv0, vq0), (q1, w, vv1, vq1)))
 
 
-def _trapezoidal_d1d2(h: float, nodes: tuple) -> np.ndarray:
+def _trapezoidal_d1d2(h: float, nodes: tuple) -> list:
+    """d1d2 of the trapezoidal rule, as a nested list:
+    0.5 (vq0^T - vq1) - (vv0 + vv1) / (2h)."""
     (_, _, vv0, vq0), (_, _, vv1, vq1) = nodes
-    return 0.5 * (vq0.T - vq1) - (vv0 + vv1) / (2.0 * h)
+    vv0, vq0, vv1, vq1 = vv0.tolist(), vq0.tolist(), vv1.tolist(), vq1.tolist()
+    t, idx = 2.0 * h, range(len(vv0))
+    return [[0.5 * (vq0[j][i] - vq1[i][j]) - (vv0[i][j] + vv1[i][j]) / t for j in idx]
+            for i in idx]
 
 
 def _trapezoidal_node(L: ContinuousLagrangian, h: float, k: int, nodes: tuple) -> np.ndarray:
@@ -126,7 +221,7 @@ def _trapezoidal_node(L: ContinuousLagrangian, h: float, k: int, nodes: tuple) -
     (h/2) hess_qq -+ 0.5 (vq + vq^T) + vv / (2h), minus for k = 0."""
     q, w, vv, vq = nodes[k]
     sym = 0.5 * (vq + vq.T)
-    return 0.5 * h * np.atleast_2d(L.hess_qq(q, w)) + (sym if k else -sym) + vv / (2.0 * h)
+    return 0.5 * h * _hess_qq(L, q, w) + (sym if k else -sym) + vv / (2.0 * h)
 
 
 def _trapezoidal_same(L: ContinuousLagrangian, h: float, k: int, nodes: tuple) -> np.ndarray:
@@ -135,53 +230,16 @@ def _trapezoidal_same(L: ContinuousLagrangian, h: float, k: int, nodes: tuple) -
     return _trapezoidal_node(L, h, k, nodes) + nodes[1 - k][2] / (2.0 * h)
 
 
-def _pair_memo(pair_data):
-    """``(value, d1, d2, extra)`` callables that share one evaluation per pair.
-
-    ``pair_data(a, b)`` returns ``(value, d1, d2, extra)``.  The last pair's
-    data is kept in a one-entry memo keyed by the pair's bytes, so the four
-    callables at one pair run ``pair_data`` once.  ``pair_data`` receives
-    copies of the inputs, so ``extra`` may keep them; ``d1`` and ``d2``
-    return fresh copies, an input mutated in place between calls misses the
-    memo, and a pair whose ``pair_data`` raises is not memoized.  The memo
-    makes the callables stateful and not thread-safe, and it requires
-    ``pair_data`` to be a pure function of its arguments.  Both the
-    quadrature rules and the discrete Hamiltonians of
-    ``hamiltonian_discrete`` are built on it.
-    """
-    key, data = None, None
-
-    def lookup(a, b):
-        nonlocal key, data
-        a, b = as_vector(a), as_vector(b)
-        k = (a.shape, b.shape, a.tobytes(), b.tobytes())
-        if k != key:
-            data = pair_data(a.copy(), b.copy())
-            key = k
-        return data
-
-    return (lambda a, b: lookup(a, b)[0], lambda a, b: lookup(a, b)[1].copy(),
-            lambda a, b: lookup(a, b)[2].copy(), lambda a, b: lookup(a, b)[3])
-
-
-def _memoized_pair_rule(n: int, h: float, pair_data, d1d2_from, same_from
-                        ) -> DiscreteLagrangian:
-    """A quadrature rule on :func:`_pair_memo`.  ``d1d2_from(extra)`` is the
-    mixed partial and ``same_from(extra, k)`` d1d1 (k = 0) or d2d2 (k = 1),
-    so all parts at one pair evaluate the Lagrangian and the chart data once."""
-    value, d1, d2, extra = _pair_memo(pair_data)
-    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2,
-                              d1d1=lambda q0, q1: same_from(extra(q0, q1), 0),
-                              d1d2=lambda q0, q1: d1d2_from(extra(q0, q1)),
-                              d2d2=lambda q0, q1: same_from(extra(q0, q1), 1))
-
-
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return _memoized_pair_rule(L.n, h, lambda q0, q1: _midpoint_partials(L, h, q0, q1),
-                               lambda node: _midpoint_d1d2(L, h, *node),
+
+    def pair_data(q0, q1):
+        val, d1, d2, node = _midpoint_pair(L, h, q0, q1)
+        return (val, d1, d2, _midpoint_d1d2(L, h, *node)), node
+
+    return _memoized_pair_rule(L.n, h, pair_data,
                                lambda node, k: _midpoint_same(L, h, k, *node))
 
 
@@ -189,9 +247,20 @@ def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = (h/2) [L(q0, w) + L(q1, w)] with w = (q1-q0)/h."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return _memoized_pair_rule(L.n, h, lambda q0, q1: _trapezoidal_pair(L, h, q0, q1),
-                               lambda nodes: _trapezoidal_d1d2(h, nodes),
+
+    def pair_data(q0, q1):
+        val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
+        return (val, d1, d2, _trapezoidal_d1d2(h, nodes)), nodes
+
+    return _memoized_pair_rule(L.n, h, pair_data,
                                lambda nodes, k: _trapezoidal_same(L, h, k, nodes))
+
+
+def _first_point_memo(sigma, grad, hess):
+    """``at_q0(q0)``: (sigma, grad, hess) at a pair's first point, kept for the
+    last q0, which a Newton solve for q1 holds fixed."""
+    lookup = _pair_memo(lambda q0, _: (sigma(q0), grad(q0), hess(q0)))
+    return lambda q0: lookup(q0, ())
 
 
 def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
@@ -199,35 +268,34 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     """Midpoint rule of the chart-local Lagrangian, expressed globally.
 
     Ld(q0, q1) = exp(sigma(q0) - sigma(m)) h L(m, w) with m the pair midpoint
-    and w the divided difference.  Value, d1 and d2 at a pair come from one
+    and w the divided difference.  All parts at a pair come from one
     evaluation of L, sigma and the Lee form, so ``L``'s jet and the chart's
     sigma callables must be pure functions of their arguments.
     """
     ch = atlas.chart(chart)
+    sigma, grad, hess = _chart_floats(ch)
+    at_q0 = _first_point_memo(sigma, grad, hess)
 
     def pair_data(q0, q1):
-        val, bd1, bd2, node = _midpoint_partials(L, h, q0, q1)
+        val, bd1, bd2, node = _midpoint_pair(L, h, q0, q1)
         mid = node[0]
-        s0, sm = float(ch.sigma(q0)), float(ch.sigma(mid))
-        grad_mid = ch.grad(mid)
-        a = ch.grad(q0) - 0.5 * grad_mid
-        b = -0.5 * grad_mid
-        if s0 == sm and not (np.any(a) or np.any(b) or np.any(ch.hess(q0))
-                             or np.any(ch.hess(mid))):
-            return val, bd1, bd2, (node, None)
+        (s0, grad0, hess0), sm = at_q0(q0), sigma(mid)
+        grad_mid, hess_mid = grad(mid), hess(mid)
+        a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
+        b = [-0.5 * gm for gm in grad_mid]
+        base = _midpoint_d1d2(L, h, *node)
+        if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
+                             or any(map(any, hess_mid))):
+            return (val, bd1, bd2, base), (node, None)
         E = np.exp(s0 - sm)
-        return (E * val, E * (a * val + bd1), E * (b * val + bd2),
+        e, qv, idx = float(E), 0.25 * val, range(len(a))
+        c2 = [x * val + y for x, y in zip(b, bd2)]
+        # E (a (x) (b val + d2) - 0.25 val Hsigma(m)^T + d1 (x) b + base d1d2)
+        d1d2 = [[e * (a[i] * c2[j] - qv * hess_mid[j][i] + bd1[i] * b[j] + base[i][j])
+                 for j in idx] for i in idx]
+        return ((E * val, [e * (x * val + y) for x, y in zip(a, bd1)],
+                 [e * c for c in c2], d1d2),
                 (node, (q0, E, a, b, val, bd1, bd2)))
-
-    def d1d2_from(extra):
-        node, conformal = extra
-        if conformal is None:
-            return _midpoint_d1d2(L, h, *node)
-        _, E, a, b, val, bd1, bd2 = conformal
-        return E * (np.outer(a, b * val + bd2)
-                    - 0.25 * val * ch.hess(node[0]).T
-                    + np.outer(bd1, b)
-                    + _midpoint_d1d2(L, h, *node))
 
     def same_from(extra, k):
         # d/dq_k of E (c val + bd), with c = a, bd = d1 (k = 0) or c = b, bd = d2;
@@ -236,14 +304,14 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         if conformal is None:
             return _midpoint_same(L, h, k, *node)
         q0, E, a, b, val, bd1, bd2 = conformal
-        c, bd = (b, bd2) if k else (a, bd1)
+        c, bd = (np.array(b), np.array(bd2)) if k else (np.array(a), np.array(bd1))
         dc = -0.25 * ch.hess(node[0])
         if not k:
             dc = dc + ch.hess(q0)
         return E * (np.outer(c, c * val + bd) + np.outer(bd, c) + val * dc
                     + _midpoint_same(L, h, k, *node))
 
-    return _memoized_pair_rule(L.n, h, pair_data, d1d2_from, same_from)
+    return _memoized_pair_rule(L.n, h, pair_data, same_from)
 
 
 def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
@@ -251,52 +319,50 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     """Trapezoidal rule of the chart-local Lagrangian, expressed globally.
 
     Ld(q0, q1) = (h/2) [L(q0, w) + exp(sigma(q0) - sigma(q1)) L(q1, w)].
-    Value, d1 and d2 at a pair come from one evaluation of L, sigma and the
-    Lee form, so ``L``'s jet and the chart's sigma callables must be pure
+    All parts at a pair come from one evaluation of L, sigma and the Lee
+    form, so ``L``'s jet and the chart's sigma callables must be pure
     functions of their arguments.
     """
     ch = atlas.chart(chart)
-
-    def pair_data(q0, q1):
-        s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
-        phi0, phi1 = ch.grad(q0), ch.grad(q1)
-        if s0 == s1 and not (np.any(phi0) or np.any(phi1) or np.any(ch.hess(q0))
-                             or np.any(ch.hess(q1))):
-            val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
-            return val, d1, d2, (nodes, None)
-        w = (q1 - q0) / h
-        L0, gq0, gv0, vv0, vq0 = _jet_at(L, q0, w)
-        L1, gq1, gv1, vv1, vq1 = _jet_at(L, q1, w)
-        G = np.exp(s0 - s1)
-        U = 0.5 * h * L1
-        T1 = 0.5 * h * gq0 - 0.5 * gv0
-        U1 = -0.5 * gv1
-        T2 = 0.5 * gv0
-        U2 = 0.5 * h * gq1 + 0.5 * gv1
-        S = -phi1 * U + U2
-        return (0.5 * h * (L0 + G * L1),
-                T1 + G * (phi0 * U + U1), T2 + G * S,
-                (((q0, w, vv0, vq0), (q1, w, vv1, vq1)), (G, phi0, phi1, U, U1, U2)))
+    sigma, grad, hess = _chart_floats(ch)
+    at_q0 = _first_point_memo(sigma, grad, hess)
 
     # Ld = T + G U with T = (h/2) L(q0, w), U = (h/2) L(q1, w) and
     # G = exp(sigma(q0) - sigma(q1)); T1, U2 etc. are their partials
-    def d1d2_from(extra):
-        nodes, conformal = extra
-        if conformal is None:
-            return _trapezoidal_d1d2(h, nodes)
-        (_, _, vv0, vq0), (_, _, vv1, vq1) = nodes
-        G, phi0, phi1, U, U1, U2 = conformal
-        S = -phi1 * U + U2
-        dT2 = 0.5 * vq0.T - vv0 / (2.0 * h)
-        dU2 = -0.5 * vq1 - vv1 / (2.0 * h)
-        dS = -np.outer(U1, phi1) + dU2
-        return dT2 + G * (np.outer(phi0, S) + dS)
+    def pair_data(q0, q1):
+        (s0, phi0, hess0), s1, phi1 = at_q0(q0), sigma(q1), grad(q1)
+        if s0 == s1 and not (any(phi0) or any(phi1) or any(map(any, hess0))
+                             or any(map(any, hess(q1)))):
+            val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
+            return (val, d1, d2, _trapezoidal_d1d2(h, nodes)), (nodes, None)
+        w = [(b - a) / h for a, b in zip(q0, q1)]
+        L0, gq0, gv0, vv0, vq0 = L.jet(list(q0), w)
+        L1, gq1, gv1, vv1, vq1 = L.jet(list(q1), w)
+        G = np.exp(s0 - s1)
+        g, c, t, idx = float(G), 0.5 * h, 2.0 * h, range(len(phi0))
+        U = c * L1
+        T1 = [c * x - 0.5 * y for x, y in zip(gq0, gv0)]
+        U1 = [-0.5 * y for y in gv1]
+        U2 = [c * x + 0.5 * y for x, y in zip(gq1, gv1)]
+        S = [-f * U + u for f, u in zip(phi1, U2)]
+        d1 = [x + g * (f * U + u) for x, f, u in zip(T1, phi0, U1)]
+        d2 = [0.5 * y + g * s for y, s in zip(gv0, S)]
+        # d1d2 = dT2 + G (phi0 (x) S + dS), with dT2 = 0.5 vq0^T - vv0 / (2h),
+        # dS = -U1 (x) phi1 + dU2 and dU2 = -0.5 vq1 - vv1 / (2h)
+        vv0l, vq0l, vv1l, vq1l = vv0.tolist(), vq0.tolist(), vv1.tolist(), vq1.tolist()
+        d1d2 = [[0.5 * vq0l[j][i] - vv0l[i][j] / t
+                 + g * (phi0[i] * S[j] + (-(U1[i] * phi1[j])
+                                          + (-0.5 * vq1l[i][j] - vv1l[i][j] / t)))
+                 for j in idx] for i in idx]
+        return ((c * (L0 + G * L1), d1, d2, d1d2),
+                (((q0, w, vv0, vq0), (q1, w, vv1, vq1)), (G, phi0, phi1, U, U1, U2)))
 
     def same_from(extra, k):
         nodes, conformal = extra
         if conformal is None:
             return _trapezoidal_same(L, h, k, nodes)
         G, phi0, phi1, U, U1, U2 = conformal
+        phi0, phi1, U1, U2 = np.array(phi0), np.array(phi1), np.array(U1), np.array(U2)
         if not k:  # d/dq0 of T1 + G (phi0 U + U1)
             return _trapezoidal_node(L, h, 0, nodes) + G * (
                 nodes[1][2] / (2.0 * h) + np.outer(phi0 * U + U1, phi0)
@@ -306,7 +372,7 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
             _trapezoidal_node(L, h, 1, nodes) - np.outer(-phi1 * U + U2, phi1)
             - U * ch.hess(nodes[1][0]) - np.outer(phi1, U2))
 
-    return _memoized_pair_rule(L.n, h, pair_data, d1d2_from, same_from)
+    return _memoized_pair_rule(L.n, h, pair_data, same_from)
 
 
 def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,

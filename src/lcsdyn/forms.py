@@ -71,8 +71,9 @@ def lc_pc_two_form(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int
     ch = atlas.chart(chart)
 
     def components(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
-        return _block(_dp_minus_dq1(Ld, q0, q1, ch.grad(q0)))
+        q0 = as_vector(q0)
+        _, _, d2, d1d2 = Ld.jet(q0.tolist(), as_vector(q1).tolist())
+        return _block(np.array(_dp_minus_dq1(ch.grad(q0).tolist(), d2, d1d2)))
 
     return TwoFormField(dim=2 * Ld.n, components=components)
 

@@ -32,9 +32,11 @@ Both inversions are Newton solves with the closed-form Jacobians
 Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
 (implicit-function differentiation through the same Jacobians).  One Newton
 inversion at (q, P) gives the value and both partials: the builders sit on the
-quadrature rules' one-entry pair memo (``discretize._pair_memo``), so a built
-Hamiltonian is stateful and not thread-safe.  Their ``d1d2`` is lazy: where the
-Lee form (and the sigma Hessian at the eliminated point) vanishes it is
+quadrature rules' one-entry pair memo (``discretize._pair_memo``, keyed on the
+float tuples of (q, P)), so a built Hamiltonian is stateful and not
+thread-safe.  The inversions run ``newton_solve`` on arrays, converting to
+and from the pair jet ``Ld.jet`` at their boundary.  Their ``d1d2`` is lazy:
+where the Lee form (and the sigma Hessian at the eliminated point) vanishes it is
 -d1d2 Ld inv(dp+/dq1) (right) or -E (d1d2 Ld)^T inv(dp-/dq0) (left, E the
 exponential in H-).  Elsewhere ``d1`` is differenced in P along the inverted
 relation's tangent, the eliminated point moving by inv(dp/dq) dP, with no
@@ -43,7 +45,8 @@ exact mixed partial carries third partials of Ld, which no rule provides.
 Plain ``rd_step``/``ld_step`` use ``d1d2`` as Newton Jacobian.
 The conformal steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
-recursion, and p_next = p+(q_curr, q_next) is then explicit.  That is what
+recursion, on Python floats with one pair jet call per Newton iterate, and
+p_next = p+(q_curr, q_next) is then explicit.  That is what
 the conformal Hamilton equations assert once the eliminated argument is held
 fixed under differentiation, and it makes the Lagrangian and Hamiltonian
 marches commute through the Legendre transform.
@@ -51,17 +54,18 @@ marches commute through the Legendre transform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .atlas import Chart, ConformalAtlas, transition_apply
-from .discretize import DiscreteLagrangian, _pair_memo
+from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve, solve_linear
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
-from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq0,
+from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_solve, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
                           _p_plus)
 
@@ -85,8 +89,9 @@ def discrete_legendre(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
     q0, q1 = as_vector(q0), as_vector(q1)
     ch = atlas.require_inside(chart, q0)
     atlas.require_inside(chart, q1)
-    p_plus = as_vector(Ld.d2(q0, q1))
-    p_minus = _p_minus(Ld, q0, q1, ch.grad(q0))
+    value, d1, d2, _ = Ld.jet(q0.tolist(), q1.tolist())
+    p_plus = np.array(d2)
+    p_minus = np.array(_p_minus(ch.grad(q0).tolist(), value, d1))
     scale = np.exp(-float(ch.sigma(q0)))
     return LegendreMomenta(r_plus=scale * p_plus, r_minus=scale * p_minus,
                            p_plus=p_plus, p_minus=p_minus)
@@ -98,10 +103,11 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     """Fill per-point momenta (r, p) of a conformal-recursion trajectory in place.
 
     Each lattice pair is carried once into the chart of its first point q_k
-    and gives p-(q_k, q_{k+1}) at q_k and p+(q_k, q_{k+1}) at q_{k+1}, moved
-    into q_{k+1}'s chart on a switch (with ``conformal=False``, -d1 Ld and
-    d2 Ld).  At interior points the two expressions for p_k must agree to
-    ``tol`` (their difference is the step residual); a larger disagreement
+    and gives, from one call of the pair jet, p-(q_k, q_{k+1}) at q_k and
+    p+(q_k, q_{k+1}) at q_{k+1}, moved into q_{k+1}'s chart on a switch (with
+    ``conformal=False``, -d1 Ld and d2 Ld).  At interior points the two
+    expressions for p_k must agree to ``tol`` (their difference is the step
+    residual); a larger disagreement
     raises :class:`ConsistencyError` naming the lattice index.  Endpoints use
     the single available expression.
     """
@@ -119,23 +125,26 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                 qb = _into_chart(atlas, nxt.q, nxt.chart, pt.chart)
             except DomainError as e:
                 raise ConsistencyError(str(e), index=k) from e
+            value, d1, d2, _ = Ld.jet(pt.q.tolist(), qb.tolist())
             if conformal:
                 ch = atlas.chart(pt.chart)
                 s_b = sigmas[k + 1] if nxt.chart == pt.chart else float(ch.sigma(qb))
-                p_fwd = _p_minus(Ld, pt.q, qb, ch.grad(pt.q))
-                p_next = _p_plus(Ld, pt.q, qb, sigmas[k], s_b)
+                p_fwd = _p_minus(ch.grad(pt.q).tolist(), value, d1)
+                p_next = _p_plus(d2, sigmas[k], s_b)
             else:
-                p_fwd = -as_vector(Ld.d1(pt.q, qb))
-                p_next = as_vector(Ld.d2(pt.q, qb))
+                p_fwd, p_next = [-g for g in d1], d2
             if nxt.chart != pt.chart:
-                _, p_next = transition_apply(atlas, pt.chart, nxt.chart, qb, p_next, "p")
+                p_next = transition_apply(atlas, pt.chart, nxt.chart, qb, p_next,
+                                          "p")[1].tolist()
         if p_fwd is not None and p_bwd is not None:
-            gap = float(np.max(np.abs(p_fwd - p_bwd)))
+            # the largest |difference|, NaN when any difference is NaN
+            gaps = [abs(a - b) for a, b in zip(p_fwd, p_bwd)]
+            gap = max(gaps) if all(g == g for g in gaps) else math.nan
             if gap > tol:
                 raise ConsistencyError(
                     f"momentum expressions disagree by {gap:.3e} (tol {tol:.1e}) "
                     f"at lattice point {k}", index=k)
-        pt.p = p_fwd if p_fwd is not None else p_bwd
+        pt.p = np.array(p_fwd if p_fwd is not None else p_bwd)
         pt.r = np.exp(-sigmas[k]) * pt.p if conformal else pt.p.copy()
         p_bwd = p_next
     return traj
@@ -153,10 +162,11 @@ class LagrangianSource:
         """q1 solving P = p+(q0, q1), by Newton with the closed-form dp+/dq1
         from the seed q0 + h P."""
         ch = self.atlas.chart(self.chart)
-        s0 = float(ch.sigma(q0))
+        s0, q0_floats = float(ch.sigma(q0)), as_vector(q0).tolist()
 
         def g(x):
-            return _p_plus(self.Ld, q0, x, s0, float(ch.sigma(x))) - P
+            d2 = self.Ld.jet(q0_floats, x.tolist())[2]
+            return np.array(_p_plus(d2, s0, float(ch.sigma(x)))) - P
 
         def J(x):
             return _dp_plus_dq1(self.Ld, q0, x, s0, float(ch.sigma(x)), ch.grad(x))
@@ -166,10 +176,11 @@ class LagrangianSource:
     def invert_left(self, q1: Vector, P: Vector) -> np.ndarray:
         """q0 solving P = p-(q0, q1), by Newton with the closed-form dp-/dq0
         from the seed q1 - h P."""
-        ch = self.atlas.chart(self.chart)
+        ch, q1_floats = self.atlas.chart(self.chart), as_vector(q1).tolist()
 
         def g(x):
-            return _p_minus(self.Ld, x, q1, ch.grad(x)) - P
+            value, d1 = self.Ld.jet(x.tolist(), q1_floats)[:2]
+            return np.array(_p_minus(ch.grad(x).tolist(), value, d1)) - P
 
         def J(x):
             return _dp_minus_dq0(self.Ld, x, q1, ch.grad(x), ch.hess(x))
@@ -212,6 +223,22 @@ def _along_inversion(partial, P: Vector, J: np.ndarray) -> np.ndarray:
                        _TANGENT_FD_EPS)
 
 
+def _memoized_hamiltonian(source: LagrangianSource, side: str, pair_data, mixed
+                          ) -> DiscreteHamiltonian:
+    """A discrete Hamiltonian on :func:`discretize._pair_memo`.
+
+    ``pair_data(a, P)`` on fresh arrays inverts once and returns ``(value,
+    d1, d2, extra)``; ``d1``/``d2`` return copies and ``d1d2`` is
+    ``mixed(a, P, *extra)``.
+    """
+    at = _on_arrays(_pair_memo(lambda a, P: pair_data(np.array(a), np.array(P))))
+    return DiscreteHamiltonian(
+        n=source.Ld.n, h=source.Ld.h, side=side, source=source,
+        value=lambda a, P: at(a, P)[0], d1=lambda a, P: at(a, P)[1].copy(),
+        d2=lambda a, P: at(a, P)[2].copy(),
+        d1d2=lambda a, P: mixed(as_vector(a), as_vector(P), *at(a, P)[3]))
+
+
 def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                             chart: int) -> DiscreteHamiltonian:
     """Right discrete Hamiltonian H+(q_k, p_{k+1}) generated by Ld on a chart.
@@ -247,10 +274,8 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
             return _along_inversion(lambda t, dx: partials(q0, P + t, q1 + dx)[1], P, J)
         return -np.array([solve_linear(J.T, row) for row in np.atleast_2d(Ld.d1d2(q0, q1))])
 
-    value, d1, d2, extra = _pair_memo(lambda q0, P: partials(q0, P, source.invert_right(q0, P)))
-    return DiscreteHamiltonian(
-        n=Ld.n, h=Ld.h, side="right", value=value, d1=d1, d2=d2, source=source,
-        d1d2=lambda q0, P: mixed(as_vector(q0), as_vector(P), *extra(q0, P)))
+    return _memoized_hamiltonian(
+        source, "right", lambda q0, P: partials(q0, P, source.invert_right(q0, P)), mixed)
 
 
 def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -270,7 +295,8 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
             # through dq0/dP = inv(J) and dq0/dq1 = -inv(J) dp-/dq1
             y = solve_linear(_dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0)).T,
                              phi0 * (E * float(P @ q0)))
-            d1 = d1 - _dp_minus_dq1(Ld, q0, q1, phi0).T @ y
+            _, _, d2_Ld, d1d2_Ld = Ld.jet(q0.tolist(), q1.tolist())
+            d1 = d1 - np.array(_dp_minus_dq1(phi0.tolist(), d2_Ld, d1d2_Ld)).T @ y
             d2 = d2 + y
         return H, d1, d2, (q0, E, phi0, phi1)
 
@@ -282,10 +308,8 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         dLd = np.atleast_2d(Ld.d1d2(q0, q1))
         return -E * np.array([solve_linear(J.T, col) for col in dLd.T])
 
-    value, d1, d2, extra = _pair_memo(lambda q1, P: partials(q1, P, source.invert_left(q1, P)))
-    return DiscreteHamiltonian(
-        n=Ld.n, h=Ld.h, side="left", value=value, d1=d1, d2=d2, source=source,
-        d1d2=lambda q1, P: mixed(as_vector(q1), as_vector(P), *extra(q1, P)))
+    return _memoized_hamiltonian(
+        source, "left", lambda q1, P: partials(q1, P, source.invert_left(q1, P)), mixed)
 
 
 def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
@@ -324,14 +348,16 @@ def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
     """One conformal step of the generating Lagrangian on chart ``ch``.
 
     q_next solves p_curr = p-(q_curr, q_next): the n-unknown system of the
-    conformal three-point recursion (``variational._dlcel_system``, analytic
-    Jacobian), seeded here with q_curr + h p_curr.  Then
-    p_next = p+(q_curr, q_next) is explicit.  Returns (q_next, p_next, result).
+    conformal three-point recursion (``variational._dlcel_solve``, analytic
+    Jacobian, on floats), seeded here with q_curr + h p_curr.  Then
+    p_next = p+(q_curr, q_next) is explicit, from the pair jet at the solution.
+    Returns (q_next, p_next, result).
     """
-    F, J = _dlcel_system(Ld, ch, q_curr, p_curr)
-    res = newton_solve(F, q_curr + Ld.h * p_curr, cfg, jacobian=J)
-    p_next = _p_plus(Ld, q_curr, res.x, float(ch.sigma(q_curr)), float(ch.sigma(res.x)))
-    return res.x, p_next, res
+    qc, pc = q_curr.tolist(), p_curr.tolist()
+    res = _dlcel_solve(Ld, ch, q_curr, pc, [a + Ld.h * b for a, b in zip(qc, pc)], cfg)
+    d2 = Ld.jet(qc, res.x.tolist())[2]
+    p_next = _p_plus(d2, float(ch.sigma(q_curr)), float(ch.sigma(res.x)))
+    return res.x, np.array(p_next), res
 
 
 def _require_source(Hd: DiscreteHamiltonian) -> LagrangianSource:
@@ -408,8 +434,8 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
         else:
             q_next, p_next, res = _plain_step(Hd, q_curr, p_curr, cfg)
         if Hd.source is not None:
-            sign = float(np.sign(np.linalg.det(
-                np.atleast_2d(Hd.source.Ld.d1d2(q_curr, q_next)))))
+            d1d2 = Hd.source.Ld.jet(q_curr.tolist(), q_next.tolist())[3]
+            sign = float(np.sign(np.linalg.det(np.array(d1d2))))
             if branch_sign is not None and sign != 0 and sign != branch_sign:
                 k = len(traj.points)
                 raise IntegrationError(f"discrete Legendre branch jump at step {k}",

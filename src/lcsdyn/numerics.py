@@ -104,48 +104,85 @@ def newton_solve(
     accepted and iteration continues.  Each step is one :func:`solve_linear`
     with condition limit 1e14.  Raises :class:`NewtonError` when
     ``cfg.max_iter`` is exceeded and :class:`RegularityError` when that solve
-    does.
+    does.  ``F`` and ``jacobian`` (a central difference of ``F`` when None)
+    see fresh float64 arrays; the iteration itself is :func:`_newton`'s.
     """
-    x = as_vector(x0).copy()
-    r = as_vector(F(x))
-    if not np.all(np.isfinite(r)):
+    def system(xs: list):
+        x = np.array(xs)
+
+        def J() -> list:
+            M = jacobian(x) if jacobian is not None else fd_jacobian(F, x, cfg.fd_epsilon)
+            return np.atleast_2d(np.asarray(M, dtype=float)).tolist()
+
+        return as_vector(F(x)).tolist(), J
+
+    x, iterations, residual = _newton(system, as_vector(x0).tolist(), cfg)
+    return NewtonResult(x=np.array(x), iterations=iterations, residual=residual)
+
+
+def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
+            ) -> tuple[list, int, float]:
+    """The damped Newton iteration of :func:`newton_solve`, on Python floats.
+
+    ``system(x)``, with x a list of n floats, returns the residual at x as a
+    list of n floats and a callable of no arguments that returns the Jacobian
+    at x as an (n, n) nested list; the Jacobian is asked for only at accepted
+    iterates, so one evaluation per iterate can serve both.  Returns
+    ``(x, iterations, residual)``.  The updates ``x + step dx``, the residual
+    norm and the 1x1 and 2x2 solves round as numpy's would.
+    """
+    x = x0
+    r, jac = system(x)
+    if not all(map(math.isfinite, r)):
         raise NewtonError("residual not finite at the initial guess",
                           residual=float("nan"), iterations=0)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = max(map(abs, r))
     stalls = 0
     for it in range(cfg.max_iter):
         if rnorm <= cfg.tol:
-            return NewtonResult(x=x, iterations=it, residual=rnorm)
-        J = jacobian(x) if jacobian is not None else fd_jacobian(F, x, cfg.fd_epsilon)
-        dx = solve_linear(J, -r, _COND_LIMIT_NEWTON)
+            return x, it, rnorm
+        dx = _solve_floats(jac(), [-v for v in r], _COND_LIMIT_NEWTON)
         step = 1.0
-        best_x, best_r, best_rnorm = None, None, np.inf
+        best, best_rnorm = None, math.inf
         for _ in range(_DAMPING_HALVINGS + 1):
-            x_try = x + step * dx
-            r_try = as_vector(F(x_try))
-            rnorm_try = float(np.max(np.abs(r_try))) if np.all(np.isfinite(r_try)) else np.inf
+            x_try = [a + step * d for a, d in zip(x, dx)]
+            r_try, jac_try = system(x_try)
+            rnorm_try = max(map(abs, r_try)) if all(map(math.isfinite, r_try)) \
+                else math.inf
             if rnorm_try < best_rnorm:
-                best_x, best_r, best_rnorm = x_try, r_try, rnorm_try
+                best, best_rnorm = (x_try, r_try, jac_try), rnorm_try
             if rnorm_try < rnorm:
                 break
             step *= 0.5
-        if best_x is None:
+        if best is None:
             raise NewtonError(
                 f"no damped Newton trial has a finite residual (last finite "
                 f"residual {rnorm:.3e})", residual=rnorm, iterations=it + 1)
         # Residuals pinned at the rounding floor stall rather than shrink; two
         # stalled iterations in a row end the iteration.
         stalls = stalls + 1 if best_rnorm >= rnorm else 0
-        x, r, rnorm = best_x, best_r, best_rnorm
+        (x, r, jac), rnorm = best, best_rnorm
         if stalls >= 2:
             break
     if rnorm <= cfg.tol:
-        return NewtonResult(x=x, iterations=cfg.max_iter, residual=rnorm)
+        return x, cfg.max_iter, rnorm
     raise NewtonError(
         f"Newton stalled at residual {rnorm:.3e} (tol {cfg.tol:.1e})" if stalls >= 2
         else f"Newton did not converge in {cfg.max_iter} iterations "
              f"(residual {rnorm:.3e})",
         residual=rnorm, iterations=cfg.max_iter)
+
+
+def _solve_floats(A: list, b: list, cond_limit: float) -> list:
+    """:func:`solve_linear` on a nested list and a list, with the same bits:
+    a division for 1x1, :func:`_solve_2x2` for 2x2, and solve_linear itself
+    for anything larger or screened out."""
+    if len(b) == 1:
+        return [b[0] / _divisor(A[0][0])]
+    x = _solve_2x2(A, b, cond_limit) if len(b) == 2 else None
+    if x is None:
+        x = solve_linear(np.array(A), np.array(b), cond_limit).tolist()
+    return x
 
 
 def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarray:
@@ -159,11 +196,7 @@ def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarr
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape == (1, 1):
-        if A[0, 0] == 0.0:
-            raise RegularityError("singular 1x1 system", condition=float("inf"))
-        if not math.isfinite(A[0, 0]):
-            raise RegularityError("non-finite 1x1 system", condition=float("nan"))
-        return np.atleast_1d(b / A[0, 0])
+        return np.atleast_1d(b / _divisor(A[0, 0]))
     b = np.asarray(b, dtype=float)
     if A.shape == (2, 2) and b.shape == (2,):
         x = _solve_2x2(A.tolist(), b.tolist(), cond_limit)
@@ -171,6 +204,16 @@ def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarr
             return np.array(x)
     A_inv = _checked_inverse(A, cond_limit, "ill-conditioned linear system")
     return A_inv @ b
+
+
+def _divisor(a: float) -> float:
+    """The entry of a 1x1 system; :class:`RegularityError` when it is zero or
+    not finite."""
+    if a == 0.0:
+        raise RegularityError("singular 1x1 system", condition=float("inf"))
+    if not math.isfinite(a):
+        raise RegularityError("non-finite 1x1 system", condition=float("nan"))
+    return a
 
 
 def _solve_2x2(A: list, b: list, cond_limit: float) -> list | None:

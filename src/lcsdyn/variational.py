@@ -13,11 +13,15 @@ phi = D sigma, reads
 Written with the conformal discrete Legendre maps, defined once here,
 p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld and p-(q0, q1) = phi(q0) Ld - d1 Ld,
 it reads p+(q_prev, q_curr) = p-(q_curr, q_next).  The conformal Hamiltonian
-pair step solves the same system, ``_dlcel_system``, for its carried momentum.
+pair step solves the same system, ``_dlcel_solve``, for its carried momentum.
 Both recursions are solved for q_next by damped Newton with an analytic
-Jacobian.  ``integrate`` marches a trajectory, transporting the active
-two-point window across chart transitions whenever a point leaves the core of
-its chart, and fills momenta afterwards.
+Jacobian.  The conformal step, p+- and dp-/dq1 are written once, on Python
+floats: one call of the pair jet ``Ld.jet`` per Newton iterate gives the
+residual and the Jacobian, and ``numerics._newton`` iterates on float lists;
+array callers convert at their boundary.  The plain recursion stays on the
+array parts and ``newton_solve``.  ``integrate`` marches a trajectory,
+transporting the active two-point window across chart transitions whenever a
+point leaves the core of its chart, and fills momenta afterwards.
 The discrete action sum uses the local (conformally rescaled) Lagrangian
 
     S([q]) = sum_k exp(-sigma(q_k)) Ld(q_k, q_{k+1});
@@ -35,7 +39,8 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
-from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
+from .numerics import (NewtonResult, StepperConfig, _newton, as_vector, fd_jacobian,
+                       newton_solve)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
 
 Vector = np.ndarray
@@ -57,25 +62,27 @@ def _del_system(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector
     return F, J
 
 
-def _p_plus(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, s0: float,
-            s1: float) -> np.ndarray:
+def _p_plus(d2: list, s0: float, s1: float) -> list:
     """p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld(q0, q1), a covector at q1.
 
-    ``s0``, ``s1`` are sigma(q0), sigma(q1) on the pair's chart.
+    ``d2`` is the pair jet's; ``s0``, ``s1`` are sigma(q0), sigma(q1) on the
+    pair's chart.
     """
-    return np.exp(s1 - s0) * as_vector(Ld.d2(q0, q1))
+    e = float(np.exp(s1 - s0))
+    return [e * g for g in d2]
 
 
-def _p_minus(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector
-             ) -> np.ndarray:
-    """p-(q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1), a covector at q0."""
-    return phi0 * float(Ld.value(q0, q1)) - as_vector(Ld.d1(q0, q1))
+def _p_minus(phi0: list, value: float, d1: list) -> list:
+    """p-(q0, q1) = phi(q0) Ld(q0, q1) - d1 Ld(q0, q1), a covector at q0,
+    from the pair jet's value and d1."""
+    value = float(value)
+    return [f * value - g for f, g in zip(phi0, d1)]
 
 
-def _dp_minus_dq1(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector
-                  ) -> np.ndarray:
-    """d p-(q0, q1) / d q1 = phi(q0) (x) d2 Ld(q0, q1) - d1d2 Ld(q0, q1)."""
-    return np.outer(phi0, as_vector(Ld.d2(q0, q1))) - np.atleast_2d(Ld.d1d2(q0, q1))
+def _dp_minus_dq1(phi0: list, d2: list, d1d2: list) -> list:
+    """d p-(q0, q1) / d q1 = phi(q0) (x) d2 Ld(q0, q1) - d1d2 Ld(q0, q1), as a
+    nested list from the pair jet's d2 and d1d2."""
+    return [[f * g - m for g, m in zip(d2, row)] for f, row in zip(phi0, d1d2)]
 
 
 def _dp_plus_dq1(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, s0: float, s1: float,
@@ -92,34 +99,44 @@ def _dp_minus_dq0(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector,
             - np.atleast_2d(Ld.d1d1(q0, q1)))
 
 
-def _dlcel_system(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector,
-                  p_curr: Vector) -> tuple[Callable, Callable]:
-    """The conformal step: q_next solving p_curr = p-(q_curr, q_next).
+def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: list,
+                 seed: list, cfg: StepperConfig) -> NewtonResult:
+    """The conformal step on floats: q_next solving p_curr = p-(q_curr, q_next).
 
-    The three-point recursion poses it with p_curr = p+(q_prev, q_curr), the
-    conformal Hamiltonian pair step with the momentum it carries.
+    :func:`numerics._newton` solves it from ``seed``; at each iterate x one
+    call of ``Ld.jet(q_curr, x)`` gives the residual p_curr - p-(q_curr, x)
+    and the Jacobian -dp-/dq1.  The three-point recursion poses the step with
+    p_curr = p+(q_prev, q_curr), the conformal Hamiltonian pair step with the
+    momentum it carries.
     """
-    phi = chart.grad(q_curr)
+    jet, qc, phi = Ld.jet, q_curr.tolist(), chart.grad(q_curr).tolist()
 
-    def F(x):
-        return p_curr - _p_minus(Ld, q_curr, x, phi)
+    def system(x: list):
+        value, d1, d2, d1d2 = jet(qc, x)
+        r = [p - m for p, m in zip(p_curr, _p_minus(phi, value, d1))]
+        return r, lambda: [[-v for v in row] for row in _dp_minus_dq1(phi, d2, d1d2)]
 
-    def J(x):
-        return -_dp_minus_dq1(Ld, q_curr, x, phi)
-
-    return F, J
+    x, iterations, residual = _newton(system, seed, cfg)
+    return NewtonResult(x=np.array(x), iterations=iterations, residual=residual)
 
 
 def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vector,
-                      q_curr: Vector, cfg: StepperConfig, conformal: bool):
-    """Newton solve for q_next from the seed 2 q_curr - q_prev; returns the result."""
-    if conformal:
-        p_curr = _p_plus(Ld, q_prev, q_curr, float(chart.sigma(q_prev)),
-                         float(chart.sigma(q_curr)))
-        F, J = _dlcel_system(Ld, chart, q_curr, p_curr)
-    else:
+                      q_curr: Vector, cfg: StepperConfig, conformal: bool
+                      ) -> NewtonResult:
+    """Newton solve for q_next from the seed 2 q_curr - q_prev; returns the result.
+
+    The conformal step reads p_curr = p+(q_prev, q_curr) from the pair jet:
+    in a march that is the pair the previous step's solve ended on, which
+    the memo of a quadrature rule still holds.
+    """
+    if not conformal:
         F, J = _del_system(Ld, q_prev, q_curr)
-    return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
+        return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
+    qp, qc = q_prev.tolist(), q_curr.tolist()
+    p_curr = _p_plus(Ld.jet(qp, qc)[2], float(chart.sigma(q_prev)),
+                     float(chart.sigma(q_curr)))
+    return _dlcel_solve(Ld, chart, q_curr, p_curr,
+                        [2.0 * b - a for a, b in zip(qp, qc)], cfg)
 
 
 def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,
@@ -186,6 +203,8 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: Vector, aux,
     across a transition holding q and q_next into a chart whose core holds
     q_next; ``carry(t, q_next, aux_next)`` transports aux_next, given q_next
     in the old chart.  ``point(k, chart_id, q, aux)`` builds each recorded point.
+    A NewtonError or RegularityError from a step or a carry ends the march
+    with an IntegrationError holding the points before it.
     """
     for k in range(len(traj.points), N + 1):
         ch = atlas.chart(chart_id)
@@ -198,7 +217,12 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: Vector, aux,
         if not ch.contains(q_next, margin=switch_margin):
             t = _find_switch(atlas, chart_id, q, q_next, switch_margin)
             if t is not None:
-                aux_next = carry(t, q_next, aux_next)
+                try:
+                    aux_next = carry(t, q_next, aux_next)
+                except (NewtonError, RegularityError) as e:
+                    raise IntegrationError(
+                        f"chart switch at lattice point {k} failed: {e}",
+                        partial=traj, index=k) from e
                 q_next = as_vector(t.forward(q_next))
                 chart_id = t.to_chart
                 switched = True

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from lcsdyn import (Chart, ConformalAtlas, StepperConfig, System,
-                    harmonic_1d, planar_2d)
+                    free_rotor_circle, harmonic_1d, planar_2d)
 from lcsdyn.continuous import ContinuousLagrangian
 from lcsdyn.numerics import as_vector
-from lcsdyn.systems import _free_particle
+from lcsdyn.systems import _free_particle, _harmonic, _linear_chart
 
 
 def free_line_system(c: float = 0.1, box: float = 50.0) -> System:
@@ -56,6 +56,25 @@ def varying_mass():
 
     system = planar_2d(0.3, -0.2)
     return dataclasses.replace(system, lagrangian=ContinuousLagrangian(2, jet, hess_qq))
+
+
+def harmonic_3d(c=(0.3, -0.2, 0.1)) -> System:
+    """The 3-DOF harmonic oscillator with sigma = c . q (linear, so a constant
+    Lee form); n = 3 takes the Newton solves past the closed-form 1x1 and 2x2
+    paths."""
+    chart = _linear_chart(0, [-50.0] * 3, [50.0] * 3, c)
+    L, H = _harmonic(3)
+    return System(name="harmonic_3d", n=3, atlas=ConformalAtlas(charts=(chart,)),
+                  lagrangian=L, hamiltonian=H, start_chart=0, sigma_params=tuple(c))
+
+
+def rotor_with_transition_jacobian(entry: float, c: float = -0.1) -> System:
+    """free_rotor_circle whose transitions all declare the 1x1 Jacobian [[entry]]."""
+    system = free_rotor_circle(c)
+    transitions = tuple(dataclasses.replace(t, jacobian=lambda q: np.array([[entry]]))
+                        for t in system.atlas.transitions)
+    return dataclasses.replace(system, atlas=ConformalAtlas(
+        charts=system.atlas.charts, transitions=transitions))
 
 
 @pytest.fixture

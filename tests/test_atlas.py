@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lcsdyn import (Chart, ConformalAtlas, DomainError, a_matrix, cocycle_check,
-                    free_rotor_circle, harmonic_1d, lcs_two_form_matrix,
+from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, a_matrix,
+                    cocycle_check, free_rotor_circle, harmonic_1d, lcs_two_form_matrix,
                     lee_form, planar_2d, transition_apply)
 from lcsdyn.numerics import fd_jacobian
+from conftest import rotor_with_transition_jacobian
 
 
 def chart_2d(sigma, grad=None):
@@ -133,6 +134,16 @@ def test_transition_p_kind_unchanged():
         transition_apply(rotor.atlas, 0, 1, [2.0], [1.0], "p")
     with pytest.raises(ValueError):
         transition_apply(rotor.atlas, 0, 1, [0.0], [1.0], "x")
+
+
+@pytest.mark.parametrize("entry", [0.0, np.nan], ids=["zero", "nan"])
+def test_transition_with_a_bad_jacobian_is_regularity_error(entry):
+    # a singular or non-finite Jacobian raises the typed error, not numpy's
+    # LinAlgError or a silent NaN momentum
+    rotor = rotor_with_transition_jacobian(entry)
+    for kind in ("p", "r"):
+        with pytest.raises(RegularityError):
+            transition_apply(rotor.atlas, 0, 1, [3.0], [1.3], kind)
 
 
 def test_cocycle_single_chart_empty_pass():

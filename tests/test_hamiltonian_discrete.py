@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
-                    LagrangianSource, NewtonError, StepperConfig, TrajectoryPoint,
-                    build_left_hamiltonian, build_right_hamiltonian,
-                    conformal_midpoint_rule, conformal_trapezoidal_rule,
-                    discrete_legendre, get_system, integrate, integrate_hamiltonian,
-                    free_rotor_circle, ld_step, ldlch_step, midpoint_rule,
-                    momenta_along_trajectory, rd_step, rdlch_step, transition_apply,
-                    with_constant_sigma)
+                    IntegrationError, LagrangianSource, NewtonError, RegularityError,
+                    StepperConfig, TrajectoryPoint, build_left_hamiltonian,
+                    build_right_hamiltonian, conformal_midpoint_rule,
+                    conformal_trapezoidal_rule, discrete_legendre, dlcel_step,
+                    get_system, integrate, integrate_hamiltonian, free_rotor_circle,
+                    ld_step, ldlch_step, midpoint_rule, momenta_along_trajectory,
+                    rd_step, rdlch_step, transition_apply, with_constant_sigma)
 from lcsdyn import hamiltonian_discrete, numerics
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
-from lcsdyn.variational import _dp_minus_dq0, _dp_minus_dq1, _dp_plus_dq1
-from conftest import curved_planar, varying_mass
+from lcsdyn.variational import _dp_minus_dq0, _dp_plus_dq1
+from conftest import (curved_planar, harmonic_3d, rotor_with_transition_jacobian,
+                      varying_mass)
 
 
 def analytic_free_right(h):
@@ -249,6 +250,25 @@ def test_hamiltonian_marches_cross_charts_like_integrate(tight_cfg):
             assert np.max(np.abs(b.r - np.exp(-sigma) * b.p)) <= 1e-12
 
 
+@pytest.mark.parametrize("entry", [0.0, np.nan], ids=["zero", "nan"])
+def test_bad_transition_jacobian_ends_the_march_at_the_switch(entry, tight_cfg):
+    good = free_rotor_circle(-0.1)
+    Ld = conformal_midpoint_rule(good.lagrangian, good.atlas, 0, 0.05)
+    q, p = np.array([0.3]), np.array([1.0])
+    ref = integrate_hamiltonian(build_right_hamiltonian(Ld, good.atlas, 0), good.atlas, 0,
+                                q, p, 2000, tight_cfg)
+    switch = next(s.k for s in ref.steps if s.switched)
+    bad = rotor_with_transition_jacobian(entry)
+    Hd = build_right_hamiltonian(
+        conformal_midpoint_rule(bad.lagrangian, bad.atlas, 0, 0.05), bad.atlas, 0)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_hamiltonian(Hd, bad.atlas, 0, q, p, 2000, tight_cfg)
+    assert isinstance(exc.value.__cause__, RegularityError)
+    assert exc.value.index == switch
+    assert [pt.q.tobytes() for pt in exc.value.partial.points] == \
+        [pt.q.tobytes() for pt in ref.points[:switch]]
+
+
 def coupled_pair_step_reference(Ld, ch, q_curr, p_curr, cfg):
     """The former conformal pair step: one coupled Newton solve for (q_next,
     p_next) in 2n unknowns with a finite-differenced Jacobian."""
@@ -291,6 +311,30 @@ def test_conformal_steps_match_the_coupled_solve(name, rule, tight_cfg):
             assert p_next.tobytes() == p_plus.tobytes()
             p_minus = ch.grad(q) * float(Ld.value(q, q_next)) - as_vector(Ld.d1(q, q_next))
             assert np.max(np.abs(p - p_minus)) <= tight_cfg.tol
+
+
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule])
+def test_three_dof_conformal_steps_match_the_coupled_solve(rule, tight_cfg):
+    system = harmonic_3d()
+    ch = system.atlas.chart(0)
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
+    steppers = ((rdlch_step, build_right_hamiltonian(Ld, system.atlas, 0)),
+                (ldlch_step, build_left_hamiltonian(Ld, system.atlas, 0)))
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        q_prev, q = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        p = rng.uniform(-1, 1, 3)
+        q_ref, p_ref = coupled_pair_step_reference(Ld, ch, q, p, tight_cfg)
+        for step, Hd in steppers:
+            q_next, p_next = step(Hd, system.atlas, 0, q, p, tight_cfg)
+            assert np.max(np.abs(q_next - q_ref)) <= 1e-11
+            assert np.max(np.abs(p_next - p_ref)) <= 1e-11
+        # the three-point step carries p+(q_prev, q) into the same system
+        p_curr = np.exp(float(ch.sigma(q)) - float(ch.sigma(q_prev))) \
+            * as_vector(Ld.d2(q_prev, q))
+        q_ref = coupled_pair_step_reference(Ld, ch, q, p_curr, tight_cfg)[0]
+        q_next = dlcel_step(Ld, system.atlas, 0, q_prev, q, tight_cfg)
+        assert np.max(np.abs(q_next - q_ref)) <= 1e-11
 
 
 def pointwise_momenta_reference(Ld, atlas, traj, tol, conformal):
@@ -423,7 +467,9 @@ def reference_left(Ld, atlas, chart):
         if not np.any(phi0):
             return base
         y = correction(q1, P, q0, E)
-        return base - _dp_minus_dq1(Ld, q0, q1, phi0).T @ y
+        dp_minus_dq1 = (np.outer(phi0, as_vector(Ld.d2(q0, q1)))
+                        - np.atleast_2d(Ld.d1d2(q0, q1)))
+        return base - dp_minus_dq1.T @ y
 
     def d2(q1, P):
         q1, P, q0, E = core(q1, P)
