@@ -8,13 +8,11 @@ associated two-point Poincare-Cartan forms with a numerical conformal-condition
 verifier, and a CLI experiment driver over a small built-in system catalog.
 """
 
-from .atlas import (Chart, ConformalAtlas, TransitionMap, a_matrix,
-                    cocycle_check, lcs_two_form_matrix, lee_form,
-                    transition_apply)
+from .atlas import (Chart, ConformalAtlas, TransitionMap, cocycle_check,
+                    lee_form, transition_apply)
 from .continuous import (ContinuousHamiltonian, ContinuousLagrangian,
                          divergence_numeric, energy,
                          fiber_legendre, fiber_legendre_inv,
-                         lcel_acceleration, lcs_hamiltonian_field,
                          make_lcel_field, make_lcshe_field, rk4_integrate)
 from .discretize import (DiscreteLagrangian, conformal_midpoint_rule,
                          conformal_trapezoidal_rule,
@@ -24,11 +22,10 @@ from .errors import (ConfigError, ConsistencyError, DomainError,
                      IntegrationError, NewtonError, RegularityError,
                      ShootingError)
 from .forms import (LcsConditionReport, TwoFormField, lc_pc_two_form,
-                    lcs_condition_check, pc_two_form)
+                    lcs_condition_check)
 from .hamiltonian_discrete import (DiscreteHamiltonian, LagrangianSource,
-                                   LegendreMomenta,
                                    build_left_hamiltonian,
-                                   build_right_hamiltonian, discrete_legendre,
+                                   build_right_hamiltonian,
                                    integrate_hamiltonian, ld_step, ldlch_step,
                                    momenta_along_trajectory, rd_step,
                                    rdlch_step)

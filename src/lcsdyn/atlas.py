@@ -1,12 +1,9 @@
-r"""Charts, conformal factors, transitions, and the pointwise conformal-symplectic data.
+"""Charts, conformal factors and transitions.
 
 A configuration space is covered by box charts, each carrying a scalar conformal
 factor sigma(q).  On chart overlaps the conformal factors may only differ by a
 constant (the cocycle condition); this is what lets per-chart data glue into
-global objects.  The Lee one-form is the gradient of sigma, and the conformal
-two-form in Darboux coordinates (q, p) is
-
-    dq^i /\ dp_i + (1/2) A_ij dq^i /\ dq^j,   A_ij = phi_i p_j - phi_j p_i.
+global objects.  The Lee one-form is the gradient of sigma.
 """
 
 from __future__ import annotations
@@ -17,12 +14,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import as_vector, fd_jacobian, solve_linear
+from .numerics import _of_length, as_vector, solve_linear
 
 Vector = np.ndarray
 
 COCYCLE_TOL = 1e-10
-_FD_SIGMA_EPS = 1e-6
 _COCYCLE_SAMPLES = 16
 
 
@@ -30,11 +26,11 @@ _COCYCLE_SAMPLES = 16
 class Chart:
     """A box (or angular-interval) chart with a conformal factor.
 
-    ``sigma_grad`` and ``sigma_hess`` may be omitted; central finite-difference
-    fallbacks are used.  A chart whose sigma is affine may instead declare its
-    Lee form as ``constant_lee`` (n components): ``grad`` then returns a copy
-    of it and ``hess`` zeros without calling anything, and the continuous
-    fields read it once.
+    A chart declares its Lee form: a chart whose sigma is affine as
+    ``constant_lee`` (n components), which ``grad`` returns a copy of and
+    ``hess`` pairs with zeros without calling anything, and which the
+    continuous fields read once; any other chart as both ``sigma_grad`` and
+    ``sigma_hess``.  A chart that declares neither raises ``ValueError``.
     """
 
     id: int
@@ -58,6 +54,10 @@ class Chart:
                                  f"{self.dim}")
         if not np.all(self.lower < self.upper):
             raise ValueError(f"chart {self.id}: empty domain (need lower < upper)")
+        if self.constant_lee is None and (self.sigma_grad is None
+                                          or self.sigma_hess is None):
+            raise ValueError(f"chart {self.id}: declare constant_lee, or both "
+                             f"sigma_grad and sigma_hess")
 
     @property
     def width(self) -> np.ndarray:
@@ -75,16 +75,12 @@ class Chart:
     def grad(self, q: Vector) -> np.ndarray:
         if self.constant_lee is not None:
             return self.constant_lee.copy()
-        if self.sigma_grad is not None:
-            return as_vector(self.sigma_grad(as_vector(q)))
-        return fd_jacobian(self.sigma, as_vector(q), _FD_SIGMA_EPS)
+        return as_vector(self.sigma_grad(as_vector(q)))
 
     def hess(self, q: Vector) -> np.ndarray:
         if self.constant_lee is not None:
             return np.zeros((self.dim, self.dim))
-        if self.sigma_hess is not None:
-            return np.atleast_2d(np.asarray(self.sigma_hess(as_vector(q)), dtype=float))
-        return fd_jacobian(self.grad, as_vector(q), _FD_SIGMA_EPS)
+        return np.atleast_2d(np.asarray(self.sigma_hess(as_vector(q)), dtype=float))
 
 
 def _chart_floats(ch: Chart):
@@ -150,10 +146,6 @@ class ConformalAtlas:
                 raise ValueError(f"transition references unknown chart "
                                  f"{t.from_chart}->{t.to_chart}")
 
-    @property
-    def dim(self) -> int:
-        return self.charts[0].dim
-
     def chart(self, chart_id: int) -> Chart:
         for c in self.charts:
             if c.id == chart_id:
@@ -162,7 +154,7 @@ class ConformalAtlas:
 
     def require_inside(self, chart_id: int, q: Vector) -> Chart:
         c = self.chart(chart_id)
-        q = as_vector(q)
+        q = _of_length(q, c.dim, "q")
         for i in range(c.dim):
             if not (c.lower[i] <= q[i] <= c.upper[i]):
                 raise DomainError(
@@ -193,31 +185,6 @@ def lee_form(atlas: ConformalAtlas, chart: int, q: Vector) -> np.ndarray:
     return c.grad(q)
 
 
-def a_matrix(phi: Vector, p: Vector) -> np.ndarray:
-    """Antisymmetric pairing A_ij = phi_i p_j - phi_j p_i of a one-form and a momentum."""
-    phi = as_vector(phi)
-    p = as_vector(p)
-    if phi.size != p.size:
-        raise ValueError(f"length mismatch: phi has {phi.size}, p has {p.size}")
-    return np.outer(phi, p) - np.outer(p, phi)
-
-
-def lcs_two_form_matrix(atlas: ConformalAtlas, chart: int, q: Vector, p: Vector
-                        ) -> np.ndarray:
-    """Matrix of the conformal two-form in the ordered basis (dq^1..dq^n, dp_1..dp_n).
-
-    Block form [[A, I], [-I, 0]]; its determinant is 1 for every A.
-    """
-    phi = lee_form(atlas, chart, q)
-    n = phi.size
-    A = a_matrix(phi, p)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = A
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = -np.eye(n)
-    return out
-
-
 def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
                      q: Vector, momentum: Vector, momentum_kind: str
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +198,7 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     """
     if momentum_kind not in ("r", "p"):
         raise ValueError(f"momentum_kind must be 'r' or 'p', got {momentum_kind!r}")
-    q = as_vector(q)
+    q = _of_length(q, atlas.chart(from_chart).dim, "q")
     t = atlas.require_transition(from_chart, to_chart, q)
     q_new = as_vector(t.forward(q))
     J = np.atleast_2d(np.asarray(t.jacobian(q), dtype=float))

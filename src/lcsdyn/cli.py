@@ -11,7 +11,8 @@ Configs and reports are JSON; trajectories are CSV with the fixed header
     k,t,chart,q_0..q_{n-1},p_0..p_{n-1},r_0..r_{n-1},sigma,energy
 
 and numbers printed with 17 significant digits.  Exit codes: 0 success,
-2 config error, 3 numerical failure, 4 verification failure.
+2 config error (a run too large to allocate included), 3 numerical failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -374,9 +375,10 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
 
 
 def _steps_to(t: float, h: float, message: str, field: str) -> int:
-    """The whole number of steps of size h that reach t, or a ConfigError."""
-    steps = int(round(t / h))
-    _require(abs(steps * h - t) <= 1e-9 * max(1.0, t), message, field)
+    """The whole number (>= 1) of steps of size h that reach t, or a ConfigError."""
+    ratio = t / h
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    _require(steps >= 1 and abs(steps * h - t) <= 1e-9 * max(1.0, t), message, field)
     return steps
 
 
@@ -451,6 +453,9 @@ def main(argv=None) -> int:
             return EXIT_OK if report["passed"] else EXIT_VERIFY
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        print(f"config error: run too large to allocate: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (NewtonError, IntegrationError, RegularityError, DomainError,
             ConsistencyError) as e:

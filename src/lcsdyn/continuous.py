@@ -24,8 +24,7 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _checked_inverse, _newton, _solve_2x2,
-                       as_vector, fd_jacobian)
+from .numerics import StepperConfig, _newton, _solve_floats, as_vector, fd_jacobian
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -91,30 +90,6 @@ class ContinuousHamiltonian:
 
     def grad_p(self, q: Vector, p: Vector) -> np.ndarray:
         return np.array(self._at(q, p)[2])
-
-
-def lcs_hamiltonian_field(H: ContinuousHamiltonian, atlas: ConformalAtlas,
-                          chart: int, q: Vector, p: Vector
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dq/dt, dp/dt) of the conformal Hamilton equations."""
-    q = as_vector(q)
-    x = make_lcshe_field(H, atlas, chart)(np.concatenate([q, as_vector(p)]))
-    return x[:q.size], x[q.size:]
-
-
-def lcel_acceleration(L: ContinuousLagrangian, atlas: ConformalAtlas,
-                      chart: int, q: Vector, v: Vector) -> np.ndarray:
-    """Acceleration solving the conformal Euler-Lagrange equations.
-
-    Solves  hess_vv a = grad_q - hess_vq v + (phi.v) grad_v - L phi  through
-    :func:`make_lcel_field`: by one division when n = 1, raising
-    :class:`RegularityError` only for a zero Hessian, and as
-    :func:`solve_linear` does (raising when the condition number exceeds
-    1e12) when n >= 2.
-    """
-    q = as_vector(q)
-    x = make_lcel_field(L, atlas, chart)(np.concatenate([q, as_vector(v)]))
-    return x[q.size:]
 
 
 def energy(L: ContinuousLagrangian, q: Vector, v: Vector) -> float:
@@ -293,8 +268,8 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
     floats from one jet evaluation, and a ``grad_q``, ``grad_v`` or Lee form
     without n components raises ``ValueError``.  The acceleration solves
-    ``hess_vv a = rhs`` by one division when n = 1 and otherwise as
-    :func:`solve_linear` does (in closed form behind its screen when n = 2),
+    ``hess_vv a = rhs`` by one division when n = 1 and otherwise by
+    ``numerics._solve_floats`` (in closed form behind its screen when n = 2),
     raising :class:`RegularityError` as it does.
     """
     n = L.n
@@ -319,10 +294,6 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
         s, hv = float(phi_a @ v), (hvq @ v).tolist()
         rhs = [a - b + s * c - lval * f
                for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
-        acc = _solve_2x2(M.tolist(), rhs, 1e12) if n == 2 else None
-        if acc is None:  # n >= 3, or a 2x2 the closed form declines
-            acc = (_checked_inverse(M, 1e12, "ill-conditioned linear system")
-                   @ np.array(rhs)).tolist()
-        return vs + acc
+        return vs + _solve_floats(M.tolist(), rhs, 1e12)
 
     return _float_field(floats)

@@ -401,8 +401,8 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
 
         try:
             res = newton_solve(endpoint, (q1 - q0) / h,
-                               StepperConfig(tol=max(tol, 1e-14), max_iter=30,
-                                             fd_epsilon=1e-7))
+                               StepperConfig(tol=max(tol, 1e-14), max_iter=30),
+                               lambda v: fd_jacobian(endpoint, v, 1e-7))
         except NewtonError as e:
             raise ShootingError(
                 f"boundary-value shooting failed for endpoints {q0} -> {q1}: {e}",

@@ -52,18 +52,11 @@ def _block(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def pc_two_form(Ld: DiscreteLagrangian) -> TwoFormField:
-    """The two-form with (q0, q1) block -d1d2 Ld."""
-
-    def components(q0, q1):
-        return _block(-np.atleast_2d(Ld.d1d2(as_vector(q0), as_vector(q1))))
-
-    return TwoFormField(dim=2 * Ld.n, components=components)
-
-
 def lc_pc_two_form(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int
                    ) -> TwoFormField:
     """Conformal two-form: (q0, q1) block -d1d2 Ld + phi(q0) (x) d2 Ld = dp-/dq1.
+
+    On a chart with a zero Lee form this is the plain form, block -d1d2 Ld.
 
     The (q1, q1) block vanishes by symmetry of second partials, so the matrix
     keeps the same off-diagonal block structure as the plain form.

@@ -13,8 +13,7 @@ Along a conformal trajectory the single-point momenta are
     p_k = p+(q_{k-1}, q_k) = p-(q_k, q_{k+1}),    r_k = exp(-sigma(q_k)) p_k,
 
 and the agreement of the two p_k expressions is precisely the conformal
-three-point recursion.  ``discrete_legendre`` reports a pair's data scaled at
-q0: its p_plus is d2 Ld = exp(sigma(q0) - sigma(q1)) p+, and r+- = exp(-sigma(q0)) p+-.
+three-point recursion; ``momenta_along_trajectory`` fills them.
 
 The right discrete Hamiltonian eliminates q1 from
 
@@ -56,14 +55,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .atlas import Chart, ConformalAtlas, transition_apply
 from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numerics import StepperConfig, as_vector, fd_jacobian, newton_solve, solve_linear
+from .numerics import (StepperConfig, _of_length, as_vector, fd_jacobian, newton_solve,
+                       solve_linear)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_solve, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
@@ -74,27 +74,6 @@ Vector = np.ndarray
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
 # the tangent difference's truncation (third partials of d1) against its rounding
 _TANGENT_FD_EPS = 1e-5
-
-
-class LegendreMomenta(NamedTuple):
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-
-
-def discrete_legendre(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
-                      q0: Vector, q1: Vector) -> LegendreMomenta:
-    """Right/left momenta of the two-point Legendre transform at (q0, q1)."""
-    q0, q1 = as_vector(q0), as_vector(q1)
-    ch = atlas.require_inside(chart, q0)
-    atlas.require_inside(chart, q1)
-    value, d1, d2, _ = Ld.jet(q0.tolist(), q1.tolist())
-    p_plus = np.array(d2)
-    p_minus = np.array(_p_minus(ch.grad(q0).tolist(), value, d1))
-    scale = np.exp(-float(ch.sigma(q0)))
-    return LegendreMomenta(r_plus=scale * p_plus, r_minus=scale * p_minus,
-                           p_plus=p_plus, p_minus=p_minus)
 
 
 def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -333,14 +312,16 @@ def rd_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plain right step: solve p_k = d1 H+(q_k, p_{k+1}), then q_{k+1} = d2 H+."""
     _require_side(Hd, "right", "rd_step")
-    return _plain_step(Hd, as_vector(q_curr), as_vector(p_curr), cfg)[:2]
+    return _plain_step(Hd, _of_length(q_curr, Hd.n, "q"), _of_length(p_curr, Hd.n, "p"),
+                       cfg)[:2]
 
 
 def ld_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plain left step: solve q_k = -d2 H-(q_{k+1}, p_k), then p_{k+1} = -d1 H-."""
     _require_side(Hd, "left", "ld_step")
-    return _plain_step(Hd, as_vector(q_curr), as_vector(p_curr), cfg)[:2]
+    return _plain_step(Hd, _of_length(q_curr, Hd.n, "q"), _of_length(p_curr, Hd.n, "p"),
+                       cfg)[:2]
 
 
 def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
@@ -376,8 +357,8 @@ def _conformal_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
         raise ValueError(f"discrete Hamiltonian was built on chart "
                          f"{source.chart}, stepped on chart {chart}")
     ch = atlas.require_inside(chart, q_curr)
-    return _conformal_pair_step(source.Ld, ch, as_vector(q_curr), as_vector(p_curr),
-                                cfg)[:2]
+    return _conformal_pair_step(source.Ld, ch, as_vector(q_curr),
+                                _of_length(p_curr, Hd.n, "p"), cfg)[:2]
 
 
 def rdlch_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
@@ -416,7 +397,7 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    q, p = as_vector(q0), as_vector(p0)
+    q, p = as_vector(q0), _of_length(p0, Hd.n, "p")
     atlas.require_inside(chart, q)
     Ld = _require_source(Hd).Ld if conformal else None
     traj = DiscreteTrajectory(h=Hd.h)

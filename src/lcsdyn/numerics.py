@@ -26,15 +26,12 @@ class StepperConfig:
 
     tol: float = 1e-10
     max_iter: int = 50
-    fd_epsilon: float = 1e-6
 
     def __post_init__(self):
         if not (self.tol >= 1e-14):
             raise ValueError(f"tol must be >= 1e-14, got {self.tol}")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
-        if self.fd_epsilon <= 0:
-            raise ValueError("fd_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,14 @@ def as_vector(x) -> np.ndarray:
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
         return x
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _of_length(x, n: int, name: str) -> np.ndarray:
+    """``as_vector(x)``, or ``ValueError`` naming ``n`` unless it has n components."""
+    x = as_vector(x)
+    if x.size != n:
+        raise ValueError(f"{name} has {x.size} components, expected {n}")
+    return x
 
 
 def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.ndarray:
@@ -95,24 +100,23 @@ def newton_solve(
     F: Callable[[Vector], Vector],
     x0: Vector,
     cfg: StepperConfig,
-    jacobian: Callable[[Vector], np.ndarray] | None = None,
+    jacobian: Callable[[Vector], np.ndarray],
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0.
 
     The step is halved up to six times whenever the residual norm does not
     decrease; after exhausting the halvings the best candidate is
-    accepted and iteration continues.  Each step is one :func:`solve_linear`
+    accepted and iteration continues.  Each step is one :func:`_solve_floats`
     with condition limit 1e14.  Raises :class:`NewtonError` when
     ``cfg.max_iter`` is exceeded and :class:`RegularityError` when that solve
-    does.  ``F`` and ``jacobian`` (a central difference of ``F`` when None)
-    see fresh float64 arrays; the iteration itself is :func:`_newton`'s.
+    does.  ``F`` and ``jacobian`` see fresh float64 arrays; the iteration
+    itself is :func:`_newton`'s.
     """
     def system(xs: list):
         x = np.array(xs)
 
         def J() -> list:
-            M = jacobian(x) if jacobian is not None else fd_jacobian(F, x, cfg.fd_epsilon)
-            return np.atleast_2d(np.asarray(M, dtype=float)).tolist()
+            return np.atleast_2d(np.asarray(jacobian(x), dtype=float)).tolist()
 
         return as_vector(F(x)).tolist(), J
 
@@ -174,36 +178,29 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
 
 
 def _solve_floats(A: list, b: list, cond_limit: float) -> list:
-    """:func:`solve_linear` on a nested list and a list, with the same bits:
-    a division for 1x1, :func:`_solve_2x2` for 2x2, and solve_linear itself
-    for anything larger or screened out."""
+    """Solve A x = b on a nested list and a list; raise
+    :class:`RegularityError` when cond(A) exceeds ``cond_limit``.
+
+    A 1x1 system is one division and raises only when its entry is zero or
+    not finite.  A 2x2 system is solved in closed form by :func:`_solve_2x2`;
+    any other system, and a 2x2 one that fails its screen, as ``inv(A) @ b``
+    with the check of :func:`_checked_inverse`.
+    """
     if len(b) == 1:
         return [b[0] / _divisor(A[0][0])]
     x = _solve_2x2(A, b, cond_limit) if len(b) == 2 else None
     if x is None:
-        x = solve_linear(np.array(A), np.array(b), cond_limit).tolist()
+        A_inv = _checked_inverse(np.array(A), cond_limit, "ill-conditioned linear system")
+        x = (A_inv @ np.array(b)).tolist()
     return x
 
 
 def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarray:
-    """Solve A x = b; raise :class:`RegularityError` when the 2-norm condition
-    number cond(A) exceeds ``cond_limit``.
-
-    A 1x1 system raises only when its entry is zero or not finite.  A 2x2
-    system is solved in closed form by :func:`_solve_2x2`; any other system,
-    and a 2x2 one that fails its screen, as ``inv(A) @ b`` with the check of
-    :func:`_checked_inverse`.
-    """
+    """Solve A x = b for a vector b as :func:`_solve_floats` does, on arrays;
+    ``ValueError`` unless b has as many components as A has rows."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape == (1, 1):
-        return np.atleast_1d(b / _divisor(A[0, 0]))
-    b = np.asarray(b, dtype=float)
-    if A.shape == (2, 2) and b.shape == (2,):
-        x = _solve_2x2(A.tolist(), b.tolist(), cond_limit)
-        if x is not None:
-            return np.array(x)
-    A_inv = _checked_inverse(A, cond_limit, "ill-conditioned linear system")
-    return A_inv @ b
+    b = _of_length(b, A.shape[0], "b")
+    return np.array(_solve_floats(A.tolist(), b.tolist(), cond_limit))
 
 
 def _divisor(a: float) -> float:

@@ -39,8 +39,8 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
-from .numerics import (NewtonResult, StepperConfig, _newton, as_vector, fd_jacobian,
-                       newton_solve)
+from .numerics import (NewtonResult, StepperConfig, _newton, _of_length, as_vector,
+                       fd_jacobian, newton_solve)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
 
 Vector = np.ndarray
@@ -142,8 +142,8 @@ def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vecto
 def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,
              cfg: StepperConfig) -> np.ndarray:
     """Advance the plain three-point recursion; Newton seed is 2 q_curr - q_prev."""
-    return _three_point_step(Ld, None, as_vector(q_prev), as_vector(q_curr), cfg,
-                             conformal=False).x
+    return _three_point_step(Ld, None, _of_length(q_prev, Ld.n, "q_prev"),
+                             _of_length(q_curr, Ld.n, "q_curr"), cfg, conformal=False).x
 
 
 def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
-from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, a_matrix,
-                    cocycle_check, free_rotor_circle, harmonic_1d, lcs_two_form_matrix,
-                    lee_form, planar_2d, transition_apply)
+from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, cocycle_check,
+                    free_rotor_circle, harmonic_1d, lee_form, transition_apply)
 from lcsdyn.numerics import fd_jacobian
 from conftest import rotor_with_transition_jacobian
 
 
-def chart_2d(sigma, grad=None):
+def chart_2d(sigma, grad, hess):
     return ConformalAtlas(charts=(Chart(
         id=0, dim=2, lower=[-5, -5], upper=[5, 5], sigma=sigma,
-        sigma_grad=grad),))
+        sigma_grad=grad, sigma_hess=hess),))
+
+
+def sin_chart():
+    """sigma = sin(q0) q1 + 0.2 q0 with its closed-form derivatives."""
+    return chart_2d(lambda q: float(np.sin(q[0]) * q[1] + 0.2 * q[0]),
+                    lambda q: np.array([np.cos(q[0]) * q[1] + 0.2, np.sin(q[0])]),
+                    lambda q: np.array([[-np.sin(q[0]) * q[1], np.cos(q[0])],
+                                        [np.cos(q[0]), 0.0]]))
 
 
 def test_lee_form_linear():
@@ -28,7 +33,8 @@ def test_lee_form_zero():
 
 def test_lee_form_product():
     atlas = chart_2d(lambda q: float(q[0] * q[1]),
-                     lambda q: np.array([q[1], q[0]]))
+                     lambda q: np.array([q[1], q[0]]),
+                     lambda q: np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(lee_form(atlas, 0, [2.0, 3.0]), [3.0, 2.0])
 
 
@@ -42,9 +48,7 @@ def test_lee_form_errors():
 
 
 def test_lee_form_matches_finite_differences():
-    atlas = chart_2d(lambda q: float(np.sin(q[0]) * q[1] + 0.2 * q[0]),
-                     lambda q: np.array([np.cos(q[0]) * q[1] + 0.2,
-                                         np.sin(q[0])]))
+    atlas = sin_chart()
     rng = np.random.default_rng(0)
     for _ in range(100):
         q = rng.uniform(-4, 4, 2)
@@ -56,9 +60,7 @@ def test_lee_form_matches_finite_differences():
 
 def test_lee_form_closedness():
     # antisymmetrized finite-difference jacobian of the lee form vanishes
-    atlas = chart_2d(lambda q: float(np.sin(q[0]) * q[1] + 0.2 * q[0]),
-                     lambda q: np.array([np.cos(q[0]) * q[1] + 0.2,
-                                         np.sin(q[0])]))
+    atlas = sin_chart()
     rng = np.random.default_rng(1)
     eps = 1e-5
     for _ in range(30):
@@ -68,49 +70,6 @@ def test_lee_form_closedness():
             / (2 * eps)
             for e in np.eye(2)])
         assert np.max(np.abs(J - J.T)) <= 1e-5
-
-
-def test_a_matrix_examples():
-    assert np.array_equal(a_matrix([1.7], [2.3]), [[0.0]])
-    assert np.array_equal(a_matrix([1.0, 0.0], [0.0, 1.0]),
-                          [[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(a_matrix([0.0, 0.0], [3.0, -4.0]), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        a_matrix([1.0], [1.0, 2.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 5), data=st.data())
-def test_a_matrix_antisymmetric_exactly(n, data):
-    finite = st.floats(-1e6, 1e6, allow_nan=False)
-    phi = data.draw(hnp.arrays(float, n, elements=finite))
-    p = data.draw(hnp.arrays(float, n, elements=finite))
-    A = a_matrix(phi, p)
-    assert np.array_equal(A + A.T, np.zeros((n, n)))
-
-
-def test_two_form_matrix_examples():
-    flat = harmonic_1d(0.0).atlas
-    assert np.array_equal(lcs_two_form_matrix(flat, 0, [0.3], [0.7]),
-                          [[0.0, 1.0], [-1.0, 0.0]])
-    conf = harmonic_1d(0.1).atlas
-    assert np.array_equal(lcs_two_form_matrix(conf, 0, [0.3], [0.7]),
-                          [[0.0, 1.0], [-1.0, 0.0]])
-    atlas = chart_2d(lambda q: float(q[0]), lambda q: np.array([1.0, 0.0]))
-    got = lcs_two_form_matrix(atlas, 0, [0.0, 0.0], [0.0, 1.0])
-    want = np.array([[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
-                    dtype=float)
-    assert np.array_equal(got, want)
-
-
-def test_two_form_determinant_one():
-    atlas = planar_2d(0.7, -0.4).atlas
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        q, p = rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)
-        M = lcs_two_form_matrix(atlas, 0, q, p)
-        assert abs(np.linalg.det(M) - 1.0) <= 1e-12
-        assert np.array_equal(M + M.T, np.zeros_like(M))
 
 
 def test_transition_identity():
@@ -163,7 +122,8 @@ def test_cocycle_corrupted_sigma_fails():
     c0, c1 = rotor.atlas.charts
     bad0 = Chart(id=0, dim=1, lower=c0.lower, upper=c0.upper,
                  sigma=lambda q: 0.1 * float(q[0]) + 0.01 * float(q[0]),
-                 sigma_grad=lambda q: np.array([0.11]))
+                 sigma_grad=lambda q: np.array([0.11]),
+                 sigma_hess=lambda q: np.zeros((1, 1)))
     bad_atlas = ConformalAtlas(charts=(bad0, c1),
                                transitions=rotor.atlas.transitions)
     report = cocycle_check(bad_atlas)
@@ -176,6 +136,14 @@ def test_chart_requires_nonempty_domain():
         Chart(id=0, dim=1, lower=[1.0], upper=[1.0], sigma=lambda q: 0.0)
     with pytest.raises(ValueError):
         Chart(id=0, dim=2, lower=[0.0], upper=[1.0], sigma=lambda q: 0.0)
+
+
+@pytest.mark.parametrize("declared", [{}, {"sigma_grad": lambda q: np.zeros(1)},
+                                      {"sigma_hess": lambda q: np.zeros((1, 1))}],
+                         ids=["neither", "grad_only", "hess_only"])
+def test_chart_must_declare_its_lee_form(declared):
+    with pytest.raises(ValueError, match="chart 3: declare constant_lee"):
+        Chart(id=3, dim=1, lower=[0.0], upper=[1.0], sigma=lambda q: 0.0, **declared)
 
 
 def test_constant_lee_form_is_checked_and_copied():

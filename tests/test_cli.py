@@ -184,7 +184,8 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
         c0, c1 = rotor.atlas.charts
         bad0 = Chart(id=0, dim=1, lower=c0.lower, upper=c0.upper,
                      sigma=lambda q: c * float(q[0]) + 0.01 * float(q[0]),
-                     sigma_grad=lambda q: np.array([c + 0.01]))
+                     sigma_grad=lambda q: np.array([c + 0.01]),
+                     sigma_hess=lambda q: np.zeros((1, 1)))
         atlas = ConformalAtlas(charts=(bad0, c1),
                                transitions=rotor.atlas.transitions)
         return System(name="corrupted", n=1, atlas=atlas,
@@ -289,6 +290,43 @@ def test_bad_command_line_value_is_config_error(tmp_path, capsys, argv, field):
     cfg = _write_config(tmp_path, CONVERGENCE_CONFIG)
     assert main([a.replace("{cfg}", cfg) for a in argv]) == EXIT_CONFIG
     assert f"{field}:" in capsys.readouterr().err
+
+
+def _one_config_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("config, argv", [
+    (CONVERGENCE_CONFIG, ["--h", "1e-320,2e-320,3e-320"]),
+    (CONVERGENCE_CONFIG, ["--h", "0.1,0.05,0.025", "--h-ref", "1e-320"]),
+    (dict(CONVERGENCE_CONFIG, h=1e-300, steps=3), ["--h", "0.2,0.1,0.05"]),
+    (dict(CONVERGENCE_CONFIG, method="rk4-lcel", h=1e-300, steps=3),
+     ["--h", "0.2,0.1,0.05"]),
+], ids=["t_over_h_overflows", "t_over_h_ref_overflows", "zero_steps_dlcel",
+        "zero_steps_rk4"])
+def test_convergence_step_count_out_of_range_is_config_error(tmp_path, capsys, config,
+                                                             argv):
+    # the reference's t / h_ref overflows to inf, or rounds to 0 steps
+    cfg = _write_config(tmp_path, config)
+    assert main(["convergence", "--config", cfg, *argv]) == EXIT_CONFIG
+    assert "h_ref: " in _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["integrate", "convergence"])
+def test_run_too_large_to_allocate_is_config_error(tmp_path, capsys, command):
+    # 10**15 rows of (q, p) are 16 PB, more than any address space, so the
+    # allocation fails at once
+    if command == "integrate":
+        cfg = _write_config(tmp_path, dict(CONVERGENCE_CONFIG, method="rk4-lcshe",
+                                           steps=10 ** 15))
+        argv = ["integrate", "--config", cfg]
+    else:
+        argv = ["convergence", "--config", _write_config(tmp_path, CONVERGENCE_CONFIG),
+                "--h", "0.1,0.05,0.025", "--h-ref", "1e-15"]
+    assert main(argv) == EXIT_CONFIG
+    assert "too large to allocate" in _one_config_error_line(capsys)
 
 
 def test_convergence_with_zero_error_is_numerical_failure(tmp_path, capsys):

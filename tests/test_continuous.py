@@ -4,22 +4,32 @@ import pytest
 from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     ContinuousLagrangian, IntegrationError, RegularityError,
                     divergence_numeric, energy, fiber_legendre,
-                    fiber_legendre_inv, free_rotor_circle, harmonic_1d,
-                    lcel_acceleration, lcs_hamiltonian_field, lee_form,
+                    fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
                     make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate,
                     solve_linear)
+from conftest import harmonic_3d
+
+
+def hamilton_rates(H, atlas, q, p):
+    """(dq/dt, dp/dt) of the conformal Hamilton field on chart 0 at (q, p)."""
+    n = len(q)
+    x = make_lcshe_field(H, atlas, 0)(np.concatenate([q, p]))
+    return x[:n], x[n:]
+
+
+def acceleration(L, atlas, q, v):
+    """The acceleration of the conformal Euler-Lagrange field on chart 0 at (q, v)."""
+    return make_lcel_field(L, atlas, 0)(np.concatenate([q, v]))[len(q):]
 
 
 def test_field_flat_reduces_to_canonical(harmonic_flat):
-    qd, pd = lcs_hamiltonian_field(harmonic_flat.hamiltonian,
-                                   harmonic_flat.atlas, 0, [1.0], [0.0])
+    qd, pd = hamilton_rates(harmonic_flat.hamiltonian, harmonic_flat.atlas, [1.0], [0.0])
     assert np.array_equal(qd, [0.0])
     assert np.array_equal(pd, [-1.0])
 
 
 def test_field_conformal_1d(harmonic):
-    qd, pd = lcs_hamiltonian_field(harmonic.hamiltonian, harmonic.atlas, 0,
-                                   [1.0], [0.0])
+    qd, pd = hamilton_rates(harmonic.hamiltonian, harmonic.atlas, [1.0], [0.0])
     assert np.allclose(qd, [0.0])
     assert abs(pd[0] - (-0.95)) <= 1e-14
 
@@ -28,28 +38,28 @@ def test_field_conformal_2d():
     # sigma = q1, H = |p|^2/2: A = [[0, 1], [-1, 0]], H = 1 at p = (1, 1)
     atlas = ConformalAtlas(charts=(Chart(
         id=0, dim=2, lower=[-5, -5], upper=[5, 5],
-        sigma=lambda q: float(q[0]), sigma_grad=lambda q: np.array([1.0, 0.0])),))
+        sigma=lambda q: float(q[0]), sigma_grad=lambda q: np.array([1.0, 0.0]),
+        sigma_hess=lambda q: np.zeros((2, 2))),))
     H = ContinuousHamiltonian(
         n=2, jet=lambda q, p: (0.5 * (p[0] * p[0] + p[1] * p[1]), [0.0, 0.0], list(p)))
-    qd, pd = lcs_hamiltonian_field(H, atlas, 0, [0.0, 0.0], [1.0, 1.0])
+    qd, pd = hamilton_rates(H, atlas, [0.0, 0.0], [1.0, 1.0])
     assert np.allclose(qd, [1.0, 1.0])
     assert np.allclose(pd, [0.0, 1.0])
 
 
 def test_acceleration_flat(harmonic_flat):
-    a = lcel_acceleration(harmonic_flat.lagrangian, harmonic_flat.atlas, 0,
-                          [1.0], [0.0])
+    a = acceleration(harmonic_flat.lagrangian, harmonic_flat.atlas, [1.0], [0.0])
     assert np.array_equal(a, [-1.0])
 
 
 def test_acceleration_conformal(harmonic):
-    a = lcel_acceleration(harmonic.lagrangian, harmonic.atlas, 0, [1.0], [0.0])
+    a = acceleration(harmonic.lagrangian, harmonic.atlas, [1.0], [0.0])
     assert abs(a[0] - (-0.95)) <= 1e-14
 
 
 def test_acceleration_free_particle(free_line):
     # free particle with sigma = c q accelerates at c v^2 / 2
-    a = lcel_acceleration(free_line.lagrangian, free_line.atlas, 0, [0.3], [2.0])
+    a = acceleration(free_line.lagrangian, free_line.atlas, [0.3], [2.0])
     assert abs(a[0] - 0.5 * 0.1 * 4.0) <= 1e-14
 
 
@@ -58,7 +68,7 @@ def test_acceleration_singular_hessian(harmonic):
         n=1, jet=lambda q, v: (v[0], [0.0], [1.0], np.zeros((1, 1)), np.zeros((1, 1))),
         hess_qq=lambda q, v: np.zeros((1, 1)))
     with pytest.raises(RegularityError):
-        lcel_acceleration(degenerate, harmonic.atlas, 0, [0.0], [1.0])
+        acceleration(degenerate, harmonic.atlas, [0.0], [1.0])
 
 
 def test_energy_values(harmonic):
@@ -185,13 +195,15 @@ def _reference_lcel_field(L, atlas, chart):
         rhs = np.asarray(L.grad_q(q, v), dtype=float) - L.hess_vq(q, v) @ v \
             + float(phi @ v) * gv - L.value(q, v) * phi
         M = L.hess_vv(q, v)
-        acc = rhs / M[0, 0] if n == 1 else np.linalg.solve(M, rhs)
+        # n >= 3 as inv(M) @ rhs: LU can round a zero to the other sign
+        acc = rhs / M[0, 0] if n == 1 else np.linalg.solve(M, rhs) if n == 2 \
+            else np.linalg.inv(M) @ rhs
         return np.concatenate([v, acc])
 
     return field
 
 
-@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, harmonic_3d])
 def test_rk4_fields_bitwise_equal_numpy_reference(system_fn):
     system = system_fn()
     n = system.n
@@ -264,7 +276,8 @@ def test_field_reads_a_non_constant_lee_form_per_call():
     grads = []
     chart = Chart(id=0, dim=2, lower=[-5, -5], upper=[5, 5],
                   sigma=lambda q: 0.5 * float(q[0]) ** 2 + float(q[1]),
-                  sigma_grad=lambda q: grads.append(1) or np.array([q[0], 1.0]))
+                  sigma_grad=lambda q: grads.append(1) or np.array([q[0], 1.0]),
+                  sigma_hess=lambda q: np.diag([1.0, 0.0]))
     system = planar_2d()
     atlas = ConformalAtlas(charts=(chart,))
     x0 = np.array([0.6, -0.4, 0.2, 0.9])
@@ -323,10 +336,10 @@ def test_flat_collapse_is_exact(harmonic_flat):
     rng = np.random.default_rng(7)
     for _ in range(20):
         q, p = rng.uniform(-2, 2, 1), rng.uniform(-2, 2, 1)
-        qd, pd = lcs_hamiltonian_field(H, harmonic_flat.atlas, 0, q, p)
+        qd, pd = hamilton_rates(H, harmonic_flat.atlas, q, p)
         assert np.array_equal(qd, np.atleast_1d(H.grad_p(q, p)))
         assert np.array_equal(pd, -np.atleast_1d(H.grad_q(q, p)))
-        a = lcel_acceleration(harmonic_flat.lagrangian, harmonic_flat.atlas, 0, q, p)
+        a = acceleration(harmonic_flat.lagrangian, harmonic_flat.atlas, q, p)
         assert np.array_equal(a, -q)
 
 

@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import (lc_pc_two_form, lcs_condition_check, midpoint_rule,
-                    pc_two_form, planar_2d, trapezoidal_rule)
+                    planar_2d, trapezoidal_rule, with_constant_sigma)
 from lcsdyn.discretize import DiscreteLagrangian
 from conftest import free_line_system
 
 
+def plain_two_form(Ld, system):
+    """The plain form, block -d1d2 Ld: the conformal one on a zero Lee form."""
+    return lc_pc_two_form(Ld, with_constant_sigma(system).atlas, 0)
+
+
 def test_pc_two_form_free_particle_regular(free_line_flat):
     Ld = midpoint_rule(free_line_flat.lagrangian, 0.1)
-    form = pc_two_form(Ld)
+    form = plain_two_form(Ld, free_line_flat)
     M = form.components([0.2], [0.3])
     assert np.array_equal(M, [[0.0, 10.0], [-10.0, 0.0]])
     assert np.linalg.det(Ld.d1d2([0.2], [0.3])) == pytest.approx(-10.0)
@@ -35,12 +40,12 @@ def test_pc_two_form_harmonic_value(harmonic_flat):
 
 def test_lc_pc_flat_equals_plain(harmonic_flat):
     Ld = midpoint_rule(harmonic_flat.lagrangian, 0.1)
-    plain = pc_two_form(Ld)
     conf = lc_pc_two_form(Ld, harmonic_flat.atlas, 0)
     rng = np.random.default_rng(41)
     for _ in range(20):
         q0, q1 = rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)
-        assert np.array_equal(plain.components(q0, q1), conf.components(q0, q1))
+        m = Ld.d1d2(q0, q1)[0, 0]
+        assert np.array_equal(conf.components(q0, q1), [[0.0, -m], [m, 0.0]])
 
 
 def test_lc_pc_single_component_1d(free_line):
@@ -113,6 +118,6 @@ def test_lcs_condition_flat_closedness():
 def test_returned_matrices_antisymmetric(q0, q1, c):
     system = free_line_system(c)
     Ld = midpoint_rule(system.lagrangian, 0.1)
-    for form in (pc_two_form(Ld), lc_pc_two_form(Ld, system.atlas, 0)):
+    for form in (plain_two_form(Ld, system), lc_pc_two_form(Ld, system.atlas, 0)):
         M = form.components([q0], [q1])
         assert np.array_equal(M + M.T, np.zeros_like(M))

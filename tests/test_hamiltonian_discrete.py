@@ -7,11 +7,11 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     IntegrationError, LagrangianSource, NewtonError, RegularityError,
                     StepperConfig, TrajectoryPoint, build_left_hamiltonian,
                     build_right_hamiltonian, conformal_midpoint_rule,
-                    conformal_trapezoidal_rule, discrete_legendre, dlcel_step,
+                    conformal_trapezoidal_rule, del_step, dlcel_step,
                     get_system, integrate, integrate_hamiltonian, free_rotor_circle,
                     ld_step, ldlch_step, midpoint_rule, momenta_along_trajectory,
                     rd_step, rdlch_step, transition_apply, with_constant_sigma)
-from lcsdyn import hamiltonian_discrete, numerics
+from lcsdyn import hamiltonian_discrete
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
 from lcsdyn.variational import _dp_minus_dq0, _dp_plus_dq1
 from conftest import (curved_planar, harmonic_3d, rotor_with_transition_jacobian,
@@ -38,29 +38,38 @@ def analytic_free_left(h):
         d1d2=lambda q, p: np.array([[-1.0]]))
 
 
+def pair_momenta(Ld, system, q0, q1):
+    """The two points of the trajectory (q0, q1) with their momenta filled:
+    p-(q0, q1) at q0 and p+(q0, q1) at q1, each with r = exp(-sigma) p."""
+    traj = DiscreteTrajectory.from_points(Ld.h, 0, [q0, q1])
+    return momenta_along_trajectory(Ld, system.atlas, traj).points
+
+
 def test_discrete_legendre_flat(free_line_flat):
     Ld = midpoint_rule(free_line_flat.lagrangian, 0.1)
-    lm = discrete_legendre(Ld, free_line_flat.atlas, 0, [0.0], [0.1])
-    assert np.allclose(lm.p_plus, [1.0]) and np.allclose(lm.r_plus, [1.0])
-    assert np.allclose(lm.p_minus, [1.0]) and np.allclose(lm.r_minus, [1.0])
+    at0, at1 = pair_momenta(Ld, free_line_flat, [0.0], [0.1])
+    assert np.allclose(at1.p, [1.0]) and np.allclose(at1.r, [1.0])
+    assert np.allclose(at0.p, [1.0]) and np.allclose(at0.r, [1.0])
 
 
 def test_discrete_legendre_conformal(free_line):
     Ld = midpoint_rule(free_line.lagrangian, 0.1)
-    lm = discrete_legendre(Ld, free_line.atlas, 0, [0.0], [0.1])
-    assert abs(lm.p_minus[0] - 1.005) <= 1e-14
-    assert abs(lm.r_minus[0] - 1.005) <= 1e-14  # sigma(0) = 0
-    assert abs(lm.p_plus[0] - 1.0) <= 1e-14
+    at0, at1 = pair_momenta(Ld, free_line, [0.0], [0.1])
+    assert abs(at0.p[0] - 1.005) <= 1e-14
+    assert abs(at0.r[0] - 1.005) <= 1e-14  # sigma(0) = 0
+    assert abs(at1.p[0] - np.exp(0.01)) <= 1e-14  # sigma(0.1) = 0.01, d2 Ld = 1
+    assert abs(at1.r[0] - 1.0) <= 1e-14
 
 
 def test_discrete_legendre_sign_relations(harmonic):
     Ld = midpoint_rule(harmonic.lagrangian, 0.1)
     q0, q1 = np.array([0.4]), np.array([0.37])
-    lm = discrete_legendre(Ld, harmonic.atlas, 0, q0, q1)
-    sigma0 = 0.1 * 0.4
-    assert np.allclose(lm.p_plus, Ld.d2(q0, q1))
-    assert np.allclose(lm.r_plus, np.exp(-sigma0) * lm.p_plus)
-    assert np.allclose(lm.r_minus, np.exp(-sigma0) * lm.p_minus)
+    at0, at1 = pair_momenta(Ld, harmonic, q0, q1)
+    sigma0, sigma1 = 0.1 * 0.4, 0.1 * 0.37
+    assert np.allclose(at0.p, 0.1 * Ld.value(q0, q1) - Ld.d1(q0, q1))
+    assert np.allclose(at1.p, np.exp(sigma1 - sigma0) * Ld.d2(q0, q1))
+    assert np.allclose(at0.r, np.exp(-sigma0) * at0.p)
+    assert np.allclose(at1.r, np.exp(-sigma1) * at1.p)
 
 
 def test_momenta_flat_harmonic_both_expressions(harmonic_flat, tight_cfg):
@@ -282,7 +291,8 @@ def coupled_pair_step_reference(Ld, ch, q_curr, p_curr, cfg):
         r2 = pn - np.exp(float(ch.sigma(qn)) - s_curr) * as_vector(Ld.d2(q_curr, qn))
         return np.concatenate([r1, r2])
 
-    z = newton_solve(F, np.concatenate([q_curr + Ld.h * p_curr, p_curr]), cfg).x
+    z = newton_solve(F, np.concatenate([q_curr + Ld.h * p_curr, p_curr]), cfg,
+                     lambda z: fd_jacobian(F, z, 1e-6)).x
     return z[:n], z[n:]
 
 
@@ -614,11 +624,13 @@ def reference_plain_step(Hd, q_curr, p_curr, cfg):
     """The former plain step: Newton on Hd's partials with a finite-difference
     Jacobian, so every differenced residual is another inversion."""
     q_curr, p_curr = as_vector(q_curr), as_vector(p_curr)
+    def solve(F, x0):
+        return newton_solve(F, x0, cfg, lambda x: fd_jacobian(F, x, 1e-6)).x
+
     if Hd.side == "right":
-        P = newton_solve(lambda x: as_vector(Hd.d1(q_curr, x)) - p_curr, p_curr, cfg).x
+        P = solve(lambda x: as_vector(Hd.d1(q_curr, x)) - p_curr, p_curr)
         return as_vector(Hd.d2(q_curr, P)), P
-    x = newton_solve(lambda x: as_vector(Hd.d2(x, p_curr)) + q_curr,
-                     q_curr + Hd.h * p_curr, cfg).x
+    x = solve(lambda x: as_vector(Hd.d2(x, p_curr)) + q_curr, q_curr + Hd.h * p_curr)
     return x, -as_vector(Hd.d1(x, p_curr))
 
 
@@ -638,29 +650,19 @@ def test_plain_steps_match_the_differenced_newton(name, sigma, side, tight_cfg):
 
 
 def _count_outer_residuals(monkeypatch):
-    """Count the calls of the plain step's residual made outside a finite
-    difference; the inversions' own Newton solves are not counted."""
-    calls, differencing = [], []
-    fd, newton = numerics.fd_jacobian, hamiltonian_discrete.newton_solve
+    """Count the calls of the plain step's residual; the inversions' own Newton
+    solves are not counted."""
+    calls, newton = [], hamiltonian_discrete.newton_solve
 
-    def counted_fd(F, x, eps):
-        differencing.append(1)
-        try:
-            return fd(F, x, eps)
-        finally:
-            differencing.pop()
-
-    def outer_newton(F, x0, cfg, jacobian=None):
+    def outer_newton(F, x0, cfg, jacobian):
         monkeypatch.setattr(hamiltonian_discrete, "newton_solve", newton)
 
         def counted(x):
-            if not differencing:
-                calls.append(1)
+            calls.append(1)
             return F(x)
 
-        return newton(counted, x0, cfg, jacobian=jacobian)
+        return newton(counted, x0, cfg, jacobian)
 
-    monkeypatch.setattr(numerics, "fd_jacobian", counted_fd)
     monkeypatch.setattr(hamiltonian_discrete, "newton_solve", outer_newton)
     return calls
 
@@ -757,3 +759,35 @@ def test_constant_sigma_takes_no_correction_from_an_infinite_coupling():
     with np.errstate(all="ignore"):
         q1 = Hd.source.invert_right(q, P)
         assert Hd.d2(q, P).tobytes() == q1.tobytes()
+
+
+def _wrong_length_calls():
+    """One call per public entry point, each with a vector of the wrong length
+    on the 1-DOF harmonic oscillator (or the rotor's transition)."""
+    system, cfg = get_system("harmonic_1d"), StepperConfig(tol=1e-12)
+    atlas = system.atlas
+    Ld = conformal_midpoint_rule(system.lagrangian, atlas, 0, 0.1)
+    right, left = build_right_hamiltonian(Ld, atlas, 0), build_left_hamiltonian(Ld, atlas, 0)
+    q, p = [0.5], [0.5, 9.0]
+    return {
+        "del_step": lambda: del_step(Ld, q, [0.5, 0.6], cfg),
+        "dlcel_step": lambda: dlcel_step(Ld, atlas, 0, [], q, cfg),
+        "rd_step": lambda: rd_step(right, q, p, cfg),
+        "ld_step": lambda: ld_step(left, q, p, cfg),
+        "rdlch_step": lambda: rdlch_step(right, atlas, 0, q, p, cfg),
+        "ldlch_step": lambda: ldlch_step(left, atlas, 0, q, p, cfg),
+        "integrate": lambda: integrate(Ld, atlas, 0, q, [0.5, 0.6], 3, cfg),
+        "integrate_hamiltonian": lambda: integrate_hamiltonian(right, atlas, 0, q, p, 3, cfg),
+        "transition_apply": lambda: transition_apply(free_rotor_circle(0.1).atlas, 0, 1,
+                                                     [3.0], [1.3, 0.2], "p"),
+        "transition_apply_q": lambda: transition_apply(free_rotor_circle(0.1).atlas, 0, 1,
+                                                       [3.0, 3.0], [1.3], "p"),
+        "solve_linear": lambda: solve_linear(2.0 * np.eye(1), [1.0, 2.0, 3.0]),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_wrong_length_calls()))
+def test_a_vector_of_the_wrong_length_is_a_value_error(entry):
+    # not truncated by a zip, broadcast, or an IndexError
+    with pytest.raises(ValueError, match="components, expected 1$"):
+        _wrong_length_calls()[entry]()

@@ -11,15 +11,18 @@ def test_config_validation():
         StepperConfig(tol=1e-15)
     with pytest.raises(ValueError):
         StepperConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        StepperConfig(fd_epsilon=0.0)
     cfg = StepperConfig()
     assert cfg.tol == 1e-10 and cfg.max_iter == 50
 
 
+def fd_newton(F, x0, cfg):
+    """Newton on F with a Jacobian central-differenced in steps of 1e-6."""
+    return newton_solve(F, x0, cfg, lambda x: fd_jacobian(F, x, 1e-6))
+
+
 def test_newton_sqrt2():
     cfg = StepperConfig(tol=1e-12)
-    res = newton_solve(lambda x: x * x - 2.0, np.array([1.0]), cfg)
+    res = fd_newton(lambda x: x * x - 2.0, np.array([1.0]), cfg)
     assert abs(res.x[0] - np.sqrt(2)) <= 1e-12
 
 
@@ -34,7 +37,7 @@ def test_newton_linear_one_iteration():
 def test_newton_cubic_damped():
     # root at 0 with a vanishing derivative; damping keeps the iteration stable
     cfg = StepperConfig(tol=1e-10, max_iter=200)
-    res = newton_solve(lambda x: x ** 3, np.array([1.0]), cfg)
+    res = fd_newton(lambda x: x ** 3, np.array([1.0]), cfg)
     assert abs(res.x[0]) <= 1e-3
     assert res.residual <= 1e-10
 
@@ -42,7 +45,7 @@ def test_newton_cubic_damped():
 def test_newton_nonconvergence_carries_residual():
     cfg = StepperConfig(tol=1e-12, max_iter=3)
     with pytest.raises(NewtonError) as exc:
-        newton_solve(lambda x: np.exp(x) + 1.0, np.array([5.0]), cfg)
+        fd_newton(lambda x: np.exp(x) + 1.0, np.array([5.0]), cfg)
     assert exc.value.residual > 0
     assert exc.value.iterations == 3
 
