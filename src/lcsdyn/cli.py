@@ -332,7 +332,11 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
              "step sizes must be finite positive numbers", "h_list")
     _require(len(set(h_list)) == len(h_list), "step sizes must be distinct", "h_list")
     _require(h_ref is None or _is_positive(h_ref), "must be a finite positive number", "h_ref")
-    h_ref = h_ref if h_ref is not None else min(h_list) / 100.0
+    ref_message = "h_ref must divide the final time"
+    if h_ref is None:
+        h_ref = min(h_list) / 100.0
+        ref_message = (f"the default h_ref = min(h)/100 = {h_ref} does not divide the "
+                       f"final time; use larger --h values or set --h-ref")
     _require(h_ref < min(h_list), f"must be below every step size, got {h_ref}", "h_ref")
     config.require_initial("q", "p")
     system = config._system()
@@ -341,7 +345,7 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
     q0 = np.asarray(config.initial["q"], dtype=float)
     p0 = np.asarray(config.initial["p"], dtype=float)
     v0 = fiber_legendre_inv(system.lagrangian, q0, p0)
-    ref_steps = _steps_to(t_final, h_ref, "h_ref must divide the final time", "h_ref")
+    ref_steps = _steps_to(t_final, h_ref, ref_message, "h_ref")
     reference = rk4_integrate(
         make_lcel_field(system.lagrangian, system.atlas, system.start_chart),
         np.concatenate([q0, v0]), h_ref, ref_steps)
@@ -375,8 +379,9 @@ def cmd_convergence(config: ExperimentConfig, h_list: list[float],
 
 
 def _steps_to(t: float, h: float, message: str, field: str) -> int:
-    """The whole number (>= 1) of steps of size h that reach t, or a ConfigError."""
-    ratio = t / h
+    """The whole number (>= 1) of steps of size h that reach t, or a ConfigError
+    (also for h = 0, a default step that underflowed)."""
+    ratio = t / h if h > 0.0 else math.inf
     steps = round(ratio) if math.isfinite(ratio) else 0
     _require(steps >= 1 and abs(steps * h - t) <= 1e-9 * max(1.0, t), message, field)
     return steps

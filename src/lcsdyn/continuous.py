@@ -130,7 +130,10 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     ``field._floats`` instead, which takes and returns a list of d floats (or
     raises) and gives the same bits without the arrays.  The stages are
     combined in Python floats, component by component, in the order
-    ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.
+    ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``; a
+    two-component state (one degree of freedom) is held as two floats and
+    stored straight into the preallocated result, the same arithmetic without
+    the per-component lists.
 
     Raises ``ValueError`` when ``h`` is not a positive finite number, when
     ``steps < 1`` and when a field output does not have ``d`` components, and
@@ -158,19 +161,39 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
             k = k.reshape(shape)
         return k.tolist()
 
+    def nonfinite(k: int) -> IntegrationError:
+        return IntegrationError(f"non-finite state at step {k + 1}",
+                                partial=out[:k + 1], index=k + 1)
+
     stage = getattr(field, "_floats", stage)
     try:
-        for k in range(steps):
-            k1 = stage(x)
-            k2 = stage([a + half * b for a, b in zip(x, k1)])
-            k3 = stage([a + half * b for a, b in zip(x, k2)])
-            k4 = stage([a + h * b for a, b in zip(x, k3)])
-            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, x)):
-                raise IntegrationError(f"non-finite state at step {k + 1}",
-                                       partial=out[:k + 1], index=k + 1)
-            out[k + 1] = x
+        if d == 2:
+            a, b = x
+            # row k + 1 of out is flat[2k + 2], flat[2k + 3]: two element
+            # stores instead of a numpy row assignment
+            flat = memoryview(out).cast("B").cast("d")
+            for k in range(steps):
+                a1, b1 = stage([a, b])
+                a2, b2 = stage([a + half * a1, b + half * b1])
+                a3, b3 = stage([a + half * a2, b + half * b2])
+                a4, b4 = stage([a + h * a3, b + h * b3])
+                a = a + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+                b = b + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise nonfinite(k)
+                flat[2 * k + 2] = a
+                flat[2 * k + 3] = b
+        else:
+            for k in range(steps):
+                k1 = stage(x)
+                k2 = stage([a + half * b for a, b in zip(x, k1)])
+                k3 = stage([a + half * b for a, b in zip(x, k2)])
+                k4 = stage([a + h * b for a, b in zip(x, k3)])
+                x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+                if not all(map(math.isfinite, x)):
+                    raise nonfinite(k)
+                out[k + 1] = x
     except DomainError as e:
         raise IntegrationError(str(e), partial=out[:k + 1], index=k + 1) from e
     return out
@@ -204,17 +227,10 @@ def _chart_data(atlas: ConformalAtlas, chart: int, n: int):
     ch = atlas.chart(chart)
     lo, hi = ch.lower.tolist(), ch.upper.tolist()
 
-    if n == 1:  # a zip loop would cost several times the comparison
-        (lo0,), (hi0,) = lo, hi
-
-        def inside(xs: list) -> None:
-            if not lo0 <= xs[0] <= hi0:
-                atlas.require_inside(chart, np.array(xs[:1]))
-    else:
-        def inside(xs: list) -> None:
-            for i in range(n):
-                if not lo[i] <= xs[i] <= hi[i]:
-                    atlas.require_inside(chart, np.array(xs[:n]))
+    def inside(xs: list) -> None:
+        for i in range(n):
+            if not lo[i] <= xs[i] <= hi[i]:
+                atlas.require_inside(chart, np.array(xs[:n]))
 
     if ch.constant_lee is not None:
         const = (ch.constant_lee.tolist(), ch.constant_lee.copy())
@@ -227,6 +243,25 @@ def _chart_data(atlas: ConformalAtlas, chart: int, n: int):
     return inside, lee
 
 
+def _scalar_chart_data(atlas: ConformalAtlas, chart: int):
+    """(lo, hi, phi, lee) for a field on a one-dimensional chart, resolved once.
+
+    The kernels check ``lo <= q <= hi`` themselves and call
+    ``atlas.require_inside`` for its message.  ``phi`` is a declared constant
+    Lee form as a float, or None, and then ``lee(q)`` returns the Lee form at
+    the float q (``ValueError`` unless it has one component).
+    """
+    ch = atlas.chart(chart)
+    (lo,), (hi,) = ch.lower.tolist(), ch.upper.tolist()
+    phi = None if ch.constant_lee is None else ch.constant_lee.item(0)
+
+    def lee(q: float) -> float:
+        (f,) = ch.grad(np.array([q])).tolist()
+        return f
+
+    return lo, hi, phi, lee
+
+
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
@@ -234,24 +269,35 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     The chart, its Lee form when it is constant, and ``H``'s jet are resolved
     once, and ``pdot`` is assembled on Python floats:
     reference integrations call this field hundreds of thousands of times.
-    For n >= 2 the dot products stay numpy calls, which may round through a
+    For n = 1 the kernel is chosen here and works on unpacked scalars.  For
+    n >= 2 the dot products stay numpy calls, which may round through a
     fused multiply-add.  A ``grad_q`` or Lee form without n components raises
     ``ValueError``.
     """
     n = H.n
-    inside, lee = _chart_data(atlas, chart, n)
     jet = H.jet
+    if n == 1:
+        lo, hi, phi, lee = _scalar_chart_data(atlas, chart)
+
+        def scalar_floats(xs: list) -> list:
+            q, p = xs
+            if not lo <= q <= hi:
+                atlas.require_inside(chart, np.array([q]))
+            hval, (g,), (qd,) = jet([q], [p])
+            f = phi if phi is not None else lee(q)
+            # numpy rounds a one-element dot like 0.0 + a*b
+            s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
+            return [qd, -g - (f * s_p - p * s_phi) + hval * f]
+
+        return _float_field(scalar_floats)
+
+    inside, lee = _chart_data(atlas, chart, n)
 
     def floats(xs: list) -> list:
         inside(xs)
         q, ps = xs[:n], xs[n:]
         hval, gq, qdot = jet(q, ps)
         phi, phi_a = lee(q)
-        if n == 1:
-            (g,), (f,), (p,), (qd,) = gq, phi, ps, qdot
-            # numpy rounds a one-element dot like 0.0 + a*b
-            s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
-            return [qd, -g - (f * s_p - p * s_phi) + hval * f]
         qdot_a = np.array(qdot)
         s_p, s_phi = float(np.array(ps) @ qdot_a), float(phi_a @ qdot_a)
         # qdot joins the zip only to have its length checked
@@ -266,30 +312,41 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     """Flatten the conformal Euler-Lagrange equations to a field on x = (q, v).
 
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
-    floats from one jet evaluation, and a ``grad_q``, ``grad_v`` or Lee form
-    without n components raises ``ValueError``.  The acceleration solves
-    ``hess_vv a = rhs`` by one division when n = 1 and otherwise by
-    ``numerics._solve_floats`` (in closed form behind its screen when n = 2),
-    raising :class:`RegularityError` as it does.
+    floats from one jet evaluation, by a scalar kernel when n = 1, and a
+    ``grad_q``, ``grad_v`` or Lee form without n components raises
+    ``ValueError``.  The acceleration solves ``hess_vv a = rhs`` by one
+    division when n = 1 and otherwise by ``numerics._solve_floats`` (in closed
+    form behind its screen when n = 2), raising :class:`RegularityError` as it
+    does.
     """
     n = L.n
-    inside, lee = _chart_data(atlas, chart, n)
     jet = L.jet
+    if n == 1:
+        lo, hi, phi, lee = _scalar_chart_data(atlas, chart)
+
+        def scalar_floats(xs: list) -> list:
+            q, v = xs
+            if not lo <= q <= hi:
+                atlas.require_inside(chart, np.array([q]))
+            lval, (g,), (c,), M, hvq = jet([q], [v])
+            f = phi if phi is not None else lee(q)
+            m = M.item(0)
+            if m == 0.0:
+                raise RegularityError("singular 1x1 velocity Hessian",
+                                      condition=float("inf"))
+            # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
+            hv, s = 0.0 + hvq.item(0) * v, 0.0 + f * v
+            return [v, (g - hv + s * c - lval * f) / m]
+
+        return _float_field(scalar_floats)
+
+    inside, lee = _chart_data(atlas, chart, n)
 
     def floats(xs: list) -> list:
         inside(xs)
         q, vs = xs[:n], xs[n:]
         lval, gq, gv, M, hvq = jet(q, vs)
         phi, phi_a = lee(q)
-        if n == 1:
-            (g,), (c,), (f,), (v,) = gq, gv, phi, vs
-            m = float(M[0, 0])
-            if m == 0.0:
-                raise RegularityError("singular 1x1 velocity Hessian",
-                                      condition=float("inf"))
-            # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
-            hv, s = 0.0 + float(hvq[0, 0]) * v, 0.0 + f * v
-            return [v, (g - hv + s * c - lval * f) / m]
         v = np.array(vs)
         s, hv = float(phi_a @ v), (hvq @ v).tolist()
         rhs = [a - b + s * c - lval * f

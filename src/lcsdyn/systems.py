@@ -54,7 +54,7 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     ``V`` and ``grad_V`` take a list of n floats and return a float and a
     fresh list; ``hess_V`` is the constant Hessian of V.
     """
-    eye, zeros, hess_qq = np.eye(n), np.zeros((n, n)), -hess_V
+    eye, zeros = np.eye(n), np.zeros((n, n))
 
     def L_jet(q, v):
         return 0.5 * _sq(v) - V(q), [-g for g in grad_V(q)], list(v), eye, zeros
@@ -62,17 +62,49 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     def H_jet(q, p):
         return 0.5 * _sq(p) + V(q), grad_V(q), list(p)
 
+    return _pair(n, L_jet, H_jet, -hess_V)
+
+
+def _pair(n: int, L_jet, H_jet, hess_qq: np.ndarray):
+    """The Lagrangian and Hamiltonian of one system, from their two jets."""
     return (ContinuousLagrangian(n, L_jet, hess_qq=lambda q, v: hess_qq),
             ContinuousHamiltonian(n, H_jet))
 
 
+# The n = 1 jets below are the n = 1 case of _mechanical written on unpacked
+# scalars, rounded as _sq rounds (0.0 + a*a): an RK4 reference step calls one
+# four times.
+
 def _harmonic(n: int):
-    return _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
+    if n > 1:
+        return _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
+    eye, zeros = np.eye(1), np.zeros((1, 1))
+
+    def L_jet(q, v):
+        (x,), (w,) = q, v
+        return 0.5 * (0.0 + w * w) - 0.5 * (0.0 + x * x), [-x], [w], eye, zeros
+
+    def H_jet(q, p):
+        (x,), (w,) = q, p
+        return 0.5 * (0.0 + w * w) + 0.5 * (0.0 + x * x), [x], [w]
+
+    return _pair(1, L_jet, H_jet, -eye)
 
 
-def _free_particle(n: int):
-    return _mechanical(n, V=lambda q: 0.0, grad_V=lambda q: [0.0] * n,
-                       hess_V=np.zeros((n, n)))
+def _free_particle():
+    """The one-dimensional free particle, V = 0: L's grad_q and hess_qq are -0.0,
+    as -grad_V and -hess_V are in _mechanical."""
+    eye, zeros = np.eye(1), np.zeros((1, 1))
+
+    def L_jet(q, v):
+        (w,) = v
+        return 0.5 * (0.0 + w * w), [-0.0], [w], eye, zeros
+
+    def H_jet(q, p):
+        (w,) = p
+        return 0.5 * (0.0 + w * w), [0.0], [w]
+
+    return _pair(1, L_jet, H_jet, -np.zeros((1, 1)))
 
 
 def _linear_chart(id: int, lower, upper, coeffs) -> Chart:
@@ -117,7 +149,7 @@ def free_rotor_circle(c: float = 0.1) -> System:
                    shift(1, 0, 3 * np.pi / 4, 5 * np.pi / 4, 0.0),
                    shift(1, 0, 7 * np.pi / 4, 9 * np.pi / 4, -2 * np.pi),
                    shift(0, 1, -np.pi / 4, np.pi / 4, 2 * np.pi))
-    L, H = _free_particle(1)
+    L, H = _free_particle()
     atlas = ConformalAtlas(charts=(chart1, chart2), transitions=transitions)
     return System(name="free_rotor_circle", n=1, atlas=atlas, lagrangian=L,
                   hamiltonian=H, start_chart=0, sigma_params=(c,))
@@ -126,7 +158,7 @@ def free_rotor_circle(c: float = 0.1) -> System:
 def rotor_extended_chart(c: float = 0.1) -> System:
     """The rotor unrolled onto a single chart (-pi/4, 9pi/4), for cross-checks."""
     chart = _linear_chart(0, [-np.pi / 4], [9 * np.pi / 4], [c])
-    L, H = _free_particle(1)
+    L, H = _free_particle()
     return System(name="rotor_extended_chart", n=1,
                   atlas=ConformalAtlas(charts=(chart,)), lagrangian=L,
                   hamiltonian=H, start_chart=0, sigma_params=(c,))

@@ -16,7 +16,7 @@ def free_line_system(c: float = 0.1, box: float = 50.0) -> System:
                   sigma=lambda q: c * float(np.atleast_1d(q)[0]),
                   sigma_grad=lambda q: np.array([c]),
                   sigma_hess=lambda q: np.zeros((1, 1)))
-    L, H = _free_particle(1)
+    L, H = _free_particle()
     return System(name="free_line", n=1, atlas=ConformalAtlas(charts=(chart,)),
                   lagrangian=L, hamiltonian=H, start_chart=0, sigma_params=(c,))
 

@@ -314,6 +314,19 @@ def test_convergence_step_count_out_of_range_is_config_error(tmp_path, capsys, c
     assert "h_ref: " in _one_config_error_line(capsys)
 
 
+@pytest.mark.parametrize("h", ["1e-320,2e-320,3e-320", "5e-324,1e-323,1.5e-323"],
+                         ids=["reference_overflows", "default_underflows_to_zero"])
+def test_convergence_names_the_default_h_ref(tmp_path, capsys, h):
+    # without --h-ref the reference step is the derived min(h)/100; when it
+    # cannot reach the final time (or underflows to 0, which used to crash),
+    # the message says it was derived instead of blaming an --h-ref never given
+    cfg = _write_config(tmp_path, CONVERGENCE_CONFIG)
+    assert main(["convergence", "--config", cfg, "--h", h]) == EXIT_CONFIG
+    line = _one_config_error_line(capsys)
+    assert "the default h_ref = min(h)/100 = " in line and "set --h-ref" in line
+    assert "h_ref must divide" not in line
+
+
 @pytest.mark.parametrize("command", ["integrate", "convergence"])
 def test_run_too_large_to_allocate_is_config_error(tmp_path, capsys, command):
     # 10**15 rows of (q, p) are 16 PB, more than any address space, so the

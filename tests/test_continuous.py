@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,13 +119,51 @@ def test_rk4_harmonic_period():
 
 
 def test_rk4_rejects_nonfinite():
-    with pytest.raises(IntegrationError) as exc:
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(IntegrationError) as exc:
         rk4_integrate(lambda x: x * x, [1.0], 1.0, 100)
     assert exc.value.index is not None
 
 
+def _blowup_fields():
+    """A one-DOF Hamiltonian field on a flat chart with q' = 0 and p' = p^2, so
+    that a run from p = 1 at h = 0.5 overflows within a few steps with q inside."""
+    H = ContinuousHamiltonian(1, lambda q, p: (0.0, [-p[0] * p[0]], [0.0]))
+    return [make_lcshe_field(H, harmonic_1d(0.0).atlas, 0)]
+
+
+def _leaving_fields():
+    """harmonic_1d's two fields; from (0, 60) the state leaves the box |q| <= 50."""
+    system = harmonic_1d()
+    return [make_lcel_field(system.lagrangian, system.atlas, 0),
+            make_lcshe_field(system.hamiltonian, system.atlas, 0)]
+
+
+@pytest.mark.parametrize("fields, x0, h, match", [
+    (_blowup_fields, [0.0, 1.0], 0.5, "non-finite state"),
+    (_leaving_fields, [0.0, 60.0], 0.01, "outside chart 0 domain")],
+    ids=["non_finite", "leaves_chart"])
+@pytest.mark.parametrize("entry", ["floats", "array"])
+def test_rk4_two_component_failure_contract(fields, x0, h, match, entry):
+    # Through the float entry and through a plain callable returning an
+    # ndarray, a failing one-DOF run reports the failing step, and its partial
+    # rows are bitwise those of the same run stopped just before it.
+    for field in fields():
+        stage = field if entry == "floats" else (lambda x, f=field: f(x))
+        with pytest.raises(IntegrationError, match=match) as exc:
+            rk4_integrate(stage, x0, h, 200)
+        index = exc.value.index
+        assert 1 < index < 200
+        partial = exc.value.partial
+        assert partial.shape == (index, 2)
+        assert partial.tobytes() == rk4_integrate(stage, x0, h, index - 1).tobytes()
+        with pytest.raises(IntegrationError):
+            rk4_integrate(stage, x0, h, index)
+
+
 def test_rk4_rejects_wrong_length_field_output():
-    # one component for a two-component state used to broadcast silently
+    # one component for a two-component state (the one-DOF loop, through the
+    # array stage) used to broadcast silently
     with pytest.raises(ValueError, match=r"1 components.*length 2"):
         rk4_integrate(lambda x: np.array([1.0]), [0.0, 0.0], 0.1, 2)
 
@@ -203,7 +243,35 @@ def _reference_lcel_field(L, atlas, chart):
     return field
 
 
-@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, harmonic_3d])
+def coupled_1d():
+    """harmonic_1d with L = v^2 + 0.4 v q - q^2/2: hess_vv = [[2]], hess_vq = [[0.4]],
+    so the n = 1 kernel's division by the mass and its hess_vq term both count."""
+    def jet(q, v):
+        (x,), (w,) = q, v
+        return (w * w + 0.4 * w * x - 0.5 * x * x, [0.4 * w - x], [2.0 * w + 0.4 * x],
+                np.array([[2.0]]), np.array([[0.4]]))
+
+    L = ContinuousLagrangian(1, jet, hess_qq=lambda q, v: np.array([[-1.0]]))
+    return dataclasses.replace(harmonic_1d(), lagrangian=L)
+
+
+def mass_3d():
+    """harmonic_3d with L = v.Mv/2 + v.Bq - q.q/2 for a full, non-identity M: the
+    n >= 3 acceleration is inv(M) @ rhs, which an LU solve would round differently."""
+    M = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 0.8]])
+    B = np.array([[0.0, 0.4, 0.0], [-0.25, 0.1, 0.3], [0.2, 0.0, -0.1]])
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ q),
+                (B.T @ v - q).tolist(), (M @ v + B @ q).tolist(), M, B)
+
+    L = ContinuousLagrangian(3, jet, hess_qq=lambda q, v: -np.eye(3))
+    return dataclasses.replace(harmonic_3d(), lagrangian=L)
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, coupled_1d, planar_2d, harmonic_3d,
+                                       mass_3d])
 def test_rk4_fields_bitwise_equal_numpy_reference(system_fn):
     system = system_fn()
     n = system.n
@@ -272,20 +340,25 @@ def test_rk4_float_entry_equals_public_field(system_fn):
 
 
 def test_field_reads_a_non_constant_lee_form_per_call():
-    # sigma = q0^2/2 + q1: the Lee form (q0, 1) changes along the flow
-    grads = []
-    chart = Chart(id=0, dim=2, lower=[-5, -5], upper=[5, 5],
-                  sigma=lambda q: 0.5 * float(q[0]) ** 2 + float(q[1]),
-                  sigma_grad=lambda q: grads.append(1) or np.array([q[0], 1.0]),
-                  sigma_hess=lambda q: np.diag([1.0, 0.0]))
-    system = planar_2d()
-    atlas = ConformalAtlas(charts=(chart,))
-    x0 = np.array([0.6, -0.4, 0.2, 0.9])
-    got = rk4_integrate(make_lcel_field(system.lagrangian, atlas, 0), x0, 1e-3, 50)
-    assert len(grads) == 200
-    want = _reference_rk4(_reference_lcel_field(system.lagrangian, atlas, 0), x0,
-                          1e-3, 50)
-    assert got.tobytes() == want.tobytes()
+    # sigma = q0^2/2 (+ q1): the Lee form (q0[, 1]) changes along the flow; the
+    # one-DOF kernels and the n >= 2 ones read it in different code
+    for system in (harmonic_1d(), planar_2d()):
+        n = system.n
+        grads = []
+        chart = Chart(id=0, dim=n, lower=[-5] * n, upper=[5] * n,
+                      sigma=lambda q: 0.5 * float(q[0]) ** 2 + float(np.sum(q[1:])),
+                      sigma_grad=lambda q: grads.append(1) or np.array([q[0], 1.0][:n]),
+                      sigma_hess=lambda q: np.diag([1.0, 0.0][:n]))
+        atlas = ConformalAtlas(charts=(chart,))
+        x0 = np.array([0.6, -0.4, 0.2, 0.9])[[0, 2] if n == 1 else slice(None)]
+        for make, reference, F in (
+                (make_lcel_field, _reference_lcel_field, system.lagrangian),
+                (make_lcshe_field, _reference_lcshe_field, system.hamiltonian)):
+            grads.clear()
+            got = rk4_integrate(make(F, atlas, 0), x0, 1e-3, 50)
+            assert len(grads) == 200
+            want = _reference_rk4(reference(F, atlas, 0), x0, 1e-3, 50)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_divergence_linear_field_trace():
