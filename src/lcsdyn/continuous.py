@@ -24,7 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import StepperConfig, _newton, _solve_floats, as_vector, fd_jacobian
+from .numerics import (StepperConfig, _fma, _newton, _solve_floats, as_vector,
+                       fd_jacobian)
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -262,6 +263,28 @@ def _scalar_chart_data(atlas: ConformalAtlas, chart: int):
     return lo, hi, phi, lee
 
 
+def _planar_chart_data(atlas: ConformalAtlas, chart: int):
+    """(box, phi, lee) for a field on a two-dimensional chart, resolved once.
+
+    ``box`` is ``(lo0, hi0, lo1, hi1)``; the kernels check it themselves and
+    call ``atlas.require_inside`` for its message.  ``phi`` is a declared
+    constant Lee form as a pair of floats, or None, and then ``lee(q0, q1)``
+    returns the Lee form at (q0, q1) as a list.
+    """
+    ch = atlas.chart(chart)
+    (lo0, lo1), (hi0, hi1) = ch.lower.tolist(), ch.upper.tolist()
+    phi = None if ch.constant_lee is None else tuple(ch.constant_lee.tolist())
+
+    def lee(q0: float, q1: float) -> list:
+        return ch.grad(np.array([q0, q1])).tolist()
+
+    return (lo0, hi0, lo1, hi1), phi, lee
+
+
+# numpy's 2-element dot x @ y rounds as _fma(x1, y1, x0 * y0), and row i of a
+# 2x2 matvec m @ v as _fma(m_i0, v0, m_i1 * v1): the n = 2 kernels below
+# reproduce both on floats (tests/test_numerics.py checks the assumption).
+
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
@@ -269,10 +292,10 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     The chart, its Lee form when it is constant, and ``H``'s jet are resolved
     once, and ``pdot`` is assembled on Python floats:
     reference integrations call this field hundreds of thousands of times.
-    For n = 1 the kernel is chosen here and works on unpacked scalars.  For
-    n >= 2 the dot products stay numpy calls, which may round through a
-    fused multiply-add.  A ``grad_q`` or Lee form without n components raises
-    ``ValueError``.
+    For n = 1 and n = 2 the kernel is chosen here and works on unpacked
+    scalars; the n = 2 dot products round as numpy's fused ones do.  For
+    n >= 3 the dot products stay numpy calls.  A ``grad_q``, ``grad_p`` or
+    Lee form without n components raises ``ValueError``.
     """
     n = H.n
     jet = H.jet
@@ -290,6 +313,21 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
             return [qd, -g - (f * s_p - p * s_phi) + hval * f]
 
         return _float_field(scalar_floats)
+
+    if n == 2:
+        (lo0, hi0, lo1, hi1), phi, lee = _planar_chart_data(atlas, chart)
+
+        def planar_floats(xs: list) -> list:
+            q0, q1, p0, p1 = xs
+            if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
+                atlas.require_inside(chart, np.array([q0, q1]))
+            hval, (g0, g1), (d0, d1) = jet([q0, q1], [p0, p1])
+            f0, f1 = phi if phi is not None else lee(q0, q1)
+            s_p, s_phi = _fma(p1, d1, p0 * d0), _fma(f1, d1, f0 * d0)
+            return [d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
+                    -g1 - (f1 * s_p - p1 * s_phi) + hval * f1]
+
+        return _float_field(planar_floats)
 
     inside, lee = _chart_data(atlas, chart, n)
 
@@ -312,12 +350,13 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     """Flatten the conformal Euler-Lagrange equations to a field on x = (q, v).
 
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
-    floats from one jet evaluation, by a scalar kernel when n = 1, and a
-    ``grad_q``, ``grad_v`` or Lee form without n components raises
-    ``ValueError``.  The acceleration solves ``hess_vv a = rhs`` by one
-    division when n = 1 and otherwise by ``numerics._solve_floats`` (in closed
-    form behind its screen when n = 2), raising :class:`RegularityError` as it
-    does.
+    floats from one jet evaluation, by a kernel on unpacked scalars when
+    n <= 2 (the n = 2 dot products and ``hess_vq @ v`` rounded as numpy's
+    fused ones), and a ``grad_q``, ``grad_v`` or Lee form without n
+    components raises ``ValueError``.  The acceleration solves
+    ``hess_vv a = rhs`` by one division when n = 1 and otherwise by
+    ``numerics._solve_floats`` (in closed form behind its screen when n = 2),
+    raising :class:`RegularityError` as it does.
     """
     n = L.n
     jet = L.jet
@@ -339,6 +378,23 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
             return [v, (g - hv + s * c - lval * f) / m]
 
         return _float_field(scalar_floats)
+
+    if n == 2:
+        (lo0, hi0, lo1, hi1), phi, lee = _planar_chart_data(atlas, chart)
+
+        def planar_floats(xs: list) -> list:
+            q0, q1, v0, v1 = xs
+            if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
+                atlas.require_inside(chart, np.array([q0, q1]))
+            lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
+            f0, f1 = phi if phi is not None else lee(q0, q1)
+            (m00, m01), (m10, m11) = hvq.tolist()
+            s = _fma(f1, v1, f0 * v0)
+            rhs = [g0 - _fma(m00, v0, m01 * v1) + s * c0 - lval * f0,
+                   g1 - _fma(m10, v0, m11 * v1) + s * c1 - lval * f1]
+            return [v0, v1] + _solve_floats(M.tolist(), rhs, 1e12)
+
+        return _float_field(planar_floats)
 
     inside, lee = _chart_data(atlas, chart, n)
 

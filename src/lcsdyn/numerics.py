@@ -177,6 +177,62 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
         residual=rnorm, iterations=cfg.max_iter)
 
 
+# Veltkamp's splitter 2^27 + 1 splits a double into two 26-bit halves.  The
+# split and Dekker's product below are exact while the factors stay at most
+# 2^995 (splitter * factor does not overflow) and the rounded product lies in
+# [2^-968, 2^1020] (no partial product underflows below 2^-1074 or overflows).
+_SPLITTER = 134217729.0
+_SPLIT_MAX = 2.0 ** 995
+_PRODUCT_MIN, _PRODUCT_MAX = 2.0 ** -968, 2.0 ** 1020
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it.
+
+    Dekker's TwoProduct gives ``p + e == a * b`` exactly and ``math.fsum``
+    rounds ``p + e + c`` correctly.  A zero factor returns ``p + c``, which
+    carries IEEE's signed zero; products outside the exact range and
+    non-finite inputs go to :func:`_fma_exact`.  Never raises.
+    """
+    p = a * b
+    if a == 0.0 or b == 0.0:
+        return p + c
+    if not (_PRODUCT_MIN <= abs(p) <= _PRODUCT_MAX
+            and abs(a) <= _SPLIT_MAX and abs(b) <= _SPLIT_MAX):
+        return _fma_exact(a, b, c)
+    t = _SPLITTER * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLITTER * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    e = (((a_hi * b_hi - p) + a_hi * b_lo) + a_lo * b_hi) + a_lo * b_lo
+    try:
+        s = math.fsum((p, e, c))
+    except OverflowError:
+        return _fma_exact(a, b, c)
+    # fsum leaves the sign of an exact zero unspecified; here p != 0, so the
+    # zero needs e == 0 and c == -p, and p + c is IEEE's +0.0
+    return s if s else p + c
+
+
+def _fma_exact(a: float, b: float, c: float) -> float:
+    """:func:`_fma` for nonzero factors outside its exact range, in rationals."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c
+    from fractions import Fraction
+
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if not exact:
+        return 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def _solve_floats(A: list, b: list, cond_limit: float) -> list:
     """Solve A x = b on a nested list and a list; raise
     :class:`RegularityError` when cond(A) exceeds ``cond_limit``.

@@ -71,14 +71,26 @@ def _pair(n: int, L_jet, H_jet, hess_qq: np.ndarray):
             ContinuousHamiltonian(n, H_jet))
 
 
-# The n = 1 jets below are the n = 1 case of _mechanical written on unpacked
-# scalars, rounded as _sq rounds (0.0 + a*a): an RK4 reference step calls one
-# four times.
+# The n = 1 and n = 2 jets below are those cases of _mechanical written on
+# unpacked scalars, rounded as _sq rounds (0.0 + a*a, then + b*b): an RK4
+# reference step calls one four times.
 
 def _harmonic(n: int):
-    if n > 1:
+    if n > 2:
         return _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
-    eye, zeros = np.eye(1), np.zeros((1, 1))
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    if n == 2:
+        def L_jet(q, v):
+            (x, y), (u, w) = q, v
+            return (0.5 * ((0.0 + u * u) + w * w) - 0.5 * ((0.0 + x * x) + y * y),
+                    [-x, -y], [u, w], eye, zeros)
+
+        def H_jet(q, p):
+            (x, y), (u, w) = q, p
+            return (0.5 * ((0.0 + u * u) + w * w) + 0.5 * ((0.0 + x * x) + y * y),
+                    [x, y], [u, w])
+
+        return _pair(2, L_jet, H_jet, -eye)
 
     def L_jet(q, v):
         (x,), (w,) = q, v

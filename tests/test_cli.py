@@ -430,8 +430,11 @@ def test_initial_point_outside_start_chart_is_config_error(tmp_path, capsys,
     assert f"initial.{key}:" in capsys.readouterr().err
 
 
-# Edge configs for the Hamiltonian and conformal Lagrangian marches.  Each
-# case gives the (q, p) start and, for dlcel, the seed pair (q0, q1).
+# Edge configs for the Hamiltonian and conformal Lagrangian marches and the RK4
+# references.  Each case gives the (q, p) start and, for dlcel, the seed pair
+# (q0, q1).  planar_p_1e200 and planar_sigma_1e308 take the n = 2 RK4 kernels'
+# fused dot products past the exact split range, into numerics._fma's
+# rational fallback.
 EDGE_CASES = {
     "h_50": {"h": 50.0},
     "h_1e-300": {"h": 1e-300},
@@ -440,6 +443,12 @@ EDGE_CASES = {
     "planar_p_1e8": {"system": "planar_2d", "sigma_params": [0.3, 0.1],
                      "initial": {"q": [0.1, 0.1], "p": [1e8, 0.0]},
                      "pair": [[0.1, 0.1], [50.0, 0.1]]},
+    "planar_p_1e200": {"system": "planar_2d", "sigma_params": [0.3, 0.1],
+                       "initial": {"q": [0.1, 0.1], "p": [1e200, 1e200]},
+                       "pair": [[0.1, 0.1], [50.0, 0.1]]},
+    "planar_sigma_1e308": {"system": "planar_2d", "sigma_params": [1e308, 0.1],
+                           "initial": {"q": [0.1, 0.1], "p": [0.5, 0.5]},
+                           "pair": [[0.1, 0.1], [0.2, 0.1]]},
     "rotor_leaves_atlas": {"system": "free_rotor_circle", "sigma_params": [0.1],
                            "initial": {"q": [0.1], "p": [100.0]}, "pair": [[0.1], [3.9]]},
     "max_iter_1": {"max_iter": 1},
@@ -452,7 +461,8 @@ EDGE_CASES = {
 # the inputs are chosen to overflow; main keeps numpy's warnings to itself
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(EDGE_CASES))
-@pytest.mark.parametrize("method", ["rd", "ld", "rdlch", "ldlch", "dlcel"])
+@pytest.mark.parametrize("method", ["rd", "ld", "rdlch", "ldlch", "dlcel",
+                                    "rk4-lcel", "rk4-lcshe"])
 def test_edge_configs_end_in_success_or_numerical_failure(tmp_path, capsys, method, case):
     data = dict(base_config(method=method, steps=5, tol=1e-10,
                             initial={"q": [1.0], "p": [0.5]}), **EDGE_CASES[case])

@@ -169,23 +169,40 @@ def test_rk4_rejects_wrong_length_field_output():
 
 
 def test_fields_reject_wrong_length_gradients(harmonic):
-    # a two-component grad_q for n = 1 used to broadcast into a 3-vector field
-    L, H = harmonic.lagrangian, harmonic.hamiltonian
-
-    def two_gradients(jet):
+    # a two-component grad_q for n = 1 used to broadcast into a 3-vector field;
+    # the n = 2 kernels unpack each part, so a part without two components (or
+    # a Lee form with three) raises instead of broadcasting or being cut short
+    def replaced(jet, index, part):
         def wrong(q, x):
             parts = list(jet(q, x))
-            parts[1] = [0.0, 0.0]
+            parts[index] = part
             return tuple(parts)
         return wrong
 
-    L2 = ContinuousLagrangian(n=1, jet=two_gradients(L.jet), hess_qq=L.hess_qq)
-    H2 = ContinuousHamiltonian(n=1, jet=two_gradients(H.jet))
-    x = np.array([0.5, 0.2])
-    with pytest.raises(ValueError):
-        make_lcel_field(L2, harmonic.atlas, 0)(x)
-    with pytest.raises(ValueError):
-        make_lcshe_field(H2, harmonic.atlas, 0)(x)
+    def cases(system, parts):
+        L, H, n = system.lagrangian, system.hamiltonian, system.n
+        for i, part in parts:  # part 1 is grad_q, part 2 grad_v or grad_p
+            yield (make_lcel_field, ContinuousLagrangian(n, replaced(L.jet, i, part), L.hess_qq),
+                   system.atlas)
+            yield (make_lcshe_field, ContinuousHamiltonian(n, replaced(H.jet, i, part)),
+                   system.atlas)
+
+    planar = planar_2d()
+    chart = Chart(id=0, dim=2, lower=[-5, -5], upper=[5, 5], sigma=lambda q: 0.0,
+                  sigma_grad=lambda q: np.zeros(3), sigma_hess=lambda q: np.zeros((2, 2)))
+    three_lee = ConformalAtlas(charts=(chart,))
+    checks = [(np.array([0.5, 0.2]), cases(harmonic, [(1, [0.0, 0.0])])),
+              (np.array([0.5, -0.3, 0.2, 0.1]),
+               [*cases(planar, [(1, [0.0, 0.0, 0.0]), (2, [0.0]), (2, [0.0, 0.0, 0.0])]),
+                (make_lcel_field, planar.lagrangian, three_lee),
+                (make_lcshe_field, planar.hamiltonian, three_lee)])]
+    for x, field_cases in checks:
+        for make, F, atlas in field_cases:
+            field = make(F, atlas, 0)
+            with pytest.raises(ValueError):
+                field(x)
+            with pytest.raises(ValueError):
+                rk4_integrate(field, x, 1e-3, 2)
 
 
 def test_rk4_rejects_nan_step():
@@ -270,6 +287,40 @@ def mass_3d():
     return dataclasses.replace(harmonic_3d(), lagrangian=L)
 
 
+def coupled_planar():
+    """planar_2d with L = |v|^2/2 + v.Bq - |q|^2/2 and sigma = -1.7 q0 + 0.45 q1:
+    hess_vv = I and a full hess_vq = B, so both rows of the n = 2 kernel's
+    matvec count."""
+    B = np.array([[0.1, 0.4], [-0.25, 0.3]])
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return (0.5 * float(v @ v) + float(v @ B @ q) - 0.5 * float(q @ q),
+                (B.T @ v - q).tolist(), (v + B @ q).tolist(), np.eye(2), B)
+
+    L = ContinuousLagrangian(2, jet, hess_qq=lambda q, v: -np.eye(2))
+    return dataclasses.replace(planar_2d(-1.7, 0.45), lagrangian=L)
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, coupled_1d, planar_2d, coupled_planar])
+def test_fields_bitwise_equal_numpy_reference_pointwise(system_fn):
+    # An RK4 step scales a field's last bit by h before adding it to the
+    # state, so a trajectory seldom shows a field that rounds differently;
+    # compare the fields themselves.
+    system = system_fn()
+    n = system.n
+    rng = np.random.default_rng(12)
+    points = [*rng.uniform(-3, 3, (3000, 2 * n)), np.zeros(2 * n), -np.zeros(2 * n),
+              np.concatenate([np.full(n, 1.0), -np.zeros(n)])]
+    pairs = [(make_lcshe_field(system.hamiltonian, system.atlas, 0),
+              _reference_lcshe_field(system.hamiltonian, system.atlas, 0)),
+             (make_lcel_field(system.lagrangian, system.atlas, 0),
+              _reference_lcel_field(system.lagrangian, system.atlas, 0))]
+    for field, reference in pairs:
+        for x in points:
+            assert field(x).tobytes() == reference(x).tobytes(), x
+
+
 @pytest.mark.parametrize("system_fn", [harmonic_1d, coupled_1d, planar_2d, harmonic_3d,
                                        mass_3d])
 def test_rk4_fields_bitwise_equal_numpy_reference(system_fn):
@@ -306,6 +357,28 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
     got = rk4_integrate(make_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
     want = _reference_rk4(_reference_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("sigma, x", [
+    ([1e308, 0.1], [0.1, 0.1, 0.5, 0.5]),
+    ([-1e308, 1e308], [0.1, 0.1, 1.5, 2.0]),
+    ([1e300, 1e300], [0.1, 0.1, 1e-300, 3e-310]),
+    ([0.3, 0.1], [0.1, 0.1, 1e200, 1e200]),
+    ([0.3, 0.1], [0.1, 0.1, 1e160, -1e160]),
+])
+def test_planar_fields_equal_numpy_outside_the_exact_split_range(sigma, x):
+    # products too large or too small for Dekker's split take _fma's rational
+    # fallback, which must still round as numpy's fused dot does
+    system = planar_2d(*sigma)
+    for make, reference, F in (
+            (make_lcel_field, _reference_lcel_field, system.lagrangian),
+            (make_lcshe_field, _reference_lcshe_field, system.hamiltonian)):
+        got = make(F, system.atlas, 0)(np.array(x))
+        with np.errstate(all="ignore"):
+            want = reference(F, system.atlas, 0)(np.array(x))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def _starts(n):

@@ -1,8 +1,13 @@
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcsdyn import NewtonError, RegularityError, StepperConfig
-from lcsdyn.numerics import (_solve_2x2, as_vector, fd_jacobian,
+from lcsdyn.numerics import (_fma, _solve_2x2, as_vector, fd_jacobian,
                              fd_mixed_second, newton_solve, solve_linear)
 
 
@@ -261,3 +266,112 @@ def test_as_vector_contract():
         assert y is not x and type(y) is np.ndarray
         assert y.dtype == np.float64 and y.ndim >= 1
         assert np.array_equal(y, np.atleast_1d(x))
+
+
+def _fma_oracle(a, b, c):
+    """a * b + c rounded once, from exact rationals, or None when an input is
+    not finite.  An exact zero is +0.0 unless both terms are zeros of one sign."""
+    if not all(map(math.isfinite, (a, b, c))):
+        return None
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if not exact:
+        return a * b + c if a * b == 0.0 else 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _assert_fma_exact(a, b, c):
+    got, want = _fma(a, b, c), _fma_oracle(a, b, c)
+    if want is None:
+        # a non-finite input: c when the factors are finite (their exact
+        # product is finite), else IEEE's a * b + c
+        want = c if math.isfinite(a) and math.isfinite(b) else a * b + c
+        assert not math.isfinite(got), (a, b, c, got)
+        assert got == want or math.isnan(got) and math.isnan(want), (a, b, c, got)
+    elif math.isinf(want):
+        assert got == want, (a, b, c, got)
+    else:
+        # bit for bit, the sign of zero included
+        assert math.isfinite(got) and got.hex() == want.hex(), (a, b, c, got, want)
+
+
+_WIDE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_MODERATE = st.builds(lambda m, e: math.ldexp(m, e),
+                      st.floats(-2.0, 2.0, allow_nan=False),
+                      st.integers(-1100, 1022))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.one_of(_WIDE, _MODERATE), b=st.one_of(_WIDE, _MODERATE),
+       c=st.one_of(_WIDE, _MODERATE))
+def test_fma_is_exact_over_a_wide_exponent_range(a, b, c):
+    _assert_fma_exact(a, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_MODERATE, b=_MODERATE, k=st.integers(-2, 2))
+def test_fma_is_exact_near_cancellation(a, b, k):
+    # c within a few ulps of -a*b: the result is Dekker's error term, or
+    # close to it
+    p = a * b
+    if math.isfinite(p):
+        c = -p
+        for _ in range(abs(k)):
+            c = math.nextafter(c, math.copysign(math.inf, k))
+        _assert_fma_exact(a, b, c)
+
+
+_TINY, _HUGE = 5e-324, sys.float_info.max
+FMA_EDGES = [
+    # every sign combination of zeros
+    *[(sa * 0.0, sb * x, sc * 0.0) for sa in (1, -1) for sb in (1, -1)
+      for sc in (1, -1) for x in (0.0, 1.5)],
+    (1.5, -0.0, 0.0), (-1.5, 0.0, -0.0), (0.0, _HUGE, -0.0),
+    # exact cancellation
+    (3.0, 7.0, -21.0), (-3.0, 7.0, 21.0), (0.1, 0.1, -(0.1 * 0.1)),
+    (1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52, -1.0),
+    # subnormal and near-underflow factors and products
+    (_TINY, 0.5, 0.0), (_TINY, -0.5, -0.0), (_TINY, 1.0, -_TINY), (_TINY, 2.0 ** 60, 1.0),
+    (2.0 ** -1022, 2.0 ** -10, 0.0), (1e-160, 1e-160, -1e-320), (1e-300, 1e300, -1.0),
+    (2.0 ** -600, 2.0 ** -400, 2.0 ** -1060), (2.0 ** -484, 2.0 ** -484, 0.0),
+    (0.1 * 2.0 ** -480, 0.3 * 2.0 ** -480, 0.0), (_TINY, 2.0 ** 1000, -2.0 ** -74),
+    # near-overflow factors, products and sums
+    (_HUGE, 1.0, _HUGE), (_HUGE, 1.0, -_HUGE), (_HUGE, 2.0, -_HUGE),
+    (_HUGE, -2.0, _HUGE), (2.0 ** 512, 2.0 ** 512, -_HUGE), (2.0 ** 1000, 2.0 ** 30, 0.0),
+    (1.5 * 2.0 ** 1010, 1.25 * 2.0 ** 10, -_HUGE), (2.0 ** 996, 3.0, 1.0),
+    (_HUGE, 0.5, _HUGE), (_HUGE, 0.5, 0.5 * _HUGE), (-_HUGE, _HUGE, 1.0),
+    # one factor 0, the other inf or nan
+    (0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (0.0, math.nan, 0.0),
+    # inf and nan inputs
+    (math.inf, 1.0, 1.0), (math.inf, -1.0, math.inf), (math.inf, 1.0, -math.inf),
+    (1.0, 2.0, math.inf), (1.0, 2.0, -math.inf), (_HUGE, _HUGE, -math.inf),
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+    (math.inf, math.inf, math.nan), (-math.inf, math.inf, math.inf),
+]
+
+
+@pytest.mark.parametrize("a, b, c", FMA_EDGES)
+def test_fma_edge_table(a, b, c):
+    _assert_fma_exact(a, b, c)
+    _assert_fma_exact(b, a, c)
+
+
+def test_numpy_two_element_dot_and_matvec_round_as_fma():
+    # The n = 2 continuous fields compute numpy's 2-element dots and 2x2
+    # matvecs as these _fma formulas; the bitwise reference tests of those
+    # fields assume that this BLAS fuses them so.
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(10_000, 2)), rng.normal(size=(10_000, 2))
+    a[:, 1] *= np.exp2(rng.integers(-30, 30, 10_000))
+    dots = [float(x @ y) for x, y in zip(a, b)]
+    fused = [_fma(x1, y1, x0 * y0) for (x0, x1), (y0, y1) in zip(a.tolist(), b.tolist())]
+    assert dots == fused, ("assumption: numpy's 2-element dot x @ y is "
+                           "fma(x1, y1, x0 * y0) on this BLAS")
+    rows = [(m @ v).tolist() for m, v in zip(a.reshape(-1, 2, 2), b[::2])]
+    fused = [[_fma(m00, v0, m01 * v1), _fma(m10, v0, m11 * v1)]
+             for ((m00, m01), (m10, m11)), (v0, v1)
+             in zip(a.reshape(-1, 2, 2).tolist(), b[::2].tolist())]
+    assert rows == fused, ("assumption: each row of numpy's 2x2 matvec m @ v is "
+                           "fma(m_i0, v0, m_i1 * v1) on this BLAS")

@@ -5,6 +5,7 @@ import pytest
 
 from lcsdyn import (free_rotor_circle, harmonic_1d, planar_2d, rotor_extended_chart,
                     with_constant_sigma)
+from lcsdyn.systems import _harmonic, _mechanical, _sq
 
 
 # The former catalog lambdas, kept as the reference the jets must reproduce.
@@ -66,6 +67,23 @@ def test_jet_callables_equal_the_former_lambdas(system_fn, former):
         assert hvv is L.hess_vv(q, v) and hvq is L.hess_vq(q, v)
         assert H.jet(q.tolist(), v.tolist()) == (H.value(q, v), H.grad_q(q, v).tolist(),
                                                  H.grad_p(q, v).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unpacked_harmonic_jets_equal_the_generic_jets(n):
+    # the n <= 2 harmonic jets are written out on scalars; they must round as
+    # _mechanical's generic jets do, signed zeros included
+    L, H = _harmonic(n)
+    ref_L, ref_H = _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
+    for q, v in _points(n):
+        q, v = q.tolist(), v.tolist()
+        for F, ref in ((L, ref_L), (H, ref_H)):
+            got, want = F.jet(q, v), ref.jet(q, v)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    q = np.zeros(n)
+    assert L.hess_qq(q, q).tobytes() == ref_L.hess_qq(q, q).tobytes()
 
 
 @pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle])
