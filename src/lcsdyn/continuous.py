@@ -42,12 +42,29 @@ class ContinuousLagrangian:
     evaluated.  The continuous fields and the quadrature rules call the jet
     once where they need several parts; each method below calls it once and
     returns one part.  ``hess_qq(q, v)`` returns the (n, n) array
-    d^2 L / dq dq; the quadrature rules' second partials read it.
+    d^2 L / dq dq; the quadrature rules' second partials read it.  A
+    Lagrangian whose position Hessian is constant declares it instead as
+    ``constant_hess_qq`` (copied and shape-checked), which the quadrature
+    rules read once when built; ``hess_qq`` then defaults to returning a copy
+    of it.  A Lagrangian that declares neither raises ``ValueError``.
     """
 
     n: int
     jet: Callable[[list, list], tuple]
-    hess_qq: Callable[[Vector, Vector], np.ndarray]
+    hess_qq: Callable[[Vector, Vector], np.ndarray] | None = None
+    constant_hess_qq: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.constant_hess_qq is not None:
+            qq = np.array(self.constant_hess_qq, dtype=float)
+            if qq.shape != (self.n, self.n):
+                raise ValueError(f"constant_hess_qq must have shape "
+                                 f"({self.n}, {self.n}), got {qq.shape}")
+            object.__setattr__(self, "constant_hess_qq", qq)
+            if self.hess_qq is None:
+                object.__setattr__(self, "hess_qq", lambda q, v: qq.copy())
+        elif self.hess_qq is None:
+            raise ValueError("declare hess_qq or constant_hess_qq")
 
     def _at(self, q: Vector, v: Vector) -> tuple:
         return self.jet(as_vector(q).tolist(), as_vector(v).tolist())

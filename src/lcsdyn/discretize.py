@@ -8,8 +8,10 @@ function; consumers multiply by exp(-sigma(q0)) where the per-chart local
 version is needed.
 
 ``midpoint_rule`` and ``trapezoidal_rule`` carry analytic chain-rule partials
-(the second partials read ``L.hess_qq``) and never consult the conformal
-factor.  Their conformal companions
+(the second partials read L's position Hessian: a declared
+``constant_hess_qq`` once, when the rule is built, and otherwise
+``L.hess_qq`` at every pair) and never consult the conformal factor.  Their
+conformal companions
 ``conformal_midpoint_rule`` / ``conformal_trapezoidal_rule`` instead apply the
 quadrature rule to the chart-local Lagrangian exp(-sigma) L and re-express the
 result globally, e.g.
@@ -29,11 +31,11 @@ compute the jet on Python floats, with one call of L's jet per quadrature node
 and one evaluation of the chart data, and keep the last pair's entry in a
 one-entry memo keyed on the pair's float tuples (``_pair_memo``, which the
 discrete Hamiltonians use too).  Their array parts are views of that entry:
-value, d1, d2 and d1d2 convert it, and d1d1 and d2d2 add only ``L.hess_qq``
-and, for the conformal rules, ``Chart.hess``.  Each formula is written once.
-The rule objects are therefore stateful and not thread-safe, and ``L``'s jet
-and ``hess_qq`` and the charts' sigma callables must be pure functions of
-their arguments.
+value, d1, d2 and d1d2 convert it, and d1d1 and d2d2 add only L's position
+Hessian and, for the conformal rules, ``Chart.hess``.  Each formula is
+written once.  The rule objects are therefore stateful and not thread-safe,
+and ``L``'s jet and ``hess_qq`` and the charts' sigma callables must be pure
+functions of their arguments.
 
 ``exact_discrete_lagrangian`` evaluates the action integral along the solution
 of the continuous conformal Euler-Lagrange equations with prescribed endpoints
@@ -155,9 +157,17 @@ def _memoized_pair_rule(n: int, h: float, pair_data, same_from) -> DiscreteLagra
         d2d2=lambda q0, q1: same_from(at(q0, q1)[1], 1))
 
 
-def _hess_qq(L: ContinuousLagrangian, q, v) -> np.ndarray:
-    """``L.hess_qq`` at float sequences, called on fresh arrays, as an (n, n) array."""
-    return np.atleast_2d(L.hess_qq(np.array(q), np.array(v)))
+def _hess_qq_of(L: ContinuousLagrangian) -> Callable[[list, list], list]:
+    """``qq(q, v)``: L's position Hessian at float sequences as a nested list.
+
+    A declared ``constant_hess_qq`` is read once, here, and returned as a
+    shared list, which callers must not change; otherwise ``L.hess_qq`` is
+    called on fresh arrays.
+    """
+    if L.constant_hess_qq is not None:
+        qq = L.constant_hess_qq.tolist()
+        return lambda q, v: qq
+    return lambda q, v: np.atleast_2d(L.hess_qq(np.array(q), np.array(v))).tolist()
 
 
 def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
@@ -173,22 +183,23 @@ def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
             [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
 
 
-def _midpoint_d1d2(L: ContinuousLagrangian, h: float, m: list, w: list,
-                   vv: np.ndarray, vq: np.ndarray) -> list:
-    """d1d2 of the midpoint rule from its node data, as a nested list:
+def _midpoint_d1d2(qq, h: float, m: list, w: list, vv: np.ndarray, vq: np.ndarray
+                   ) -> list:
+    """d1d2 of the midpoint rule from its node data and the position Hessian
+    ``qq`` (see :func:`_hess_qq_of`), as a nested list:
     0.5 (vq^T - vq) - vv / h + 0.25 h hess_qq."""
-    vv, vq, qq, c = vv.tolist(), vq.tolist(), _hess_qq(L, m, w).tolist(), 0.25 * h
+    vv, vq, qq, c = vv.tolist(), vq.tolist(), qq(m, w), 0.25 * h
     idx = range(len(m))
     return [[0.5 * (vq[j][i] - vq[i][j]) - vv[i][j] / h + c * qq[i][j] for j in idx]
             for i in idx]
 
 
-def _midpoint_same(L: ContinuousLagrangian, h: float, k: int, m: list, w: list,
-                   vv: np.ndarray, vq: np.ndarray) -> np.ndarray:
+def _midpoint_same(qq, h: float, k: int, m: list, w: list, vv: np.ndarray,
+                   vq: np.ndarray) -> np.ndarray:
     """d1d1 (k = 0) or d2d2 (k = 1) of the midpoint rule from the node data:
     0.25 h hess_qq -+ 0.5 (vq + vq^T) + vv / h."""
     sym = 0.5 * (vq + vq.T)
-    return 0.25 * h * _hess_qq(L, m, w) + (sym if k else -sym) + vv / h
+    return 0.25 * h * np.array(qq(m, w)) + (sym if k else -sym) + vv / h
 
 
 def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0, q1):
@@ -216,44 +227,46 @@ def _trapezoidal_d1d2(h: float, nodes: tuple) -> list:
             for i in idx]
 
 
-def _trapezoidal_node(L: ContinuousLagrangian, h: float, k: int, nodes: tuple) -> np.ndarray:
+def _trapezoidal_node(qq, h: float, k: int, nodes: tuple) -> np.ndarray:
     """Second partial of the node term (h/2) L(q_k, w) in its own point q_k:
     (h/2) hess_qq -+ 0.5 (vq + vq^T) + vv / (2h), minus for k = 0."""
     q, w, vv, vq = nodes[k]
     sym = 0.5 * (vq + vq.T)
-    return 0.5 * h * _hess_qq(L, q, w) + (sym if k else -sym) + vv / (2.0 * h)
+    return 0.5 * h * np.array(qq(q, w)) + (sym if k else -sym) + vv / (2.0 * h)
 
 
-def _trapezoidal_same(L: ContinuousLagrangian, h: float, k: int, nodes: tuple) -> np.ndarray:
+def _trapezoidal_same(qq, h: float, k: int, nodes: tuple) -> np.ndarray:
     """d1d1 (k = 0) or d2d2 (k = 1) of the trapezoidal rule: the node term of
     q_k plus the other node's hess_vv / (2h), which w carries."""
-    return _trapezoidal_node(L, h, k, nodes) + nodes[1 - k][2] / (2.0 * h)
+    return _trapezoidal_node(qq, h, k, nodes) + nodes[1 - k][2] / (2.0 * h)
 
 
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
     if h <= 0:
         raise ValueError("h must be positive")
+    qq = _hess_qq_of(L)
 
     def pair_data(q0, q1):
         val, d1, d2, node = _midpoint_pair(L, h, q0, q1)
-        return (val, d1, d2, _midpoint_d1d2(L, h, *node)), node
+        return (val, d1, d2, _midpoint_d1d2(qq, h, *node)), node
 
     return _memoized_pair_rule(L.n, h, pair_data,
-                               lambda node, k: _midpoint_same(L, h, k, *node))
+                               lambda node, k: _midpoint_same(qq, h, k, *node))
 
 
 def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = (h/2) [L(q0, w) + L(q1, w)] with w = (q1-q0)/h."""
     if h <= 0:
         raise ValueError("h must be positive")
+    qq = _hess_qq_of(L)
 
     def pair_data(q0, q1):
         val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
         return (val, d1, d2, _trapezoidal_d1d2(h, nodes)), nodes
 
     return _memoized_pair_rule(L.n, h, pair_data,
-                               lambda nodes, k: _trapezoidal_same(L, h, k, nodes))
+                               lambda nodes, k: _trapezoidal_same(qq, h, k, nodes))
 
 
 def _first_point_memo(sigma, grad, hess):
@@ -272,7 +285,7 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     evaluation of L, sigma and the Lee form, so ``L``'s jet and the chart's
     sigma callables must be pure functions of their arguments.
     """
-    ch = atlas.chart(chart)
+    ch, qq = atlas.chart(chart), _hess_qq_of(L)
     sigma, grad, hess = _chart_floats(ch)
     at_q0 = _first_point_memo(sigma, grad, hess)
 
@@ -283,7 +296,7 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         grad_mid, hess_mid = grad(mid), hess(mid)
         a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
         b = [-0.5 * gm for gm in grad_mid]
-        base = _midpoint_d1d2(L, h, *node)
+        base = _midpoint_d1d2(qq, h, *node)
         if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
                              or any(map(any, hess_mid))):
             return (val, bd1, bd2, base), (node, None)
@@ -302,14 +315,14 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         # dc/dq_k is sigma's Hessian at q0 (k = 0 only) less a quarter of it at m
         node, conformal = extra
         if conformal is None:
-            return _midpoint_same(L, h, k, *node)
+            return _midpoint_same(qq, h, k, *node)
         q0, E, a, b, val, bd1, bd2 = conformal
         c, bd = (np.array(b), np.array(bd2)) if k else (np.array(a), np.array(bd1))
         dc = -0.25 * ch.hess(node[0])
         if not k:
             dc = dc + ch.hess(q0)
         return E * (np.outer(c, c * val + bd) + np.outer(bd, c) + val * dc
-                    + _midpoint_same(L, h, k, *node))
+                    + _midpoint_same(qq, h, k, *node))
 
     return _memoized_pair_rule(L.n, h, pair_data, same_from)
 
@@ -323,7 +336,7 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     form, so ``L``'s jet and the chart's sigma callables must be pure
     functions of their arguments.
     """
-    ch = atlas.chart(chart)
+    ch, qq = atlas.chart(chart), _hess_qq_of(L)
     sigma, grad, hess = _chart_floats(ch)
     at_q0 = _first_point_memo(sigma, grad, hess)
 
@@ -360,16 +373,16 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     def same_from(extra, k):
         nodes, conformal = extra
         if conformal is None:
-            return _trapezoidal_same(L, h, k, nodes)
+            return _trapezoidal_same(qq, h, k, nodes)
         G, phi0, phi1, U, U1, U2 = conformal
         phi0, phi1, U1, U2 = np.array(phi0), np.array(phi1), np.array(U1), np.array(U2)
         if not k:  # d/dq0 of T1 + G (phi0 U + U1)
-            return _trapezoidal_node(L, h, 0, nodes) + G * (
+            return _trapezoidal_node(qq, h, 0, nodes) + G * (
                 nodes[1][2] / (2.0 * h) + np.outer(phi0 * U + U1, phi0)
                 + U * ch.hess(nodes[0][0]) + np.outer(phi0, U1))
         # d/dq1 of T2 + G (-phi1 U + U2)
         return nodes[0][2] / (2.0 * h) + G * (
-            _trapezoidal_node(L, h, 1, nodes) - np.outer(-phi1 * U + U2, phi1)
+            _trapezoidal_node(qq, h, 1, nodes) - np.outer(-phi1 * U + U2, phi1)
             - U * ch.hess(nodes[1][0]) - np.outer(phi1, U2))
 
     return _memoized_pair_rule(L.n, h, pair_data, same_from)

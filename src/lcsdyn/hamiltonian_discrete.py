@@ -13,7 +13,9 @@ Along a conformal trajectory the single-point momenta are
     p_k = p+(q_{k-1}, q_k) = p-(q_k, q_{k+1}),    r_k = exp(-sigma(q_k)) p_k,
 
 and the agreement of the two p_k expressions is precisely the conformal
-three-point recursion; ``momenta_along_trajectory`` fills them.
+three-point recursion; ``momenta_along_trajectory`` fills them, from what
+the steps of an ``integrate`` march recorded wherever no chart switch came
+between the two points of a pair, and by evaluating the pair jet elsewhere.
 
 The right discrete Hamiltonian eliminates q1 from
 
@@ -45,7 +47,9 @@ Plain ``rd_step``/``ld_step`` use ``d1d2`` as Newton Jacobian.
 The conformal steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, on Python floats with one pair jet call per Newton iterate, and
-p_next = p+(q_curr, q_next) is then explicit.  That is what
+p_next = p+(q_curr, q_next) is then explicit; the march carries
+sigma(q_next) with it, for r_next and the next step, so it evaluates sigma
+once per point (twice at a chart switch).  That is what
 the conformal Hamilton equations assert once the eliminated argument is held
 fixed under differentiation, and it makes the Lagrangian and Hamiltonian
 marches commute through the Legendre transform.
@@ -86,19 +90,38 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     p+(q_k, q_{k+1}) at q_{k+1}, moved into q_{k+1}'s chart on a switch (with
     ``conformal=False``, -d1 Ld and d2 Ld).  At interior points the two
     expressions for p_k must agree to ``tol`` (their difference is the step
-    residual); a larger disagreement
-    raises :class:`ConsistencyError` naming the lattice index.  Endpoints use
-    the single available expression.
+    residual); a larger or NaN disagreement raises :class:`ConsistencyError`
+    naming the lattice index.  Endpoints use the single available expression.
+
+    For the trajectory of a completed ``integrate`` march the fill takes
+    the momenta and sigma values each step recorded at its solved pair,
+    bit for bit what the jet gives here, and evaluates afresh only the first
+    pair and the pairs whose second point was switched, where the point
+    carried back may differ from the solved one by rounding; the disagreement
+    is checked at those pairs' points.  Elsewhere it is the step's Newton
+    residual, which the march has already bounded by its tolerance.  Any
+    other trajectory is filled from scratch.
     """
     pts = traj.points
     if len(pts) < 2:
         raise ValueError("momenta need at least two lattice points")
-    sigmas = [float(atlas.chart(pt.chart).sigma(pt.q)) for pt in pts] if conformal \
-        else None
-    p_bwd = None
+    record, traj._march_record = traj._march_record, None
+    last = len(pts) - 1
+    sigmas = None
+    if conformal:
+        known = [None] * len(pts) if record is None else [None, *record.sigmas()]
+        if record is not None and traj.steps[-1].switched:
+            known[-1] = None
+        sigmas = [float(atlas.chart(pt.chart).sigma(pt.q)) if s is None else s
+                  for s, pt in zip(known, pts)]
+    p_bwd, bwd_recorded = None, False
     for k, pt in enumerate(pts):
         p_fwd = p_next = None
-        if k + 1 < len(pts):
+        fwd_recorded = record is not None and 0 < k < last \
+            and not traj.steps[k - 1].switched
+        if fwd_recorded:
+            p_fwd, p_next = record.momenta(k)
+        elif k < last:
             nxt = pts[k + 1]
             try:
                 qb = _into_chart(atlas, nxt.q, nxt.chart, pt.chart)
@@ -115,17 +138,18 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
             if nxt.chart != pt.chart:
                 p_next = transition_apply(atlas, pt.chart, nxt.chart, qb, p_next,
                                           "p")[1].tolist()
-        if p_fwd is not None and p_bwd is not None:
+        if p_fwd is not None and p_bwd is not None and not (fwd_recorded
+                                                             and bwd_recorded):
             # the largest |difference|, NaN when any difference is NaN
             gaps = [abs(a - b) for a, b in zip(p_fwd, p_bwd)]
             gap = max(gaps) if all(g == g for g in gaps) else math.nan
-            if gap > tol:
+            if not gap <= tol:
                 raise ConsistencyError(
                     f"momentum expressions disagree by {gap:.3e} (tol {tol:.1e}) "
                     f"at lattice point {k}", index=k)
         pt.p = np.array(p_fwd if p_fwd is not None else p_bwd)
         pt.r = np.exp(-sigmas[k]) * pt.p if conformal else pt.p.copy()
-        p_bwd = p_next
+        p_bwd, bwd_recorded = p_next, fwd_recorded
     return traj
 
 
@@ -325,20 +349,24 @@ def ld_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
 
 
 def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
-                         p_curr: Vector, cfg: StepperConfig):
+                         p_curr: Vector, cfg: StepperConfig,
+                         s_curr: float | None = None):
     """One conformal step of the generating Lagrangian on chart ``ch``.
 
     q_next solves p_curr = p-(q_curr, q_next): the n-unknown system of the
     conformal three-point recursion (``variational._dlcel_solve``, analytic
     Jacobian, on floats), seeded here with q_curr + h p_curr.  Then
     p_next = p+(q_curr, q_next) is explicit, from the pair jet at the solution.
-    Returns (q_next, p_next, result).
+    ``s_curr`` is sigma(q_curr) when the caller has it.  Returns (q_next,
+    p_next, result, sigma(q_next)).
     """
     qc, pc = q_curr.tolist(), p_curr.tolist()
     res = _dlcel_solve(Ld, ch, q_curr, pc, [a + Ld.h * b for a, b in zip(qc, pc)], cfg)
     d2 = Ld.jet(qc, res.x.tolist())[2]
-    p_next = _p_plus(d2, float(ch.sigma(q_curr)), float(ch.sigma(res.x)))
-    return res.x, np.array(p_next), res
+    if s_curr is None:
+        s_curr = float(ch.sigma(q_curr))
+    s_next = float(ch.sigma(res.x))
+    return res.x, np.array(_p_plus(d2, s_curr, s_next)), res, s_next
 
 
 def _require_source(Hd: DiscreteHamiltonian) -> LagrangianSource:
@@ -403,17 +431,24 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     traj = DiscreteTrajectory(h=Hd.h)
     branch_sign = None
 
-    def point(k, chart_id, q_k, p_k):
-        r_k = np.exp(-float(atlas.chart(chart_id).sigma(q_k))) * p_k if conformal \
-            else p_k.copy()
-        return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=r_k)
+    # The window is (p, sigma(q)) at the current point; sigma is None after a
+    # switch and with conformal=False, where r = p.
+    def point(k, chart_id, q_k, window):
+        p_k, s_k = window
+        if not conformal:
+            return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=p_k.copy())
+        if s_k is None:
+            s_k = float(atlas.chart(chart_id).sigma(q_k))
+        return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=np.exp(-s_k) * p_k)
 
-    def step(ch, q_curr, p_curr):
+    def step(ch, q_curr, window):
         nonlocal branch_sign
+        p_curr, s_curr = window
         if conformal:
-            q_next, p_next, res = _conformal_pair_step(Ld, ch, q_curr, p_curr, cfg)
+            q_next, p_next, res, s_next = _conformal_pair_step(Ld, ch, q_curr, p_curr,
+                                                               cfg, s_curr)
         else:
-            q_next, p_next, res = _plain_step(Hd, q_curr, p_curr, cfg)
+            (q_next, p_next, res), s_next = _plain_step(Hd, q_curr, p_curr, cfg), None
         if Hd.source is not None:
             d1d2 = Hd.source.Ld.jet(q_curr.tolist(), q_next.tolist())[3]
             sign = float(np.sign(np.linalg.det(np.array(d1d2))))
@@ -422,11 +457,12 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
                 raise IntegrationError(f"discrete Legendre branch jump at step {k}",
                                        partial=traj, index=k)
             branch_sign = sign if sign != 0 else branch_sign
-        return q_next, p_next, res
+        return q_next, (p_next, s_next), res
 
-    def carry(t, q_next, p_next):
-        return transition_apply(atlas, t.from_chart, t.to_chart, q_next, p_next, "p")[1]
+    def carry(t, q_next, window):
+        return transition_apply(atlas, t.from_chart, t.to_chart, q_next, window[0],
+                                "p")[1], None
 
-    traj.points.append(point(0, chart, q, p))
-    return _march(atlas, chart, q, p, traj, N, step, carry, point,
+    traj.points.append(point(0, chart, q, (p, None)))
+    return _march(atlas, chart, q, (p, None), traj, N, step, carry, point,
                   DEFAULT_SWITCH_MARGIN)

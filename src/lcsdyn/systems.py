@@ -10,9 +10,10 @@
 Each system is written once, as float jets (see ``ContinuousLagrangian``): a
 Lagrangian jet and, coded separately so that the Lagrangian and Hamiltonian
 flows stay independent checks of each other, a Hamiltonian jet.  The constant
-Hessians are precomputed arrays that the jets return as they are.  Every sigma
-is linear in the chart coordinates, so every chart declares its constant Lee
-form.
+velocity Hessians are precomputed arrays that the jets return as they are, and
+each Lagrangian declares its constant position Hessian as ``constant_hess_qq``.
+Every sigma is linear in the chart coordinates, so every chart declares its
+constant Lee form.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
 
 def _pair(n: int, L_jet, H_jet, hess_qq: np.ndarray):
     """The Lagrangian and Hamiltonian of one system, from their two jets."""
-    return (ContinuousLagrangian(n, L_jet, hess_qq=lambda q, v: hess_qq),
+    return (ContinuousLagrangian(n, L_jet, constant_hess_qq=hess_qq),
             ContinuousHamiltonian(n, H_jet))
 
 

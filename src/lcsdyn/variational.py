@@ -21,7 +21,15 @@ residual and the Jacobian, and ``numerics._newton`` iterates on float lists;
 array callers convert at their boundary.  The plain recursion stays on the
 array parts and ``newton_solve``.  ``integrate`` marches a trajectory,
 transporting the active two-point window across chart transitions whenever a
-point leaves the core of its chart, and fills momenta afterwards.
+point leaves the core of its chart, and fills momenta afterwards.  Each step
+ends with one jet call at its solved pair (a hit in a quadrature rule's
+memo), which gives p-(q_curr, q_next), the momentum of q_curr, and
+p+(q_curr, q_next), which the next step is posed with.  The march carries
+p+ and sigma(q_next), which it evaluates once per point, in its window, and
+records both momenta and the two sigma values.  A chart switch drops the
+carried p+, and the next step reads it from the transported window.  The
+fill takes the recorded values for every pair whose second point was not
+switched.
 The discrete action sum uses the local (conformally rescaled) Lagrangian
 
     S([q]) = sum_k exp(-sigma(q_k)) Ld(q_k, q_{k+1});
@@ -41,7 +49,7 @@ from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
 from .numerics import (NewtonResult, StepperConfig, _newton, _of_length, as_vector,
                        fd_jacobian, newton_solve)
-from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
+from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint, _MarchRecord
 
 Vector = np.ndarray
 
@@ -121,20 +129,21 @@ def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: l
 
 
 def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vector,
-                      q_curr: Vector, cfg: StepperConfig, conformal: bool
-                      ) -> NewtonResult:
+                      q_curr: Vector, cfg: StepperConfig, conformal: bool,
+                      p_curr: list | None = None) -> NewtonResult:
     """Newton solve for q_next from the seed 2 q_curr - q_prev; returns the result.
 
-    The conformal step reads p_curr = p+(q_prev, q_curr) from the pair jet:
-    in a march that is the pair the previous step's solve ended on, which
-    the memo of a quadrature rule still holds.
+    The conformal step is posed with p_curr = p+(q_prev, q_curr): a march
+    passes the one it read at the end of the previous step, and without it
+    the step reads it from the pair jet and the two sigma values.
     """
     if not conformal:
         F, J = _del_system(Ld, q_prev, q_curr)
         return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
     qp, qc = q_prev.tolist(), q_curr.tolist()
-    p_curr = _p_plus(Ld.jet(qp, qc)[2], float(chart.sigma(q_prev)),
-                     float(chart.sigma(q_curr)))
+    if p_curr is None:
+        p_curr = _p_plus(Ld.jet(qp, qc)[2], float(chart.sigma(q_prev)),
+                         float(chart.sigma(q_curr)))
     return _dlcel_solve(Ld, chart, q_curr, p_curr,
                         [2.0 * b - a for a, b in zip(qp, qc)], cfg)
 
@@ -175,17 +184,33 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     traj = DiscreteTrajectory(h=Ld.h)
     traj.points.append(TrajectoryPoint(k=0, chart=start_chart, q=q0))
     traj.points.append(TrajectoryPoint(k=1, chart=start_chart, q=q1))
+    record = _MarchRecord(Ld.n, N - 1)
 
-    def step(ch, q_curr, q_prev):
-        res = _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal)
-        return res.x, q_curr, res
+    # The window is (q_prev, p_curr, s_curr), p_curr = p+(q_prev, q_curr) and
+    # s_curr = sigma(q_curr) read at the end of the last step, or None after a
+    # switch.  Each step records what one jet call at its solved pair gives.
+    def step(ch, q_curr, window):
+        q_prev, p_curr, s_curr = window
+        res = _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal, p_curr)
+        value, d1, d2, _ = Ld.jet(q_curr.tolist(), res.x.tolist())
+        if conformal:
+            if s_curr is None:
+                s_curr = float(ch.sigma(q_curr))
+            s_next = float(ch.sigma(res.x))
+            p_next = _p_plus(d2, s_curr, s_next)
+            record.add(s_curr, _p_minus(ch.grad(q_curr).tolist(), value, d1), p_next,
+                       s_next)
+            return res.x, (q_curr, p_next, s_next), res
+        record.add(0.0, [-g for g in d1], d2, 0.0)
+        return res.x, (q_curr, None, None), res
 
-    _march(atlas, start_chart, q1, q0, traj, N, step,
-           carry=lambda t, q_next, q_curr: as_vector(t.forward(q_curr)),
-           point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart, q=q),
+    _march(atlas, start_chart, q1, (q0, None, None), traj, N, step,
+           carry=lambda t, q_next, window: (as_vector(t.forward(window[0])), None, None),
+           point=lambda k, chart, q, window: TrajectoryPoint(k=k, chart=chart, q=q),
            switch_margin=switch_margin)
 
     from .hamiltonian_discrete import momenta_along_trajectory
+    traj._march_record = record
     momenta_along_trajectory(Ld, atlas, traj, tol=max(10.0 * cfg.tol, 1e-13),
                              conformal=conformal)
     return traj

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lcsdyn import (Chart, ConformalAtlas, StepperConfig, System,
+from lcsdyn import (Chart, ConformalAtlas, StepperConfig, System, TransitionMap,
                     free_rotor_circle, harmonic_1d, planar_2d)
 from lcsdyn.continuous import ContinuousLagrangian
 from lcsdyn.numerics import as_vector
@@ -75,6 +75,31 @@ def rotor_with_transition_jacobian(entry: float, c: float = -0.1) -> System:
                         for t in system.atlas.transitions)
     return dataclasses.replace(system, atlas=ConformalAtlas(
         charts=system.atlas.charts, transitions=transitions))
+
+
+def rotor_with_shifted_chart(c: float = -0.1, shift: float = 0.7) -> System:
+    """free_rotor_circle whose second chart's angle is moved down by ``shift``:
+    carrying a point into it and back, (theta - shift) + shift, may round, as
+    the rotor's own transitions (exact shifts by 0 and 2 pi) never do."""
+    quarter = np.pi / 4
+    charts = (_linear_chart(0, [-quarter], [5 * quarter], [c]),
+              _linear_chart(1, [3 * quarter - shift], [9 * quarter - shift], [c]))
+
+    def move(from_chart, to_chart, lower, upper, by):
+        return TransitionMap(from_chart=from_chart, to_chart=to_chart,
+                             overlap_lower=[lower], overlap_upper=[upper],
+                             forward=lambda q: np.atleast_1d(q) + by,
+                             jacobian=lambda q: np.eye(1))
+
+    transitions = (move(0, 1, 3 * quarter, 5 * quarter, -shift),
+                   move(1, 0, 3 * quarter - shift, 5 * quarter - shift, shift),
+                   move(1, 0, 7 * quarter - shift, 9 * quarter - shift,
+                        shift - 2 * np.pi),
+                   move(0, 1, -quarter, quarter, 2 * np.pi - shift))
+    L, H = _free_particle()
+    return System(name="rotor_shifted_chart", n=1,
+                  atlas=ConformalAtlas(charts=charts, transitions=transitions),
+                  lagrangian=L, hamiltonian=H, start_chart=0, sigma_params=(c,))
 
 
 @pytest.fixture

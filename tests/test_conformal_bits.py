@@ -12,10 +12,12 @@ import pytest
 
 from lcsdyn import (build_left_hamiltonian, build_right_hamiltonian,
                     conformal_midpoint_rule, conformal_trapezoidal_rule,
-                    free_rotor_circle, integrate, integrate_hamiltonian, planar_2d)
+                    free_rotor_circle, integrate, integrate_hamiltonian, midpoint_rule,
+                    momenta_along_trajectory, planar_2d, trapezoidal_rule)
 from lcsdyn.numerics import as_vector, newton_solve
 from lcsdyn.trajectory import DiscreteTrajectory, TrajectoryPoint
 from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _march
+from conftest import rotor_with_shifted_chart
 
 
 def reference_dlcel_system(Ld, ch, q_curr, p_curr):
@@ -128,3 +130,44 @@ def test_planar_marches_are_bitwise_the_array_step(rule, tight_cfg):
         ham = integrate_hamiltonian(build(Ld, planar.atlas, 0), planar.atlas, 0, q, p,
                                     300, tight_cfg)
         assert_same_bits(ham, ref)
+
+
+def fresh_fill(Ld, atlas, traj, cfg, conformal):
+    """The public fill of a trajectory built from traj's points alone."""
+    bare = DiscreteTrajectory(h=traj.h, points=[
+        TrajectoryPoint(k=pt.k, chart=pt.chart, q=pt.q.copy()) for pt in traj.points])
+    return momenta_along_trajectory(Ld, atlas, bare, tol=max(10.0 * cfg.tol, 1e-13),
+                                    conformal=conformal)
+
+
+RECORDED_RULES = [(conformal_midpoint_rule, True), (conformal_trapezoidal_rule, True),
+                  (lambda L, atlas, chart, h: midpoint_rule(L, h), False),
+                  (lambda L, atlas, chart, h: trapezoidal_rule(L, h), False)]
+
+
+@pytest.mark.parametrize("rule, conformal", RECORDED_RULES,
+                         ids=["midpoint", "trapezoidal", "plain_midpoint",
+                              "plain_trapezoidal"])
+@pytest.mark.parametrize("system, q0, q1, N, switches", [
+    (free_rotor_circle(-0.1), [0.3], [0.35], 2000, 8),
+    (rotor_with_shifted_chart(), [0.3], [0.35], 2000, 8),
+    (planar_2d(0.3, 0.1), [1.0, 0.9], [1.004, 0.995], 300, 0)],
+    ids=["rotor", "shifted_rotor", "planar"])
+def test_integrate_momenta_are_bitwise_a_fresh_fill(rule, conformal, system, q0, q1, N,
+                                                     switches, tight_cfg):
+    # integrate takes the momenta and sigma values its steps recorded and
+    # re-evaluates only the switch windows, where the point carried back may
+    # round away from the solved one; the public fill of the same points
+    # evaluates every pair
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.05)
+    traj = integrate(Ld, system.atlas, 0, q0, q1, N, tight_cfg, conformal=conformal)
+    assert traj.n_switches() >= switches
+    # and marches whose last step switches: the first two switches on a rotor
+    ends = [s.k for s in traj.steps if s.switched][:2]
+    marches = [traj] + [integrate(Ld, system.atlas, 0, q0, q1, end, tight_cfg,
+                                  conformal=conformal) for end in ends]
+    for march in marches:
+        fresh = fresh_fill(Ld, system.atlas, march, tight_cfg, conformal)
+        for a, b in zip(march.points, fresh.points):
+            assert a.p.tobytes() == b.p.tobytes()
+            assert a.r.tobytes() == b.r.tobytes()

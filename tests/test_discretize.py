@@ -591,3 +591,36 @@ def test_second_partials_keep_sigma_hessian_where_the_lee_form_vanishes(rule):
                     (Ld.d1d2, fd_jacobian(lambda x: Ld.d1(q0, x), q1, 1e-6)),
                     (Ld.d2d2, fd_jacobian(lambda x: Ld.d2(q0, x), q1, 1e-6))):
         assert np.max(np.abs(got(q0, q1) - fd)) <= 1e-8
+
+
+# --- a declared constant position Hessian ------------------------------------
+
+@pytest.mark.parametrize("rule", [rule for rule, _ in MEMO_RULES], ids=MEMO_IDS)
+def test_constant_hess_qq_gives_the_callable_bits(rule):
+    # the rules read a declared constant once; the same Lagrangian with only
+    # the callable gives bitwise the same jet, d1d1 and d2d2
+    system = planar_2d(0.3, -0.2)
+    qq = np.array([[-1.0, 0.3], [0.3, -2.0]])
+    declared = ContinuousLagrangian(2, system.lagrangian.jet, constant_hess_qq=qq)
+    callable_only = ContinuousLagrangian(2, system.lagrangian.jet, lambda q, v: qq)
+    Ld_declared = rule(declared, system.atlas, 0, 0.1)
+    Ld_callable = rule(callable_only, system.atlas, 0, 0.1)
+    for q0, q1 in (([0.3, -0.2], [0.35, -0.1]), ([1.0, 0.5], [0.9, 0.7])):
+        assert Ld_declared.jet(q0, q1) == Ld_callable.jet(q0, q1)
+        for part in ("d1d1", "d2d2"):
+            assert _bits(getattr(Ld_declared, part)(q0, q1)) == \
+                _bits(getattr(Ld_callable, part)(q0, q1))
+
+
+def test_constant_hess_qq_is_checked_and_copied():
+    jet = planar_2d().lagrangian.jet
+    qq = -np.eye(2)
+    L = ContinuousLagrangian(2, jet, constant_hess_qq=qq)
+    qq[0, 0] = 9.0  # the Lagrangian holds its own copy
+    got = L.hess_qq(np.zeros(2), np.zeros(2))
+    got[1, 1] = 9.0  # and its default hess_qq hands out copies
+    assert L.hess_qq(np.zeros(2), np.zeros(2)).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(ValueError, match="constant_hess_qq must have shape"):
+        ContinuousLagrangian(2, jet, constant_hess_qq=[[-1.0]])
+    with pytest.raises(ValueError, match="declare hess_qq or constant_hess_qq"):
+        ContinuousLagrangian(2, jet)

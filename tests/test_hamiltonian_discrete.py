@@ -91,6 +91,18 @@ def test_momenta_non_solution_raises_at_index(free_line_flat):
     assert exc.value.index == 1
 
 
+@pytest.mark.parametrize("qs", [[[0.0], [np.nan], [0.2]], [[0.0], [0.1], [np.inf]]],
+                         ids=["nan", "inf"])
+def test_momenta_non_finite_gap_raises_at_index(qs):
+    # a NaN disagreement fails the check as a large one does
+    system = get_system("harmonic_1d")
+    Ld = midpoint_rule(system.lagrangian, 0.1)
+    traj = DiscreteTrajectory.from_points(0.1, 0, qs)
+    with pytest.raises(ConsistencyError) as exc:
+        momenta_along_trajectory(Ld, system.atlas, traj)
+    assert exc.value.index == 1
+
+
 def test_momenta_rp_relation_exact(free_line, tight_cfg):
     Ld = conformal_midpoint_rule(free_line.lagrangian, free_line.atlas, 0, 0.1)
     traj = integrate(Ld, free_line.atlas, 0, [0.0], [0.1], 40, tight_cfg)
