@@ -41,30 +41,36 @@ class ContinuousLagrangian:
     dq_j``.  ``hess_vv`` must be invertible wherever the dynamics are
     evaluated.  The continuous fields and the quadrature rules call the jet
     once where they need several parts; each method below calls it once and
-    returns one part.  ``hess_qq(q, v)`` returns the (n, n) array
-    d^2 L / dq dq; the quadrature rules' second partials read it.  A
-    Lagrangian whose position Hessian is constant declares it instead as
-    ``constant_hess_qq`` (copied and shape-checked), which the quadrature
-    rules read once when built; ``hess_qq`` then defaults to returning a copy
-    of it.  A Lagrangian that declares neither raises ``ValueError``.
+    returns one part, the Hessians as fresh arrays.  ``hess_qq(q, v)``
+    returns the (n, n) array d^2 L / dq dq; the quadrature rules' second
+    partials read it.
+
+    A Hessian that is constant may be declared: ``constant_hess_qq``,
+    ``constant_hess_vv`` and ``constant_hess_vq``, each copied to a read-only
+    (n, n) float array (another shape raises ``ValueError``).  The fields,
+    ``fiber_legendre_inv`` and the quadrature rules read a declared Hessian
+    once, when they are built, and ignore that part of the jet, which must
+    still return it.  ``hess_qq`` may then be omitted and defaults to
+    returning a copy of ``constant_hess_qq``; a Lagrangian that declares
+    neither raises ``ValueError``.
     """
 
     n: int
     jet: Callable[[list, list], tuple]
     hess_qq: Callable[[Vector, Vector], np.ndarray] | None = None
     constant_hess_qq: np.ndarray | None = None
+    constant_hess_vv: np.ndarray | None = None
+    constant_hess_vq: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.constant_hess_qq is not None:
-            qq = np.array(self.constant_hess_qq, dtype=float)
-            if qq.shape != (self.n, self.n):
-                raise ValueError(f"constant_hess_qq must have shape "
-                                 f"({self.n}, {self.n}), got {qq.shape}")
-            object.__setattr__(self, "constant_hess_qq", qq)
-            if self.hess_qq is None:
-                object.__setattr__(self, "hess_qq", lambda q, v: qq.copy())
-        elif self.hess_qq is None:
-            raise ValueError("declare hess_qq or constant_hess_qq")
+        for name in ("constant_hess_qq", "constant_hess_vv", "constant_hess_vq"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _declared(self, name))
+        if self.hess_qq is None:
+            qq = self.constant_hess_qq
+            if qq is None:
+                raise ValueError("declare hess_qq or constant_hess_qq")
+            object.__setattr__(self, "hess_qq", lambda q, v: qq.copy())
 
     def _at(self, q: Vector, v: Vector) -> tuple:
         return self.jet(as_vector(q).tolist(), as_vector(v).tolist())
@@ -79,10 +85,20 @@ class ContinuousLagrangian:
         return np.array(self._at(q, v)[2])
 
     def hess_vv(self, q: Vector, v: Vector) -> np.ndarray:
-        return self._at(q, v)[3]
+        return np.array(self._at(q, v)[3])
 
     def hess_vq(self, q: Vector, v: Vector) -> np.ndarray:
-        return self._at(q, v)[4]
+        return np.array(self._at(q, v)[4])
+
+
+def _declared(L: ContinuousLagrangian, name: str) -> np.ndarray:
+    """L's declared constant Hessian ``name`` as a read-only float copy;
+    ``ValueError`` unless it has shape (n, n)."""
+    a = np.array(getattr(L, name), dtype=float)
+    if a.shape != (L.n, L.n):
+        raise ValueError(f"{name} must have shape ({L.n}, {L.n}), got {a.shape}")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -127,12 +143,17 @@ def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
 
 
 def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndarray:
-    """Velocity v solving dL/dv (q, v) = p by Newton, one jet call per iterate."""
+    """Velocity v solving dL/dv (q, v) = p by Newton, one jet call per iterate;
+    a declared ``constant_hess_vv`` is the Jacobian of every iterate."""
     q, p = as_vector(q).tolist(), as_vector(p).tolist()
+    jac = None
+    if L.constant_hess_vv is not None:
+        vv = L.constant_hess_vv.tolist()
+        jac = lambda: vv
 
     def system(v: list):
         _, _, gv, hess_vv, _ = L.jet(q, v)
-        return [g - b for g, b in zip(gv, p)], hess_vv.tolist
+        return [g - b for g, b in zip(gv, p)], jac or hess_vv.tolist
 
     return np.array(_newton(system, p, _FIBER_CFG)[0])
 
@@ -148,10 +169,10 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     ``field._floats`` instead, which takes and returns a list of d floats (or
     raises) and gives the same bits without the arrays.  The stages are
     combined in Python floats, component by component, in the order
-    ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``; a
-    two-component state (one degree of freedom) is held as two floats and
-    stored straight into the preallocated result, the same arithmetic without
-    the per-component lists.
+    ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``; a two- or
+    four-component state (one or two degrees of freedom) is held as two or
+    four floats and stored straight into the preallocated result, the same
+    arithmetic without the per-component lists.
 
     Raises ``ValueError`` when ``h`` is not a positive finite number, when
     ``steps < 1`` and when a field output does not have ``d`` components, and
@@ -201,6 +222,28 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
                     raise nonfinite(k)
                 flat[2 * k + 2] = a
                 flat[2 * k + 3] = b
+        elif d == 4:
+            a, b, c, e = x
+            flat = memoryview(out).cast("B").cast("d")
+            for k in range(steps):
+                a1, b1, c1, e1 = stage([a, b, c, e])
+                a2, b2, c2, e2 = stage([a + half * a1, b + half * b1,
+                                        c + half * c1, e + half * e1])
+                a3, b3, c3, e3 = stage([a + half * a2, b + half * b2,
+                                        c + half * c2, e + half * e2])
+                a4, b4, c4, e4 = stage([a + h * a3, b + h * b3, c + h * c3, e + h * e3])
+                a = a + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+                b = b + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                c = c + sixth * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
+                e = e + sixth * (((e1 + 2.0 * e2) + 2.0 * e3) + e4)
+                if not (math.isfinite(a) and math.isfinite(b)
+                        and math.isfinite(c) and math.isfinite(e)):
+                    raise nonfinite(k)
+                i = 4 * k + 4
+                flat[i] = a
+                flat[i + 1] = b
+                flat[i + 2] = c
+                flat[i + 3] = e
         else:
             for k in range(steps):
                 k1 = stage(x)
@@ -373,12 +416,18 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     components raises ``ValueError``.  The acceleration solves
     ``hess_vv a = rhs`` by one division when n = 1 and otherwise by
     ``numerics._solve_floats`` (in closed form behind its screen when n = 2),
-    raising :class:`RegularityError` as it does.
+    raising :class:`RegularityError` as it does.  A declared
+    ``constant_hess_vv`` or ``constant_hess_vq`` is read here, once, as a
+    float (n = 1), a nested list or, for ``hess_vq`` when n >= 3, the array;
+    an undeclared one is read from the jet at every call.
     """
     n = L.n
     jet = L.jet
+    vv, vq = L.constant_hess_vv, L.constant_hess_vq
     if n == 1:
         lo, hi, phi, lee = _scalar_chart_data(atlas, chart)
+        m_const = None if vv is None else vv.item(0)
+        b_const = None if vq is None else vq.item(0)
 
         def scalar_floats(xs: list) -> list:
             q, v = xs
@@ -386,18 +435,21 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                 atlas.require_inside(chart, np.array([q]))
             lval, (g,), (c,), M, hvq = jet([q], [v])
             f = phi if phi is not None else lee(q)
-            m = M.item(0)
+            m = m_const if m_const is not None else M.item(0)
             if m == 0.0:
                 raise RegularityError("singular 1x1 velocity Hessian",
                                       condition=float("inf"))
+            b = b_const if b_const is not None else hvq.item(0)
             # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
-            hv, s = 0.0 + hvq.item(0) * v, 0.0 + f * v
+            hv, s = 0.0 + b * v, 0.0 + f * v
             return [v, (g - hv + s * c - lval * f) / m]
 
         return _float_field(scalar_floats)
 
+    M_const = None if vv is None else vv.tolist()
     if n == 2:
         (lo0, hi0, lo1, hi1), phi, lee = _planar_chart_data(atlas, chart)
+        B_const = None if vq is None else vq.tolist()
 
         def planar_floats(xs: list) -> list:
             q0, q1, v0, v1 = xs
@@ -405,11 +457,12 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                 atlas.require_inside(chart, np.array([q0, q1]))
             lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
             f0, f1 = phi if phi is not None else lee(q0, q1)
-            (m00, m01), (m10, m11) = hvq.tolist()
+            (m00, m01), (m10, m11) = B_const if B_const is not None else hvq.tolist()
             s = _fma(f1, v1, f0 * v0)
             rhs = [g0 - _fma(m00, v0, m01 * v1) + s * c0 - lval * f0,
                    g1 - _fma(m10, v0, m11 * v1) + s * c1 - lval * f1]
-            return [v0, v1] + _solve_floats(M.tolist(), rhs, 1e12)
+            return [v0, v1] + _solve_floats(
+                M_const if M_const is not None else M.tolist(), rhs, 1e12)
 
         return _float_field(planar_floats)
 
@@ -421,9 +474,10 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
         lval, gq, gv, M, hvq = jet(q, vs)
         phi, phi_a = lee(q)
         v = np.array(vs)
-        s, hv = float(phi_a @ v), (hvq @ v).tolist()
+        s, hv = float(phi_a @ v), ((hvq if vq is None else vq) @ v).tolist()
         rhs = [a - b + s * c - lval * f
                for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
-        return vs + _solve_floats(M.tolist(), rhs, 1e12)
+        return vs + _solve_floats(M_const if M_const is not None else M.tolist(),
+                                  rhs, 1e12)
 
     return _float_field(floats)

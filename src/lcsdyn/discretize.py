@@ -10,7 +10,12 @@ version is needed.
 ``midpoint_rule`` and ``trapezoidal_rule`` carry analytic chain-rule partials
 (the second partials read L's position Hessian: a declared
 ``constant_hess_qq`` once, when the rule is built, and otherwise
-``L.hess_qq`` at every pair) and never consult the conformal factor.  Their
+``L.hess_qq`` at every pair) and never consult the conformal factor.  When L
+declares all three Hessians (``constant_hess_qq``, ``constant_hess_vv`` and
+``constant_hess_vq``), the parts of the second partials that only they enter
+(the plain rules' d1d2, the d1d1 and d2d2 bases and the node terms of the
+conformal d1d2) are constants of the rule, computed once when it is built,
+and the jet's velocity Hessians are not read.  Their
 conformal companions
 ``conformal_midpoint_rule`` / ``conformal_trapezoidal_rule`` instead apply the
 quadrature rule to the chart-local Lagrangian exp(-sigma) L and re-express the
@@ -183,13 +188,23 @@ def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
             [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
 
 
+def _declared_node(L: ContinuousLagrangian):
+    """Node data ``(None, None, hess_vv, hess_vq)`` from L's declarations when
+    L declares all three Hessians, else None: every second-partial base
+    below is then the same at every node, a constant of the rule."""
+    if L.constant_hess_qq is None or L.constant_hess_vv is None \
+            or L.constant_hess_vq is None:
+        return None
+    return None, None, L.constant_hess_vv, L.constant_hess_vq
+
+
 def _midpoint_d1d2(qq, h: float, m: list, w: list, vv: np.ndarray, vq: np.ndarray
                    ) -> list:
     """d1d2 of the midpoint rule from its node data and the position Hessian
     ``qq`` (see :func:`_hess_qq_of`), as a nested list:
     0.5 (vq^T - vq) - vv / h + 0.25 h hess_qq."""
     vv, vq, qq, c = vv.tolist(), vq.tolist(), qq(m, w), 0.25 * h
-    idx = range(len(m))
+    idx = range(len(vv))
     return [[0.5 * (vq[j][i] - vq[i][j]) - vv[i][j] / h + c * qq[i][j] for j in idx]
             for i in idx]
 
@@ -200,6 +215,21 @@ def _midpoint_same(qq, h: float, k: int, m: list, w: list, vv: np.ndarray,
     0.25 h hess_qq -+ 0.5 (vq + vq^T) + vv / h."""
     sym = 0.5 * (vq + vq.T)
     return 0.25 * h * np.array(qq(m, w)) + (sym if k else -sym) + vv / h
+
+
+def _midpoint_bases(L: ContinuousLagrangian, h: float):
+    """``(d1d2, same)``: :func:`_midpoint_d1d2` and :func:`_midpoint_same`
+    (``same(node, k)``) as functions of the node data.  When L declares all
+    three Hessians both are constants of the rule, computed here once: d1d2
+    is a shared list, which callers must not change, and same returns
+    copies."""
+    qq, const = _hess_qq_of(L), _declared_node(L)
+    if const is None:
+        return (lambda node: _midpoint_d1d2(qq, h, *node),
+                lambda node, k: _midpoint_same(qq, h, k, *node))
+    d1d2 = _midpoint_d1d2(qq, h, *const)
+    same = (_midpoint_same(qq, h, 0, *const), _midpoint_same(qq, h, 1, *const))
+    return (lambda node: d1d2), (lambda node, k: same[k].copy())
 
 
 def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0, q1):
@@ -227,6 +257,16 @@ def _trapezoidal_d1d2(h: float, nodes: tuple) -> list:
             for i in idx]
 
 
+def _trapezoidal_halves(h: float, nodes: tuple) -> tuple[list, list]:
+    """The node terms' parts of the conformal trapezoidal d1d2, as nested
+    lists: 0.5 vq0^T - vv0 / (2h) and -0.5 vq1 - vv1 / (2h)."""
+    (_, _, vv0, vq0), (_, _, vv1, vq1) = nodes
+    vv0, vq0, vv1, vq1 = vv0.tolist(), vq0.tolist(), vv1.tolist(), vq1.tolist()
+    t, idx = 2.0 * h, range(len(vv0))
+    return ([[0.5 * vq0[j][i] - vv0[i][j] / t for j in idx] for i in idx],
+            [[-0.5 * vq1[i][j] - vv1[i][j] / t for j in idx] for i in idx])
+
+
 def _trapezoidal_node(qq, h: float, k: int, nodes: tuple) -> np.ndarray:
     """Second partial of the node term (h/2) L(q_k, w) in its own point q_k:
     (h/2) hess_qq -+ 0.5 (vq + vq^T) + vv / (2h), minus for k = 0."""
@@ -235,38 +275,54 @@ def _trapezoidal_node(qq, h: float, k: int, nodes: tuple) -> np.ndarray:
     return 0.5 * h * np.array(qq(q, w)) + (sym if k else -sym) + vv / (2.0 * h)
 
 
-def _trapezoidal_same(qq, h: float, k: int, nodes: tuple) -> np.ndarray:
-    """d1d1 (k = 0) or d2d2 (k = 1) of the trapezoidal rule: the node term of
-    q_k plus the other node's hess_vv / (2h), which w carries."""
-    return _trapezoidal_node(qq, h, k, nodes) + nodes[1 - k][2] / (2.0 * h)
+def _trapezoidal_bases(L: ContinuousLagrangian, h: float):
+    """``(d1d2, halves, node, half_vv)`` as functions of the node pair:
+    :func:`_trapezoidal_d1d2`, :func:`_trapezoidal_halves`,
+    :func:`_trapezoidal_node` (``node(nodes, k)``) and node k's hess_vv / (2h)
+    (``half_vv(nodes, k)``).  d1d1 (k = 0) or d2d2 (k = 1) of the plain rule
+    is ``node(nodes, k) + half_vv(nodes, 1 - k)``: the other node's term
+    depends on q_k through w only.  When L declares all three Hessians all
+    four are constants of the rule, computed here once and shared, so
+    callers must not change what they return."""
+    qq, const = _hess_qq_of(L), _declared_node(L)
+    if const is None:
+        return (lambda nodes: _trapezoidal_d1d2(h, nodes),
+                lambda nodes: _trapezoidal_halves(h, nodes),
+                lambda nodes, k: _trapezoidal_node(qq, h, k, nodes),
+                lambda nodes, k: nodes[k][2] / (2.0 * h))
+    nodes = (const, const)
+    d1d2, halves = _trapezoidal_d1d2(h, nodes), _trapezoidal_halves(h, nodes)
+    node = (_trapezoidal_node(qq, h, 0, nodes), _trapezoidal_node(qq, h, 1, nodes))
+    half_vv = const[2] / (2.0 * h)
+    return (lambda nodes: d1d2), (lambda nodes: halves), \
+        (lambda nodes, k: node[k]), (lambda nodes, k: half_vv)
 
 
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
     if h <= 0:
         raise ValueError("h must be positive")
-    qq = _hess_qq_of(L)
+    d1d2, same = _midpoint_bases(L, h)
 
     def pair_data(q0, q1):
         val, d1, d2, node = _midpoint_pair(L, h, q0, q1)
-        return (val, d1, d2, _midpoint_d1d2(qq, h, *node)), node
+        return (val, d1, d2, d1d2(node)), node
 
-    return _memoized_pair_rule(L.n, h, pair_data,
-                               lambda node, k: _midpoint_same(qq, h, k, *node))
+    return _memoized_pair_rule(L.n, h, pair_data, same)
 
 
 def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = (h/2) [L(q0, w) + L(q1, w)] with w = (q1-q0)/h."""
     if h <= 0:
         raise ValueError("h must be positive")
-    qq = _hess_qq_of(L)
+    d1d2, _, node, half_vv = _trapezoidal_bases(L, h)
 
     def pair_data(q0, q1):
         val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
-        return (val, d1, d2, _trapezoidal_d1d2(h, nodes)), nodes
+        return (val, d1, d2, d1d2(nodes)), nodes
 
-    return _memoized_pair_rule(L.n, h, pair_data,
-                               lambda nodes, k: _trapezoidal_same(qq, h, k, nodes))
+    return _memoized_pair_rule(
+        L.n, h, pair_data, lambda nodes, k: node(nodes, k) + half_vv(nodes, 1 - k))
 
 
 def _first_point_memo(sigma, grad, hess):
@@ -285,7 +341,7 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     evaluation of L, sigma and the Lee form, so ``L``'s jet and the chart's
     sigma callables must be pure functions of their arguments.
     """
-    ch, qq = atlas.chart(chart), _hess_qq_of(L)
+    ch, (base_d1d2, base_same) = atlas.chart(chart), _midpoint_bases(L, h)
     sigma, grad, hess = _chart_floats(ch)
     at_q0 = _first_point_memo(sigma, grad, hess)
 
@@ -296,7 +352,7 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         grad_mid, hess_mid = grad(mid), hess(mid)
         a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
         b = [-0.5 * gm for gm in grad_mid]
-        base = _midpoint_d1d2(qq, h, *node)
+        base = base_d1d2(node)
         if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
                              or any(map(any, hess_mid))):
             return (val, bd1, bd2, base), (node, None)
@@ -315,14 +371,14 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         # dc/dq_k is sigma's Hessian at q0 (k = 0 only) less a quarter of it at m
         node, conformal = extra
         if conformal is None:
-            return _midpoint_same(qq, h, k, *node)
+            return base_same(node, k)
         q0, E, a, b, val, bd1, bd2 = conformal
         c, bd = (np.array(b), np.array(bd2)) if k else (np.array(a), np.array(bd1))
         dc = -0.25 * ch.hess(node[0])
         if not k:
             dc = dc + ch.hess(q0)
         return E * (np.outer(c, c * val + bd) + np.outer(bd, c) + val * dc
-                    + _midpoint_same(qq, h, k, *node))
+                    + base_same(node, k))
 
     return _memoized_pair_rule(L.n, h, pair_data, same_from)
 
@@ -336,7 +392,7 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     form, so ``L``'s jet and the chart's sigma callables must be pure
     functions of their arguments.
     """
-    ch, qq = atlas.chart(chart), _hess_qq_of(L)
+    ch, (base_d1d2, halves, node, half_vv) = atlas.chart(chart), _trapezoidal_bases(L, h)
     sigma, grad, hess = _chart_floats(ch)
     at_q0 = _first_point_memo(sigma, grad, hess)
 
@@ -347,12 +403,13 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         if s0 == s1 and not (any(phi0) or any(phi1) or any(map(any, hess0))
                              or any(map(any, hess(q1)))):
             val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
-            return (val, d1, d2, _trapezoidal_d1d2(h, nodes)), (nodes, None)
+            return (val, d1, d2, base_d1d2(nodes)), (nodes, None)
         w = [(b - a) / h for a, b in zip(q0, q1)]
         L0, gq0, gv0, vv0, vq0 = L.jet(list(q0), w)
         L1, gq1, gv1, vv1, vq1 = L.jet(list(q1), w)
+        nodes = ((q0, w, vv0, vq0), (q1, w, vv1, vq1))
         G = np.exp(s0 - s1)
-        g, c, t, idx = float(G), 0.5 * h, 2.0 * h, range(len(phi0))
+        g, c, idx = float(G), 0.5 * h, range(len(phi0))
         U = c * L1
         T1 = [c * x - 0.5 * y for x, y in zip(gq0, gv0)]
         U1 = [-0.5 * y for y in gv1]
@@ -362,27 +419,25 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         d2 = [0.5 * y + g * s for y, s in zip(gv0, S)]
         # d1d2 = dT2 + G (phi0 (x) S + dS), with dT2 = 0.5 vq0^T - vv0 / (2h),
         # dS = -U1 (x) phi1 + dU2 and dU2 = -0.5 vq1 - vv1 / (2h)
-        vv0l, vq0l, vv1l, vq1l = vv0.tolist(), vq0.tolist(), vv1.tolist(), vq1.tolist()
-        d1d2 = [[0.5 * vq0l[j][i] - vv0l[i][j] / t
-                 + g * (phi0[i] * S[j] + (-(U1[i] * phi1[j])
-                                          + (-0.5 * vq1l[i][j] - vv1l[i][j] / t)))
+        dT2, dU2 = halves(nodes)
+        d1d2 = [[dT2[i][j] + g * (phi0[i] * S[j] + (-(U1[i] * phi1[j]) + dU2[i][j]))
                  for j in idx] for i in idx]
         return ((c * (L0 + G * L1), d1, d2, d1d2),
-                (((q0, w, vv0, vq0), (q1, w, vv1, vq1)), (G, phi0, phi1, U, U1, U2)))
+                (nodes, (G, phi0, phi1, U, U1, U2)))
 
     def same_from(extra, k):
         nodes, conformal = extra
         if conformal is None:
-            return _trapezoidal_same(qq, h, k, nodes)
+            return node(nodes, k) + half_vv(nodes, 1 - k)
         G, phi0, phi1, U, U1, U2 = conformal
         phi0, phi1, U1, U2 = np.array(phi0), np.array(phi1), np.array(U1), np.array(U2)
         if not k:  # d/dq0 of T1 + G (phi0 U + U1)
-            return _trapezoidal_node(qq, h, 0, nodes) + G * (
-                nodes[1][2] / (2.0 * h) + np.outer(phi0 * U + U1, phi0)
+            return node(nodes, 0) + G * (
+                half_vv(nodes, 1) + np.outer(phi0 * U + U1, phi0)
                 + U * ch.hess(nodes[0][0]) + np.outer(phi0, U1))
         # d/dq1 of T2 + G (-phi1 U + U2)
-        return nodes[0][2] / (2.0 * h) + G * (
-            _trapezoidal_node(qq, h, 1, nodes) - np.outer(-phi1 * U + U2, phi1)
+        return half_vv(nodes, 0) + G * (
+            node(nodes, 1) - np.outer(-phi1 * U + U2, phi1)
             - U * ch.hess(nodes[1][0]) - np.outer(phi1, U2))
 
     return _memoized_pair_rule(L.n, h, pair_data, same_from)

@@ -10,8 +10,9 @@
 Each system is written once, as float jets (see ``ContinuousLagrangian``): a
 Lagrangian jet and, coded separately so that the Lagrangian and Hamiltonian
 flows stay independent checks of each other, a Hamiltonian jet.  The constant
-velocity Hessians are precomputed arrays that the jets return as they are, and
-each Lagrangian declares its constant position Hessian as ``constant_hess_qq``.
+velocity Hessians are read-only identity and zero arrays that the jets return
+as they are; each Lagrangian declares them as ``constant_hess_vv`` and
+``constant_hess_vq`` and its constant position Hessian as ``constant_hess_qq``.
 Every sigma is linear in the chart coordinates, so every chart declares its
 constant Lee form.
 """
@@ -55,7 +56,7 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     ``V`` and ``grad_V`` take a list of n floats and return a float and a
     fresh list; ``hess_V`` is the constant Hessian of V.
     """
-    eye, zeros = np.eye(n), np.zeros((n, n))
+    eye, zeros = _unit_hessians(n)
 
     def L_jet(q, v):
         return 0.5 * _sq(v) - V(q), [-g for g in grad_V(q)], list(v), eye, zeros
@@ -66,9 +67,21 @@ def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     return _pair(n, L_jet, H_jet, -hess_V)
 
 
+def _unit_hessians(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) identity and zero arrays: the velocity Hessians
+    hess_vv and hess_vq that every catalog Lagrangian jet returns."""
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    eye.setflags(write=False)
+    zeros.setflags(write=False)
+    return eye, zeros
+
+
 def _pair(n: int, L_jet, H_jet, hess_qq: np.ndarray):
-    """The Lagrangian and Hamiltonian of one system, from their two jets."""
-    return (ContinuousLagrangian(n, L_jet, constant_hess_qq=hess_qq),
+    """The Lagrangian and Hamiltonian of one system, from their two jets; the
+    Lagrangian declares hess_qq and the velocity Hessians of _unit_hessians."""
+    eye, zeros = _unit_hessians(n)
+    return (ContinuousLagrangian(n, L_jet, constant_hess_qq=hess_qq,
+                                 constant_hess_vv=eye, constant_hess_vq=zeros),
             ContinuousHamiltonian(n, H_jet))
 
 
@@ -79,7 +92,7 @@ def _pair(n: int, L_jet, H_jet, hess_qq: np.ndarray):
 def _harmonic(n: int):
     if n > 2:
         return _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
-    eye, zeros = np.eye(n), np.zeros((n, n))
+    eye, zeros = _unit_hessians(n)
     if n == 2:
         def L_jet(q, v):
             (x, y), (u, w) = q, v
@@ -107,7 +120,7 @@ def _harmonic(n: int):
 def _free_particle():
     """The one-dimensional free particle, V = 0: L's grad_q and hess_qq are -0.0,
     as -grad_V and -hess_V are in _mechanical."""
-    eye, zeros = np.eye(1), np.zeros((1, 1))
+    eye, zeros = _unit_hessians(1)
 
     def L_jet(q, v):
         (w,) = v

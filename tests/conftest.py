@@ -58,6 +58,23 @@ def varying_mass():
     return dataclasses.replace(system, lagrangian=ContinuousLagrangian(2, jet, hess_qq))
 
 
+def quadratic_planar():
+    """planar_2d(0.3, -0.2) with L = v.Mv/2 + v.Bq - q.Kq/2 for a full,
+    non-identity M and a non-symmetric B: constant Hessians hess_vv = M,
+    hess_vq = B and hess_qq = -K, none of them the catalog's."""
+    M = np.array([[2.0, 0.3], [0.3, 0.7]])
+    B = np.array([[0.1, 0.4], [-0.25, 0.3]])
+    K = np.array([[1.0, 0.2], [0.2, 1.5]])
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
+                (B.T @ v - K @ q).tolist(), (M @ v + B @ q).tolist(), M, B)
+
+    L = ContinuousLagrangian(2, jet, hess_qq=lambda q, v: -K)
+    return dataclasses.replace(planar_2d(0.3, -0.2), lagrangian=L)
+
+
 def harmonic_3d(c=(0.3, -0.2, 0.1)) -> System:
     """The 3-DOF harmonic oscillator with sigma = c . q (linear, so a constant
     Lee form); n = 3 takes the Newton solves past the closed-form 1x1 and 2x2

@@ -9,7 +9,7 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
                     make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate,
                     solve_linear)
-from conftest import harmonic_3d
+from conftest import harmonic_3d, quadratic_planar
 
 
 def hamilton_rates(H, atlas, q, p):
@@ -71,6 +71,13 @@ def test_acceleration_singular_hessian(harmonic):
         hess_qq=lambda q, v: np.zeros((1, 1)))
     with pytest.raises(RegularityError):
         acceleration(degenerate, harmonic.atlas, [0.0], [1.0])
+    # a declared zero mass is read when the field is built, and raises only
+    # when the field is called
+    declared = dataclasses.replace(degenerate, constant_hess_vv=[[0.0]],
+                                   constant_hess_vq=[[0.0]])
+    field = make_lcel_field(declared, harmonic.atlas, 0)
+    with pytest.raises(RegularityError, match="singular 1x1"):
+        field(np.array([0.0, 1.0]))
 
 
 def test_energy_values(harmonic):
@@ -139,15 +146,33 @@ def _leaving_fields():
             make_lcshe_field(system.hamiltonian, system.atlas, 0)]
 
 
+def _planar_blowup_fields():
+    """The two-DOF twin of :func:`_blowup_fields`: q' = 0, p' = (p0^2, p1^2)."""
+    H = ContinuousHamiltonian(2, lambda q, p: (0.0, [-p[0] * p[0], -p[1] * p[1]],
+                                               [0.0, 0.0]))
+    return [make_lcshe_field(H, planar_2d(0.0, 0.0).atlas, 0)]
+
+
+def _planar_leaving_fields():
+    """planar_2d's two fields; from (0, 40, 0, 60) the state leaves the box
+    through q1 = 50."""
+    system = planar_2d()
+    return [make_lcel_field(system.lagrangian, system.atlas, 0),
+            make_lcshe_field(system.hamiltonian, system.atlas, 0)]
+
+
 @pytest.mark.parametrize("fields, x0, h, match", [
     (_blowup_fields, [0.0, 1.0], 0.5, "non-finite state"),
-    (_leaving_fields, [0.0, 60.0], 0.01, "outside chart 0 domain")],
-    ids=["non_finite", "leaves_chart"])
+    (_leaving_fields, [0.0, 60.0], 0.01, "outside chart 0 domain"),
+    (_planar_blowup_fields, [0.0, 0.0, 0.5, 1.0], 0.5, "non-finite state"),
+    (_planar_leaving_fields, [0.0, 40.0, 0.0, 60.0], 0.01, "outside chart 0 domain")],
+    ids=["non_finite", "leaves_chart", "planar_non_finite", "planar_leaves_chart"])
 @pytest.mark.parametrize("entry", ["floats", "array"])
 def test_rk4_two_component_failure_contract(fields, x0, h, match, entry):
     # Through the float entry and through a plain callable returning an
-    # ndarray, a failing one-DOF run reports the failing step, and its partial
-    # rows are bitwise those of the same run stopped just before it.
+    # ndarray, a failing one- or two-DOF run (the d = 2 and d = 4 loops)
+    # reports the failing step, and its partial rows are bitwise those of the
+    # same run stopped just before it.
     for field in fields():
         stage = field if entry == "floats" else (lambda x, f=field: f(x))
         with pytest.raises(IntegrationError, match=match) as exc:
@@ -155,10 +180,26 @@ def test_rk4_two_component_failure_contract(fields, x0, h, match, entry):
         index = exc.value.index
         assert 1 < index < 200
         partial = exc.value.partial
-        assert partial.shape == (index, 2)
+        assert partial.shape == (index, len(x0))
+        assert np.isfinite(partial).all()
         assert partial.tobytes() == rk4_integrate(stage, x0, h, index - 1).tobytes()
         with pytest.raises(IntegrationError):
             rk4_integrate(stage, x0, h, index)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rk4_checks_every_component(d):
+    # a field that blows up one component only stops the run at the step
+    # where that component overflows, whichever component it is
+    for i in range(d):
+        def field(x, i=i):
+            return [float(x[j]) * float(x[j]) if j == i else 0.0 for j in range(d)]
+
+        x0 = [1.0 if j == i else 0.0 for j in range(d)]
+        with pytest.raises(IntegrationError, match="non-finite state") as exc:
+            rk4_integrate(field, x0, 0.5, 200)
+        assert 1 < exc.value.index < 200
+        assert np.isfinite(exc.value.partial).all()
 
 
 def test_rk4_rejects_wrong_length_field_output():
@@ -410,6 +451,31 @@ def test_rk4_float_entry_equals_public_field(system_fn):
             assert len(calls) == 1600
             want = rk4_integrate(lambda x: field(x), x0, 1e-3, 400)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("system_fn", [coupled_1d, coupled_planar, quadratic_planar,
+                                       mass_3d, harmonic_3d])
+def test_declared_velocity_hessians_give_the_jet_bits(system_fn):
+    # The n = 1, n = 2 and n >= 3 kernels and fiber_legendre_inv read declared
+    # Hessians once, when built: the declaring Lagrangian's jet returns None
+    # in their place.  Fields, RK4 runs and the inverse Legendre map keep the
+    # bits of the same Lagrangian read from its jet.
+    system = system_fn()
+    n, L = system.n, system.lagrangian
+    _, _, _, M, B = L.jet([0.1] * n, [0.2] * n)
+    from_jet = ContinuousLagrangian(n, L.jet, L.hess_qq)
+    declared = ContinuousLagrangian(n, lambda q, v: L.jet(q, v)[:3] + (None, None),
+                                    L.hess_qq, constant_hess_vv=M, constant_hess_vq=B)
+    want, got = (make_lcel_field(F, system.atlas, 0) for F in (from_jet, declared))
+    rng = np.random.default_rng(8)
+    for x in [*rng.uniform(-2, 2, (300, 2 * n)), np.zeros(2 * n), -np.zeros(2 * n)]:
+        assert got(x).tobytes() == want(x).tobytes(), x
+    for x0 in _starts(n):
+        assert rk4_integrate(got, x0, 1e-3, 200).tobytes() == \
+            rk4_integrate(want, x0, 1e-3, 200).tobytes()
+        q, p = x0[:n], x0[n:] + 0.3
+        assert fiber_legendre_inv(declared, q, p).tobytes() == \
+            fiber_legendre_inv(from_jet, q, p).tobytes()
 
 
 def test_field_reads_a_non_constant_lee_form_per_call():

@@ -11,7 +11,7 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
 from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
 from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
-from conftest import curved_planar, free_line_system, varying_mass
+from conftest import curved_planar, free_line_system, quadratic_planar, varying_mass
 
 
 def harmonic_exact_value(q0, q1, h):
@@ -624,3 +624,52 @@ def test_constant_hess_qq_is_checked_and_copied():
         ContinuousLagrangian(2, jet, constant_hess_qq=[[-1.0]])
     with pytest.raises(ValueError, match="declare hess_qq or constant_hess_qq"):
         ContinuousLagrangian(2, jet)
+
+
+# --- declared constant velocity Hessians -------------------------------------
+
+@pytest.mark.parametrize("rule", [rule for rule, _ in MEMO_RULES], ids=MEMO_IDS)
+@pytest.mark.parametrize("flat", [False, True], ids=["conformal", "constant_sigma"])
+def test_constant_velocity_hessians_give_the_jet_bits(rule, flat):
+    # with all three Hessians declared the rules read them once, when built:
+    # the declaring Lagrangian's jet returns None in place of hess_vv and
+    # hess_vq.  The jet, d1d1 and d2d2 keep the bits of the same Lagrangian
+    # read from its jet and hess_qq, on a chart with a nonzero and with a
+    # zero Lee form (the conformal rules' two branches).
+    system = quadratic_planar()
+    atlas = with_constant_sigma(system).atlas if flat else system.atlas
+    jet, hess_qq = system.lagrangian.jet, system.lagrangian.hess_qq
+    _, _, _, M, B = jet([0.1, 0.2], [0.3, 0.4])
+    declared = ContinuousLagrangian(2, lambda q, v: jet(q, v)[:3] + (None, None),
+                                    constant_hess_qq=hess_qq(None, None),
+                                    constant_hess_vv=M, constant_hess_vq=B)
+    from_jet = ContinuousLagrangian(2, jet, hess_qq)
+    Ld_declared = rule(declared, atlas, 0, 0.1)
+    Ld_jet = rule(from_jet, atlas, 0, 0.1)
+    for q0, q1 in (([0.3, -0.2], [0.35, -0.1]), ([1.0, 0.5], [0.9, 0.7]),
+                   ([0.3, -0.2], [0.25, -0.3])):
+        assert repr(Ld_declared.jet(q0, q1)) == repr(Ld_jet.jet(q0, q1))
+        for part in PARTS:
+            got = getattr(Ld_declared, part)(q0, q1)
+            assert _bits(got) == _bits(getattr(Ld_jet, part)(q0, q1)), part
+            if part != "value":
+                got[...] = 99.0  # the rule's constants are not handed out
+                assert _bits(getattr(Ld_declared, part)(q0, q1)) == \
+                    _bits(getattr(Ld_jet, part)(q0, q1)), part
+
+
+def test_constant_velocity_hessians_are_checked_and_copied():
+    jet = planar_2d().lagrangian.jet
+    vv, vq = np.eye(2), np.zeros((2, 2))
+    L = ContinuousLagrangian(2, jet, constant_hess_qq=-np.eye(2), constant_hess_vv=vv,
+                             constant_hess_vq=vq)
+    vv[0, 0], vq[0, 1] = 9.0, 9.0  # the Lagrangian holds its own read-only copies
+    assert L.constant_hess_vv.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert L.constant_hess_vq.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    for part in (L.constant_hess_qq, L.constant_hess_vv, L.constant_hess_vq):
+        with pytest.raises(ValueError, match="read-only"):
+            part[1, 1] = 9.0
+    for name in ("constant_hess_vv", "constant_hess_vq"):
+        for wrong in ([[1.0]], [1.0, 0.0], np.eye(3)):
+            with pytest.raises(ValueError, match=f"{name} must have shape"):
+                ContinuousLagrangian(2, jet, constant_hess_qq=-np.eye(2), **{name: wrong})

@@ -5,7 +5,9 @@ import pytest
 
 from lcsdyn import (free_rotor_circle, harmonic_1d, planar_2d, rotor_extended_chart,
                     with_constant_sigma)
+from lcsdyn.continuous import ContinuousLagrangian, make_lcel_field
 from lcsdyn.systems import _harmonic, _mechanical, _sq
+from conftest import harmonic_3d
 
 
 # The former catalog lambdas, kept as the reference the jets must reproduce.
@@ -60,11 +62,12 @@ def test_jet_callables_equal_the_former_lambdas(system_fn, former):
                     assert abs(got - want) <= 4e-16 * float(q @ q + v @ v)
                 else:
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
-        # the one-part methods return the jet's own parts
+        # the one-part methods return the jet's parts, the Hessians as copies
         val, gq, gv, hvv, hvq = L.jet(q.tolist(), v.tolist())
         assert (val, gq, gv) == (L.value(q, v), L.grad_q(q, v).tolist(),
                                  L.grad_v(q, v).tolist())
-        assert hvv is L.hess_vv(q, v) and hvq is L.hess_vq(q, v)
+        for part, got in ((hvv, L.hess_vv(q, v)), (hvq, L.hess_vq(q, v))):
+            assert got is not part and got.tobytes() == part.tobytes()
         assert H.jet(q.tolist(), v.tolist()) == (H.value(q, v), H.grad_q(q, v).tolist(),
                                                  H.grad_p(q, v).tolist())
 
@@ -101,3 +104,37 @@ def test_catalog_charts_declare_their_lee_form(system_fn):
         q = 0.5 * (chart.lower + chart.upper)
         assert chart.sigma(q) == 0.7
         assert chart.grad(q).tobytes() == np.zeros(system.n).tobytes()
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle,
+                                       rotor_extended_chart, harmonic_3d])
+def test_catalog_declares_its_jets_hessians(system_fn):
+    # the fields and rules read the declarations instead of the jet's parts,
+    # so the two must agree; the arrays the jets return are read-only
+    L = system_fn().lagrangian
+    for q, v in _points(L.n):
+        _, _, _, hvv, hvq = L.jet(q.tolist(), v.tolist())
+        assert hvv.tobytes() == L.constant_hess_vv.tobytes()
+        assert hvq.tobytes() == L.constant_hess_vq.tobytes()
+        assert L.hess_qq(q, v).tobytes() == L.constant_hess_qq.tobytes()
+    for part in (hvv, hvq, L.constant_hess_qq, L.constant_hess_vv, L.constant_hess_vq):
+        with pytest.raises(ValueError, match="read-only"):
+            part *= 2.0
+
+
+def test_hessian_methods_hand_out_copies():
+    # hess_vv used to return harmonic_1d's own mass array: doubling it in
+    # place halved the acceleration of every Lagrangian field of the system
+    system = harmonic_1d()
+    L = system.lagrangian
+    q, v = np.array([0.3]), np.array([0.5])
+    x = np.concatenate([q, v])
+    before = make_lcel_field(L, system.atlas, 0)(x)
+    for method in (L.hess_vv, L.hess_vq):
+        part = method(q, v)
+        part *= 2.0
+        part += 1.0
+    undeclared = ContinuousLagrangian(1, L.jet, L.hess_qq)
+    for F in (L, undeclared):
+        assert make_lcel_field(F, system.atlas, 0)(x).tobytes() == before.tobytes()
+    assert L.hess_vv(q, v).tolist() == [[1.0]] and L.hess_vq(q, v).tolist() == [[0.0]]
