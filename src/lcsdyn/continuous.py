@@ -52,7 +52,9 @@ class ContinuousLagrangian:
     once, when they are built, and ignore that part of the jet, which must
     still return it.  ``hess_qq`` may then be omitted and defaults to
     returning a copy of ``constant_hess_qq``; a Lagrangian that declares
-    neither raises ``ValueError``.
+    neither raises ``ValueError``.  A Lagrangian given such a default (a
+    ``dataclasses.replace`` copy, say) together with a declaration resolves
+    it again, from its own declaration.
     """
 
     n: int
@@ -66,11 +68,12 @@ class ContinuousLagrangian:
         for name in ("constant_hess_qq", "constant_hess_vv", "constant_hess_vq"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _declared(self, name))
-        if self.hess_qq is None:
-            qq = self.constant_hess_qq
-            if qq is None:
-                raise ValueError("declare hess_qq or constant_hess_qq")
-            object.__setattr__(self, "hess_qq", lambda q, v: qq.copy())
+        qq = self.constant_hess_qq
+        if self.hess_qq is None and qq is None:
+            raise ValueError("declare hess_qq or constant_hess_qq")
+        if qq is not None and (self.hess_qq is None
+                               or isinstance(self.hess_qq, _DeclaredHessQQ)):
+            object.__setattr__(self, "hess_qq", _DeclaredHessQQ(qq))
 
     def _at(self, q: Vector, v: Vector) -> tuple:
         return self.jet(as_vector(q).tolist(), as_vector(v).tolist())
@@ -89,6 +92,16 @@ class ContinuousLagrangian:
 
     def hess_vq(self, q: Vector, v: Vector) -> np.ndarray:
         return np.array(self._at(q, v)[4])
+
+
+class _DeclaredHessQQ:
+    """The default ``hess_qq``: copies of a declared constant position Hessian."""
+
+    def __init__(self, qq: np.ndarray):
+        self.qq = qq
+
+    def __call__(self, q: Vector, v: Vector) -> np.ndarray:
+        return self.qq.copy()
 
 
 def _declared(L: ContinuousLagrangian, name: str) -> np.ndarray:

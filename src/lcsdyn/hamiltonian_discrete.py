@@ -35,15 +35,19 @@ Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
 inversion at (q, P) gives the value and both partials: the builders sit on the
 quadrature rules' one-entry pair memo (``discretize._pair_memo``, keyed on the
 float tuples of (q, P)), so a built Hamiltonian is stateful and not
-thread-safe.  The inversions run ``newton_solve`` on arrays, converting to
-and from the pair jet ``Ld.jet`` at their boundary.  Their ``d1d2`` is lazy:
+thread-safe.  The inversions, the partials and the mixed partial run on
+Python floats: the inversions iterate ``numerics._newton`` over the pair jet
+``Ld.jet`` with the closed-form Jacobians, which read Ld's d1d1 or d2d2 on
+fresh arrays, and the array parts of a built Hamiltonian are views of its
+memo entry.  A built Hamiltonian's ``d1d2`` is lazy:
 where the Lee form (and the sigma Hessian at the eliminated point) vanishes it is
 -d1d2 Ld inv(dp+/dq1) (right) or -E (d1d2 Ld)^T inv(dp-/dq0) (left, E the
 exponential in H-).  Elsewhere ``d1`` is differenced in P along the inverted
 relation's tangent, the eliminated point moving by inv(dp/dq) dP, with no
 further inversion: where the Lee form at the eliminated point is nonzero the
 exact mixed partial carries third partials of Ld, which no rule provides.
-Plain ``rd_step``/``ld_step`` use ``d1d2`` as Newton Jacobian.
+Plain ``rd_step``/``ld_step`` use ``d1d2`` as Newton Jacobian, iterating
+``numerics._newton`` on the Hamiltonian's float parts.
 The conformal steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, on Python floats with one pair jet call per Newton iterate, and
@@ -59,15 +63,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .atlas import Chart, ConformalAtlas, transition_apply
+from .atlas import Chart, ConformalAtlas, _chart_floats, transition_apply
 from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numerics import (StepperConfig, _of_length, as_vector, fd_jacobian, newton_solve,
-                       solve_linear)
+from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
+                       _newton_result, _of_length, _solve_floats, _sub, _transposed,
+                       _transposed_matvec, as_vector)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_solve, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
@@ -153,6 +159,12 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     return traj
 
 
+def _on_floats(part: Callable[[Vector, Vector], np.ndarray], q0: list, q1: list) -> list:
+    """An (n, n) array part of Ld (``d1d1``, ``d2d2``) at a pair of float
+    lists, called on fresh arrays, as a nested list."""
+    return np.atleast_2d(part(np.array(q0), np.array(q1))).tolist()
+
+
 @dataclass(frozen=True)
 class LagrangianSource:
     """The generating data behind a Lagrangian-derived discrete Hamiltonian."""
@@ -161,34 +173,40 @@ class LagrangianSource:
     atlas: ConformalAtlas
     chart: int
 
+    @cached_property
+    def _chart(self) -> tuple:
+        """(sigma, grad, hess) of the chart on float lists (``atlas._chart_floats``)."""
+        return _chart_floats(self.atlas.chart(self.chart))
+
     def invert_right(self, q0: Vector, P: Vector) -> np.ndarray:
-        """q1 solving P = p+(q0, q1), by Newton with the closed-form dp+/dq1
-        from the seed q0 + h P."""
-        ch = self.atlas.chart(self.chart)
-        s0, q0_floats = float(ch.sigma(q0)), as_vector(q0).tolist()
+        """q1 solving P = p+(q0, q1), by Newton on floats with the closed-form
+        dp+/dq1 from the seed q0 + h P."""
+        Ld, (sigma, grad, _) = self.Ld, self._chart
+        q0, P = as_vector(q0).tolist(), as_vector(P).tolist()
+        s0 = sigma(q0)
 
-        def g(x):
-            d2 = self.Ld.jet(q0_floats, x.tolist())[2]
-            return np.array(_p_plus(d2, s0, float(ch.sigma(x)))) - P
+        def system(x: list):
+            d2, s1 = Ld.jet(q0, x)[2], sigma(x)
+            return (_sub(_p_plus(d2, s0, s1), P),
+                    lambda: _dp_plus_dq1(_on_floats(Ld.d2d2, q0, x), d2, grad(x), s0, s1))
 
-        def J(x):
-            return _dp_plus_dq1(self.Ld, q0, x, s0, float(ch.sigma(x)), ch.grad(x))
-
-        return newton_solve(g, q0 + self.Ld.h * P, _INVERT_CFG, jacobian=J).x
+        return np.array(_newton(system, [a + Ld.h * b for a, b in zip(q0, P)],
+                                _INVERT_CFG)[0])
 
     def invert_left(self, q1: Vector, P: Vector) -> np.ndarray:
-        """q0 solving P = p-(q0, q1), by Newton with the closed-form dp-/dq0
-        from the seed q1 - h P."""
-        ch, q1_floats = self.atlas.chart(self.chart), as_vector(q1).tolist()
+        """q0 solving P = p-(q0, q1), by Newton on floats with the closed-form
+        dp-/dq0 from the seed q1 - h P."""
+        Ld, (_, grad, hess) = self.Ld, self._chart
+        q1, P = as_vector(q1).tolist(), as_vector(P).tolist()
 
-        def g(x):
-            value, d1 = self.Ld.jet(x.tolist(), q1_floats)[:2]
-            return np.array(_p_minus(ch.grad(x).tolist(), value, d1)) - P
+        def system(x: list):
+            (value, d1), phi0 = Ld.jet(x, q1)[:2], grad(x)
+            return (_sub(_p_minus(phi0, value, d1), P),
+                    lambda: _dp_minus_dq0(hess(x), value, phi0, d1,
+                                          _on_floats(Ld.d1d1, x, q1)))
 
-        def J(x):
-            return _dp_minus_dq0(self.Ld, x, q1, ch.grad(x), ch.hess(x))
-
-        return newton_solve(g, q1 - self.Ld.h * P, _INVERT_CFG, jacobian=J).x
+        return np.array(_newton(system, [a - Ld.h * b for a, b in zip(q1, P)],
+                                _INVERT_CFG)[0])
 
 
 @dataclass(frozen=True)
@@ -202,6 +220,11 @@ class DiscreteHamiltonian:
     where the Lee form vanishes and elsewhere differenced along the inverted
     relation without further inversions.  ``source`` carries the generating
     data of a Lagrangian-built Hamiltonian; conformal steppers need it.
+
+    The plain steps run on float parts, d1, d2 and d1d2 at two lists of
+    floats: a built Hamiltonian's are its memo entry itself, of which the
+    array parts are views; otherwise (and in a ``dataclasses.replace`` copy)
+    they call the array parts on fresh arrays, one part per request.
     """
 
     n: int
@@ -217,29 +240,44 @@ class DiscreteHamiltonian:
         if self.side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
 
+        def part(f, shape):
+            return lambda a, P: shape(f(np.array(a), np.array(P))).tolist()
 
-def _along_inversion(partial, P: Vector, J: np.ndarray) -> np.ndarray:
+        object.__setattr__(self, "_floats", (part(self.d1, as_vector),
+                                             part(self.d2, as_vector),
+                                             part(self.d1d2, np.atleast_2d)))
+
+
+def _along_inversion(partial, P: list, J: list) -> list:
     """d/dP of ``partial(t, dx)``, the Hamiltonian's first partial at P + t with
     the eliminated point moved by dx = inv(J) t: a central difference along
-    the inverted momentum relation (J its Jacobian in the eliminated point)."""
-    return fd_jacobian(lambda t: partial(t, solve_linear(J, t)), np.zeros(P.size),
-                       _TANGENT_FD_EPS)
+    the inverted momentum relation (J its Jacobian in the eliminated point),
+    as a nested list."""
+    return _fd_floats(lambda t: partial(t, _solve_floats(J, t, 1e12)), [0.0] * len(P),
+                      _TANGENT_FD_EPS)
 
 
 def _memoized_hamiltonian(source: LagrangianSource, side: str, pair_data, mixed
                           ) -> DiscreteHamiltonian:
     """A discrete Hamiltonian on :func:`discretize._pair_memo`.
 
-    ``pair_data(a, P)`` on fresh arrays inverts once and returns ``(value,
-    d1, d2, extra)``; ``d1``/``d2`` return copies and ``d1d2`` is
-    ``mixed(a, P, *extra)``.
+    ``pair_data(a, P)`` on float tuples inverts once and returns ``(value,
+    d1, d2, extra)`` on floats: the float parts read that entry, and d1d2
+    is ``mixed(a, P, *extra)``.  The array parts are views of the same.
     """
-    at = _on_arrays(_pair_memo(lambda a, P: pair_data(np.array(a), np.array(P))))
-    return DiscreteHamiltonian(
+    lookup = _pair_memo(pair_data)
+
+    def d1d2(a, P):
+        return mixed(a, P, *lookup(a, P)[3])
+
+    at, mixed_at = _on_arrays(lookup), _on_arrays(d1d2)
+    Hd = DiscreteHamiltonian(
         n=source.Ld.n, h=source.Ld.h, side=side, source=source,
-        value=lambda a, P: at(a, P)[0], d1=lambda a, P: at(a, P)[1].copy(),
-        d2=lambda a, P: at(a, P)[2].copy(),
-        d1d2=lambda a, P: mixed(as_vector(a), as_vector(P), *at(a, P)[3]))
+        value=lambda a, P: np.float64(at(a, P)[0]), d1=lambda a, P: np.array(at(a, P)[1]),
+        d2=lambda a, P: np.array(at(a, P)[2]), d1d2=lambda a, P: np.array(mixed_at(a, P)))
+    object.__setattr__(Hd, "_floats", (lambda a, P: lookup(a, P)[1],
+                                       lambda a, P: lookup(a, P)[2], d1d2))
+    return Hd
 
 
 def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -251,68 +289,79 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     differentiation through the closed-form dp+/dq1, reducing to d1 = -d1 Ld
     and d2 = q_{k+1} when sigma is constant.
     """
-    ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
+    sigma, grad, hess = source._chart
 
     def partials(q0, P, q1):
-        s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
-        em = np.exp(s0 - s1)
-        phi0, phi1 = ch.grad(q0), ch.grad(q1)
-        coupling = em * float(P @ q1)
-        d1 = phi0 * coupling - as_vector(Ld.d1(q0, q1))
-        d2 = em * q1
-        if np.any(phi1):
+        s0, s1 = sigma(q0), sigma(q1)
+        em = float(np.exp(s0 - s1))
+        phi0, phi1 = grad(q0), grad(q1)
+        value, d1_Ld, d2_Ld, d1d2_Ld = Ld.jet(q0, q1)
+        coupling = em * _dot(P, q1)
+        d1 = [f * coupling - g for f, g in zip(phi0, d1_Ld)]
+        d2 = [em * x for x in q1]
+        if any(phi1):
             # dH+/dq1 at fixed (q0, P) is -phi1 coupling; it reaches the partials
             # through dq1/dP = inv(J) and dq1/dq0 = -inv(J) dp+/dq0
-            y = solve_linear(_dp_plus_dq1(Ld, q0, q1, s0, s1, phi1).T, -phi1 * coupling)
-            dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T
-                                 - np.outer(as_vector(Ld.d2(q0, q1)), phi0))
-            d1 = d1 - dgdq.T @ y
-            d2 = d2 + y
-        return coupling - float(Ld.value(q0, q1)), d1, d2, (q1, s0, s1, phi0, phi1)
+            J = _dp_plus_dq1(_on_floats(Ld.d2d2, q0, q1), d2_Ld, phi1, s0, s1)
+            y = _solve_floats(_transposed(J), [-f * coupling for f in phi1], 1e12)
+            inv_em = 1.0 / em if em else math.inf  # numpy's 1 / +0.0
+            dgdq = [[inv_em * (m - g * f) for m, f in zip(col, phi0)]
+                    for col, g in zip(zip(*d1d2_Ld), d2_Ld)]
+            d1 = _sub(d1, _transposed_matvec(dgdq, y))
+            d2 = _add(d2, y)
+        return coupling - float(value), d1, d2, (q1, s0, s1, phi0, phi1)
 
     def mixed(q0, P, q1, s0, s1, phi0, phi1):
-        J = _dp_plus_dq1(Ld, q0, q1, s0, s1, phi1)
-        if np.any(phi0) or np.any(phi1) or np.any(ch.hess(q1)):
-            return _along_inversion(lambda t, dx: partials(q0, P + t, q1 + dx)[1], P, J)
-        return -np.array([solve_linear(J.T, row) for row in np.atleast_2d(Ld.d1d2(q0, q1))])
+        _, _, d2_Ld, d1d2_Ld = Ld.jet(q0, q1)
+        J = _dp_plus_dq1(_on_floats(Ld.d2d2, q0, q1), d2_Ld, phi1, s0, s1)
+        if any(phi0) or any(phi1) or any(map(any, hess(q1))):
+            return _along_inversion(
+                lambda t, dx: partials(q0, _add(P, t), _add(q1, dx))[1], P, J)
+        JT = _transposed(J)
+        return [[-v for v in _solve_floats(JT, row, 1e12)] for row in d1d2_Ld]
 
     return _memoized_hamiltonian(
-        source, "right", lambda q0, P: partials(q0, P, source.invert_right(q0, P)), mixed)
+        source, "right",
+        lambda q0, P: partials(q0, P, source.invert_right(q0, P).tolist()), mixed)
 
 
 def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                            chart: int) -> DiscreteHamiltonian:
     """Left discrete Hamiltonian H-(q_{k+1}, p_k); mirror of the right builder."""
-    ch = atlas.chart(chart)
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
+    sigma, grad, hess = source._chart
 
     def partials(q1, P, q0):
-        E = np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
-        phi1, phi0 = ch.grad(q1), ch.grad(q0)
-        H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
-        d1 = phi1 * H - E * as_vector(Ld.d2(q0, q1))
-        d2 = -E * q0
-        if np.any(phi0):
+        E = float(np.exp(sigma(q1) - sigma(q0)))
+        phi1, phi0 = grad(q1), grad(q0)
+        value, d1_Ld, d2_Ld, d1d2_Ld = Ld.jet(q0, q1)
+        H = E * (-_dot(P, q0) - float(value))
+        d1 = [f * H - E * g for f, g in zip(phi1, d2_Ld)]
+        d2 = [-E * x for x in q0]
+        if any(phi0):
             # dH-/dq0 at fixed (q1, P) is phi0 E P.q0; it reaches the partials
             # through dq0/dP = inv(J) and dq0/dq1 = -inv(J) dp-/dq1
-            y = solve_linear(_dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0)).T,
-                             phi0 * (E * float(P @ q0)))
-            _, _, d2_Ld, d1d2_Ld = Ld.jet(q0.tolist(), q1.tolist())
-            d1 = d1 - np.array(_dp_minus_dq1(phi0.tolist(), d2_Ld, d1d2_Ld)).T @ y
-            d2 = d2 + y
+            J = _dp_minus_dq0(hess(q0), value, phi0, d1_Ld, _on_floats(Ld.d1d1, q0, q1))
+            y = _solve_floats(_transposed(J), [f * (E * _dot(P, q0)) for f in phi0], 1e12)
+            d1 = _sub(d1, _transposed_matvec(_dp_minus_dq1(phi0, d2_Ld, d1d2_Ld), y))
+            d2 = _add(d2, y)
         return H, d1, d2, (q0, E, phi0, phi1)
 
     def mixed(q1, P, q0, E, phi0, phi1):
-        hess0 = ch.hess(q0)
-        J = _dp_minus_dq0(Ld, q0, q1, phi0, hess0)
-        if np.any(phi0) or np.any(phi1) or np.any(hess0):
-            return _along_inversion(lambda t, dx: partials(q1, P + t, q0 + dx)[1], P, J)
-        dLd = np.atleast_2d(Ld.d1d2(q0, q1))
-        return -E * np.array([solve_linear(J.T, col) for col in dLd.T])
+        hess0 = hess(q0)
+        value, d1_Ld, _, d1d2_Ld = Ld.jet(q0, q1)
+        J = _dp_minus_dq0(hess0, value, phi0, d1_Ld, _on_floats(Ld.d1d1, q0, q1))
+        if any(phi0) or any(phi1) or any(map(any, hess0)):
+            return _along_inversion(
+                lambda t, dx: partials(q1, _add(P, t), _add(q0, dx))[1], P, J)
+        JT = _transposed(J)
+        return [[-E * v for v in _solve_floats(JT, list(col), 1e12)]
+                for col in zip(*d1d2_Ld)]
 
     return _memoized_hamiltonian(
-        source, "left", lambda q1, P: partials(q1, P, source.invert_left(q1, P)), mixed)
+        source, "left",
+        lambda q1, P: partials(q1, P, source.invert_left(q1, P).tolist()), mixed)
 
 
 def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
@@ -322,14 +371,17 @@ def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
 
 def _plain_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
                 cfg: StepperConfig):
-    """Newton solve of the plain step on Hd's side; returns (q_next, p_next, result)."""
+    """Newton solve of the plain step on Hd's side, on its float parts;
+    returns (q_next, p_next, result)."""
+    d1, d2, d1d2 = Hd._floats
+    q, p = q_curr.tolist(), p_curr.tolist()
     if Hd.side == "right":
-        res = newton_solve(lambda P: as_vector(Hd.d1(q_curr, P)) - p_curr, p_curr, cfg,
-                           jacobian=lambda P: Hd.d1d2(q_curr, P))
-        return as_vector(Hd.d2(q_curr, res.x)), res.x, res
-    res = newton_solve(lambda x: as_vector(Hd.d2(x, p_curr)) + q_curr,
-                       q_curr + Hd.h * p_curr, cfg, jacobian=lambda x: Hd.d1d2(x, p_curr).T)
-    return res.x, -as_vector(Hd.d1(res.x, p_curr)), res
+        res = _newton_result(lambda P: (_sub(d1(q, P), p), lambda: d1d2(q, P)), p, cfg)
+        return np.array(d2(q, res.x.tolist())), res.x, res
+    res = _newton_result(
+        lambda x: (_add(d2(x, p), q), lambda: _transposed(d1d2(x, p))),
+        [a + Hd.h * b for a, b in zip(q, p)], cfg)
+    return res.x, np.array([-g for g in d1(res.x.tolist(), p)]), res
 
 
 def rd_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
@@ -450,8 +502,7 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
         else:
             (q_next, p_next, res), s_next = _plain_step(Hd, q_curr, p_curr, cfg), None
         if Hd.source is not None:
-            d1d2 = Hd.source.Ld.jet(q_curr.tolist(), q_next.tolist())[3]
-            sign = float(np.sign(np.linalg.det(np.array(d1d2))))
+            sign = _det_sign(Hd.source.Ld.jet(q_curr.tolist(), q_next.tolist())[3])
             if branch_sign is not None and sign != 0 and sign != branch_sign:
                 k = len(traj.points)
                 raise IntegrationError(f"discrete Legendre branch jump at step {k}",

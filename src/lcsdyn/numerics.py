@@ -79,6 +79,18 @@ def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.
     return np.stack(cols, axis=-1)
 
 
+def _fd_floats(F: Callable[[list], list], x: list, eps: float) -> list:
+    """:func:`fd_jacobian` of a list-valued function of a float list, as a
+    nested list (rows: outputs, columns: inputs), rounded as it rounds."""
+    cols = []
+    for i in range(len(x)):
+        xp, xm = list(x), list(x)
+        xp[i] += eps
+        xm[i] -= eps
+        cols.append([(a - b) / (2.0 * eps) for a, b in zip(F(xp), F(xm))])
+    return _transposed(cols)
+
+
 def fd_mixed_second(f: Callable[[Vector, Vector], float], x: Vector, y: Vector,
                     eps: float) -> np.ndarray:
     """Four-point central difference of d^2 f / dx_i dy_j, shape (x.size, y.size)."""
@@ -120,7 +132,13 @@ def newton_solve(
 
         return as_vector(F(x)).tolist(), J
 
-    x, iterations, residual = _newton(system, as_vector(x0).tolist(), cfg)
+    return _newton_result(system, as_vector(x0).tolist(), cfg)
+
+
+def _newton_result(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
+                   ) -> NewtonResult:
+    """:func:`_newton` with its solution returned as a :class:`NewtonResult`."""
+    x, iterations, residual = _newton(system, x0, cfg)
     return NewtonResult(x=np.array(x), iterations=iterations, residual=residual)
 
 
@@ -214,6 +232,50 @@ def _fma(a: float, b: float, c: float) -> float:
     # fsum leaves the sign of an exact zero unspecified; here p != 0, so the
     # zero needs e == 0 and c == -p, and p + c is IEEE's +0.0
     return s if s else p + c
+
+
+def _dot(x, y) -> float:
+    """``x @ y`` of two float sequences, rounded as numpy's dot rounds it.
+
+    One component is ``0.0 + x0 y0`` and two are ``0.0 + fma(x1, y1, x0 y0)``
+    (the 0.0 is numpy's accumulator, which turns a -0.0 sum into +0.0);
+    longer vectors go to numpy itself.
+    """
+    if len(x) == 1:
+        return 0.0 + x[0] * y[0]
+    if len(x) == 2:
+        return 0.0 + _fma(x[1], y[1], x[0] * y[0])
+    return float(np.array(x) @ np.array(y))
+
+
+def _add(x, y) -> list:
+    return [a + b for a, b in zip(x, y)]
+
+
+def _sub(x, y) -> list:
+    return [a - b for a, b in zip(x, y)]
+
+
+def _transposed(M) -> list:
+    return [list(col) for col in zip(*M)]
+
+
+def _transposed_matvec(M: list, y: list) -> list:
+    """``M.T @ y`` of a nested list M built as a C-ordered array, rounded as
+    numpy rounds it: for n <= 2 each component is :func:`_dot` of a column
+    of M with y; larger systems go to numpy itself."""
+    if len(y) <= 2:
+        return [_dot(col, y) for col in zip(*M)]
+    return (np.array(M).T @ np.array(y)).tolist()
+
+
+def _det_sign(M: list) -> float:
+    """np.sign(det M) of a nested list.  For n = 1 it is the sign of the
+    entry, without LAPACK: 1.0 or -1.0, 0.0 for either zero and NaN for NaN."""
+    if len(M) == 1:
+        x = M[0][0]
+        return 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x
+    return float(np.sign(np.linalg.det(np.array(M))))
 
 
 def _fma_exact(a: float, b: float, c: float) -> float:

@@ -15,13 +15,13 @@ p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld and p-(q0, q1) = phi(q0) Ld - d1 L
 it reads p+(q_prev, q_curr) = p-(q_curr, q_next).  The conformal Hamiltonian
 pair step solves the same system, ``_dlcel_solve``, for its carried momentum.
 Both recursions are solved for q_next by damped Newton with an analytic
-Jacobian.  The conformal step, p+- and dp-/dq1 are written once, on Python
-floats: one call of the pair jet ``Ld.jet`` per Newton iterate gives the
-residual and the Jacobian, and ``numerics._newton`` iterates on float lists;
-array callers convert at their boundary.  The plain recursion stays on the
-array parts and ``newton_solve``.  ``integrate`` marches a trajectory,
-transporting the active two-point window across chart transitions whenever a
-point leaves the core of its chart, and fills momenta afterwards.  Each step
+Jacobian, and both steps, p+-, dp-/dq1 and the Hamiltonian side's dp+/dq1
+and dp-/dq0 are written once, on Python floats: one call of the pair jet
+``Ld.jet`` per Newton iterate gives the residual and the Jacobian, and
+``numerics._newton`` iterates on float lists; array callers convert at their
+boundary.  ``integrate`` marches a trajectory, transporting the active
+two-point window across chart transitions whenever a point leaves the core
+of its chart, and fills momenta afterwards.  Each step
 ends with one jet call at its solved pair (a hit in a quadrature rule's
 memo), which gives p-(q_curr, q_next), the momentum of q_curr, and
 p+(q_curr, q_next), which the next step is posed with.  The march carries
@@ -47,27 +47,14 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
-from .numerics import (NewtonResult, StepperConfig, _newton, _of_length, as_vector,
-                       fd_jacobian, newton_solve)
+from .numerics import (NewtonResult, StepperConfig, _add, _newton_result, _of_length,
+                       as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint, _MarchRecord
 
 Vector = np.ndarray
 
 DEFAULT_SWITCH_MARGIN = 0.1
 _STATIONARITY_EPS = 1e-6
-
-
-def _del_system(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector
-                ) -> tuple[Callable, Callable]:
-    lhs = as_vector(Ld.d2(q_prev, q_curr))
-
-    def F(x):
-        return lhs + as_vector(Ld.d1(q_curr, x))
-
-    def J(x):
-        return np.atleast_2d(Ld.d1d2(q_curr, x))
-
-    return F, J
 
 
 def _p_plus(d2: list, s0: float, s1: float) -> list:
@@ -93,18 +80,20 @@ def _dp_minus_dq1(phi0: list, d2: list, d1d2: list) -> list:
     return [[f * g - m for g, m in zip(d2, row)] for f, row in zip(phi0, d1d2)]
 
 
-def _dp_plus_dq1(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, s0: float, s1: float,
-                 phi1: Vector) -> np.ndarray:
-    """d p+(q0, q1) / d q1 = exp(s1 - s0) (d2d2 Ld + d2 Ld (x) phi(q1))."""
-    return np.exp(s1 - s0) * (np.atleast_2d(Ld.d2d2(q0, q1))
-                              + np.outer(as_vector(Ld.d2(q0, q1)), phi1))
+def _dp_plus_dq1(d2d2: list, d2: list, phi1: list, s0: float, s1: float) -> list:
+    """d p+(q0, q1) / d q1 = exp(s1 - s0) (d2d2 Ld + d2 Ld (x) phi(q1)), as a
+    nested list from Ld's d2d2 (a nested list) and the pair jet's d2."""
+    e = float(np.exp(s1 - s0))
+    return [[e * (m + g * f) for m, f in zip(row, phi1)] for row, g in zip(d2d2, d2)]
 
 
-def _dp_minus_dq0(Ld: DiscreteLagrangian, q0: Vector, q1: Vector, phi0: Vector,
-                  hess0: np.ndarray) -> np.ndarray:
-    """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld."""
-    return (hess0 * float(Ld.value(q0, q1)) + np.outer(phi0, as_vector(Ld.d1(q0, q1)))
-            - np.atleast_2d(Ld.d1d1(q0, q1)))
+def _dp_minus_dq0(hess0: list, value: float, phi0: list, d1: list, d1d1: list) -> list:
+    """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld, as a
+    nested list from sigma's Hessian at q0, the pair jet's value and d1 and
+    Ld's d1d1 (nested lists)."""
+    value = float(value)
+    return [[s * value + f * g - m for s, g, m in zip(srow, d1, mrow)]
+            for srow, f, mrow in zip(hess0, phi0, d1d1)]
 
 
 def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: list,
@@ -124,8 +113,7 @@ def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: l
         r = [p - m for p, m in zip(p_curr, _p_minus(phi, value, d1))]
         return r, lambda: [[-v for v in row] for row in _dp_minus_dq1(phi, d2, d1d2)]
 
-    x, iterations, residual = _newton(system, seed, cfg)
-    return NewtonResult(x=np.array(x), iterations=iterations, residual=residual)
+    return _newton_result(system, seed, cfg)
 
 
 def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vector,
@@ -133,19 +121,26 @@ def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vecto
                       p_curr: list | None = None) -> NewtonResult:
     """Newton solve for q_next from the seed 2 q_curr - q_prev; returns the result.
 
-    The conformal step is posed with p_curr = p+(q_prev, q_curr): a march
+    The plain step solves d2 Ld(q_prev, q_curr) + d1 Ld(q_curr, x) = 0 with
+    Jacobian d1d2 Ld(q_curr, x), one pair jet call per iterate.  The
+    conformal step is posed with p_curr = p+(q_prev, q_curr): a march
     passes the one it read at the end of the previous step, and without it
     the step reads it from the pair jet and the two sigma values.
     """
-    if not conformal:
-        F, J = _del_system(Ld, q_prev, q_curr)
-        return newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
     qp, qc = q_prev.tolist(), q_curr.tolist()
+    seed = [2.0 * b - a for a, b in zip(qp, qc)]
+    if not conformal:
+        jet, lhs = Ld.jet, Ld.jet(qp, qc)[2]
+
+        def system(x: list):
+            _, d1, _, d1d2 = jet(qc, x)
+            return _add(lhs, d1), lambda: d1d2
+
+        return _newton_result(system, seed, cfg)
     if p_curr is None:
         p_curr = _p_plus(Ld.jet(qp, qc)[2], float(chart.sigma(q_prev)),
                          float(chart.sigma(q_curr)))
-    return _dlcel_solve(Ld, chart, q_curr, p_curr,
-                        [2.0 * b - a for a, b in zip(qp, qc)], cfg)
+    return _dlcel_solve(Ld, chart, q_curr, p_curr, seed, cfg)
 
 
 def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,

@@ -94,6 +94,21 @@ def rotor_with_transition_jacobian(entry: float, c: float = -0.1) -> System:
         charts=system.atlas.charts, transitions=transitions))
 
 
+# The array coding of the Hamiltonian side's closed-form Jacobians, which the
+# library computes on floats; the test references are built on these.
+
+def array_dp_plus_dq1(Ld, q0, q1, s0: float, s1: float, phi1) -> np.ndarray:
+    """d p+(q0, q1) / d q1 = exp(s1 - s0) (d2d2 Ld + d2 Ld (x) phi(q1))."""
+    return np.exp(s1 - s0) * (np.atleast_2d(Ld.d2d2(q0, q1))
+                              + np.outer(as_vector(Ld.d2(q0, q1)), phi1))
+
+
+def array_dp_minus_dq0(Ld, q0, q1, phi0, hess0) -> np.ndarray:
+    """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld."""
+    return (hess0 * float(Ld.value(q0, q1)) + np.outer(phi0, as_vector(Ld.d1(q0, q1)))
+            - np.atleast_2d(Ld.d1d1(q0, q1)))
+
+
 def rotor_with_shifted_chart(c: float = -0.1, shift: float = 0.7) -> System:
     """free_rotor_circle whose second chart's angle is moved down by ``shift``:
     carrying a point into it and back, (theta - shift) + shift, may round, as

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -624,6 +625,22 @@ def test_constant_hess_qq_is_checked_and_copied():
         ContinuousLagrangian(2, jet, constant_hess_qq=[[-1.0]])
     with pytest.raises(ValueError, match="declare hess_qq or constant_hess_qq"):
         ContinuousLagrangian(2, jet)
+
+
+def test_replacing_the_declared_hess_qq_replaces_the_default():
+    # the defaulted hess_qq follows the copy's own declaration
+    L = planar_2d().lagrangian
+    q, v = np.array([0.3, 0.4]), np.zeros(2)
+    twice = dataclasses.replace(L, constant_hess_qq=-2.0 * np.eye(2))
+    assert twice.hess_qq(q, v).tolist() == [[-2.0, 0.0], [0.0, -2.0]]
+    assert L.hess_qq(q, v).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
+    # an undeclared copy keeps the Hessian it was given, and so does a
+    # declared copy of a hess_qq given as a callable
+    undeclared = dataclasses.replace(L, constant_hess_qq=None)
+    assert undeclared.hess_qq(q, v).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
+    own = dataclasses.replace(L, hess_qq=lambda q, v: np.zeros((2, 2)))
+    assert dataclasses.replace(own, constant_hess_qq=-2.0 * np.eye(2)).hess_qq(
+        q, v).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 # --- declared constant velocity Hessians -------------------------------------

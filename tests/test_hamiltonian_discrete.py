@@ -12,10 +12,9 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     ld_step, ldlch_step, midpoint_rule, momenta_along_trajectory,
                     rd_step, rdlch_step, transition_apply, with_constant_sigma)
 from lcsdyn import hamiltonian_discrete
-from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
-from lcsdyn.variational import _dp_minus_dq0, _dp_plus_dq1
-from conftest import (curved_planar, harmonic_3d, rotor_with_transition_jacobian,
-                      varying_mass)
+from lcsdyn.numerics import _det_sign, as_vector, fd_jacobian, newton_solve, solve_linear
+from conftest import (array_dp_minus_dq0, array_dp_plus_dq1, curved_planar, harmonic_3d,
+                      rotor_with_transition_jacobian, varying_mass)
 
 
 def analytic_free_right(h):
@@ -433,7 +432,7 @@ def reference_right(Ld, atlas, chart):
     def correction(q0, P, q1, s0, s1, em):
         # J^-T dH+/dq1, dH+/dq1 = -phi1 em P.q1 at fixed (q0, P)
         phi1 = ch.grad(q1)
-        J = _dp_plus_dq1(Ld, q0, q1, s0, s1, phi1)
+        J = array_dp_plus_dq1(Ld, q0, q1, s0, s1, phi1)
         return solve_linear(J.T, -phi1 * (em * float(P @ q1)))
 
     def value(q0, P):
@@ -474,7 +473,7 @@ def reference_left(Ld, atlas, chart):
     def correction(q1, P, q0, E):
         # J^-T dH-/dq0, dH-/dq0 = phi0 E P.q0 at fixed (q1, P)
         phi0 = ch.grad(q0)
-        J = _dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0))
+        J = array_dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0))
         return solve_linear(J.T, phi0 * (E * float(P @ q0)))
 
     def value(q1, P):
@@ -662,20 +661,20 @@ def test_plain_steps_match_the_differenced_newton(name, sigma, side, tight_cfg):
 
 
 def _count_outer_residuals(monkeypatch):
-    """Count the calls of the plain step's residual; the inversions' own Newton
-    solves are not counted."""
-    calls, newton = [], hamiltonian_discrete.newton_solve
+    """Count the calls of the plain step's residual, the Newton system it hands
+    to ``_newton_result``; the inversions' own Newton solves are not counted."""
+    calls, newton = [], hamiltonian_discrete._newton_result
 
-    def outer_newton(F, x0, cfg, jacobian):
-        monkeypatch.setattr(hamiltonian_discrete, "newton_solve", newton)
+    def outer_newton(system, x0, cfg):
+        monkeypatch.setattr(hamiltonian_discrete, "_newton_result", newton)
 
         def counted(x):
             calls.append(1)
-            return F(x)
+            return system(x)
 
-        return newton(counted, x0, cfg, jacobian)
+        return newton(counted, x0, cfg)
 
-    monkeypatch.setattr(hamiltonian_discrete, "newton_solve", outer_newton)
+    monkeypatch.setattr(hamiltonian_discrete, "_newton_result", outer_newton)
     return calls
 
 
@@ -723,8 +722,9 @@ def _forbid_differences(monkeypatch):
         raise AssertionError("finite difference taken")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("lcsdyn.") and hasattr(module, "fd_jacobian"):
-            monkeypatch.setattr(module, "fd_jacobian", refuse)
+        for difference in ("fd_jacobian", "_fd_floats"):
+            if name.startswith("lcsdyn.") and hasattr(module, difference):
+                monkeypatch.setattr(module, difference, refuse)
 
 
 @pytest.mark.parametrize("side", list(BUILDERS))
@@ -771,6 +771,27 @@ def test_constant_sigma_takes_no_correction_from_an_infinite_coupling():
     with np.errstate(all="ignore"):
         q1 = Hd.source.invert_right(q, P)
         assert Hd.d2(q, P).tobytes() == q1.tobytes()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-320, 1.5, -1e308,
+                               1e308, np.inf, -np.inf, np.nan])
+def test_branch_sign_of_one_entry_is_numpys_determinant_sign(x):
+    # the n = 1 branch monitor reads the sign of the entry, without LAPACK
+    with np.errstate(all="ignore"):
+        want = float(np.sign(np.linalg.det(np.array([[x]]))))
+    got = _det_sign([[x]])
+    assert type(got) is float
+    assert got == want or np.isnan(got) and np.isnan(want)
+
+
+def test_branch_sign_of_random_entries_is_numpys_determinant_sign():
+    rng = np.random.default_rng(19)
+    xs = rng.normal(size=500) * np.exp2(rng.integers(-1070, 1020, 500))
+    for x in xs.tolist():
+        assert _det_sign([[x]]) == \
+            float(np.sign(np.linalg.det(np.array([[x]]))))
+    M = rng.normal(size=(2, 2))
+    assert _det_sign(M.tolist()) == float(np.sign(np.linalg.det(M)))
 
 
 def _wrong_length_calls():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import NewtonError, RegularityError, StepperConfig
-from lcsdyn.numerics import (_fma, _solve_2x2, as_vector, fd_jacobian,
-                             fd_mixed_second, newton_solve, solve_linear)
+from lcsdyn.numerics import (_dot, _fma, _solve_2x2, _transposed_matvec, as_vector,
+                             fd_jacobian, fd_mixed_second, newton_solve, solve_linear)
 
 
 def test_config_validation():
@@ -375,3 +375,36 @@ def test_numpy_two_element_dot_and_matvec_round_as_fma():
              in zip(a.reshape(-1, 2, 2).tolist(), b[::2].tolist())]
     assert rows == fused, ("assumption: each row of numpy's 2x2 matvec m @ v is "
                            "fma(m_i0, v0, m_i1 * v1) on this BLAS")
+
+
+DOT_EDGES = [0.0, -0.0, 1.0, -1.5, 3.7, 5e-324, -1e-310, 1e-160, -2.5e-160, 1e200, -1e308,
+             math.inf, -math.inf, math.nan]
+
+
+def _same_floats(got: list, want: list) -> bool:
+    """Equal bit for bit, the sign of zero included, or both NaN."""
+    return len(got) == len(want) and all(
+        a.hex() == b.hex() or math.isnan(a) and math.isnan(b) for a, b in zip(got, want))
+
+
+def test_float_dot_and_transposed_matvec_round_as_numpy():
+    # the plain Hamiltonian steps compute numpy's dots P @ q and transposed
+    # matvecs M.T @ y on floats; numpy's zero accumulator turns a -0.0 sum
+    # into +0.0, which a bare product or fma would keep
+    rng = np.random.default_rng(12)
+    samples = [rng.normal(size=4).tolist() for _ in range(2000)]
+    samples += [[a, b, c, d] for a in DOT_EDGES for b in DOT_EDGES
+                for c, d in ((1.5, -0.0), (-0.0, -1e-310), (math.nan, 2.0))]
+    with np.errstate(all="ignore"):
+        for a, b, c, d in samples:
+            for n in (1, 2):
+                x, y = [a, b][:n], [c, d][:n]
+                assert _same_floats([_dot(x, y)], [float(np.array(x) @ np.array(y))])
+            M, y = [[a, b], [c, d]], [b, -c]
+            assert _same_floats(_transposed_matvec(M, y),
+                                (np.array(M).T @ np.array(y)).tolist())
+            assert _same_floats(_transposed_matvec([[a]], [c]),
+                                (np.array([[a]]).T @ np.array([c])).tolist())
+    M, y = rng.normal(size=(3, 3)), rng.normal(size=3)
+    assert _transposed_matvec(M.tolist(), y.tolist()) == (M.T @ y).tolist()
+    assert _dot(y.tolist(), M[0].tolist()) == float(y @ M[0])

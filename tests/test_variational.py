@@ -6,7 +6,7 @@ from lcsdyn import (DiscreteTrajectory, IntegrationError, StepperConfig, action_
                     free_rotor_circle, harmonic_1d, integrate, make_lcel_field,
                     midpoint_rule, rk4_integrate, rotor_extended_chart,
                     stationarity_residual, with_constant_sigma)
-from lcsdyn.variational import _del_system
+from lcsdyn.variational import _three_point_step
 
 
 def dlcel_free_q2():
@@ -30,9 +30,8 @@ def test_del_step_harmonic(harmonic_flat, tight_cfg):
 def test_del_step_fixed_point_converges_immediately(free_line_flat, tight_cfg):
     # stationary pair: the extrapolated seed already solves the recursion
     Ld = midpoint_rule(free_line_flat.lagrangian, 0.1)
-    from lcsdyn.numerics import newton_solve
-    F, J = _del_system(Ld, np.array([0.4]), np.array([0.4]))
-    res = newton_solve(F, np.array([0.4]), tight_cfg, jacobian=J)
+    res = _three_point_step(Ld, None, np.array([0.4]), np.array([0.4]), tight_cfg,
+                            conformal=False)
     assert res.iterations == 0
     assert res.residual == 0.0
 
