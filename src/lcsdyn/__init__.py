@@ -21,9 +21,8 @@ from .discretize import (DiscreteLagrangian, conformal_midpoint_rule,
 from .errors import (ConfigError, ConsistencyError, DomainError,
                      IntegrationError, NewtonError, RegularityError,
                      ShootingError)
-from .forms import (LcsConditionReport, TwoFormField, lc_pc_two_form,
-                    lcs_condition_check)
-from .hamiltonian_discrete import (DiscreteHamiltonian, LagrangianSource,
+from .forms import lc_pc_two_form, lcs_condition_check
+from .hamiltonian_discrete import (LagrangianSource,
                                    build_left_hamiltonian,
                                    build_right_hamiltonian,
                                    integrate_hamiltonian, ld_step, ldlch_step,
@@ -35,7 +34,7 @@ from .systems import (CATALOG, System, free_rotor_circle, get_system,
                       harmonic_1d, planar_2d, rotor_extended_chart,
                       with_constant_sigma)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint
-from .variational import (action_sum, del_step, dlcel_step, integrate,
+from .variational import (del_step, dlcel_step, integrate,
                           stationarity_residual)
 
 __version__ = "0.1.0"

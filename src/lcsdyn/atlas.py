@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _of_length, as_vector, solve_linear
+from .numerics import _of_length, _on_lists, as_matrix, as_vector, solve_linear
 
 Vector = np.ndarray
 
@@ -80,16 +80,17 @@ class Chart:
     def hess(self, q: Vector) -> np.ndarray:
         if self.constant_lee is not None:
             return np.zeros((self.dim, self.dim))
-        return np.atleast_2d(np.asarray(self.sigma_hess(as_vector(q)), dtype=float))
+        return as_matrix(self.sigma_hess(as_vector(q)))
 
 
 def _chart_floats(ch: Chart):
     """``(sigma, grad, hess)`` of a chart on lists of floats.
 
     ``sigma(q)`` is a float, ``grad(q)`` a list and ``hess(q)`` a nested list.
-    Each calls the chart's own method on a fresh array, so sigma keeps its
-    array contract; a declared constant Lee form and its zero Hessian are
-    read once and returned as shared lists, which callers must not change.
+    Each calls the chart's own method on a fresh array (grad and hess through
+    ``numerics._on_lists``), so sigma keeps its array contract; a declared
+    constant Lee form and its zero Hessian are read once and returned as
+    shared lists, which callers must not change.
     """
     def sigma(q) -> float:
         return float(ch.sigma(np.array(q)))
@@ -97,8 +98,7 @@ def _chart_floats(ch: Chart):
     if ch.constant_lee is not None:
         lee, zero = ch.constant_lee.tolist(), np.zeros((ch.dim, ch.dim)).tolist()
         return sigma, lambda q: lee, lambda q: zero
-    return (sigma, lambda q: ch.grad(np.array(q)).tolist(),
-            lambda q: ch.hess(np.array(q)).tolist())
+    return sigma, _on_lists(ch.grad), _on_lists(ch.hess, as_matrix)
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,7 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     q = _of_length(q, atlas.chart(from_chart).dim, "q")
     t = atlas.require_transition(from_chart, to_chart, q)
     q_new = as_vector(t.forward(q))
-    J = np.atleast_2d(np.asarray(t.jacobian(q), dtype=float))
-    p_new = solve_linear(J.T, as_vector(momentum))
+    p_new = solve_linear(as_matrix(t.jacobian(q)).T, as_vector(momentum))
     if momentum_kind == "r":
         s_from = atlas.chart(from_chart).sigma(q)
         s_to = atlas.chart(to_chart).sigma(q_new)

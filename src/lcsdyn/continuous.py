@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import ConformalAtlas
+from .atlas import ConformalAtlas, _chart_floats
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _fma, _newton, _solve_floats, as_vector,
+from .numerics import (StepperConfig, _dot, _fma, _newton, _solve_floats, as_vector,
                        fd_jacobian)
 
 Vector = np.ndarray
@@ -291,71 +291,23 @@ def _float_field(floats: Callable[[list], list]) -> Callable[[Vector], np.ndarra
     return field
 
 
-def _chart_data(atlas: ConformalAtlas, chart: int, n: int):
-    """(inside, lee) for a field on one chart, resolved once.
+def _field_chart(atlas: ConformalAtlas, chart: int):
+    """``(lo, hi, phi, lee)`` for a field on one chart, resolved once.
 
-    ``inside(xs)`` raises :class:`DomainError` when the first n floats of xs
-    leave the chart's box.  ``lee(q)`` returns the Lee form at q as a list and
-    an array; a declared constant Lee form is read here, once.
+    ``lo`` and ``hi`` are the box bounds as lists; the kernels check them
+    themselves and call ``atlas.require_inside`` for its message.  ``phi`` is
+    a declared constant Lee form as a list, or None; only then do the kernels
+    call ``lee(q)``, the Lee form at the float list q as a list
+    (``atlas._chart_floats``).
     """
     ch = atlas.chart(chart)
-    lo, hi = ch.lower.tolist(), ch.upper.tolist()
-
-    def inside(xs: list) -> None:
-        for i in range(n):
-            if not lo[i] <= xs[i] <= hi[i]:
-                atlas.require_inside(chart, np.array(xs[:n]))
-
-    if ch.constant_lee is not None:
-        const = (ch.constant_lee.tolist(), ch.constant_lee.copy())
-        return inside, lambda q: const
-
-    def lee(q: list):
-        phi = ch.grad(np.array(q))
-        return phi.tolist(), phi
-
-    return inside, lee
+    phi = None if ch.constant_lee is None else ch.constant_lee.tolist()
+    return ch.lower.tolist(), ch.upper.tolist(), phi, _chart_floats(ch)[1]
 
 
-def _scalar_chart_data(atlas: ConformalAtlas, chart: int):
-    """(lo, hi, phi, lee) for a field on a one-dimensional chart, resolved once.
-
-    The kernels check ``lo <= q <= hi`` themselves and call
-    ``atlas.require_inside`` for its message.  ``phi`` is a declared constant
-    Lee form as a float, or None, and then ``lee(q)`` returns the Lee form at
-    the float q (``ValueError`` unless it has one component).
-    """
-    ch = atlas.chart(chart)
-    (lo,), (hi,) = ch.lower.tolist(), ch.upper.tolist()
-    phi = None if ch.constant_lee is None else ch.constant_lee.item(0)
-
-    def lee(q: float) -> float:
-        (f,) = ch.grad(np.array([q])).tolist()
-        return f
-
-    return lo, hi, phi, lee
-
-
-def _planar_chart_data(atlas: ConformalAtlas, chart: int):
-    """(box, phi, lee) for a field on a two-dimensional chart, resolved once.
-
-    ``box`` is ``(lo0, hi0, lo1, hi1)``; the kernels check it themselves and
-    call ``atlas.require_inside`` for its message.  ``phi`` is a declared
-    constant Lee form as a pair of floats, or None, and then ``lee(q0, q1)``
-    returns the Lee form at (q0, q1) as a list.
-    """
-    ch = atlas.chart(chart)
-    (lo0, lo1), (hi0, hi1) = ch.lower.tolist(), ch.upper.tolist()
-    phi = None if ch.constant_lee is None else tuple(ch.constant_lee.tolist())
-
-    def lee(q0: float, q1: float) -> list:
-        return ch.grad(np.array([q0, q1])).tolist()
-
-    return (lo0, hi0, lo1, hi1), phi, lee
-
-
-# numpy's 2-element dot x @ y rounds as _fma(x1, y1, x0 * y0), and row i of a
-# 2x2 matvec m @ v as _fma(m_i0, v0, m_i1 * v1): the n = 2 kernels below
+# numpy's 2-element dot x @ y rounds as 0.0 + _fma(x1, y1, x0 * y0), and row i
+# of a 2x2 matvec m @ v as 0.0 + _fma(m_i0, v0, m_i1 * v1), the 0.0 being
+# numpy's accumulator (it turns a -0.0 sum into +0.0): the n = 2 kernels below
 # reproduce both on floats (tests/test_numerics.py checks the assumption).
 
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
@@ -372,15 +324,16 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     """
     n = H.n
     jet = H.jet
+    lo, hi, phi, lee = _field_chart(atlas, chart)
     if n == 1:
-        lo, hi, phi, lee = _scalar_chart_data(atlas, chart)
+        (lo,), (hi,) = lo, hi
 
         def scalar_floats(xs: list) -> list:
             q, p = xs
             if not lo <= q <= hi:
                 atlas.require_inside(chart, np.array([q]))
             hval, (g,), (qd,) = jet([q], [p])
-            f = phi if phi is not None else lee(q)
+            (f,) = phi or lee([q])
             # numpy rounds a one-element dot like 0.0 + a*b
             s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
             return [qd, -g - (f * s_p - p * s_phi) + hval * f]
@@ -388,32 +341,30 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
         return _float_field(scalar_floats)
 
     if n == 2:
-        (lo0, hi0, lo1, hi1), phi, lee = _planar_chart_data(atlas, chart)
+        (lo0, lo1), (hi0, hi1) = lo, hi
 
         def planar_floats(xs: list) -> list:
             q0, q1, p0, p1 = xs
             if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
                 atlas.require_inside(chart, np.array([q0, q1]))
             hval, (g0, g1), (d0, d1) = jet([q0, q1], [p0, p1])
-            f0, f1 = phi if phi is not None else lee(q0, q1)
-            s_p, s_phi = _fma(p1, d1, p0 * d0), _fma(f1, d1, f0 * d0)
+            f0, f1 = phi or lee([q0, q1])
+            s_p, s_phi = 0.0 + _fma(p1, d1, p0 * d0), 0.0 + _fma(f1, d1, f0 * d0)
             return [d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
                     -g1 - (f1 * s_p - p1 * s_phi) + hval * f1]
 
         return _float_field(planar_floats)
 
-    inside, lee = _chart_data(atlas, chart, n)
-
     def floats(xs: list) -> list:
-        inside(xs)
         q, ps = xs[:n], xs[n:]
+        if not all(a <= x <= b for a, x, b in zip(lo, q, hi)):
+            atlas.require_inside(chart, np.array(q))
         hval, gq, qdot = jet(q, ps)
-        phi, phi_a = lee(q)
-        qdot_a = np.array(qdot)
-        s_p, s_phi = float(np.array(ps) @ qdot_a), float(phi_a @ qdot_a)
+        f_q = phi or lee(q)
+        s_p, s_phi = _dot(ps, qdot), _dot(f_q, qdot)
         # qdot joins the zip only to have its length checked
         return qdot + [-g - (f * s_p - p * s_phi) + hval * f
-                       for g, f, p, _ in zip(gq, phi, ps, qdot, strict=True)]
+                       for g, f, p, _ in zip(gq, f_q, ps, qdot, strict=True)]
 
     return _float_field(floats)
 
@@ -437,8 +388,9 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     n = L.n
     jet = L.jet
     vv, vq = L.constant_hess_vv, L.constant_hess_vq
+    lo, hi, phi, lee = _field_chart(atlas, chart)
     if n == 1:
-        lo, hi, phi, lee = _scalar_chart_data(atlas, chart)
+        (lo,), (hi,) = lo, hi
         m_const = None if vv is None else vv.item(0)
         b_const = None if vq is None else vq.item(0)
 
@@ -447,7 +399,7 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
             if not lo <= q <= hi:
                 atlas.require_inside(chart, np.array([q]))
             lval, (g,), (c,), M, hvq = jet([q], [v])
-            f = phi if phi is not None else lee(q)
+            (f,) = phi or lee([q])
             m = m_const if m_const is not None else M.item(0)
             if m == 0.0:
                 raise RegularityError("singular 1x1 velocity Hessian",
@@ -461,7 +413,7 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
 
     M_const = None if vv is None else vv.tolist()
     if n == 2:
-        (lo0, hi0, lo1, hi1), phi, lee = _planar_chart_data(atlas, chart)
+        (lo0, lo1), (hi0, hi1) = lo, hi
         B_const = None if vq is None else vq.tolist()
 
         def planar_floats(xs: list) -> list:
@@ -469,27 +421,25 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
             if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
                 atlas.require_inside(chart, np.array([q0, q1]))
             lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
-            f0, f1 = phi if phi is not None else lee(q0, q1)
+            f0, f1 = phi or lee([q0, q1])
             (m00, m01), (m10, m11) = B_const if B_const is not None else hvq.tolist()
-            s = _fma(f1, v1, f0 * v0)
-            rhs = [g0 - _fma(m00, v0, m01 * v1) + s * c0 - lval * f0,
-                   g1 - _fma(m10, v0, m11 * v1) + s * c1 - lval * f1]
+            s = 0.0 + _fma(f1, v1, f0 * v0)
+            rhs = [g0 - (0.0 + _fma(m00, v0, m01 * v1)) + s * c0 - lval * f0,
+                   g1 - (0.0 + _fma(m10, v0, m11 * v1)) + s * c1 - lval * f1]
             return [v0, v1] + _solve_floats(
                 M_const if M_const is not None else M.tolist(), rhs, 1e12)
 
         return _float_field(planar_floats)
 
-    inside, lee = _chart_data(atlas, chart, n)
-
     def floats(xs: list) -> list:
-        inside(xs)
         q, vs = xs[:n], xs[n:]
+        if not all(a <= x <= b for a, x, b in zip(lo, q, hi)):
+            atlas.require_inside(chart, np.array(q))
         lval, gq, gv, M, hvq = jet(q, vs)
-        phi, phi_a = lee(q)
-        v = np.array(vs)
-        s, hv = float(phi_a @ v), ((hvq if vq is None else vq) @ v).tolist()
+        f_q = phi or lee(q)
+        s, hv = _dot(f_q, vs), ((hvq if vq is None else vq) @ np.array(vs)).tolist()
         rhs = [a - b + s * c - lval * f
-               for a, b, c, f in zip(gq, hv, gv, phi, strict=True)]
+               for a, b, c, f in zip(gq, hv, gv, f_q, strict=True)]
         return vs + _solve_floats(M_const if M_const is not None else M.tolist(),
                                   rhs, 1e12)
 

@@ -59,8 +59,8 @@ from .atlas import ConformalAtlas, _chart_floats
 from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
-from .numerics import (StepperConfig, as_vector, fd_jacobian, fd_mixed_second,
-                       newton_solve)
+from .numerics import (StepperConfig, _on_lists, as_matrix, as_vector, fd_jacobian,
+                       fd_mixed_second, newton_solve)
 
 Vector = np.ndarray
 _EXACT_QUAD_ORDER = 5
@@ -133,12 +133,9 @@ def _on_arrays(lookup):
 def _parts_jet(Ld: DiscreteLagrangian):
     """The pair jet of a Lagrangian given by its array parts: value, d1, d2
     and d1d2 called once per pair on fresh arrays, the last pair kept."""
-    def pair_data(q0, q1):
-        a, b = np.array(q0), np.array(q1)
-        return (float(Ld.value(a, b)), as_vector(Ld.d1(a, b)).tolist(),
-                as_vector(Ld.d2(a, b)).tolist(), np.atleast_2d(Ld.d1d2(a, b)).tolist())
-
-    return _pair_memo(pair_data)
+    parts = (_on_lists(Ld.value, np.float64), _on_lists(Ld.d1), _on_lists(Ld.d2),
+             _on_lists(Ld.d1d2, as_matrix))
+    return _pair_memo(lambda q0, q1: tuple(part(q0, q1) for part in parts))
 
 
 def _memoized_pair_rule(n: int, h: float, pair_data, same_from) -> DiscreteLagrangian:
@@ -172,7 +169,7 @@ def _hess_qq_of(L: ContinuousLagrangian) -> Callable[[list, list], list]:
     if L.constant_hess_qq is not None:
         qq = L.constant_hess_qq.tolist()
         return lambda q, v: qq
-    return lambda q, v: np.atleast_2d(L.hess_qq(np.array(q), np.array(v))).tolist()
+    return _on_lists(L.hess_qq, as_matrix)
 
 
 def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
@@ -481,7 +478,8 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
                 residual=float("nan"), iterations=0) from e
         return res.x
 
-    def _value_at(q0: Vector, q1: Vector, tol: float) -> float:
+    def _value_at(q0, q1, tol: float) -> float:
+        q0, q1 = as_vector(q0), as_vector(q1)
         v0 = _shoot(q0, q1, tol)
         x = np.concatenate([q0, v0])
         t_prev = 0.0
@@ -496,7 +494,7 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         return 0.5 * h * total
 
     def value(q0, q1):
-        return _value_at(as_vector(q0), as_vector(q1), bvp_tol)
+        return _value_at(q0, q1, bvp_tol)
 
     # Finite-difference steps below are tuned to the value's solver noise floor:
     # first partials at 1e-4, second partials at 1e-3 with a tightened
@@ -504,26 +502,21 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
     eps1, eps2, tight = 1e-4, 1e-3, 1e-12
 
     def d1(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
         return fd_jacobian(lambda x: _value_at(x, q1, tight), q0, eps1)
 
     def d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
         return fd_jacobian(lambda x: _value_at(q0, x, tight), q1, eps1)
 
     def d1d2(q0, q1):
-        return fd_mixed_second(lambda x, y: _value_at(x, y, tight), as_vector(q0),
-                               as_vector(q1), eps2)
+        return fd_mixed_second(lambda x, y: _value_at(x, y, tight), q0, q1, eps2)
 
     # The four-point difference of f(x + y - q) at (q, q) in steps eps2 / 2 is
     # the three-point second difference of f at q in steps eps2.
     def d1d1(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
         return fd_mixed_second(lambda x, y: _value_at(x + y - q0, q1, tight), q0, q0,
                                0.5 * eps2)
 
     def d2d2(q0, q1):
-        q0, q1 = as_vector(q0), as_vector(q1)
         return fd_mixed_second(lambda x, y: _value_at(q0, x + y - q1, tight), q1, q1,
                                0.5 * eps2)
 

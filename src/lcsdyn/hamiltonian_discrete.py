@@ -72,8 +72,8 @@ from .atlas import Chart, ConformalAtlas, _chart_floats, transition_apply
 from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
-                       _newton_result, _of_length, _solve_floats, _sub, _transposed,
-                       _transposed_matvec, as_vector)
+                       _newton_result, _of_length, _on_lists, _solve_floats, _sub,
+                       _transposed, _transposed_matvec, as_matrix, as_vector)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_solve, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
@@ -159,12 +159,6 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     return traj
 
 
-def _on_floats(part: Callable[[Vector, Vector], np.ndarray], q0: list, q1: list) -> list:
-    """An (n, n) array part of Ld (``d1d1``, ``d2d2``) at a pair of float
-    lists, called on fresh arrays, as a nested list."""
-    return np.atleast_2d(part(np.array(q0), np.array(q1))).tolist()
-
-
 @dataclass(frozen=True)
 class LagrangianSource:
     """The generating data behind a Lagrangian-derived discrete Hamiltonian."""
@@ -174,21 +168,23 @@ class LagrangianSource:
     chart: int
 
     @cached_property
-    def _chart(self) -> tuple:
-        """(sigma, grad, hess) of the chart on float lists (``atlas._chart_floats``)."""
-        return _chart_floats(self.atlas.chart(self.chart))
+    def _floats(self) -> tuple:
+        """(sigma, grad, hess) of the chart (``atlas._chart_floats``) and Ld's
+        ``d1d1`` and ``d2d2``, all on float lists (``numerics._on_lists``)."""
+        return (*_chart_floats(self.atlas.chart(self.chart)),
+                _on_lists(self.Ld.d1d1, as_matrix), _on_lists(self.Ld.d2d2, as_matrix))
 
     def invert_right(self, q0: Vector, P: Vector) -> np.ndarray:
         """q1 solving P = p+(q0, q1), by Newton on floats with the closed-form
         dp+/dq1 from the seed q0 + h P."""
-        Ld, (sigma, grad, _) = self.Ld, self._chart
+        Ld, (sigma, grad, _, _, d2d2) = self.Ld, self._floats
         q0, P = as_vector(q0).tolist(), as_vector(P).tolist()
         s0 = sigma(q0)
 
         def system(x: list):
             d2, s1 = Ld.jet(q0, x)[2], sigma(x)
             return (_sub(_p_plus(d2, s0, s1), P),
-                    lambda: _dp_plus_dq1(_on_floats(Ld.d2d2, q0, x), d2, grad(x), s0, s1))
+                    lambda: _dp_plus_dq1(d2d2(q0, x), d2, grad(x), s0, s1))
 
         return np.array(_newton(system, [a + Ld.h * b for a, b in zip(q0, P)],
                                 _INVERT_CFG)[0])
@@ -196,14 +192,13 @@ class LagrangianSource:
     def invert_left(self, q1: Vector, P: Vector) -> np.ndarray:
         """q0 solving P = p-(q0, q1), by Newton on floats with the closed-form
         dp-/dq0 from the seed q1 - h P."""
-        Ld, (_, grad, hess) = self.Ld, self._chart
+        Ld, (_, grad, hess, d1d1, _) = self.Ld, self._floats
         q1, P = as_vector(q1).tolist(), as_vector(P).tolist()
 
         def system(x: list):
             (value, d1), phi0 = Ld.jet(x, q1)[:2], grad(x)
             return (_sub(_p_minus(phi0, value, d1), P),
-                    lambda: _dp_minus_dq0(hess(x), value, phi0, d1,
-                                          _on_floats(Ld.d1d1, x, q1)))
+                    lambda: _dp_minus_dq0(hess(x), value, phi0, d1, d1d1(x, q1)))
 
         return np.array(_newton(system, [a - Ld.h * b for a, b in zip(q1, P)],
                                 _INVERT_CFG)[0])
@@ -240,12 +235,8 @@ class DiscreteHamiltonian:
         if self.side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
 
-        def part(f, shape):
-            return lambda a, P: shape(f(np.array(a), np.array(P))).tolist()
-
-        object.__setattr__(self, "_floats", (part(self.d1, as_vector),
-                                             part(self.d2, as_vector),
-                                             part(self.d1d2, np.atleast_2d)))
+        object.__setattr__(self, "_floats", (_on_lists(self.d1), _on_lists(self.d2),
+                                             _on_lists(self.d1d2, as_matrix)))
 
 
 def _along_inversion(partial, P: list, J: list) -> list:
@@ -290,7 +281,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     and d2 = q_{k+1} when sigma is constant.
     """
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
-    sigma, grad, hess = source._chart
+    sigma, grad, hess, d1d1, d2d2 = source._floats
 
     def partials(q0, P, q1):
         s0, s1 = sigma(q0), sigma(q1)
@@ -303,7 +294,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         if any(phi1):
             # dH+/dq1 at fixed (q0, P) is -phi1 coupling; it reaches the partials
             # through dq1/dP = inv(J) and dq1/dq0 = -inv(J) dp+/dq0
-            J = _dp_plus_dq1(_on_floats(Ld.d2d2, q0, q1), d2_Ld, phi1, s0, s1)
+            J = _dp_plus_dq1(d2d2(q0, q1), d2_Ld, phi1, s0, s1)
             y = _solve_floats(_transposed(J), [-f * coupling for f in phi1], 1e12)
             inv_em = 1.0 / em if em else math.inf  # numpy's 1 / +0.0
             dgdq = [[inv_em * (m - g * f) for m, f in zip(col, phi0)]
@@ -314,7 +305,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
 
     def mixed(q0, P, q1, s0, s1, phi0, phi1):
         _, _, d2_Ld, d1d2_Ld = Ld.jet(q0, q1)
-        J = _dp_plus_dq1(_on_floats(Ld.d2d2, q0, q1), d2_Ld, phi1, s0, s1)
+        J = _dp_plus_dq1(d2d2(q0, q1), d2_Ld, phi1, s0, s1)
         if any(phi0) or any(phi1) or any(map(any, hess(q1))):
             return _along_inversion(
                 lambda t, dx: partials(q0, _add(P, t), _add(q1, dx))[1], P, J)
@@ -330,7 +321,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                            chart: int) -> DiscreteHamiltonian:
     """Left discrete Hamiltonian H-(q_{k+1}, p_k); mirror of the right builder."""
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
-    sigma, grad, hess = source._chart
+    sigma, grad, hess, d1d1, d2d2 = source._floats
 
     def partials(q1, P, q0):
         E = float(np.exp(sigma(q1) - sigma(q0)))
@@ -342,7 +333,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         if any(phi0):
             # dH-/dq0 at fixed (q1, P) is phi0 E P.q0; it reaches the partials
             # through dq0/dP = inv(J) and dq0/dq1 = -inv(J) dp-/dq1
-            J = _dp_minus_dq0(hess(q0), value, phi0, d1_Ld, _on_floats(Ld.d1d1, q0, q1))
+            J = _dp_minus_dq0(hess(q0), value, phi0, d1_Ld, d1d1(q0, q1))
             y = _solve_floats(_transposed(J), [f * (E * _dot(P, q0)) for f in phi0], 1e12)
             d1 = _sub(d1, _transposed_matvec(_dp_minus_dq1(phi0, d2_Ld, d1d2_Ld), y))
             d2 = _add(d2, y)
@@ -351,7 +342,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     def mixed(q1, P, q0, E, phi0, phi1):
         hess0 = hess(q0)
         value, d1_Ld, _, d1d2_Ld = Ld.jet(q0, q1)
-        J = _dp_minus_dq0(hess0, value, phi0, d1_Ld, _on_floats(Ld.d1d1, q0, q1))
+        J = _dp_minus_dq0(hess0, value, phi0, d1_Ld, d1d1(q0, q1))
         if any(phi0) or any(phi1) or any(map(any, hess0)):
             return _along_inversion(
                 lambda t, dx: partials(q1, _add(P, t), _add(q0, dx))[1], P, J)

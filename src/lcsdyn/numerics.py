@@ -53,6 +53,24 @@ def as_vector(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def as_matrix(x) -> np.ndarray:
+    """``x`` as a float array of at least two dimensions, returned as it is
+    when it already is a float64 ndarray of two or more (as in :func:`as_vector`)."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim > 1:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def _on_lists(f: Callable, out: Callable = as_vector) -> Callable:
+    """``f``, a function of arrays, as a function of float sequences.
+
+    Each argument reaches ``f`` as a fresh float64 array, and the result
+    comes back as ``out(result).tolist()``: a list of floats by default, a
+    nested list with :func:`as_matrix`, a float with ``np.float64``.
+    """
+    return lambda *xs: out(f(*map(np.array, xs))).tolist()
+
+
 def _of_length(x, n: int, name: str) -> np.ndarray:
     """``as_vector(x)``, or ``ValueError`` naming ``n`` unless it has n components."""
     x = as_vector(x)
@@ -68,7 +86,7 @@ def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.
     differenced input, so a vector function gives the usual Jacobian (rows:
     outputs, cols: inputs) and a scalar function its gradient.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x)
     cols = []
     for i in range(x.size):
         xp = x.copy()
@@ -94,7 +112,7 @@ def _fd_floats(F: Callable[[list], list], x: list, eps: float) -> list:
 def fd_mixed_second(f: Callable[[Vector, Vector], float], x: Vector, y: Vector,
                     eps: float) -> np.ndarray:
     """Four-point central difference of d^2 f / dx_i dy_j, shape (x.size, y.size)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = as_vector(x), as_vector(y)
     out = np.empty((x.size, y.size))
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
@@ -124,15 +142,8 @@ def newton_solve(
     does.  ``F`` and ``jacobian`` see fresh float64 arrays; the iteration
     itself is :func:`_newton`'s.
     """
-    def system(xs: list):
-        x = np.array(xs)
-
-        def J() -> list:
-            return np.atleast_2d(np.asarray(jacobian(x), dtype=float)).tolist()
-
-        return as_vector(F(x)).tolist(), J
-
-    return _newton_result(system, as_vector(x0).tolist(), cfg)
+    F, J = _on_lists(F), _on_lists(jacobian, as_matrix)
+    return _newton_result(lambda x: (F(x), lambda: J(x)), as_vector(x0).tolist(), cfg)
 
 
 def _newton_result(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
@@ -316,7 +327,7 @@ def _solve_floats(A: list, b: list, cond_limit: float) -> list:
 def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarray:
     """Solve A x = b for a vector b as :func:`_solve_floats` does, on arrays;
     ``ValueError`` unless b has as many components as A has rows."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = as_matrix(A)
     b = _of_length(b, A.shape[0], "b")
     return np.array(_solve_floats(A.tolist(), b.tolist(), cond_limit))
 

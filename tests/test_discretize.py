@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rule,
-                    conformal_trapezoidal_rule, exact_discrete_lagrangian,
-                    free_rotor_circle, harmonic_1d, midpoint_rule, planar_2d,
-                    trapezoidal_rule, with_constant_sigma)
+                    conformal_trapezoidal_rule, del_step, dlcel_step,
+                    exact_discrete_lagrangian, free_rotor_circle, harmonic_1d, integrate,
+                    midpoint_rule, planar_2d, trapezoidal_rule, with_constant_sigma)
 from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
 from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
@@ -690,3 +690,31 @@ def test_constant_velocity_hessians_are_checked_and_copied():
         for wrong in ([[1.0]], [1.0, 0.0], np.eye(3)):
             with pytest.raises(ValueError, match=f"{name} must have shape"):
                 ContinuousLagrangian(2, jet, constant_hess_qq=-np.eye(2), **{name: wrong})
+
+
+def _jet_bits(jet) -> bytes:
+    value, d1, d2, d1d2 = jet
+    return np.array([value, *d1, *d2, *np.ravel(d1d2)]).tobytes()
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
+def test_array_parts_jet_gives_the_rule_bits(system_fn):
+    # A Lagrangian given only by array parts (jet=None, as the exact discrete
+    # Lagrangian is) builds its pair jet from them; on the parts of a rule it
+    # must give the rule's own jet, steps and march bit for bit.
+    system = system_fn()
+    n, atlas, cfg = system.n, system.atlas, StepperConfig(tol=1e-12)
+    rule = conformal_midpoint_rule(system.lagrangian, atlas, 0, 0.05)
+    parts = dataclasses.replace(rule, jet=None)
+    assert parts.jet is not rule.jet
+    rng = np.random.default_rng(6)
+    for q0, q1 in rng.uniform(0.2, 0.9, (20, 2, n)).tolist():
+        got, want = parts.jet(q0, q1), rule.jet(q0, q1)
+        assert type(got[0]) is float
+        assert _jet_bits(got) == _jet_bits(want)
+    q0, q1 = np.full(n, 0.5), np.full(n, 0.52)
+    assert del_step(parts, q0, q1, cfg).tobytes() == del_step(rule, q0, q1, cfg).tobytes()
+    assert dlcel_step(parts, atlas, 0, q0, q1, cfg).tobytes() == \
+        dlcel_step(rule, atlas, 0, q0, q1, cfg).tobytes()
+    got, want = (integrate(Ld, atlas, 0, q0, q1, 20, cfg) for Ld in (parts, rule))
+    assert [pt.q.tobytes() for pt in got.points] == [pt.q.tobytes() for pt in want.points]

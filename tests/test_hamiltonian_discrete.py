@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
+from lcsdyn import (ConsistencyError, DiscreteTrajectory,
                     IntegrationError, LagrangianSource, NewtonError, RegularityError,
                     StepperConfig, TrajectoryPoint, build_left_hamiltonian,
                     build_right_hamiltonian, conformal_midpoint_rule,
@@ -12,6 +12,7 @@ from lcsdyn import (ConsistencyError, DiscreteHamiltonian, DiscreteTrajectory,
                     ld_step, ldlch_step, midpoint_rule, momenta_along_trajectory,
                     rd_step, rdlch_step, transition_apply, with_constant_sigma)
 from lcsdyn import hamiltonian_discrete
+from lcsdyn.hamiltonian_discrete import DiscreteHamiltonian
 from lcsdyn.numerics import _det_sign, as_vector, fd_jacobian, newton_solve, solve_linear
 from conftest import (array_dp_minus_dq0, array_dp_plus_dq1, curved_planar, harmonic_3d,
                       rotor_with_transition_jacobian, varying_mass)

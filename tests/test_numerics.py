@@ -360,21 +360,24 @@ def test_fma_edge_table(a, b, c):
 
 def test_numpy_two_element_dot_and_matvec_round_as_fma():
     # The n = 2 continuous fields compute numpy's 2-element dots and 2x2
-    # matvecs as these _fma formulas; the bitwise reference tests of those
-    # fields assume that this BLAS fuses them so.
+    # matvecs as these _fma formulas (the 0.0 is numpy's zero accumulator);
+    # the bitwise reference tests of those fields assume that this BLAS fuses
+    # them so.
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(10_000, 2)), rng.normal(size=(10_000, 2))
     a[:, 1] *= np.exp2(rng.integers(-30, 30, 10_000))
     dots = [float(x @ y) for x, y in zip(a, b)]
-    fused = [_fma(x1, y1, x0 * y0) for (x0, x1), (y0, y1) in zip(a.tolist(), b.tolist())]
-    assert dots == fused, ("assumption: numpy's 2-element dot x @ y is "
-                           "fma(x1, y1, x0 * y0) on this BLAS")
+    fused = [0.0 + _fma(x1, y1, x0 * y0)
+             for (x0, x1), (y0, y1) in zip(a.tolist(), b.tolist())]
+    assert _same_floats(dots, fused), ("assumption: numpy's 2-element dot x @ y is "
+                                       "0.0 + fma(x1, y1, x0 * y0) on this BLAS")
     rows = [(m @ v).tolist() for m, v in zip(a.reshape(-1, 2, 2), b[::2])]
-    fused = [[_fma(m00, v0, m01 * v1), _fma(m10, v0, m11 * v1)]
+    fused = [[0.0 + _fma(m00, v0, m01 * v1), 0.0 + _fma(m10, v0, m11 * v1)]
              for ((m00, m01), (m10, m11)), (v0, v1)
              in zip(a.reshape(-1, 2, 2).tolist(), b[::2].tolist())]
-    assert rows == fused, ("assumption: each row of numpy's 2x2 matvec m @ v is "
-                           "fma(m_i0, v0, m_i1 * v1) on this BLAS")
+    assert all(map(_same_floats, rows, fused)), (
+        "assumption: each row of numpy's 2x2 matvec m @ v is "
+        "0.0 + fma(m_i0, v0, m_i1 * v1) on this BLAS")
 
 
 DOT_EDGES = [0.0, -0.0, 1.0, -1.5, 3.7, 5e-324, -1e-310, 1e-160, -2.5e-160, 1e200, -1e308,

@@ -11,12 +11,13 @@ the plain three-point system: ``Ld.value``/``d1``/``d2``/``d1d1``/``d2d2``/
 import numpy as np
 import pytest
 
-from lcsdyn import (DiscreteHamiltonian, DiscreteTrajectory, StepperConfig,
+from lcsdyn import (DiscreteTrajectory, StepperConfig,
                     TrajectoryPoint, build_left_hamiltonian, build_right_hamiltonian,
                     conformal_midpoint_rule, conformal_trapezoidal_rule, del_step,
                     get_system, integrate, integrate_hamiltonian, ld_step, rd_step,
                     transition_apply, with_constant_sigma)
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
+from lcsdyn.hamiltonian_discrete import DiscreteHamiltonian
 from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _march
 from conftest import array_dp_minus_dq0, array_dp_plus_dq1
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from lcsdyn import (DiscreteTrajectory, IntegrationError, StepperConfig, action_sum,
+from lcsdyn import (DiscreteTrajectory, IntegrationError, StepperConfig,
                     conformal_midpoint_rule, del_step, dlcel_step,
                     free_rotor_circle, harmonic_1d, integrate, make_lcel_field,
                     midpoint_rule, rk4_integrate, rotor_extended_chart,
                     stationarity_residual, with_constant_sigma)
-from lcsdyn.variational import _three_point_step
+from lcsdyn.variational import _three_point_step, action_sum
 
 
 def dlcel_free_q2():
