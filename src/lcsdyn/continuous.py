@@ -24,8 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas, _chart_floats
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _dot, _fma, _newton, _solve_floats, as_vector,
-                       fd_jacobian)
+from .numerics import (StepperConfig, _dot, _fma, _newton, _rows, _solve_floats,
+                       as_vector, fd_jacobian)
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -45,35 +45,31 @@ class ContinuousLagrangian:
     returns the (n, n) array d^2 L / dq dq; the quadrature rules' second
     partials read it.
 
-    A Hessian that is constant may be declared: ``constant_hess_qq``,
-    ``constant_hess_vv`` and ``constant_hess_vq``, each copied to a read-only
-    (n, n) float array (another shape raises ``ValueError``).  The fields,
-    ``fiber_legendre_inv`` and the quadrature rules read a declared Hessian
-    once, when they are built, and ignore that part of the jet, which must
-    still return it.  ``hess_qq`` may then be omitted and defaults to
-    returning a copy of ``constant_hess_qq``; a Lagrangian that declares
-    neither raises ``ValueError``.  A Lagrangian given such a default (a
-    ``dataclasses.replace`` copy, say) together with a declaration resolves
-    it again, from its own declaration.
+    ``constant_hessians=True`` declares all three Hessians constant, so L is
+    quadratic in (q, v) and its jet is defined at q = v = 0.  They are read
+    there once, at construction, into ``hessians``: read-only (n, n) float
+    arrays ``(hess_qq, hess_vv, hess_vq)`` (another shape raises
+    ``ValueError``), which the fields, ``fiber_legendre_inv`` and the
+    quadrature rules read in place of the jet's Hessians and ``hess_qq``.
+    Without the flag ``hessians`` is None.
     """
 
     n: int
     jet: Callable[[list, list], tuple]
-    hess_qq: Callable[[Vector, Vector], np.ndarray] | None = None
-    constant_hess_qq: np.ndarray | None = None
-    constant_hess_vv: np.ndarray | None = None
-    constant_hess_vq: np.ndarray | None = None
+    hess_qq: Callable[[Vector, Vector], np.ndarray]
+    constant_hessians: bool = False
 
     def __post_init__(self):
-        for name in ("constant_hess_qq", "constant_hess_vv", "constant_hess_vq"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _declared(self, name))
-        qq = self.constant_hess_qq
-        if self.hess_qq is None and qq is None:
-            raise ValueError("declare hess_qq or constant_hess_qq")
-        if qq is not None and (self.hess_qq is None
-                               or isinstance(self.hess_qq, _DeclaredHessQQ)):
-            object.__setattr__(self, "hess_qq", _DeclaredHessQQ(qq))
+        n, hessians = self.n, None
+        if self.constant_hessians:
+            zero = [0.0] * n
+            hessians = tuple(np.array(a, dtype=float) for a in (
+                self.hess_qq(np.zeros(n), np.zeros(n)), *self.jet(zero, zero)[3:]))
+            for name, a in zip(("hess_qq", "hess_vv", "hess_vq"), hessians):
+                if a.shape != (n, n):
+                    raise ValueError(f"{name} must have shape ({n}, {n}), got {a.shape}")
+                a.setflags(write=False)
+        object.__setattr__(self, "hessians", hessians)
 
     def _at(self, q: Vector, v: Vector) -> tuple:
         return self.jet(as_vector(q).tolist(), as_vector(v).tolist())
@@ -92,26 +88,6 @@ class ContinuousLagrangian:
 
     def hess_vq(self, q: Vector, v: Vector) -> np.ndarray:
         return np.array(self._at(q, v)[4])
-
-
-class _DeclaredHessQQ:
-    """The default ``hess_qq``: copies of a declared constant position Hessian."""
-
-    def __init__(self, qq: np.ndarray):
-        self.qq = qq
-
-    def __call__(self, q: Vector, v: Vector) -> np.ndarray:
-        return self.qq.copy()
-
-
-def _declared(L: ContinuousLagrangian, name: str) -> np.ndarray:
-    """L's declared constant Hessian ``name`` as a read-only float copy;
-    ``ValueError`` unless it has shape (n, n)."""
-    a = np.array(getattr(L, name), dtype=float)
-    if a.shape != (L.n, L.n):
-        raise ValueError(f"{name} must have shape ({L.n}, {L.n}), got {a.shape}")
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -157,11 +133,12 @@ def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
 
 def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndarray:
     """Velocity v solving dL/dv (q, v) = p by Newton, one jet call per iterate;
-    a declared ``constant_hess_vv`` is the Jacobian of every iterate."""
+    under ``constant_hessians`` the resolved ``hess_vv`` is the Jacobian of
+    every iterate."""
     q, p = as_vector(q).tolist(), as_vector(p).tolist()
     jac = None
-    if L.constant_hess_vv is not None:
-        vv = L.constant_hess_vv.tolist()
+    if L.hessians is not None:
+        vv = L.hessians[1].tolist()
         jac = lambda: vv
 
     def system(v: list):
@@ -188,7 +165,8 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     arithmetic without the per-component lists.
 
     Raises ``ValueError`` when ``h`` is not a positive finite number, when
-    ``steps < 1`` and when a field output does not have ``d`` components, and
+    ``steps < 1`` and when a field output does not have ``d`` components,
+    ``MemoryError`` when the (steps+1, d) result cannot be allocated, and
     :class:`IntegrationError` at the first step whose state is not finite or
     that leaves the chart (a DomainError), with the states before it as ``partial``.
     """
@@ -199,7 +177,7 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     x0 = as_vector(x0)
     d = x0.size
     shape = (d,)
-    out = np.empty((steps + 1, d))
+    out = _rows(steps + 1, d)
     out[0] = x0
     x = out[0].tolist()
     half, sixth = 0.5 * h, h / 6.0
@@ -380,19 +358,18 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     components raises ``ValueError``.  The acceleration solves
     ``hess_vv a = rhs`` by one division when n = 1 and otherwise by
     ``numerics._solve_floats`` (in closed form behind its screen when n = 2),
-    raising :class:`RegularityError` as it does.  A declared
-    ``constant_hess_vv`` or ``constant_hess_vq`` is read here, once, as a
-    float (n = 1), a nested list or, for ``hess_vq`` when n >= 3, the array;
-    an undeclared one is read from the jet at every call.
+    raising :class:`RegularityError` as it does.  Under ``constant_hessians``
+    the resolved ``hess_vv`` and ``hess_vq`` are read here, once, as floats
+    (n = 1), nested lists or, for ``hess_vq`` when n >= 3, the array;
+    otherwise both are read from the jet at every call.
     """
     n = L.n
     jet = L.jet
-    vv, vq = L.constant_hess_vv, L.constant_hess_vq
+    hessians = L.hessians
     lo, hi, phi, lee = _field_chart(atlas, chart)
     if n == 1:
         (lo,), (hi,) = lo, hi
-        m_const = None if vv is None else vv.item(0)
-        b_const = None if vq is None else vq.item(0)
+        mb = None if hessians is None else (hessians[1].item(0), hessians[2].item(0))
 
         def scalar_floats(xs: list) -> list:
             q, v = xs
@@ -400,21 +377,19 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                 atlas.require_inside(chart, np.array([q]))
             lval, (g,), (c,), M, hvq = jet([q], [v])
             (f,) = phi or lee([q])
-            m = m_const if m_const is not None else M.item(0)
+            m, b = mb or (M.item(0), hvq.item(0))
             if m == 0.0:
                 raise RegularityError("singular 1x1 velocity Hessian",
                                       condition=float("inf"))
-            b = b_const if b_const is not None else hvq.item(0)
             # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
             hv, s = 0.0 + b * v, 0.0 + f * v
             return [v, (g - hv + s * c - lval * f) / m]
 
         return _float_field(scalar_floats)
 
-    M_const = None if vv is None else vv.tolist()
     if n == 2:
         (lo0, lo1), (hi0, hi1) = lo, hi
-        B_const = None if vq is None else vq.tolist()
+        MB = None if hessians is None else (hessians[1].tolist(), hessians[2].tolist())
 
         def planar_floats(xs: list) -> list:
             q0, q1, v0, v1 = xs
@@ -422,14 +397,15 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                 atlas.require_inside(chart, np.array([q0, q1]))
             lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
             f0, f1 = phi or lee([q0, q1])
-            (m00, m01), (m10, m11) = B_const if B_const is not None else hvq.tolist()
+            M, ((m00, m01), (m10, m11)) = MB or (M.tolist(), hvq.tolist())
             s = 0.0 + _fma(f1, v1, f0 * v0)
             rhs = [g0 - (0.0 + _fma(m00, v0, m01 * v1)) + s * c0 - lval * f0,
                    g1 - (0.0 + _fma(m10, v0, m11 * v1)) + s * c1 - lval * f1]
-            return [v0, v1] + _solve_floats(
-                M_const if M_const is not None else M.tolist(), rhs, 1e12)
+            return [v0, v1] + _solve_floats(M, rhs, 1e12)
 
         return _float_field(planar_floats)
+
+    MB = None if hessians is None else (hessians[1].tolist(), hessians[2])
 
     def floats(xs: list) -> list:
         q, vs = xs[:n], xs[n:]
@@ -437,10 +413,10 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
             atlas.require_inside(chart, np.array(q))
         lval, gq, gv, M, hvq = jet(q, vs)
         f_q = phi or lee(q)
-        s, hv = _dot(f_q, vs), ((hvq if vq is None else vq) @ np.array(vs)).tolist()
+        M, B = MB or (M.tolist(), hvq)
+        s, hv = _dot(f_q, vs), (B @ np.array(vs)).tolist()
         rhs = [a - b + s * c - lval * f
                for a, b, c, f in zip(gq, hv, gv, f_q, strict=True)]
-        return vs + _solve_floats(M_const if M_const is not None else M.tolist(),
-                                  rhs, 1e12)
+        return vs + _solve_floats(M, rhs, 1e12)
 
     return _float_field(floats)

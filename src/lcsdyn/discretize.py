@@ -8,15 +8,14 @@ function; consumers multiply by exp(-sigma(q0)) where the per-chart local
 version is needed.
 
 ``midpoint_rule`` and ``trapezoidal_rule`` carry analytic chain-rule partials
-(the second partials read L's position Hessian: a declared
-``constant_hess_qq`` once, when the rule is built, and otherwise
-``L.hess_qq`` at every pair) and never consult the conformal factor.  When L
-declares all three Hessians (``constant_hess_qq``, ``constant_hess_vv`` and
-``constant_hess_vq``), the parts of the second partials that only they enter
-(the plain rules' d1d2, the d1d1 and d2d2 bases and the node terms of the
-conformal d1d2) are constants of the rule, computed once when it is built,
-and the jet's velocity Hessians are not read.  Their
-conformal companions
+(the second partials read L's position Hessian: under
+``L.constant_hessians`` the resolved one once, when the rule is built, and
+otherwise ``L.hess_qq`` at every pair) and never consult the conformal
+factor.  Under ``L.constant_hessians`` the parts of the second partials that
+only the Hessians enter (the plain rules' d1d2, the d1d1 and d2d2 bases and
+the node terms of the conformal d1d2) are constants of the rule, computed
+once when it is built from the Hessians L resolved at q = v = 0, and the
+jet's velocity Hessians are not read.  Their conformal companions
 ``conformal_midpoint_rule`` / ``conformal_trapezoidal_rule`` instead apply the
 quadrature rule to the chart-local Lagrangian exp(-sigma) L and re-express the
 result globally, e.g.
@@ -159,17 +158,20 @@ def _memoized_pair_rule(n: int, h: float, pair_data, same_from) -> DiscreteLagra
         d2d2=lambda q0, q1: same_from(at(q0, q1)[1], 1))
 
 
-def _hess_qq_of(L: ContinuousLagrangian) -> Callable[[list, list], list]:
-    """``qq(q, v)``: L's position Hessian at float sequences as a nested list.
+def _hessians_of(L: ContinuousLagrangian):
+    """``(qq, const)``: ``qq(q, v)``, L's position Hessian at float sequences
+    as a nested list, and node data ``(None, None, hess_vv, hess_vq)`` or None.
 
-    A declared ``constant_hess_qq`` is read once, here, and returned as a
-    shared list, which callers must not change; otherwise ``L.hess_qq`` is
-    called on fresh arrays.
+    Under ``L.constant_hessians`` qq returns the resolved position Hessian as
+    one shared list, which callers must not change, and const holds the
+    resolved velocity Hessians: every second-partial base below is then the
+    same at every node, a constant of the rule.  Otherwise qq calls
+    ``L.hess_qq`` on fresh arrays and const is None.
     """
-    if L.constant_hess_qq is not None:
-        qq = L.constant_hess_qq.tolist()
-        return lambda q, v: qq
-    return _on_lists(L.hess_qq, as_matrix)
+    if L.hessians is None:
+        return _on_lists(L.hess_qq, as_matrix), None
+    qq = L.hessians[0].tolist()
+    return (lambda q, v: qq), (None, None, *L.hessians[1:])
 
 
 def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
@@ -185,20 +187,10 @@ def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
             [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
 
 
-def _declared_node(L: ContinuousLagrangian):
-    """Node data ``(None, None, hess_vv, hess_vq)`` from L's declarations when
-    L declares all three Hessians, else None: every second-partial base
-    below is then the same at every node, a constant of the rule."""
-    if L.constant_hess_qq is None or L.constant_hess_vv is None \
-            or L.constant_hess_vq is None:
-        return None
-    return None, None, L.constant_hess_vv, L.constant_hess_vq
-
-
 def _midpoint_d1d2(qq, h: float, m: list, w: list, vv: np.ndarray, vq: np.ndarray
                    ) -> list:
     """d1d2 of the midpoint rule from its node data and the position Hessian
-    ``qq`` (see :func:`_hess_qq_of`), as a nested list:
+    ``qq`` (see :func:`_hessians_of`), as a nested list:
     0.5 (vq^T - vq) - vv / h + 0.25 h hess_qq."""
     vv, vq, qq, c = vv.tolist(), vq.tolist(), qq(m, w), 0.25 * h
     idx = range(len(vv))
@@ -216,11 +208,11 @@ def _midpoint_same(qq, h: float, k: int, m: list, w: list, vv: np.ndarray,
 
 def _midpoint_bases(L: ContinuousLagrangian, h: float):
     """``(d1d2, same)``: :func:`_midpoint_d1d2` and :func:`_midpoint_same`
-    (``same(node, k)``) as functions of the node data.  When L declares all
-    three Hessians both are constants of the rule, computed here once: d1d2
-    is a shared list, which callers must not change, and same returns
-    copies."""
-    qq, const = _hess_qq_of(L), _declared_node(L)
+    (``same(node, k)``) as functions of the node data.  Under
+    ``L.constant_hessians`` both are constants of the rule, computed here
+    once: d1d2 is a shared list, which callers must not change, and same
+    returns copies."""
+    qq, const = _hessians_of(L)
     if const is None:
         return (lambda node: _midpoint_d1d2(qq, h, *node),
                 lambda node, k: _midpoint_same(qq, h, k, *node))
@@ -278,10 +270,10 @@ def _trapezoidal_bases(L: ContinuousLagrangian, h: float):
     :func:`_trapezoidal_node` (``node(nodes, k)``) and node k's hess_vv / (2h)
     (``half_vv(nodes, k)``).  d1d1 (k = 0) or d2d2 (k = 1) of the plain rule
     is ``node(nodes, k) + half_vv(nodes, 1 - k)``: the other node's term
-    depends on q_k through w only.  When L declares all three Hessians all
+    depends on q_k through w only.  Under ``L.constant_hessians`` all
     four are constants of the rule, computed here once and shared, so
     callers must not change what they return."""
-    qq, const = _hess_qq_of(L), _declared_node(L)
+    qq, const = _hessians_of(L)
     if const is None:
         return (lambda nodes: _trapezoidal_d1d2(h, nodes),
                 lambda nodes: _trapezoidal_halves(h, nodes),

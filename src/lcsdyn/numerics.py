@@ -71,6 +71,15 @@ def _on_lists(f: Callable, out: Callable = as_vector) -> Callable:
     return lambda *xs: out(f(*map(np.array, xs))).tolist()
 
 
+def _rows(count: int, width: int) -> np.ndarray:
+    """``np.empty((count, width))``; a count numpy cannot index raises
+    ``MemoryError``, as one the machine cannot hold does."""
+    try:
+        return np.empty((count, width))
+    except ValueError as e:
+        raise MemoryError(str(e)) from e
+
+
 def _of_length(x, n: int, name: str) -> np.ndarray:
     """``as_vector(x)``, or ``ValueError`` naming ``n`` unless it has n components."""
     x = as_vector(x)

@@ -11,8 +11,9 @@ Each system is written once, as float jets (see ``ContinuousLagrangian``): a
 Lagrangian jet and, coded separately so that the Lagrangian and Hamiltonian
 flows stay independent checks of each other, a Hamiltonian jet.  The constant
 velocity Hessians are read-only identity and zero arrays that the jets return
-as they are; each Lagrangian declares them as ``constant_hess_vv`` and
-``constant_hess_vq`` and its constant position Hessian as ``constant_hess_qq``.
+as they are.  Every Lagrangian is quadratic, so each declares
+``constant_hessians`` and has its three Hessians read once, from its jet and
+``hess_qq`` at q = v = 0.
 Every sigma is linear in the chart coordinates, so every chart declares its
 constant Lee form.
 """
@@ -78,10 +79,9 @@ def _unit_hessians(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair(n: int, L_jet, H_jet, hess_qq: np.ndarray):
     """The Lagrangian and Hamiltonian of one system, from their two jets; the
-    Lagrangian declares hess_qq and the velocity Hessians of _unit_hessians."""
-    eye, zeros = _unit_hessians(n)
-    return (ContinuousLagrangian(n, L_jet, constant_hess_qq=hess_qq,
-                                 constant_hess_vv=eye, constant_hess_vq=zeros),
+    Lagrangian's constant position Hessian is ``hess_qq``, handed out as copies."""
+    return (ContinuousLagrangian(n, L_jet, lambda q, v: hess_qq.copy(),
+                                 constant_hessians=True),
             ContinuousHamiltonian(n, H_jet))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_vector
+from .numerics import _rows, as_vector
 
 
 @dataclass
@@ -39,7 +39,7 @@ class _MarchRecord:
     """
 
     def __init__(self, n: int, steps: int):
-        self.n, self.rows = n, np.empty((steps, 2 * n + 2))
+        self.n, self.rows = n, _rows(steps, 2 * n + 2)
         # element stores into the rows, without an array per step
         self._flat, self._end = memoryview(self.rows).cast("B").cast("d"), 0
 

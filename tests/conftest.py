@@ -75,6 +75,16 @@ def quadratic_planar():
     return dataclasses.replace(planar_2d(0.3, -0.2), lagrangian=L)
 
 
+def hollow(jet):
+    """``jet`` returning None in place of its Hessians except at q = v = 0,
+    where ``constant_hessians`` reads them once: a consumer that reads the
+    jet's Hessians anywhere else fails."""
+    def wrapped(q, v):
+        parts = jet(q, v)
+        return parts if not (any(q) or any(v)) else parts[:3] + (None, None)
+    return wrapped
+
+
 def harmonic_3d(c=(0.3, -0.2, 0.1)) -> System:
     """The 3-DOF harmonic oscillator with sigma = c . q (linear, so a constant
     Lee form); n = 3 takes the Newton solves past the closed-form 1x1 and 2x2

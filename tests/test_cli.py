@@ -327,17 +327,24 @@ def test_convergence_names_the_default_h_ref(tmp_path, capsys, h):
     assert "h_ref must divide" not in line
 
 
-@pytest.mark.parametrize("command", ["integrate", "convergence"])
-def test_run_too_large_to_allocate_is_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("config, argv", [
+    (dict(CONVERGENCE_CONFIG, method="rk4-lcshe", steps=10 ** 15), None),
+    (CONVERGENCE_CONFIG, ["--h", "0.1,0.05,0.025", "--h-ref", "1e-15"]),
+    (base_config(method="del", steps=10 ** 19), None),
+    (base_config(method="dlcel", steps=10 ** 19), None),
+    (dict(CONVERGENCE_CONFIG, method="rk4-lcel", steps=10 ** 19), None),
+    (dict(CONVERGENCE_CONFIG, method="rk4-lcshe", steps=2 ** 62), None),
+    (dict(CONVERGENCE_CONFIG, method="rk4-lcel"),
+     ["--h", "0.1,0.05,0.025", "--h-ref", "1e-300"]),
+], ids=["integrate", "convergence", "del_steps_1e19", "dlcel_steps_1e19",
+        "rk4_lcel_steps_1e19", "rk4_lcshe_steps_2e62", "convergence_h_ref_1e-300"])
+def test_run_too_large_to_allocate_is_config_error(tmp_path, capsys, config, argv):
     # 10**15 rows of (q, p) are 16 PB, more than any address space, so the
-    # allocation fails at once
-    if command == "integrate":
-        cfg = _write_config(tmp_path, dict(CONVERGENCE_CONFIG, method="rk4-lcshe",
-                                           steps=10 ** 15))
-        argv = ["integrate", "--config", cfg]
-    else:
-        argv = ["convergence", "--config", _write_config(tmp_path, CONVERGENCE_CONFIG),
-                "--h", "0.1,0.05,0.025", "--h-ref", "1e-15"]
+    # allocation fails at once; 10**19 and 2**62 rows, and the 10**300 of
+    # the reference at h_ref 1e-300, are more than numpy can even size
+    cfg = _write_config(tmp_path, config)
+    argv = ["integrate", "--config", cfg] if argv is None \
+        else ["convergence", "--config", cfg, *argv]
     assert main(argv) == EXIT_CONFIG
     assert "too large to allocate" in _one_config_error_line(capsys)
 

@@ -10,7 +10,7 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
                     make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate,
                     solve_linear)
-from conftest import harmonic_3d, quadratic_planar
+from conftest import harmonic_3d, hollow, quadratic_planar
 
 
 def hamilton_rates(H, atlas, q, p):
@@ -72,10 +72,9 @@ def test_acceleration_singular_hessian(harmonic):
         hess_qq=lambda q, v: np.zeros((1, 1)))
     with pytest.raises(RegularityError):
         acceleration(degenerate, harmonic.atlas, [0.0], [1.0])
-    # a declared zero mass is read when the field is built, and raises only
+    # a constant zero mass is read when the field is built, and raises only
     # when the field is called
-    declared = dataclasses.replace(degenerate, constant_hess_vv=[[0.0]],
-                                   constant_hess_vq=[[0.0]])
+    declared = dataclasses.replace(degenerate, constant_hessians=True)
     field = make_lcel_field(declared, harmonic.atlas, 0)
     with pytest.raises(RegularityError, match="singular 1x1"):
         field(np.array([0.0, 1.0]))
@@ -495,16 +494,15 @@ def test_rk4_float_entry_equals_public_field(system_fn):
 @pytest.mark.parametrize("system_fn", [coupled_1d, coupled_planar, quadratic_planar,
                                        mass_3d, harmonic_3d])
 def test_declared_velocity_hessians_give_the_jet_bits(system_fn):
-    # The n = 1, n = 2 and n >= 3 kernels and fiber_legendre_inv read declared
-    # Hessians once, when built: the declaring Lagrangian's jet returns None
-    # in their place.  Fields, RK4 runs and the inverse Legendre map keep the
-    # bits of the same Lagrangian read from its jet.
+    # The n = 1, n = 2 and n >= 3 kernels and fiber_legendre_inv read the
+    # Hessians that constant_hessians resolved at q = v = 0 once, when built:
+    # the declaring Lagrangian's jet returns None in their place elsewhere.
+    # Fields, RK4 runs and the inverse Legendre map keep the bits of the same
+    # Lagrangian without the flag, read from its jet.
     system = system_fn()
     n, L = system.n, system.lagrangian
-    _, _, _, M, B = L.jet([0.1] * n, [0.2] * n)
-    from_jet = ContinuousLagrangian(n, L.jet, L.hess_qq)
-    declared = ContinuousLagrangian(n, lambda q, v: L.jet(q, v)[:3] + (None, None),
-                                    L.hess_qq, constant_hess_vv=M, constant_hess_vq=B)
+    from_jet = dataclasses.replace(L, constant_hessians=False)
+    declared = dataclasses.replace(L, jet=hollow(L.jet), constant_hessians=True)
     want, got = (make_lcel_field(F, system.atlas, 0) for F in (from_jet, declared))
     rng = np.random.default_rng(8)
     for x in [*rng.uniform(-2, 2, (300, 2 * n)), np.zeros(2 * n), -np.zeros(2 * n)]:

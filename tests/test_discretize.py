@@ -12,7 +12,8 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
 from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
 from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
-from conftest import curved_planar, free_line_system, quadratic_planar, varying_mass
+from conftest import (curved_planar, free_line_system, hollow, quadratic_planar,
+                      varying_mass)
 
 
 def harmonic_exact_value(q0, q1, h):
@@ -594,16 +595,18 @@ def test_second_partials_keep_sigma_hessian_where_the_lee_form_vanishes(rule):
         assert np.max(np.abs(got(q0, q1) - fd)) <= 1e-8
 
 
-# --- a declared constant position Hessian ------------------------------------
+# --- constant Hessians ---------------------------------------------------------
 
 @pytest.mark.parametrize("rule", [rule for rule, _ in MEMO_RULES], ids=MEMO_IDS)
 def test_constant_hess_qq_gives_the_callable_bits(rule):
-    # the rules read a declared constant once; the same Lagrangian with only
-    # the callable gives bitwise the same jet, d1d1 and d2d2
+    # under constant_hessians the rules read the position Hessian resolved at
+    # q = v = 0 once; the same Lagrangian without the flag calls hess_qq at
+    # every pair and gives bitwise the same jet, d1d1 and d2d2
     system = planar_2d(0.3, -0.2)
     qq = np.array([[-1.0, 0.3], [0.3, -2.0]])
-    declared = ContinuousLagrangian(2, system.lagrangian.jet, constant_hess_qq=qq)
-    callable_only = ContinuousLagrangian(2, system.lagrangian.jet, lambda q, v: qq)
+    declared = ContinuousLagrangian(2, system.lagrangian.jet, lambda q, v: qq,
+                                    constant_hessians=True)
+    callable_only = dataclasses.replace(declared, constant_hessians=False)
     Ld_declared = rule(declared, system.atlas, 0, 0.1)
     Ld_callable = rule(callable_only, system.atlas, 0, 0.1)
     for q0, q1 in (([0.3, -0.2], [0.35, -0.1]), ([1.0, 0.5], [0.9, 0.7])):
@@ -613,54 +616,20 @@ def test_constant_hess_qq_gives_the_callable_bits(rule):
                 _bits(getattr(Ld_callable, part)(q0, q1))
 
 
-def test_constant_hess_qq_is_checked_and_copied():
-    jet = planar_2d().lagrangian.jet
-    qq = -np.eye(2)
-    L = ContinuousLagrangian(2, jet, constant_hess_qq=qq)
-    qq[0, 0] = 9.0  # the Lagrangian holds its own copy
-    got = L.hess_qq(np.zeros(2), np.zeros(2))
-    got[1, 1] = 9.0  # and its default hess_qq hands out copies
-    assert L.hess_qq(np.zeros(2), np.zeros(2)).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
-    with pytest.raises(ValueError, match="constant_hess_qq must have shape"):
-        ContinuousLagrangian(2, jet, constant_hess_qq=[[-1.0]])
-    with pytest.raises(ValueError, match="declare hess_qq or constant_hess_qq"):
-        ContinuousLagrangian(2, jet)
-
-
-def test_replacing_the_declared_hess_qq_replaces_the_default():
-    # the defaulted hess_qq follows the copy's own declaration
-    L = planar_2d().lagrangian
-    q, v = np.array([0.3, 0.4]), np.zeros(2)
-    twice = dataclasses.replace(L, constant_hess_qq=-2.0 * np.eye(2))
-    assert twice.hess_qq(q, v).tolist() == [[-2.0, 0.0], [0.0, -2.0]]
-    assert L.hess_qq(q, v).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
-    # an undeclared copy keeps the Hessian it was given, and so does a
-    # declared copy of a hess_qq given as a callable
-    undeclared = dataclasses.replace(L, constant_hess_qq=None)
-    assert undeclared.hess_qq(q, v).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
-    own = dataclasses.replace(L, hess_qq=lambda q, v: np.zeros((2, 2)))
-    assert dataclasses.replace(own, constant_hess_qq=-2.0 * np.eye(2)).hess_qq(
-        q, v).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-
-
-# --- declared constant velocity Hessians -------------------------------------
-
 @pytest.mark.parametrize("rule", [rule for rule, _ in MEMO_RULES], ids=MEMO_IDS)
 @pytest.mark.parametrize("flat", [False, True], ids=["conformal", "constant_sigma"])
 def test_constant_velocity_hessians_give_the_jet_bits(rule, flat):
-    # with all three Hessians declared the rules read them once, when built:
-    # the declaring Lagrangian's jet returns None in place of hess_vv and
-    # hess_vq.  The jet, d1d1 and d2d2 keep the bits of the same Lagrangian
-    # read from its jet and hess_qq, on a chart with a nonzero and with a
-    # zero Lee form (the conformal rules' two branches).
+    # under constant_hessians the rules read the three Hessians resolved at
+    # q = v = 0 once, when built: the declaring Lagrangian's jet returns None
+    # in place of hess_vv and hess_vq elsewhere.  The jet and every part keep
+    # the bits of the same Lagrangian without the flag, read from its jet and
+    # hess_qq, on a chart with a nonzero and with a zero Lee form (the
+    # conformal rules' two branches).
     system = quadratic_planar()
     atlas = with_constant_sigma(system).atlas if flat else system.atlas
-    jet, hess_qq = system.lagrangian.jet, system.lagrangian.hess_qq
-    _, _, _, M, B = jet([0.1, 0.2], [0.3, 0.4])
-    declared = ContinuousLagrangian(2, lambda q, v: jet(q, v)[:3] + (None, None),
-                                    constant_hess_qq=hess_qq(None, None),
-                                    constant_hess_vv=M, constant_hess_vq=B)
-    from_jet = ContinuousLagrangian(2, jet, hess_qq)
+    L = system.lagrangian
+    declared = dataclasses.replace(L, jet=hollow(L.jet), constant_hessians=True)
+    from_jet = dataclasses.replace(L, constant_hessians=False)
     Ld_declared = rule(declared, atlas, 0, 0.1)
     Ld_jet = rule(from_jet, atlas, 0, 0.1)
     for q0, q1 in (([0.3, -0.2], [0.35, -0.1]), ([1.0, 0.5], [0.9, 0.7]),
@@ -675,21 +644,26 @@ def test_constant_velocity_hessians_give_the_jet_bits(rule, flat):
                     _bits(getattr(Ld_jet, part)(q0, q1)), part
 
 
-def test_constant_velocity_hessians_are_checked_and_copied():
+def test_constant_hessians_are_checked_and_read_only():
+    # the flag reads each Hessian once, at q = v = 0, into a read-only copy;
+    # a part without shape (2, 2) raises ValueError naming it
     jet = planar_2d().lagrangian.jet
-    vv, vq = np.eye(2), np.zeros((2, 2))
-    L = ContinuousLagrangian(2, jet, constant_hess_qq=-np.eye(2), constant_hess_vv=vv,
-                             constant_hess_vq=vq)
-    vv[0, 0], vq[0, 1] = 9.0, 9.0  # the Lagrangian holds its own read-only copies
-    assert L.constant_hess_vv.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert L.constant_hess_vq.tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    for part in (L.constant_hess_qq, L.constant_hess_vv, L.constant_hess_vq):
+    qq = -np.eye(2)
+    L = ContinuousLagrangian(2, jet, lambda q, v: qq, constant_hessians=True)
+    qq[0, 0] = 9.0  # the Lagrangian holds its own copy
+    assert [part.tolist() for part in L.hessians] == \
+        [[[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    for part in L.hessians:
         with pytest.raises(ValueError, match="read-only"):
             part[1, 1] = 9.0
-    for name in ("constant_hess_vv", "constant_hess_vq"):
-        for wrong in ([[1.0]], [1.0, 0.0], np.eye(3)):
+    assert ContinuousLagrangian(2, jet, lambda q, v: qq).hessians is None
+    for wrong in ([[1.0]], [1.0, 0.0], np.eye(3)):
+        for name, jet_, hess_qq in (
+                ("hess_qq", jet, lambda q, v: wrong),
+                ("hess_vv", lambda q, v: (*jet(q, v)[:3], wrong, jet(q, v)[4]), L.hess_qq),
+                ("hess_vq", lambda q, v: (*jet(q, v)[:4], wrong), L.hess_qq)):
             with pytest.raises(ValueError, match=f"{name} must have shape"):
-                ContinuousLagrangian(2, jet, constant_hess_qq=-np.eye(2), **{name: wrong})
+                ContinuousLagrangian(2, jet_, hess_qq, constant_hessians=True)
 
 
 def _jet_bits(jet) -> bytes:

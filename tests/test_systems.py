@@ -109,15 +109,22 @@ def test_catalog_charts_declare_their_lee_form(system_fn):
 @pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle,
                                        rotor_extended_chart, harmonic_3d])
 def test_catalog_declares_its_jets_hessians(system_fn):
-    # the fields and rules read the declarations instead of the jet's parts,
-    # so the two must agree; the arrays the jets return are read-only
+    # every catalog Lagrangian declares constant_hessians, and the fields and
+    # rules read the Hessians it resolved at q = v = 0 instead of the jet's
+    # parts, so the two must agree everywhere; the arrays the jets return are
+    # read-only
     L = system_fn().lagrangian
+    assert L.constant_hessians
+    qq, vv, vq = L.hessians
     for q, v in _points(L.n):
         _, _, _, hvv, hvq = L.jet(q.tolist(), v.tolist())
-        assert hvv.tobytes() == L.constant_hess_vv.tobytes()
-        assert hvq.tobytes() == L.constant_hess_vq.tobytes()
-        assert L.hess_qq(q, v).tobytes() == L.constant_hess_qq.tobytes()
-    for part in (hvv, hvq, L.constant_hess_qq, L.constant_hess_vv, L.constant_hess_vq):
+        assert hvv.tobytes() == vv.tobytes()
+        assert hvq.tobytes() == vq.tobytes()
+        assert L.hess_qq(q, v).tobytes() == qq.tobytes()
+    got = L.hess_qq(q, v)
+    got *= 2.0  # hess_qq hands out copies
+    assert L.hess_qq(q, v).tobytes() == qq.tobytes()
+    for part in (hvv, hvq, qq, vv, vq):
         with pytest.raises(ValueError, match="read-only"):
             part *= 2.0
 
