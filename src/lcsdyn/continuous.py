@@ -24,8 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas, _chart_floats
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _dot, _fma, _newton, _rows, _solve_floats,
-                       as_vector, fd_jacobian)
+from .numerics import (StepperConfig, _dot, _newton, _rows, _solver, as_vector,
+                       fd_jacobian)
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -283,11 +283,6 @@ def _field_chart(atlas: ConformalAtlas, chart: int):
     return ch.lower.tolist(), ch.upper.tolist(), phi, _chart_floats(ch)[1]
 
 
-# numpy's 2-element dot x @ y rounds as 0.0 + _fma(x1, y1, x0 * y0), and row i
-# of a 2x2 matvec m @ v as 0.0 + _fma(m_i0, v0, m_i1 * v1), the 0.0 being
-# numpy's accumulator (it turns a -0.0 sum into +0.0): the n = 2 kernels below
-# reproduce both on floats (tests/test_numerics.py checks the assumption).
-
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
@@ -296,9 +291,11 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     once, and ``pdot`` is assembled on Python floats:
     reference integrations call this field hundreds of thousands of times.
     For n = 1 and n = 2 the kernel is chosen here and works on unpacked
-    scalars; the n = 2 dot products round as numpy's fused ones do.  For
-    n >= 3 the dot products stay numpy calls.  A ``grad_q``, ``grad_p`` or
-    Lee form without n components raises ``ValueError``.
+    scalars, its dot products written out as ``numerics._dot`` forms them
+    (``0.0 + a0 b0 + a1 b1``, Python's double arithmetic in that order, no
+    fused operation).  For n >= 3 the dot products stay numpy calls.  A
+    ``grad_q``, ``grad_p`` or Lee form without n components raises
+    ``ValueError``.
     """
     n = H.n
     jet = H.jet
@@ -327,7 +324,7 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                 atlas.require_inside(chart, np.array([q0, q1]))
             hval, (g0, g1), (d0, d1) = jet([q0, q1], [p0, p1])
             f0, f1 = phi or lee([q0, q1])
-            s_p, s_phi = 0.0 + _fma(p1, d1, p0 * d0), 0.0 + _fma(f1, d1, f0 * d0)
+            s_p, s_phi = 0.0 + p0 * d0 + p1 * d1, 0.0 + f0 * d0 + f1 * d1
             return [d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
                     -g1 - (f1 * s_p - p1 * s_phi) + hval * f1]
 
@@ -353,15 +350,17 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
 
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
     floats from one jet evaluation, by a kernel on unpacked scalars when
-    n <= 2 (the n = 2 dot products and ``hess_vq @ v`` rounded as numpy's
-    fused ones), and a ``grad_q``, ``grad_v`` or Lee form without n
-    components raises ``ValueError``.  The acceleration solves
-    ``hess_vv a = rhs`` by one division when n = 1 and otherwise by
-    ``numerics._solve_floats`` (in closed form behind its screen when n = 2),
-    raising :class:`RegularityError` as it does.  Under ``constant_hessians``
+    n <= 2 (the n = 2 dot product and rows of ``hess_vq @ v`` written out as
+    ``numerics._dot`` forms them), and a ``grad_q``, ``grad_v`` or Lee form
+    without n components raises ``ValueError``.  The acceleration solves
+    ``hess_vv a = rhs`` by one division when n = 1 and otherwise as
+    ``numerics._solve_floats`` solves (in closed form behind its screen when
+    n = 2), raising :class:`RegularityError` as it does.  Under ``constant_hessians``
     the resolved ``hess_vv`` and ``hess_vq`` are read here, once, as floats
-    (n = 1), nested lists or, for ``hess_vq`` when n >= 3, the array;
-    otherwise both are read from the jet at every call.
+    (n = 1), nested lists or, for ``hess_vq`` when n >= 3, the array, and for
+    n >= 2 ``hess_vv`` becomes a ``numerics._solver``, which screens a 2x2
+    one here, once; otherwise both are read, and the solve screened, at every
+    call.
     """
     n = L.n
     jet = L.jet
@@ -389,7 +388,8 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
 
     if n == 2:
         (lo0, lo1), (hi0, hi1) = lo, hi
-        MB = None if hessians is None else (hessians[1].tolist(), hessians[2].tolist())
+        SB = None if hessians is None else (_solver(hessians[1].tolist(), 1e12),
+                                            hessians[2].tolist())
 
         def planar_floats(xs: list) -> list:
             q0, q1, v0, v1 = xs
@@ -397,15 +397,15 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                 atlas.require_inside(chart, np.array([q0, q1]))
             lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
             f0, f1 = phi or lee([q0, q1])
-            M, ((m00, m01), (m10, m11)) = MB or (M.tolist(), hvq.tolist())
-            s = 0.0 + _fma(f1, v1, f0 * v0)
-            rhs = [g0 - (0.0 + _fma(m00, v0, m01 * v1)) + s * c0 - lval * f0,
-                   g1 - (0.0 + _fma(m10, v0, m11 * v1)) + s * c1 - lval * f1]
-            return [v0, v1] + _solve_floats(M, rhs, 1e12)
+            solve, ((m00, m01), (m10, m11)) = SB or (_solver(M.tolist(), 1e12), hvq.tolist())
+            s = 0.0 + f0 * v0 + f1 * v1
+            rhs = [g0 - (0.0 + m00 * v0 + m01 * v1) + s * c0 - lval * f0,
+                   g1 - (0.0 + m10 * v0 + m11 * v1) + s * c1 - lval * f1]
+            return [v0, v1] + solve(rhs)
 
         return _float_field(planar_floats)
 
-    MB = None if hessians is None else (hessians[1].tolist(), hessians[2])
+    SB = None if hessians is None else (_solver(hessians[1].tolist(), 1e12), hessians[2])
 
     def floats(xs: list) -> list:
         q, vs = xs[:n], xs[n:]
@@ -413,10 +413,10 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
             atlas.require_inside(chart, np.array(q))
         lval, gq, gv, M, hvq = jet(q, vs)
         f_q = phi or lee(q)
-        M, B = MB or (M.tolist(), hvq)
+        solve, B = SB or (_solver(M.tolist(), 1e12), hvq)
         s, hv = _dot(f_q, vs), (B @ np.array(vs)).tolist()
         rhs = [a - b + s * c - lval * f
                for a, b, c, f in zip(gq, hv, gv, f_q, strict=True)]
-        return vs + _solve_floats(M, rhs, 1e12)
+        return vs + solve(rhs)
 
     return _float_field(floats)

@@ -72,7 +72,7 @@ from .atlas import Chart, ConformalAtlas, _chart_floats, transition_apply
 from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
-                       _newton_result, _of_length, _on_lists, _solve_floats, _sub,
+                       _newton_result, _of_length, _on_lists, _rows, _solve_floats, _sub,
                        _transposed, _transposed_matvec, as_matrix, as_vector)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_solve, _dp_minus_dq0,
@@ -464,10 +464,13 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     conformal step is posed on the active chart with the generating Ld.  For
     Lagrangian-generated Hamiltonians the sign of det d1d2 along consecutive
     pairs is monitored; a flip means the momentum inversion jumped to a
-    different branch and the march aborts with the partial trajectory.
+    different branch and the march aborts with the partial trajectory.  A
+    march of more points than could be held raises ``MemoryError`` before
+    its first step, as ``integrate`` does.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _rows(N + 1, 3 * Hd.n)  # room for every point's q, p and r, or MemoryError
     q, p = as_vector(q0), _of_length(p0, Hd.n, "p")
     atlas.require_inside(chart, q)
     Ld = _require_source(Hd).Ld if conformal else None

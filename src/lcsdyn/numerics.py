@@ -5,6 +5,7 @@ All residual norms are infinity norms and all finite differences are central.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -170,8 +171,10 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
     list of n floats and a callable of no arguments that returns the Jacobian
     at x as an (n, n) nested list; the Jacobian is asked for only at accepted
     iterates, so one evaluation per iterate can serve both.  Returns
-    ``(x, iterations, residual)``.  The updates ``x + step dx``, the residual
-    norm and the 1x1 and 2x2 solves round as numpy's would.
+    ``(x, iterations, residual)``.  It is Python's own double arithmetic in
+    the order written, without fused operations: the updates ``x + step dx``
+    and the residual norm round as numpy's elementwise forms would, and each
+    step solves with :func:`_solve_floats`.
     """
     x = x0
     r, jac = system(x)
@@ -215,56 +218,19 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
         residual=rnorm, iterations=cfg.max_iter)
 
 
-# Veltkamp's splitter 2^27 + 1 splits a double into two 26-bit halves.  The
-# split and Dekker's product below are exact while the factors stay at most
-# 2^995 (splitter * factor does not overflow) and the rounded product lies in
-# [2^-968, 2^1020] (no partial product underflows below 2^-1074 or overflows).
-_SPLITTER = 134217729.0
-_SPLIT_MAX = 2.0 ** 995
-_PRODUCT_MIN, _PRODUCT_MAX = 2.0 ** -968, 2.0 ** 1020
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it.
-
-    Dekker's TwoProduct gives ``p + e == a * b`` exactly and ``math.fsum``
-    rounds ``p + e + c`` correctly.  A zero factor returns ``p + c``, which
-    carries IEEE's signed zero; products outside the exact range and
-    non-finite inputs go to :func:`_fma_exact`.  Never raises.
-    """
-    p = a * b
-    if a == 0.0 or b == 0.0:
-        return p + c
-    if not (_PRODUCT_MIN <= abs(p) <= _PRODUCT_MAX
-            and abs(a) <= _SPLIT_MAX and abs(b) <= _SPLIT_MAX):
-        return _fma_exact(a, b, c)
-    t = _SPLITTER * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    t = _SPLITTER * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    e = (((a_hi * b_hi - p) + a_hi * b_lo) + a_lo * b_hi) + a_lo * b_lo
-    try:
-        s = math.fsum((p, e, c))
-    except OverflowError:
-        return _fma_exact(a, b, c)
-    # fsum leaves the sign of an exact zero unspecified; here p != 0, so the
-    # zero needs e == 0 and c == -p, and p + c is IEEE's +0.0
-    return s if s else p + c
-
-
 def _dot(x, y) -> float:
-    """``x @ y`` of two float sequences, rounded as numpy's dot rounds it.
+    """``x @ y`` of two float sequences.
 
-    One component is ``0.0 + x0 y0`` and two are ``0.0 + fma(x1, y1, x0 y0)``
-    (the 0.0 is numpy's accumulator, which turns a -0.0 sum into +0.0);
-    longer vectors go to numpy itself.
+    One component is ``0.0 + x0 y0`` and two are ``0.0 + x0 y0 + x1 y1``:
+    Python's own IEEE double arithmetic in the order written, each product
+    rounded and the sum taken left to right from a 0.0 accumulator (kept, as
+    numpy keeps it, so that -0.0 products sum to +0.0), with no fused
+    multiply-add, so the bits depend on no BLAS.  Longer vectors go to numpy.
     """
     if len(x) == 1:
         return 0.0 + x[0] * y[0]
     if len(x) == 2:
-        return 0.0 + _fma(x[1], y[1], x[0] * y[0])
+        return 0.0 + x[0] * y[0] + x[1] * y[1]
     return float(np.array(x) @ np.array(y))
 
 
@@ -281,9 +247,9 @@ def _transposed(M) -> list:
 
 
 def _transposed_matvec(M: list, y: list) -> list:
-    """``M.T @ y`` of a nested list M built as a C-ordered array, rounded as
-    numpy rounds it: for n <= 2 each component is :func:`_dot` of a column
-    of M with y; larger systems go to numpy itself."""
+    """``M.T @ y`` of a nested list M: for n <= 2 component j is
+    :func:`_dot` of column j of M with y, in its order and rounding; larger
+    systems go to numpy itself."""
     if len(y) <= 2:
         return [_dot(col, y) for col in zip(*M)]
     return (np.array(M).T @ np.array(y)).tolist()
@@ -298,39 +264,30 @@ def _det_sign(M: list) -> float:
     return float(np.sign(np.linalg.det(np.array(M))))
 
 
-def _fma_exact(a: float, b: float, c: float) -> float:
-    """:func:`_fma` for nonzero factors outside its exact range, in rationals."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return a * b + c
-    if not math.isfinite(c):
-        return c
-    from fractions import Fraction
-
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if not exact:
-        return 0.0
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
 def _solve_floats(A: list, b: list, cond_limit: float) -> list:
     """Solve A x = b on a nested list and a list; raise
-    :class:`RegularityError` when cond(A) exceeds ``cond_limit``.
-
-    A 1x1 system is one division and raises only when its entry is zero or
-    not finite.  A 2x2 system is solved in closed form by :func:`_solve_2x2`;
-    any other system, and a 2x2 one that fails its screen, as ``inv(A) @ b``
-    with the check of :func:`_checked_inverse`.
-    """
+    :class:`RegularityError` when cond(A) exceeds ``cond_limit``.  A 1x1
+    system is one division, raising only on a zero or non-finite entry; a 2x2
+    one that passes :func:`_screened_det` is :func:`_cramer`; any other is
+    ``inv(A) @ b`` with the check of :func:`_checked_inverse`."""
     if len(b) == 1:
         return [b[0] / _divisor(A[0][0])]
-    x = _solve_2x2(A, b, cond_limit) if len(b) == 2 else None
-    if x is None:
-        A_inv = _checked_inverse(np.array(A), cond_limit, "ill-conditioned linear system")
-        x = (A_inv @ np.array(b)).tolist()
-    return x
+    det = _screened_det(A, cond_limit) if len(b) == 2 else None
+    if det is not None:
+        return _cramer(A, det, b)
+    A_inv = _checked_inverse(np.array(A), cond_limit, "ill-conditioned linear system")
+    return (A_inv @ np.array(b)).tolist()
+
+
+def _solver(A: list, cond_limit: float) -> Callable[[list], list]:
+    """``b -> _solve_floats(A, b, cond_limit)`` for a fixed nested list A,
+    with the same bits and errors.  A 2x2 A is screened here, once: when it
+    passes, each call is :func:`_cramer` with the stored det; otherwise each
+    call is :func:`_solve_floats`, which raises as it does."""
+    det = _screened_det(A, cond_limit) if len(A) == 2 else None
+    if det is None:
+        return lambda b: _solve_floats(A, b, cond_limit)
+    return functools.partial(_cramer, A, det)
 
 
 def solve_linear(A: np.ndarray, b: Vector, cond_limit: float = 1e12) -> np.ndarray:
@@ -351,22 +308,21 @@ def _divisor(a: float) -> float:
     return a
 
 
-def _solve_2x2(A: list, b: list, cond_limit: float) -> list | None:
-    """Cramer's rule for a 2x2 system in floats, or None when it is doubtful.
-
-    ``A`` is a nested list ``[[a, b], [c, d]]``.  The screen is that of
-    :func:`_checked_inverse`: for a 2x2 matrix ``||A||_F ||inv(A)||_F`` equals
-    ``||A||_F^2 / |det A|``, and the solution is returned only when that bound
-    is at most ``cond_limit / 4`` and det A is finite and nonzero.  On None
-    the caller takes the checked-inverse path, which runs the SVD and raises.
-    """
+def _screened_det(A: list, cond_limit: float) -> float | None:
+    """det A of a 2x2 nested list ``[[a, b], [c, d]]``, or None when A fails
+    :func:`_checked_inverse`'s screen: for a 2x2 matrix ``||A||_F ||inv(A)||_F``
+    is ``||A||_F^2 / |det A|``, which must be at most ``cond_limit / 4``, with
+    det A finite and nonzero."""
     (a, b01), (c, d) = A
-    r0, r1 = b
     det = a * d - b01 * c
-    if not (0.0 < abs(det) < math.inf
-            and a * a + b01 * b01 + c * c + d * d <= 0.25 * cond_limit * abs(det)):
-        return None
-    return [(d * r0 - b01 * r1) / det, (a * r1 - c * r0) / det]
+    bounded = a * a + b01 * b01 + c * c + d * d <= 0.25 * cond_limit * abs(det)
+    return det if bounded and 0.0 < abs(det) < math.inf else None
+
+
+def _cramer(A: list, det: float, b: list) -> list:
+    """Cramer's rule for a 2x2 nested list A whose determinant is ``det``."""
+    (a, b01), (c, d) = A
+    return [(d * b[0] - b01 * b[1]) / det, (a * b[1] - c * b[0]) / det]
 
 
 def _checked_inverse(A: np.ndarray, cond_limit: float, what: str) -> np.ndarray:

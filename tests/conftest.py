@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +119,85 @@ def array_dp_minus_dq0(Ld, q0, q1, phi0, hess0) -> np.ndarray:
     """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld."""
     return (hess0 * float(Ld.value(q0, q1)) + np.outer(phi0, as_vector(Ld.d1(q0, q1)))
             - np.atleast_2d(Ld.d1d1(q0, q1)))
+
+
+# The float path's bit contract, computed without the float unit or a BLAS:
+# IEEE double arithmetic in the order the code states, each operation rounded
+# once, to nearest with ties to even.  Finite nonzero results are formed in
+# exact rationals and rounded by CPython's int division, which rounds
+# correctly; a zero, infinite or NaN input or an exact zero result needs no
+# rounding and takes IEEE's value and sign from the float operation.
+
+def _nearest(exact: Fraction) -> float:
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def rounded_mul(a: float, b: float) -> float:
+    a, b = float(a), float(b)
+    if a and b and math.isfinite(a) and math.isfinite(b):
+        return _nearest(Fraction(a) * Fraction(b))
+    return a * b
+
+
+def rounded_add(a: float, b: float) -> float:
+    a, b = float(a), float(b)
+    if math.isfinite(a) and math.isfinite(b) and a != -b:
+        return _nearest(Fraction(a) + Fraction(b))
+    return a + b
+
+
+def rounded_div(a: float, b: float) -> float:
+    a, b = float(a), float(b)
+    if a and b and math.isfinite(a) and math.isfinite(b):
+        return _nearest(Fraction(a) / Fraction(b))
+    return a / b
+
+
+def rounded_dot(x, y) -> float:
+    """x @ y summed left to right onto 0.0, each product and sum rounded once."""
+    acc = 0.0
+    for a, b in zip(x, y, strict=True):
+        acc = rounded_add(acc, rounded_mul(a, b))
+    return acc
+
+
+def reference_dot(x, y) -> float:
+    """x @ y as the library defines it: :func:`rounded_dot` for at most two
+    components, numpy's dot for more."""
+    x, y = as_vector(x), as_vector(y)
+    return rounded_dot(x.tolist(), y.tolist()) if x.size <= 2 else float(x @ y)
+
+
+def reference_matvec(M, y) -> np.ndarray:
+    """M @ y as the library defines it: a :func:`rounded_dot` per row for at
+    most two columns, numpy's matvec for more."""
+    M, y = np.atleast_2d(M), as_vector(y)
+    if y.size > 2:
+        return M @ y
+    return np.array([rounded_dot(row, y.tolist()) for row in M.tolist()])
+
+
+def reference_solve(M, b) -> np.ndarray:
+    """M x = b as the library solves a well-conditioned system: one division
+    for n = 1, Cramer's rule rounded per operation for n = 2, inv(M) @ b for
+    larger n."""
+    M, b = np.atleast_2d(M), as_vector(b)
+    if b.size == 1:
+        return b / M[0, 0]
+    if b.size > 2:
+        return np.linalg.inv(M) @ b
+    (m00, m01), (m10, m11) = M.tolist()
+    r0, r1 = b.tolist()
+
+    def cross(w, x, y, z):  # w x - y z
+        return rounded_add(rounded_mul(w, x), -rounded_mul(y, z))
+
+    det = cross(m00, m11, m01, m10)
+    return np.array([rounded_div(cross(m11, r0, m01, r1), det),
+                     rounded_div(cross(m00, r1, m10, r0), det)])
 
 
 def rotor_with_shifted_chart(c: float = -0.1, shift: float = 0.7) -> System:

@@ -332,11 +332,14 @@ def test_convergence_names_the_default_h_ref(tmp_path, capsys, h):
     (CONVERGENCE_CONFIG, ["--h", "0.1,0.05,0.025", "--h-ref", "1e-15"]),
     (base_config(method="del", steps=10 ** 19), None),
     (base_config(method="dlcel", steps=10 ** 19), None),
+    *[(base_config(method=m, steps=10 ** 19, initial={"q": [1.0], "p": [0.0]}), None)
+      for m in ("rd", "ld", "rdlch", "ldlch")],
     (dict(CONVERGENCE_CONFIG, method="rk4-lcel", steps=10 ** 19), None),
     (dict(CONVERGENCE_CONFIG, method="rk4-lcshe", steps=2 ** 62), None),
     (dict(CONVERGENCE_CONFIG, method="rk4-lcel"),
      ["--h", "0.1,0.05,0.025", "--h-ref", "1e-300"]),
 ], ids=["integrate", "convergence", "del_steps_1e19", "dlcel_steps_1e19",
+        "rd_steps_1e19", "ld_steps_1e19", "rdlch_steps_1e19", "ldlch_steps_1e19",
         "rk4_lcel_steps_1e19", "rk4_lcshe_steps_2e62", "convergence_h_ref_1e-300"])
 def test_run_too_large_to_allocate_is_config_error(tmp_path, capsys, config, argv):
     # 10**15 rows of (q, p) are 16 PB, more than any address space, so the
@@ -439,9 +442,8 @@ def test_initial_point_outside_start_chart_is_config_error(tmp_path, capsys,
 
 # Edge configs for the Hamiltonian and conformal Lagrangian marches and the RK4
 # references.  Each case gives the (q, p) start and, for dlcel, the seed pair
-# (q0, q1).  planar_p_1e200 and planar_sigma_1e308 take the n = 2 RK4 kernels'
-# fused dot products past the exact split range, into numerics._fma's
-# rational fallback.
+# (q0, q1).  planar_p_1e200 and planar_sigma_1e308 overflow the n = 2 RK4
+# kernels' products and dot products.
 EDGE_CASES = {
     "h_50": {"h": 50.0},
     "h_1e-300": {"h": 1e-300},

@@ -8,9 +8,10 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     ContinuousLagrangian, IntegrationError, RegularityError,
                     divergence_numeric, energy, fiber_legendre,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
-                    make_lcel_field, make_lcshe_field, planar_2d, rk4_integrate,
-                    solve_linear)
-from conftest import harmonic_3d, hollow, quadratic_planar
+                    make_lcel_field, make_lcshe_field, numerics, planar_2d,
+                    rk4_integrate, solve_linear)
+from conftest import (harmonic_3d, hollow, quadratic_planar, reference_dot,
+                      reference_matvec, reference_solve)
 
 
 def hamilton_rates(H, atlas, q, p):
@@ -252,7 +253,9 @@ def test_rk4_rejects_nan_step():
 
 
 # The numpy RK4 loop and field formulas the float-level kernel replaced, kept
-# as the reference that it must reproduce bit for bit.
+# as the reference that it must reproduce bit for bit.  Their dot products,
+# matvecs and 2x2 solves are conftest's, which round per operation for n <= 2
+# without numpy's BLAS.
 
 def _reference_rk4(field, x0, h, steps):
     x = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -276,7 +279,7 @@ def _reference_lcshe_field(H, atlas, chart):
         phi = grad(q)
         qdot = np.asarray(H.grad_p(q, p), dtype=float)
         pdot = -np.asarray(H.grad_q(q, p), dtype=float) \
-            - (phi * float(p @ qdot) - p * float(phi @ qdot)) \
+            - (phi * reference_dot(p, qdot) - p * reference_dot(phi, qdot)) \
             + H.value(q, p) * phi
         return np.concatenate([qdot, pdot])
 
@@ -290,13 +293,9 @@ def _reference_lcel_field(L, atlas, chart):
         q, v = x[:n], x[n:]
         phi = grad(q)
         gv = np.asarray(L.grad_v(q, v), dtype=float)
-        rhs = np.asarray(L.grad_q(q, v), dtype=float) - L.hess_vq(q, v) @ v \
-            + float(phi @ v) * gv - L.value(q, v) * phi
-        M = L.hess_vv(q, v)
-        # n >= 3 as inv(M) @ rhs: LU can round a zero to the other sign
-        acc = rhs / M[0, 0] if n == 1 else np.linalg.solve(M, rhs) if n == 2 \
-            else np.linalg.inv(M) @ rhs
-        return np.concatenate([v, acc])
+        rhs = np.asarray(L.grad_q(q, v), dtype=float) - reference_matvec(L.hess_vq(q, v), v) \
+            + reference_dot(phi, v) * gv - L.value(q, v) * phi
+        return np.concatenate([v, reference_solve(L.hess_vv(q, v), rhs)])
 
     return field
 
@@ -381,8 +380,8 @@ def test_rk4_fields_bitwise_equal_numpy_reference(system_fn):
 
 
 def test_lcel_field_matches_reference_with_coupled_hessians():
-    # L = v.Mv/2 + v.Bq - q.Kq/2: non-identity hess_vv = M, hess_vq = B != 0.
-    # solve_linear goes through inv(M), which rounds differently from LU.
+    # L = v.Mv/2 + v.Bq - q.Kq/2: non-identity hess_vv = M, hess_vq = B != 0,
+    # read from the jet at every call.
     M = np.array([[2.0, 0.3], [0.3, 0.7]])
     B = np.array([[0.0, 0.4], [-0.25, 0.1]])
     K = np.array([[1.0, 0.2], [0.2, 1.5]])
@@ -397,7 +396,7 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
     x0 = np.array([0.6, -0.4, 0.2, 0.9])
     got = rk4_integrate(make_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
     want = _reference_rk4(_reference_lcel_field(L, system.atlas, 0), x0, 1e-3, 500)
-    assert np.max(np.abs(got - want)) <= 1e-13
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sigma, x", [
@@ -407,9 +406,8 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
     ([0.3, 0.1], [0.1, 0.1, 1e200, 1e200]),
     ([0.3, 0.1], [0.1, 0.1, 1e160, -1e160]),
 ])
-def test_planar_fields_equal_numpy_outside_the_exact_split_range(sigma, x):
-    # products too large or too small for Dekker's split take _fma's rational
-    # fallback, which must still round as numpy's fused dot does
+def test_planar_fields_round_per_operation_at_extreme_magnitudes(sigma, x):
+    # products and sums that overflow, underflow into subnormals or cancel
     system = planar_2d(*sigma)
     for make, reference, F in (
             (make_lcel_field, _reference_lcel_field, system.lagrangian),
@@ -436,20 +434,20 @@ def inverted_planar():
     (lambda: planar_2d(-0.3, 0.1), make_lcshe_field),
     (lambda: planar_2d(-0.3, 0.1), make_lcel_field),
     (lambda: planar_2d(0.3, 0.1), make_lcshe_field),
+    (lambda: planar_2d(0.3, 0.1), make_lcel_field),
     (lambda: planar_2d(0.0, -0.3), make_lcel_field),
     (coupled_planar, make_lcshe_field),
     (coupled_planar, make_lcel_field),
     (inverted_planar, make_lcshe_field),
 ], ids=["planar_2d(-0.3,0.1)-lcshe", "planar_2d(-0.3,0.1)-lcel", "planar_2d(0.3,0.1)-lcshe",
-        "planar_2d(0,-0.3)-lcel", "coupled_planar-lcshe", "coupled_planar-lcel",
+        "planar_2d(0.3,0.1)-lcel", "planar_2d(0,-0.3)-lcel", "coupled_planar-lcshe", "coupled_planar-lcel",
         "inverted_planar-lcshe"])
-def test_planar_fields_round_signed_zeros_as_numpy(system_fn, make):
-    # numpy's 2-element dot and 2x2 matvec add their products to a zero
+def test_planar_fields_round_signed_zeros_per_operation(system_fn, make):
+    # The 2-element dot and 2x2 matvec add their products to a 0.0
     # accumulator, so a -0.0 sum comes out +0.0: every state with components
     # in {+-0, +-1, +-5e-324}.  Each dot and matvec row of the n = 2 kernels
-    # shows a -0.0 in one of these cases.  The lcel field of planar_2d(0.3,
-    # 0.1) is left out: its closed-form 2x2 solve keeps a -0.0 sign that
-    # numpy's LU solve drops, at 4 of these states.
+    # shows a -0.0 in one of these cases, and the 2x2 solve's Cramer's rule
+    # keeps the sign its own products and differences give.
     system = system_fn()
     F = system.hamiltonian if make is make_lcshe_field else system.lagrangian
     reference = (_reference_lcshe_field if make is make_lcshe_field
@@ -513,6 +511,47 @@ def test_declared_velocity_hessians_give_the_jet_bits(system_fn):
         q, p = x0[:n], x0[n:] + 0.3
         assert fiber_legendre_inv(declared, q, p).tobytes() == \
             fiber_legendre_inv(from_jet, q, p).tobytes()
+
+
+@pytest.mark.parametrize("M, inversions_per_call", [
+    ([[2.0, 0.5], [0.5, 1.0]], 0), ([[1.0, 0.0], [0.0, 3e-12]], 1),
+    ([[1.0, 0.0], [0.0, 1e-13]], None)],
+    ids=["passes_screen", "checked_inverse", "ill_conditioned"])
+def test_declared_velocity_hessian_is_screened_once(monkeypatch, M, inversions_per_call):
+    # The n = 2 lcel kernel screens a declared hess_vv once, when it is built.
+    # M passing, each call is Cramer's rule on the stored det; diag(1, 3e-12)
+    # fails the screen (||M||_F^2 / det > 1e12 / 4) with cond 3.3e11 <= 1e12,
+    # so each call takes the checked inverse; diag(1, 1e-13) raises as
+    # _solve_floats does.  The bits are those of the same Lagrangian read
+    # from its jet, whose field calls _solve_floats at every call.
+    M, B = np.array(M), np.array([[0.1, 0.4], [-0.25, 0.3]])
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ q),
+                (B.T @ v - q).tolist(), (M @ v + B @ q).tolist(), M, B)
+
+    atlas = planar_2d(0.3, -0.2).atlas
+    from_jet = ContinuousLagrangian(2, jet, hess_qq=lambda q, v: -np.eye(2))
+    declared = dataclasses.replace(from_jet, jet=hollow(jet), constant_hessians=True)
+    got, want = make_lcel_field(declared, atlas, 0), make_lcel_field(from_jet, atlas, 0)
+    inversions = []
+    checked_inverse = numerics._checked_inverse
+    monkeypatch.setattr(numerics, "_checked_inverse",
+                        lambda *a: inversions.append(1) or checked_inverse(*a))
+    points = np.random.default_rng(6).uniform(-2, 2, (50, 4))
+    if inversions_per_call is None:
+        with pytest.raises(RegularityError) as solve:
+            numerics._solve_floats(M.tolist(), [1.0, 1.0], 1e12)
+        for field in (got, want):
+            with pytest.raises(RegularityError) as exc:
+                field(points[0])
+            assert exc.value.condition == solve.value.condition
+        return
+    for x in points:
+        inversions.clear()
+        assert got(x).tobytes() == want(x).tobytes(), x
+        assert len(inversions) == 2 * inversions_per_call
 
 
 def test_field_reads_a_non_constant_lee_form_per_call():

@@ -15,7 +15,8 @@ from lcsdyn import hamiltonian_discrete
 from lcsdyn.hamiltonian_discrete import DiscreteHamiltonian
 from lcsdyn.numerics import _det_sign, as_vector, fd_jacobian, newton_solve, solve_linear
 from conftest import (array_dp_minus_dq0, array_dp_plus_dq1, curved_planar, harmonic_3d,
-                      rotor_with_transition_jacobian, varying_mass)
+                      reference_dot, reference_matvec, rotor_with_transition_jacobian,
+                      varying_mass)
 
 
 def analytic_free_right(h):
@@ -417,7 +418,8 @@ def differenced_d1d2(d1):
 # The constructors below are the builders as they stood before the memo: three
 # closures that each invert the momentum relation at (q, P), and partials that
 # each form the inverted relation's Jacobian again.  They use the builders'
-# closed-form Jacobians and linear solves, so the memoized builders must
+# closed-form Jacobians and linear solves, and conftest's dot products and
+# matvecs (rounded per operation for n <= 2), so the memoized builders must
 # return the same bits in any call order.
 
 def reference_right(Ld, atlas, chart):
@@ -434,22 +436,22 @@ def reference_right(Ld, atlas, chart):
         # J^-T dH+/dq1, dH+/dq1 = -phi1 em P.q1 at fixed (q0, P)
         phi1 = ch.grad(q1)
         J = array_dp_plus_dq1(Ld, q0, q1, s0, s1, phi1)
-        return solve_linear(J.T, -phi1 * (em * float(P @ q1)))
+        return solve_linear(J.T, -phi1 * (em * reference_dot(P, q1)))
 
     def value(q0, P):
         q0, P, q1, _, _, em = core(q0, P)
-        return em * float(P @ q1) - float(Ld.value(q0, q1))
+        return em * reference_dot(P, q1) - float(Ld.value(q0, q1))
 
     def d1(q0, P):
         q0, P, q1, s0, s1, em = core(q0, P)
         phi0 = ch.grad(q0)
-        base = phi0 * (em * float(P @ q1)) - as_vector(Ld.d1(q0, q1))
+        base = phi0 * (em * reference_dot(P, q1)) - as_vector(Ld.d1(q0, q1))
         if not np.any(ch.grad(q1)):
             return base
         y = correction(q0, P, q1, s0, s1, em)
         d2v = as_vector(Ld.d2(q0, q1))
         dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T - np.outer(d2v, phi0))
-        return base - dgdq.T @ y
+        return base - reference_matvec(dgdq.T, y)
 
     def d2(q0, P):
         q0, P, q1, s0, s1, em = core(q0, P)
@@ -475,23 +477,23 @@ def reference_left(Ld, atlas, chart):
         # J^-T dH-/dq0, dH-/dq0 = phi0 E P.q0 at fixed (q1, P)
         phi0 = ch.grad(q0)
         J = array_dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0))
-        return solve_linear(J.T, phi0 * (E * float(P @ q0)))
+        return solve_linear(J.T, phi0 * (E * reference_dot(P, q0)))
 
     def value(q1, P):
         q1, P, q0, E = core(q1, P)
-        return E * (-float(P @ q0) - float(Ld.value(q0, q1)))
+        return E * (-reference_dot(P, q0) - float(Ld.value(q0, q1)))
 
     def d1(q1, P):
         q1, P, q0, E = core(q1, P)
         phi1, phi0 = ch.grad(q1), ch.grad(q0)
-        H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
+        H = E * (-reference_dot(P, q0) - float(Ld.value(q0, q1)))
         base = phi1 * H - E * as_vector(Ld.d2(q0, q1))
         if not np.any(phi0):
             return base
         y = correction(q1, P, q0, E)
         dp_minus_dq1 = (np.outer(phi0, as_vector(Ld.d2(q0, q1)))
                         - np.atleast_2d(Ld.d1d2(q0, q1)))
-        return base - dp_minus_dq1.T @ y
+        return base - reference_matvec(dp_minus_dq1.T, y)
 
     def d2(q1, P):
         q1, P, q0, E = core(q1, P)

@@ -1,14 +1,14 @@
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcsdyn import NewtonError, RegularityError, StepperConfig
-from lcsdyn.numerics import (_dot, _fma, _solve_2x2, _transposed_matvec, as_vector,
-                             fd_jacobian, fd_mixed_second, newton_solve, solve_linear)
+from lcsdyn import NewtonError, RegularityError, StepperConfig, numerics
+from lcsdyn.numerics import (_dot, _solver, _transposed_matvec, as_vector, fd_jacobian,
+                             fd_mixed_second, newton_solve, solve_linear)
+from conftest import reference_solve, rounded_add, rounded_div, rounded_dot, rounded_mul
 
 
 def test_config_validation():
@@ -220,22 +220,34 @@ def test_solve_linear_exactly_singular_is_regularity_error():
     [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1e-13]],
     [[1.0, 1.0], [1.0, 1.0 + 1e-13]], [[1e-200, 0.0], [0.0, 1e-200]]],
     ids=["singular", "zero", "nan", "inf", "cond_1e13", "near_singular", "tiny"])
-def test_closed_form_2x2_screens_like_the_checked_inverse(A):
-    # Doubtful matrices leave the closed form and raise on the SVD path, with
-    # the SVD's condition number; the tiny diagonal has cond 1 and solves.
+def test_closed_form_2x2_screens_like_the_checked_inverse(monkeypatch, A):
+    # Doubtful matrices leave the closed form for the checked inverse and
+    # raise on its SVD path, with the SVD's condition number; the tiny
+    # diagonal has cond 1 and solves there.  A solver for a fixed A, screened
+    # once, takes the checked inverse at every call.
     A = np.array(A)
     b = np.array([1.0, -2.0])
-    assert _solve_2x2(A.tolist(), b.tolist(), 1e12) is None
+    inversions = []
+    checked_inverse = numerics._checked_inverse
+    monkeypatch.setattr(numerics, "_checked_inverse",
+                        lambda *a: inversions.append(1) or checked_inverse(*a))
+    solve = _solver(A.tolist(), 1e12)
+    assert not inversions
     if np.all(np.isfinite(A)) and np.linalg.cond(A) <= 1e12:
-        assert np.allclose(solve_linear(A, b) @ A.T, b, rtol=1e-12, atol=0)
+        x = solve_linear(A, b)
+        assert np.allclose(x @ A.T, b, rtol=1e-12, atol=0)
+        assert solve(b.tolist()) == x.tolist()
+        assert len(inversions) == 2
         return
-    with pytest.raises(RegularityError) as exc:
-        solve_linear(A, b)
     try:
         want = np.linalg.cond(A)
     except np.linalg.LinAlgError:
         want = np.nan
-    assert np.array_equal(exc.value.condition, want, equal_nan=True)
+    for attempt in (lambda: solve_linear(A, b), lambda: solve(b.tolist())):
+        with pytest.raises(RegularityError) as exc:
+            attempt()
+        assert np.array_equal(exc.value.condition, want, equal_nan=True)
+    assert len(inversions) == 2
 
 
 def test_closed_form_2x2_agrees_with_lu():
@@ -245,7 +257,8 @@ def test_closed_form_2x2_agrees_with_lu():
         A = B @ B.T + np.eye(2)  # a mass matrix: symmetric, cond <= 5
         b = rng.uniform(-3, 3, 2)
         x = solve_linear(A, b)
-        assert x.tolist() == _solve_2x2(A.tolist(), b.tolist(), 1e12)
+        assert x.tolist() == _solver(A.tolist(), 1e12)(b.tolist()) \
+            == reference_solve(A, b).tolist()
         assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-13
     # identity: the closed form returns b itself
     b = rng.uniform(-3, 3, 2)
@@ -268,33 +281,12 @@ def test_as_vector_contract():
         assert np.array_equal(y, np.atleast_1d(x))
 
 
-def _fma_oracle(a, b, c):
-    """a * b + c rounded once, from exact rationals, or None when an input is
-    not finite.  An exact zero is +0.0 unless both terms are zeros of one sign."""
-    if not all(map(math.isfinite, (a, b, c))):
-        return None
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if not exact:
-        return a * b + c if a * b == 0.0 else 0.0
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-def _assert_fma_exact(a, b, c):
-    got, want = _fma(a, b, c), _fma_oracle(a, b, c)
-    if want is None:
-        # a non-finite input: c when the factors are finite (their exact
-        # product is finite), else IEEE's a * b + c
-        want = c if math.isfinite(a) and math.isfinite(b) else a * b + c
-        assert not math.isfinite(got), (a, b, c, got)
-        assert got == want or math.isnan(got) and math.isnan(want), (a, b, c, got)
-    elif math.isinf(want):
-        assert got == want, (a, b, c, got)
-    else:
-        # bit for bit, the sign of zero included
-        assert math.isfinite(got) and got.hex() == want.hex(), (a, b, c, got, want)
+def _assert_dot_rounds_per_operation(a, b, c):
+    # a b + c as a 2-element dot, in both orders of its terms: each product
+    # and each sum rounded once, bit for bit, the sign of zero included (or
+    # both NaN)
+    for x, y in (([a, c], [b, 1.0]), ([c, a], [1.0, b])):
+        assert _same_floats([_dot(x, y)], [rounded_dot(x, y)]), (x, y)
 
 
 _WIDE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -306,25 +298,25 @@ _MODERATE = st.builds(lambda m, e: math.ldexp(m, e),
 @settings(max_examples=500, deadline=None)
 @given(a=st.one_of(_WIDE, _MODERATE), b=st.one_of(_WIDE, _MODERATE),
        c=st.one_of(_WIDE, _MODERATE))
-def test_fma_is_exact_over_a_wide_exponent_range(a, b, c):
-    _assert_fma_exact(a, b, c)
+def test_dot_rounds_per_operation_over_a_wide_exponent_range(a, b, c):
+    _assert_dot_rounds_per_operation(a, b, c)
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=_MODERATE, b=_MODERATE, k=st.integers(-2, 2))
-def test_fma_is_exact_near_cancellation(a, b, k):
-    # c within a few ulps of -a*b: the result is Dekker's error term, or
-    # close to it
+def test_dot_rounds_per_operation_near_cancellation(a, b, k):
+    # c within a few ulps of -a*b, where a fused product would keep the
+    # product's rounding error and the rounded one cancels it
     p = a * b
     if math.isfinite(p):
         c = -p
         for _ in range(abs(k)):
             c = math.nextafter(c, math.copysign(math.inf, k))
-        _assert_fma_exact(a, b, c)
+        _assert_dot_rounds_per_operation(a, b, c)
 
 
 _TINY, _HUGE = 5e-324, sys.float_info.max
-FMA_EDGES = [
+DOT_EDGE_TERMS = [
     # every sign combination of zeros
     *[(sa * 0.0, sb * x, sc * 0.0) for sa in (1, -1) for sb in (1, -1)
       for sc in (1, -1) for x in (0.0, 1.5)],
@@ -352,32 +344,10 @@ FMA_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("a, b, c", FMA_EDGES)
-def test_fma_edge_table(a, b, c):
-    _assert_fma_exact(a, b, c)
-    _assert_fma_exact(b, a, c)
-
-
-def test_numpy_two_element_dot_and_matvec_round_as_fma():
-    # The n = 2 continuous fields compute numpy's 2-element dots and 2x2
-    # matvecs as these _fma formulas (the 0.0 is numpy's zero accumulator);
-    # the bitwise reference tests of those fields assume that this BLAS fuses
-    # them so.
-    rng = np.random.default_rng(11)
-    a, b = rng.normal(size=(10_000, 2)), rng.normal(size=(10_000, 2))
-    a[:, 1] *= np.exp2(rng.integers(-30, 30, 10_000))
-    dots = [float(x @ y) for x, y in zip(a, b)]
-    fused = [0.0 + _fma(x1, y1, x0 * y0)
-             for (x0, x1), (y0, y1) in zip(a.tolist(), b.tolist())]
-    assert _same_floats(dots, fused), ("assumption: numpy's 2-element dot x @ y is "
-                                       "0.0 + fma(x1, y1, x0 * y0) on this BLAS")
-    rows = [(m @ v).tolist() for m, v in zip(a.reshape(-1, 2, 2), b[::2])]
-    fused = [[0.0 + _fma(m00, v0, m01 * v1), 0.0 + _fma(m10, v0, m11 * v1)]
-             for ((m00, m01), (m10, m11)), (v0, v1)
-             in zip(a.reshape(-1, 2, 2).tolist(), b[::2].tolist())]
-    assert all(map(_same_floats, rows, fused)), (
-        "assumption: each row of numpy's 2x2 matvec m @ v is "
-        "0.0 + fma(m_i0, v0, m_i1 * v1) on this BLAS")
+@pytest.mark.parametrize("a, b, c", DOT_EDGE_TERMS)
+def test_dot_edge_table(a, b, c):
+    _assert_dot_rounds_per_operation(a, b, c)
+    _assert_dot_rounds_per_operation(b, a, c)
 
 
 DOT_EDGES = [0.0, -0.0, 1.0, -1.5, 3.7, 5e-324, -1e-310, 1e-160, -2.5e-160, 1e200, -1e308,
@@ -390,24 +360,34 @@ def _same_floats(got: list, want: list) -> bool:
         a.hex() == b.hex() or math.isnan(a) and math.isnan(b) for a, b in zip(got, want))
 
 
-def test_float_dot_and_transposed_matvec_round_as_numpy():
-    # the plain Hamiltonian steps compute numpy's dots P @ q and transposed
-    # matvecs M.T @ y on floats; numpy's zero accumulator turns a -0.0 sum
-    # into +0.0, which a bare product or fma would keep
+def test_float_dot_and_transposed_matvec_round_per_operation():
+    # the plain Hamiltonian steps compute the dots P @ q and transposed
+    # matvecs M.T @ y on floats; the zero accumulator turns a -0.0 sum into
+    # +0.0, which a bare product would keep
     rng = np.random.default_rng(12)
     samples = [rng.normal(size=4).tolist() for _ in range(2000)]
     samples += [[a, b, c, d] for a in DOT_EDGES for b in DOT_EDGES
                 for c, d in ((1.5, -0.0), (-0.0, -1e-310), (math.nan, 2.0))]
-    with np.errstate(all="ignore"):
-        for a, b, c, d in samples:
-            for n in (1, 2):
-                x, y = [a, b][:n], [c, d][:n]
-                assert _same_floats([_dot(x, y)], [float(np.array(x) @ np.array(y))])
-            M, y = [[a, b], [c, d]], [b, -c]
-            assert _same_floats(_transposed_matvec(M, y),
-                                (np.array(M).T @ np.array(y)).tolist())
-            assert _same_floats(_transposed_matvec([[a]], [c]),
-                                (np.array([[a]]).T @ np.array([c])).tolist())
+    for a, b, c, d in samples:
+        for n in (1, 2):
+            x, y = [a, b][:n], [c, d][:n]
+            assert _same_floats([_dot(x, y)], [rounded_dot(x, y)])
+        M, y = [[a, b], [c, d]], [b, -c]
+        assert _same_floats(_transposed_matvec(M, y), [rounded_dot([a, c], y),
+                                                       rounded_dot([b, d], y)])
+        assert _same_floats(_transposed_matvec([[a]], [c]), [rounded_dot([a], [c])])
     M, y = rng.normal(size=(3, 3)), rng.normal(size=3)
     assert _transposed_matvec(M.tolist(), y.tolist()) == (M.T @ y).tolist()
     assert _dot(y.tolist(), M[0].tolist()) == float(y @ M[0])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=st.one_of(st.floats(), _MODERATE), b=st.one_of(st.floats(), _MODERATE))
+def test_rounded_reference_is_ieee_arithmetic(a, b):
+    # conftest's rational reference rounds as the float unit does, so the
+    # bitwise tests built on it test the order of operations, not it
+    for got, want in ((rounded_mul(a, b), a * b), (rounded_add(a, b), a + b),
+                      (rounded_add(a, -b), a - b)):
+        assert _same_floats([got], [want]), (a, b)
+    if b:
+        assert _same_floats([rounded_div(a, b)], [a / b]), (a, b)

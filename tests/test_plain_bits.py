@@ -3,8 +3,9 @@
 The references below are the array coding of the plain Hamiltonian step, of
 the builders' partials and mixed partial, of both momentum inversions and of
 the plain three-point system: ``Ld.value``/``d1``/``d2``/``d1d1``/``d2d2``/
-``d1d2`` on arrays, numpy products, and ``newton_solve``, ``solve_linear`` and
-``fd_jacobian`` on arrays.  The marches run through the library's own
+``d1d2`` on arrays, numpy's elementwise products, conftest's dot products and
+matvecs (rounded per operation for n <= 2, without numpy's BLAS), and
+``newton_solve``, ``solve_linear`` and ``fd_jacobian`` on arrays.  The marches run through the library's own
 ``_march`` loop, so each march test compares the step and fill codings.
 """
 
@@ -19,7 +20,7 @@ from lcsdyn import (DiscreteTrajectory, StepperConfig,
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
 from lcsdyn.hamiltonian_discrete import DiscreteHamiltonian
 from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _march
-from conftest import array_dp_minus_dq0, array_dp_plus_dq1
+from conftest import array_dp_minus_dq0, array_dp_plus_dq1, reference_dot, reference_matvec
 
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
 _TANGENT_FD_EPS = 1e-5
@@ -74,7 +75,7 @@ def reference_right(Ld, atlas, chart):
         s0, s1 = float(ch.sigma(q0)), float(ch.sigma(q1))
         em = np.exp(s0 - s1)
         phi0, phi1 = ch.grad(q0), ch.grad(q1)
-        coupling = em * float(P @ q1)
+        coupling = em * reference_dot(P, q1)
         d1 = phi0 * coupling - as_vector(Ld.d1(q0, q1))
         d2 = em * q1
         if np.any(phi1):
@@ -82,7 +83,7 @@ def reference_right(Ld, atlas, chart):
                              -phi1 * coupling)
             dgdq = (1.0 / em) * (np.atleast_2d(Ld.d1d2(q0, q1)).T
                                  - np.outer(as_vector(Ld.d2(q0, q1)), phi0))
-            d1 = d1 - dgdq.T @ y
+            d1 = d1 - reference_matvec(dgdq.T, y)
             d2 = d2 + y
         return coupling - float(Ld.value(q0, q1)), d1, d2, (q1, s0, s1, phi0, phi1)
 
@@ -103,15 +104,15 @@ def reference_left(Ld, atlas, chart):
     def partials(q1, P, q0):
         E = np.exp(float(ch.sigma(q1)) - float(ch.sigma(q0)))
         phi1, phi0 = ch.grad(q1), ch.grad(q0)
-        H = E * (-float(P @ q0) - float(Ld.value(q0, q1)))
+        H = E * (-reference_dot(P, q0) - float(Ld.value(q0, q1)))
         d1 = phi1 * H - E * as_vector(Ld.d2(q0, q1))
         d2 = -E * q0
         if np.any(phi0):
             y = solve_linear(array_dp_minus_dq0(Ld, q0, q1, phi0, ch.hess(q0)).T,
-                             phi0 * (E * float(P @ q0)))
+                             phi0 * (E * reference_dot(P, q0)))
             dp_minus_dq1 = (np.outer(phi0, as_vector(Ld.d2(q0, q1)))
                             - np.atleast_2d(Ld.d1d2(q0, q1)))
-            d1 = d1 - dp_minus_dq1.T @ y
+            d1 = d1 - reference_matvec(dp_minus_dq1.T, y)
             d2 = d2 + y
         return H, d1, d2, (q0, E, phi0, phi1)
 
