@@ -9,6 +9,7 @@ global objects.  The Lee one-form is the gradient of sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,8 +30,11 @@ class Chart:
     A chart declares its Lee form: a chart whose sigma is affine as
     ``constant_lee`` (n components), which ``grad`` returns a copy of and
     ``hess`` pairs with zeros without calling anything, and which the
-    continuous fields read once; any other chart as both ``sigma_grad`` and
-    ``sigma_hess``.  A chart that declares neither raises ``ValueError``.
+    continuous fields and the conformal rules read once; any other chart as
+    both ``sigma_grad`` and ``sigma_hess``.  A chart that declares neither
+    raises ``ValueError``.  The float steps read sigma and the Lee form
+    through ``_floats``, which calls a float kernel that ``sigma`` carries
+    (:func:`_float_sigma`) in its place.
     """
 
     id: int
@@ -82,23 +86,41 @@ class Chart:
             return np.zeros((self.dim, self.dim))
         return as_matrix(self.sigma_hess(as_vector(q)))
 
+    @cached_property
+    def _floats(self) -> tuple:
+        """``(sigma, grad, hess)`` of the chart on lists of floats, resolved
+        once per chart: a float, a list and a nested list.
 
-def _chart_floats(ch: Chart):
-    """``(sigma, grad, hess)`` of a chart on lists of floats.
+        ``sigma`` is ``self.sigma._floats`` when the chart's sigma carries a
+        float kernel (:func:`_float_sigma`), and otherwise calls it on a fresh
+        array.  A declared constant Lee form and its zero Hessian are read
+        here and returned as shared lists, which callers must not change;
+        otherwise grad and hess call the chart's own methods on fresh arrays.
+        """
+        sigma = getattr(self.sigma, "_floats", None)
+        if sigma is None:
+            def sigma(q) -> float:
+                return float(self.sigma(np.array(q)))
 
-    ``sigma(q)`` is a float, ``grad(q)`` a list and ``hess(q)`` a nested list.
-    Each calls the chart's own method on a fresh array (grad and hess through
-    ``numerics._on_lists``), so sigma keeps its array contract; a declared
-    constant Lee form and its zero Hessian are read once and returned as
-    shared lists, which callers must not change.
+        if self.constant_lee is not None:
+            lee, zero = self.constant_lee.tolist(), np.zeros((self.dim, self.dim)).tolist()
+            return sigma, lambda q: lee, lambda q: zero
+        return sigma, _on_lists(self.grad), _on_lists(self.hess, as_matrix)
+
+
+def _float_sigma(floats: Callable[[list], float], dim: int) -> Callable[[Vector], float]:
+    """The public sigma ``q -> float`` around a float kernel, which it carries
+    as ``_floats`` for :attr:`Chart._floats`.
+
+    ``floats`` takes a list of ``dim`` floats; the public function calls it on
+    ``as_vector(q).tolist()``, so both give the same bits, and raises
+    ``ValueError`` for a q without ``dim`` components.
     """
-    def sigma(q) -> float:
-        return float(ch.sigma(np.array(q)))
+    def sigma(q: Vector) -> float:
+        return floats(_of_length(q, dim, "q").tolist())
 
-    if ch.constant_lee is not None:
-        lee, zero = ch.constant_lee.tolist(), np.zeros((ch.dim, ch.dim)).tolist()
-        return sigma, lambda q: lee, lambda q: zero
-    return sigma, _on_lists(ch.grad), _on_lists(ch.hess, as_matrix)
+    sigma._floats = floats
+    return sigma
 
 
 @dataclass(frozen=True)

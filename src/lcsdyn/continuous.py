@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import ConformalAtlas, _chart_floats
+from .atlas import ConformalAtlas
 from .errors import DomainError, IntegrationError, RegularityError
 from .numerics import (StepperConfig, _dot, _newton, _rows, _solver, as_vector,
                        fd_jacobian)
@@ -276,11 +276,11 @@ def _field_chart(atlas: ConformalAtlas, chart: int):
     themselves and call ``atlas.require_inside`` for its message.  ``phi`` is
     a declared constant Lee form as a list, or None; only then do the kernels
     call ``lee(q)``, the Lee form at the float list q as a list
-    (``atlas._chart_floats``).
+    (``Chart._floats``).
     """
     ch = atlas.chart(chart)
     phi = None if ch.constant_lee is None else ch.constant_lee.tolist()
-    return ch.lower.tolist(), ch.upper.tolist(), phi, _chart_floats(ch)[1]
+    return ch.lower.tolist(), ch.upper.tolist(), phi, ch._floats[1]
 
 
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
@@ -359,8 +359,8 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     the resolved ``hess_vv`` and ``hess_vq`` are read here, once, as floats
     (n = 1), nested lists or, for ``hess_vq`` when n >= 3, the array, and for
     n >= 2 ``hess_vv`` becomes a ``numerics._solver``, which screens a 2x2
-    one here, once; otherwise both are read, and the solve screened, at every
-    call.
+    one, or inverts a larger one, here, once; otherwise both are read, and
+    the solve screened, at every call.
     """
     n = L.n
     jet = L.jet

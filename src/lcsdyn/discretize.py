@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import ConformalAtlas, _chart_floats
+from .atlas import ConformalAtlas
 from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
@@ -328,23 +328,42 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     Ld(q0, q1) = exp(sigma(q0) - sigma(m)) h L(m, w) with m the pair midpoint
     and w the divided difference.  All parts at a pair come from one
     evaluation of L, sigma and the Lee form, so ``L``'s jet and the chart's
-    sigma callables must be pure functions of their arguments.
+    sigma callables must be pure functions of their arguments.  A declared
+    constant Lee form phi is read once, here: the Lee terms a = phi(q0) -
+    phi(m)/2 and b = -phi(m)/2 are then constants of the rule, sigma's
+    Hessian is zero, and a pair evaluates sigma alone.
     """
     ch, (base_d1d2, base_same) = atlas.chart(chart), _midpoint_bases(L, h)
-    sigma, grad, hess = _chart_floats(ch)
+    sigma, grad, hess = ch._floats
     at_q0 = _first_point_memo(sigma, grad, hess)
+    if ch.constant_lee is None:
+        def lee_terms(q0, mid, sm):
+            # (s0, a, b, sigma's Hessian at m), or None where Ld is the plain rule
+            (s0, grad0, hess0), grad_mid, hess_mid = at_q0(q0), grad(mid), hess(mid)
+            a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
+            b = [-0.5 * gm for gm in grad_mid]
+            if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
+                                 or any(map(any, hess_mid))):
+                return None
+            return s0, a, b, hess_mid
+    else:
+        lee = ch.constant_lee.tolist()
+        zero = [[0.0] * len(lee) for _ in lee]
+        a = [g - 0.5 * gm for g, gm in zip(lee, lee)]
+        b = [-0.5 * gm for gm in lee]
+        flat = not (any(a) or any(b))
+
+        def lee_terms(q0, mid, sm):
+            s0 = at_q0(q0)[0]
+            return None if flat and s0 == sm else (s0, a, b, zero)
 
     def pair_data(q0, q1):
         val, bd1, bd2, node = _midpoint_pair(L, h, q0, q1)
-        mid = node[0]
-        (s0, grad0, hess0), sm = at_q0(q0), sigma(mid)
-        grad_mid, hess_mid = grad(mid), hess(mid)
-        a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
-        b = [-0.5 * gm for gm in grad_mid]
-        base = base_d1d2(node)
-        if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
-                             or any(map(any, hess_mid))):
+        sm = sigma(node[0])
+        terms, base = lee_terms(q0, node[0], sm), base_d1d2(node)
+        if terms is None:
             return (val, bd1, bd2, base), (node, None)
+        s0, a, b, hess_mid = terms
         E = np.exp(s0 - sm)
         e, qv, idx = float(E), 0.25 * val, range(len(a))
         c2 = [x * val + y for x, y in zip(b, bd2)]
@@ -379,20 +398,38 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     Ld(q0, q1) = (h/2) [L(q0, w) + exp(sigma(q0) - sigma(q1)) L(q1, w)].
     All parts at a pair come from one evaluation of L, sigma and the Lee
     form, so ``L``'s jet and the chart's sigma callables must be pure
-    functions of their arguments.
+    functions of their arguments.  A declared constant Lee form is read
+    once, here: phi(q0) and phi(q1) are then that constant, sigma's Hessian
+    is zero, and a pair evaluates sigma alone.
     """
     ch, (base_d1d2, halves, node, half_vv) = atlas.chart(chart), _trapezoidal_bases(L, h)
-    sigma, grad, hess = _chart_floats(ch)
+    sigma, grad, hess = ch._floats
     at_q0 = _first_point_memo(sigma, grad, hess)
+    if ch.constant_lee is None:
+        def lee_terms(q0, q1, s1):
+            # (s0, phi0, phi1), or None where Ld is the plain rule
+            (s0, phi0, hess0), phi1 = at_q0(q0), grad(q1)
+            if s0 == s1 and not (any(phi0) or any(phi1) or any(map(any, hess0))
+                                 or any(map(any, hess(q1)))):
+                return None
+            return s0, phi0, phi1
+    else:
+        lee = ch.constant_lee.tolist()
+        flat = not any(lee)
+
+        def lee_terms(q0, q1, s1):
+            s0 = at_q0(q0)[0]
+            return None if flat and s0 == s1 else (s0, lee, lee)
 
     # Ld = T + G U with T = (h/2) L(q0, w), U = (h/2) L(q1, w) and
     # G = exp(sigma(q0) - sigma(q1)); T1, U2 etc. are their partials
     def pair_data(q0, q1):
-        (s0, phi0, hess0), s1, phi1 = at_q0(q0), sigma(q1), grad(q1)
-        if s0 == s1 and not (any(phi0) or any(phi1) or any(map(any, hess0))
-                             or any(map(any, hess(q1)))):
+        s1 = sigma(q1)
+        terms = lee_terms(q0, q1, s1)
+        if terms is None:
             val, d1, d2, nodes = _trapezoidal_pair(L, h, q0, q1)
             return (val, d1, d2, base_d1d2(nodes)), (nodes, None)
+        s0, phi0, phi1 = terms
         w = [(b - a) / h for a, b in zip(q0, q1)]
         L0, gq0, gv0, vv0, vq0 = L.jet(list(q0), w)
         L1, gq1, gv1, vv1, vq1 = L.jet(list(q1), w)

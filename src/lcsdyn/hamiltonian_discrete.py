@@ -68,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import Chart, ConformalAtlas, _chart_floats, transition_apply
+from .atlas import Chart, ConformalAtlas, transition_apply
 from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
@@ -118,7 +118,7 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         known = [None] * len(pts) if record is None else [None, *record.sigmas()]
         if record is not None and traj.steps[-1].switched:
             known[-1] = None
-        sigmas = [float(atlas.chart(pt.chart).sigma(pt.q)) if s is None else s
+        sigmas = [atlas.chart(pt.chart)._floats[0](pt.q.tolist()) if s is None else s
                   for s, pt in zip(known, pts)]
     p_bwd, bwd_recorded = None, False
     for k, pt in enumerate(pts):
@@ -133,11 +133,12 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                 qb = _into_chart(atlas, nxt.q, nxt.chart, pt.chart)
             except DomainError as e:
                 raise ConsistencyError(str(e), index=k) from e
-            value, d1, d2, _ = Ld.jet(pt.q.tolist(), qb.tolist())
+            qk, qb = pt.q.tolist(), qb.tolist()
+            value, d1, d2, _ = Ld.jet(qk, qb)
             if conformal:
-                ch = atlas.chart(pt.chart)
-                s_b = sigmas[k + 1] if nxt.chart == pt.chart else float(ch.sigma(qb))
-                p_fwd = _p_minus(ch.grad(pt.q).tolist(), value, d1)
+                sigma, grad, _ = atlas.chart(pt.chart)._floats
+                s_b = sigmas[k + 1] if nxt.chart == pt.chart else sigma(qb)
+                p_fwd = _p_minus(grad(qk), value, d1)
                 p_next = _p_plus(d2, sigmas[k], s_b)
             else:
                 p_fwd, p_next = [-g for g in d1], d2
@@ -169,9 +170,9 @@ class LagrangianSource:
 
     @cached_property
     def _floats(self) -> tuple:
-        """(sigma, grad, hess) of the chart (``atlas._chart_floats``) and Ld's
+        """(sigma, grad, hess) of the chart (``Chart._floats``) and Ld's
         ``d1d1`` and ``d2d2``, all on float lists (``numerics._on_lists``)."""
-        return (*_chart_floats(self.atlas.chart(self.chart)),
+        return (*self.atlas.chart(self.chart)._floats,
                 _on_lists(self.Ld.d1d1, as_matrix), _on_lists(self.Ld.d2d2, as_matrix))
 
     def invert_right(self, q0: Vector, P: Vector) -> np.ndarray:
@@ -403,12 +404,13 @@ def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
     ``s_curr`` is sigma(q_curr) when the caller has it.  Returns (q_next,
     p_next, result, sigma(q_next)).
     """
-    qc, pc = q_curr.tolist(), p_curr.tolist()
+    sigma, qc, pc = ch._floats[0], q_curr.tolist(), p_curr.tolist()
     res = _dlcel_solve(Ld, ch, q_curr, pc, [a + Ld.h * b for a, b in zip(qc, pc)], cfg)
-    d2 = Ld.jet(qc, res.x.tolist())[2]
+    x = res.x.tolist()
+    d2 = Ld.jet(qc, x)[2]
     if s_curr is None:
-        s_curr = float(ch.sigma(q_curr))
-    s_next = float(ch.sigma(res.x))
+        s_curr = sigma(qc)
+    s_next = sigma(x)
     return res.x, np.array(_p_plus(d2, s_curr, s_next)), res, s_next
 
 
@@ -484,7 +486,7 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
         if not conformal:
             return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=p_k.copy())
         if s_k is None:
-            s_k = float(atlas.chart(chart_id).sigma(q_k))
+            s_k = atlas.chart(chart_id)._floats[0](q_k.tolist())
         return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=np.exp(-s_k) * p_k)
 
     def step(ch, q_curr, window):

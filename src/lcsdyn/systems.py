@@ -15,17 +15,22 @@ as they are.  Every Lagrangian is quadratic, so each declares
 ``constant_hessians`` and has its three Hessians read once, from its jet and
 ``hess_qq`` at q = v = 0.
 Every sigma is linear in the chart coordinates, so every chart declares its
-constant Lee form.
+constant Lee form; the sigma itself is written once, on float lists, as
+``numerics._dot(lee, q)`` (for n = 1 the ``0.0 + c q`` of numpy's one-element
+dot), and ``Chart.sigma`` is that kernel on ``as_vector(q).tolist()``
+(``atlas._float_sigma``), as is ``with_constant_sigma``'s constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .atlas import Chart, ConformalAtlas, TransitionMap
+from .atlas import Chart, ConformalAtlas, TransitionMap, _float_sigma
 from .continuous import ContinuousHamiltonian, ContinuousLagrangian
+from .numerics import _dot
 
 _BOX = 50.0
 
@@ -134,11 +139,12 @@ def _free_particle():
 
 
 def _linear_chart(id: int, lower, upper, coeffs) -> Chart:
-    """A box chart with sigma = coeffs . q and so the constant Lee form coeffs."""
+    """A box chart with sigma = coeffs . q, on floats, and so the constant Lee
+    form coeffs."""
     coeffs = np.asarray(coeffs, dtype=float)
+    sigma_floats = partial(_dot, coeffs.tolist())
     return Chart(id=id, dim=coeffs.size, lower=lower, upper=upper,
-                 sigma=lambda q: float(coeffs @ np.atleast_1d(q)),
-                 constant_lee=coeffs)
+                 sigma=_float_sigma(sigma_floats, coeffs.size), constant_lee=coeffs)
 
 
 def harmonic_1d(c: float = 0.1) -> System:
@@ -212,9 +218,11 @@ def get_system(name: str, sigma_params=None) -> System:
 
 
 def with_constant_sigma(system: System, value: float = 0.0) -> System:
-    """The same system with every chart's conformal factor frozen to a constant."""
-    charts = tuple(replace(c, sigma=lambda q: value, sigma_grad=None, sigma_hess=None,
-                           constant_lee=np.zeros(c.dim))
+    """The same system with every chart's conformal factor frozen to a constant,
+    ``float(value)``, with a float kernel like the catalog's."""
+    value = float(value)
+    charts = tuple(replace(c, sigma=_float_sigma(lambda q: value, c.dim), sigma_grad=None,
+                           sigma_hess=None, constant_lee=np.zeros(c.dim))
                    for c in system.atlas.charts)
     atlas = ConformalAtlas(charts=charts, transitions=system.atlas.transitions)
     return System(name=system.name, n=system.n, atlas=atlas,

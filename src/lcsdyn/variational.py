@@ -106,7 +106,8 @@ def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: l
     p_curr = p+(q_prev, q_curr), the conformal Hamiltonian pair step with the
     momentum it carries.
     """
-    jet, qc, phi = Ld.jet, q_curr.tolist(), chart.grad(q_curr).tolist()
+    jet, qc = Ld.jet, q_curr.tolist()
+    phi = chart._floats[1](qc)
 
     def system(x: list):
         value, d1, d2, d1d2 = jet(qc, x)
@@ -138,8 +139,8 @@ def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vecto
 
         return _newton_result(system, seed, cfg)
     if p_curr is None:
-        p_curr = _p_plus(Ld.jet(qp, qc)[2], float(chart.sigma(q_prev)),
-                         float(chart.sigma(q_curr)))
+        sigma = chart._floats[0]
+        p_curr = _p_plus(Ld.jet(qp, qc)[2], sigma(qp), sigma(qc))
     return _dlcel_solve(Ld, chart, q_curr, p_curr, seed, cfg)
 
 
@@ -187,14 +188,15 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     def step(ch, q_curr, window):
         q_prev, p_curr, s_curr = window
         res = _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal, p_curr)
-        value, d1, d2, _ = Ld.jet(q_curr.tolist(), res.x.tolist())
+        qc, x = q_curr.tolist(), res.x.tolist()
+        value, d1, d2, _ = Ld.jet(qc, x)
         if conformal:
+            sigma, grad, _ = ch._floats
             if s_curr is None:
-                s_curr = float(ch.sigma(q_curr))
-            s_next = float(ch.sigma(res.x))
+                s_curr = sigma(qc)
+            s_next = sigma(x)
             p_next = _p_plus(d2, s_curr, s_next)
-            record.add(s_curr, _p_minus(ch.grad(q_curr).tolist(), value, d1), p_next,
-                       s_next)
+            record.add(s_curr, _p_minus(grad(qc), value, d1), p_next, s_next)
             return res.x, (q_curr, p_next, s_next), res
         record.add(0.0, [-g for g in d1], d2, 0.0)
         return res.x, (q_curr, None, None), res

@@ -554,6 +554,45 @@ def test_declared_velocity_hessian_is_screened_once(monkeypatch, M, inversions_p
         assert len(inversions) == 2 * inversions_per_call
 
 
+def test_declared_larger_velocity_hessian_is_inverted_once(monkeypatch):
+    # harmonic_3d declares its identity hess_vv: the lcel field inverts it
+    # when it is built and never again, with the bits of the field that reads
+    # it from the jet and inverts it at every call
+    inversions = []
+    checked_inverse = numerics._checked_inverse
+    monkeypatch.setattr(numerics, "_checked_inverse",
+                        lambda *a: inversions.append(1) or checked_inverse(*a))
+    system = harmonic_3d()
+    declared = system.lagrangian
+    got = make_lcel_field(declared, system.atlas, 0)
+    assert len(inversions) == 1
+    want = make_lcel_field(dataclasses.replace(declared, constant_hessians=False),
+                           system.atlas, 0)
+    for x in np.random.default_rng(3).uniform(-2, 2, (30, 6)):
+        inversions.clear()
+        assert got(x).tobytes() == want(x).tobytes(), x
+        assert len(inversions) == 1  # want's
+
+
+def test_declared_singular_larger_velocity_hessian_raises_at_every_call():
+    M, B = np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))
+
+    def jet(q, v):
+        q, v = np.array(q), np.array(v)
+        return 0.5 * float(v @ M @ v) - 0.5 * float(q @ q), (-q).tolist(), \
+            (M @ v).tolist(), M, B
+
+    L = ContinuousLagrangian(3, jet, lambda q, v: -np.eye(3), constant_hessians=True)
+    field = make_lcel_field(L, harmonic_3d().atlas, 0)
+    with pytest.raises(RegularityError) as want:
+        numerics._solve_floats(M.tolist(), [1.0, 1.0, 1.0], 1e12)
+    for x in np.random.default_rng(4).uniform(-2, 2, (3, 6)):
+        with pytest.raises(RegularityError) as got:
+            field(x)
+        assert str(got.value) == str(want.value)
+        assert got.value.condition == want.value.condition
+
+
 def test_field_reads_a_non_constant_lee_form_per_call():
     # sigma = q0^2/2 (+ q1 + q2): the Lee form (q0[, 1, 1]) changes along the
     # flow; the n = 1, n = 2 and n >= 3 kernels read it in different code

@@ -265,6 +265,42 @@ def test_closed_form_2x2_agrees_with_lu():
     assert solve_linear(np.eye(2), b).tobytes() == b.tobytes()
 
 
+def test_solver_inverts_a_larger_matrix_once(monkeypatch):
+    # n >= 3: the checked inverse runs when the solver is built, and each
+    # call is A_inv @ b, bitwise _solve_floats' inv(A) @ b
+    inversions = []
+    checked_inverse = numerics._checked_inverse
+    monkeypatch.setattr(numerics, "_checked_inverse",
+                        lambda *a: inversions.append(1) or checked_inverse(*a))
+    rng = np.random.default_rng(12)
+    for n in (3, 4):
+        B = rng.uniform(-1, 1, (n, n))
+        A = (B @ B.T + np.eye(n)).tolist()
+        inversions.clear()
+        solve = _solver(A, 1e12)
+        assert len(inversions) == 1
+        for _ in range(20):
+            b = rng.uniform(-3, 3, n).tolist()
+            assert solve(b) == (np.linalg.inv(np.array(A)) @ np.array(b)).tolist()
+        assert len(inversions) == 1
+        assert solve(b) == numerics._solve_floats(A, b, 1e12)
+
+
+@pytest.mark.parametrize("A", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1e-13]),
+                               np.full((3, 3), np.nan)], ids=["singular", "ill", "nan"])
+def test_solver_defers_a_bad_larger_matrix_to_each_call(A):
+    # building the solver does not raise; every call raises the
+    # RegularityError _solve_floats raises, message and condition
+    solve = _solver(A.tolist(), 1e12)
+    with pytest.raises(RegularityError) as want:
+        numerics._solve_floats(A.tolist(), [1.0, 2.0, 3.0], 1e12)
+    for b in ([1.0, 2.0, 3.0], [0.0, -1.0, 0.5]):
+        with pytest.raises(RegularityError) as got:
+            solve(b)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal(got.value.condition, want.value.condition, equal_nan=True)
+
+
 def test_as_vector_contract():
     for x in (np.array([1.0, 2.0]), np.zeros((2, 3)), np.arange(4.0)[1:3]):
         assert as_vector(x) is x
