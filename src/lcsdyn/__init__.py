@@ -11,8 +11,7 @@ verifier, and a CLI experiment driver over a small built-in system catalog.
 from .atlas import (Chart, ConformalAtlas, TransitionMap, cocycle_check,
                     lee_form, transition_apply)
 from .continuous import (ContinuousHamiltonian, ContinuousLagrangian,
-                         divergence_numeric, energy,
-                         fiber_legendre, fiber_legendre_inv,
+                         divergence_numeric, fiber_legendre, fiber_legendre_inv,
                          make_lcel_field, make_lcshe_field, rk4_integrate)
 from .discretize import (DiscreteLagrangian, conformal_midpoint_rule,
                          conformal_trapezoidal_rule,

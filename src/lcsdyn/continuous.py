@@ -115,17 +115,6 @@ class ContinuousHamiltonian:
         return np.array(self._at(q, p)[2])
 
 
-def energy(L: ContinuousLagrangian, q: Vector, v: Vector) -> float:
-    """Energy v . dL/dv - L.
-
-    The conformal factor plays no role here: rescaling L rescales both terms
-    identically, so this is already the globally consistent energy.
-    """
-    v = as_vector(v)
-    val, _, gv = L._at(q, v)[:3]
-    return float(v @ np.array(gv)) - float(val)
-
-
 def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
     """Momentum p = dL/dv of the fiber Legendre map."""
     return L.grad_v(q, v)

@@ -34,12 +34,15 @@ Newton iteration and the momentum fill run on it.  The four quadrature rules
 compute the jet on Python floats, with one call of L's jet per quadrature node
 and one evaluation of the chart data, and keep the last pair's entry in a
 one-entry memo keyed on the pair's float tuples (``_pair_memo``, which the
-discrete Hamiltonians use too).  Their array parts are views of that entry:
+discrete Hamiltonians use too).  For n = 1 and n = 2 the midpoint rules'
+jet, and the conformal one's Lee combination on a chart with a constant Lee
+form, run on unpacked scalars (``_midpoint_pair``,
+``_constant_lee_midpoint``), with the general form's expressions in its
+order and so its bits.  The rules' array parts are views of that entry:
 value, d1, d2 and d1d2 convert it, and d1d1 and d2d2 add only L's position
-Hessian and, for the conformal rules, ``Chart.hess``.  Each formula is
-written once.  The rule objects are therefore stateful and not thread-safe,
-and ``L``'s jet and ``hess_qq`` and the charts' sigma callables must be pure
-functions of their arguments.
+Hessian and, for the conformal rules, ``Chart.hess``.  The rule objects
+are therefore stateful and not thread-safe, and ``L``'s jet and ``hess_qq``
+and the charts' sigma callables must be pure functions of their arguments.
 
 ``exact_discrete_lagrangian`` evaluates the action integral along the solution
 of the continuous conformal Euler-Lagrange equations with prescribed endpoints
@@ -174,17 +177,41 @@ def _hessians_of(L: ContinuousLagrangian):
     return (lambda q, v: qq), (None, None, *L.hessians[1:])
 
 
-def _midpoint_pair(L: ContinuousLagrangian, h: float, q0, q1):
-    """(value, d1, d2, node) of the midpoint rule at a pair of float
-    sequences, from one jet call at the midpoint m and the divided difference
-    w; node is (m, w, hess_vv, hess_vq), from which :func:`_midpoint_d1d2`
-    and :func:`_midpoint_same` build the second partials."""
-    m = [0.5 * (a + b) for a, b in zip(q0, q1)]
-    w = [(b - a) / h for a, b in zip(q0, q1)]
-    val, gq, gv, vv, vq = L.jet(m, w)
-    c = 0.5 * h
-    return (h * val, [c * g - v for g, v in zip(gq, gv)],
-            [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
+def _midpoint_pair(L: ContinuousLagrangian, h: float):
+    """``pair(q0, q1)``: (value, d1, d2, node) of the midpoint rule at a pair
+    of float sequences, from one jet call at the midpoint m and the divided
+    difference w; node is (m, w, hess_vv, hess_vq), from which
+    :func:`_midpoint_d1d2` and :func:`_midpoint_same` build the second
+    partials.  For n = 1 and n = 2 pair runs on unpacked scalars, with the
+    expressions and rounding of the general form, and a pair or jet gradient
+    without n components raises ``ValueError``."""
+    jet, c = L.jet, 0.5 * h
+    if L.n == 1:
+        def pair(q0, q1):
+            (a,), (b,) = q0, q1
+            m, w = [0.5 * (a + b)], [(b - a) / h]
+            val, (g,), (v,), vv, vq = jet(m, w)
+            return h * val, [c * g - v], [c * g + v], (m, w, vv, vq)
+
+        return pair
+    if L.n == 2:
+        def pair(q0, q1):
+            (a0, a1), (b0, b1) = q0, q1
+            m, w = [0.5 * (a0 + b0), 0.5 * (a1 + b1)], [(b0 - a0) / h, (b1 - a1) / h]
+            val, (g0, g1), (v0, v1), vv, vq = jet(m, w)
+            return (h * val, [c * g0 - v0, c * g1 - v1], [c * g0 + v0, c * g1 + v1],
+                    (m, w, vv, vq))
+
+        return pair
+
+    def pair(q0, q1):
+        m = [0.5 * (a + b) for a, b in zip(q0, q1)]
+        w = [(b - a) / h for a, b in zip(q0, q1)]
+        val, gq, gv, vv, vq = jet(m, w)
+        return (h * val, [c * g - v for g, v in zip(gq, gv)],
+                [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
+
+    return pair
 
 
 def _midpoint_d1d2(qq, h: float, m: list, w: list, vv: np.ndarray, vq: np.ndarray
@@ -291,10 +318,10 @@ def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
     if h <= 0:
         raise ValueError("h must be positive")
-    d1d2, same = _midpoint_bases(L, h)
+    (d1d2, same), pair = _midpoint_bases(L, h), _midpoint_pair(L, h)
 
     def pair_data(q0, q1):
-        val, d1, d2, node = _midpoint_pair(L, h, q0, q1)
+        val, d1, d2, node = pair(q0, q1)
         return (val, d1, d2, d1d2(node)), node
 
     return _memoized_pair_rule(L.n, h, pair_data, same)
@@ -321,6 +348,52 @@ def _first_point_memo(sigma, grad, hess):
     return lambda q0: lookup(q0, ())
 
 
+def _constant_lee_midpoint(pair, sigma, base_d1d2, a: list, b: list, flat: bool):
+    """``pair_data`` of :func:`conformal_midpoint_rule` on a chart with a
+    constant Lee form, for n = 1 and n = 2, on unpacked scalars.
+
+    With c = b val + d2 and qv = val / 4 it returns E val, E (a val + d1),
+    E c and the d1d2 entries e (a_i c_j - qv 0.0 + d1_i b_j + base_ij): the
+    general form's expressions in its order, so the same bits.  The qv 0.0
+    term is sigma's zero Hessian at m, kept for the general form's signed
+    zeros and NaNs; ``same_from``'s extra tuple is the general form's.
+    """
+    if len(a) == 1:
+        (a0,), (b0,) = a, b
+
+        def pair_data(q0, q1):
+            val, bd1, bd2, node = pair(q0, q1)
+            sm, s0, base = sigma(node[0]), sigma(q0), base_d1d2(node)
+            if flat and s0 == sm:
+                return (val, bd1, bd2, base), (node, None)
+            (x0,), (y0,), ((B00,),) = bd1, bd2, base
+            E = np.exp(s0 - sm)
+            e, z = float(E), 0.25 * val * 0.0
+            c0 = b0 * val + y0
+            return ((E * val, [e * (a0 * val + x0)], [e * c0],
+                     [[e * (a0 * c0 - z + x0 * b0 + B00)]]),
+                    (node, (q0, E, a, b, val, bd1, bd2)))
+
+        return pair_data
+    (a0, a1), (b0, b1) = a, b
+
+    def pair_data(q0, q1):
+        val, bd1, bd2, node = pair(q0, q1)
+        sm, s0, base = sigma(node[0]), sigma(q0), base_d1d2(node)
+        if flat and s0 == sm:
+            return (val, bd1, bd2, base), (node, None)
+        (x0, x1), (y0, y1), ((B00, B01), (B10, B11)) = bd1, bd2, base
+        E = np.exp(s0 - sm)
+        e, z = float(E), 0.25 * val * 0.0
+        c0, c1 = b0 * val + y0, b1 * val + y1
+        d1d2 = [[e * (a0 * c0 - z + x0 * b0 + B00), e * (a0 * c1 - z + x0 * b1 + B01)],
+                [e * (a1 * c0 - z + x1 * b0 + B10), e * (a1 * c1 - z + x1 * b1 + B11)]]
+        return ((E * val, [e * (a0 * val + x0), e * (a1 * val + x1)], [e * c0, e * c1],
+                 d1d2), (node, (q0, E, a, b, val, bd1, bd2)))
+
+    return pair_data
+
+
 def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
                             chart: int, h: float) -> DiscreteLagrangian:
     """Midpoint rule of the chart-local Lagrangian, expressed globally.
@@ -331,48 +404,13 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     sigma callables must be pure functions of their arguments.  A declared
     constant Lee form phi is read once, here: the Lee terms a = phi(q0) -
     phi(m)/2 and b = -phi(m)/2 are then constants of the rule, sigma's
-    Hessian is zero, and a pair evaluates sigma alone.
+    Hessian is zero, and a pair evaluates sigma at q0 and m alone, through
+    the chart's float kernel, on unpacked scalars when n <= 2
+    (:func:`_constant_lee_midpoint`).  Any other chart reads sigma, the Lee
+    form and its Hessian at q0 through :func:`_first_point_memo`.
     """
     ch, (base_d1d2, base_same) = atlas.chart(chart), _midpoint_bases(L, h)
-    sigma, grad, hess = ch._floats
-    at_q0 = _first_point_memo(sigma, grad, hess)
-    if ch.constant_lee is None:
-        def lee_terms(q0, mid, sm):
-            # (s0, a, b, sigma's Hessian at m), or None where Ld is the plain rule
-            (s0, grad0, hess0), grad_mid, hess_mid = at_q0(q0), grad(mid), hess(mid)
-            a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
-            b = [-0.5 * gm for gm in grad_mid]
-            if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
-                                 or any(map(any, hess_mid))):
-                return None
-            return s0, a, b, hess_mid
-    else:
-        lee = ch.constant_lee.tolist()
-        zero = [[0.0] * len(lee) for _ in lee]
-        a = [g - 0.5 * gm for g, gm in zip(lee, lee)]
-        b = [-0.5 * gm for gm in lee]
-        flat = not (any(a) or any(b))
-
-        def lee_terms(q0, mid, sm):
-            s0 = at_q0(q0)[0]
-            return None if flat and s0 == sm else (s0, a, b, zero)
-
-    def pair_data(q0, q1):
-        val, bd1, bd2, node = _midpoint_pair(L, h, q0, q1)
-        sm = sigma(node[0])
-        terms, base = lee_terms(q0, node[0], sm), base_d1d2(node)
-        if terms is None:
-            return (val, bd1, bd2, base), (node, None)
-        s0, a, b, hess_mid = terms
-        E = np.exp(s0 - sm)
-        e, qv, idx = float(E), 0.25 * val, range(len(a))
-        c2 = [x * val + y for x, y in zip(b, bd2)]
-        # E (a (x) (b val + d2) - 0.25 val Hsigma(m)^T + d1 (x) b + base d1d2)
-        d1d2 = [[e * (a[i] * c2[j] - qv * hess_mid[j][i] + bd1[i] * b[j] + base[i][j])
-                 for j in idx] for i in idx]
-        return ((E * val, [e * (x * val + y) for x, y in zip(a, bd1)],
-                 [e * c for c in c2], d1d2),
-                (node, (q0, E, a, b, val, bd1, bd2)))
+    pair, (sigma, grad, hess) = _midpoint_pair(L, h), ch._floats
 
     def same_from(extra, k):
         # d/dq_k of E (c val + bd), with c = a, bd = d1 (k = 0) or c = b, bd = d2;
@@ -387,6 +425,50 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
             dc = dc + ch.hess(q0)
         return E * (np.outer(c, c * val + bd) + np.outer(bd, c) + val * dc
                     + base_same(node, k))
+
+    if ch.constant_lee is None:
+        at_q0 = _first_point_memo(sigma, grad, hess)
+
+        def lee_terms(q0, mid, sm):
+            # (s0, a, b, sigma's Hessian at m), or None where Ld is the plain rule
+            (s0, grad0, hess0), grad_mid, hess_mid = at_q0(q0), grad(mid), hess(mid)
+            a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
+            b = [-0.5 * gm for gm in grad_mid]
+            if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
+                                 or any(map(any, hess_mid))):
+                return None
+            return s0, a, b, hess_mid
+    else:
+        lee = ch.constant_lee.tolist()
+        a = [g - 0.5 * gm for g, gm in zip(lee, lee)]
+        b = [-0.5 * gm for gm in lee]
+        flat = not (any(a) or any(b))
+        if L.n <= 2:
+            return _memoized_pair_rule(
+                L.n, h, _constant_lee_midpoint(pair, sigma, base_d1d2, a, b, flat),
+                same_from)
+        zero = [[0.0] * len(lee) for _ in lee]
+
+        def lee_terms(q0, mid, sm):
+            s0 = sigma(q0)
+            return None if flat and s0 == sm else (s0, a, b, zero)
+
+    def pair_data(q0, q1):
+        val, bd1, bd2, node = pair(q0, q1)
+        sm = sigma(node[0])
+        terms, base = lee_terms(q0, node[0], sm), base_d1d2(node)
+        if terms is None:
+            return (val, bd1, bd2, base), (node, None)
+        s0, a, b, hess_mid = terms
+        E = np.exp(s0 - sm)
+        e, qv, idx = float(E), 0.25 * val, range(len(a))
+        c2 = [x * val + y for x, y in zip(b, bd2)]
+        # E (a (x) (b val + d2) - 0.25 val Hsigma(m)^T + d1 (x) b + base d1d2)
+        d1d2 = [[e * (a[i] * c2[j] - qv * hess_mid[j][i] + bd1[i] * b[j] + base[i][j])
+                 for j in idx] for i in idx]
+        return ((E * val, [e * (x * val + y) for x, y in zip(a, bd1)],
+                 [e * c for c in c2], d1d2),
+                (node, (q0, E, a, b, val, bd1, bd2)))
 
     return _memoized_pair_rule(L.n, h, pair_data, same_from)
 

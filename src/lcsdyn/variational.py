@@ -19,7 +19,9 @@ Jacobian, and both steps, p+-, dp-/dq1 and the Hamiltonian side's dp+/dq1
 and dp-/dq0 are written once, on Python floats: one call of the pair jet
 ``Ld.jet`` per Newton iterate gives the residual and the Jacobian, and
 ``numerics._newton`` iterates on float lists; array callers convert at their
-boundary.  ``integrate`` marches a trajectory, transporting the active
+boundary.  For n = 1 and n = 2 ``_dlcel_solve`` writes p- and dp-/dq1 out
+on unpacked scalars, rounded as the general forms round them.
+``integrate`` marches a trajectory, transporting the active
 two-point window across chart transitions whenever a point leaves the core
 of its chart, and fills momenta afterwards.  Each step
 ends with one jet call at its solved pair (a hit in a quadrature rule's
@@ -104,15 +106,34 @@ def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: l
     call of ``Ld.jet(q_curr, x)`` gives the residual p_curr - p-(q_curr, x)
     and the Jacobian -dp-/dq1.  The three-point recursion poses the step with
     p_curr = p+(q_prev, q_curr), the conformal Hamiltonian pair step with the
-    momentum it carries.
+    momentum it carries.  For n = 1 and n = 2 the system is written on
+    unpacked scalars, residual p_i - (phi_i value - d1_i) and Jacobian
+    -(phi_i d2_j - d1d2_ij), rounded as :func:`_p_minus` and
+    :func:`_dp_minus_dq1` round them.
     """
     jet, qc = Ld.jet, q_curr.tolist()
     phi = chart._floats[1](qc)
+    if Ld.n == 1:
+        (f0,), (p0,) = phi, p_curr
 
-    def system(x: list):
-        value, d1, d2, d1d2 = jet(qc, x)
-        r = [p - m for p, m in zip(p_curr, _p_minus(phi, value, d1))]
-        return r, lambda: [[-v for v in row] for row in _dp_minus_dq1(phi, d2, d1d2)]
+        def system(x: list):
+            value, (g0,), (d0,), ((m00,),) = jet(qc, x)
+            value = float(value)
+            return [p0 - (f0 * value - g0)], lambda: [[-(f0 * d0 - m00)]]
+    elif Ld.n == 2:
+        (f0, f1), (p0, p1) = phi, p_curr
+
+        def system(x: list):
+            value, (g0, g1), (d0, d1), ((m00, m01), (m10, m11)) = jet(qc, x)
+            value = float(value)
+            return ([p0 - (f0 * value - g0), p1 - (f1 * value - g1)],
+                    lambda: [[-(f0 * d0 - m00), -(f0 * d1 - m01)],
+                             [-(f1 * d0 - m10), -(f1 * d1 - m11)]])
+    else:
+        def system(x: list):
+            value, d1, d2, d1d2 = jet(qc, x)
+            r = [p - m for p, m in zip(p_curr, _p_minus(phi, value, d1))]
+            return r, lambda: [[-v for v in row] for row in _dp_minus_dq1(phi, d2, d1d2)]
 
     return _newton_result(system, seed, cfg)
 

@@ -10,13 +10,14 @@ own ``_march`` loop, so each test compares the step, carry and fill codings.
 import numpy as np
 import pytest
 
-from lcsdyn import (build_left_hamiltonian, build_right_hamiltonian,
-                    conformal_midpoint_rule, conformal_trapezoidal_rule,
-                    free_rotor_circle, integrate, integrate_hamiltonian, midpoint_rule,
-                    momenta_along_trajectory, planar_2d, trapezoidal_rule)
+from lcsdyn import (NewtonError, StepperConfig, build_left_hamiltonian,
+                    build_right_hamiltonian, conformal_midpoint_rule,
+                    conformal_trapezoidal_rule, free_rotor_circle, harmonic_1d, integrate,
+                    integrate_hamiltonian, midpoint_rule, momenta_along_trajectory,
+                    planar_2d, trapezoidal_rule)
 from lcsdyn.numerics import as_vector, newton_solve
 from lcsdyn.trajectory import DiscreteTrajectory, TrajectoryPoint
-from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _march
+from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _dlcel_solve, _march
 from conftest import rotor_with_shifted_chart
 
 
@@ -32,6 +33,38 @@ def reference_dlcel_system(Ld, ch, q_curr, p_curr):
                  - np.atleast_2d(Ld.d1d2(q_curr, x)))
 
     return F, J
+
+
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule],
+                         ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("system", [harmonic_1d(0.1), free_rotor_circle(-0.1),
+                                    planar_2d(0.3, 0.1)], ids=lambda s: s.name)
+def test_dlcel_solve_is_bitwise_the_array_newton_solve(rule, system):
+    # one conformal step, n = 1 and n = 2: the float system's solution,
+    # iteration count and residual, and its NewtonError after one iteration,
+    # against the array system solved by newton_solve
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.05)
+    ch = system.atlas.chart(0)
+    rng = np.random.default_rng(24)
+    cfg, once = StepperConfig(tol=1e-13), StepperConfig(tol=1e-13, max_iter=1)
+    for _ in range(6):
+        q = rng.uniform(0.2, 1.0, system.n)
+        p = rng.uniform(-1.5, 1.5, system.n)
+        seed = q + Ld.h * p + rng.uniform(-0.2, 0.2, system.n)
+        F, J = reference_dlcel_system(Ld, ch, q, p)
+        res = _dlcel_solve(Ld, ch, q, p.tolist(), seed.tolist(), cfg)
+        ref = newton_solve(F, seed, cfg, jacobian=J)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.iterations == ref.iterations
+        assert np.float64(res.residual).tobytes() == np.float64(ref.residual).tobytes()
+        with pytest.raises(NewtonError) as got:
+            _dlcel_solve(Ld, ch, q, p.tolist(), seed.tolist(), once)
+        with pytest.raises(NewtonError) as want:
+            newton_solve(F, seed, once, jacobian=J)
+        assert str(got.value) == str(want.value)
+        assert got.value.iterations == want.value.iterations
+        assert np.float64(got.value.residual).tobytes() == \
+            np.float64(want.value.residual).tobytes()
 
 
 def p_plus(Ld, ch, q0, q1):

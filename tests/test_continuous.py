@@ -6,7 +6,7 @@ import pytest
 
 from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     ContinuousLagrangian, IntegrationError, RegularityError,
-                    divergence_numeric, energy, fiber_legendre,
+                    divergence_numeric, fiber_legendre,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
                     make_lcel_field, make_lcshe_field, numerics, planar_2d,
                     rk4_integrate, solve_linear)
@@ -79,22 +79,6 @@ def test_acceleration_singular_hessian(harmonic):
     field = make_lcel_field(declared, harmonic.atlas, 0)
     with pytest.raises(RegularityError, match="singular 1x1"):
         field(np.array([0.0, 1.0]))
-
-
-def test_energy_values(harmonic):
-    L = harmonic.lagrangian
-    assert energy(L, [1.0], [1.0]) == pytest.approx(1.0)
-    # homogeneous degree one in velocity -> zero energy
-    L1 = ContinuousLagrangian(
-        n=1, jet=lambda q, v: (3.0 * v[0], [0.0], [3.0], np.zeros((1, 1)),
-                               np.zeros((1, 1))),
-        hess_qq=lambda q, v: np.zeros((1, 1)))
-    assert energy(L1, [0.5], [2.0]) == pytest.approx(0.0)
-    free = ContinuousLagrangian(
-        n=1, jet=lambda q, v: (0.5 * v[0] * v[0], [0.0], list(v), np.eye(1),
-                               np.zeros((1, 1))),
-        hess_qq=lambda q, v: np.zeros((1, 1)))
-    assert energy(free, [0.0], [2.0]) == pytest.approx(2.0)
 
 
 def test_fiber_legendre(harmonic):

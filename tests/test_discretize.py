@@ -3,7 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rule,
                     conformal_trapezoidal_rule, del_step, dlcel_step,
@@ -13,7 +13,7 @@ from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
 from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
 from conftest import (curved_planar, free_line_system, hollow, quadratic_planar,
-                      varying_mass)
+                      rotor_with_shifted_chart, varying_mass)
 
 
 def harmonic_exact_value(q0, q1, h):
@@ -473,6 +473,62 @@ def test_memoized_rules_bitwise_equal_reference_formulas(rule, reference, system
             want = getattr(ref, part)(q0, q1)
             assert type(got) is type(want), (order_name, part)
             assert _bits(got) == _bits(want), (order_name, part)
+
+
+# For n = 1 and n = 2 the midpoint rules compute the pair jet on unpacked
+# scalars.  At the edges of the float range they must still give the
+# reference formulas' bits: a repeated point with signed zeros (w = +-0.0),
+# subnormals, and coordinates large enough that np.exp or the value overflow
+# to inf or NaN.  Every chart of each system is tried: the shifted rotor's
+# second chart holds the angle less 0.7, so its sigma is offset.
+
+EDGE_SYSTEMS = {
+    "harmonic_1d": lambda: harmonic_1d(0.1),
+    "planar_2d": lambda: planar_2d(0.3, -0.2),
+    "free_rotor_circle": lambda: free_rotor_circle(-0.1),
+    "constant_sigma": lambda: with_constant_sigma(planar_2d()),
+    "shifted_rotor": rotor_with_shifted_chart,
+}
+_MAX = 1.7976931348623157e308
+_EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e154,
+                     -1e200, 1e4, -1e4, 1e308, -_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_EDGE_PAIR = st.lists(_EDGE, min_size=2, max_size=2)
+
+
+@pytest.mark.parametrize("rule, reference", [MEMO_RULES[0], MEMO_RULES[2]],
+                         ids=["midpoint", "plain_midpoint"])
+@pytest.mark.parametrize("system_name", list(EDGE_SYSTEMS))
+@settings(max_examples=60, deadline=None)
+@given(q0=_EDGE_PAIR, q1=st.none() | _EDGE_PAIR, flips=st.tuples(st.booleans(), st.booleans()))
+@example(q0=[-0.0, -0.0], q1=None, flips=(True, False))
+@example(q0=[0.0, 0.0], q1=None, flips=(False, True))
+@example(q0=[5e-324, -5e-324], q1=[2.2250738585072014e-308, 0.0], flips=(False, False))
+@example(q0=[1e4, -1e4], q1=[-1e4, 1e4], flips=(False, False))
+@example(q0=[1e308, 1e308], q1=None, flips=(False, False))
+@example(q0=[-_MAX, 3.0], q1=[_MAX, 1.0], flips=(False, False))
+def test_midpoint_rules_keep_the_reference_bits_at_float_edges(rule, reference,
+                                                               system_name, q0, q1, flips):
+    # q1 = None repeats q0, with the zero coordinates whose flip is set negated
+    system = EDGE_SYSTEMS[system_name]()
+    q0 = q0[:system.n]
+    q1 = [-x if f and not x else x for x, f in zip(q0, flips)] if q1 is None \
+        else q1[:system.n]
+    for ch in system.atlas.charts:
+        Ld = rule(system.lagrangian, system.atlas, ch.id, 0.1)
+        ref = reference(system.lagrangian, system.atlas, ch.id, 0.1)
+        with np.errstate(all="ignore"):
+            want = {part: getattr(ref, part)(np.array(q0), np.array(q1)) for part in PARTS}
+            jet = Ld.jet(list(q0), list(q1))
+            got = {part: getattr(Ld, part)(np.array(q0), np.array(q1)) for part in PARTS}
+        assert type(jet[0]) is type(want["value"])
+        assert all(type(x) is float for x in jet[1] + jet[2] + sum(jet[3], []))
+        for part, value in zip(("value", "d1", "d2", "d1d2"), jet):
+            assert _bits(value) == _bits(want[part]), (ch.id, part)
+        for part in PARTS:
+            assert type(got[part]) is type(want[part]), (ch.id, part)
+            assert _bits(got[part]) == _bits(want[part]), (ch.id, part)
 
 
 @pytest.mark.parametrize("rule, reference", MEMO_RULES, ids=MEMO_IDS)
