@@ -348,8 +348,8 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     the resolved ``hess_vv`` and ``hess_vq`` are read here, once, as floats
     (n = 1), nested lists or, for ``hess_vq`` when n >= 3, the array, and for
     n >= 2 ``hess_vv`` becomes a ``numerics._solver``, which screens a 2x2
-    one, or inverts a larger one, here, once; otherwise both are read, and
-    the solve screened, at every call.
+    one here, once; otherwise both are read, and the solve screened, at
+    every call.
     """
     n = L.n
     jet = L.jet

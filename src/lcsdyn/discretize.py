@@ -401,13 +401,15 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     Ld(q0, q1) = exp(sigma(q0) - sigma(m)) h L(m, w) with m the pair midpoint
     and w the divided difference.  All parts at a pair come from one
     evaluation of L, sigma and the Lee form, so ``L``'s jet and the chart's
-    sigma callables must be pure functions of their arguments.  A declared
-    constant Lee form phi is read once, here: the Lee terms a = phi(q0) -
-    phi(m)/2 and b = -phi(m)/2 are then constants of the rule, sigma's
-    Hessian is zero, and a pair evaluates sigma at q0 and m alone, through
-    the chart's float kernel, on unpacked scalars when n <= 2
-    (:func:`_constant_lee_midpoint`).  Any other chart reads sigma, the Lee
-    form and its Hessian at q0 through :func:`_first_point_memo`.
+    sigma callables must be pure functions of their arguments.  For n <= 2 a
+    declared constant Lee form phi is read once, here: the Lee terms a =
+    phi(q0) - phi(m)/2 and b = -phi(m)/2 are then constants of the rule,
+    sigma's Hessian is zero, and a pair evaluates sigma at q0 and m alone,
+    through the chart's float kernel, on unpacked scalars
+    (:func:`_constant_lee_midpoint`).  Any other rule reads sigma, the Lee
+    form and its Hessian at q0 through :func:`_first_point_memo` and at m
+    through ``Chart._floats``, which hands out a constant Lee form and its
+    zero Hessian as they were declared.
     """
     ch, (base_d1d2, base_same) = atlas.chart(chart), _midpoint_bases(L, h)
     pair, (sigma, grad, hess) = _midpoint_pair(L, h), ch._floats
@@ -426,32 +428,24 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         return E * (np.outer(c, c * val + bd) + np.outer(bd, c) + val * dc
                     + base_same(node, k))
 
-    if ch.constant_lee is None:
-        at_q0 = _first_point_memo(sigma, grad, hess)
-
-        def lee_terms(q0, mid, sm):
-            # (s0, a, b, sigma's Hessian at m), or None where Ld is the plain rule
-            (s0, grad0, hess0), grad_mid, hess_mid = at_q0(q0), grad(mid), hess(mid)
-            a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
-            b = [-0.5 * gm for gm in grad_mid]
-            if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
-                                 or any(map(any, hess_mid))):
-                return None
-            return s0, a, b, hess_mid
-    else:
+    if ch.constant_lee is not None and L.n <= 2:
         lee = ch.constant_lee.tolist()
         a = [g - 0.5 * gm for g, gm in zip(lee, lee)]
         b = [-0.5 * gm for gm in lee]
         flat = not (any(a) or any(b))
-        if L.n <= 2:
-            return _memoized_pair_rule(
-                L.n, h, _constant_lee_midpoint(pair, sigma, base_d1d2, a, b, flat),
-                same_from)
-        zero = [[0.0] * len(lee) for _ in lee]
+        return _memoized_pair_rule(
+            L.n, h, _constant_lee_midpoint(pair, sigma, base_d1d2, a, b, flat), same_from)
+    at_q0 = _first_point_memo(sigma, grad, hess)
 
-        def lee_terms(q0, mid, sm):
-            s0 = sigma(q0)
-            return None if flat and s0 == sm else (s0, a, b, zero)
+    def lee_terms(q0, mid, sm):
+        # (s0, a, b, sigma's Hessian at m), or None where Ld is the plain rule
+        (s0, grad0, hess0), grad_mid, hess_mid = at_q0(q0), grad(mid), hess(mid)
+        a = [g - 0.5 * gm for g, gm in zip(grad0, grad_mid)]
+        b = [-0.5 * gm for gm in grad_mid]
+        if s0 == sm and not (any(a) or any(b) or any(map(any, hess0))
+                             or any(map(any, hess_mid))):
+            return None
+        return s0, a, b, hess_mid
 
     def pair_data(q0, q1):
         val, bd1, bd2, node = pair(q0, q1)
@@ -480,28 +474,21 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     Ld(q0, q1) = (h/2) [L(q0, w) + exp(sigma(q0) - sigma(q1)) L(q1, w)].
     All parts at a pair come from one evaluation of L, sigma and the Lee
     form, so ``L``'s jet and the chart's sigma callables must be pure
-    functions of their arguments.  A declared constant Lee form is read
-    once, here: phi(q0) and phi(q1) are then that constant, sigma's Hessian
-    is zero, and a pair evaluates sigma alone.
+    functions of their arguments.  The Lee form and sigma's Hessian come
+    from ``Chart._floats``, which hands out a declared constant Lee form and
+    its zero Hessian without evaluating anything.
     """
     ch, (base_d1d2, halves, node, half_vv) = atlas.chart(chart), _trapezoidal_bases(L, h)
     sigma, grad, hess = ch._floats
     at_q0 = _first_point_memo(sigma, grad, hess)
-    if ch.constant_lee is None:
-        def lee_terms(q0, q1, s1):
-            # (s0, phi0, phi1), or None where Ld is the plain rule
-            (s0, phi0, hess0), phi1 = at_q0(q0), grad(q1)
-            if s0 == s1 and not (any(phi0) or any(phi1) or any(map(any, hess0))
-                                 or any(map(any, hess(q1)))):
-                return None
-            return s0, phi0, phi1
-    else:
-        lee = ch.constant_lee.tolist()
-        flat = not any(lee)
 
-        def lee_terms(q0, q1, s1):
-            s0 = at_q0(q0)[0]
-            return None if flat and s0 == s1 else (s0, lee, lee)
+    def lee_terms(q0, q1, s1):
+        # (s0, phi0, phi1), or None where Ld is the plain rule
+        (s0, phi0, hess0), phi1 = at_q0(q0), grad(q1)
+        if s0 == s1 and not (any(phi0) or any(phi1) or any(map(any, hess0))
+                             or any(map(any, hess(q1)))):
+            return None
+        return s0, phi0, phi1
 
     # Ld = T + G U with T = (h/2) L(q0, w), U = (h/2) L(q1, w) and
     # G = exp(sigma(q0) - sigma(q1)); T1, U2 etc. are their partials

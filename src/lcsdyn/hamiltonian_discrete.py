@@ -30,24 +30,24 @@ Both inversions are Newton solves with the closed-form Jacobians
     dp+/dq1 = exp(sigma(q1) - sigma(q0)) (d2d2 Ld + d2 Ld (x) phi(q1)),
     dp-/dq0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld.
 
-Their ``d1``/``d2`` are true partials of the eliminated two-argument functions
-(implicit-function differentiation through the same Jacobians).  One Newton
-inversion at (q, P) gives the value and both partials: the builders sit on the
-quadrature rules' one-entry pair memo (``discretize._pair_memo``, keyed on the
-float tuples of (q, P)), so a built Hamiltonian is stateful and not
-thread-safe.  The inversions, the partials and the mixed partial run on
-Python floats: the inversions iterate ``numerics._newton`` over the pair jet
-``Ld.jet`` with the closed-form Jacobians, which read Ld's d1d1 or d2d2 on
-fresh arrays, and the array parts of a built Hamiltonian are views of its
-memo entry.  A built Hamiltonian's ``d1d2`` is lazy:
+Every discrete Hamiltonian is generated so and defined by its float jet:
+``Hd.jet(q, P)`` returns the value and its true partials ``d1``/``d2``
+(implicit-function differentiation through the same Jacobians), all from one
+Newton inversion at (q, P): the builders sit on the quadrature rules'
+one-entry pair memo (``discretize._pair_memo``, keyed on the float tuples of
+(q, P)), so a Hamiltonian is stateful and not thread-safe.  The inversions
+iterate ``numerics._newton`` on Python floats over the pair jet ``Ld.jet``
+with the closed-form Jacobians, which read Ld's d1d1 or d2d2 on fresh arrays;
+the array methods ``value``/``d1``/``d2``/``d1d2`` convert the float surface.
+The mixed partial ``Hd.mixed`` is lazy:
 where the Lee form (and the sigma Hessian at the eliminated point) vanishes it is
 -d1d2 Ld inv(dp+/dq1) (right) or -E (d1d2 Ld)^T inv(dp-/dq0) (left, E the
 exponential in H-).  Elsewhere ``d1`` is differenced in P along the inverted
 relation's tangent, the eliminated point moving by inv(dp/dq) dP, with no
 further inversion: where the Lee form at the eliminated point is nonzero the
 exact mixed partial carries third partials of Ld, which no rule provides.
-Plain ``rd_step``/``ld_step`` use ``d1d2`` as Newton Jacobian, iterating
-``numerics._newton`` on the Hamiltonian's float parts.
+Plain ``rd_step``/``ld_step`` use the mixed partial as Newton Jacobian,
+iterating ``numerics._newton`` over ``Hd.jet`` and ``Hd.mixed``.
 The conformal steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, on Python floats with one pair jet call per Newton iterate, and
@@ -69,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from .atlas import Chart, ConformalAtlas, transition_apply
-from .discretize import DiscreteLagrangian, _on_arrays, _pair_memo
+from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
                        _newton_result, _of_length, _on_lists, _rows, _solve_floats, _sub,
@@ -209,35 +209,45 @@ class LagrangianSource:
 class DiscreteHamiltonian:
     """One-step generating Hamiltonian; right side takes (q_k, p_{k+1}), left (q_{k+1}, p_k).
 
-    ``d1``/``d2`` are partials of ``value`` in its two arguments and ``d1d2[i, j]
-    = d^2 H / da_i db_j`` (finite-difference consistent).  The builders make the
-    four share one inversion per (q, P), solved and differentiated through the
-    closed-form Jacobian of the momentum relation; ``d1d2`` is lazy, closed-form
-    where the Lee form vanishes and elsewhere differenced along the inverted
-    relation without further inversions.  ``source`` carries the generating
-    data of a Lagrangian-built Hamiltonian; conformal steppers need it.
-
-    The plain steps run on float parts, d1, d2 and d1d2 at two lists of
-    floats: a built Hamiltonian's are its memo entry itself, of which the
-    array parts are views; otherwise (and in a ``dataclasses.replace`` copy)
-    they call the array parts on fresh arrays, one part per request.
+    Made by :func:`build_right_hamiltonian` or :func:`build_left_hamiltonian`
+    from its generating ``source``, and defined by its float surface on two
+    lists of floats: ``jet(a, P)`` returns the value and its partials d1 and
+    d2 in the two arguments, and ``mixed(a, P)`` returns ``d1d2[i][j] = d^2 H
+    / da_i dP_j`` as a nested list (finite-difference consistent), evaluated
+    only on request.  Both share one inversion per (a, P); ``mixed`` is
+    closed-form where the Lee form vanishes and elsewhere differenced along
+    the inverted relation without further inversions.  ``value``, ``d1``,
+    ``d2`` and ``d1d2`` are the same on array-likes, as an ``np.float64``
+    and fresh float64 arrays.
     """
 
-    n: int
-    h: float
+    source: LagrangianSource
     side: str
-    value: Callable[[Vector, Vector], float]
-    d1: Callable[[Vector, Vector], Vector]
-    d2: Callable[[Vector, Vector], Vector]
-    d1d2: Callable[[Vector, Vector], np.ndarray]
-    source: LagrangianSource | None = None
+    jet: Callable[[list, list], tuple]
+    mixed: Callable[[list, list], list]
 
-    def __post_init__(self):
-        if self.side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
+    @property
+    def n(self) -> int:
+        return self.source.Ld.n
 
-        object.__setattr__(self, "_floats", (_on_lists(self.d1), _on_lists(self.d2),
-                                             _on_lists(self.d1d2, as_matrix)))
+    @property
+    def h(self) -> float:
+        return self.source.Ld.h
+
+    def _at(self, part: Callable, a: Vector, P: Vector):
+        return part(as_vector(a).tolist(), as_vector(P).tolist())
+
+    def value(self, a: Vector, P: Vector) -> np.float64:
+        return np.float64(self._at(self.jet, a, P)[0])
+
+    def d1(self, a: Vector, P: Vector) -> np.ndarray:
+        return np.array(self._at(self.jet, a, P)[1])
+
+    def d2(self, a: Vector, P: Vector) -> np.ndarray:
+        return np.array(self._at(self.jet, a, P)[2])
+
+    def d1d2(self, a: Vector, P: Vector) -> np.ndarray:
+        return np.array(self._at(self.mixed, a, P))
 
 
 def _along_inversion(partial, P: list, J: list) -> list:
@@ -253,23 +263,13 @@ def _memoized_hamiltonian(source: LagrangianSource, side: str, pair_data, mixed
                           ) -> DiscreteHamiltonian:
     """A discrete Hamiltonian on :func:`discretize._pair_memo`.
 
-    ``pair_data(a, P)`` on float tuples inverts once and returns ``(value,
-    d1, d2, extra)`` on floats: the float parts read that entry, and d1d2
-    is ``mixed(a, P, *extra)``.  The array parts are views of the same.
+    ``pair_data(a, P)`` on float tuples inverts once and returns ``((value,
+    d1, d2), extra)`` on floats: the jet is that entry's first item, and the
+    mixed partial is ``mixed(a, P, *extra)``.
     """
     lookup = _pair_memo(pair_data)
-
-    def d1d2(a, P):
-        return mixed(a, P, *lookup(a, P)[3])
-
-    at, mixed_at = _on_arrays(lookup), _on_arrays(d1d2)
-    Hd = DiscreteHamiltonian(
-        n=source.Ld.n, h=source.Ld.h, side=side, source=source,
-        value=lambda a, P: np.float64(at(a, P)[0]), d1=lambda a, P: np.array(at(a, P)[1]),
-        d2=lambda a, P: np.array(at(a, P)[2]), d1d2=lambda a, P: np.array(mixed_at(a, P)))
-    object.__setattr__(Hd, "_floats", (lambda a, P: lookup(a, P)[1],
-                                       lambda a, P: lookup(a, P)[2], d1d2))
-    return Hd
+    return DiscreteHamiltonian(source=source, side=side, jet=lambda a, P: lookup(a, P)[0],
+                               mixed=lambda a, P: mixed(a, P, *lookup(a, P)[1]))
 
 
 def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
@@ -302,14 +302,14 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                     for col, g in zip(zip(*d1d2_Ld), d2_Ld)]
             d1 = _sub(d1, _transposed_matvec(dgdq, y))
             d2 = _add(d2, y)
-        return coupling - float(value), d1, d2, (q1, s0, s1, phi0, phi1)
+        return (coupling - float(value), d1, d2), (q1, s0, s1, phi0, phi1)
 
     def mixed(q0, P, q1, s0, s1, phi0, phi1):
         _, _, d2_Ld, d1d2_Ld = Ld.jet(q0, q1)
         J = _dp_plus_dq1(d2d2(q0, q1), d2_Ld, phi1, s0, s1)
         if any(phi0) or any(phi1) or any(map(any, hess(q1))):
             return _along_inversion(
-                lambda t, dx: partials(q0, _add(P, t), _add(q1, dx))[1], P, J)
+                lambda t, dx: partials(q0, _add(P, t), _add(q1, dx))[0][1], P, J)
         JT = _transposed(J)
         return [[-v for v in _solve_floats(JT, row, 1e12)] for row in d1d2_Ld]
 
@@ -338,7 +338,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
             y = _solve_floats(_transposed(J), [f * (E * _dot(P, q0)) for f in phi0], 1e12)
             d1 = _sub(d1, _transposed_matvec(_dp_minus_dq1(phi0, d2_Ld, d1d2_Ld), y))
             d2 = _add(d2, y)
-        return H, d1, d2, (q0, E, phi0, phi1)
+        return (H, d1, d2), (q0, E, phi0, phi1)
 
     def mixed(q1, P, q0, E, phi0, phi1):
         hess0 = hess(q0)
@@ -346,7 +346,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         J = _dp_minus_dq0(hess0, value, phi0, d1_Ld, d1d1(q0, q1))
         if any(phi0) or any(phi1) or any(map(any, hess0)):
             return _along_inversion(
-                lambda t, dx: partials(q1, _add(P, t), _add(q0, dx))[1], P, J)
+                lambda t, dx: partials(q1, _add(P, t), _add(q0, dx))[0][1], P, J)
         JT = _transposed(J)
         return [[-E * v for v in _solve_floats(JT, list(col), 1e12)]
                 for col in zip(*d1d2_Ld)]
@@ -363,17 +363,17 @@ def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
 
 def _plain_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
                 cfg: StepperConfig):
-    """Newton solve of the plain step on Hd's side, on its float parts;
-    returns (q_next, p_next, result)."""
-    d1, d2, d1d2 = Hd._floats
+    """Newton solve of the plain step on Hd's side, on its float jet and mixed
+    partial; returns (q_next, p_next, result)."""
+    jet, mixed = Hd.jet, Hd.mixed
     q, p = q_curr.tolist(), p_curr.tolist()
     if Hd.side == "right":
-        res = _newton_result(lambda P: (_sub(d1(q, P), p), lambda: d1d2(q, P)), p, cfg)
-        return np.array(d2(q, res.x.tolist())), res.x, res
+        res = _newton_result(lambda P: (_sub(jet(q, P)[1], p), lambda: mixed(q, P)), p, cfg)
+        return np.array(jet(q, res.x.tolist())[2]), res.x, res
     res = _newton_result(
-        lambda x: (_add(d2(x, p), q), lambda: _transposed(d1d2(x, p))),
+        lambda x: (_add(jet(x, p)[2], q), lambda: _transposed(mixed(x, p))),
         [a + Hd.h * b for a, b in zip(q, p)], cfg)
-    return res.x, np.array([-g for g in d1(res.x.tolist(), p)]), res
+    return res.x, np.array([-g for g in jet(res.x.tolist(), p)[1]]), res
 
 
 def rd_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
@@ -414,23 +414,14 @@ def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
     return res.x, np.array(_p_plus(d2, s_curr, s_next)), res, s_next
 
 
-def _require_source(Hd: DiscreteHamiltonian) -> LagrangianSource:
-    if Hd.source is None:
-        raise ValueError(
-            "conformal stepping needs a Lagrangian-generated discrete Hamiltonian "
-            "(build one with build_right_hamiltonian/build_left_hamiltonian)")
-    return Hd.source
-
-
 def _conformal_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
                     q_curr: Vector, p_curr: Vector, cfg: StepperConfig):
     """The chart-checked single conformal step behind rdlch_step and ldlch_step."""
-    source = _require_source(Hd)
-    if source.chart != chart:
+    if Hd.source.chart != chart:
         raise ValueError(f"discrete Hamiltonian was built on chart "
-                         f"{source.chart}, stepped on chart {chart}")
+                         f"{Hd.source.chart}, stepped on chart {chart}")
     ch = atlas.require_inside(chart, q_curr)
-    return _conformal_pair_step(source.Ld, ch, as_vector(q_curr),
+    return _conformal_pair_step(Hd.source.Ld, ch, as_vector(q_curr),
                                 _of_length(p_curr, Hd.n, "p"), cfg)[:2]
 
 
@@ -463,10 +454,10 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     Fills p and r at every point.  Chart switches follow ``integrate``: when a
     point leaves the core of its chart the march moves to a neighbouring chart,
     carrying p as a covector and recomputing r = exp(-sigma) p there; each
-    conformal step is posed on the active chart with the generating Ld.  For
-    Lagrangian-generated Hamiltonians the sign of det d1d2 along consecutive
-    pairs is monitored; a flip means the momentum inversion jumped to a
-    different branch and the march aborts with the partial trajectory.  A
+    conformal step is posed on the active chart with the generating Ld.  The
+    sign of det d1d2 Ld along consecutive pairs is monitored; a flip means
+    the momentum inversion jumped to a different branch and the march aborts
+    with the partial trajectory.  A
     march of more points than could be held raises ``MemoryError`` before
     its first step, as ``integrate`` does.
     """
@@ -475,7 +466,7 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     _rows(N + 1, 3 * Hd.n)  # room for every point's q, p and r, or MemoryError
     q, p = as_vector(q0), _of_length(p0, Hd.n, "p")
     atlas.require_inside(chart, q)
-    Ld = _require_source(Hd).Ld if conformal else None
+    Ld = Hd.source.Ld
     traj = DiscreteTrajectory(h=Hd.h)
     branch_sign = None
 
@@ -497,13 +488,12 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
                                                                cfg, s_curr)
         else:
             (q_next, p_next, res), s_next = _plain_step(Hd, q_curr, p_curr, cfg), None
-        if Hd.source is not None:
-            sign = _det_sign(Hd.source.Ld.jet(q_curr.tolist(), q_next.tolist())[3])
-            if branch_sign is not None and sign != 0 and sign != branch_sign:
-                k = len(traj.points)
-                raise IntegrationError(f"discrete Legendre branch jump at step {k}",
-                                       partial=traj, index=k)
-            branch_sign = sign if sign != 0 else branch_sign
+        sign = _det_sign(Ld.jet(q_curr.tolist(), q_next.tolist())[3])
+        if branch_sign is not None and sign != 0 and sign != branch_sign:
+            k = len(traj.points)
+            raise IntegrationError(f"discrete Legendre branch jump at step {k}",
+                                   partial=traj, index=k)
+        branch_sign = sign if sign != 0 else branch_sign
         return q_next, (p_next, s_next), res
 
     def carry(t, q_next, window):

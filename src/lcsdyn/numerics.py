@@ -282,22 +282,9 @@ def _solve_floats(A: list, b: list, cond_limit: float) -> list:
 def _solver(A: list, cond_limit: float) -> Callable[[list], list]:
     """``b -> _solve_floats(A, b, cond_limit)`` for a fixed nested list A,
     with the same bits and errors.  A 2x2 A is screened here, once: when it
-    passes, each call is :func:`_cramer` with the stored det; otherwise each
-    call is :func:`_solve_floats`, which raises as it does.  A larger A is
-    inverted here, once, by :func:`_checked_inverse`, and each call is
-    ``A_inv @ b``; when that raises, each call raises a
-    :class:`RegularityError` with the same message and condition."""
-    if len(A) > 2:
-        try:
-            A_inv = _checked_inverse(np.array(A), cond_limit, "ill-conditioned linear system")
-        except RegularityError as e:
-            message, condition = str(e), e.condition
-
-            def fail(b: list) -> list:
-                raise RegularityError(message, condition=condition)
-
-            return fail
-        return lambda b: (A_inv @ np.array(b)).tolist()
+    passes, each call is :func:`_cramer` with the stored det; otherwise, and
+    for any other size, each call is :func:`_solve_floats`, which raises as
+    it does."""
     det = _screened_det(A, cond_limit) if len(A) == 2 else None
     if det is None:
         return lambda b: _solve_floats(A, b, cond_limit)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from lcsdyn import (Chart, ConformalAtlas, StepperConfig, System, TransitionMap,
                     free_rotor_circle, harmonic_1d, planar_2d)
 from lcsdyn.continuous import ContinuousLagrangian
-from lcsdyn.numerics import as_vector
+from lcsdyn.numerics import _on_lists, as_matrix, as_vector
 from lcsdyn.systems import _free_particle, _harmonic, _linear_chart
 
 
@@ -119,6 +120,29 @@ def array_dp_minus_dq0(Ld, q0, q1, phi0, hess0) -> np.ndarray:
     """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld."""
     return (hess0 * float(Ld.value(q0, q1)) + np.outer(phi0, as_vector(Ld.d1(q0, q1)))
             - np.atleast_2d(Ld.d1d1(q0, q1)))
+
+
+@dataclasses.dataclass(frozen=True)
+class PartsHamiltonian:
+    """A discrete Hamiltonian given by its array parts, the coding the built
+    ones are checked against.  Its float ``jet`` and ``mixed``, which the
+    plain steppers iterate over, call the parts on fresh arrays."""
+
+    n: int
+    h: float
+    side: str
+    value: Callable
+    d1: Callable
+    d2: Callable
+    d1d2: Callable
+    source: object = None
+
+    def jet(self, a: list, P: list) -> tuple:
+        return (float(self.value(np.array(a), np.array(P))),
+                _on_lists(self.d1)(a, P), _on_lists(self.d2)(a, P))
+
+    def mixed(self, a: list, P: list) -> list:
+        return _on_lists(self.d1d2, as_matrix)(a, P)
 
 
 # The float path's bit contract, computed without the float unit or a BLAS:

@@ -132,8 +132,10 @@ def _pairs(chart, h: float, count: int, seed: int):
                          ids=["midpoint", "trapezoidal"])
 @pytest.mark.parametrize("system, chart", [
     (planar_2d(), 0), (planar_2d(0.3, -0.2), 0), (free_rotor_circle(-0.1), 0),
-    (free_rotor_circle(-0.1), 1), (with_constant_sigma(planar_2d(), 0.7), 0)],
-    ids=["planar", "planar-mixed-signs", "rotor-0", "rotor-1", "planar-constant"])
+    (free_rotor_circle(-0.1), 1), (with_constant_sigma(planar_2d(), 0.7), 0),
+    (harmonic_3d(), 0)],
+    ids=["planar", "planar-mixed-signs", "rotor-0", "rotor-1", "planar-constant",
+         "harmonic-3d"])
 def test_constant_lee_rule_equals_the_rule_on_a_per_point_lee_form(rule, system, chart):
     h = 0.05
     got = rule(system.lagrangian, system.atlas, chart, h)

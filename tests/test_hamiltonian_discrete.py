@@ -12,16 +12,15 @@ from lcsdyn import (ConsistencyError, DiscreteTrajectory,
                     ld_step, ldlch_step, midpoint_rule, momenta_along_trajectory,
                     rd_step, rdlch_step, transition_apply, with_constant_sigma)
 from lcsdyn import hamiltonian_discrete
-from lcsdyn.hamiltonian_discrete import DiscreteHamiltonian
 from lcsdyn.numerics import _det_sign, as_vector, fd_jacobian, newton_solve, solve_linear
-from conftest import (array_dp_minus_dq0, array_dp_plus_dq1, curved_planar, harmonic_3d,
-                      reference_dot, reference_matvec, rotor_with_transition_jacobian,
-                      varying_mass)
+from conftest import (PartsHamiltonian, array_dp_minus_dq0, array_dp_plus_dq1,
+                      curved_planar, harmonic_3d, reference_dot, reference_matvec,
+                      rotor_with_transition_jacobian, varying_mass)
 
 
 def analytic_free_right(h):
     # H+(q, p) = p q + h p^2 / 2 for the free particle
-    return DiscreteHamiltonian(
+    return PartsHamiltonian(
         n=1, h=h, side="right",
         value=lambda q, p: float(p @ q) + 0.5 * h * float(p @ p),
         d1=lambda q, p: np.asarray(p, float).copy(),
@@ -31,7 +30,7 @@ def analytic_free_right(h):
 
 def analytic_free_left(h):
     # H-(q1, p) = -p q1 + h p^2 / 2
-    return DiscreteHamiltonian(
+    return PartsHamiltonian(
         n=1, h=h, side="left",
         value=lambda q, p: -float(p @ q) + 0.5 * h * float(p @ p),
         d1=lambda q, p: -np.asarray(p, float).copy(),
@@ -177,9 +176,11 @@ def test_side_validation(tight_cfg, free_line_flat):
         rd_step(analytic_free_left(0.1), [0.0], [1.0], tight_cfg)
     with pytest.raises(ValueError):
         ld_step(analytic_free_right(0.1), [0.0], [1.0], tight_cfg)
-    with pytest.raises(ValueError):
-        rdlch_step(analytic_free_right(0.1), free_line_flat.atlas, 0,
-                   [0.0], [1.0], tight_cfg)  # analytic: no generating data
+    Ld, atlas = midpoint_rule(free_line_flat.lagrangian, 0.1), free_line_flat.atlas
+    with pytest.raises(ValueError, match="rdlch_step needs a right"):
+        rdlch_step(build_left_hamiltonian(Ld, atlas, 0), atlas, 0, [0.0], [1.0], tight_cfg)
+    with pytest.raises(ValueError, match="ldlch_step needs a left"):
+        ldlch_step(build_right_hamiltonian(Ld, atlas, 0), atlas, 0, [0.0], [1.0], tight_cfg)
 
 
 def test_rd_matches_del_through_legendre(harmonic_flat, tight_cfg):
@@ -460,8 +461,8 @@ def reference_right(Ld, atlas, chart):
             return base
         return base + correction(q0, P, q1, s0, s1, em)
 
-    return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value, d1=d1,
-                               d2=d2, d1d2=differenced_d1d2(d1), source=source)
+    return PartsHamiltonian(n=Ld.n, h=Ld.h, side="right", value=value, d1=d1, d2=d2,
+                            d1d2=differenced_d1d2(d1), source=source)
 
 
 def reference_left(Ld, atlas, chart):
@@ -502,8 +503,8 @@ def reference_left(Ld, atlas, chart):
             return base
         return base + correction(q1, P, q0, E)
 
-    return DiscreteHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value, d1=d1,
-                               d2=d2, d1d2=differenced_d1d2(d1), source=source)
+    return PartsHamiltonian(n=Ld.n, h=Ld.h, side="left", value=value, d1=d1, d2=d2,
+                            d1d2=differenced_d1d2(d1), source=source)
 
 
 BUILDERS = {"right": (build_right_hamiltonian, reference_right),
@@ -552,6 +553,28 @@ def test_memoized_hamiltonians_bitwise_equal_reference(name, sigma, rule, side):
             got, want = getattr(Hd, part)(q, P), getattr(ref, part)(q, P)
             assert type(got) is type(want), (order_name, part)
             assert _bits(got) == _bits(want), (order_name, part)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule],
+                         ids=["midpoint", "trapezoidal"])
+@pytest.mark.parametrize("name", ["harmonic_1d", "planar_2d", "free_rotor_circle"])
+def test_array_methods_convert_the_float_jet(name, rule, side):
+    # value, d1, d2 and d1d2 are the float jet and mixed partial on arrays;
+    # n and h are read from the generating Lagrangian
+    system = get_system(name)
+    chart = system.start_chart
+    Ld = rule(system.lagrangian, system.atlas, chart, 0.1)
+    Hd = BUILDERS[side][0](Ld, system.atlas, chart)
+    assert Hd.n is Ld.n and Hd.h is Ld.h
+    for q, P in _memo_points(system, 3):
+        (value, d1, d2), mixed = Hd.jet(q.tolist(), P.tolist()), Hd.mixed(q.tolist(),
+                                                                         P.tolist())
+        assert type(Hd.value(q, P)) is np.float64
+        assert _bits(Hd.value(q, P)) == _bits(value)
+        assert _bits(Hd.d1(q, P)) == _bits(d1) and _bits(Hd.d2(q, P)) == _bits(d2)
+        assert Hd.d1d2(q, P).shape == (system.n, system.n)
+        assert _bits(Hd.d1d2(q, P)) == _bits(mixed)
 
 
 @pytest.mark.parametrize("side", list(BUILDERS))

@@ -18,9 +18,9 @@ from lcsdyn import (DiscreteTrajectory, StepperConfig,
                     get_system, integrate, integrate_hamiltonian, ld_step, rd_step,
                     transition_apply, with_constant_sigma)
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
-from lcsdyn.hamiltonian_discrete import DiscreteHamiltonian
 from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _march
-from conftest import array_dp_minus_dq0, array_dp_plus_dq1, reference_dot, reference_matvec
+from conftest import (PartsHamiltonian, array_dp_minus_dq0, array_dp_plus_dq1,
+                      reference_dot, reference_matvec)
 
 _INVERT_CFG = StepperConfig(tol=1e-13, max_iter=60)
 _TANGENT_FD_EPS = 1e-5
@@ -63,9 +63,9 @@ def reference_hamiltonian(partials, mixed, invert, n, h, side):
         a, P, (_, _, _, extra) = at(a, P)
         return mixed(a, P, *extra)
 
-    return DiscreteHamiltonian(n=n, h=h, side=side, value=lambda a, P: at(a, P)[2][0],
-                               d1=lambda a, P: at(a, P)[2][1],
-                               d2=lambda a, P: at(a, P)[2][2], d1d2=d1d2)
+    return PartsHamiltonian(n=n, h=h, side=side, value=lambda a, P: at(a, P)[2][0],
+                            d1=lambda a, P: at(a, P)[2][1],
+                            d2=lambda a, P: at(a, P)[2][2], d1d2=d1d2)
 
 
 def reference_right(Ld, atlas, chart):
