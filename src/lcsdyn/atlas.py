@@ -70,11 +70,19 @@ class Chart:
     def contains(self, q: Vector, margin: float = 0.0) -> bool:
         """True if q lies in the domain shrunk on each side by margin*width.
 
-        Compared in floats, a coordinate at a time: every step of a march asks.
+        Compared in floats, a coordinate at a time: every step of a march asks,
+        with a float list, read as it is (any other q goes through
+        :func:`as_vector`); a q of the wrong length raises ``ValueError``.
         """
+        lower, upper = self._bounds
         return all(lo + margin * (hi - lo) <= x <= hi - margin * (hi - lo)
-                   for lo, hi, x in zip(self.lower.tolist(), self.upper.tolist(),
-                                        as_vector(q).tolist(), strict=True))
+                   for lo, hi, x in zip(lower, upper, q if type(q) is list
+                                        else as_vector(q).tolist(), strict=True))
+
+    @cached_property
+    def _bounds(self) -> tuple[list, list]:
+        """``lower`` and ``upper`` as float lists, read once per chart."""
+        return self.lower.tolist(), self.upper.tolist()
 
     def grad(self, q: Vector) -> np.ndarray:
         if self.constant_lee is not None:

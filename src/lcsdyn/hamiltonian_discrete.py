@@ -51,12 +51,13 @@ iterating ``numerics._newton`` over ``Hd.jet`` and ``Hd.mixed``.
 The conformal steppers step the generating Lagrangian instead: q_next solves
 p_curr = p-(q_curr, q_next), the n-unknown system of the conformal three-point
 recursion, on Python floats with one pair jet call per Newton iterate, and
-p_next = p+(q_curr, q_next) is then explicit; the march carries
-sigma(q_next) with it, for r_next and the next step, so it evaluates sigma
-once per point (twice at a chart switch).  That is what
-the conformal Hamilton equations assert once the eliminated argument is held
-fixed under differentiation, and it makes the Lagrangian and Hamiltonian
-marches commute through the Legendre transform.
+p_next = p+(q_curr, q_next) is then explicit.  That is what the conformal
+Hamilton equations assert once the eliminated argument is held fixed under
+differentiation, and it makes the Lagrangian and Hamiltonian marches commute
+through the Legendre transform.  The march holds (q, p, sigma(q)) on floats, so
+it evaluates sigma once per point (twice at a chart switch) and makes a point's
+q, p and r arrays once, as it appends the point; the plain march converts at
+the boundary of the array-coded ``_plain_step``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton
                        _newton_result, _of_length, _on_lists, _rows, _solve_floats, _sub,
                        _transposed, _transposed_matvec, as_matrix, as_vector)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
-from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_solve, _dp_minus_dq0,
+from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
                           _p_plus)
 
@@ -154,10 +155,19 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                 raise ConsistencyError(
                     f"momentum expressions disagree by {gap:.3e} (tol {tol:.1e}) "
                     f"at lattice point {k}", index=k)
-        pt.p = np.array(p_fwd if p_fwd is not None else p_bwd)
-        pt.r = np.exp(-sigmas[k]) * pt.p if conformal else pt.p.copy()
+        pt.p, pt.r = _momenta(p_fwd if p_fwd is not None else p_bwd,
+                              sigmas[k] if conformal else None)
         p_bwd, bwd_recorded = p_next, fwd_recorded
     return traj
+
+
+def _momenta(p: list, s: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh arrays p and r = exp(-s) p (r = p for s None) of a float list, r
+    with the bits of ``np.exp(-s) * np.array(p)``: one IEEE product each."""
+    if s is None:
+        return np.array(p), np.array(p)
+    e = float(np.exp(-s))
+    return np.array(p), np.array([e * x for x in p])
 
 
 @dataclass(frozen=True)
@@ -392,26 +402,25 @@ def ld_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
                        cfg)[:2]
 
 
-def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, q_curr: Vector,
-                         p_curr: Vector, cfg: StepperConfig,
-                         s_curr: float | None = None):
-    """One conformal step of the generating Lagrangian on chart ``ch``.
+def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, qc: list, pc: list,
+                         cfg: StepperConfig, s_curr: float | None = None):
+    """One conformal step of the generating Lagrangian on chart ``ch``, on floats.
 
     q_next solves p_curr = p-(q_curr, q_next): the n-unknown system of the
-    conformal three-point recursion (``variational._dlcel_solve``, analytic
-    Jacobian, on floats), seeded here with q_curr + h p_curr.  Then
+    conformal three-point recursion (``variational._dlcel_system``, analytic
+    Jacobian), seeded here with q_curr + h p_curr.  Then
     p_next = p+(q_curr, q_next) is explicit, from the pair jet at the solution.
     ``s_curr`` is sigma(q_curr) when the caller has it.  Returns (q_next,
-    p_next, result, sigma(q_next)).
+    p_next, sigma(q_next), iterations, residual).
     """
-    sigma, qc, pc = ch._floats[0], q_curr.tolist(), p_curr.tolist()
-    res = _dlcel_solve(Ld, ch, q_curr, pc, [a + Ld.h * b for a, b in zip(qc, pc)], cfg)
-    x = res.x.tolist()
+    sigma, grad, _ = ch._floats
+    x, iterations, residual = _newton(_dlcel_system(Ld, qc, grad(qc), pc),
+                                      [a + Ld.h * b for a, b in zip(qc, pc)], cfg)
     d2 = Ld.jet(qc, x)[2]
     if s_curr is None:
         s_curr = sigma(qc)
     s_next = sigma(x)
-    return res.x, np.array(_p_plus(d2, s_curr, s_next)), res, s_next
+    return x, _p_plus(d2, s_curr, s_next), s_next, iterations, residual
 
 
 def _conformal_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
@@ -421,8 +430,9 @@ def _conformal_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
         raise ValueError(f"discrete Hamiltonian was built on chart "
                          f"{Hd.source.chart}, stepped on chart {chart}")
     ch = atlas.require_inside(chart, q_curr)
-    return _conformal_pair_step(Hd.source.Ld, ch, as_vector(q_curr),
-                                _of_length(p_curr, Hd.n, "p"), cfg)[:2]
+    q_next, p_next = _conformal_pair_step(Hd.source.Ld, ch, as_vector(q_curr).tolist(),
+                                          _of_length(p_curr, Hd.n, "p").tolist(), cfg)[:2]
+    return np.array(q_next), np.array(p_next)
 
 
 def rdlch_step(Hd: DiscreteHamiltonian, atlas: ConformalAtlas, chart: int,
@@ -466,39 +476,40 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     _rows(N + 1, 3 * Hd.n)  # room for every point's q, p and r, or MemoryError
     q, p = as_vector(q0), _of_length(p0, Hd.n, "p")
     atlas.require_inside(chart, q)
+    q, p = q.tolist(), p.tolist()
     Ld = Hd.source.Ld
     traj = DiscreteTrajectory(h=Hd.h)
     branch_sign = None
 
-    # The window is (p, sigma(q)) at the current point; sigma is None after a
-    # switch and with conformal=False, where r = p.
+    # The window is (p, sigma(q)) at the current point, on floats; sigma is
+    # None after a switch and with conformal=False, where r = p.
     def point(k, chart_id, q_k, window):
         p_k, s_k = window
-        if not conformal:
-            return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=p_k.copy())
-        if s_k is None:
-            s_k = atlas.chart(chart_id)._floats[0](q_k.tolist())
-        return TrajectoryPoint(k=k, chart=chart_id, q=q_k, p=p_k, r=np.exp(-s_k) * p_k)
+        if conformal and s_k is None:
+            s_k = atlas.chart(chart_id)._floats[0](q_k)
+        return TrajectoryPoint(k, chart_id, np.array(q_k), *_momenta(p_k, s_k))
 
     def step(ch, q_curr, window):
         nonlocal branch_sign
         p_curr, s_curr = window
         if conformal:
-            q_next, p_next, res, s_next = _conformal_pair_step(Ld, ch, q_curr, p_curr,
-                                                               cfg, s_curr)
+            q_next, p_next, s_next, iterations, residual = _conformal_pair_step(
+                Ld, ch, q_curr, p_curr, cfg, s_curr)
         else:
-            (q_next, p_next, res), s_next = _plain_step(Hd, q_curr, p_curr, cfg), None
-        sign = _det_sign(Ld.jet(q_curr.tolist(), q_next.tolist())[3])
+            q_next, p_next, res = _plain_step(Hd, np.array(q_curr), np.array(p_curr), cfg)
+            q_next, p_next, s_next = q_next.tolist(), p_next.tolist(), None
+            iterations, residual = res.iterations, res.residual
+        sign = _det_sign(Ld.jet(q_curr, q_next)[3])
         if branch_sign is not None and sign != 0 and sign != branch_sign:
             k = len(traj.points)
             raise IntegrationError(f"discrete Legendre branch jump at step {k}",
                                    partial=traj, index=k)
         branch_sign = sign if sign != 0 else branch_sign
-        return q_next, (p_next, s_next), res
+        return q_next, (p_next, s_next), (iterations, residual)
 
     def carry(t, q_next, window):
-        return transition_apply(atlas, t.from_chart, t.to_chart, q_next, window[0],
-                                "p")[1], None
+        return transition_apply(atlas, t.from_chart, t.to_chart, np.array(q_next),
+                                np.array(window[0]), "p")[1].tolist(), None
 
     traj.points.append(point(0, chart, q, (p, None)))
     return _march(atlas, chart, q, (p, None), traj, N, step, carry, point,

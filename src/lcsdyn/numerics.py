@@ -257,10 +257,19 @@ def _transposed_matvec(M: list, y: list) -> list:
 
 def _det_sign(M: list) -> float:
     """np.sign(det M) of a nested list.  For n = 1 it is the sign of the
-    entry, without LAPACK: 1.0 or -1.0, 0.0 for either zero and NaN for NaN."""
+    entry, without LAPACK: 1.0 or -1.0, 0.0 for either zero and NaN for NaN.
+    For n = 2 it is the sign of ad - bc where that exceeds 1e-8 (|ad| + |bc|)
+    and each entry is 0 or of magnitude in (1e-75, 1e75), so that rounding,
+    here or in LAPACK's pivoted LU, cannot flip it; otherwise LAPACK's."""
     if len(M) == 1:
         x = M[0][0]
         return 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x
+    if len(M) == 2:
+        (a, b), (c, d) = M
+        ad, bc = a * d, b * c
+        if abs(ad - bc) > 1e-8 * (abs(ad) + abs(bc)) \
+                and all(x == 0.0 or 1e-75 < abs(x) < 1e75 for x in (a, b, c, d)):
+            return 1.0 if ad > bc else -1.0
     return float(np.sign(np.linalg.det(np.array(M))))
 
 

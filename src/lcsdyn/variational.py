@@ -13,17 +13,19 @@ phi = D sigma, reads
 Written with the conformal discrete Legendre maps, defined once here,
 p+(q0, q1) = exp(sigma(q1) - sigma(q0)) d2 Ld and p-(q0, q1) = phi(q0) Ld - d1 Ld,
 it reads p+(q_prev, q_curr) = p-(q_curr, q_next).  The conformal Hamiltonian
-pair step solves the same system, ``_dlcel_solve``, for its carried momentum.
+pair step solves the same system, ``_dlcel_system``, for its carried momentum.
 Both recursions are solved for q_next by damped Newton with an analytic
 Jacobian, and both steps, p+-, dp-/dq1 and the Hamiltonian side's dp+/dq1
 and dp-/dq0 are written once, on Python floats: one call of the pair jet
 ``Ld.jet`` per Newton iterate gives the residual and the Jacobian, and
 ``numerics._newton`` iterates on float lists; array callers convert at their
-boundary.  For n = 1 and n = 2 ``_dlcel_solve`` writes p- and dp-/dq1 out
+boundary.  For n = 1 and n = 2 ``_dlcel_system`` writes p- and dp-/dq1 out
 on unpacked scalars, rounded as the general forms round them.
 ``integrate`` marches a trajectory, transporting the active
 two-point window across chart transitions whenever a point leaves the core
-of its chart, and fills momenta afterwards.  Each step
+of its chart, and fills momenta afterwards.  The march (``_march``) holds its
+window on floats, its steps call ``numerics._newton`` directly, and it makes
+arrays only for a recorded point and at a chart switch.  Each step
 ends with one jet call at its solved pair (a hit in a quadrature rule's
 memo), which gives p-(q_curr, q_next), the momentum of q_curr, and
 p+(q_curr, q_next), which the next step is posed with.  The march carries
@@ -46,11 +48,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .atlas import Chart, ConformalAtlas
+from .atlas import Chart, ConformalAtlas, TransitionMap
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
-from .numerics import (NewtonResult, StepperConfig, _add, _newton_result, _of_length,
-                       as_vector, fd_jacobian)
+from .numerics import (NewtonResult, StepperConfig, _add, _newton, _newton_result,
+                       _of_length, as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint, _MarchRecord
 
 Vector = np.ndarray
@@ -98,21 +100,16 @@ def _dp_minus_dq0(hess0: list, value: float, phi0: list, d1: list, d1d1: list) -
             for srow, f, mrow in zip(hess0, phi0, d1d1)]
 
 
-def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: list,
-                 seed: list, cfg: StepperConfig) -> NewtonResult:
-    """The conformal step on floats: q_next solving p_curr = p-(q_curr, q_next).
+def _dlcel_system(Ld: DiscreteLagrangian, qc: list, phi: list, p_curr: list) -> Callable:
+    """The conformal step's Newton system on floats, for :func:`numerics._newton`.
 
-    :func:`numerics._newton` solves it from ``seed``; at each iterate x one
-    call of ``Ld.jet(q_curr, x)`` gives the residual p_curr - p-(q_curr, x)
-    and the Jacobian -dp-/dq1.  The three-point recursion poses the step with
-    p_curr = p+(q_prev, q_curr), the conformal Hamiltonian pair step with the
-    momentum it carries.  For n = 1 and n = 2 the system is written on
-    unpacked scalars, residual p_i - (phi_i value - d1_i) and Jacobian
-    -(phi_i d2_j - d1d2_ij), rounded as :func:`_p_minus` and
-    :func:`_dp_minus_dq1` round them.
+    At each iterate x one call of ``Ld.jet(qc, x)`` gives the residual
+    p_curr - p-(qc, x) and the Jacobian -dp-/dq1, with ``phi`` the Lee form
+    at qc.  For n = 1 and n = 2 they are written on unpacked scalars,
+    residual p_i - (phi_i value - d1_i) and Jacobian -(phi_i d2_j - d1d2_ij),
+    rounded as :func:`_p_minus` and :func:`_dp_minus_dq1` round them.
     """
-    jet, qc = Ld.jet, q_curr.tolist()
-    phi = chart._floats[1](qc)
+    jet = Ld.jet
     if Ld.n == 1:
         (f0,), (p0,) = phi, p_curr
 
@@ -134,22 +131,27 @@ def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: l
             value, d1, d2, d1d2 = jet(qc, x)
             r = [p - m for p, m in zip(p_curr, _p_minus(phi, value, d1))]
             return r, lambda: [[-v for v in row] for row in _dp_minus_dq1(phi, d2, d1d2)]
+    return system
 
-    return _newton_result(system, seed, cfg)
+
+def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: list,
+                 seed: list, cfg: StepperConfig) -> NewtonResult:
+    """q_next solving p_curr = p-(q_curr, q_next) from ``seed``: the
+    :func:`_dlcel_system` on ``chart`` solved by :func:`numerics._newton`."""
+    qc = q_curr.tolist()
+    return _newton_result(_dlcel_system(Ld, qc, chart._floats[1](qc), p_curr), seed, cfg)
 
 
-def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vector,
-                      q_curr: Vector, cfg: StepperConfig, conformal: bool,
-                      p_curr: list | None = None) -> NewtonResult:
-    """Newton solve for q_next from the seed 2 q_curr - q_prev; returns the result.
+def _three_point_system(Ld: DiscreteLagrangian, chart: Chart | None, qp: list,
+                        qc: list, conformal: bool, p_curr: list | None = None
+                        ) -> tuple[Callable, list]:
+    """The Newton system for q_next and its seed 2 q_curr - q_prev, on floats.
 
     The plain step solves d2 Ld(q_prev, q_curr) + d1 Ld(q_curr, x) = 0 with
-    Jacobian d1d2 Ld(q_curr, x), one pair jet call per iterate.  The
-    conformal step is posed with p_curr = p+(q_prev, q_curr): a march
-    passes the one it read at the end of the previous step, and without it
-    the step reads it from the pair jet and the two sigma values.
+    Jacobian d1d2 Ld(q_curr, x), one pair jet call per iterate.  The conformal
+    step is :func:`_dlcel_system` with p_curr = p+(q_prev, q_curr), the one a
+    march read at the end of its previous step, or else read here.
     """
-    qp, qc = q_prev.tolist(), q_curr.tolist()
     seed = [2.0 * b - a for a, b in zip(qp, qc)]
     if not conformal:
         jet, lhs = Ld.jet, Ld.jet(qp, qc)[2]
@@ -158,18 +160,19 @@ def _three_point_step(Ld: DiscreteLagrangian, chart: Chart | None, q_prev: Vecto
             _, d1, _, d1d2 = jet(qc, x)
             return _add(lhs, d1), lambda: d1d2
 
-        return _newton_result(system, seed, cfg)
+        return system, seed
+    sigma, grad, _ = chart._floats
     if p_curr is None:
-        sigma = chart._floats[0]
         p_curr = _p_plus(Ld.jet(qp, qc)[2], sigma(qp), sigma(qc))
-    return _dlcel_solve(Ld, chart, q_curr, p_curr, seed, cfg)
+    return _dlcel_system(Ld, qc, grad(qc), p_curr), seed
 
 
 def del_step(Ld: DiscreteLagrangian, q_prev: Vector, q_curr: Vector,
              cfg: StepperConfig) -> np.ndarray:
     """Advance the plain three-point recursion; Newton seed is 2 q_curr - q_prev."""
-    return _three_point_step(Ld, None, _of_length(q_prev, Ld.n, "q_prev"),
-                             _of_length(q_curr, Ld.n, "q_curr"), cfg, conformal=False).x
+    return _newton_result(*_three_point_system(
+        Ld, None, _of_length(q_prev, Ld.n, "q_prev").tolist(),
+        _of_length(q_curr, Ld.n, "q_curr").tolist(), False), cfg).x
 
 
 def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
@@ -178,7 +181,8 @@ def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
     q_prev, q_curr = as_vector(q_prev), as_vector(q_curr)
     atlas.require_inside(chart, q_prev)
     ch = atlas.require_inside(chart, q_curr)
-    return _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal=True).x
+    return _newton_result(*_three_point_system(Ld, ch, q_prev.tolist(), q_curr.tolist(),
+                                               True), cfg).x
 
 
 def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
@@ -198,9 +202,10 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     q0, q1 = as_vector(q0), as_vector(q1)
     atlas.require_inside(start_chart, q0)
     atlas.require_inside(start_chart, q1)
+    q0, q1 = q0.tolist(), q1.tolist()
     traj = DiscreteTrajectory(h=Ld.h)
-    traj.points.append(TrajectoryPoint(k=0, chart=start_chart, q=q0))
-    traj.points.append(TrajectoryPoint(k=1, chart=start_chart, q=q1))
+    traj.points.append(TrajectoryPoint(k=0, chart=start_chart, q=np.array(q0)))
+    traj.points.append(TrajectoryPoint(k=1, chart=start_chart, q=np.array(q1)))
     record = _MarchRecord(Ld.n, N - 1)
 
     # The window is (q_prev, p_curr, s_curr), p_curr = p+(q_prev, q_curr) and
@@ -208,23 +213,23 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     # switch.  Each step records what one jet call at its solved pair gives.
     def step(ch, q_curr, window):
         q_prev, p_curr, s_curr = window
-        res = _three_point_step(Ld, ch, q_prev, q_curr, cfg, conformal, p_curr)
-        qc, x = q_curr.tolist(), res.x.tolist()
-        value, d1, d2, _ = Ld.jet(qc, x)
+        x, iterations, residual = _newton(
+            *_three_point_system(Ld, ch, q_prev, q_curr, conformal, p_curr), cfg)
+        value, d1, d2, _ = Ld.jet(q_curr, x)
         if conformal:
             sigma, grad, _ = ch._floats
             if s_curr is None:
-                s_curr = sigma(qc)
+                s_curr = sigma(q_curr)
             s_next = sigma(x)
             p_next = _p_plus(d2, s_curr, s_next)
-            record.add(s_curr, _p_minus(grad(qc), value, d1), p_next, s_next)
-            return res.x, (q_curr, p_next, s_next), res
+            record.add(s_curr, _p_minus(grad(q_curr), value, d1), p_next, s_next)
+            return x, (q_curr, p_next, s_next), (iterations, residual)
         record.add(0.0, [-g for g in d1], d2, 0.0)
-        return res.x, (q_curr, None, None), res
+        return x, (q_curr, None, None), (iterations, residual)
 
     _march(atlas, start_chart, q1, (q0, None, None), traj, N, step,
-           carry=lambda t, q_next, window: (as_vector(t.forward(window[0])), None, None),
-           point=lambda k, chart, q, window: TrajectoryPoint(k=k, chart=chart, q=q),
+           carry=lambda t, q_next, window: (_forward(t, window[0]), None, None),
+           point=lambda k, chart, q, window: TrajectoryPoint(k, chart, np.array(q)),
            switch_margin=switch_margin)
 
     from .hamiltonian_discrete import momenta_along_trajectory
@@ -234,25 +239,27 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     return traj
 
 
-def _march(atlas: ConformalAtlas, chart_id: int, q: Vector, aux,
+def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
            traj: DiscreteTrajectory, N: int, step: Callable, carry: Callable,
            point: Callable, switch_margin: float) -> DiscreteTrajectory:
     """Append lattice points len(traj.points) .. N to ``traj``, one step each.
 
-    The window (q, aux) is posed on chart ``chart_id``: q is the current point
-    and aux whatever else the step needs (the previous point, or the current
-    momentum).  ``step(chart, q, aux)`` returns (q_next, aux_next,
-    NewtonResult).  When q_next leaves the core of its chart the window moves
-    across a transition holding q and q_next into a chart whose core holds
-    q_next; ``carry(t, q_next, aux_next)`` transports aux_next, given q_next
-    in the old chart.  ``point(k, chart_id, q, aux)`` builds each recorded point.
-    A NewtonError or RegularityError from a step or a carry ends the march
-    with an IntegrationError holding the points before it.
+    The window (q, aux) is posed on chart ``chart_id`` and held on floats: q
+    is the current point as a float list and aux whatever else the step needs
+    (the previous point, or the current momentum).  ``step(chart, q, aux)``
+    returns (q_next, aux_next, (iterations, residual)).  When q_next leaves
+    the core of its chart the window moves across a transition holding q and
+    q_next into a chart whose core holds q_next; ``carry(t, q_next,
+    aux_next)`` transports aux_next, given q_next in the old chart.  Arrays
+    are made only for the transition maps and by ``point(k, chart_id, q,
+    aux)``, which builds each recorded point.  A NewtonError or
+    RegularityError from a step or a carry ends the march with an
+    IntegrationError holding the points before it.
     """
+    ch = atlas.chart(chart_id)
     for k in range(len(traj.points), N + 1):
-        ch = atlas.chart(chart_id)
         try:
-            q_next, aux_next, res = step(ch, q, aux)
+            q_next, aux_next, (iterations, residual) = step(ch, q, aux)
         except (NewtonError, RegularityError) as e:
             raise IntegrationError(f"step to lattice point {k} failed: {e}",
                                    partial=traj, index=k) from e
@@ -266,27 +273,32 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: Vector, aux,
                     raise IntegrationError(
                         f"chart switch at lattice point {k} failed: {e}",
                         partial=traj, index=k) from e
-                q_next = as_vector(t.forward(q_next))
-                chart_id = t.to_chart
-                switched = True
+                q_next = _forward(t, q_next)
+                chart_id, switched = t.to_chart, True
+                ch = atlas.chart(chart_id)
             elif not ch.contains(q_next):
                 raise IntegrationError(
                     f"lattice point {k} left chart {chart_id} with no usable "
                     f"transition", partial=traj, index=k)
         traj.points.append(point(k, chart_id, q_next, aux_next))
-        traj.steps.append(StepRecord(k=k, iterations=res.iterations,
-                                     residual=res.residual, switched=switched))
+        traj.steps.append(StepRecord(k=k, iterations=iterations, residual=residual,
+                                     switched=switched))
         q, aux = q_next, aux_next
     return traj
 
 
-def _find_switch(atlas: ConformalAtlas, chart_id: int, q_curr: Vector,
-                 q_next: Vector, margin: float):
+def _forward(t: TransitionMap, q: list) -> list:
+    """A float list carried through the transition map ``t``, which takes an array."""
+    return as_vector(t.forward(np.array(q))).tolist()
+
+
+def _find_switch(atlas: ConformalAtlas, chart_id: int, q_curr: list, q_next: list,
+                 margin: float) -> TransitionMap | None:
     """A transition carrying both active points into a chart whose core holds q_next."""
     for t in atlas.transitions:
         if t.from_chart != chart_id or not (t.contains(q_next) and t.contains(q_curr)):
             continue
-        if atlas.chart(t.to_chart).contains(as_vector(t.forward(q_next)), margin=margin):
+        if atlas.chart(t.to_chart).contains(_forward(t, q_next), margin=margin):
             return t
     return None
 

@@ -157,3 +157,25 @@ def test_constant_lee_form_is_checked_and_copied():
     with pytest.raises(ValueError, match="constant_lee"):
         Chart(id=0, dim=2, lower=[-1, -1], upper=[1, 1], sigma=lambda q: 0.0,
               constant_lee=[0.3])
+
+
+def test_chart_contains_reads_a_float_list_as_an_array():
+    # a march asks with its float-list window, a caller with any array-like;
+    # the bounds are read once per chart, and a wrong length still raises
+    chart = Chart(id=0, dim=2, lower=[-1.0, 0.0], upper=[1.0, 2.0], sigma=lambda q: 0.0,
+                  constant_lee=[0.0, 0.0])
+    points = [[0.0, 1.0], [-1.0, 0.0], [1.0, 2.0], [-0.8, 0.2], [-0.8000001, 0.2],
+              [0.8, 1.8], [0.8, 1.8000001], [1.0000001, 1.0], [np.nan, 1.0],
+              [0.0, np.nan], [np.inf, 1.0]]
+    for q in points:
+        for margin in (0.0, 0.1):
+            want = chart.contains(np.array(q), margin=margin)
+            assert chart.contains(q, margin=margin) is want
+            assert chart.contains(tuple(q), margin=margin) is want
+    assert chart.contains([-1.0, 0.0]) and chart.contains([1.0, 2.0])
+    assert not chart.contains([-1.0, 0.0], margin=0.1)
+    assert chart.contains([-0.8, 0.2], margin=0.1)
+    assert not chart.contains([np.nan, 1.0])
+    for q in ([0.0], [0.0, 1.0, 1.0], np.zeros(3)):
+        with pytest.raises(ValueError):
+            chart.contains(q)

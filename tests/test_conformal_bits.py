@@ -4,7 +4,8 @@ The references below are the array coding of the conformal step system, its
 Newton solve through ``newton_solve``, the chart carry and the momentum fill:
 ``Ld.value``/``d1``/``d2``/``d1d2`` on arrays, numpy products and
 ``np.linalg.solve`` for the transition.  The marches run through the library's
-own ``_march`` loop, so each test compares the step, carry and fill codings.
+own ``_march`` loop, converting to and from its float-list window at their
+boundary, so each test compares the step, carry and fill codings.
 """
 
 import numpy as np
@@ -102,31 +103,42 @@ def reference_integrate(Ld, atlas, q0, q1, N, cfg):
     traj = DiscreteTrajectory(h=Ld.h, points=[TrajectoryPoint(k=0, chart=0, q=q0),
                                               TrajectoryPoint(k=1, chart=0, q=q1)])
 
+    # _march holds its window on float lists: arrays at the step's entry and
+    # lists at its exit
     def step(ch, q_curr, q_prev):
+        q_curr, q_prev = np.array(q_curr), np.array(q_prev)
         F, J = reference_dlcel_system(Ld, ch, q_curr, p_plus(Ld, ch, q_prev, q_curr))
         res = newton_solve(F, 2.0 * q_curr - q_prev, cfg, jacobian=J)
-        return res.x, q_curr, res
+        return res.x.tolist(), q_curr.tolist(), (res.iterations, res.residual)
 
-    _march(atlas, 0, q1, q0, traj, N, step,
-           carry=lambda t, q_next, q_curr: as_vector(t.forward(q_curr)),
-           point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart, q=q),
+    _march(atlas, 0, q1.tolist(), q0.tolist(), traj, N, step,
+           carry=lambda t, q_next, q_curr: as_vector(t.forward(np.array(q_curr))).tolist(),
+           point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart,
+                                                             q=np.array(q)),
            switch_margin=DEFAULT_SWITCH_MARGIN)
     return reference_momenta(Ld, atlas, traj)
 
 
 def reference_integrate_hamiltonian(Ld, atlas, q0, p0, N, cfg):
+    # the same float-list boundary as in reference_integrate
     def step(ch, q_curr, p_curr):
+        q_curr, p_curr = np.array(q_curr), np.array(p_curr)
         F, J = reference_dlcel_system(Ld, ch, q_curr, p_curr)
         res = newton_solve(F, q_curr + Ld.h * p_curr, cfg, jacobian=J)
-        return res.x, p_plus(Ld, ch, q_curr, res.x), res
+        return (res.x.tolist(), p_plus(Ld, ch, q_curr, res.x).tolist(),
+                (res.iterations, res.residual))
 
     def point(k, chart, q, p):
+        q, p = np.array(q), np.array(p)
         r = np.exp(-float(atlas.chart(chart).sigma(q))) * p
         return TrajectoryPoint(k=k, chart=chart, q=q, p=p, r=r)
 
+    def carry(t, q, p):
+        return carry_momentum(t, np.array(q), np.array(p)).tolist()
+
     traj = DiscreteTrajectory(h=Ld.h, points=[point(0, 0, q0, p0)])
-    return _march(atlas, 0, q0, p0, traj, N, step,
-                  carry=carry_momentum, point=point, switch_margin=DEFAULT_SWITCH_MARGIN)
+    return _march(atlas, 0, q0.tolist(), p0.tolist(), traj, N, step,
+                  carry=carry, point=point, switch_margin=DEFAULT_SWITCH_MARGIN)
 
 
 def assert_same_bits(traj, ref):

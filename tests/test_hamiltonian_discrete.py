@@ -820,6 +820,36 @@ def test_branch_sign_of_random_entries_is_numpys_determinant_sign():
     assert _det_sign(M.tolist()) == float(np.sign(np.linalg.det(M)))
 
 
+def _two_by_two_cases(rng):
+    """Random 2x2 matrices over many scales, nearly rank-1 ones, and ones
+    with signed zeros, NaN, infinities and entries that under- or overflow
+    LAPACK's pivot quotient."""
+    for M in rng.normal(size=(2000, 2, 2)) * np.exp2(rng.integers(-300, 300, (2000, 1, 1))):
+        yield M
+    for _ in range(2000):
+        u, v = rng.normal(size=2), rng.normal(size=2)
+        M = np.outer(u, v)
+        M[rng.integers(2), rng.integers(2)] *= 1.0 + rng.choice([0.0, 1e-16, 1e-12, 1e-9,
+                                                                  1e-7, -1e-7])
+        yield M
+    special = [0.0, -0.0, 1.0, -2.0, 5e-324, np.nan, np.inf, -np.inf, 1e300, 1e-300]
+    for _ in range(2000):
+        yield np.array(rng.choice(special, size=(2, 2)))
+    yield np.array([[1e300, 1e300], [1e-300, 1e-310]])
+
+
+def test_branch_sign_of_two_by_two_is_numpys_determinant_sign():
+    # the n = 2 branch monitor takes the closed-form sign where rounding
+    # cannot flip it, and LAPACK's elsewhere
+    rng = np.random.default_rng(23)
+    for M in _two_by_two_cases(rng):
+        with np.errstate(all="ignore"):
+            want = float(np.sign(np.linalg.det(M)))
+            got = _det_sign(M.tolist())
+        assert type(got) is float
+        assert got == want or np.isnan(got) and np.isnan(want), M
+
+
 def _wrong_length_calls():
     """One call per public entry point, each with a vector of the wrong length
     on the 1-DOF harmonic oscillator (or the rotor's transition)."""

@@ -6,7 +6,8 @@ the plain three-point system: ``Ld.value``/``d1``/``d2``/``d1d1``/``d2d2``/
 ``d1d2`` on arrays, numpy's elementwise products, conftest's dot products and
 matvecs (rounded per operation for n <= 2, without numpy's BLAS), and
 ``newton_solve``, ``solve_linear`` and ``fd_jacobian`` on arrays.  The marches run through the library's own
-``_march`` loop, so each march test compares the step and fill codings.
+``_march`` loop, converting to and from its float-list window at their
+boundary, so each march test compares the step and fill codings.
 """
 
 import numpy as np
@@ -152,13 +153,16 @@ def reference_integrate(Ld, atlas, q0, q1, N, cfg):
     traj = DiscreteTrajectory(h=Ld.h, points=[TrajectoryPoint(k=0, chart=0, q=q0),
                                               TrajectoryPoint(k=1, chart=0, q=q1)])
 
+    # _march holds its window on float lists: arrays at the step's entry and
+    # lists at its exit
     def step(ch, q_curr, q_prev):
-        res = reference_del_step(Ld, q_prev, q_curr, cfg)
-        return res.x, q_curr, res
+        res = reference_del_step(Ld, np.array(q_prev), np.array(q_curr), cfg)
+        return res.x.tolist(), q_curr, (res.iterations, res.residual)
 
-    _march(atlas, 0, q1, q0, traj, N, step,
-           carry=lambda t, q_next, q_curr: as_vector(t.forward(q_curr)),
-           point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart, q=q),
+    _march(atlas, 0, q1.tolist(), q0.tolist(), traj, N, step,
+           carry=lambda t, q_next, q_curr: as_vector(t.forward(np.array(q_curr))).tolist(),
+           point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart,
+                                                             q=np.array(q)),
            switch_margin=DEFAULT_SWITCH_MARGIN)
     pts = traj.points
     for k, pt in enumerate(pts[:-1]):
@@ -177,17 +181,23 @@ def reference_integrate(Ld, atlas, q0, q1, N, cfg):
 
 
 def reference_integrate_hamiltonian(Hd, atlas, q0, p0, N, cfg):
+    # the same float-list boundary as in reference_integrate
     def step(ch, q_curr, p_curr):
-        return reference_plain_step(Hd, q_curr, p_curr, cfg)
+        q_next, p_next, res = reference_plain_step(Hd, np.array(q_curr), np.array(p_curr),
+                                                   cfg)
+        return q_next.tolist(), p_next.tolist(), (res.iterations, res.residual)
 
     def point(k, chart, q, p):
-        return TrajectoryPoint(k=k, chart=chart, q=q, p=p, r=p.copy())
+        return TrajectoryPoint(k=k, chart=chart, q=np.array(q), p=np.array(p),
+                               r=np.array(p))
+
+    def carry(t, q_next, p):
+        return transition_apply(atlas, t.from_chart, t.to_chart, np.array(q_next),
+                                np.array(p), "p")[1].tolist()
 
     traj = DiscreteTrajectory(h=Hd.h, points=[point(0, 0, q0, p0)])
-    return _march(atlas, 0, q0, p0, traj, N, step,
-                  carry=lambda t, q_next, p: transition_apply(
-                      atlas, t.from_chart, t.to_chart, q_next, p, "p")[1],
-                  point=point, switch_margin=DEFAULT_SWITCH_MARGIN)
+    return _march(atlas, 0, as_vector(q0).tolist(), as_vector(p0).tolist(), traj, N, step,
+                  carry=carry, point=point, switch_margin=DEFAULT_SWITCH_MARGIN)
 
 
 def _bits(x) -> bytes:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from lcsdyn import (DiscreteTrajectory, IntegrationError, StepperConfig,
+                    build_left_hamiltonian, build_right_hamiltonian,
                     conformal_midpoint_rule, del_step, dlcel_step,
-                    free_rotor_circle, harmonic_1d, integrate, make_lcel_field,
-                    midpoint_rule, rk4_integrate, rotor_extended_chart,
-                    stationarity_residual, with_constant_sigma)
-from lcsdyn.variational import _three_point_step, action_sum
+                    free_rotor_circle, harmonic_1d, integrate, integrate_hamiltonian,
+                    make_lcel_field, midpoint_rule, planar_2d, rk4_integrate,
+                    rotor_extended_chart, stationarity_residual, with_constant_sigma)
+from lcsdyn.numerics import _newton
+from lcsdyn.variational import _three_point_system, action_sum
 
 
 def dlcel_free_q2():
@@ -30,10 +32,10 @@ def test_del_step_harmonic(harmonic_flat, tight_cfg):
 def test_del_step_fixed_point_converges_immediately(free_line_flat, tight_cfg):
     # stationary pair: the extrapolated seed already solves the recursion
     Ld = midpoint_rule(free_line_flat.lagrangian, 0.1)
-    res = _three_point_step(Ld, None, np.array([0.4]), np.array([0.4]), tight_cfg,
-                            conformal=False)
-    assert res.iterations == 0
-    assert res.residual == 0.0
+    _, iterations, residual = _newton(*_three_point_system(Ld, None, [0.4], [0.4], False),
+                                      tight_cfg)
+    assert iterations == 0
+    assert residual == 0.0
 
 
 def test_dlcel_constant_sigma_equals_del(harmonic, tight_cfg):
@@ -184,3 +186,32 @@ def test_convergence_second_order_two_point(harmonic):
                          int(round(1.0 / h)), cfg)
         errs[h] = abs(traj.points[-1].q[0] - ref[-1][0])
     assert 3.0 <= errs[0.1] / errs[0.05] <= 5.0
+
+
+@pytest.mark.parametrize("conformal", [True, False], ids=["conformal", "plain"])
+def test_marches_own_every_array_they_return(conformal, tight_cfg):
+    # every point's q, p and r is a fresh float64 array of shape (n,): changing
+    # the inputs after the call, or one point's arrays, changes no other
+    planar = planar_2d(0.3, 0.1)
+    Ld = conformal_midpoint_rule(planar.lagrangian, planar.atlas, 0, 0.05) if conformal \
+        else midpoint_rule(planar.lagrangian, 0.05)
+    q0, q1 = np.array([1.0, 0.9]), np.array([1.004, 0.995])
+    traj = integrate(Ld, planar.atlas, 0, q0, q1, 20, tight_cfg, conformal=conformal)
+    p0 = traj.points[0].p.copy()
+    hams = [integrate_hamiltonian(build(Ld, planar.atlas, 0), planar.atlas, 0, q0, p0, 20,
+                                  tight_cfg, conformal=conformal)
+            for build in (build_right_hamiltonian, build_left_hamiltonian)]
+    for march, inputs in [(traj, (q0, q1))] + [(ham, (q0, p0)) for ham in hams]:
+        before = [[a.tobytes() for a in (pt.q, pt.p, pt.r)] for pt in march.points]
+        arrays = [a for pt in march.points for a in (pt.q, pt.p, pt.r)]
+        for a in arrays:
+            assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (2,)
+            assert not any(np.shares_memory(a, x) for x in inputs)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        for x in inputs:
+            saved = x.copy()
+            x[0] = 7.0
+            assert [[a.tobytes() for a in (pt.q, pt.p, pt.r)] for pt in march.points] \
+                == before
+            x[:] = saved
