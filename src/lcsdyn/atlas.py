@@ -231,12 +231,18 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     q = _of_length(q, atlas.chart(from_chart).dim, "q")
     t = atlas.require_transition(from_chart, to_chart, q)
     q_new = as_vector(t.forward(q))
-    p_new = solve_linear(as_matrix(t.jacobian(q)).T, as_vector(momentum))
+    p_new = _covector(t, q, momentum)
     if momentum_kind == "r":
         s_from = atlas.chart(from_chart).sigma(q)
         s_to = atlas.chart(to_chart).sigma(q_new)
         p_new = p_new * np.exp(s_from - s_to)
     return q_new, p_new
+
+
+def _covector(t: TransitionMap, q: Vector, momentum) -> np.ndarray:
+    """The covector ``momentum`` at the array q carried through ``t`` (kind
+    ``"p"`` of :func:`transition_apply`), without carrying q."""
+    return solve_linear(as_matrix(t.jacobian(q)).T, as_vector(momentum))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _dot, _newton, _rows, _solver, as_vector,
-                       fd_jacobian)
+from .numerics import (StepperConfig, _dot, _newton, _of_length, _rows, _solver,
+                       as_vector, fd_jacobian)
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -124,7 +124,7 @@ def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndar
     """Velocity v solving dL/dv (q, v) = p by Newton, one jet call per iterate;
     under ``constant_hessians`` the resolved ``hess_vv`` is the Jacobian of
     every iterate."""
-    q, p = as_vector(q).tolist(), as_vector(p).tolist()
+    q, p = _of_length(q, L.n, "q").tolist(), _of_length(p, L.n, "p").tolist()
     jac = None
     if L.hessians is not None:
         vv = L.hessians[1].tolist()
@@ -144,26 +144,34 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     ``field`` is called exactly four times per step, each time on a fresh
     float64 array of shape ``(d,)``, and must return an array-like of ``d``
     real components.  A field made by :func:`make_lcel_field` or
-    :func:`make_lcshe_field` is called through its float entry
-    ``field._floats`` instead, which takes and returns a list of d floats (or
-    raises) and gives the same bits without the arrays.  The stages are
-    combined in Python floats, component by component, in the order
-    ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``; a two- or
-    four-component state (one or two degrees of freedom) is held as two or
-    four floats and stored straight into the preallocated result, the same
-    arithmetic without the per-component lists.
+    :func:`make_lcshe_field` is called through its private entry
+    ``field._kernel`` instead, which takes the d state components as
+    separate floats and gives the same bits without the arrays: the rates as
+    d floats, or, for a Lagrangian field of one or two degrees of freedom,
+    only the acceleration (one float or two), whose q-rate is the stage's own
+    v.  The stages are combined in Python floats, component by component, in
+    the order ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.
+    A two- or four-component state (one or two degrees of freedom) is held
+    as two or four floats and stored straight into the preallocated result:
+    the same arithmetic without the per-component lists.  For an
+    acceleration kernel the loop holds (q, v) and steps q by the stage
+    velocities themselves, ``q + (h/6) (((v + 2 v2) + 2 v3) + v4)``, bit for
+    bit what the rate form computes from ``[v, a]``.
 
-    Raises ``ValueError`` when ``h`` is not a positive finite number, when
-    ``steps < 1`` and when a field output does not have ``d`` components,
-    ``MemoryError`` when the (steps+1, d) result cannot be allocated, and
-    :class:`IntegrationError` at the first step whose state is not finite or
-    that leaves the chart (a DomainError), with the states before it as ``partial``.
+    Raises ``ValueError`` when ``x0`` is not one-dimensional, when ``h`` is
+    not a positive finite number, when ``steps < 1`` and when a field output
+    does not have ``d`` components, ``MemoryError`` when the (steps+1, d)
+    result cannot be allocated, and :class:`IntegrationError` at the first
+    step whose state is not finite or that leaves the chart (a DomainError),
+    with the states before it as ``partial``.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x0 = as_vector(x0)
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must be one-dimensional, got shape {x0.shape}")
     d = x0.size
     shape = (d,)
     out = _rows(steps + 1, d)
@@ -171,7 +179,7 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     x = out[0].tolist()
     half, sixth = 0.5 * h, h / 6.0
 
-    def stage(y: list) -> list:
+    def stage(*y: float) -> list:
         k = np.asarray(field(np.array(y)), dtype=float)
         if k.shape != shape:
             if k.size != d:
@@ -184,34 +192,75 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
         return IntegrationError(f"non-finite state at step {k + 1}",
                                 partial=out[:k + 1], index=k + 1)
 
-    stage = getattr(field, "_floats", stage)
+    accel = False
+    entry = getattr(field, "_kernel", None)
+    # a state of another length goes to the public field, which raises
+    if entry is not None and entry[0] == d:
+        _, stage, accel = entry
+    # for d = 2 or 4, row k + 1 of out is flat[d k + d] .. flat[d k + 2d - 1]:
+    # element stores instead of a numpy row assignment
+    flat = memoryview(out).cast("B").cast("d") if d in (2, 4) else None
     try:
-        if d == 2:
-            a, b = x
-            # row k + 1 of out is flat[2k + 2], flat[2k + 3]: two element
-            # stores instead of a numpy row assignment
-            flat = memoryview(out).cast("B").cast("d")
+        if d == 2 and accel:
+            q, v = x
             for k in range(steps):
-                a1, b1 = stage([a, b])
-                a2, b2 = stage([a + half * a1, b + half * b1])
-                a3, b3 = stage([a + half * a2, b + half * b2])
-                a4, b4 = stage([a + h * a3, b + h * b3])
+                a1 = stage(q, v)
+                v2 = v + half * a1
+                a2 = stage(q + half * v, v2)
+                v3 = v + half * a2
+                a3 = stage(q + half * v2, v3)
+                v4 = v + h * a3
+                a4 = stage(q + h * v3, v4)
+                q = q + sixth * (((v + 2.0 * v2) + 2.0 * v3) + v4)
+                v = v + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+                if not (math.isfinite(q) and math.isfinite(v)):
+                    raise nonfinite(k)
+                flat[2 * k + 2] = q
+                flat[2 * k + 3] = v
+        elif d == 2:
+            a, b = x
+            for k in range(steps):
+                a1, b1 = stage(a, b)
+                a2, b2 = stage(a + half * a1, b + half * b1)
+                a3, b3 = stage(a + half * a2, b + half * b2)
+                a4, b4 = stage(a + h * a3, b + h * b3)
                 a = a + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
                 b = b + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                 if not (math.isfinite(a) and math.isfinite(b)):
                     raise nonfinite(k)
                 flat[2 * k + 2] = a
                 flat[2 * k + 3] = b
+        elif d == 4 and accel:
+            q0, q1, v0, v1 = x
+            for k in range(steps):
+                a1, b1 = stage(q0, q1, v0, v1)
+                u2, w2 = v0 + half * a1, v1 + half * b1
+                a2, b2 = stage(q0 + half * v0, q1 + half * v1, u2, w2)
+                u3, w3 = v0 + half * a2, v1 + half * b2
+                a3, b3 = stage(q0 + half * u2, q1 + half * w2, u3, w3)
+                u4, w4 = v0 + h * a3, v1 + h * b3
+                a4, b4 = stage(q0 + h * u3, q1 + h * w3, u4, w4)
+                q0 = q0 + sixth * (((v0 + 2.0 * u2) + 2.0 * u3) + u4)
+                q1 = q1 + sixth * (((v1 + 2.0 * w2) + 2.0 * w3) + w4)
+                v0 = v0 + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+                v1 = v1 + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                if not (math.isfinite(q0) and math.isfinite(q1)
+                        and math.isfinite(v0) and math.isfinite(v1)):
+                    raise nonfinite(k)
+                i = 4 * k + 4
+                flat[i] = q0
+                flat[i + 1] = q1
+                flat[i + 2] = v0
+                flat[i + 3] = v1
         elif d == 4:
             a, b, c, e = x
-            flat = memoryview(out).cast("B").cast("d")
             for k in range(steps):
-                a1, b1, c1, e1 = stage([a, b, c, e])
-                a2, b2, c2, e2 = stage([a + half * a1, b + half * b1,
-                                        c + half * c1, e + half * e1])
-                a3, b3, c3, e3 = stage([a + half * a2, b + half * b2,
-                                        c + half * c2, e + half * e2])
-                a4, b4, c4, e4 = stage([a + h * a3, b + h * b3, c + h * c3, e + h * e3])
+                a1, b1, c1, e1 = stage(a, b, c, e)
+                a2, b2, c2, e2 = stage(a + half * a1, b + half * b1,
+                                       c + half * c1, e + half * e1)
+                a3, b3, c3, e3 = stage(a + half * a2, b + half * b2,
+                                       c + half * c2, e + half * e2)
+                a4, b4, c4, e4 = stage(a + h * a3, b + h * b3, c + h * c3, e + h * e3)
                 a = a + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
                 b = b + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                 c = c + sixth * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
@@ -226,10 +275,10 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
                 flat[i + 3] = e
         else:
             for k in range(steps):
-                k1 = stage(x)
-                k2 = stage([a + half * b for a, b in zip(x, k1)])
-                k3 = stage([a + half * b for a, b in zip(x, k2)])
-                k4 = stage([a + h * b for a, b in zip(x, k3)])
+                k1 = stage(*x)
+                k2 = stage(*[a + half * b for a, b in zip(x, k1)])
+                k3 = stage(*[a + half * b for a, b in zip(x, k2)])
+                k4 = stage(*[a + h * b for a, b in zip(x, k3)])
                 x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                      for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
                 if not all(map(math.isfinite, x)):
@@ -248,13 +297,29 @@ def divergence_numeric(field: Callable[[Vector], Vector], x: Vector,
     return float(np.trace(fd_jacobian(field, as_vector(x), eps)))
 
 
-def _float_field(floats: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
+def _kernel_field(kernel: Callable, n: int, accel: bool = False
+                  ) -> Callable[[Vector], np.ndarray]:
     """The public field ``x -> ndarray`` around a float kernel, which it carries
-    as ``_floats`` for :func:`rk4_integrate`."""
-    def field(x: Vector) -> np.ndarray:
-        return np.array(floats(as_vector(x).tolist()))
+    as ``_kernel = (2n, kernel, accel)`` for :func:`rk4_integrate`.
 
-    field._floats = floats
+    ``kernel`` takes the 2n state components as separate floats and returns
+    the 2n rates, or with ``accel`` (n <= 2) the acceleration only: a float
+    for n = 1, a list of two for n = 2, the q-rate being the state's own v.  An
+    ``x`` that is not a vector of 2n components raises ``ValueError``.
+    """
+    d, shape = 2 * n, (2 * n,)
+
+    def field(x: Vector) -> np.ndarray:
+        x = as_vector(x)
+        if x.shape != shape:
+            _of_length(x, d, "x")  # raises, naming the shape or the length
+        xs = x.tolist()
+        if not accel:
+            return np.array(kernel(*xs))
+        a = kernel(*xs)
+        return np.array(xs[1:] + [a] if n == 1 else xs[2:] + a)
+
+    field._kernel = (d, kernel, accel)
     return field
 
 
@@ -277,14 +342,15 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
 
     The chart, its Lee form when it is constant, and ``H``'s jet are resolved
-    once, and ``pdot`` is assembled on Python floats:
-    reference integrations call this field hundreds of thousands of times.
-    For n = 1 and n = 2 the kernel is chosen here and works on unpacked
-    scalars, its dot products written out as ``numerics._dot`` forms them
-    (``0.0 + a0 b0 + a1 b1``, Python's double arithmetic in that order, no
-    fused operation).  For n >= 3 the dot products stay numpy calls.  A
-    ``grad_q``, ``grad_p`` or Lee form without n components raises
-    ``ValueError``.
+    once, and ``pdot`` is assembled on Python floats, by a kernel that takes
+    the state as separate floats and returns the rates (see
+    :func:`_kernel_field`): reference integrations call this field hundreds
+    of thousands of times.  For n = 1 and n = 2 the kernel is chosen here and
+    works on unpacked scalars, its dot products written out as
+    ``numerics._dot`` forms them (``0.0 + a0 b0 + a1 b1``, Python's double
+    arithmetic in that order, no fused operation).  For n >= 3 the dot
+    products stay numpy calls.  A ``grad_q``, ``grad_p`` or Lee form without
+    n components raises ``ValueError``.
     """
     n = H.n
     jet = H.jet
@@ -292,35 +358,33 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     if n == 1:
         (lo,), (hi,) = lo, hi
 
-        def scalar_floats(xs: list) -> list:
-            q, p = xs
+        def scalar_rates(q: float, p: float) -> tuple:
             if not lo <= q <= hi:
                 atlas.require_inside(chart, np.array([q]))
             hval, (g,), (qd,) = jet([q], [p])
             (f,) = phi or lee([q])
             # numpy rounds a one-element dot like 0.0 + a*b
             s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
-            return [qd, -g - (f * s_p - p * s_phi) + hval * f]
+            return qd, -g - (f * s_p - p * s_phi) + hval * f
 
-        return _float_field(scalar_floats)
+        return _kernel_field(scalar_rates, 1)
 
     if n == 2:
         (lo0, lo1), (hi0, hi1) = lo, hi
 
-        def planar_floats(xs: list) -> list:
-            q0, q1, p0, p1 = xs
+        def planar_rates(q0: float, q1: float, p0: float, p1: float) -> tuple:
             if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
                 atlas.require_inside(chart, np.array([q0, q1]))
             hval, (g0, g1), (d0, d1) = jet([q0, q1], [p0, p1])
             f0, f1 = phi or lee([q0, q1])
             s_p, s_phi = 0.0 + p0 * d0 + p1 * d1, 0.0 + f0 * d0 + f1 * d1
-            return [d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
-                    -g1 - (f1 * s_p - p1 * s_phi) + hval * f1]
+            return (d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
+                    -g1 - (f1 * s_p - p1 * s_phi) + hval * f1)
 
-        return _float_field(planar_floats)
+        return _kernel_field(planar_rates, 2)
 
-    def floats(xs: list) -> list:
-        q, ps = xs[:n], xs[n:]
+    def rates(*xs: float) -> list:
+        q, ps = list(xs[:n]), list(xs[n:])
         if not all(a <= x <= b for a, x, b in zip(lo, q, hi)):
             atlas.require_inside(chart, np.array(q))
         hval, gq, qdot = jet(q, ps)
@@ -330,7 +394,7 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
         return qdot + [-g - (f * s_p - p * s_phi) + hval * f
                        for g, f, p, _ in zip(gq, f_q, ps, qdot, strict=True)]
 
-    return _float_field(floats)
+    return _kernel_field(rates, n)
 
 
 def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
@@ -341,7 +405,11 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     floats from one jet evaluation, by a kernel on unpacked scalars when
     n <= 2 (the n = 2 dot product and rows of ``hess_vq @ v`` written out as
     ``numerics._dot`` forms them), and a ``grad_q``, ``grad_v`` or Lee form
-    without n components raises ``ValueError``.  The acceleration solves
+    without n components raises ``ValueError``.  The n <= 2 kernels return
+    the acceleration alone, which :func:`rk4_integrate` steps in its
+    second-order loops.  When n = 1 with a constant Lee form and declared
+    Hessians of nonzero mass, the kernel holds the Lee form and both Hessians
+    as closure floats.  The acceleration solves
     ``hess_vv a = rhs`` by one division when n = 1 and otherwise as
     ``numerics._solve_floats`` solves (in closed form behind its screen when
     n = 2), raising :class:`RegularityError` as it does.  Under ``constant_hessians``
@@ -358,46 +426,52 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     if n == 1:
         (lo,), (hi,) = lo, hi
         mb = None if hessians is None else (hessians[1].item(0), hessians[2].item(0))
+        if phi is not None and mb is not None and mb[0] != 0.0:
+            # the reference case (AC5's 100k steps): every constant a closure float
+            (f,), (m, b) = phi, mb
 
-        def scalar_floats(xs: list) -> list:
-            q, v = xs
-            if not lo <= q <= hi:
-                atlas.require_inside(chart, np.array([q]))
-            lval, (g,), (c,), M, hvq = jet([q], [v])
-            (f,) = phi or lee([q])
-            m, b = mb or (M.item(0), hvq.item(0))
-            if m == 0.0:
-                raise RegularityError("singular 1x1 velocity Hessian",
-                                      condition=float("inf"))
-            # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
-            hv, s = 0.0 + b * v, 0.0 + f * v
-            return [v, (g - hv + s * c - lval * f) / m]
+            def scalar_accel(q: float, v: float) -> float:
+                if not lo <= q <= hi:
+                    atlas.require_inside(chart, np.array([q]))
+                lval, (g,), (c,), _, _ = jet([q], [v])
+                return (g - (0.0 + b * v) + (0.0 + f * v) * c - lval * f) / m
+        else:
+            def scalar_accel(q: float, v: float) -> float:
+                if not lo <= q <= hi:
+                    atlas.require_inside(chart, np.array([q]))
+                lval, (g,), (c,), M, hvq = jet([q], [v])
+                (f,) = phi or lee([q])
+                m, b = mb or (M.item(0), hvq.item(0))
+                if m == 0.0:
+                    raise RegularityError("singular 1x1 velocity Hessian",
+                                          condition=float("inf"))
+                # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
+                hv, s = 0.0 + b * v, 0.0 + f * v
+                return (g - hv + s * c - lval * f) / m
 
-        return _float_field(scalar_floats)
+        return _kernel_field(scalar_accel, 1, accel=True)
 
     if n == 2:
         (lo0, lo1), (hi0, hi1) = lo, hi
         SB = None if hessians is None else (_solver(hessians[1].tolist(), 1e12),
                                             hessians[2].tolist())
 
-        def planar_floats(xs: list) -> list:
-            q0, q1, v0, v1 = xs
+        def planar_accel(q0: float, q1: float, v0: float, v1: float) -> list:
             if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
                 atlas.require_inside(chart, np.array([q0, q1]))
             lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
             f0, f1 = phi or lee([q0, q1])
             solve, ((m00, m01), (m10, m11)) = SB or (_solver(M.tolist(), 1e12), hvq.tolist())
             s = 0.0 + f0 * v0 + f1 * v1
-            rhs = [g0 - (0.0 + m00 * v0 + m01 * v1) + s * c0 - lval * f0,
-                   g1 - (0.0 + m10 * v0 + m11 * v1) + s * c1 - lval * f1]
-            return [v0, v1] + solve(rhs)
+            return solve([g0 - (0.0 + m00 * v0 + m01 * v1) + s * c0 - lval * f0,
+                          g1 - (0.0 + m10 * v0 + m11 * v1) + s * c1 - lval * f1])
 
-        return _float_field(planar_floats)
+        return _kernel_field(planar_accel, 2, accel=True)
 
     SB = None if hessians is None else (_solver(hessians[1].tolist(), 1e12), hessians[2])
 
-    def floats(xs: list) -> list:
-        q, vs = xs[:n], xs[n:]
+    def rates(*xs: float) -> list:
+        q, vs = list(xs[:n]), list(xs[n:])
         if not all(a <= x <= b for a, x, b in zip(lo, q, hi)):
             atlas.require_inside(chart, np.array(q))
         lval, gq, gv, M, hvq = jet(q, vs)
@@ -408,4 +482,4 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
                for a, b, c, f in zip(gq, hv, gv, f_q, strict=True)]
         return vs + solve(rhs)
 
-    return _float_field(floats)
+    return _kernel_field(rates, n)

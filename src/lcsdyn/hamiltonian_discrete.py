@@ -69,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atlas import Chart, ConformalAtlas, transition_apply
+from .atlas import Chart, ConformalAtlas, _covector
 from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
 from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
@@ -144,8 +144,8 @@ def momenta_along_trajectory(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
             else:
                 p_fwd, p_next = [-g for g in d1], d2
             if nxt.chart != pt.chart:
-                p_next = transition_apply(atlas, pt.chart, nxt.chart, qb, p_next,
-                                          "p")[1].tolist()
+                t = atlas.require_transition(pt.chart, nxt.chart, qb)
+                p_next = _covector(t, np.array(qb), p_next).tolist()
         if p_fwd is not None and p_bwd is not None and not (fwd_recorded
                                                              and bwd_recorded):
             # the largest |difference|, NaN when any difference is NaN
@@ -508,8 +508,7 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
         return q_next, (p_next, s_next), (iterations, residual)
 
     def carry(t, q_next, window):
-        return transition_apply(atlas, t.from_chart, t.to_chart, np.array(q_next),
-                                np.array(window[0]), "p")[1].tolist(), None
+        return _covector(t, np.array(q_next), window[0]).tolist(), None
 
     traj.points.append(point(0, chart, q, (p, None)))
     return _march(atlas, chart, q, (p, None), traj, N, step, carry, point,

@@ -82,8 +82,11 @@ def _rows(count: int, width: int) -> np.ndarray:
 
 
 def _of_length(x, n: int, name: str) -> np.ndarray:
-    """``as_vector(x)``, or ``ValueError`` naming ``n`` unless it has n components."""
+    """``as_vector(x)``, or ``ValueError`` naming ``name`` unless it is a vector
+    of n components."""
     x = as_vector(x)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {x.shape}")
     if x.size != n:
         raise ValueError(f"{name} has {x.size} components, expected {n}")
     return x

@@ -265,16 +265,16 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
                                    partial=traj, index=k) from e
         switched = False
         if not ch.contains(q_next, margin=switch_margin):
-            t = _find_switch(atlas, chart_id, q, q_next, switch_margin)
-            if t is not None:
+            switch = _find_switch(atlas, chart_id, q, q_next, switch_margin)
+            if switch is not None:
+                t, q_moved = switch
                 try:
                     aux_next = carry(t, q_next, aux_next)
                 except (NewtonError, RegularityError) as e:
                     raise IntegrationError(
                         f"chart switch at lattice point {k} failed: {e}",
                         partial=traj, index=k) from e
-                q_next = _forward(t, q_next)
-                chart_id, switched = t.to_chart, True
+                q_next, chart_id, switched = q_moved, t.to_chart, True
                 ch = atlas.chart(chart_id)
             elif not ch.contains(q_next):
                 raise IntegrationError(
@@ -293,13 +293,15 @@ def _forward(t: TransitionMap, q: list) -> list:
 
 
 def _find_switch(atlas: ConformalAtlas, chart_id: int, q_curr: list, q_next: list,
-                 margin: float) -> TransitionMap | None:
-    """A transition carrying both active points into a chart whose core holds q_next."""
+                 margin: float) -> tuple[TransitionMap, list] | None:
+    """A transition carrying both active points into a chart whose core holds
+    q_next, with q_next carried through it."""
     for t in atlas.transitions:
         if t.from_chart != chart_id or not (t.contains(q_next) and t.contains(q_curr)):
             continue
-        if atlas.chart(t.to_chart).contains(_forward(t, q_next), margin=margin):
-            return t
+        q_moved = _forward(t, q_next)
+        if atlas.chart(t.to_chart).contains(q_moved, margin=margin):
+            return t, q_moved
     return None
 
 

@@ -36,6 +36,18 @@ def curved_planar():
     return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
 
 
+def curved_harmonic():
+    """harmonic_1d with the non-linear conformal factor sigma = 0.2 q^2, whose
+    Lee form 0.4 q varies along the flow."""
+    system = harmonic_1d()
+    c = system.atlas.charts[0]
+    chart = Chart(id=0, dim=1, lower=c.lower, upper=c.upper,
+                  sigma=lambda q: 0.2 * float(q[0]) ** 2,
+                  sigma_grad=lambda q: np.array([0.4 * q[0]]),
+                  sigma_hess=lambda q: np.array([[0.4]]))
+    return dataclasses.replace(system, atlas=ConformalAtlas(charts=(chart,)))
+
+
 def varying_mass():
     """planar_2d with L = mu(q)|v|^2/2 + A(q).v - |q|^2/2, mu = 1 + |q|^2/10 and
     A = (0.3 q1^2, 0.5 q0): hess_vv = mu(q) I and the non-symmetric

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
                     make_lcel_field, make_lcshe_field, numerics, planar_2d,
                     rk4_integrate, solve_linear)
-from conftest import (harmonic_3d, hollow, quadratic_planar, reference_dot,
-                      reference_matvec, reference_solve)
+from lcsdyn.errors import DomainError
+from conftest import (curved_harmonic, curved_planar, harmonic_3d, hollow,
+                      quadratic_planar, reference_dot, reference_matvec,
+                      reference_solve, varying_mass)
 
 
 def hamilton_rates(H, atlas, q, p):
@@ -192,6 +196,27 @@ def test_rk4_rejects_wrong_length_field_output():
     # array stage) used to broadcast silently
     with pytest.raises(ValueError, match=r"1 components.*length 2"):
         rk4_integrate(lambda x: np.array([1.0]), [0.0, 0.0], 0.1, 2)
+
+
+@pytest.mark.parametrize("entry", ["fiber_legendre_inv_q", "fiber_legendre_inv_p",
+                                   "rk4_integrate", "field"])
+def test_a_state_that_is_not_a_vector_is_named(entry):
+    # a (1, 2) q or p for planar_2d used to fail on unpacking, and a (2, 2)
+    # x0 on broadcasting into the (4,) result row
+    planar = planar_2d()
+    field = make_lcel_field(planar.lagrangian, planar.atlas, 0)
+    good, bad = np.array([1.0, 0.9]), np.array([[1.0, 0.9]])
+    name, shape, run = {
+        "fiber_legendre_inv_q": ("q", "(1, 2)",
+                                 lambda: fiber_legendre_inv(planar.lagrangian, bad, good)),
+        "fiber_legendre_inv_p": ("p", "(1, 2)",
+                                 lambda: fiber_legendre_inv(planar.lagrangian, good, bad)),
+        "rk4_integrate": ("x0", "(2, 2)",
+                          lambda: rk4_integrate(field, np.ones((2, 2)), 0.1, 3)),
+        "field": ("x", "(2, 2)", lambda: field(np.ones((2, 2))))}[entry]
+    with pytest.raises(ValueError, match=rf"{name} must be one-dimensional, "
+                                         rf"got shape {re.escape(shape)}"):
+        run()
 
 
 def test_fields_reject_wrong_length_gradients(harmonic):
@@ -447,12 +472,27 @@ def _starts(n):
             np.random.default_rng(4).uniform(0.2, 1.0, 2 * n)]
 
 
-@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle])
+# The catalog systems, whose n <= 2 fields run on their declared constants,
+# then systems whose Hessians are read from the jet (coupled_1d,
+# varying_mass, quadratic_planar) or whose Lee form varies (curved_*).
+SCALAR_PATH_SYSTEMS = [harmonic_1d, planar_2d, free_rotor_circle, coupled_1d, varying_mass,
+                       quadratic_planar, curved_harmonic, curved_planar]
+
+
+def _fields(system, jets=lambda jet: jet):
+    """The system's lcel and lcshe fields on chart 0, each jet passed through ``jets``."""
+    L, H = system.lagrangian, system.hamiltonian
+    return [make_lcel_field(dataclasses.replace(L, jet=jets(L.jet)), system.atlas, 0),
+            make_lcshe_field(dataclasses.replace(H, jet=jets(H.jet)), system.atlas, 0)]
+
+
+@pytest.mark.parametrize("system_fn", SCALAR_PATH_SYSTEMS)
 def test_rk4_float_entry_equals_public_field(system_fn):
-    # A wrapper without ``_floats`` (as a tracing wrapper is) takes the public
-    # array path; both must give the same bits.  Each field call is one jet call.
+    # A wrapper without ``_kernel`` (as a tracing wrapper is) takes the public
+    # array path; both must give the same bits.  Each field call is one jet
+    # call.  A Lagrangian kernel returns the acceleration only.
     system = system_fn()
-    n, L, H = system.n, system.lagrangian, system.hamiltonian
+    n = system.n
     calls = []
 
     def counted(jet):
@@ -461,16 +501,79 @@ def test_rk4_float_entry_equals_public_field(system_fn):
             return jet(q, x)
         return wrapper
 
-    for make, F in ((make_lcel_field, ContinuousLagrangian(n, counted(L.jet), L.hess_qq)),
-                    (make_lcshe_field, ContinuousHamiltonian(n, counted(H.jet)))):
-        field = make(F, system.atlas, 0)
-        assert callable(field._floats)
+    for field, accel in zip(_fields(system, counted), (True, False)):
+        d, kernel, is_accel = field._kernel
+        assert (d, is_accel) == (2 * n, accel) and callable(kernel)
         for x0 in _starts(n):
             calls.clear()
             got = rk4_integrate(field, x0, 1e-3, 400)
             assert len(calls) == 1600
             want = rk4_integrate(lambda x: field(x), x0, 1e-3, 400)
             assert got.tobytes() == want.tobytes()
+
+
+def _failing_jet(at):
+    """A jet wrapper whose call number ``at`` after ``count.clear()`` returns an
+    infinite grad_q, which makes the state of the step holding that call
+    non-finite when it is the step's fourth stage."""
+    count = []
+
+    def wrap(jet):
+        def wrapped(q, x):
+            count.append(1)
+            parts = jet(q, x)
+            return parts if len(count) != at else (parts[0], [math.inf] * len(q), *parts[2:])
+        return wrapped
+
+    return wrap, count
+
+
+@pytest.mark.parametrize("system_fn", SCALAR_PATH_SYSTEMS)
+def test_rk4_scalar_path_fails_as_the_array_path(system_fn):
+    # A non-finite state (the fourth stage of step 30 poisoned) and a stage
+    # outside the chart (from near the upper corner, moving out) raise the
+    # same IntegrationError on the scalar path and through a plain wrapper:
+    # the same message, index and partial bytes, and for the chart a
+    # DomainError as its cause.
+    system = system_fn()
+    n = system.n
+    wrap, count = _failing_jet(4 * 30)
+    upper = system.atlas.chart(0).upper
+    leaving = np.concatenate([upper - 0.25, np.full(n, 10.0)])
+    for field in _fields(system, wrap):
+        for x0, h, index, cause in ((_starts(n)[1], 1e-3, 30, type(None)),
+                                    (leaving, 0.01, None, DomainError)):
+            errors = []
+            for stage in (field, lambda x: field(x)):
+                count.clear()
+                with pytest.raises(IntegrationError) as exc:
+                    rk4_integrate(stage, x0, h, 200)
+                errors.append(exc.value)
+            scalar, array = errors
+            assert type(scalar.__cause__) is type(array.__cause__) is cause
+            assert str(scalar) == str(array)
+            assert scalar.index == array.index
+            assert index is None or scalar.index == index
+            assert scalar.partial.tobytes() == array.partial.tobytes()
+            assert scalar.partial.shape == (scalar.index, 2 * n)
+
+
+@pytest.mark.parametrize("lee", [0.1, None], ids=["constant_lee", "varying_lee"])
+def test_declared_zero_mass_raises_on_both_paths(lee):
+    # A declared 1x1 mass of zero keeps the per-call check: the field and both
+    # RK4 paths raise the RegularityError of the undeclared kernel.
+    def jet(q, v):
+        return 0.5 * q[0] * q[0], [q[0]], [0.0], np.zeros((1, 1)), np.zeros((1, 1))
+
+    system = harmonic_1d(lee) if lee is not None else curved_harmonic()
+    L = ContinuousLagrangian(1, jet, lambda q, v: np.ones((1, 1)), constant_hessians=True)
+    field = make_lcel_field(L, system.atlas, 0)
+    for run in (lambda: field(np.array([0.3, 0.2])),
+                lambda: rk4_integrate(field, [0.3, 0.2], 0.01, 5),
+                lambda: rk4_integrate(lambda x: field(x), [0.3, 0.2], 0.01, 5)):
+        with pytest.raises(RegularityError, match="singular 1x1 velocity Hessian") as exc:
+            run()
+        assert exc.value.condition == math.inf
 
 
 @pytest.mark.parametrize("system_fn", [coupled_1d, coupled_planar, quadratic_planar,

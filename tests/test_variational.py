@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lcsdyn import (DiscreteTrajectory, IntegrationError, StepperConfig,
+from lcsdyn import (ConformalAtlas, DiscreteTrajectory, IntegrationError, StepperConfig,
                     build_left_hamiltonian, build_right_hamiltonian,
                     conformal_midpoint_rule, del_step, dlcel_step,
                     free_rotor_circle, harmonic_1d, integrate, integrate_hamiltonian,
@@ -215,3 +217,66 @@ def test_marches_own_every_array_they_return(conformal, tight_cfg):
             assert [[a.tobytes() for a in (pt.q, pt.p, pt.r)] for pt in march.points] \
                 == before
             x[:] = saved
+
+
+def _counting_rotor(c):
+    """free_rotor_circle(c) whose transitions count their forward and jacobian calls."""
+    rotor = free_rotor_circle(c)
+    calls = {"forward": 0, "jacobian": 0}
+
+    def counted(name, f):
+        def wrapped(q):
+            calls[name] += 1
+            return f(q)
+        return wrapped
+
+    transitions = tuple(dataclasses.replace(t, forward=counted("forward", t.forward),
+                                            jacobian=counted("jacobian", t.jacobian))
+                        for t in rotor.atlas.transitions)
+    return rotor, ConformalAtlas(charts=rotor.atlas.charts, transitions=transitions), calls
+
+
+@pytest.mark.parametrize("march, forwards_per_switch", [("integrate", 3),
+                                                        ("integrate_hamiltonian", 1)])
+def test_chart_switch_maps_each_point_once(march, forwards_per_switch, tight_cfg):
+    # A switch of integrate carries q_next once (the switch test, whose point
+    # the march keeps), q_curr once (the carry) and the switched point back
+    # once (the momentum fill, which transports its covector without carrying
+    # the point forward again); integrate_hamiltonian carries q_next once and
+    # transports p.  Each switch reads one transition Jacobian.  The counting
+    # atlas gives the bits of the catalog one.
+    rotor, atlas, calls = _counting_rotor(-0.1)
+
+    def run(atlas):
+        Ld = conformal_midpoint_rule(rotor.lagrangian, atlas, 0, 0.05)
+        if march == "integrate":
+            return integrate(Ld, atlas, 0, [0.1], [0.15], 1999, tight_cfg)
+        return integrate_hamiltonian(build_right_hamiltonian(Ld, atlas, 0), atlas, 0,
+                                     [0.1], [1.0], 2000, tight_cfg)
+
+    traj = run(atlas)
+    switches = traj.n_switches()
+    assert switches >= 10
+    assert calls == {"forward": forwards_per_switch * switches, "jacobian": switches}
+    assert [(pt.chart, pt.q.tobytes(), pt.p.tobytes(), pt.r.tobytes())
+            for pt in traj.points] == \
+        [(pt.chart, pt.q.tobytes(), pt.p.tobytes(), pt.r.tobytes())
+         for pt in run(rotor.atlas).points]
+
+
+@pytest.mark.parametrize("entry", ["integrate_q0", "integrate_q1", "dlcel_step",
+                                   "integrate_hamiltonian"])
+def test_a_point_that_is_not_a_vector_is_named(entry, tight_cfg):
+    # a (1, 2) q for planar_2d used to reach the bounds compare and raise
+    # numpy's "truth value ... is ambiguous"
+    planar = planar_2d()
+    Ld = conformal_midpoint_rule(planar.lagrangian, planar.atlas, 0, 0.05)
+    good, bad = np.array([1.0, 0.91]), np.array([[1.0, 0.9]])
+    run = {"integrate_q0": lambda: integrate(Ld, planar.atlas, 0, bad, good, 5, tight_cfg),
+           "integrate_q1": lambda: integrate(Ld, planar.atlas, 0, good, bad, 5, tight_cfg),
+           "dlcel_step": lambda: dlcel_step(Ld, planar.atlas, 0, bad, good, tight_cfg),
+           "integrate_hamiltonian": lambda: integrate_hamiltonian(
+               build_right_hamiltonian(Ld, planar.atlas, 0), planar.atlas, 0, bad,
+               good, 5, tight_cfg)}[entry]
+    with pytest.raises(ValueError, match=r"q must be one-dimensional, got shape \(1, 2\)"):
+        run()
