@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +103,6 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}") from e
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def validate(self) -> None:
         _require(isinstance(self.system, str) and self.system in CATALOG,

@@ -28,21 +28,24 @@ local form is a second-order quadrature of the local action keeps the
 resulting integrator second order.  When sigma is constant on a chart the
 conformal constructors return bitwise the plain rule's values.
 
-Every discrete Lagrangian has a float pair jet, ``Ld.jet(q0, q1)`` on lists of
-floats, returning value, d1, d2 and d1d2 at once; the conformal steps, their
-Newton iteration and the momentum fill run on it.  The four quadrature rules
-compute the jet on Python floats, with one call of L's jet per quadrature node
-and one evaluation of the chart data, and keep the last pair's entry in a
-one-entry memo keyed on the pair's float tuples (``_pair_memo``, which the
+A discrete Lagrangian is defined by two functions on lists of floats: its
+pair jet, ``Ld.jet(q0, q1)``, returning value, d1, d2 and d1d2 at once, and
+``Ld.same(q0, q1, k)``, returning d1d1 (k = 0) or d2d2 (k = 1).  The
+conformal steps, their Newton iteration, the momentum fill and the
+Hamiltonian side's inversions run on these.  The four quadrature rules
+compute the jet on Python floats, with one call of L's jet per quadrature
+node and one evaluation of the chart data, and keep the last pair's entry in
+a one-entry memo keyed on the pair's float tuples (``_pair_memo``, which the
 discrete Hamiltonians use too).  For n = 1 and n = 2 the midpoint rules'
 jet, and the conformal one's Lee combination on a chart with a constant Lee
 form, run on unpacked scalars (``_midpoint_pair``,
 ``_constant_lee_midpoint``), with the general form's expressions in its
 order and so its bits.  The rules' array parts are views of that entry:
-value, d1, d2 and d1d2 convert it, and d1d1 and d2d2 add only L's position
-Hessian and, for the conformal rules, ``Chart.hess``.  The rule objects
-are therefore stateful and not thread-safe, and ``L``'s jet and ``hess_qq``
-and the charts' sigma callables must be pure functions of their arguments.
+value, d1, d2 and d1d2 convert it, and same adds only L's position Hessian
+and, for the conformal rules, ``Chart.hess``, on numpy arrays that it hands
+out as nested lists.  The rule objects are therefore stateful and not
+thread-safe, and ``L``'s jet and ``hess_qq`` and the charts' sigma callables
+must be pure functions of their arguments.
 
 ``exact_discrete_lagrangian`` evaluates the action integral along the solution
 of the continuous conformal Euler-Lagrange equations with prescribed endpoints
@@ -61,8 +64,8 @@ from .atlas import ConformalAtlas
 from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
-from .numerics import (StepperConfig, _on_lists, as_matrix, as_vector, fd_jacobian,
-                       fd_mixed_second, newton_solve)
+from .numerics import (StepperConfig, _of_length, _on_lists, as_matrix, as_vector,
+                       fd_jacobian, fd_mixed_second, newton_solve)
 
 Vector = np.ndarray
 _EXACT_QUAD_ORDER = 5
@@ -70,36 +73,44 @@ _EXACT_QUAD_ORDER = 5
 
 @dataclass(frozen=True)
 class DiscreteLagrangian:
-    """A two-point generating function with its first and second partials.
-
-    ``d1d2[i, j] = d^2 Ld / dq0_i dq1_j``; the dynamics are regular where this
-    matrix is invertible.  ``d1d1[i, j] = d^2 Ld / dq0_i dq0_j`` and
-    ``d2d2[i, j] = d^2 Ld / dq1_i dq1_j`` differentiate the discrete Legendre
-    maps in their own point.
+    """A two-point generating function, defined by its float pair jet and
+    its same-point second partials.
 
     ``jet(q0, q1)``, on two lists of n floats, returns ``(value, d1, d2,
     d1d2)`` at the pair as a float, two lists of n floats and an (n, n)
-    nested list, bit for bit the array parts.  The quadrature rules supply
-    their own; when it is omitted it is built from ``value``, ``d1``, ``d2``
-    and ``d1d2``, each called once per pair on fresh arrays with the last
-    pair kept.  A jet may return shared lists, so callers must not change
-    what it returns.  ``dataclasses.replace`` keeps the jet; a copy with other
-    array parts and ``jet=None`` builds its own.
+    nested list, with ``d1d2[i][j] = d^2 Ld / dq0_i dq1_j``; the dynamics are
+    regular where this matrix is invertible.  ``same(q0, q1, k)`` returns
+    ``d^2 Ld / dq0_i dq0_j`` (k = 0) or ``d^2 Ld / dq1_i dq1_j`` (k = 1) as a
+    nested list; these differentiate the discrete Legendre maps in their own
+    point.  Both may return shared lists, so callers must not change what
+    they return.  ``value``, ``d1``, ``d2`` and ``d1d2`` are the jet's parts
+    on two array-likes, as a float and fresh float64 arrays, and fields so
+    that ``dataclasses.replace`` can wrap them; ``d1d1`` and ``d2d2`` read
+    ``same`` the same way.
     """
 
     n: int
     h: float
+    jet: Callable[[list, list], tuple]
+    same: Callable[[list, list, int], list]
     value: Callable[[Vector, Vector], float]
     d1: Callable[[Vector, Vector], Vector]
     d2: Callable[[Vector, Vector], Vector]
-    d1d1: Callable[[Vector, Vector], np.ndarray]
     d1d2: Callable[[Vector, Vector], np.ndarray]
-    d2d2: Callable[[Vector, Vector], np.ndarray]
-    jet: Callable[[list, list], tuple] | None = None
 
-    def __post_init__(self):
-        if self.jet is None:
-            object.__setattr__(self, "jet", _parts_jet(self))
+    def d1d1(self, q0: Vector, q1: Vector) -> np.ndarray:
+        return np.array(_on_arrays(self.same, self.n)(q0, q1, 0))
+
+    def d2d2(self, q0: Vector, q1: Vector) -> np.ndarray:
+        return np.array(_on_arrays(self.same, self.n)(q0, q1, 1))
+
+
+def _on_arrays(f, n: int):
+    """``f(q0, q1, *rest)`` of two float lists as a function of two
+    array-likes, or ``ValueError`` naming q0 or q1 unless it is a vector of
+    n components."""
+    return lambda q0, q1, *rest: f(_of_length(q0, n, "q0").tolist(),
+                                   _of_length(q1, n, "q1").tolist(), *rest)
 
 
 def _pair_memo(pair_data):
@@ -111,8 +122,8 @@ def _pair_memo(pair_data):
     evaluated afresh.  A pair whose ``pair_data`` raises is not kept.  The
     memo makes ``lookup`` stateful and not thread-safe, and it requires
     ``pair_data`` to be a pure function of its arguments.  The quadrature
-    rules, the jet of a Lagrangian given by its array parts and the discrete
-    Hamiltonians of ``hamiltonian_discrete`` are built on it.
+    rules, the exact discrete Lagrangian's jet and the discrete Hamiltonians
+    of ``hamiltonian_discrete`` are built on it.
     """
     key, data = None, None
 
@@ -127,38 +138,25 @@ def _pair_memo(pair_data):
     return lookup
 
 
-def _on_arrays(lookup):
-    """``lookup(a, b)`` of float lists as a function of two array-likes."""
-    return lambda a, b: lookup(as_vector(a).tolist(), as_vector(b).tolist())
-
-
-def _parts_jet(Ld: DiscreteLagrangian):
-    """The pair jet of a Lagrangian given by its array parts: value, d1, d2
-    and d1d2 called once per pair on fresh arrays, the last pair kept."""
-    parts = (_on_lists(Ld.value, np.float64), _on_lists(Ld.d1), _on_lists(Ld.d2),
-             _on_lists(Ld.d1d2, as_matrix))
-    return _pair_memo(lambda q0, q1: tuple(part(q0, q1) for part in parts))
-
-
 def _memoized_pair_rule(n: int, h: float, pair_data, same_from) -> DiscreteLagrangian:
     """A quadrature rule on :func:`_pair_memo`.
 
     ``pair_data(q0, q1)`` on float tuples returns ``(jet, extra)`` with
     ``jet`` the pair's ``(value, d1, d2, d1d2)``: the ``jet`` field returns
     it and value, d1, d2 and d1d2 are array views of it.  ``same_from(extra,
-    k)`` is d1d1 (k = 0) or d2d2 (k = 1), so all parts at one pair evaluate
-    the Lagrangian and the chart data once.
+    k)`` is d1d1 (k = 0) or d2d2 (k = 1) as an array, which ``same`` hands
+    out as a nested list, so all parts at one pair evaluate the Lagrangian
+    and the chart data once.
     """
     lookup = _pair_memo(pair_data)
-    at = _on_arrays(lookup)
+    at = _on_arrays(lookup, n)
     return DiscreteLagrangian(
         n=n, h=h, jet=lambda q0, q1: lookup(q0, q1)[0],
+        same=lambda q0, q1, k: same_from(lookup(q0, q1)[1], k).tolist(),
         value=lambda q0, q1: at(q0, q1)[0][0],
         d1=lambda q0, q1: np.array(at(q0, q1)[0][1]),
         d2=lambda q0, q1: np.array(at(q0, q1)[0][2]),
-        d1d2=lambda q0, q1: np.array(at(q0, q1)[0][3]),
-        d1d1=lambda q0, q1: same_from(at(q0, q1)[1], 0),
-        d2d2=lambda q0, q1: same_from(at(q0, q1)[1], 1))
+        d1d2=lambda q0, q1: np.array(at(q0, q1)[0][3]))
 
 
 def _hessians_of(L: ContinuousLagrangian):
@@ -237,15 +235,15 @@ def _midpoint_bases(L: ContinuousLagrangian, h: float):
     """``(d1d2, same)``: :func:`_midpoint_d1d2` and :func:`_midpoint_same`
     (``same(node, k)``) as functions of the node data.  Under
     ``L.constant_hessians`` both are constants of the rule, computed here
-    once: d1d2 is a shared list, which callers must not change, and same
-    returns copies."""
+    once and shared: d1d2 is a list and same an array, which callers must
+    not change."""
     qq, const = _hessians_of(L)
     if const is None:
         return (lambda node: _midpoint_d1d2(qq, h, *node),
                 lambda node, k: _midpoint_same(qq, h, k, *node))
     d1d2 = _midpoint_d1d2(qq, h, *const)
     same = (_midpoint_same(qq, h, 0, *const), _midpoint_same(qq, h, 1, *const))
-    return (lambda node: d1d2), (lambda node, k: same[k].copy())
+    return (lambda node: d1d2), (lambda node, k: same[k])
 
 
 def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0, q1):
@@ -608,15 +606,21 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
     def d1d2(q0, q1):
         return fd_mixed_second(lambda x, y: _value_at(x, y, tight), q0, q1, eps2)
 
+    def jet(q0, q1):
+        q0, q1 = np.array(q0), np.array(q1)
+        return float(value(q0, q1)), *(part(q0, q1).tolist() for part in (d1, d2, d1d2))
+
     # The four-point difference of f(x + y - q) at (q, q) in steps eps2 / 2 is
     # the three-point second difference of f at q in steps eps2.
-    def d1d1(q0, q1):
-        return fd_mixed_second(lambda x, y: _value_at(x + y - q0, q1, tight), q0, q0,
-                               0.5 * eps2)
+    def same(q0, q1, k):
+        pair = [np.array(q0), np.array(q1)]
+        q = pair[k]
 
-    def d2d2(q0, q1):
-        return fd_mixed_second(lambda x, y: _value_at(q0, x + y - q1, tight), q1, q1,
-                               0.5 * eps2)
+        def shifted(x, y):  # Ld with q_k moved to x + y - q_k
+            pair[k] = x + y - q
+            return _value_at(*pair, tight)
 
-    return DiscreteLagrangian(n=n, h=h, value=value, d1=d1, d2=d2, d1d1=d1d1,
-                              d1d2=d1d2, d2d2=d2d2)
+        return fd_mixed_second(shifted, q, q, 0.5 * eps2).tolist()
+
+    return DiscreteLagrangian(n=n, h=h, jet=_pair_memo(jet), same=same, value=value,
+                              d1=d1, d2=d2, d1d2=d1d2)

@@ -37,8 +37,8 @@ Newton inversion at (q, P): the builders sit on the quadrature rules'
 one-entry pair memo (``discretize._pair_memo``, keyed on the float tuples of
 (q, P)), so a Hamiltonian is stateful and not thread-safe.  The inversions
 iterate ``numerics._newton`` on Python floats over the pair jet ``Ld.jet``
-with the closed-form Jacobians, which read Ld's d1d1 or d2d2 on fresh arrays;
-the array methods ``value``/``d1``/``d2``/``d1d2`` convert the float surface.
+with the closed-form Jacobians, which read ``Ld.same``; the array methods
+``value``/``d1``/``d2``/``d1d2`` convert the float surface.
 The mixed partial ``Hd.mixed`` is lazy:
 where the Lee form (and the sigma Hessian at the eliminated point) vanishes it is
 -d1d2 Ld inv(dp+/dq1) (right) or -E (d1d2 Ld)^T inv(dp-/dq0) (left, E the
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,9 +71,9 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas, _covector
 from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numerics import (StepperConfig, _add, _det_sign, _dot, _fd_floats, _newton,
-                       _newton_result, _of_length, _on_lists, _rows, _solve_floats, _sub,
-                       _transposed, _transposed_matvec, as_matrix, as_vector)
+from .numerics import (StepperConfig, _add, _det_sign, _dot, _newton, _newton_result,
+                       _of_length, _rows, _solve_floats, _sub, _transposed,
+                       _transposed_matvec, as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
@@ -178,24 +177,17 @@ class LagrangianSource:
     atlas: ConformalAtlas
     chart: int
 
-    @cached_property
-    def _floats(self) -> tuple:
-        """(sigma, grad, hess) of the chart (``Chart._floats``) and Ld's
-        ``d1d1`` and ``d2d2``, all on float lists (``numerics._on_lists``)."""
-        return (*self.atlas.chart(self.chart)._floats,
-                _on_lists(self.Ld.d1d1, as_matrix), _on_lists(self.Ld.d2d2, as_matrix))
-
     def invert_right(self, q0: Vector, P: Vector) -> np.ndarray:
         """q1 solving P = p+(q0, q1), by Newton on floats with the closed-form
         dp+/dq1 from the seed q0 + h P."""
-        Ld, (sigma, grad, _, _, d2d2) = self.Ld, self._floats
-        q0, P = as_vector(q0).tolist(), as_vector(P).tolist()
+        Ld, (sigma, grad, _) = self.Ld, self.atlas.chart(self.chart)._floats
+        q0, P = _of_length(q0, Ld.n, "q0").tolist(), _of_length(P, Ld.n, "P").tolist()
         s0 = sigma(q0)
 
         def system(x: list):
             d2, s1 = Ld.jet(q0, x)[2], sigma(x)
             return (_sub(_p_plus(d2, s0, s1), P),
-                    lambda: _dp_plus_dq1(d2d2(q0, x), d2, grad(x), s0, s1))
+                    lambda: _dp_plus_dq1(Ld.same(q0, x, 1), d2, grad(x), s0, s1))
 
         return np.array(_newton(system, [a + Ld.h * b for a, b in zip(q0, P)],
                                 _INVERT_CFG)[0])
@@ -203,13 +195,13 @@ class LagrangianSource:
     def invert_left(self, q1: Vector, P: Vector) -> np.ndarray:
         """q0 solving P = p-(q0, q1), by Newton on floats with the closed-form
         dp-/dq0 from the seed q1 - h P."""
-        Ld, (_, grad, hess, d1d1, _) = self.Ld, self._floats
-        q1, P = as_vector(q1).tolist(), as_vector(P).tolist()
+        Ld, (_, grad, hess) = self.Ld, self.atlas.chart(self.chart)._floats
+        q1, P = _of_length(q1, Ld.n, "q1").tolist(), _of_length(P, Ld.n, "P").tolist()
 
         def system(x: list):
             (value, d1), phi0 = Ld.jet(x, q1)[:2], grad(x)
             return (_sub(_p_minus(phi0, value, d1), P),
-                    lambda: _dp_minus_dq0(hess(x), value, phi0, d1, d1d1(x, q1)))
+                    lambda: _dp_minus_dq0(hess(x), value, phi0, d1, Ld.same(x, q1, 0)))
 
         return np.array(_newton(system, [a - Ld.h * b for a, b in zip(q1, P)],
                                 _INVERT_CFG)[0])
@@ -245,7 +237,7 @@ class DiscreteHamiltonian:
         return self.source.Ld.h
 
     def _at(self, part: Callable, a: Vector, P: Vector):
-        return part(as_vector(a).tolist(), as_vector(P).tolist())
+        return part(_of_length(a, self.n, "a").tolist(), _of_length(P, self.n, "P").tolist())
 
     def value(self, a: Vector, P: Vector) -> np.float64:
         return np.float64(self._at(self.jet, a, P)[0])
@@ -265,8 +257,8 @@ def _along_inversion(partial, P: list, J: list) -> list:
     the eliminated point moved by dx = inv(J) t: a central difference along
     the inverted momentum relation (J its Jacobian in the eliminated point),
     as a nested list."""
-    return _fd_floats(lambda t: partial(t, _solve_floats(J, t, 1e12)), [0.0] * len(P),
-                      _TANGENT_FD_EPS)
+    return fd_jacobian(lambda t: partial(t.tolist(), _solve_floats(J, t.tolist(), 1e12)),
+                       np.zeros(len(P)), _TANGENT_FD_EPS).tolist()
 
 
 def _memoized_hamiltonian(source: LagrangianSource, side: str, pair_data, mixed
@@ -292,7 +284,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     and d2 = q_{k+1} when sigma is constant.
     """
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
-    sigma, grad, hess, d1d1, d2d2 = source._floats
+    sigma, grad, hess = atlas.chart(chart)._floats
 
     def partials(q0, P, q1):
         s0, s1 = sigma(q0), sigma(q1)
@@ -305,7 +297,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         if any(phi1):
             # dH+/dq1 at fixed (q0, P) is -phi1 coupling; it reaches the partials
             # through dq1/dP = inv(J) and dq1/dq0 = -inv(J) dp+/dq0
-            J = _dp_plus_dq1(d2d2(q0, q1), d2_Ld, phi1, s0, s1)
+            J = _dp_plus_dq1(Ld.same(q0, q1, 1), d2_Ld, phi1, s0, s1)
             y = _solve_floats(_transposed(J), [-f * coupling for f in phi1], 1e12)
             inv_em = 1.0 / em if em else math.inf  # numpy's 1 / +0.0
             dgdq = [[inv_em * (m - g * f) for m, f in zip(col, phi0)]
@@ -316,7 +308,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
 
     def mixed(q0, P, q1, s0, s1, phi0, phi1):
         _, _, d2_Ld, d1d2_Ld = Ld.jet(q0, q1)
-        J = _dp_plus_dq1(d2d2(q0, q1), d2_Ld, phi1, s0, s1)
+        J = _dp_plus_dq1(Ld.same(q0, q1, 1), d2_Ld, phi1, s0, s1)
         if any(phi0) or any(phi1) or any(map(any, hess(q1))):
             return _along_inversion(
                 lambda t, dx: partials(q0, _add(P, t), _add(q1, dx))[0][1], P, J)
@@ -332,7 +324,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                            chart: int) -> DiscreteHamiltonian:
     """Left discrete Hamiltonian H-(q_{k+1}, p_k); mirror of the right builder."""
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
-    sigma, grad, hess, d1d1, d2d2 = source._floats
+    sigma, grad, hess = atlas.chart(chart)._floats
 
     def partials(q1, P, q0):
         E = float(np.exp(sigma(q1) - sigma(q0)))
@@ -344,7 +336,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         if any(phi0):
             # dH-/dq0 at fixed (q1, P) is phi0 E P.q0; it reaches the partials
             # through dq0/dP = inv(J) and dq0/dq1 = -inv(J) dp-/dq1
-            J = _dp_minus_dq0(hess(q0), value, phi0, d1_Ld, d1d1(q0, q1))
+            J = _dp_minus_dq0(hess(q0), value, phi0, d1_Ld, Ld.same(q0, q1, 0))
             y = _solve_floats(_transposed(J), [f * (E * _dot(P, q0)) for f in phi0], 1e12)
             d1 = _sub(d1, _transposed_matvec(_dp_minus_dq1(phi0, d2_Ld, d1d2_Ld), y))
             d2 = _add(d2, y)
@@ -353,7 +345,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     def mixed(q1, P, q0, E, phi0, phi1):
         hess0 = hess(q0)
         value, d1_Ld, _, d1d2_Ld = Ld.jet(q0, q1)
-        J = _dp_minus_dq0(hess0, value, phi0, d1_Ld, d1d1(q0, q1))
+        J = _dp_minus_dq0(hess0, value, phi0, d1_Ld, Ld.same(q0, q1, 0))
         if any(phi0) or any(phi1) or any(map(any, hess0)):
             return _along_inversion(
                 lambda t, dx: partials(q1, _add(P, t), _add(q0, dx))[0][1], P, J)

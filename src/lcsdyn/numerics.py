@@ -110,18 +110,6 @@ def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.
     return np.stack(cols, axis=-1)
 
 
-def _fd_floats(F: Callable[[list], list], x: list, eps: float) -> list:
-    """:func:`fd_jacobian` of a list-valued function of a float list, as a
-    nested list (rows: outputs, columns: inputs), rounded as it rounds."""
-    cols = []
-    for i in range(len(x)):
-        xp, xm = list(x), list(x)
-        xp[i] += eps
-        xm[i] -= eps
-        cols.append([(a - b) / (2.0 * eps) for a, b in zip(F(xp), F(xm))])
-    return _transposed(cols)
-
-
 def fd_mixed_second(f: Callable[[Vector, Vector], float], x: Vector, y: Vector,
                     eps: float) -> np.ndarray:
     """Four-point central difference of d^2 f / dx_i dy_j, shape (x.size, y.size)."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _rows, as_vector
+from .numerics import _rows
 
 
 @dataclass
@@ -78,10 +78,3 @@ class DiscreteTrajectory:
 
     def n_switches(self) -> int:
         return sum(1 for s in self.steps if s.switched)
-
-    @classmethod
-    def from_points(cls, h: float, chart: int, qs) -> "DiscreteTrajectory":
-        """Build a bare trajectory (no momenta, no diagnostics) on a single chart."""
-        pts = [TrajectoryPoint(k=k, chart=chart, q=as_vector(q))
-               for k, q in enumerate(qs)]
-        return cls(h=h, points=pts)

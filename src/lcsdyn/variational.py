@@ -51,8 +51,8 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas, TransitionMap
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
-from .numerics import (NewtonResult, StepperConfig, _add, _newton, _newton_result,
-                       _of_length, as_vector, fd_jacobian)
+from .numerics import (StepperConfig, _add, _newton, _newton_result, _of_length,
+                       as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint, _MarchRecord
 
 Vector = np.ndarray
@@ -132,14 +132,6 @@ def _dlcel_system(Ld: DiscreteLagrangian, qc: list, phi: list, p_curr: list) -> 
             r = [p - m for p, m in zip(p_curr, _p_minus(phi, value, d1))]
             return r, lambda: [[-v for v in row] for row in _dp_minus_dq1(phi, d2, d1d2)]
     return system
-
-
-def _dlcel_solve(Ld: DiscreteLagrangian, chart: Chart, q_curr: Vector, p_curr: list,
-                 seed: list, cfg: StepperConfig) -> NewtonResult:
-    """q_next solving p_curr = p-(q_curr, q_next) from ``seed``: the
-    :func:`_dlcel_system` on ``chart`` solved by :func:`numerics._newton`."""
-    qc = q_curr.tolist()
-    return _newton_result(_dlcel_system(Ld, qc, chart._floats[1](qc), p_curr), seed, cfg)
 
 
 def _three_point_system(Ld: DiscreteLagrangian, chart: Chart | None, qp: list,

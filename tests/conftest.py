@@ -6,9 +6,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from lcsdyn import (Chart, ConformalAtlas, StepperConfig, System, TransitionMap,
-                    free_rotor_circle, harmonic_1d, planar_2d)
+from lcsdyn import (Chart, ConformalAtlas, DiscreteTrajectory, StepperConfig, System,
+                    TrajectoryPoint, TransitionMap, free_rotor_circle, harmonic_1d,
+                    planar_2d)
 from lcsdyn.continuous import ContinuousLagrangian
+from lcsdyn.discretize import DiscreteLagrangian, _pair_memo
 from lcsdyn.numerics import _on_lists, as_matrix, as_vector
 from lcsdyn.systems import _free_particle, _harmonic, _linear_chart
 
@@ -132,6 +134,26 @@ def array_dp_minus_dq0(Ld, q0, q1, phi0, hess0) -> np.ndarray:
     """d p-(q0, q1) / d q0 = Hsigma(q0) Ld + phi(q0) (x) d1 Ld - d1d1 Ld."""
     return (hess0 * float(Ld.value(q0, q1)) + np.outer(phi0, as_vector(Ld.d1(q0, q1)))
             - np.atleast_2d(Ld.d1d1(q0, q1)))
+
+
+def parts_lagrangian(n: int, h: float, value: Callable, d1: Callable, d2: Callable,
+                     d1d2: Callable, d1d1: Callable, d2d2: Callable) -> DiscreteLagrangian:
+    """A discrete Lagrangian given by its array parts, the coding the
+    quadrature rules are checked against.  Its pair jet calls value, d1, d2
+    and d1d2 once per pair on fresh arrays, keeping the last pair, and its
+    ``same`` calls d1d1 or d2d2 on fresh arrays."""
+    parts = (_on_lists(value, np.float64), _on_lists(d1), _on_lists(d2),
+             _on_lists(d1d2, as_matrix))
+    seconds = (_on_lists(d1d1, as_matrix), _on_lists(d2d2, as_matrix))
+    return DiscreteLagrangian(
+        n=n, h=h, jet=_pair_memo(lambda q0, q1: tuple(part(q0, q1) for part in parts)),
+        same=lambda q0, q1, k: seconds[k](q0, q1), value=value, d1=d1, d2=d2, d1d2=d1d2)
+
+
+def bare_trajectory(h: float, chart: int, qs) -> DiscreteTrajectory:
+    """The points qs on one chart, without momenta or step records."""
+    return DiscreteTrajectory(h=h, points=[TrajectoryPoint(k=k, chart=chart, q=as_vector(q))
+                                           for k, q in enumerate(qs)])
 
 
 @dataclasses.dataclass(frozen=True)

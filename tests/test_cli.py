@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -30,9 +31,9 @@ def base_config(**overrides):
 def test_config_round_trip(tmp_path):
     d = base_config(output_path=str(tmp_path / "out.csv"))
     cfg = ExperimentConfig.from_dict(d)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
     assert cfg == again
-    assert again.to_dict() == cfg.to_dict()
+    assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
 
 
 def test_config_validation_errors():

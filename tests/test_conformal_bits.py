@@ -16,9 +16,9 @@ from lcsdyn import (NewtonError, StepperConfig, build_left_hamiltonian,
                     conformal_trapezoidal_rule, free_rotor_circle, harmonic_1d, integrate,
                     integrate_hamiltonian, midpoint_rule, momenta_along_trajectory,
                     planar_2d, trapezoidal_rule)
-from lcsdyn.numerics import as_vector, newton_solve
+from lcsdyn.numerics import _newton_result, as_vector, newton_solve
 from lcsdyn.trajectory import DiscreteTrajectory, TrajectoryPoint
-from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _dlcel_solve, _march
+from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _dlcel_system, _march
 from conftest import rotor_with_shifted_chart
 
 
@@ -40,10 +40,11 @@ def reference_dlcel_system(Ld, ch, q_curr, p_curr):
                          ids=["midpoint", "trapezoidal"])
 @pytest.mark.parametrize("system", [harmonic_1d(0.1), free_rotor_circle(-0.1),
                                     planar_2d(0.3, 0.1)], ids=lambda s: s.name)
-def test_dlcel_solve_is_bitwise_the_array_newton_solve(rule, system):
-    # one conformal step, n = 1 and n = 2: the float system's solution,
-    # iteration count and residual, and its NewtonError after one iteration,
-    # against the array system solved by newton_solve
+def test_dlcel_system_newton_result_is_bitwise_the_array_newton_solve(rule, system):
+    # one conformal step, n = 1 and n = 2: the float system solved by
+    # _newton_result, its solution, iteration count and residual, and its
+    # NewtonError after one iteration, against the array system solved by
+    # newton_solve
     Ld = rule(system.lagrangian, system.atlas, 0, 0.05)
     ch = system.atlas.chart(0)
     rng = np.random.default_rng(24)
@@ -53,13 +54,15 @@ def test_dlcel_solve_is_bitwise_the_array_newton_solve(rule, system):
         p = rng.uniform(-1.5, 1.5, system.n)
         seed = q + Ld.h * p + rng.uniform(-0.2, 0.2, system.n)
         F, J = reference_dlcel_system(Ld, ch, q, p)
-        res = _dlcel_solve(Ld, ch, q, p.tolist(), seed.tolist(), cfg)
+        qc = q.tolist()
+        dlcel = _dlcel_system(Ld, qc, ch._floats[1](qc), p.tolist())
+        res = _newton_result(dlcel, seed.tolist(), cfg)
         ref = newton_solve(F, seed, cfg, jacobian=J)
         assert res.x.tobytes() == ref.x.tobytes()
         assert res.iterations == ref.iterations
         assert np.float64(res.residual).tobytes() == np.float64(ref.residual).tobytes()
         with pytest.raises(NewtonError) as got:
-            _dlcel_solve(Ld, ch, q, p.tolist(), seed.tolist(), once)
+            _newton_result(dlcel, seed.tolist(), once)
         with pytest.raises(NewtonError) as want:
             newton_solve(F, seed, once, jacobian=J)
         assert str(got.value) == str(want.value)

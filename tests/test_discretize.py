@@ -10,10 +10,9 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
                     exact_discrete_lagrangian, free_rotor_circle, harmonic_1d, integrate,
                     midpoint_rule, planar_2d, trapezoidal_rule, with_constant_sigma)
 from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
-from lcsdyn.discretize import DiscreteLagrangian
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
-from conftest import (curved_planar, free_line_system, hollow, quadratic_planar,
-                      rotor_with_shifted_chart, varying_mass)
+from conftest import (curved_planar, free_line_system, hollow, parts_lagrangian,
+                      quadratic_planar, rotor_with_shifted_chart, varying_mass)
 
 
 def harmonic_exact_value(q0, q1, h):
@@ -221,9 +220,8 @@ def reference_midpoint(L, h):
         return (0.25 * h * np.atleast_2d(L.hess_qq(m, w)) + (sym if k else -sym)
                 + np.atleast_2d(L.hess_vv(m, w)) / h)
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
-                              d1d1=lambda q0, q1: same(q0, q1, 0),
-                              d2d2=lambda q0, q1: same(q0, q1, 1))
+    return parts_lagrangian(L.n, h, value, d1, d2, d1d2, lambda q0, q1: same(q0, q1, 0),
+                            lambda q0, q1: same(q0, q1, 1))
 
 
 def reference_trapezoidal(L, h):
@@ -262,9 +260,8 @@ def reference_trapezoidal(L, h):
                 + np.atleast_2d(L.hess_vv(q, w)) / (2.0 * h))
         return node + np.atleast_2d(L.hess_vv(other, w)) / (2.0 * h)
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
-                              d1d1=lambda q0, q1: same(q0, q1, 0),
-                              d2d2=lambda q0, q1: same(q0, q1, 1))
+    return parts_lagrangian(L.n, h, value, d1, d2, d1d2, lambda q0, q1: same(q0, q1, 0),
+                            lambda q0, q1: same(q0, q1, 1))
 
 
 def reference_conformal_midpoint(L, atlas, chart, h):
@@ -331,8 +328,7 @@ def reference_conformal_midpoint(L, atlas, chart, h):
         return E * (np.outer(b, b * val + bd2) + np.outer(bd2, b)
                     + val * (-0.25 * ch.hess(mid)) + base.d2d2(q0, q1))
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
-                              d1d1=d1d1, d2d2=d2d2)
+    return parts_lagrangian(L.n, h, value, d1, d2, d1d2, d1d1, d2d2)
 
 
 def reference_conformal_trapezoidal(L, atlas, chart, h):
@@ -421,8 +417,7 @@ def reference_conformal_trapezoidal(L, atlas, chart, h):
             node_term(q1, w, 1) - np.outer(-phi1 * U + U2, phi1)
             - U * ch.hess(q1) - np.outer(phi1, U2))
 
-    return DiscreteLagrangian(n=L.n, h=h, value=value, d1=d1, d2=d2, d1d2=d1d2,
-                              d1d1=d1d1, d2d2=d2d2)
+    return parts_lagrangian(L.n, h, value, d1, d2, d1d2, d1d1, d2d2)
 
 
 def _plain(rule):
@@ -729,22 +724,52 @@ def _jet_bits(jet) -> bytes:
 
 @pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
 def test_array_parts_jet_gives_the_rule_bits(system_fn):
-    # A Lagrangian given only by array parts (jet=None, as the exact discrete
-    # Lagrangian is) builds its pair jet from them; on the parts of a rule it
-    # must give the rule's own jet, steps and march bit for bit.
+    # The tests' reference coding, a Lagrangian given by its array parts
+    # (conftest's parts_lagrangian), builds its pair jet and same from them;
+    # on the parts of a rule it must give the rule's own jet, same, steps and
+    # march bit for bit.
     system = system_fn()
     n, atlas, cfg = system.n, system.atlas, StepperConfig(tol=1e-12)
     rule = conformal_midpoint_rule(system.lagrangian, atlas, 0, 0.05)
-    parts = dataclasses.replace(rule, jet=None)
+    parts = parts_lagrangian(n, rule.h, rule.value, rule.d1, rule.d2, rule.d1d2,
+                             rule.d1d1, rule.d2d2)
     assert parts.jet is not rule.jet
     rng = np.random.default_rng(6)
     for q0, q1 in rng.uniform(0.2, 0.9, (20, 2, n)).tolist():
         got, want = parts.jet(q0, q1), rule.jet(q0, q1)
         assert type(got[0]) is float
         assert _jet_bits(got) == _jet_bits(want)
+        for k in (0, 1):
+            assert _bits(parts.same(q0, q1, k)) == _bits(rule.same(q0, q1, k))
     q0, q1 = np.full(n, 0.5), np.full(n, 0.52)
     assert del_step(parts, q0, q1, cfg).tobytes() == del_step(rule, q0, q1, cfg).tobytes()
     assert dlcel_step(parts, atlas, 0, q0, q1, cfg).tobytes() == \
         dlcel_step(rule, atlas, 0, q0, q1, cfg).tobytes()
     got, want = (integrate(Ld, atlas, 0, q0, q1, 20, cfg) for Ld in (parts, rule))
     assert [pt.q.tobytes() for pt in got.points] == [pt.q.tobytes() for pt in want.points]
+
+
+@pytest.mark.parametrize("rule", [rule for rule, _ in MEMO_RULES], ids=MEMO_IDS)
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])
+def test_array_parts_name_an_argument_of_the_wrong_shape(rule, system_fn):
+    # each array part, d1d1 and d2d2 included, raises ValueError naming a q0
+    # or q1 that is not a vector of n components
+    system = system_fn()
+    n = system.n
+    Ld = rule(system.lagrangian, system.atlas, 0, 0.1)
+    q = [0.3] * n
+    for part in PARTS:
+        for q0, q1, message in ((q, q + [0.1], f"q1 has {n + 1} components, expected {n}"),
+                                (q + [0.1], q, f"q0 has {n + 1} components, expected {n}"),
+                                ([q], q, "q0 must be one-dimensional")):
+            with pytest.raises(ValueError, match=message):
+                getattr(Ld, part)(q0, q1)
+
+
+def test_exact_same_point_partials_name_an_argument_of_the_wrong_shape():
+    # the d1d1 and d2d2 methods check their arguments before any shooting
+    system = harmonic_1d(0.0)
+    Ld = exact_discrete_lagrangian(system.lagrangian, system.atlas, 0, 0.1)
+    for part in ("d1d1", "d2d2"):
+        with pytest.raises(ValueError, match="q1 has 2 components, expected 1"):
+            getattr(Ld, part)([0.3], [0.2, 0.1])

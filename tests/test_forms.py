@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcsdyn import (lc_pc_two_form, lcs_condition_check, midpoint_rule,
                     planar_2d, trapezoidal_rule, with_constant_sigma)
-from lcsdyn.discretize import DiscreteLagrangian
-from conftest import free_line_system
+from conftest import free_line_system, parts_lagrangian
 
 
 def plain_two_form(Ld, system):
@@ -22,13 +21,13 @@ def test_pc_two_form_free_particle_regular(free_line_flat):
 
 
 def test_pc_two_form_separable_degenerate():
-    Ld = DiscreteLagrangian(
-        n=1, h=0.1,
+    Ld = parts_lagrangian(
+        1, 0.1,
         value=lambda q0, q1: float(q0[0] ** 2 + np.sin(q1[0])),
         d1=lambda q0, q1: np.array([2 * q0[0]]),
         d2=lambda q0, q1: np.array([np.cos(q1[0])]),
-        d1d1=lambda q0, q1: np.array([[2.0]]),
         d1d2=lambda q0, q1: np.zeros((1, 1)),
+        d1d1=lambda q0, q1: np.array([[2.0]]),
         d2d2=lambda q0, q1: np.array([[-np.sin(q1[0])]]))
     assert np.linalg.det(Ld.d1d2([0.2], [0.3])) == 0.0
 

@@ -14,7 +14,7 @@ from lcsdyn import (ConsistencyError, DiscreteTrajectory,
 from lcsdyn import hamiltonian_discrete
 from lcsdyn.numerics import _det_sign, as_vector, fd_jacobian, newton_solve, solve_linear
 from conftest import (PartsHamiltonian, array_dp_minus_dq0, array_dp_plus_dq1,
-                      curved_planar, harmonic_3d, reference_dot, reference_matvec,
+                      bare_trajectory, curved_planar, harmonic_3d, reference_dot, reference_matvec,
                       rotor_with_transition_jacobian, varying_mass)
 
 
@@ -41,7 +41,7 @@ def analytic_free_left(h):
 def pair_momenta(Ld, system, q0, q1):
     """The two points of the trajectory (q0, q1) with their momenta filled:
     p-(q0, q1) at q0 and p+(q0, q1) at q1, each with r = exp(-sigma) p."""
-    traj = DiscreteTrajectory.from_points(Ld.h, 0, [q0, q1])
+    traj = bare_trajectory(Ld.h, 0, [q0, q1])
     return momenta_along_trajectory(Ld, system.atlas, traj).points
 
 
@@ -85,7 +85,7 @@ def test_momenta_flat_harmonic_both_expressions(harmonic_flat, tight_cfg):
 
 def test_momenta_non_solution_raises_at_index(free_line_flat):
     Ld = midpoint_rule(free_line_flat.lagrangian, 0.1)
-    traj = DiscreteTrajectory.from_points(0.1, 0, [[0.0], [0.1], [0.3]])
+    traj = bare_trajectory(0.1, 0, [[0.0], [0.1], [0.3]])
     with pytest.raises(ConsistencyError) as exc:
         momenta_along_trajectory(Ld, free_line_flat.atlas, traj)
     assert exc.value.index == 1
@@ -97,7 +97,7 @@ def test_momenta_non_finite_gap_raises_at_index(qs):
     # a NaN disagreement fails the check as a large one does
     system = get_system("harmonic_1d")
     Ld = midpoint_rule(system.lagrangian, 0.1)
-    traj = DiscreteTrajectory.from_points(0.1, 0, qs)
+    traj = bare_trajectory(0.1, 0, qs)
     with pytest.raises(ConsistencyError) as exc:
         momenta_along_trajectory(Ld, system.atlas, traj)
     assert exc.value.index == 1
@@ -748,7 +748,7 @@ def _forbid_differences(monkeypatch):
         raise AssertionError("finite difference taken")
 
     for name, module in list(sys.modules.items()):
-        for difference in ("fd_jacobian", "_fd_floats"):
+        for difference in ("fd_jacobian",):
             if name.startswith("lcsdyn.") and hasattr(module, difference):
                 monkeypatch.setattr(module, difference, refuse)
 
@@ -880,3 +880,43 @@ def test_a_vector_of_the_wrong_length_is_a_value_error(entry):
     # not truncated by a zip, broadcast, or an IndexError
     with pytest.raises(ValueError, match="components, expected 1$"):
         _wrong_length_calls()[entry]()
+
+
+# --- argument checks on the array surface ------------------------------------
+#
+# An argument that is not a vector of n components raises ValueError naming
+# it.  The inversions once zipped P against the point, answering for a P
+# with its extra components dropped.
+
+def _planar_rule():
+    system = get_system("planar_2d")
+    return system, conformal_midpoint_rule(system.lagrangian, system.atlas, 0, 0.05)
+
+
+@pytest.mark.parametrize("method, point", [("invert_right", "q0"), ("invert_left", "q1")])
+def test_inversions_name_an_argument_of_the_wrong_shape(method, point):
+    system, Ld = _planar_rule()
+    invert = getattr(LagrangianSource(Ld, system.atlas, 0), method)
+    q, P = [0.3, 0.2], [0.1, 0.2]
+    for bad_q, bad_P, message in (
+            (q, [0.1, 0.2, 0.3], "P has 3 components, expected 2"),
+            (q, [P], "P must be one-dimensional"),
+            ([0.3], P, f"{point} has 1 components, expected 2"),
+            ([q], P, f"{point} must be one-dimensional")):
+        with pytest.raises(ValueError, match=message):
+            invert(bad_q, bad_P)
+    assert invert(q, P).shape == (2,)
+
+
+@pytest.mark.parametrize("side", list(BUILDERS))
+def test_hamiltonian_array_parts_name_an_argument_of_the_wrong_shape(side):
+    system, Ld = _planar_rule()
+    Hd = BUILDERS[side][0](Ld, system.atlas, 0)
+    a, P = [0.3, 0.2], [0.1, 0.2]
+    for part in H_PARTS + ("d1d2",):
+        for bad_a, bad_P, message in (
+                (a, [0.1, 0.2, 0.3], "P has 3 components, expected 2"),
+                ([0.3], P, "a has 1 components, expected 2"),
+                ([a], P, "a must be one-dimensional")):
+            with pytest.raises(ValueError, match=message):
+                getattr(Hd, part)(bad_a, bad_P)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lcsdyn import (ConformalAtlas, DiscreteTrajectory, IntegrationError, StepperConfig,
+from lcsdyn import (ConformalAtlas, IntegrationError, StepperConfig,
                     build_left_hamiltonian, build_right_hamiltonian,
                     conformal_midpoint_rule, del_step, dlcel_step,
                     free_rotor_circle, harmonic_1d, integrate, integrate_hamiltonian,
@@ -11,6 +11,7 @@ from lcsdyn import (ConformalAtlas, DiscreteTrajectory, IntegrationError, Steppe
                     rotor_extended_chart, stationarity_residual, with_constant_sigma)
 from lcsdyn.numerics import _newton
 from lcsdyn.variational import _three_point_system, action_sum
+from conftest import bare_trajectory
 
 
 def dlcel_free_q2():
@@ -141,7 +142,7 @@ def test_stationarity_needs_interior_point(free_line):
     Ld = midpoint_rule(free_line.lagrangian, 0.1)
     with pytest.raises(ValueError):
         stationarity_residual(Ld, free_line.atlas,
-                              DiscreteTrajectory.from_points(0.1, 0, [[0.0], [0.1]]))
+                              bare_trajectory(0.1, 0, [[0.0], [0.1]]))
 
 
 def test_variational_consistency_scaled_tolerance(harmonic):
