@@ -47,14 +47,16 @@ out as nested lists.  The rule objects are therefore stateful and not
 thread-safe, and ``L``'s jet and ``hess_qq`` and the charts' sigma callables
 must be pure functions of their arguments.
 
-``exact_discrete_lagrangian`` evaluates the action integral along the solution
-of the continuous conformal Euler-Lagrange equations with prescribed endpoints
-(single shooting on the initial velocity, then Gauss-Legendre quadrature);
-its partials are finite differences, and its jet is built from them.
+``exact_discrete_lagrangian`` is the same kind of rule for the exact
+chart-local action: per pair, one shooting on the initial velocity finds the
+conformal Euler-Lagrange extremal, Gauss-Legendre quadrature of exp(-sigma) L
+along it gives the value, and the generating-function identities, with the
+flow map's Jacobian, give every partial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,11 +66,14 @@ from .atlas import ConformalAtlas
 from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
-from .numerics import (StepperConfig, _of_length, _on_lists, as_matrix, as_vector,
-                       fd_jacobian, fd_mixed_second, newton_solve)
+from .numerics import (StepperConfig, _checked_inverse, _of_length, _on_lists, as_matrix,
+                       fd_jacobian, newton_solve)
 
 Vector = np.ndarray
 _EXACT_QUAD_ORDER = 5
+# the exact rule's shooting: endpoint mismatch below 1e-10, 64 RK4 steps per h
+_SHOOTING_CFG = StepperConfig(tol=1e-10, max_iter=30)
+_SUBSTEPS = 64
 
 
 @dataclass(frozen=True)
@@ -121,9 +126,9 @@ def _pair_memo(pair_data):
     caller's lists.  As 0.0 == -0.0, a pair with a zero coordinate is always
     evaluated afresh.  A pair whose ``pair_data`` raises is not kept.  The
     memo makes ``lookup`` stateful and not thread-safe, and it requires
-    ``pair_data`` to be a pure function of its arguments.  The quadrature
-    rules, the exact discrete Lagrangian's jet and the discrete Hamiltonians
-    of ``hamiltonian_discrete`` are built on it.
+    ``pair_data`` to be a pure function of its arguments.  The discrete
+    Lagrangians and the discrete Hamiltonians of ``hamiltonian_discrete``
+    are built on it.
     """
     key, data = None, None
 
@@ -139,14 +144,14 @@ def _pair_memo(pair_data):
 
 
 def _memoized_pair_rule(n: int, h: float, pair_data, same_from) -> DiscreteLagrangian:
-    """A quadrature rule on :func:`_pair_memo`.
+    """A discrete Lagrangian on :func:`_pair_memo`.
 
     ``pair_data(q0, q1)`` on float tuples returns ``(jet, extra)`` with
     ``jet`` the pair's ``(value, d1, d2, d1d2)``: the ``jet`` field returns
     it and value, d1, d2 and d1d2 are array views of it.  ``same_from(extra,
     k)`` is d1d1 (k = 0) or d2d2 (k = 1) as an array, which ``same`` hands
-    out as a nested list, so all parts at one pair evaluate the Lagrangian
-    and the chart data once.
+    out as a nested list, so all parts at one pair come from one
+    ``pair_data`` call.
     """
     lookup = _pair_memo(pair_data)
     at = _on_arrays(lookup, n)
@@ -312,10 +317,15 @@ def _trapezoidal_bases(L: ContinuousLagrangian, h: float):
         (lambda nodes, k: node[k]), (lambda nodes, k: half_vv)
 
 
+def _check_step(h: float) -> None:
+    """``ValueError`` naming h unless 0 < h < inf."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+
+
 def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = h L((q0+q1)/2, (q1-q0)/h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _check_step(h)
     (d1d2, same), pair = _midpoint_bases(L, h), _midpoint_pair(L, h)
 
     def pair_data(q0, q1):
@@ -327,8 +337,7 @@ def midpoint_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
 
 def trapezoidal_rule(L: ContinuousLagrangian, h: float) -> DiscreteLagrangian:
     """Ld(q0, q1) = (h/2) [L(q0, w) + L(q1, w)] with w = (q1-q0)/h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    _check_step(h)
     d1d2, _, node, half_vv = _trapezoidal_bases(L, h)
 
     def pair_data(q0, q1):
@@ -409,6 +418,7 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     through ``Chart._floats``, which hands out a constant Lee form and its
     zero Hessian as they were declared.
     """
+    _check_step(h)
     ch, (base_d1d2, base_same) = atlas.chart(chart), _midpoint_bases(L, h)
     pair, (sigma, grad, hess) = _midpoint_pair(L, h), ch._floats
 
@@ -476,6 +486,7 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     from ``Chart._floats``, which hands out a declared constant Lee form and
     its zero Hessian without evaluating anything.
     """
+    _check_step(h)
     ch, (base_d1d2, halves, node, half_vv) = atlas.chart(chart), _trapezoidal_bases(L, h)
     sigma, grad, hess = ch._floats
     at_q0 = _first_point_memo(sigma, grad, hess)
@@ -537,33 +548,42 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
 
 
 def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
-                              chart: int, h: float, bvp_tol: float = 1e-10, substeps: int = 64
-                              ) -> DiscreteLagrangian:
-    """The action integral along the boundary-value extremal, as a two-point function.
+                              chart: int, h: float) -> DiscreteLagrangian:
+    """The chart-local action along the boundary-value extremal, expressed globally.
 
-    For each (q0, q1) a single-shooting Newton iteration finds the initial
-    velocity whose conformal Euler-Lagrange trajectory reaches q1 at time h
-    (endpoint mismatch below ``bvp_tol``), and the Lagrangian is integrated
-    along it with five-point Gauss-Legendre quadrature.  Partials are
-    central finite differences of the value; they are evaluated with a
-    tightened shooting tolerance because differencing amplifies solver noise.
+    Ld(q0, q1) = exp(sigma(q0)) int_0^h exp(-sigma(q)) L(q, q') dt along the
+    conformal Euler-Lagrange extremal from q0 to q1: one shooting (Newton on
+    v0, 64 RK4 steps, endpoint mismatch below 1e-10) finds it, and five-point
+    Gauss-Legendre quadrature integrates along it.  Every partial follows from
+    the generating-function identities, with p = dL/dv at either end,
+    E = exp(sigma(q0) - sigma(q1)) and [[A, B], [C, D]] the central-difference
+    Jacobian of the flow map (q0, v0) -> (q1, v1): d1 = phi(q0) Ld - p0,
+    d2 = E p1, d1d2 = phi(q0) (x) d2 - Hvv0 B^-1, d1d1 = Hsigma(q0) Ld +
+    phi(q0) (x) d1 - Hvq0 + Hvv0 B^-1 A and d2d2 = E (Hvq1 + Hvv1 D B^-1) -
+    d2 (x) phi(q1).  A singular B, or one of condition above 1e12 (a
+    conjugate point), raises ``RegularityError``.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    n = L.n
-    field = make_lcel_field(L, atlas, chart)
+    _check_step(h)
+    n, field = L.n, make_lcel_field(L, atlas, chart)
+    sigma, grad, hess = atlas.chart(chart)._floats
     nodes, weights = np.polynomial.legendre.leggauss(_EXACT_QUAD_ORDER)
 
-    def _shoot(q0: Vector, q1: Vector, tol: float) -> np.ndarray:
+    def flow(x: Vector, t: float, steps: int = _SUBSTEPS) -> Vector:
+        return rk4_integrate(field, x, t / steps, steps)[-1]
+
+    def advance(x: Vector, gap: float) -> Vector:
+        # at least four RK4 steps, none longer than h / 64
+        return flow(x, gap, max(4, int(np.ceil(_SUBSTEPS * gap / h)))) if gap > 1e-15 else x
+
+    def shoot(q0, q1) -> Vector:
+        q0, q1 = np.array(q0), np.array(q1)
+
         def endpoint(v0):
-            states = rk4_integrate(field, np.concatenate([q0, v0]), h / substeps,
-                                   substeps)
-            return states[-1][:n] - q1
+            return flow(np.concatenate([q0, v0]), h)[:n] - q1
 
         try:
-            res = newton_solve(endpoint, (q1 - q0) / h,
-                               StepperConfig(tol=max(tol, 1e-14), max_iter=30),
-                               lambda v: fd_jacobian(endpoint, v, 1e-7))
+            return newton_solve(endpoint, (q1 - q0) / h, _SHOOTING_CFG,
+                                lambda v: fd_jacobian(endpoint, v, 1e-7)).x
         except NewtonError as e:
             raise ShootingError(
                 f"boundary-value shooting failed for endpoints {q0} -> {q1}: {e}",
@@ -572,55 +592,26 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
             raise ShootingError(
                 f"trajectory evaluation failed while shooting {q0} -> {q1}: {e}",
                 residual=float("nan"), iterations=0) from e
-        return res.x
 
-    def _value_at(q0, q1, tol: float) -> float:
-        q0, q1 = as_vector(q0), as_vector(q1)
-        v0 = _shoot(q0, q1, tol)
-        x = np.concatenate([q0, v0])
-        t_prev = 0.0
-        total = 0.0
+    def pair_data(q0, q1):
+        s0, phi0 = sigma(q0), np.array(grad(q0))
+        x0 = x = np.concatenate([q0, shoot(q0, q1)])
+        t, total = 0.0, 0.0
         for t_node, w_node in zip(0.5 * h * (nodes + 1.0), weights):
-            gap = t_node - t_prev
-            if gap > 1e-15:
-                m = max(4, int(np.ceil(substeps * gap / h)))
-                x = rk4_integrate(field, x, gap / m, m)[-1]
-            total += w_node * float(L.value(x[:n], x[n:]))
-            t_prev = t_node
-        return 0.5 * h * total
+            x, t = advance(x, t_node - t), t_node
+            q = x[:n].tolist()
+            total += w_node * math.exp(s0 - sigma(q)) * L.jet(q, x[n:].tolist())[0]
+        val, v1 = float(0.5 * h * total), advance(x, h - t)[n:].tolist()
+        J = fd_jacobian(lambda y: flow(y, h), x0, 1e-5)
+        A, B, D = J[:n, :n], J[:n, n:], J[n:, n:]
+        B_inv = _checked_inverse(B, 1e12, "singular dq1/dv0 of the flow (conjugate point)")
+        _, _, p0, vv0, vq0 = L.jet(list(q0), x0[n:].tolist())
+        _, _, p1, vv1, vq1 = L.jet(list(q1), v1)
+        E = math.exp(s0 - sigma(q1))
+        d1, d2, K = phi0 * val - p0, E * np.array(p1), vv0 @ B_inv
+        d1d2 = np.outer(phi0, d2) - K
+        d1d1 = np.array(hess(q0)) * val + np.outer(phi0, d1) - (vq0 - K @ A)
+        d2d2 = E * (vq1 + vv1 @ D @ B_inv) - np.outer(d2, grad(q1))
+        return (val, d1.tolist(), d2.tolist(), d1d2.tolist()), (d1d1, d2d2)
 
-    def value(q0, q1):
-        return _value_at(q0, q1, bvp_tol)
-
-    # Finite-difference steps below are tuned to the value's solver noise floor:
-    # first partials at 1e-4, second partials at 1e-3 with a tightened
-    # shooting tolerance.
-    eps1, eps2, tight = 1e-4, 1e-3, 1e-12
-
-    def d1(q0, q1):
-        return fd_jacobian(lambda x: _value_at(x, q1, tight), q0, eps1)
-
-    def d2(q0, q1):
-        return fd_jacobian(lambda x: _value_at(q0, x, tight), q1, eps1)
-
-    def d1d2(q0, q1):
-        return fd_mixed_second(lambda x, y: _value_at(x, y, tight), q0, q1, eps2)
-
-    def jet(q0, q1):
-        q0, q1 = np.array(q0), np.array(q1)
-        return float(value(q0, q1)), *(part(q0, q1).tolist() for part in (d1, d2, d1d2))
-
-    # The four-point difference of f(x + y - q) at (q, q) in steps eps2 / 2 is
-    # the three-point second difference of f at q in steps eps2.
-    def same(q0, q1, k):
-        pair = [np.array(q0), np.array(q1)]
-        q = pair[k]
-
-        def shifted(x, y):  # Ld with q_k moved to x + y - q_k
-            pair[k] = x + y - q
-            return _value_at(*pair, tight)
-
-        return fd_mixed_second(shifted, q, q, 0.5 * eps2).tolist()
-
-    return DiscreteLagrangian(n=n, h=h, jet=_pair_memo(jet), same=same, value=value,
-                              d1=d1, d2=d2, d1d2=d1d2)
+    return _memoized_pair_rule(n, h, pair_data, lambda extra, k: extra[k])

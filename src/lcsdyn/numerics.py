@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,10 +30,11 @@ class StepperConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.tol >= 1e-14):
-            raise ValueError(f"tol must be >= 1e-14, got {self.tol}")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        if not 1e-14 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 1e-14, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter <= 0:
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -108,23 +110,6 @@ def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.
         xm[i] -= eps
         cols.append((np.asarray(F(xp), dtype=float) - np.asarray(F(xm), dtype=float)) / (2.0 * eps))
     return np.stack(cols, axis=-1)
-
-
-def fd_mixed_second(f: Callable[[Vector, Vector], float], x: Vector, y: Vector,
-                    eps: float) -> np.ndarray:
-    """Four-point central difference of d^2 f / dx_i dy_j, shape (x.size, y.size)."""
-    x, y = as_vector(x), as_vector(y)
-    out = np.empty((x.size, y.size))
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += eps
-        xm[i] -= eps
-        for j in range(y.size):
-            yp, ym = y.copy(), y.copy()
-            yp[j] += eps
-            ym[j] -= eps
-            out[i, j] = (f(xp, yp) - f(xp, ym) - f(xm, yp) + f(xm, ym)) / (4.0 * eps * eps)
-    return out
 
 
 def newton_solve(

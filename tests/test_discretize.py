@@ -9,9 +9,10 @@ from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rul
                     conformal_trapezoidal_rule, del_step, dlcel_step,
                     exact_discrete_lagrangian, free_rotor_circle, harmonic_1d, integrate,
                     midpoint_rule, planar_2d, trapezoidal_rule, with_constant_sigma)
-from lcsdyn.continuous import ContinuousLagrangian, fiber_legendre_inv
+from lcsdyn.continuous import (ContinuousLagrangian, fiber_legendre, fiber_legendre_inv,
+                               make_lcel_field, rk4_integrate)
 from lcsdyn.numerics import StepperConfig, as_vector, fd_jacobian, newton_solve
-from conftest import (curved_planar, free_line_system, hollow, parts_lagrangian,
+from conftest import (curved_harmonic, curved_planar, free_line_system, hollow, parts_lagrangian,
                       quadratic_planar, rotor_with_shifted_chart, varying_mass)
 
 
@@ -145,8 +146,7 @@ def test_midpoint_third_order_against_exact(harmonic_flat):
 
 
 def test_exact_partials_match_finite_differences(harmonic_flat):
-    Ld = exact_discrete_lagrangian(harmonic_flat.lagrangian,
-                                   harmonic_flat.atlas, 0, 0.1, bvp_tol=1e-12)
+    Ld = exact_discrete_lagrangian(harmonic_flat.lagrangian, harmonic_flat.atlas, 0, 0.1)
     rng = np.random.default_rng(14)
     for _ in range(5):
         q0 = rng.uniform(-1, 1, 1)
@@ -167,10 +167,71 @@ def test_exact_shooting_failure_reports_residual():
     # conformal free particle blows up in finite time; the straight-line
     # velocity seed for this endpoint pair lies past the blow-up threshold
     conf = free_line_system(0.1)
-    Ld = exact_discrete_lagrangian(conf.lagrangian, conf.atlas, 0, 0.1,
-                                   substeps=16)
+    Ld = exact_discrete_lagrangian(conf.lagrangian, conf.atlas, 0, 0.1)
     with pytest.raises(ShootingError):
         Ld.value([0.0], [40.0])
+
+
+EXACT_SYSTEMS = {"harmonic_1d": lambda: harmonic_1d(0.5),
+                 "planar_2d": lambda: planar_2d(0.3, -0.4),
+                 "curved_harmonic": curved_harmonic, "curved_planar": curved_planar,
+                 "varying_mass": varying_mass}
+
+
+@pytest.mark.parametrize("make", EXACT_SYSTEMS.values(), ids=EXACT_SYSTEMS.keys())
+def test_exact_partials_match_differences_of_the_value(make):
+    # the generating-function partials agree with central differences of the
+    # weighted action (first partials) and of those partials (second)
+    system = make()
+    Ld = exact_discrete_lagrangian(system.lagrangian, system.atlas, 0, 0.1)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        q0 = rng.uniform(-1, 1, system.n)
+        q1 = q0 + rng.uniform(-0.1, 0.1, system.n)
+        for part, fd in ((Ld.d1, fd_jacobian(lambda x: Ld.value(x, q1), q0, 1e-5)),
+                         (Ld.d2, fd_jacobian(lambda x: Ld.value(q0, x), q1, 1e-5))):
+            assert np.max(np.abs(part(q0, q1) - fd)) <= 1e-7
+        for part, fd in ((Ld.d1d2, fd_jacobian(lambda x: Ld.d1(q0, x), q1, 1e-5)),
+                         (Ld.d1d1, fd_jacobian(lambda x: Ld.d1(x, q1), q0, 1e-5)),
+                         (Ld.d2d2, fd_jacobian(lambda x: Ld.d2(q0, x), q1, 1e-5))):
+            assert np.max(np.abs(part(q0, q1) - fd)) <= 1e-6
+
+
+@pytest.mark.parametrize("system, q, v", [
+    (harmonic_1d(0.5), [0.3], [0.8]),
+    (planar_2d(0.3, -0.4), [0.3, -0.2], [0.8, 0.5]),
+], ids=["harmonic_1d", "planar_2d"])
+def test_exact_legendre_maps_match_the_extremal(system, q, v):
+    # along a fine RK4 extremal the exact rule's conformal Legendre maps
+    # p- = phi(q0) Ld - d1 and p+ = exp(sigma(q1) - sigma(q0)) d2 are the
+    # continuous momenta dL/dv at both ends
+    h, n, chart = 0.1, system.n, system.atlas.chart(0)
+    x1 = rk4_integrate(make_lcel_field(system.lagrangian, system.atlas, 0),
+                       np.array(q + v), h / 1000, 1000)[-1]
+    q0, q1 = np.array(q), x1[:n]
+    Ld = exact_discrete_lagrangian(system.lagrangian, system.atlas, 0, h)
+    p_minus = chart.grad(q0) * Ld.value(q0, q1) - Ld.d1(q0, q1)
+    p_plus = np.exp(chart.sigma(q1) - chart.sigma(q0)) * Ld.d2(q0, q1)
+    assert np.max(np.abs(p_minus - fiber_legendre(system.lagrangian, q0, v))) <= 1e-9
+    assert np.max(np.abs(p_plus - fiber_legendre(system.lagrangian, q1, x1[n:]))) <= 1e-9
+
+
+@pytest.mark.parametrize("rule", [conformal_midpoint_rule, conformal_trapezoidal_rule])
+def test_conformal_rules_third_order_against_exact_at_a_nonzero_lee_form(rule):
+    # AC10's halving test at c = 0.5: the local error of either conformal
+    # rule against the exact weighted action shrinks at least 6x per halving
+    system = harmonic_1d(0.5)
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        q0 = float(rng.uniform(-1, 1))
+        v = float(rng.uniform(0.5, 1.5))
+        gaps = []
+        for h in (0.05, 0.025):
+            rule_ld = rule(system.lagrangian, system.atlas, 0, h)
+            exact = exact_discrete_lagrangian(system.lagrangian, system.atlas, 0, h)
+            gaps.append(abs(rule_ld.value([q0], [q0 + v * h])
+                            - exact.value([q0], [q0 + v * h])))
+        assert gaps[0] / gaps[1] >= 6.0
 
 
 def test_conformal_exact_inherits_sigma():
@@ -423,6 +484,17 @@ def reference_conformal_trapezoidal(L, atlas, chart, h):
 def _plain(rule):
     """``rule(L, h)`` with the conformal constructors' signature."""
     return lambda L, atlas, chart, h: rule(L, h)
+
+
+@pytest.mark.parametrize("h", [-0.1, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("rule", [
+    _plain(midpoint_rule), _plain(trapezoidal_rule), conformal_midpoint_rule,
+    conformal_trapezoidal_rule, exact_discrete_lagrangian,
+], ids=["midpoint", "trapezoidal", "conformal_midpoint", "conformal_trapezoidal", "exact"])
+def test_rules_refuse_a_step_that_is_not_positive_and_finite(rule, h):
+    system = harmonic_1d(0.1)
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        rule(system.lagrangian, system.atlas, 0, h)
 
 
 MEMO_RULES = [(conformal_midpoint_rule, reference_conformal_midpoint),
