@@ -154,7 +154,9 @@ class TransitionMap:
             raise ValueError("transition: empty overlap box")
 
     def contains(self, q: Vector) -> bool:
-        q = as_vector(q)
+        """True if q lies in the overlap box; ``ValueError`` unless q is a
+        vector of as many components as the box."""
+        q = _of_length(q, self.overlap_lower.size, "q")
         return bool(np.all(q >= self.overlap_lower) and np.all(q <= self.overlap_upper))
 
 
@@ -225,10 +227,13 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     raises :class:`RegularityError`.  Local momenta
     (kind ``"r"``) are additionally rescaled by exp(sigma_from(q) - sigma_to(q'))
     so that the corresponding global momentum p = exp(sigma) r is continuous.
+    A q or momentum that is not a vector of the from chart's dimension
+    raises ``ValueError`` naming it.
     """
     if momentum_kind not in ("r", "p"):
         raise ValueError(f"momentum_kind must be 'r' or 'p', got {momentum_kind!r}")
     q = _of_length(q, atlas.chart(from_chart).dim, "q")
+    momentum = _of_length(momentum, q.size, "momentum")
     t = atlas.require_transition(from_chart, to_chart, q)
     q_new = as_vector(t.forward(q))
     p_new = _covector(t, q, momentum)

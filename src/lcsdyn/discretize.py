@@ -560,8 +560,10 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
     Jacobian of the flow map (q0, v0) -> (q1, v1): d1 = phi(q0) Ld - p0,
     d2 = E p1, d1d2 = phi(q0) (x) d2 - Hvv0 B^-1, d1d1 = Hsigma(q0) Ld +
     phi(q0) (x) d1 - Hvq0 + Hvv0 B^-1 A and d2d2 = E (Hvq1 + Hvv1 D B^-1) -
-    d2 (x) phi(q1).  A singular B, or one of condition above 1e12 (a
-    conjugate point), raises ``RegularityError``.
+    d2 (x) phi(q1).  Near a conjugate point B = dq1/dv0 nearly vanishes in
+    some direction: a B whose smallest singular value is below 1e-6 h (B is
+    about h I for a short step), or one that is singular or of condition
+    above 1e12, raises ``RegularityError``.
     """
     _check_step(h)
     n, field = L.n, make_lcel_field(L, atlas, chart)
@@ -605,6 +607,10 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         J = fd_jacobian(lambda y: flow(y, h), x0, 1e-5)
         A, B, D = J[:n, :n], J[:n, n:], J[n:, n:]
         B_inv = _checked_inverse(B, 1e12, "singular dq1/dv0 of the flow (conjugate point)")
+        smallest = float(np.linalg.svd(B, compute_uv=False)[-1])
+        if smallest < 1e-6 * h:
+            raise RegularityError(f"dq1/dv0 of the flow nearly singular (conjugate point): "
+                                  f"smallest singular value {smallest:.3e} below 1e-6 h")
         _, _, p0, vv0, vq0 = L.jet(list(q0), x0[n:].tolist())
         _, _, p1, vv1, vq1 = L.jet(list(q1), v1)
         E = math.exp(s0 - sigma(q1))
@@ -615,3 +621,4 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         return (val, d1.tolist(), d2.tolist(), d1d2.tolist()), (d1d1, d2d2)
 
     return _memoized_pair_rule(n, h, pair_data, lambda extra, k: extra[k])
+

@@ -39,7 +39,10 @@ The discrete action sum uses the local (conformally rescaled) Lagrangian
     S([q]) = sum_k exp(-sigma(q_k)) Ld(q_k, q_{k+1});
 
 trajectories extremize it with fixed endpoints, which ``stationarity_residual``
-verifies by finite differences.
+verifies by finite differences.  Both ``action_sum`` and the residual sum one
+float term, exp(-sigma(q_k)) Ld(q_k, q_{k+1}) with sigma from the chart's
+float kernel and the value from ``Ld.jet`` (``_action``); the residual
+differences, with ``numerics.fd_jacobian``, the two terms that contain q_k.
 """
 
 from __future__ import annotations
@@ -314,26 +317,39 @@ def _into_chart(atlas: ConformalAtlas, q: Vector, from_chart: int, to_chart: int
     return as_vector(atlas.require_transition(from_chart, to_chart, q).forward(q))
 
 
+def _action(Ld: DiscreteLagrangian, atlas: ConformalAtlas, charts: list[int],
+            qs: list[list]) -> float:
+    """The action sum of :func:`action_sum` over float lists ``qs`` on
+    ``charts``, summed on Python floats from 0.0.
+
+    Term k is exp(-sigma(q_k)) Ld(q_k, q_{k+1}) on chart ``charts[k]``: sigma
+    from the chart's float kernel (``Chart._floats``), the value from
+    ``Ld.jet`` and q_{k+1} carried into that chart by an array transition
+    only where the two charts differ.
+    """
+    total = 0.0
+    for k in range(len(qs) - 1):
+        ck, qa, qb = charts[k], qs[k], qs[k + 1]
+        if charts[k + 1] != ck:
+            qb = _into_chart(atlas, np.array(qb), charts[k + 1], ck).tolist()
+        sigma = atlas.chart(ck)._floats[0]
+        total += float(np.exp(-sigma(qa))) * float(Ld.jet(qa, qb)[0])
+    return total
+
+
 def action_sum(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart_assignment,
                qs: Sequence[Vector]) -> float:
     """Discrete action sum of the local Lagrangian, sum_k e^{-sigma(q_k)} Ld(q_k, q_{k+1})."""
-    qs = [as_vector(q) for q in qs]
+    qs = [_of_length(q, Ld.n, "q").tolist() for q in qs]
     if len(qs) < 2:
         raise ValueError("action sum needs at least two lattice points")
-    charts = _normalize_charts(chart_assignment, len(qs))
-    total = 0.0
-    for k in range(len(qs) - 1):
-        ck = charts[k]
-        qb = _into_chart(atlas, qs[k + 1], charts[k + 1], ck)
-        sigma = float(atlas.chart(ck).sigma(qs[k]))
-        total += np.exp(-sigma) * float(Ld.value(qs[k], qb))
-    return total
+    return _action(Ld, atlas, _normalize_charts(chart_assignment, len(qs)), qs)
 
 
 def stationarity_residual(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                           traj: DiscreteTrajectory) -> float:
     """Max over interior points of the action-sum gradient magnitude (central FD)."""
-    qs = [pt.q for pt in traj.points]
+    qs = [pt.q.tolist() for pt in traj.points]
     charts = [pt.chart for pt in traj.points]
     if len(qs) < 3:
         raise ValueError("stationarity needs at least one interior point")
@@ -341,8 +357,8 @@ def stationarity_residual(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     worst = 0.0
     for k in range(1, len(qs) - 1):
         # only the two terms of the action sum that contain q_k depend on it
-        window = charts[k - 1:k + 2]
-        grad = fd_jacobian(lambda x: action_sum(Ld, atlas, window, [qs[k - 1], x, qs[k + 1]]),
-                           qs[k], _STATIONARITY_EPS)
+        window, before, after = charts[k - 1:k + 2], qs[k - 1], qs[k + 1]
+        grad = fd_jacobian(lambda x: _action(Ld, atlas, window, [before, x.tolist(), after]),
+                           traj.points[k].q, _STATIONARITY_EPS)
         worst = max(worst, float(np.max(np.abs(grad))))
     return worst

@@ -179,3 +179,25 @@ def test_chart_contains_reads_a_float_list_as_an_array():
     for q in ([0.0], [0.0, 1.0, 1.0], np.zeros(3)):
         with pytest.raises(ValueError):
             chart.contains(q)
+
+
+def test_transition_contains_checks_the_length_of_q():
+    # a wrong-length q used to broadcast against the one-component overlap box
+    rotor = free_rotor_circle(0.1)
+    t = rotor.atlas.find_transition(0, 1, [2.5])
+    assert t is not None and t.contains([2.5]) and t.contains(np.array([2.5]))
+    assert not t.contains([2.0])
+    for q in ([2.5, 2.6], [[2.5]], np.zeros(0)):
+        with pytest.raises(ValueError, match="^q "):
+            t.contains(q)
+    with pytest.raises(ValueError, match="q has 2 components"):
+        rotor.atlas.find_transition(0, 1, [2.5, 2.6])
+
+
+def test_transition_apply_names_a_wrong_length_momentum():
+    rotor = free_rotor_circle(0.1)
+    for kind in ("p", "r"):
+        with pytest.raises(ValueError, match="momentum has 2 components, expected 1"):
+            transition_apply(rotor.atlas, 0, 1, [2.5], [1.0, 2.0], kind)
+        with pytest.raises(ValueError, match="momentum must be one-dimensional"):
+            transition_apply(rotor.atlas, 0, 1, [2.5], [[1.0]], kind)

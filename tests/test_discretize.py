@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lcsdyn import (Chart, ConformalAtlas, ShootingError, conformal_midpoint_rule,
-                    conformal_trapezoidal_rule, del_step, dlcel_step,
+from lcsdyn import (Chart, ConformalAtlas, RegularityError, ShootingError,
+                    conformal_midpoint_rule, conformal_trapezoidal_rule, del_step, dlcel_step,
                     exact_discrete_lagrangian, free_rotor_circle, harmonic_1d, integrate,
                     midpoint_rule, planar_2d, trapezoidal_rule, with_constant_sigma)
 from lcsdyn.continuous import (ContinuousLagrangian, fiber_legendre, fiber_legendre_inv,
@@ -127,6 +127,29 @@ def test_exact_harmonic_closed_form(harmonic_flat):
     for q0, q1 in [(1.0, 1.0), (0.5, -0.2), (0.0, 0.8)]:
         assert Ld.value([q0], [q1]) == pytest.approx(
             harmonic_exact_value(q0, q1, 0.1), abs=1e-9)
+
+
+@pytest.mark.parametrize("system, q0, q1", [(harmonic_1d(0.0), [0.3], [-0.3]),
+                                            (planar_2d(0.0, 0.0), [0.3, 0.2], [-0.3, -0.2])],
+                         ids=["harmonic_1d", "planar_2d"])
+def test_exact_rule_raises_at_a_conjugate_point(system, q0, q1):
+    # at h = pi, the unit oscillator's conjugate time, dq1/dv0 is about 1.5e-7
+    # (sigma_min / h = 4.8e-8), which a condition-number screen never sees
+    Ld = exact_discrete_lagrangian(system.lagrangian, system.atlas, 0, np.pi)
+    with pytest.raises(RegularityError, match="conjugate point"):
+        Ld.jet(q0, q1)
+    # at h = 3.1 (sigma_min / h = 0.013) the jet keeps the closed-form values
+    # to about 1e-6 of their scales: |q|^2 / sin h ~ 2 for the value, |q| / sin h
+    # ~ 7 for d1 and d2 and 1 / sin h ~ 24 for d1d2
+    h = 3.1
+    Ld = exact_discrete_lagrangian(system.lagrangian, system.atlas, 0, h)
+    value, d1, d2, d1d2 = Ld.jet(q0, q1)
+    a, b = np.array(q0), np.array(q1)
+    s, c = np.sin(h), np.cos(h)
+    assert value == pytest.approx(float(np.sum(harmonic_exact_value(a, b, h))), abs=1e-5)
+    assert np.allclose(d1, (a * c - b) / s, rtol=0.0, atol=1e-6)
+    assert np.allclose(d2, (b * c - a) / s, rtol=0.0, atol=1e-6)
+    assert np.allclose(d1d2, -np.eye(system.n) / s, rtol=1e-5, atol=0.0)
 
 
 def test_midpoint_third_order_against_exact(harmonic_flat):
