@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _of_length, _on_lists, as_matrix, as_vector, solve_linear
+from .numerics import _nan_max, _of_length, _on_lists, as_matrix, as_vector, solve_linear
 
 Vector = np.ndarray
 
@@ -269,7 +269,7 @@ class CocycleReport:
 
     @property
     def max_deviation(self) -> float:
-        return max((e.deviation for e in self.entries), default=0.0)
+        return _nan_max((e.deviation for e in self.entries), default=0.0)
 
     @property
     def passed(self) -> bool:

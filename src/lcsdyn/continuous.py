@@ -35,12 +35,14 @@ _FIBER_CFG = StepperConfig(tol=1e-12)
 class ContinuousLagrangian:
     """A Lagrangian L(q, v), defined by one fused evaluation on Python floats.
 
-    ``jet(q, v)``, with q and v lists of n floats, returns
-    ``(value, grad_q, grad_v, hess_vv, hess_vq)``: a float, two lists of n
-    floats and two (n, n) float arrays, with ``hess_vq[i, j] = d^2 L / dv_i
-    dq_j``.  ``hess_vv`` must be invertible wherever the dynamics are
-    evaluated.  The continuous fields and the quadrature rules call the jet
-    once where they need several parts; each method below calls it once and
+    ``jet(q_0, ..., q_{n-1}, v_0, ..., v_{n-1})``, on 2n separate floats,
+    returns one flat tuple ``(value, dL/dq_0, ..., dL/dv_{n-1}, hess_vv,
+    hess_vq)``: 2n + 1 floats and two (n, n) float arrays, with
+    ``hess_vq[i, j] = d^2 L / dv_i dq_j``, so an RK4 stage builds no list.
+    ``hess_vv`` must be invertible wherever the dynamics are evaluated.  The
+    continuous fields and the quadrature rules call the jet once where they
+    need several parts; each method below calls it once, on two vectors of n
+    components (another shape raises ``ValueError`` naming q or v), and
     returns one part, the Hessians as fresh arrays.  ``hess_qq(q, v)``
     returns the (n, n) array d^2 L / dq dq; the quadrature rules' second
     partials read it.
@@ -55,7 +57,7 @@ class ContinuousLagrangian:
     """
 
     n: int
-    jet: Callable[[list, list], tuple]
+    jet: Callable[..., tuple]
     hess_qq: Callable[[Vector, Vector], np.ndarray]
     constant_hessians: bool = False
 
@@ -64,7 +66,7 @@ class ContinuousLagrangian:
         if self.constant_hessians:
             zero = [0.0] * n
             hessians = tuple(np.array(a, dtype=float) for a in (
-                self.hess_qq(np.zeros(n), np.zeros(n)), *self.jet(zero, zero)[3:]))
+                self.hess_qq(np.zeros(n), np.zeros(n)), *_jet_parts(self, zero, zero)[3:]))
             for name, a in zip(("hess_qq", "hess_vv", "hess_vq"), hessians):
                 if a.shape != (n, n):
                     raise ValueError(f"{name} must have shape ({n}, {n}), got {a.shape}")
@@ -72,7 +74,8 @@ class ContinuousLagrangian:
         object.__setattr__(self, "hessians", hessians)
 
     def _at(self, q: Vector, v: Vector) -> tuple:
-        return self.jet(as_vector(q).tolist(), as_vector(v).tolist())
+        n = self.n
+        return _jet_parts(self, _of_length(q, n, "q").tolist(), _of_length(v, n, "v").tolist())
 
     def value(self, q: Vector, v: Vector) -> float:
         return float(self._at(q, v)[0])
@@ -94,16 +97,19 @@ class ContinuousLagrangian:
 class ContinuousHamiltonian:
     """A Hamiltonian H(q, p), defined by one fused evaluation on Python floats.
 
-    ``jet(q, p)`` on lists of n floats returns ``(value, grad_q, grad_p)`` as
-    a float and two lists of n floats.  The Hamiltonian field calls it once
-    per evaluation; each method below calls it once and returns one part.
+    ``jet(q_0, ..., q_{n-1}, p_0, ..., p_{n-1})`` returns the flat tuple
+    ``(value, dH/dq_0, ..., dH/dp_{n-1})`` of 2n + 1 floats.  The field calls
+    it once per evaluation; each method below calls it once, on two vectors
+    of n components (another shape raises ``ValueError`` naming q or p), and
+    returns one part.
     """
 
     n: int
-    jet: Callable[[list, list], tuple]
+    jet: Callable[..., tuple]
 
     def _at(self, q: Vector, p: Vector) -> tuple:
-        return self.jet(as_vector(q).tolist(), as_vector(p).tolist())
+        n = self.n
+        return _jet_parts(self, _of_length(q, n, "q").tolist(), _of_length(p, n, "p").tolist())
 
     def value(self, q: Vector, p: Vector) -> float:
         return float(self._at(q, p)[0])
@@ -113,6 +119,18 @@ class ContinuousHamiltonian:
 
     def grad_p(self, q: Vector, p: Vector) -> np.ndarray:
         return np.array(self._at(q, p)[2])
+
+
+def _jet_parts(F, q, v) -> tuple:
+    """``F.jet(*q, *v)`` as ``(value, grad_q, grad_v[, hess_vv, hess_vq])``, the
+    gradients as lists; a jet of another count than 2n + 3 (a Lagrangian) or
+    2n + 1 (a Hamiltonian) raises ``ValueError`` naming it."""
+    n, out = F.n, F.jet(*q, *v)
+    count = 2 * n + (3 if isinstance(F, ContinuousLagrangian) else 1)
+    if len(out) != count:
+        raise ValueError(f"{type(F).__name__} jet returned {len(out)} values, "
+                         f"expected {count} (2n + {count - 2 * n} for n = {n})")
+    return (out[0], list(out[1:n + 1]), list(out[n + 1:2 * n + 1]), *out[2 * n + 1:])
 
 
 def fiber_legendre(L: ContinuousLagrangian, q: Vector, v: Vector) -> np.ndarray:
@@ -131,7 +149,7 @@ def fiber_legendre_inv(L: ContinuousLagrangian, q: Vector, p: Vector) -> np.ndar
         jac = lambda: vv
 
     def system(v: list):
-        _, _, gv, hess_vv, _ = L.jet(q, v)
+        _, _, gv, hess_vv, _ = _jet_parts(L, q, v)
         return [g - b for g, b in zip(gv, p)], jac or hess_vv.tolist
 
     return np.array(_newton(system, p, _FIBER_CFG)[0])
@@ -349,8 +367,9 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     works on unpacked scalars, its dot products written out as
     ``numerics._dot`` forms them (``0.0 + a0 b0 + a1 b1``, Python's double
     arithmetic in that order, no fused operation).  For n >= 3 the dot
-    products stay numpy calls.  A ``grad_q``, ``grad_p`` or Lee form without
-    n components raises ``ValueError``.
+    products stay numpy calls.  A jet that returns another number of values
+    (see :func:`_jet_parts`), or a Lee form without n components, raises
+    ``ValueError``.
     """
     n = H.n
     jet = H.jet
@@ -361,7 +380,7 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
         def scalar_rates(q: float, p: float) -> tuple:
             if not lo <= q <= hi:
                 atlas.require_inside(chart, np.array([q]))
-            hval, (g,), (qd,) = jet([q], [p])
+            hval, g, qd = jet(q, p)
             (f,) = phi or lee([q])
             # numpy rounds a one-element dot like 0.0 + a*b
             s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
@@ -375,7 +394,7 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
         def planar_rates(q0: float, q1: float, p0: float, p1: float) -> tuple:
             if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
                 atlas.require_inside(chart, np.array([q0, q1]))
-            hval, (g0, g1), (d0, d1) = jet([q0, q1], [p0, p1])
+            hval, g0, g1, d0, d1 = jet(q0, q1, p0, p1)
             f0, f1 = phi or lee([q0, q1])
             s_p, s_phi = 0.0 + p0 * d0 + p1 * d1, 0.0 + f0 * d0 + f1 * d1
             return (d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
@@ -387,12 +406,11 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
         q, ps = list(xs[:n]), list(xs[n:])
         if not all(a <= x <= b for a, x, b in zip(lo, q, hi)):
             atlas.require_inside(chart, np.array(q))
-        hval, gq, qdot = jet(q, ps)
+        hval, gq, qdot = _jet_parts(H, q, ps)
         f_q = phi or lee(q)
         s_p, s_phi = _dot(ps, qdot), _dot(f_q, qdot)
-        # qdot joins the zip only to have its length checked
         return qdot + [-g - (f * s_p - p * s_phi) + hval * f
-                       for g, f, p, _ in zip(gq, f_q, ps, qdot, strict=True)]
+                       for g, f, p in zip(gq, f_q, ps, strict=True)]
 
     return _kernel_field(rates, n)
 
@@ -404,12 +422,12 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
     floats from one jet evaluation, by a kernel on unpacked scalars when
     n <= 2 (the n = 2 dot product and rows of ``hess_vq @ v`` written out as
-    ``numerics._dot`` forms them), and a ``grad_q``, ``grad_v`` or Lee form
-    without n components raises ``ValueError``.  The n <= 2 kernels return
-    the acceleration alone, which :func:`rk4_integrate` steps in its
-    second-order loops.  When n = 1 with a constant Lee form and declared
-    Hessians of nonzero mass, the kernel holds the Lee form and both Hessians
-    as closure floats.  The acceleration solves
+    ``numerics._dot`` forms them), and a jet that returns another number of
+    values, or a Lee form without n components, raises ``ValueError``.  The
+    n <= 2 kernels return the acceleration alone, which :func:`rk4_integrate`
+    steps in its second-order loops.  When n = 1 with a constant Lee form and
+    declared Hessians of nonzero mass, the kernel holds the Lee form and both
+    Hessians as closure floats.  The acceleration solves
     ``hess_vv a = rhs`` by one division when n = 1 and otherwise as
     ``numerics._solve_floats`` solves (in closed form behind its screen when
     n = 2), raising :class:`RegularityError` as it does.  Under ``constant_hessians``
@@ -433,13 +451,13 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
             def scalar_accel(q: float, v: float) -> float:
                 if not lo <= q <= hi:
                     atlas.require_inside(chart, np.array([q]))
-                lval, (g,), (c,), _, _ = jet([q], [v])
+                lval, g, c, _, _ = jet(q, v)
                 return (g - (0.0 + b * v) + (0.0 + f * v) * c - lval * f) / m
         else:
             def scalar_accel(q: float, v: float) -> float:
                 if not lo <= q <= hi:
                     atlas.require_inside(chart, np.array([q]))
-                lval, (g,), (c,), M, hvq = jet([q], [v])
+                lval, g, c, M, hvq = jet(q, v)
                 (f,) = phi or lee([q])
                 m, b = mb or (M.item(0), hvq.item(0))
                 if m == 0.0:
@@ -459,7 +477,7 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
         def planar_accel(q0: float, q1: float, v0: float, v1: float) -> list:
             if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
                 atlas.require_inside(chart, np.array([q0, q1]))
-            lval, (g0, g1), (c0, c1), M, hvq = jet([q0, q1], [v0, v1])
+            lval, g0, g1, c0, c1, M, hvq = jet(q0, q1, v0, v1)
             f0, f1 = phi or lee([q0, q1])
             solve, ((m00, m01), (m10, m11)) = SB or (_solver(M.tolist(), 1e12), hvq.tolist())
             s = 0.0 + f0 * v0 + f1 * v1
@@ -474,7 +492,7 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
         q, vs = list(xs[:n]), list(xs[n:])
         if not all(a <= x <= b for a, x, b in zip(lo, q, hi)):
             atlas.require_inside(chart, np.array(q))
-        lval, gq, gv, M, hvq = jet(q, vs)
+        lval, gq, gv, M, hvq = _jet_parts(L, q, vs)
         f_q = phi or lee(q)
         solve, B = SB or (_solver(M.tolist(), 1e12), hvq)
         s, hv = _dot(f_q, vs), (B @ np.array(vs)).tolist()

@@ -33,12 +33,12 @@ pair jet, ``Ld.jet(q0, q1)``, returning value, d1, d2 and d1d2 at once, and
 ``Ld.same(q0, q1, k)``, returning d1d1 (k = 0) or d2d2 (k = 1).  The
 conformal steps, their Newton iteration, the momentum fill and the
 Hamiltonian side's inversions run on these.  The four quadrature rules
-compute the jet on Python floats, with one call of L's jet per quadrature
-node and one evaluation of the chart data, and keep the last pair's entry in
-a one-entry memo keyed on the pair's float tuples (``_pair_memo``, which the
-discrete Hamiltonians use too).  For n = 1 and n = 2 the midpoint rules'
-jet, and the conformal one's Lee combination on a chart with a constant Lee
-form, run on unpacked scalars (``_midpoint_pair``,
+compute the jet on Python floats, with one call of L's flat jet per node, on
+the node's 2n floats, and one evaluation of the chart data, and keep the
+last pair's entry in a one-entry memo keyed on the pair's float tuples
+(``_pair_memo``, which the discrete Hamiltonians use too).  For n = 1 and
+n = 2 the midpoint rules' jet, and the conformal one's Lee combination on a
+chart with a constant Lee form, run on unpacked scalars (``_midpoint_pair``,
 ``_constant_lee_midpoint``), with the general form's expressions in its
 order and so its bits.  The rules' array parts are views of that entry:
 value, d1, d2 and d1d2 convert it, and same adds only L's position Hessian
@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .atlas import ConformalAtlas
-from .continuous import ContinuousLagrangian, make_lcel_field, rk4_integrate
+from .continuous import ContinuousLagrangian, _jet_parts, make_lcel_field, rk4_integrate
 from .errors import (DomainError, IntegrationError, NewtonError,
                      RegularityError, ShootingError)
 from .numerics import (StepperConfig, _checked_inverse, _of_length, _on_lists, as_matrix,
@@ -186,31 +186,31 @@ def _midpoint_pair(L: ContinuousLagrangian, h: float):
     difference w; node is (m, w, hess_vv, hess_vq), from which
     :func:`_midpoint_d1d2` and :func:`_midpoint_same` build the second
     partials.  For n = 1 and n = 2 pair runs on unpacked scalars, with the
-    expressions and rounding of the general form, and a pair or jet gradient
-    without n components raises ``ValueError``."""
+    expressions and rounding of the general form; a pair without n
+    components, or a jet of another count, raises ``ValueError``."""
     jet, c = L.jet, 0.5 * h
     if L.n == 1:
         def pair(q0, q1):
             (a,), (b,) = q0, q1
-            m, w = [0.5 * (a + b)], [(b - a) / h]
-            val, (g,), (v,), vv, vq = jet(m, w)
-            return h * val, [c * g - v], [c * g + v], (m, w, vv, vq)
+            m, w = 0.5 * (a + b), (b - a) / h
+            val, g, v, vv, vq = jet(m, w)
+            return h * val, [c * g - v], [c * g + v], ([m], [w], vv, vq)
 
         return pair
     if L.n == 2:
         def pair(q0, q1):
             (a0, a1), (b0, b1) = q0, q1
-            m, w = [0.5 * (a0 + b0), 0.5 * (a1 + b1)], [(b0 - a0) / h, (b1 - a1) / h]
-            val, (g0, g1), (v0, v1), vv, vq = jet(m, w)
+            m0, m1, w0, w1 = 0.5 * (a0 + b0), 0.5 * (a1 + b1), (b0 - a0) / h, (b1 - a1) / h
+            val, g0, g1, v0, v1, vv, vq = jet(m0, m1, w0, w1)
             return (h * val, [c * g0 - v0, c * g1 - v1], [c * g0 + v0, c * g1 + v1],
-                    (m, w, vv, vq))
+                    ([m0, m1], [w0, w1], vv, vq))
 
         return pair
 
     def pair(q0, q1):
         m = [0.5 * (a + b) for a, b in zip(q0, q1)]
         w = [(b - a) / h for a, b in zip(q0, q1)]
-        val, gq, gv, vv, vq = jet(m, w)
+        val, gq, gv, vv, vq = _jet_parts(L, m, w)
         return (h * val, [c * g - v for g, v in zip(gq, gv)],
                 [c * g + v for g, v in zip(gq, gv)], (m, w, vv, vq))
 
@@ -257,8 +257,8 @@ def _trapezoidal_pair(L: ContinuousLagrangian, h: float, q0, q1):
     hess_vv, hess_vq) at (q0, w), then the same at (q1, w)), with w the
     divided difference."""
     w = [(b - a) / h for a, b in zip(q0, q1)]
-    L0, gq0, gv0, vv0, vq0 = L.jet(list(q0), w)
-    L1, gq1, gv1, vv1, vq1 = L.jet(list(q1), w)
+    L0, gq0, gv0, vv0, vq0 = _jet_parts(L, q0, w)
+    L1, gq1, gv1, vv1, vq1 = _jet_parts(L, q1, w)
     c = 0.5 * h
     gv = [0.5 * (a + b) for a, b in zip(gv0, gv1)]
     return (c * (L0 + L1), [c * g - v for g, v in zip(gq0, gv)],
@@ -509,8 +509,8 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
             return (val, d1, d2, base_d1d2(nodes)), (nodes, None)
         s0, phi0, phi1 = terms
         w = [(b - a) / h for a, b in zip(q0, q1)]
-        L0, gq0, gv0, vv0, vq0 = L.jet(list(q0), w)
-        L1, gq1, gv1, vv1, vq1 = L.jet(list(q1), w)
+        L0, gq0, gv0, vv0, vq0 = _jet_parts(L, q0, w)
+        L1, gq1, gv1, vv1, vq1 = _jet_parts(L, q1, w)
         nodes = ((q0, w, vv0, vq0), (q1, w, vv1, vq1))
         G = np.exp(s0 - s1)
         g, c, idx = float(G), 0.5 * h, range(len(phi0))
@@ -602,7 +602,7 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         for t_node, w_node in zip(0.5 * h * (nodes + 1.0), weights):
             x, t = advance(x, t_node - t), t_node
             q = x[:n].tolist()
-            total += w_node * math.exp(s0 - sigma(q)) * L.jet(q, x[n:].tolist())[0]
+            total += w_node * math.exp(s0 - sigma(q)) * _jet_parts(L, q, x[n:].tolist())[0]
         val, v1 = float(0.5 * h * total), advance(x, h - t)[n:].tolist()
         J = fd_jacobian(lambda y: flow(y, h), x0, 1e-5)
         A, B, D = J[:n, :n], J[:n, n:], J[n:, n:]
@@ -611,8 +611,8 @@ def exact_discrete_lagrangian(L: ContinuousLagrangian, atlas: ConformalAtlas,
         if smallest < 1e-6 * h:
             raise RegularityError(f"dq1/dv0 of the flow nearly singular (conjugate point): "
                                   f"smallest singular value {smallest:.3e} below 1e-6 h")
-        _, _, p0, vv0, vq0 = L.jet(list(q0), x0[n:].tolist())
-        _, _, p1, vv1, vq1 = L.jet(list(q1), v1)
+        _, _, p0, vv0, vq0 = _jet_parts(L, q0, x0[n:].tolist())
+        _, _, p1, vv1, vq1 = _jet_parts(L, q1, v1)
         E = math.exp(s0 - sigma(q1))
         d1, d2, K = phi0 * val - p0, E * np.array(p1), vv0 @ B_inv
         d1d2 = np.outer(phi0, d2) - K

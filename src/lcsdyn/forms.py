@@ -19,7 +19,7 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .discretize import DiscreteLagrangian
-from .numerics import as_vector, fd_jacobian
+from .numerics import _nan_max, as_vector, fd_jacobian
 from .variational import _dp_minus_dq1
 
 Vector = np.ndarray
@@ -107,9 +107,9 @@ def lcs_condition_check(form: TwoFormField, lee: Callable[[Vector], Vector],
         for a, b, c in triples:
             d_omega = D[b, c, a] + D[c, a, b] + D[a, b, c]
             wedge = psi[a] * omega[b, c] - psi[b] * omega[a, c] + psi[c] * omega[a, b]
-            worst = max(worst, abs(d_omega - wedge))
+            worst = _nan_max(worst, abs(d_omega - wedge))
         deviations.append(worst)
         tol = max(tol, _LCS_TOL_FACTOR * max(1.0, float(np.max(np.abs(omega)))))
-    max_dev = max(deviations)
+    max_dev = _nan_max(deviations)
     return LcsConditionReport(passed=max_dev <= tol, max_deviation=max_dev,
                               tolerance=tol, deviations=tuple(deviations))

@@ -194,6 +194,14 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
         residual=rnorm, iterations=cfg.max_iter)
 
 
+def _nan_max(*args, **default):
+    """``max(*args, **default)``, or the first NaN among the values, which
+    ``max`` keeps only when it comes first (no comparison with NaN is true)."""
+    values = list(args[0] if len(args) == 1 else args)
+    nans = [x for x in values if x != x]
+    return nans[0] if nans else max(values, **default)
+
+
 def _dot(x, y) -> float:
     """``x @ y`` of two float sequences.
 

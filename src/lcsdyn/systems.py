@@ -7,13 +7,13 @@
     is closed but not exact on the circle, so the two factors differ by the
     constant 2 pi c on the wrap-around overlap (the cocycle condition).
 
-Each system is written once, as float jets (see ``ContinuousLagrangian``): a
-Lagrangian jet and, coded separately so that the Lagrangian and Hamiltonian
-flows stay independent checks of each other, a Hamiltonian jet.  The constant
-velocity Hessians are read-only identity and zero arrays that the jets return
-as they are.  Every Lagrangian is quadratic, so each declares
-``constant_hessians`` and has its three Hessians read once, from its jet and
-``hess_qq`` at q = v = 0.
+Each system is written once, as flat float jets on the 2n coordinates (see
+``ContinuousLagrangian``): a Lagrangian jet and, coded separately so that the
+Lagrangian and Hamiltonian flows stay independent checks of each other, a
+Hamiltonian jet.  The constant velocity Hessians are read-only identity and
+zero arrays that the jets return as they are.  Every Lagrangian is
+quadratic, so each declares ``constant_hessians`` and has its three Hessians
+read once, from its jet and ``hess_qq`` at q = v = 0.
 Every sigma is linear in the chart coordinates, so every chart declares its
 constant Lee form; the sigma itself is written once, on float lists, as
 ``numerics._dot(lee, q)`` (for n = 1 the ``0.0 + c q`` of numpy's one-element
@@ -59,16 +59,18 @@ def _sq(x: list) -> float:
 def _mechanical(n: int, V, grad_V, hess_V: np.ndarray):
     """L = |v|^2/2 - V(q) and its Hamiltonian twin H = |p|^2/2 + V(q).
 
-    ``V`` and ``grad_V`` take a list of n floats and return a float and a
-    fresh list; ``hess_V`` is the constant Hessian of V.
+    ``V`` and ``grad_V`` take a sequence of n floats and return a float and
+    a sequence; ``hess_V`` is the constant Hessian of V.
     """
     eye, zeros = _unit_hessians(n)
 
-    def L_jet(q, v):
-        return 0.5 * _sq(v) - V(q), [-g for g in grad_V(q)], list(v), eye, zeros
+    def L_jet(*x):
+        q, v = x[:n], x[n:]
+        return (0.5 * _sq(v) - V(q), *(-g for g in grad_V(q)), *v, eye, zeros)
 
-    def H_jet(q, p):
-        return 0.5 * _sq(p) + V(q), grad_V(q), list(p)
+    def H_jet(*x):
+        q, p = x[:n], x[n:]
+        return (0.5 * _sq(p) + V(q), *grad_V(q), *p)
 
     return _pair(n, L_jet, H_jet, -hess_V)
 
@@ -99,25 +101,21 @@ def _harmonic(n: int):
         return _mechanical(n, V=lambda q: 0.5 * _sq(q), grad_V=list, hess_V=np.eye(n))
     eye, zeros = _unit_hessians(n)
     if n == 2:
-        def L_jet(q, v):
-            (x, y), (u, w) = q, v
+        def L_jet(x, y, u, w):
             return (0.5 * ((0.0 + u * u) + w * w) - 0.5 * ((0.0 + x * x) + y * y),
-                    [-x, -y], [u, w], eye, zeros)
+                    -x, -y, u, w, eye, zeros)
 
-        def H_jet(q, p):
-            (x, y), (u, w) = q, p
+        def H_jet(x, y, u, w):
             return (0.5 * ((0.0 + u * u) + w * w) + 0.5 * ((0.0 + x * x) + y * y),
-                    [x, y], [u, w])
+                    x, y, u, w)
 
         return _pair(2, L_jet, H_jet, -eye)
 
-    def L_jet(q, v):
-        (x,), (w,) = q, v
-        return 0.5 * (0.0 + w * w) - 0.5 * (0.0 + x * x), [-x], [w], eye, zeros
+    def L_jet(x, w):
+        return 0.5 * (0.0 + w * w) - 0.5 * (0.0 + x * x), -x, w, eye, zeros
 
-    def H_jet(q, p):
-        (x,), (w,) = q, p
-        return 0.5 * (0.0 + w * w) + 0.5 * (0.0 + x * x), [x], [w]
+    def H_jet(x, w):
+        return 0.5 * (0.0 + w * w) + 0.5 * (0.0 + x * x), x, w
 
     return _pair(1, L_jet, H_jet, -eye)
 
@@ -127,13 +125,11 @@ def _free_particle():
     as -grad_V and -hess_V are in _mechanical."""
     eye, zeros = _unit_hessians(1)
 
-    def L_jet(q, v):
-        (w,) = v
-        return 0.5 * (0.0 + w * w), [-0.0], [w], eye, zeros
+    def L_jet(q, w):
+        return 0.5 * (0.0 + w * w), -0.0, w, eye, zeros
 
-    def H_jet(q, p):
-        (w,) = p
-        return 0.5 * (0.0 + w * w), [0.0], [w]
+    def H_jet(q, w):
+        return 0.5 * (0.0 + w * w), 0.0, w
 
     return _pair(1, L_jet, H_jet, -np.zeros((1, 1)))
 

@@ -54,7 +54,7 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas, TransitionMap
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
-from .numerics import (StepperConfig, _add, _newton, _newton_result, _of_length,
+from .numerics import (StepperConfig, _add, _nan_max, _newton, _newton_result, _of_length,
                        as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint, _MarchRecord
 
@@ -360,5 +360,5 @@ def stationarity_residual(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
         window, before, after = charts[k - 1:k + 2], qs[k - 1], qs[k + 1]
         grad = fd_jacobian(lambda x: _action(Ld, atlas, window, [before, x.tolist(), after]),
                            traj.points[k].q, _STATIONARITY_EPS)
-        worst = max(worst, float(np.max(np.abs(grad))))
+        worst = _nan_max(worst, float(np.max(np.abs(grad))))
     return worst

@@ -9,9 +9,11 @@ check, one-degree-of-freedom systems pass the two-form condition trivially.
 The checks take the gap between two vectors (``_sup``, the largest
 |a_i - b_i|) on Python floats, in one pass over both ``tolist()``s: the bits
 of ``np.max(np.abs(a - b))``, NaN when any difference is NaN, and
-``ValueError`` for vectors of unequal length.  The momentum relation reads
-sigma through the chart's float kernel.  Only the continuous equivalence
-check, which compares two (1001, n) RK4 runs, keeps a numpy reduction.
+``ValueError`` for vectors of unequal length.  Every running maximum is
+``numerics._nan_max``, so a NaN gap fails its check.  The momentum relation
+reads sigma through the chart's float kernel.  Only the continuous
+equivalence check, which compares two (1001, n) RK4 runs, keeps a numpy
+reduction.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .hamiltonian_discrete import (build_left_hamiltonian,
                                    build_right_hamiltonian,
                                    integrate_hamiltonian, ld_step, ldlch_step,
                                    rd_step, rdlch_step)
-from .numerics import StepperConfig
+from .numerics import StepperConfig, _nan_max
 from .systems import System, rotor_extended_chart, with_constant_sigma
 from .variational import del_step, dlcel_step, integrate, stationarity_residual
 
@@ -68,8 +70,8 @@ def _sup(a, b) -> float:
 
 def _trajectory_gap(one, two) -> float:
     """Largest q or p difference between corresponding points of two trajectories."""
-    return max((max(_sup(a.q, b.q), _sup(a.p, b.p))
-                for a, b in zip(one.points, two.points)), default=0.0)
+    return _nan_max((_nan_max(_sup(a.q, b.q), _sup(a.p, b.p))
+                     for a, b in zip(one.points, two.points)), default=0.0)
 
 
 def check_cocycle(system: System) -> dict:
@@ -93,14 +95,14 @@ def check_reduction(system: System, seed: int = 0) -> dict:
     for _ in range(_REDUCTION_SEEDS):
         q_prev = center + span * rng.uniform(-1, 1, const.n)
         q_curr = q_prev + rng.uniform(-0.1, 0.1, const.n)
-        worst = max(worst, _sup(dlcel_step(Ld, const.atlas, chart, q_prev, q_curr, cfg),
-                                del_step(Ld, q_prev, q_curr, cfg)))
+        worst = _nan_max(worst, _sup(dlcel_step(Ld, const.atlas, chart, q_prev, q_curr, cfg),
+                                     del_step(Ld, q_prev, q_curr, cfg)))
         q = center + span * rng.uniform(-1, 1, const.n)
         p = rng.uniform(-1, 1, const.n)
         for conformal_step, plain_step, Hd in steppers:
             qc, pc = conformal_step(Hd, const.atlas, chart, q, p, cfg)
             qp, pp = plain_step(Hd, q, p, cfg)
-            worst = max(worst, _sup(qc, qp), _sup(pc, pp))
+            worst = _nan_max(worst, _sup(qc, qp), _sup(pc, pp))
     return _entry("reduction_constant_sigma", worst <= 1e-12, worst, 1e-12)
 
 
@@ -133,7 +135,7 @@ def check_legendre_commutation(system: System, march) -> dict:
         ham = integrate_hamiltonian(build(Ld, system.atlas, chart), system.atlas, chart,
                                     traj.points[0].q, traj.points[0].p,
                                     len(traj.points) - 1, StepperConfig(tol=1e-12))
-        worst = max(worst, _trajectory_gap(traj, ham))
+        worst = _nan_max(worst, _trajectory_gap(traj, ham))
     return _entry("legendre_commutation", worst <= tol, worst, tol)
 
 
@@ -142,7 +144,7 @@ def check_momentum_relation(system: System, march) -> dict:
     worst = 0.0
     for pt in traj.points:
         sigma = system.atlas.chart(pt.chart)._floats[0](pt.q.tolist())
-        worst = max(worst, _sup(pt.r, float(np.exp(-sigma)) * pt.p))
+        worst = _nan_max(worst, _sup(pt.r, float(np.exp(-sigma)) * pt.p))
     return _entry("momentum_relation", worst <= 1e-12, worst, 1e-12)
 
 
@@ -158,8 +160,8 @@ def check_lcs_condition(system: System, seed: int = 0) -> dict:
         form = lc_pc_two_form(Ld, system.atlas, system.start_chart)
         chart = system.atlas.chart(system.start_chart)
         report = lcs_condition_check(form, chart.grad, pts)
-        worst = max(worst, report.max_deviation)
-        tol = max(tol, report.tolerance)
+        worst = _nan_max(worst, report.max_deviation)
+        tol = _nan_max(tol, report.tolerance)
         if not report.passed:
             return _entry("lcs_two_form_condition", False, worst, tol)
     return _entry("lcs_two_form_condition", worst <= tol, worst, tol)
@@ -186,7 +188,7 @@ def check_divergence_identity(system: System, seed: int = 0) -> dict:
         phi = lee_form(system.atlas, system.start_chart, q)
         qdot = system.hamiltonian.grad_p(q, p)
         expected = n * float(phi @ qdot)
-        worst = max(worst, abs(divergence_numeric(field, x, 1e-5) - expected))
+        worst = _nan_max(worst, abs(divergence_numeric(field, x, 1e-5) - expected))
     return _entry(
         "divergence_identity", worst <= 1e-5, worst, 1e-5,
         note="factor convention: coordinate computation gives div = n<phi,qdot> "

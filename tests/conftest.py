@@ -55,16 +55,14 @@ def varying_mass():
     A = (0.3 q1^2, 0.5 q0): hess_vv = mu(q) I and the non-symmetric
     hess_vq = v (x) grad mu + dA vary with the point; hess_qq is analytic."""
 
-    def jet(q, v):
-        (q0, q1), (v0, v1) = q, v
+    def jet(q0, q1, v0, v1):
         mu, vv = 1.0 + 0.1 * (q0 * q0 + q1 * q1), v0 * v0 + v1 * v1
         value = 0.5 * mu * vv + 0.3 * q1 * q1 * v0 + 0.5 * q0 * v1 \
             - 0.5 * (q0 * q0 + q1 * q1)
-        grad_q = [0.1 * vv * q0 + 0.5 * v1 - q0, 0.1 * vv * q1 + 0.6 * q1 * v0 - q1]
-        grad_v = [mu * v0 + 0.3 * q1 * q1, mu * v1 + 0.5 * q0]
         hess_vq = np.array([[0.2 * v0 * q0, 0.2 * v0 * q1 + 0.6 * q1],
                             [0.2 * v1 * q0 + 0.5, 0.2 * v1 * q1]])
-        return value, grad_q, grad_v, mu * np.eye(2), hess_vq
+        return (value, 0.1 * vv * q0 + 0.5 * v1 - q0, 0.1 * vv * q1 + 0.6 * q1 * v0 - q1,
+                mu * v0 + 0.3 * q1 * q1, mu * v1 + 0.5 * q0, mu * np.eye(2), hess_vq)
 
     def hess_qq(q, v):
         v = as_vector(v)
@@ -83,10 +81,10 @@ def quadratic_planar():
     B = np.array([[0.1, 0.4], [-0.25, 0.3]])
     K = np.array([[1.0, 0.2], [0.2, 1.5]])
 
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
+    def jet(*x):
+        q, v = np.array(x[:2]), np.array(x[2:])
         return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
-                (B.T @ v - K @ q).tolist(), (M @ v + B @ q).tolist(), M, B)
+                *(B.T @ v - K @ q).tolist(), *(M @ v + B @ q).tolist(), M, B)
 
     L = ContinuousLagrangian(2, jet, hess_qq=lambda q, v: -K)
     return dataclasses.replace(planar_2d(0.3, -0.2), lagrangian=L)
@@ -96,9 +94,9 @@ def hollow(jet):
     """``jet`` returning None in place of its Hessians except at q = v = 0,
     where ``constant_hessians`` reads them once: a consumer that reads the
     jet's Hessians anywhere else fails."""
-    def wrapped(q, v):
-        parts = jet(q, v)
-        return parts if not (any(q) or any(v)) else parts[:3] + (None, None)
+    def wrapped(*x):
+        parts = jet(*x)
+        return parts if not any(x) else parts[:-2] + (None, None)
     return wrapped
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -12,7 +13,10 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     fiber_legendre_inv, free_rotor_circle, harmonic_1d, lee_form,
                     make_lcel_field, make_lcshe_field, numerics, planar_2d,
                     rk4_integrate, solve_linear)
+from lcsdyn.discretize import (conformal_midpoint_rule, conformal_trapezoidal_rule,
+                               midpoint_rule, trapezoidal_rule)
 from lcsdyn.errors import DomainError
+from lcsdyn.systems import CATALOG
 from conftest import (curved_harmonic, curved_planar, harmonic_3d, hollow,
                       quadratic_planar, reference_dot, reference_matvec,
                       reference_solve, varying_mass)
@@ -49,7 +53,7 @@ def test_field_conformal_2d():
         sigma=lambda q: float(q[0]), sigma_grad=lambda q: np.array([1.0, 0.0]),
         sigma_hess=lambda q: np.zeros((2, 2))),))
     H = ContinuousHamiltonian(
-        n=2, jet=lambda q, p: (0.5 * (p[0] * p[0] + p[1] * p[1]), [0.0, 0.0], list(p)))
+        n=2, jet=lambda q0, q1, p0, p1: (0.5 * (p0 * p0 + p1 * p1), 0.0, 0.0, p0, p1))
     qd, pd = hamilton_rates(H, atlas, [0.0, 0.0], [1.0, 1.0])
     assert np.allclose(qd, [1.0, 1.0])
     assert np.allclose(pd, [0.0, 1.0])
@@ -73,7 +77,7 @@ def test_acceleration_free_particle(free_line):
 
 def test_acceleration_singular_hessian(harmonic):
     degenerate = ContinuousLagrangian(
-        n=1, jet=lambda q, v: (v[0], [0.0], [1.0], np.zeros((1, 1)), np.zeros((1, 1))),
+        n=1, jet=lambda q, v: (v, 0.0, 1.0, np.zeros((1, 1)), np.zeros((1, 1))),
         hess_qq=lambda q, v: np.zeros((1, 1)))
     with pytest.raises(RegularityError):
         acceleration(degenerate, harmonic.atlas, [0.0], [1.0])
@@ -90,8 +94,7 @@ def test_fiber_legendre(harmonic):
     assert np.allclose(fiber_legendre(L, [0.0], [3.0]), [3.0])
     assert np.allclose(fiber_legendre_inv(L, [0.0], [3.0]), [3.0])
     mass2 = ContinuousLagrangian(
-        n=1, jet=lambda q, v: (v[0] * v[0], [0.0], [2.0 * v[0]], 2.0 * np.eye(1),
-                               np.zeros((1, 1))),
+        n=1, jet=lambda q, v: (v * v, 0.0, 2.0 * v, 2.0 * np.eye(1), np.zeros((1, 1))),
         hess_qq=lambda q, v: np.zeros((1, 1)))
     assert np.allclose(fiber_legendre(mass2, [0.0], [1.0]), [2.0])
     assert np.allclose(fiber_legendre_inv(mass2, [0.0], [2.0]), [1.0])
@@ -124,7 +127,7 @@ def test_rk4_rejects_nonfinite():
 def _blowup_fields():
     """A one-DOF Hamiltonian field on a flat chart with q' = 0 and p' = p^2, so
     that a run from p = 1 at h = 0.5 overflows within a few steps with q inside."""
-    H = ContinuousHamiltonian(1, lambda q, p: (0.0, [-p[0] * p[0]], [0.0]))
+    H = ContinuousHamiltonian(1, lambda q, p: (0.0, -p * p, 0.0))
     return [make_lcshe_field(H, harmonic_1d(0.0).atlas, 0)]
 
 
@@ -137,8 +140,7 @@ def _leaving_fields():
 
 def _planar_blowup_fields():
     """The two-DOF twin of :func:`_blowup_fields`: q' = 0, p' = (p0^2, p1^2)."""
-    H = ContinuousHamiltonian(2, lambda q, p: (0.0, [-p[0] * p[0], -p[1] * p[1]],
-                                               [0.0, 0.0]))
+    H = ContinuousHamiltonian(2, lambda q0, q1, p0, p1: (0.0, -p0 * p0, -p1 * p1, 0.0, 0.0))
     return [make_lcshe_field(H, planar_2d(0.0, 0.0).atlas, 0)]
 
 
@@ -219,41 +221,127 @@ def test_a_state_that_is_not_a_vector_is_named(entry):
         run()
 
 
-def test_fields_reject_wrong_length_gradients(harmonic):
-    # a two-component grad_q for n = 1 used to broadcast into a 3-vector field;
-    # the n = 2 kernels unpack each part, so a part without two components (or
-    # a Lee form with three) raises instead of broadcasting or being cut short
-    def replaced(jet, index, part):
-        def wrong(q, x):
-            parts = list(jet(q, x))
-            parts[index] = part
-            return tuple(parts)
-        return wrong
+def test_fields_reject_wrong_length_gradients():
+    # A Lagrangian jet returns 2n + 3 values and a Hamiltonian jet 2n + 1; a
+    # jet that returns one value fewer or one more raises ValueError in both
+    # fields, rk4_integrate, fiber_legendre_inv, the array methods and the
+    # plain and conformal rules' pair jets, for n = 1, 2 and 3, instead of
+    # being read with its parts shifted.  So does declaring its Hessians
+    # constant, which reads the jet at q = v = 0.  For n = 2 a Lee form with
+    # three components raises too.
+    def short(jet):
+        return lambda *x: jet(*x)[:-1]
 
-    def cases(system, parts):
-        L, H, n = system.lagrangian, system.hamiltonian, system.n
-        for i, part in parts:  # part 1 is grad_q, part 2 grad_v or grad_p
-            yield (make_lcel_field, ContinuousLagrangian(n, replaced(L.jet, i, part), L.hess_qq),
-                   system.atlas)
-            yield (make_lcshe_field, ContinuousHamiltonian(n, replaced(H.jet, i, part)),
-                   system.atlas)
+    def long(jet):
+        return lambda *x: (*jet(*x), 0.0)
+
+    for system in (harmonic_1d(), planar_2d(), harmonic_3d()):
+        n, atlas, L, H = system.n, system.atlas, system.lagrangian, system.hamiltonian
+        x = np.linspace(0.1, 0.4, 2 * n)
+        q, v = x[:n], x[n:]
+        for wrong in (short, long):
+            bad_L = ContinuousLagrangian(n, wrong(L.jet), L.hess_qq)
+            bad_H = ContinuousHamiltonian(n, wrong(H.jet))
+            runs = [lambda: dataclasses.replace(bad_L, constant_hessians=True),
+                    lambda: fiber_legendre_inv(bad_L, q, v),
+                    lambda: bad_L.value(q, v), lambda: bad_H.grad_p(q, v),
+                    lambda: midpoint_rule(bad_L, 0.1).jet(q.tolist(), v.tolist()),
+                    lambda: trapezoidal_rule(bad_L, 0.1).jet(q.tolist(), v.tolist())]
+            for rule in (conformal_midpoint_rule, conformal_trapezoidal_rule):
+                runs.append(lambda rule=rule: rule(bad_L, atlas, 0, 0.1).jet(q.tolist(),
+                                                                            v.tolist()))
+            for field in (make_lcel_field(bad_L, atlas, 0), make_lcshe_field(bad_H, atlas, 0)):
+                runs += [lambda field=field: field(x),
+                         lambda field=field: rk4_integrate(field, x, 1e-3, 2)]
+            for run in runs:
+                with pytest.raises(ValueError, match="values"):
+                    run()
 
     planar = planar_2d()
     chart = Chart(id=0, dim=2, lower=[-5, -5], upper=[5, 5], sigma=lambda q: 0.0,
                   sigma_grad=lambda q: np.zeros(3), sigma_hess=lambda q: np.zeros((2, 2)))
     three_lee = ConformalAtlas(charts=(chart,))
-    checks = [(np.array([0.5, 0.2]), cases(harmonic, [(1, [0.0, 0.0])])),
-              (np.array([0.5, -0.3, 0.2, 0.1]),
-               [*cases(planar, [(1, [0.0, 0.0, 0.0]), (2, [0.0]), (2, [0.0, 0.0, 0.0])]),
-                (make_lcel_field, planar.lagrangian, three_lee),
-                (make_lcshe_field, planar.hamiltonian, three_lee)])]
-    for x, field_cases in checks:
-        for make, F, atlas in field_cases:
-            field = make(F, atlas, 0)
-            with pytest.raises(ValueError):
-                field(x)
-            with pytest.raises(ValueError):
-                rk4_integrate(field, x, 1e-3, 2)
+    for make, F in ((make_lcel_field, planar.lagrangian),
+                    (make_lcshe_field, planar.hamiltonian)):
+        field = make(F, three_lee, 0)
+        with pytest.raises(ValueError):
+            field(np.array([0.5, -0.3, 0.2, 0.1]))
+        with pytest.raises(ValueError):
+            rk4_integrate(field, np.array([0.5, -0.3, 0.2, 0.1]), 1e-3, 2)
+
+
+def test_a_jet_of_the_wrong_count_is_named():
+    # the n >= 3 kernels, fiber_legendre_inv and the array methods read a jet
+    # through one slicer, whose message names the jet and its expected count
+    system = harmonic_3d()
+    L, H = system.lagrangian, system.hamiltonian
+    bad_L = ContinuousLagrangian(3, lambda *x: L.jet(*x)[:-1], L.hess_qq)
+    bad_H = ContinuousHamiltonian(3, lambda *x: (*H.jet(*x), 0.0))
+    x = np.full(6, 0.2)
+    for run, message in (
+            (lambda: make_lcel_field(bad_L, system.atlas, 0)(x),
+             "ContinuousLagrangian jet returned 8 values, expected 9 (2n + 3 for n = 3)"),
+            (lambda: bad_L.grad_v(x[:3], x[3:]), "ContinuousLagrangian jet returned 8"),
+            (lambda: make_lcshe_field(bad_H, system.atlas, 0)(x),
+             "ContinuousHamiltonian jet returned 8 values, expected 7 (2n + 1 for n = 3)"),
+            (lambda: bad_H.value(x[:3], x[3:]), "ContinuousHamiltonian jet returned 8")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run()
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, harmonic_3d])
+def test_array_methods_check_their_argument_lengths(system_fn):
+    # q, v and p are read as vectors of n components: a q one component short
+    # with a v one component long used to pass to the jet as a valid state
+    system = system_fn()
+    n, L, H = system.n, system.lagrangian, system.hamiltonian
+    good, short, long = np.full(n, 0.3), np.full(n - 1, 0.3), np.full(n + 1, 0.3)
+    methods = [(L, name, "v") for name in ("value", "grad_q", "grad_v", "hess_vv", "hess_vq")]
+    methods += [(H, name, "p") for name in ("value", "grad_q", "grad_p")]
+    for F, name, second in methods:
+        method = getattr(F, name)
+        for q, x, named, size in ((short, long, "q", n - 1), (good, long, second, n + 1),
+                                  (good, short, second, n - 1), (long, good, "q", n + 1)):
+            with pytest.raises(ValueError,
+                               match=rf"^{named} has {size} components, expected {n}$"):
+                method(q, x)
+        with pytest.raises(ValueError, match=rf"^{second} must be one-dimensional"):
+            method(good, good[None, :])
+        assert np.asarray(method(good, good)).size in (1, n, n * n)
+    with pytest.raises(ValueError, match=rf"^q has {n + 1} components, expected {n}$"):
+        fiber_legendre(L, long, good)
+
+
+# sha256 digests of rk4_integrate(field, x0, 1e-3, 2000).tobytes() for each
+# catalog field from two starts, taken before the jets passed their
+# coordinates as separate floats.  The catalog kernels use only IEEE + - * /
+# on Python floats, in a fixed order, so the digests hold on any platform.
+_GOLDEN_STARTS = {1: ([0.3, 0.8], [2.0, -0.6]),
+                  2: ([0.3, -0.4, 0.8, 0.2], [-1.0, 0.5, 0.1, -0.7])}
+_GOLDEN = {
+    ("harmonic_1d", "lcel", 0): "5084c2a295236a505726b8deef376bfc879b607cf60ad6a2e26d815e95a8ac22",
+    ("harmonic_1d", "lcel", 1): "5badc4023e9374d036af1e2a63dbf60cf1b3578c287f2e9fa3ededda8576a3e0",
+    ("harmonic_1d", "lcshe", 0): "cdb6876dd2e16e1f6d3a670c8958ba73b498a066bb4bf8538df0759d8fa307bc",
+    ("harmonic_1d", "lcshe", 1): "5badc4023e9374d036af1e2a63dbf60cf1b3578c287f2e9fa3ededda8576a3e0",
+    ("planar_2d", "lcel", 0): "d7ecea079f92ef8ce3d8bde027404d53761aded799bfc58a3e19134baf075605",
+    ("planar_2d", "lcel", 1): "30944557cbc46d85a71dd9d241129aba200e8a02122a581f9966c99fd8a60da7",
+    ("planar_2d", "lcshe", 0): "0cefeeb578b14e118026a0f6284a424fad8210da0e27d01244bd10849bb28633",
+    ("planar_2d", "lcshe", 1): "81221519ef1359053e748607315bce92787fb2d68d5fedd200a9fec29a57b3cd",
+    ("free_rotor_circle", "lcel", 0): "a633eac85bcd1040b9eda9a102472d94600bf0e12023a5121383fdfbad506021",
+    ("free_rotor_circle", "lcel", 1): "4178046798c298735d4c0b04ae84629ecc1c46e1aff35eee0b91b0075935433c",
+    ("free_rotor_circle", "lcshe", 0): "a633eac85bcd1040b9eda9a102472d94600bf0e12023a5121383fdfbad506021",
+    ("free_rotor_circle", "lcshe", 1): "4178046798c298735d4c0b04ae84629ecc1c46e1aff35eee0b91b0075935433c",
+}
+
+
+@pytest.mark.parametrize("name, kind, start", list(_GOLDEN))
+def test_catalog_rk4_runs_keep_their_golden_bits(name, kind, start):
+    system = CATALOG[name]()
+    make, F = {"lcel": (make_lcel_field, system.lagrangian),
+               "lcshe": (make_lcshe_field, system.hamiltonian)}[kind]
+    field = make(F, system.atlas, system.start_chart)
+    out = rk4_integrate(field, np.array(_GOLDEN_STARTS[system.n][start]), 1e-3, 2000)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == _GOLDEN[name, kind, start]
 
 
 def test_rk4_rejects_nan_step():
@@ -312,9 +400,8 @@ def _reference_lcel_field(L, atlas, chart):
 def coupled_1d():
     """harmonic_1d with L = v^2 + 0.4 v q - q^2/2: hess_vv = [[2]], hess_vq = [[0.4]],
     so the n = 1 kernel's division by the mass and its hess_vq term both count."""
-    def jet(q, v):
-        (x,), (w,) = q, v
-        return (w * w + 0.4 * w * x - 0.5 * x * x, [0.4 * w - x], [2.0 * w + 0.4 * x],
+    def jet(x, w):
+        return (w * w + 0.4 * w * x - 0.5 * x * x, 0.4 * w - x, 2.0 * w + 0.4 * x,
                 np.array([[2.0]]), np.array([[0.4]]))
 
     L = ContinuousLagrangian(1, jet, hess_qq=lambda q, v: np.array([[-1.0]]))
@@ -327,10 +414,10 @@ def mass_3d():
     M = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 0.8]])
     B = np.array([[0.0, 0.4, 0.0], [-0.25, 0.1, 0.3], [0.2, 0.0, -0.1]])
 
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
+    def jet(*x):
+        q, v = np.array(x[:3]), np.array(x[3:])
         return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ q),
-                (B.T @ v - q).tolist(), (M @ v + B @ q).tolist(), M, B)
+                *(B.T @ v - q).tolist(), *(M @ v + B @ q).tolist(), M, B)
 
     L = ContinuousLagrangian(3, jet, hess_qq=lambda q, v: -np.eye(3))
     return dataclasses.replace(harmonic_3d(), lagrangian=L)
@@ -342,10 +429,10 @@ def coupled_planar():
     matvec count."""
     B = np.array([[0.1, 0.4], [-0.25, 0.3]])
 
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
+    def jet(*x):
+        q, v = np.array(x[:2]), np.array(x[2:])
         return (0.5 * float(v @ v) + float(v @ B @ q) - 0.5 * float(q @ q),
-                (B.T @ v - q).tolist(), (v + B @ q).tolist(), np.eye(2), B)
+                *(B.T @ v - q).tolist(), *(v + B @ q).tolist(), np.eye(2), B)
 
     L = ContinuousLagrangian(2, jet, hess_qq=lambda q, v: -np.eye(2))
     return dataclasses.replace(planar_2d(-1.7, 0.45), lagrangian=L)
@@ -395,10 +482,10 @@ def test_lcel_field_matches_reference_with_coupled_hessians():
     B = np.array([[0.0, 0.4], [-0.25, 0.1]])
     K = np.array([[1.0, 0.2], [0.2, 1.5]])
 
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
+    def jet(*x):
+        q, v = np.array(x[:2]), np.array(x[2:])
         return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ K @ q),
-                (B.T @ v - K @ q).tolist(), (M @ v + B @ q).tolist(), M, B)
+                *(B.T @ v - K @ q).tolist(), *(M @ v + B @ q).tolist(), M, B)
 
     L = ContinuousLagrangian(n=2, jet=jet, hess_qq=lambda q, v: -K)
     system = planar_2d()
@@ -432,9 +519,8 @@ def test_planar_fields_round_per_operation_at_extreme_magnitudes(sigma, x):
 def inverted_planar():
     """planar_2d(-0.3, 0.3) with H = |q|^2/2 - |p|^2/2: qdot = -p, so p . qdot
     sums -0.0 products where the catalog's |p|^2 never does."""
-    def jet(q, p):
-        (q0, q1), (p0, p1) = q, p
-        return 0.5 * (q0 * q0 + q1 * q1) - 0.5 * (p0 * p0 + p1 * p1), [q0, q1], [-p0, -p1]
+    def jet(q0, q1, p0, p1):
+        return 0.5 * (q0 * q0 + q1 * q1) - 0.5 * (p0 * p0 + p1 * p1), q0, q1, -p0, -p1
 
     return dataclasses.replace(planar_2d(-0.3, 0.3), hamiltonian=ContinuousHamiltonian(2, jet))
 
@@ -496,9 +582,9 @@ def test_rk4_float_entry_equals_public_field(system_fn):
     calls = []
 
     def counted(jet):
-        def wrapper(q, x):
+        def wrapper(*x):
             calls.append(1)
-            return jet(q, x)
+            return jet(*x)
         return wrapper
 
     for field, accel in zip(_fields(system, counted), (True, False)):
@@ -519,10 +605,10 @@ def _failing_jet(at):
     count = []
 
     def wrap(jet):
-        def wrapped(q, x):
+        def wrapped(*x):
             count.append(1)
-            parts = jet(q, x)
-            return parts if len(count) != at else (parts[0], [math.inf] * len(q), *parts[2:])
+            parts, n = jet(*x), len(x) // 2
+            return parts if len(count) != at else (parts[0], *[math.inf] * n, *parts[n + 1:])
         return wrapped
 
     return wrap, count
@@ -563,7 +649,7 @@ def test_declared_zero_mass_raises_on_both_paths(lee):
     # A declared 1x1 mass of zero keeps the per-call check: the field and both
     # RK4 paths raise the RegularityError of the undeclared kernel.
     def jet(q, v):
-        return 0.5 * q[0] * q[0], [q[0]], [0.0], np.zeros((1, 1)), np.zeros((1, 1))
+        return 0.5 * q * q, q, 0.0, np.zeros((1, 1)), np.zeros((1, 1))
 
     system = harmonic_1d(lee) if lee is not None else curved_harmonic()
     L = ContinuousLagrangian(1, jet, lambda q, v: np.ones((1, 1)), constant_hessians=True)
@@ -613,10 +699,10 @@ def test_declared_velocity_hessian_is_screened_once(monkeypatch, M, inversions_p
     # from its jet, whose field calls _solve_floats at every call.
     M, B = np.array(M), np.array([[0.1, 0.4], [-0.25, 0.3]])
 
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
+    def jet(*x):
+        q, v = np.array(x[:2]), np.array(x[2:])
         return (0.5 * float(v @ M @ v) + float(v @ B @ q) - 0.5 * float(q @ q),
-                (B.T @ v - q).tolist(), (M @ v + B @ q).tolist(), M, B)
+                *(B.T @ v - q).tolist(), *(M @ v + B @ q).tolist(), M, B)
 
     atlas = planar_2d(0.3, -0.2).atlas
     from_jet = ContinuousLagrangian(2, jet, hess_qq=lambda q, v: -np.eye(2))
@@ -656,10 +742,10 @@ def test_declared_larger_velocity_hessian_gives_the_jet_fields_bits():
 def test_declared_singular_larger_velocity_hessian_raises_at_every_call():
     M, B = np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))
 
-    def jet(q, v):
-        q, v = np.array(q), np.array(v)
-        return 0.5 * float(v @ M @ v) - 0.5 * float(q @ q), (-q).tolist(), \
-            (M @ v).tolist(), M, B
+    def jet(*x):
+        q, v = np.array(x[:3]), np.array(x[3:])
+        return 0.5 * float(v @ M @ v) - 0.5 * float(q @ q), *(-q).tolist(), \
+            *(M @ v).tolist(), M, B
 
     L = ContinuousLagrangian(3, jet, lambda q, v: -np.eye(3), constant_hessians=True)
     field = make_lcel_field(L, harmonic_3d().atlas, 0)
@@ -760,9 +846,9 @@ def test_lcel_field_raises_on_a_doubtful_velocity_hessian(M):
     M = np.array(M)
     n = len(M)
 
-    def jet(q, v):
-        v = np.array(v)
-        return 0.5 * float(v @ M @ v), [0.0] * n, (M @ v).tolist(), M, np.zeros((n, n))
+    def jet(*x):
+        v = np.array(x[n:])
+        return 0.5 * float(v @ M @ v), *[0.0] * n, *(M @ v).tolist(), M, np.zeros((n, n))
 
     L = ContinuousLagrangian(n=n, jet=jet, hess_qq=lambda q, v: np.zeros((n, n)))
     chart = Chart(id=0, dim=n, lower=[-5] * n, upper=[5] * n,

@@ -660,9 +660,9 @@ def test_plain_rules_evaluate_the_jet_once_per_pair_point(rule, jet_calls):
     L = system.lagrangian
     calls = []
 
-    def jet(q, v):
+    def jet(*x):
         calls.append(1)
-        return L.jet(q, v)
+        return L.jet(*x)
 
     Ld = rule(ContinuousLagrangian(2, jet, L.hess_qq), system.atlas, 0, 0.1)
     q0, q1 = np.array([0.3, -0.2]), np.array([0.35, -0.1])
@@ -676,9 +676,9 @@ def test_fiber_legendre_inv_calls_the_jet_once_per_velocity():
     L = varying_mass().lagrangian
     velocities = []
 
-    def jet(q, v):
-        velocities.append(tuple(v))
-        return L.jet(q, v)
+    def jet(*x):
+        velocities.append(x[2:])
+        return L.jet(*x)
 
     q, p = np.array([0.3, -0.2]), np.array([0.7, 0.4])
     v = fiber_legendre_inv(ContinuousLagrangian(2, jet, L.hess_qq), q, p)
@@ -731,7 +731,7 @@ def test_second_partials_keep_sigma_hessian_where_the_lee_form_vanishes(rule):
                   sigma=lambda q: 0.2 * q[0] ** 2 + 0.1 * q[1] ** 2,
                   sigma_grad=lambda q: np.array([0.4 * q[0], 0.2 * q[1]]),
                   sigma_hess=lambda q: np.diag([0.4, 0.2]))
-    shifted = ContinuousLagrangian(2, lambda q, v: (L.jet(q, v)[0] + 1.0,) + L.jet(q, v)[1:],
+    shifted = ContinuousLagrangian(2, lambda *x: (L.jet(*x)[0] + 1.0,) + L.jet(*x)[1:],
                                    L.hess_qq)
     Ld = rule(shifted, ConformalAtlas(charts=(chart,)), 0, 0.1)
     q0 = q1 = np.zeros(2)
@@ -806,8 +806,8 @@ def test_constant_hessians_are_checked_and_read_only():
     for wrong in ([[1.0]], [1.0, 0.0], np.eye(3)):
         for name, jet_, hess_qq in (
                 ("hess_qq", jet, lambda q, v: wrong),
-                ("hess_vv", lambda q, v: (*jet(q, v)[:3], wrong, jet(q, v)[4]), L.hess_qq),
-                ("hess_vq", lambda q, v: (*jet(q, v)[:4], wrong), L.hess_qq)):
+                ("hess_vv", lambda *x: (*jet(*x)[:-2], wrong, jet(*x)[-1]), L.hess_qq),
+                ("hess_vq", lambda *x: (*jet(*x)[:-1], wrong), L.hess_qq)):
             with pytest.raises(ValueError, match=f"{name} must have shape"):
                 ContinuousLagrangian(2, jet_, hess_qq, constant_hessians=True)
 

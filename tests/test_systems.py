@@ -63,13 +63,13 @@ def test_jet_callables_equal_the_former_lambdas(system_fn, former):
                 else:
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
         # the one-part methods return the jet's parts, the Hessians as copies
-        val, gq, gv, hvv, hvq = L.jet(q.tolist(), v.tolist())
-        assert (val, gq, gv) == (L.value(q, v), L.grad_q(q, v).tolist(),
-                                 L.grad_v(q, v).tolist())
+        val, *grads, hvv, hvq = L.jet(*q.tolist(), *v.tolist())
+        assert (val, grads) == (L.value(q, v),
+                                L.grad_q(q, v).tolist() + L.grad_v(q, v).tolist())
         for part, got in ((hvv, L.hess_vv(q, v)), (hvq, L.hess_vq(q, v))):
             assert got is not part and got.tobytes() == part.tobytes()
-        assert H.jet(q.tolist(), v.tolist()) == (H.value(q, v), H.grad_q(q, v).tolist(),
-                                                 H.grad_p(q, v).tolist())
+        assert H.jet(*q.tolist(), *v.tolist()) == (H.value(q, v), *H.grad_q(q, v).tolist(),
+                                                   *H.grad_p(q, v).tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -81,7 +81,7 @@ def test_unpacked_harmonic_jets_equal_the_generic_jets(n):
     for q, v in _points(n):
         q, v = q.tolist(), v.tolist()
         for F, ref in ((L, ref_L), (H, ref_H)):
-            got, want = F.jet(q, v), ref.jet(q, v)
+            got, want = F.jet(*q, *v), ref.jet(*q, *v)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -117,7 +117,7 @@ def test_catalog_declares_its_jets_hessians(system_fn):
     assert L.constant_hessians
     qq, vv, vq = L.hessians
     for q, v in _points(L.n):
-        _, _, _, hvv, hvq = L.jet(q.tolist(), v.tolist())
+        *_, hvv, hvq = L.jet(*q.tolist(), *v.tolist())
         assert hvv.tobytes() == vv.tobytes()
         assert hvq.tobytes() == vq.tobytes()
         assert L.hess_qq(q, v).tobytes() == qq.tobytes()

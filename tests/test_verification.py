@@ -1,6 +1,8 @@
 """The float arithmetic of ``verification`` and of ``variational``'s checking
 helpers against the array codings it replaced, bit for bit."""
 
+import copy
+import dataclasses
 import math
 import struct
 
@@ -10,10 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from lcsdyn import (StepperConfig, free_rotor_circle, harmonic_1d, integrate,
                     midpoint_rule, planar_2d, stationarity_residual, trapezoidal_rule)
-from lcsdyn.numerics import as_vector, fd_jacobian
+from lcsdyn import verification
+from lcsdyn.atlas import CocycleReport, OverlapCocycle
+from lcsdyn.numerics import _nan_max, as_vector, fd_jacobian
 from lcsdyn.variational import _into_chart, _normalize_charts, action_sum
-from lcsdyn.verification import (_entry, _reference_march, _sup,
-                                 check_momentum_relation)
+from lcsdyn.verification import (_entry, _reference_march, _sup, _trajectory_gap,
+                                 check_momentum_relation, check_reduction,
+                                 check_stationarity)
 
 
 def _bits(x: float) -> bytes:
@@ -120,3 +125,66 @@ def test_momentum_relation_is_the_array_formula(system):
         worst = max(worst, float(np.max(np.abs(pt.r - np.exp(-sigma) * pt.p))))
     assert check_momentum_relation(system, march) == _entry(
         "momentum_relation", worst <= 1e-12, worst, 1e-12)
+
+
+# --- NaN in a running maximum ---------------------------------------------------
+
+_VALUES = st.lists(_SPECIAL.filter(lambda x: not math.isnan(x)) | st.floats(allow_nan=False),
+                   min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_VALUES, at=st.integers(0, 5))
+def test_nan_max_is_max_unless_a_value_is_nan(values, at):
+    # without a NaN the very float max returns (the first of equal values, so
+    # the sign of a zero), one iterable or several values alike; a NaN
+    # anywhere is returned, where max drops it unless it comes first
+    assert _nan_max(values) is max(values)
+    assert _nan_max(*values, 0.0) is max(*values, 0.0)
+    poisoned = values[:at] + [math.nan] + values[at:]
+    assert math.isnan(_nan_max(poisoned)) and math.isnan(_nan_max(*poisoned))
+    assert _nan_max([], default=0.5) == 0.5
+    with pytest.raises(ValueError):
+        _nan_max([])
+
+
+@pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d, free_rotor_circle])
+def test_a_nan_point_fails_the_trajectory_checks(system_fn):
+    # q = NaN at point 5 of the reference march: the running maxima used to
+    # keep the gap of the points before it, and so passed the checks
+    system = system_fn()
+    Ld, traj = march = _reference_march(system)
+    assert _trajectory_gap(traj, traj) == 0.0
+    for check in (check_momentum_relation, check_stationarity):
+        assert check(system, march)["passed"]
+    bad = copy.deepcopy(traj)
+    bad.points[5] = dataclasses.replace(bad.points[5], q=np.full(system.n, math.nan))
+    assert math.isnan(_trajectory_gap(traj, bad))
+    for check in (check_momentum_relation, check_stationarity):
+        entry = check(system, (Ld, bad))
+        assert not entry["passed"] and entry["measured"] is None
+        assert entry["note"] == "measured nan"
+
+
+def test_a_nan_step_fails_the_reduction_check(monkeypatch):
+    # one plain step of the hundred returns q = NaN
+    calls, rd_step = [], verification.rd_step
+
+    def poisoned(Hd, q, p, cfg):
+        calls.append(1)
+        q_next, p_next = rd_step(Hd, q, p, cfg)
+        return (np.full_like(q_next, math.nan) if len(calls) == 37 else q_next), p_next
+
+    system = harmonic_1d()
+    assert check_reduction(system)["passed"]
+    monkeypatch.setattr(verification, "rd_step", poisoned)
+    entry = check_reduction(system)
+    assert len(calls) == 100
+    assert not entry["passed"] and entry["measured"] is None
+
+
+def test_a_nan_overlap_deviation_is_the_cocycle_maximum():
+    entries = [OverlapCocycle(0, 1, 16, 0.0, dev) for dev in (1e-12, math.nan, 3e-12)]
+    assert math.isnan(CocycleReport(entries=tuple(entries)).max_deviation)
+    assert CocycleReport(entries=(entries[0], entries[2])).max_deviation == 3e-12
+    assert CocycleReport().max_deviation == 0.0
