@@ -184,13 +184,15 @@ class ConformalAtlas:
                 return c
         raise KeyError(f"unknown chart id {chart_id}")
 
-    def require_inside(self, chart_id: int, q: Vector) -> Chart:
+    def require_inside(self, chart_id: int, q: Vector, name: str = "q") -> Chart:
+        """The chart, or, naming q as ``name``, ``ValueError`` unless q is a
+        vector of its dimension and ``DomainError`` unless it lies in its domain."""
         c = self.chart(chart_id)
-        q = _of_length(q, c.dim, "q")
+        q = _of_length(q, c.dim, name)
         for i in range(c.dim):
             if not (c.lower[i] <= q[i] <= c.upper[i]):
                 raise DomainError(
-                    f"coordinate q[{i}]={q[i]} outside chart {chart_id} domain "
+                    f"coordinate {name}[{i}]={q[i]} outside chart {chart_id} domain "
                     f"[{c.lower[i]}, {c.upper[i]}]")
         return c
 

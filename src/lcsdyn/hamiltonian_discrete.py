@@ -56,8 +56,8 @@ Hamilton equations assert once the eliminated argument is held fixed under
 differentiation, and it makes the Lagrangian and Hamiltonian marches commute
 through the Legendre transform.  The march holds (q, p, sigma(q)) on floats, so
 it evaluates sigma once per point (twice at a chart switch) and makes a point's
-q, p and r arrays once, as it appends the point; the plain march converts at
-the boundary of the array-coded ``_plain_step``.
+q, p and r arrays once, as it appends the point; the plain march's
+``_plain_step``, which ``rd_step`` and ``ld_step`` share, is on floats too.
 """
 
 from __future__ import annotations
@@ -71,13 +71,13 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas, _covector
 from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numerics import (StepperConfig, _add, _det_sign, _dot, _newton, _newton_result,
-                       _of_length, _rows, _solve_floats, _sub, _transposed,
-                       _transposed_matvec, as_vector, fd_jacobian)
+from .numerics import (StepperConfig, _add, _det_sign, _dot, _newton, _of_length, _rows,
+                       _solve_floats, _sub, _transposed, _transposed_matvec, as_vector,
+                       fd_jacobian)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
 from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq0,
                           _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
-                          _p_plus)
+                          _p_plus, _require_steps)
 
 Vector = np.ndarray
 
@@ -363,35 +363,41 @@ def _require_side(Hd: DiscreteHamiltonian, side: str, stepper: str) -> None:
         raise ValueError(f"{stepper} needs a {side}-side discrete Hamiltonian")
 
 
-def _plain_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
-                cfg: StepperConfig):
-    """Newton solve of the plain step on Hd's side, on its float jet and mixed
-    partial; returns (q_next, p_next, result)."""
+def _plain_step(Hd: DiscreteHamiltonian, q: list, p: list, cfg: StepperConfig
+                ) -> tuple[list, list, int, float]:
+    """Newton solve of the plain step on Hd's side, on float lists, its float
+    jet and mixed partial; returns (q_next, p_next, iterations, residual)."""
     jet, mixed = Hd.jet, Hd.mixed
-    q, p = q_curr.tolist(), p_curr.tolist()
     if Hd.side == "right":
-        res = _newton_result(lambda P: (_sub(jet(q, P)[1], p), lambda: mixed(q, P)), p, cfg)
-        return np.array(jet(q, res.x.tolist())[2]), res.x, res
-    res = _newton_result(
+        P, iterations, residual = _newton(
+            lambda P: (_sub(jet(q, P)[1], p), lambda: mixed(q, P)), p, cfg)
+        return jet(q, P)[2], P, iterations, residual
+    x, iterations, residual = _newton(
         lambda x: (_add(jet(x, p)[2], q), lambda: _transposed(mixed(x, p))),
         [a + Hd.h * b for a, b in zip(q, p)], cfg)
-    return res.x, np.array([-g for g in jet(res.x.tolist(), p)[1]]), res
+    return x, [-g for g in jet(x, p)[1]], iterations, residual
+
+
+def _plain_arrays(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
+                  cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_plain_step` on array-likes, as fresh arrays (q_next, p_next)."""
+    q_next, p_next = _plain_step(Hd, _of_length(q_curr, Hd.n, "q").tolist(),
+                                 _of_length(p_curr, Hd.n, "p").tolist(), cfg)[:2]
+    return np.array(q_next), np.array(p_next)
 
 
 def rd_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plain right step: solve p_k = d1 H+(q_k, p_{k+1}), then q_{k+1} = d2 H+."""
     _require_side(Hd, "right", "rd_step")
-    return _plain_step(Hd, _of_length(q_curr, Hd.n, "q"), _of_length(p_curr, Hd.n, "p"),
-                       cfg)[:2]
+    return _plain_arrays(Hd, q_curr, p_curr, cfg)
 
 
 def ld_step(Hd: DiscreteHamiltonian, q_curr: Vector, p_curr: Vector,
             cfg: StepperConfig) -> tuple[np.ndarray, np.ndarray]:
     """Plain left step: solve q_k = -d2 H-(q_{k+1}, p_k), then p_{k+1} = -d1 H-."""
     _require_side(Hd, "left", "ld_step")
-    return _plain_step(Hd, _of_length(q_curr, Hd.n, "q"), _of_length(p_curr, Hd.n, "p"),
-                       cfg)[:2]
+    return _plain_arrays(Hd, q_curr, p_curr, cfg)
 
 
 def _conformal_pair_step(Ld: DiscreteLagrangian, ch: Chart, qc: list, pc: list,
@@ -463,11 +469,10 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     march of more points than could be held raises ``MemoryError`` before
     its first step, as ``integrate`` does.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _require_steps(N, 1)
     _rows(N + 1, 3 * Hd.n)  # room for every point's q, p and r, or MemoryError
-    q, p = as_vector(q0), _of_length(p0, Hd.n, "p")
-    atlas.require_inside(chart, q)
+    q, p = as_vector(q0), _of_length(p0, Hd.n, "p0")
+    atlas.require_inside(chart, q, "q0")
     q, p = q.tolist(), p.tolist()
     Ld = Hd.source.Ld
     traj = DiscreteTrajectory(h=Hd.h)
@@ -488,9 +493,8 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
             q_next, p_next, s_next, iterations, residual = _conformal_pair_step(
                 Ld, ch, q_curr, p_curr, cfg, s_curr)
         else:
-            q_next, p_next, res = _plain_step(Hd, np.array(q_curr), np.array(p_curr), cfg)
-            q_next, p_next, s_next = q_next.tolist(), p_next.tolist(), None
-            iterations, residual = res.iterations, res.residual
+            q_next, p_next, iterations, residual = _plain_step(Hd, q_curr, p_curr, cfg)
+            s_next = None
         sign = _det_sign(Ld.jet(q_curr, q_next)[3])
         if branch_sign is not None and sign != 0 and sign != branch_sign:
             k = len(traj.points)

@@ -151,21 +151,49 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
     the order written, without fused operations: the updates ``x + step dx``
     and the residual norm round as numpy's elementwise forms would, and each
     step solves with :func:`_solve_floats`.
+
+    Each iteration first tries the full step x + dx, written for n = 1 and
+    n = 2 on unpacked floats and for larger n in the general form, and
+    accepts it at once when its residual is finite and lower.  As ``1.0 *
+    d`` is d, that is bit for bit the first trial of the damped loop, which
+    is entered, from the half step on, only when the full step is rejected.
     """
     x = x0
     r, jac = system(x)
     if not all(map(math.isfinite, r)):
         raise NewtonError("residual not finite at the initial guess",
                           residual=float("nan"), iterations=0)
-    rnorm = max(map(abs, r))
-    stalls = 0
+    rnorm, n, tol, stalls = max(map(abs, r)), len(r), cfg.tol, 0
     for it in range(cfg.max_iter):
-        if rnorm <= cfg.tol:
+        if rnorm <= tol:
             return x, it, rnorm
-        dx = _solve_floats(jac(), [-v for v in r], _COND_LIMIT_NEWTON)
-        step = 1.0
-        best, best_rnorm = None, math.inf
-        for _ in range(_DAMPING_HALVINGS + 1):
+        if n == 1:
+            dx = [-r[0] / _divisor(jac()[0][0])]
+            x_try = [x[0] + dx[0]]
+            r_try, jac_try = system(x_try)
+            rnorm_try = abs(r_try[0])  # NaN or inf fails both tests below
+        elif n == 2:
+            dx = _solve_floats(jac(), [-r[0], -r[1]], _COND_LIMIT_NEWTON)
+            x_try = [x[0] + dx[0], x[1] + dx[1]]
+            r_try, jac_try = system(x_try)
+            a0, a1 = abs(r_try[0]), abs(r_try[1])
+            rnorm_try = max(a0, a1) if a0 < math.inf and a1 < math.inf else math.inf
+        else:
+            dx = _solve_floats(jac(), [-v for v in r], _COND_LIMIT_NEWTON)
+            x_try = [a + d for a, d in zip(x, dx)]
+            r_try, jac_try = system(x_try)
+            rnorm_try = max(map(abs, r_try)) if all(map(math.isfinite, r_try)) \
+                else math.inf
+        if rnorm_try < rnorm:
+            x, r, jac, rnorm, stalls = x_try, r_try, jac_try, rnorm_try, 0
+            continue
+        # The full step is kept as the best trial if finite, and the step is
+        # halved up to six times until the residual norm decreases; after
+        # exhausting the halvings the best trial is accepted.
+        best, best_rnorm = ((x_try, r_try, jac_try), rnorm_try) if rnorm_try < math.inf \
+            else (None, math.inf)
+        step = 0.5
+        for _ in range(_DAMPING_HALVINGS):
             x_try = [a + step * d for a, d in zip(x, dx)]
             r_try, jac_try = system(x_try)
             rnorm_try = max(map(abs, r_try)) if all(map(math.isfinite, r_try)) \
@@ -185,7 +213,7 @@ def _newton(system: Callable[[list], tuple], x0: list, cfg: StepperConfig
         (x, r, jac), rnorm = best, best_rnorm
         if stalls >= 2:
             break
-    if rnorm <= cfg.tol:
+    if rnorm <= tol:
         return x, cfg.max_iter, rnorm
     raise NewtonError(
         f"Newton stalled at residual {rnorm:.3e} (tol {cfg.tol:.1e})" if stalls >= 2

@@ -25,9 +25,11 @@ on unpacked scalars, rounded as the general forms round them.
 two-point window across chart transitions whenever a point leaves the core
 of its chart, and fills momenta afterwards.  The march (``_march``) holds its
 window on floats, its steps call ``numerics._newton`` directly, and it makes
-arrays only for a recorded point and at a chart switch.  Each step
-ends with one jet call at its solved pair (a hit in a quadrature rule's
-memo), which gives p-(q_curr, q_next), the momentum of q_curr, and
+arrays only for a recorded point and at a chart switch.  It resolves the
+active chart's core bounds once per chart (``_core``), the floats that
+``Chart.contains`` forms, so that a step's switch test compares floats.
+Each step ends with one jet call at its solved pair (a hit in a quadrature
+rule's memo), which gives p-(q_curr, q_next), the momentum of q_curr, and
 p+(q_curr, q_next), which the next step is posed with.  The march carries
 p+ and sigma(q_next), which it evaluates once per point, in its window, and
 records both momenta and the two sigma values.  A chart switch drops the
@@ -47,6 +49,7 @@ differences, with ``numerics.fd_jacobian``, the two terms that contain q_k.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,8 +177,8 @@ def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
                q_prev: Vector, q_curr: Vector, cfg: StepperConfig) -> np.ndarray:
     """Advance the conformal three-point recursion on a single chart."""
     q_prev, q_curr = as_vector(q_prev), as_vector(q_curr)
-    atlas.require_inside(chart, q_prev)
-    ch = atlas.require_inside(chart, q_curr)
+    atlas.require_inside(chart, q_prev, "q_prev")
+    ch = atlas.require_inside(chart, q_curr, "q_curr")
     return _newton_result(*_three_point_system(Ld, ch, q_prev.tolist(), q_curr.tolist(),
                                                True), cfg).x
 
@@ -187,16 +190,19 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
     """March N steps from the seed pair (q0, q1) and fill momenta.
 
     A chart switch is triggered when a new point leaves the current chart's
-    core (the domain shrunk by ``switch_margin`` of its width on each side);
-    the active pair is transported jointly so each step is posed in a single
-    chart.  With ``conformal=False`` the plain recursion is used and sigma is
-    ignored throughout (including momenta).
+    core (the domain shrunk by ``switch_margin`` of its width on each side,
+    0 <= switch_margin < 0.5); the active pair is transported jointly so
+    each step is posed in a single chart.  With ``conformal=False`` the
+    plain recursion is used and sigma is ignored throughout (including
+    momenta).  An N that is not an integer >= 2, a margin outside [0, 0.5)
+    and a q0 or q1 that is not a point of the start chart raise naming it.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _require_steps(N, 2)
+    if not 0.0 <= switch_margin < 0.5:
+        raise ValueError(f"switch_margin must lie in [0, 0.5), got {switch_margin!r}")
     q0, q1 = as_vector(q0), as_vector(q1)
-    atlas.require_inside(start_chart, q0)
-    atlas.require_inside(start_chart, q1)
+    atlas.require_inside(start_chart, q0, "q0")
+    atlas.require_inside(start_chart, q1, "q1")
     q0, q1 = q0.tolist(), q1.tolist()
     traj = DiscreteTrajectory(h=Ld.h)
     traj.points.append(TrajectoryPoint(k=0, chart=start_chart, q=np.array(q0)))
@@ -249,17 +255,20 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
     are made only for the transition maps and by ``point(k, chart_id, q,
     aux)``, which builds each recorded point.  A NewtonError or
     RegularityError from a step or a carry ends the march with an
-    IntegrationError holding the points before it.
+    IntegrationError holding the points before it.  The core of the active
+    chart is resolved once per chart (:func:`_core`).
     """
     ch = atlas.chart(chart_id)
-    for k in range(len(traj.points), N + 1):
+    in_core = _core(ch, switch_margin)
+    points, steps = traj.points, traj.steps
+    for k in range(len(points), N + 1):
         try:
             q_next, aux_next, (iterations, residual) = step(ch, q, aux)
         except (NewtonError, RegularityError) as e:
             raise IntegrationError(f"step to lattice point {k} failed: {e}",
                                    partial=traj, index=k) from e
         switched = False
-        if not ch.contains(q_next, margin=switch_margin):
+        if not in_core(q_next):
             switch = _find_switch(atlas, chart_id, q, q_next, switch_margin)
             if switch is not None:
                 t, q_moved = switch
@@ -271,15 +280,38 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
                         partial=traj, index=k) from e
                 q_next, chart_id, switched = q_moved, t.to_chart, True
                 ch = atlas.chart(chart_id)
+                in_core = _core(ch, switch_margin)
             elif not ch.contains(q_next):
                 raise IntegrationError(
                     f"lattice point {k} left chart {chart_id} with no usable "
                     f"transition", partial=traj, index=k)
-        traj.points.append(point(k, chart_id, q_next, aux_next))
-        traj.steps.append(StepRecord(k=k, iterations=iterations, residual=residual,
-                                     switched=switched))
+        points.append(point(k, chart_id, q_next, aux_next))
+        steps.append(StepRecord(k, iterations, residual, switched))
         q, aux = q_next, aux_next
     return traj
+
+
+def _core(ch: Chart, margin: float) -> Callable[[list], bool]:
+    """``ch.contains(q, margin=margin)`` for a float list q of the chart's
+    dimension, with the core bounds lo + margin (hi - lo) and hi - margin
+    (hi - lo) formed once, the floats ``Chart.contains`` forms."""
+    core = [(lo + margin * (hi - lo), hi - margin * (hi - lo))
+            for lo, hi in zip(*ch._bounds)]
+    if len(core) == 1:
+        ((a0, b0),) = core
+        return lambda q: a0 <= q[0] <= b0
+    if len(core) == 2:
+        (a0, b0), (a1, b1) = core
+        return lambda q: a0 <= q[0] <= b0 and a1 <= q[1] <= b1
+    return lambda q: all(a <= x <= b for (a, b), x in zip(core, q))
+
+
+def _require_steps(N, least: int) -> None:
+    """``ValueError`` naming N unless it is an integer (not a bool) >= least."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ValueError(f"N must be an integer, got {N!r}")
+    if N < least:
+        raise ValueError(f"N must be >= {least}")
 
 
 def _forward(t: TransitionMap, q: list) -> list:

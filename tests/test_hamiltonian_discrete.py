@@ -688,11 +688,12 @@ def test_plain_steps_match_the_differenced_newton(name, sigma, side, tight_cfg):
 
 def _count_outer_residuals(monkeypatch):
     """Count the calls of the plain step's residual, the Newton system it hands
-    to ``_newton_result``; the inversions' own Newton solves are not counted."""
-    calls, newton = [], hamiltonian_discrete._newton_result
+    to ``_newton``, whose first call is that outer solve; the inversions' own
+    Newton solves are not counted."""
+    calls, newton = [], hamiltonian_discrete._newton
 
     def outer_newton(system, x0, cfg):
-        monkeypatch.setattr(hamiltonian_discrete, "_newton_result", newton)
+        monkeypatch.setattr(hamiltonian_discrete, "_newton", newton)
 
         def counted(x):
             calls.append(1)
@@ -700,7 +701,7 @@ def _count_outer_residuals(monkeypatch):
 
         return newton(counted, x0, cfg)
 
-    monkeypatch.setattr(hamiltonian_discrete, "_newton_result", outer_newton)
+    monkeypatch.setattr(hamiltonian_discrete, "_newton", outer_newton)
     return calls
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcsdyn import NewtonError, RegularityError, StepperConfig, numerics
-from lcsdyn.numerics import (_dot, _solver, _transposed_matvec, as_vector, fd_jacobian,
+from lcsdyn.numerics import (_COND_LIMIT_NEWTON, _DAMPING_HALVINGS, _dot, _solve_floats,
+                             _solver, _transposed_matvec, as_vector, fd_jacobian,
                              newton_solve, solve_linear)
 from conftest import reference_solve, rounded_add, rounded_div, rounded_dot, rounded_mul
 
@@ -404,3 +405,142 @@ def test_rounded_reference_is_ieee_arithmetic(a, b):
         assert _same_floats([got], [want]), (a, b)
     if b:
         assert _same_floats([rounded_div(a, b)], [a / b]), (a, b)
+
+
+# --- the accepted full step against the loop it shortcuts ---------------------
+#
+# ``reference_newton`` is the damped Newton iteration as written before its
+# accepted full step had a path of its own: every trial, the full step
+# included, goes through the halving loop, as ``x + step dx`` with step 1.0
+# first.  The library's iteration must evaluate its system at the same trials
+# and end with the same (x, iterations, residual), bit for bit, or raise the
+# same error with the same message and attributes.
+
+def reference_newton(system, x0, cfg):
+    x = x0
+    r, jac = system(x)
+    if not all(map(math.isfinite, r)):
+        raise NewtonError("residual not finite at the initial guess",
+                          residual=float("nan"), iterations=0)
+    rnorm = max(map(abs, r))
+    stalls = 0
+    for it in range(cfg.max_iter):
+        if rnorm <= cfg.tol:
+            return x, it, rnorm
+        dx = _solve_floats(jac(), [-v for v in r], _COND_LIMIT_NEWTON)
+        step = 1.0
+        best, best_rnorm = None, math.inf
+        for _ in range(_DAMPING_HALVINGS + 1):
+            x_try = [a + step * d for a, d in zip(x, dx)]
+            r_try, jac_try = system(x_try)
+            rnorm_try = max(map(abs, r_try)) if all(map(math.isfinite, r_try)) \
+                else math.inf
+            if rnorm_try < best_rnorm:
+                best, best_rnorm = (x_try, r_try, jac_try), rnorm_try
+            if rnorm_try < rnorm:
+                break
+            step *= 0.5
+        if best is None:
+            raise NewtonError(
+                f"no damped Newton trial has a finite residual (last finite "
+                f"residual {rnorm:.3e})", residual=rnorm, iterations=it + 1)
+        stalls = stalls + 1 if best_rnorm >= rnorm else 0
+        (x, r, jac), rnorm = best, best_rnorm
+        if stalls >= 2:
+            break
+    if rnorm <= cfg.tol:
+        return x, cfg.max_iter, rnorm
+    raise NewtonError(
+        f"Newton stalled at residual {rnorm:.3e} (tol {cfg.tol:.1e})" if stalls >= 2
+        else f"Newton did not converge in {cfg.max_iter} iterations "
+             f"(residual {rnorm:.3e})",
+        residual=rnorm, iterations=cfg.max_iter)
+
+
+_COUPLINGS = {1: [[1.0]], 2: [[1.0, 0.3], [-0.2, 0.9]],
+              3: [[1.0, 0.3, 0.1], [-0.2, 0.9, 0.2], [0.1, -0.1, 1.1]]}
+_SINGULAR = {1: [[0.0]], 2: [[1.0, 2.0], [2.0, 4.0]],
+             3: [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]}
+# cond 1e15, over Newton's limit 1e14 (a 1x1 system has no such limit)
+_ILL = {2: [[1.0, 0.0], [0.0, 1e-15]], 3: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                          [0.0, 0.0, 1e-15]]}
+
+
+def _cubic(y):
+    return y + 0.1 * y ** 3, 1.0 + 0.3 * y * y
+
+
+def _log(y):
+    return (math.log(y), 1.0 / y) if y > 0.0 else (math.nan, math.nan)
+
+
+def _linear(y):
+    return y, 1.0
+
+
+# case -> (g, coupling M by n, x0 entry, target, cfg, how it ends: "ok" or the
+# start of "ErrorType: message"); the system is g(M x) = target componentwise,
+# with Jacobian g'(M x) M
+_NEWTON_CASES = {
+    "full_steps": (_cubic, _COUPLINGS, 0.5, 0.2, StepperConfig(tol=1e-12), "ok"),
+    "converged_at_max_iter": (_linear, _COUPLINGS, 1.0, 0.3,
+                              StepperConfig(tol=1e-12, max_iter=1), "ok"),
+    "halvings": (lambda y: (math.atan(y), 1.0 / (1.0 + y * y)), _COUPLINGS, 3.0, 0.0,
+                 StepperConfig(tol=1e-12), "ok"),
+    "non_finite_full_step": (_log, _COUPLINGS, 3.0, 0.0, StepperConfig(tol=1e-12), "ok"),
+    "no_finite_trial": (lambda y: (1.0, 1.0) if y == 0.5 else (math.nan, 1.0),
+                        {1: [[1.0]]}, 0.5, 0.0, StepperConfig(),
+                        "NewtonError: no damped Newton trial"),
+    "stall": (lambda y: (1e-3, 1.0), _COUPLINGS, 0.5, 0.0, StepperConfig(tol=1e-12),
+              "NewtonError: Newton stalled"),
+    "max_iter": (_cubic, _COUPLINGS, 0.5, 0.2, StepperConfig(tol=1e-14, max_iter=2),
+                 "NewtonError: Newton did not converge in 2"),
+    "initial_non_finite": (_log, _COUPLINGS, -1.0, 0.0, StepperConfig(),
+                           "NewtonError: residual not finite"),
+    "singular": (_linear, _SINGULAR, 0.5, 1.0, StepperConfig(), "RegularityError"),
+    "non_finite_jacobian": (lambda y: (y, math.inf), _COUPLINGS, 0.5, 1.0, StepperConfig(),
+                            "RegularityError"),
+    "ill_conditioned": (_linear, _ILL, 0.5, 1.0, StepperConfig(),
+                        "RegularityError: ill-conditioned"),
+}
+
+
+def _coupled_system(g, M, target, trials):
+    """The system g(M x) = target on float lists, recording each trial x."""
+    def system(x):
+        trials.append(np.array(x).tobytes())
+        y = [math.fsum(m * v for m, v in zip(row, x)) for row in M]
+        values = [g(v) for v in y]
+        return ([v - target for v, _ in values],
+                lambda: [[dv * m for m in row] for (_, dv), row in zip(values, M)])
+
+    return system
+
+
+def _newton_outcome(newton, case, n):
+    """(outcome, trials): the bits of newton's result, or its error's type,
+    message and attributes, and the bits of every trial it evaluated."""
+    g, M, x0, target, cfg, _ = _NEWTON_CASES[case]
+    trials = []
+    try:
+        x, iterations, residual = newton(_coupled_system(g, M[n], target, trials),
+                                         [x0] * n, cfg)
+        outcome = ("ok", np.array(x).tobytes(), iterations, np.float64(residual).tobytes())
+    except (NewtonError, RegularityError) as e:
+        attributes = {k: np.float64(v).tobytes() for k, v in vars(e).items()}
+        outcome = (type(e).__name__, str(e), attributes)
+    return outcome, trials
+
+
+@pytest.mark.parametrize("case, n", [(case, n) for case, spec in _NEWTON_CASES.items()
+                                     for n in spec[1]])
+def test_newton_full_step_is_bitwise_the_damped_loop(case, n):
+    got, got_trials = _newton_outcome(numerics._newton, case, n)
+    want, want_trials = _newton_outcome(reference_newton, case, n)
+    assert got == want
+    assert got_trials == want_trials
+    ends = _NEWTON_CASES[case][-1]
+    assert got[0] == "ok" if ends == "ok" else f"{got[0]}: {got[1]}".startswith(ends), got
+    if case in ("halvings", "non_finite_full_step"):
+        # some iteration tried more than its full step
+        assert len(got_trials) > 1 + got[2]

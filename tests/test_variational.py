@@ -279,5 +279,68 @@ def test_a_point_that_is_not_a_vector_is_named(entry, tight_cfg):
            "integrate_hamiltonian": lambda: integrate_hamiltonian(
                build_right_hamiltonian(Ld, planar.atlas, 0), planar.atlas, 0, bad,
                good, 5, tight_cfg)}[entry]
-    with pytest.raises(ValueError, match=r"q must be one-dimensional, got shape \(1, 2\)"):
+    name = {"integrate_q1": "q1", "dlcel_step": "q_prev"}.get(entry, "q0")
+    with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, got shape \(1, 2\)"):
         run()
+
+
+@pytest.mark.parametrize("margin", [-0.2, 0.5, 0.7, float("nan")])
+def test_integrate_refuses_a_switch_margin_outside_its_range(margin, tight_cfg):
+    # a negative margin grows the core past the chart, so the march kept points
+    # beyond chart 0's upper bound; 0.5 or more, or NaN, leaves the core empty,
+    # so no switch was possible and the march reported no usable transition
+    rotor = free_rotor_circle(-0.1)
+    Ld = conformal_midpoint_rule(rotor.lagrangian, rotor.atlas, 0, 0.05)
+    with pytest.raises(ValueError, match="^switch_margin must lie in"):
+        integrate(Ld, rotor.atlas, 0, [0.5], [0.55], 200, tight_cfg, switch_margin=margin)
+
+
+def test_integrate_takes_a_zero_switch_margin(tight_cfg):
+    # the core is then the whole chart; the harmonic oscillator never leaves it
+    harmonic = harmonic_1d()
+    Ld = conformal_midpoint_rule(harmonic.lagrangian, harmonic.atlas, 0, 0.05)
+    traj = integrate(Ld, harmonic.atlas, 0, [0.5], [0.55], 50, tight_cfg, switch_margin=0.0)
+    assert len(traj) == 51 and traj.n_switches() == 0
+
+
+def test_march_entry_points_name_a_wrong_length_argument(tight_cfg):
+    harmonic = harmonic_1d()
+    atlas, q, qq = harmonic.atlas, [0.5], [0.5, 0.6]
+    Ld = conformal_midpoint_rule(harmonic.lagrangian, atlas, 0, 0.05)
+    Hd = build_right_hamiltonian(Ld, atlas, 0)
+    calls = {"q0": [lambda: integrate(Ld, atlas, 0, qq, q, 5, tight_cfg),
+                    lambda: integrate_hamiltonian(Hd, atlas, 0, qq, q, 5, tight_cfg)],
+             "q1": [lambda: integrate(Ld, atlas, 0, q, qq, 5, tight_cfg)],
+             "p0": [lambda: integrate_hamiltonian(Hd, atlas, 0, q, qq, 5, tight_cfg)],
+             "q_prev": [lambda: dlcel_step(Ld, atlas, 0, qq, q, tight_cfg),
+                        lambda: del_step(Ld, qq, q, tight_cfg)],
+             "q_curr": [lambda: dlcel_step(Ld, atlas, 0, q, qq, tight_cfg),
+                        lambda: del_step(Ld, q, qq, tight_cfg)]}
+    for name, runs in calls.items():
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^{name} has 2 components, expected 1$"):
+                run()
+
+
+@pytest.mark.parametrize("N", [2.5, 3.0, True, "3", None])
+def test_marches_refuse_a_step_count_that_is_not_an_integer(N, tight_cfg):
+    harmonic = harmonic_1d()
+    Ld = conformal_midpoint_rule(harmonic.lagrangian, harmonic.atlas, 0, 0.05)
+    Hd = build_right_hamiltonian(Ld, harmonic.atlas, 0)
+    with pytest.raises(ValueError, match="^N must be an integer"):
+        integrate(Ld, harmonic.atlas, 0, [0.5], [0.55], N, tight_cfg)
+    with pytest.raises(ValueError, match="^N must be an integer"):
+        integrate_hamiltonian(Hd, harmonic.atlas, 0, [0.5], [1.0], N, tight_cfg)
+
+
+def test_marches_take_a_numpy_integer_step_count(tight_cfg):
+    harmonic = harmonic_1d()
+    Ld = conformal_midpoint_rule(harmonic.lagrangian, harmonic.atlas, 0, 0.05)
+    Hd = build_right_hamiltonian(Ld, harmonic.atlas, 0)
+    assert len(integrate(Ld, harmonic.atlas, 0, [0.5], [0.55], np.int64(5), tight_cfg)) == 6
+    assert len(integrate_hamiltonian(Hd, harmonic.atlas, 0, [0.5], [1.0], np.int32(5),
+                                     tight_cfg)) == 6
+    for N, least in ((1, 2), (0, 1)):
+        with pytest.raises(ValueError, match=f"^N must be >= {least}$"):
+            (integrate(Ld, harmonic.atlas, 0, [0.5], [0.55], N, tight_cfg) if least == 2
+             else integrate_hamiltonian(Hd, harmonic.atlas, 0, [0.5], [1.0], N, tight_cfg))
