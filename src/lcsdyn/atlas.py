@@ -4,6 +4,11 @@ A configuration space is covered by box charts, each carrying a scalar conformal
 factor sigma(q).  On chart overlaps the conformal factors may only differ by a
 constant (the cocycle condition); this is what lets per-chart data glue into
 global objects.  The Lee one-form is the gradient of sigma.
+
+The atlas owns the marches' chart-switch rule: a point that leaves its chart's
+core (``Chart._core``, the domain shrunk by ``SWITCH_MARGIN`` of its width on
+each side) moves across a transition into a chart whose core holds it
+(``ConformalAtlas._switch``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .numerics import _nan_max, _of_length, _on_lists, as_matrix, as_vector, sol
 Vector = np.ndarray
 
 COCYCLE_TOL = 1e-10
+SWITCH_MARGIN = 0.1
 _COCYCLE_SAMPLES = 16
 
 
@@ -51,6 +57,8 @@ class Chart:
         object.__setattr__(self, "upper", as_vector(self.upper))
         if self.lower.size != self.dim or self.upper.size != self.dim:
             raise ValueError(f"chart {self.id}: bounds must have length {self.dim}")
+        if not np.isfinite([self.lower, self.upper]).all():
+            raise ValueError(f"chart {self.id}: bounds must be finite")
         if self.constant_lee is not None:
             object.__setattr__(self, "constant_lee", as_vector(self.constant_lee).copy())
             if self.constant_lee.shape != (self.dim,):
@@ -67,22 +75,40 @@ class Chart:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, q: Vector, margin: float = 0.0) -> bool:
-        """True if q lies in the domain shrunk on each side by margin*width.
+    def contains(self, q: Vector) -> bool:
+        """True if q lies in the domain.
 
-        Compared in floats, a coordinate at a time: every step of a march asks,
-        with a float list, read as it is (any other q goes through
-        :func:`as_vector`); a q of the wrong length raises ``ValueError``.
+        Compared in floats, a coordinate at a time: a march asks with a float
+        list, read as it is (any other q goes through :func:`as_vector`); a q
+        of the wrong length raises ``ValueError``.
         """
         lower, upper = self._bounds
-        return all(lo + margin * (hi - lo) <= x <= hi - margin * (hi - lo)
-                   for lo, hi, x in zip(lower, upper, q if type(q) is list
-                                        else as_vector(q).tolist(), strict=True))
+        return all(lo <= x <= hi for lo, hi, x in zip(
+            lower, upper, q if type(q) is list else as_vector(q).tolist(), strict=True))
 
     @cached_property
     def _bounds(self) -> tuple[list, list]:
         """``lower`` and ``upper`` as float lists, read once per chart."""
         return self.lower.tolist(), self.upper.tolist()
+
+    @cached_property
+    def _core(self) -> Callable[[list], bool]:
+        """Whether a float list q lies in the domain shrunk by ``SWITCH_MARGIN``
+        of its width on each side, with the core bounds formed once per chart."""
+        m = SWITCH_MARGIN
+        core = [(lo + m * (hi - lo), hi - m * (hi - lo)) for lo, hi in zip(*self._bounds)]
+        if len(core) == 1:
+            ((a0, b0),) = core
+            return lambda q: a0 <= q[0] <= b0
+        if len(core) == 2:
+            (a0, b0), (a1, b1) = core
+            return lambda q: a0 <= q[0] <= b0 and a1 <= q[1] <= b1
+        return lambda q: all(a <= x <= b for (a, b), x in zip(core, q))
+
+    @cached_property
+    def _lee(self) -> list | None:
+        """The declared constant Lee form as one shared float list, or None."""
+        return None if self.constant_lee is None else self.constant_lee.tolist()
 
     def grad(self, q: Vector) -> np.ndarray:
         if self.constant_lee is not None:
@@ -110,8 +136,8 @@ class Chart:
             def sigma(q) -> float:
                 return float(self.sigma(np.array(q)))
 
-        if self.constant_lee is not None:
-            lee, zero = self.constant_lee.tolist(), np.zeros((self.dim, self.dim)).tolist()
+        if self._lee is not None:
+            lee, zero = self._lee, np.zeros((self.dim, self.dim)).tolist()
             return sigma, lambda q: lee, lambda q: zero
         return sigma, _on_lists(self.grad), _on_lists(self.hess, as_matrix)
 
@@ -150,8 +176,12 @@ class TransitionMap:
     def __post_init__(self):
         object.__setattr__(self, "overlap_lower", as_vector(self.overlap_lower))
         object.__setattr__(self, "overlap_upper", as_vector(self.overlap_upper))
-        if not np.all(self.overlap_lower < self.overlap_upper):
-            raise ValueError("transition: empty overlap box")
+        lo, hi = self.overlap_lower, self.overlap_upper
+        name = f"transition {self.from_chart}->{self.to_chart}"
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"{name}: overlap bounds must be vectors of one length")
+        if not np.all(lo < hi):
+            raise ValueError(f"{name}: empty overlap box")
 
     def contains(self, q: Vector) -> bool:
         """True if q lies in the overlap box; ``ValueError`` unless q is a
@@ -177,6 +207,9 @@ class ConformalAtlas:
             if t.from_chart not in ids or t.to_chart not in ids:
                 raise ValueError(f"transition references unknown chart "
                                  f"{t.from_chart}->{t.to_chart}")
+            if t.overlap_lower.size != self.chart(t.from_chart).dim:
+                raise ValueError(f"transition {t.from_chart}->{t.to_chart}: overlap box "
+                                 f"of another dimension than chart {t.from_chart}")
 
     def chart(self, chart_id: int) -> Chart:
         for c in self.charts:
@@ -211,6 +244,24 @@ class ConformalAtlas:
             raise DomainError(f"no transition carries {q} from chart {from_chart} "
                               f"to chart {to_chart}")
         return t
+
+    def _switch(self, chart_id: int, q_curr: list, q_next: list
+                ) -> tuple[TransitionMap, list] | None:
+        """The first transition from chart ``chart_id`` whose overlap holds both
+        float lists q_curr and q_next and which carries q_next into its target's
+        core, with q_next carried through it; None if no transition does."""
+        for t in self.transitions:
+            if t.from_chart != chart_id or not (t.contains(q_next) and t.contains(q_curr)):
+                continue
+            q_moved = _forward(t, q_next)
+            if self.chart(t.to_chart)._core(q_moved):
+                return t, q_moved
+        return None
+
+
+def _forward(t: TransitionMap, q: list) -> list:
+    """A float list carried through the transition map ``t``, which takes an array."""
+    return as_vector(t.forward(np.array(q))).tolist()
 
 
 def lee_form(atlas: ConformalAtlas, chart: int, q: Vector) -> np.ndarray:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .atlas import ConformalAtlas
 from .errors import DomainError, IntegrationError, RegularityError
-from .numerics import (StepperConfig, _dot, _newton, _of_length, _rows, _solver,
-                       as_vector, fd_jacobian)
+from .numerics import (StepperConfig, _dot, _newton, _of_length, _require_steps, _rows,
+                       _solver, as_vector, fd_jacobian)
 
 Vector = np.ndarray
 _FIBER_CFG = StepperConfig(tol=1e-12)
@@ -177,16 +177,15 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     bit what the rate form computes from ``[v, a]``.
 
     Raises ``ValueError`` when ``x0`` is not one-dimensional, when ``h`` is
-    not a positive finite number, when ``steps < 1`` and when a field output
-    does not have ``d`` components, ``MemoryError`` when the (steps+1, d)
-    result cannot be allocated, and :class:`IntegrationError` at the first
-    step whose state is not finite or that leaves the chart (a DomainError),
-    with the states before it as ``partial``.
+    not a positive finite number, when ``steps`` is not an integer >= 1 and
+    when a field output does not have ``d`` components, ``MemoryError`` when
+    the (steps+1, d) result cannot be allocated, and :class:`IntegrationError`
+    at the first step whose state is not finite or that leaves the chart (a
+    DomainError), with the states before it as ``partial``.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _require_steps(steps, 1, "steps")
     x0 = as_vector(x0)
     if x0.ndim != 1:
         raise ValueError(f"x0 must be one-dimensional, got shape {x0.shape}")
@@ -310,8 +309,6 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
 def divergence_numeric(field: Callable[[Vector], Vector], x: Vector,
                        eps: float) -> float:
     """Central-difference divergence (trace of the differenced Jacobian) of a vector field."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     return float(np.trace(fd_jacobian(field, as_vector(x), eps)))
 
 
@@ -341,20 +338,6 @@ def _kernel_field(kernel: Callable, n: int, accel: bool = False
     return field
 
 
-def _field_chart(atlas: ConformalAtlas, chart: int):
-    """``(lo, hi, phi, lee)`` for a field on one chart, resolved once.
-
-    ``lo`` and ``hi`` are the box bounds as lists; the kernels check them
-    themselves and call ``atlas.require_inside`` for its message.  ``phi`` is
-    a declared constant Lee form as a list, or None; only then do the kernels
-    call ``lee(q)``, the Lee form at the float list q as a list
-    (``Chart._floats``).
-    """
-    ch = atlas.chart(chart)
-    phi = None if ch.constant_lee is None else ch.constant_lee.tolist()
-    return ch.lower.tolist(), ch.upper.tolist(), phi, ch._floats[1]
-
-
 def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
                      ) -> Callable[[Vector], np.ndarray]:
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
@@ -373,7 +356,10 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     """
     n = H.n
     jet = H.jet
-    lo, hi, phi, lee = _field_chart(atlas, chart)
+    # the kernels test the box inline, calling require_inside only for its
+    # message, and read phi, a declared constant Lee form, or else lee(q)
+    ch = atlas.chart(chart)
+    (lo, hi), phi, lee = ch._bounds, ch._lee, ch._floats[1]
     if n == 1:
         (lo,), (hi,) = lo, hi
 
@@ -440,7 +426,8 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     n = L.n
     jet = L.jet
     hessians = L.hessians
-    lo, hi, phi, lee = _field_chart(atlas, chart)
+    ch = atlas.chart(chart)
+    (lo, hi), phi, lee = ch._bounds, ch._lee, ch._floats[1]
     if n == 1:
         (lo,), (hi,) = lo, hi
         mb = None if hessians is None else (hessians[1].item(0), hessians[2].item(0))

@@ -436,8 +436,8 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
         return E * (np.outer(c, c * val + bd) + np.outer(bd, c) + val * dc
                     + base_same(node, k))
 
-    if ch.constant_lee is not None and L.n <= 2:
-        lee = ch.constant_lee.tolist()
+    lee = ch._lee
+    if lee is not None and L.n <= 2:
         a = [g - 0.5 * gm for g, gm in zip(lee, lee)]
         b = [-0.5 * gm for gm in lee]
         flat = not (any(a) or any(b))

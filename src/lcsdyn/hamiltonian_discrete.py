@@ -71,13 +71,12 @@ import numpy as np
 from .atlas import Chart, ConformalAtlas, _covector
 from .discretize import DiscreteLagrangian, _pair_memo
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numerics import (StepperConfig, _add, _det_sign, _dot, _newton, _of_length, _rows,
-                       _solve_floats, _sub, _transposed, _transposed_matvec, as_vector,
-                       fd_jacobian)
+from .numerics import (StepperConfig, _add, _det_sign, _dot, _newton, _of_length,
+                       _require_steps, _rows, _solve_floats, _sub, _transposed,
+                       _transposed_matvec, as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, TrajectoryPoint
-from .variational import (DEFAULT_SWITCH_MARGIN, _dlcel_system, _dp_minus_dq0,
-                          _dp_minus_dq1, _dp_plus_dq1, _into_chart, _march, _p_minus,
-                          _p_plus, _require_steps)
+from .variational import (_dlcel_system, _dp_minus_dq0, _dp_minus_dq1, _dp_plus_dq1,
+                          _into_chart, _march, _p_minus, _p_plus)
 
 Vector = np.ndarray
 
@@ -469,7 +468,7 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
     march of more points than could be held raises ``MemoryError`` before
     its first step, as ``integrate`` does.
     """
-    _require_steps(N, 1)
+    _require_steps(N, 1, "N")
     _rows(N + 1, 3 * Hd.n)  # room for every point's q, p and r, or MemoryError
     q, p = as_vector(q0), _of_length(p0, Hd.n, "p0")
     atlas.require_inside(chart, q, "q0")
@@ -507,5 +506,4 @@ def integrate_hamiltonian(Hd: DiscreteHamiltonian, atlas: ConformalAtlas,
         return _covector(t, np.array(q_next), window[0]).tolist(), None
 
     traj.points.append(point(0, chart, q, (p, None)))
-    return _march(atlas, chart, q, (p, None), traj, N, step, carry, point,
-                  DEFAULT_SWITCH_MARGIN)
+    return _march(atlas, chart, q, (p, None), traj, N, step, carry, point)

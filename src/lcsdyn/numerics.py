@@ -37,6 +37,14 @@ class StepperConfig:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
+def _require_steps(count, least: int, name: str) -> None:
+    """``ValueError`` naming ``name`` unless ``count`` is an integer >= least (no bool)."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class NewtonResult:
     x: np.ndarray
@@ -99,8 +107,11 @@ def fd_jacobian(F: Callable[[Vector], np.ndarray], x: Vector, eps: float) -> np.
 
     The result has shape ``F(x).shape + (x.size,)``: the last axis indexes the
     differenced input, so a vector function gives the usual Jacobian (rows:
-    outputs, cols: inputs) and a scalar function its gradient.
+    outputs, cols: inputs) and a scalar function its gradient.  A step
+    ``eps`` that is not positive and finite raises ``ValueError``.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     x = as_vector(x)
     cols = []
     for i in range(x.size):

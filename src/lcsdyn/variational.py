@@ -25,9 +25,9 @@ on unpacked scalars, rounded as the general forms round them.
 two-point window across chart transitions whenever a point leaves the core
 of its chart, and fills momenta afterwards.  The march (``_march``) holds its
 window on floats, its steps call ``numerics._newton`` directly, and it makes
-arrays only for a recorded point and at a chart switch.  It resolves the
-active chart's core bounds once per chart (``_core``), the floats that
-``Chart.contains`` forms, so that a step's switch test compares floats.
+arrays only for a recorded point and at a chart switch.  The switch rule is
+the atlas's: a step's test is the active chart's ``Chart._core``, bound once
+per chart, and a point outside it asks ``ConformalAtlas._switch``.
 Each step ends with one jet call at its solved pair (a hit in a quadrature
 rule's memo), which gives p-(q_curr, q_next), the momentum of q_curr, and
 p+(q_curr, q_next), which the next step is posed with.  The march carries
@@ -49,21 +49,19 @@ differences, with ``numerics.fd_jacobian``, the two terms that contain q_k.
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .atlas import Chart, ConformalAtlas, TransitionMap
+from .atlas import Chart, ConformalAtlas, _forward
 from .discretize import DiscreteLagrangian
 from .errors import IntegrationError, NewtonError, RegularityError
 from .numerics import (StepperConfig, _add, _nan_max, _newton, _newton_result, _of_length,
-                       as_vector, fd_jacobian)
+                       _require_steps, as_vector, fd_jacobian)
 from .trajectory import DiscreteTrajectory, StepRecord, TrajectoryPoint, _MarchRecord
 
 Vector = np.ndarray
 
-DEFAULT_SWITCH_MARGIN = 0.1
 _STATIONARITY_EPS = 1e-6
 
 
@@ -185,21 +183,17 @@ def dlcel_step(Ld: DiscreteLagrangian, atlas: ConformalAtlas, chart: int,
 
 def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
               q0: Vector, q1: Vector, N: int, cfg: StepperConfig,
-              conformal: bool = True,
-              switch_margin: float = DEFAULT_SWITCH_MARGIN) -> DiscreteTrajectory:
+              conformal: bool = True) -> DiscreteTrajectory:
     """March N steps from the seed pair (q0, q1) and fill momenta.
 
     A chart switch is triggered when a new point leaves the current chart's
-    core (the domain shrunk by ``switch_margin`` of its width on each side,
-    0 <= switch_margin < 0.5); the active pair is transported jointly so
-    each step is posed in a single chart.  With ``conformal=False`` the
-    plain recursion is used and sigma is ignored throughout (including
-    momenta).  An N that is not an integer >= 2, a margin outside [0, 0.5)
-    and a q0 or q1 that is not a point of the start chart raise naming it.
+    core (``Chart._core``); the active pair is transported jointly so each
+    step is posed in a single chart.  With ``conformal=False`` the plain
+    recursion is used and sigma is ignored throughout (including momenta).
+    An N that is not an integer >= 2 and a q0 or q1 that is not a point of
+    the start chart raise naming it.
     """
-    _require_steps(N, 2)
-    if not 0.0 <= switch_margin < 0.5:
-        raise ValueError(f"switch_margin must lie in [0, 0.5), got {switch_margin!r}")
+    _require_steps(N, 2, "N")
     q0, q1 = as_vector(q0), as_vector(q1)
     atlas.require_inside(start_chart, q0, "q0")
     atlas.require_inside(start_chart, q1, "q1")
@@ -230,8 +224,7 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
 
     _march(atlas, start_chart, q1, (q0, None, None), traj, N, step,
            carry=lambda t, q_next, window: (_forward(t, window[0]), None, None),
-           point=lambda k, chart, q, window: TrajectoryPoint(k, chart, np.array(q)),
-           switch_margin=switch_margin)
+           point=lambda k, chart, q, window: TrajectoryPoint(k, chart, np.array(q)))
 
     from .hamiltonian_discrete import momenta_along_trajectory
     traj._march_record = record
@@ -242,24 +235,23 @@ def integrate(Ld: DiscreteLagrangian, atlas: ConformalAtlas, start_chart: int,
 
 def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
            traj: DiscreteTrajectory, N: int, step: Callable, carry: Callable,
-           point: Callable, switch_margin: float) -> DiscreteTrajectory:
+           point: Callable) -> DiscreteTrajectory:
     """Append lattice points len(traj.points) .. N to ``traj``, one step each.
 
     The window (q, aux) is posed on chart ``chart_id`` and held on floats: q
     is the current point as a float list and aux whatever else the step needs
     (the previous point, or the current momentum).  ``step(chart, q, aux)``
     returns (q_next, aux_next, (iterations, residual)).  When q_next leaves
-    the core of its chart the window moves across a transition holding q and
-    q_next into a chart whose core holds q_next; ``carry(t, q_next,
+    the core of its chart (``Chart._core``) the window moves across the
+    transition that ``ConformalAtlas._switch`` finds; ``carry(t, q_next,
     aux_next)`` transports aux_next, given q_next in the old chart.  Arrays
     are made only for the transition maps and by ``point(k, chart_id, q,
     aux)``, which builds each recorded point.  A NewtonError or
     RegularityError from a step or a carry ends the march with an
-    IntegrationError holding the points before it.  The core of the active
-    chart is resolved once per chart (:func:`_core`).
+    IntegrationError holding the points before it.
     """
     ch = atlas.chart(chart_id)
-    in_core = _core(ch, switch_margin)
+    in_core = ch._core
     points, steps = traj.points, traj.steps
     for k in range(len(points), N + 1):
         try:
@@ -269,7 +261,7 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
                                    partial=traj, index=k) from e
         switched = False
         if not in_core(q_next):
-            switch = _find_switch(atlas, chart_id, q, q_next, switch_margin)
+            switch = atlas._switch(chart_id, q, q_next)
             if switch is not None:
                 t, q_moved = switch
                 try:
@@ -280,7 +272,7 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
                         partial=traj, index=k) from e
                 q_next, chart_id, switched = q_moved, t.to_chart, True
                 ch = atlas.chart(chart_id)
-                in_core = _core(ch, switch_margin)
+                in_core = ch._core
             elif not ch.contains(q_next):
                 raise IntegrationError(
                     f"lattice point {k} left chart {chart_id} with no usable "
@@ -289,47 +281,6 @@ def _march(atlas: ConformalAtlas, chart_id: int, q: list, aux,
         steps.append(StepRecord(k, iterations, residual, switched))
         q, aux = q_next, aux_next
     return traj
-
-
-def _core(ch: Chart, margin: float) -> Callable[[list], bool]:
-    """``ch.contains(q, margin=margin)`` for a float list q of the chart's
-    dimension, with the core bounds lo + margin (hi - lo) and hi - margin
-    (hi - lo) formed once, the floats ``Chart.contains`` forms."""
-    core = [(lo + margin * (hi - lo), hi - margin * (hi - lo))
-            for lo, hi in zip(*ch._bounds)]
-    if len(core) == 1:
-        ((a0, b0),) = core
-        return lambda q: a0 <= q[0] <= b0
-    if len(core) == 2:
-        (a0, b0), (a1, b1) = core
-        return lambda q: a0 <= q[0] <= b0 and a1 <= q[1] <= b1
-    return lambda q: all(a <= x <= b for (a, b), x in zip(core, q))
-
-
-def _require_steps(N, least: int) -> None:
-    """``ValueError`` naming N unless it is an integer (not a bool) >= least."""
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-        raise ValueError(f"N must be an integer, got {N!r}")
-    if N < least:
-        raise ValueError(f"N must be >= {least}")
-
-
-def _forward(t: TransitionMap, q: list) -> list:
-    """A float list carried through the transition map ``t``, which takes an array."""
-    return as_vector(t.forward(np.array(q))).tolist()
-
-
-def _find_switch(atlas: ConformalAtlas, chart_id: int, q_curr: list, q_next: list,
-                 margin: float) -> tuple[TransitionMap, list] | None:
-    """A transition carrying both active points into a chart whose core holds
-    q_next, with q_next carried through it."""
-    for t in atlas.transitions:
-        if t.from_chart != chart_id or not (t.contains(q_next) and t.contains(q_curr)):
-            continue
-        q_moved = _forward(t, q_next)
-        if atlas.chart(t.to_chart).contains(q_moved, margin=margin):
-            return t, q_moved
-    return None
 
 
 def _normalize_charts(chart_assignment, length: int) -> list[int]:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, cocycle_check,
-                    free_rotor_circle, harmonic_1d, lee_form, transition_apply)
+from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, TransitionMap,
+                    cocycle_check, free_rotor_circle, harmonic_1d, lee_form,
+                    transition_apply)
+from lcsdyn.atlas import SWITCH_MARGIN
 from lcsdyn.numerics import fd_jacobian
 from conftest import rotor_with_transition_jacobian
 
@@ -164,21 +166,97 @@ def test_chart_contains_reads_a_float_list_as_an_array():
     # the bounds are read once per chart, and a wrong length still raises
     chart = Chart(id=0, dim=2, lower=[-1.0, 0.0], upper=[1.0, 2.0], sigma=lambda q: 0.0,
                   constant_lee=[0.0, 0.0])
-    points = [[0.0, 1.0], [-1.0, 0.0], [1.0, 2.0], [-0.8, 0.2], [-0.8000001, 0.2],
-              [0.8, 1.8], [0.8, 1.8000001], [1.0000001, 1.0], [np.nan, 1.0],
-              [0.0, np.nan], [np.inf, 1.0]]
+    points = [[0.0, 1.0], [-1.0, 0.0], [1.0, 2.0], [-0.8, 0.2], [1.0000001, 1.0],
+              [-1.0000001, 1.0], [0.0, 2.0000001], [np.nan, 1.0], [0.0, np.nan],
+              [np.inf, 1.0], [-np.inf, 1.0]]
     for q in points:
-        for margin in (0.0, 0.1):
-            want = chart.contains(np.array(q), margin=margin)
-            assert chart.contains(q, margin=margin) is want
-            assert chart.contains(tuple(q), margin=margin) is want
+        want = all(lo <= x <= hi for lo, hi, x in zip([-1.0, 0.0], [1.0, 2.0], q))
+        assert chart.contains(q) is want
+        assert chart.contains(np.array(q)) is want
+        assert chart.contains(tuple(q)) is want
     assert chart.contains([-1.0, 0.0]) and chart.contains([1.0, 2.0])
-    assert not chart.contains([-1.0, 0.0], margin=0.1)
-    assert chart.contains([-0.8, 0.2], margin=0.1)
     assert not chart.contains([np.nan, 1.0])
     for q in ([0.0], [0.0, 1.0, 1.0], np.zeros(3)):
         with pytest.raises(ValueError):
             chart.contains(q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chart_core_is_the_domain_shrunk_by_the_switch_margin(n):
+    # the core is read once per chart, on unpacked floats for n = 1 and 2
+    lower, upper = [-1.0, 0.0, 0.3][:n], [1.0, 2.0, 0.7][:n]
+    chart = Chart(id=0, dim=n, lower=lower, upper=upper, sigma=lambda q: 0.0,
+                  constant_lee=[0.0] * n)
+    m = SWITCH_MARGIN
+
+    def want(q):
+        return all(lo + m * (hi - lo) <= x <= hi - m * (hi - lo)
+                   for lo, hi, x in zip(lower, upper, q))
+
+    inner = [lo + m * (hi - lo) for lo, hi in zip(lower, upper)]
+    outer = [hi - m * (hi - lo) for lo, hi in zip(lower, upper)]
+    mid = [0.5 * (lo + hi) for lo, hi in zip(lower, upper)]
+    rows = [mid, inner, outer, lower, upper]
+    for i in range(n):
+        for x in (np.nextafter(inner[i], -np.inf), np.nextafter(outer[i], np.inf),
+                  np.nan, np.inf, -np.inf):
+            rows.append(mid[:i] + [float(x)] + mid[i + 1:])
+    for q in rows:
+        assert chart._core(q) is want(q)
+    assert chart._core(mid) and chart._core(inner) and chart._core(outer)
+    assert not chart._core(lower) and not chart._core(upper)
+
+
+@pytest.mark.parametrize("bound", [np.inf, -np.inf, np.nan])
+def test_chart_refuses_a_non_finite_bound(bound):
+    # an infinite bound made the core and Chart.contains compare against NaN
+    # (lo + 0.0 * inf), so a march on such a chart left it at its first step
+    for lower, upper in (([bound], [1.0]), ([-1.0], [bound]),
+                         ([-np.inf], [np.inf])):
+        with pytest.raises(ValueError, match="^chart 4: bounds must be finite$"):
+            Chart(id=4, dim=1, lower=lower, upper=upper, sigma=lambda q: 0.0,
+                  constant_lee=[0.2])
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    ([0.0, 0.0], [1.0], "overlap bounds must be vectors of one length"),
+    ([0.0], [1.0, 1.0], "overlap bounds must be vectors of one length"),
+    ([[0.0], [0.0]], [[1.0], [1.0]], "overlap bounds must be vectors of one length"),
+    ([1.0], [1.0], "empty overlap box")],
+    ids=["long_lower", "long_upper", "two_dimensional", "empty"])
+def test_transition_refuses_a_malformed_overlap_box(lower, upper, message):
+    # a mismatched box used to broadcast in TransitionMap.contains
+    with pytest.raises(ValueError, match=f"^transition 0->1: {message}$"):
+        TransitionMap(0, 1, lower, upper, forward=lambda q: q,
+                      jacobian=lambda q: np.eye(1))
+
+
+def test_atlas_refuses_an_overlap_box_of_another_dimension():
+    rotor = free_rotor_circle(0.1)
+    box = TransitionMap(1, 0, [0.0, 0.0], [1.0, 1.0], forward=lambda q: q,
+                        jacobian=lambda q: np.eye(2))
+    with pytest.raises(ValueError, match="^transition 1->0: overlap box of another "
+                                         "dimension than chart 1$"):
+        ConformalAtlas(charts=rotor.atlas.charts, transitions=(box,))
+
+
+def test_switch_needs_both_points_in_the_overlap_and_q_next_in_the_target_core():
+    rotor = free_rotor_circle(0.1).atlas
+    quarter = np.pi / 4
+    # chart 0 is (-pi/4, 5pi/4), core (-0.4, 4.4) quarters; chart 1 is
+    # (3pi/4, 9pi/4), core (3.6, 8.4) quarters; the direct overlap is (3, 5)
+    # quarters, the wrap-around one (-1, 1) quarters of chart 0
+    t, q_moved = rotor._switch(0, [4.3 * quarter], [4.5 * quarter])
+    assert (t.from_chart, t.to_chart) == (0, 1) and q_moved == [4.5 * quarter]
+    # one of the two active points outside the overlap: no switch
+    assert rotor._switch(0, [2.9 * quarter], [4.5 * quarter]) is None
+    assert rotor._switch(0, [4.9 * quarter], [5.1 * quarter]) is None
+    # both points in the overlap, but q_next misses chart 1's core
+    assert not rotor.chart(1)._core([3.4 * quarter])
+    assert rotor._switch(0, [3.2 * quarter], [3.4 * quarter]) is None
+    # the wrap-around overlap carries q_next by 2 pi into chart 1's core
+    t, q_moved = rotor._switch(0, [-0.3 * quarter], [-0.5 * quarter])
+    assert t.to_chart == 1 and q_moved == [-0.5 * quarter + 2 * np.pi]
 
 
 def test_transition_contains_checks_the_length_of_q():

@@ -18,7 +18,7 @@ from lcsdyn import (NewtonError, StepperConfig, build_left_hamiltonian,
                     planar_2d, trapezoidal_rule)
 from lcsdyn.numerics import _newton_result, as_vector, newton_solve
 from lcsdyn.trajectory import DiscreteTrajectory, TrajectoryPoint
-from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _dlcel_system, _march
+from lcsdyn.variational import _dlcel_system, _march
 from conftest import rotor_with_shifted_chart
 
 
@@ -117,8 +117,7 @@ def reference_integrate(Ld, atlas, q0, q1, N, cfg):
     _march(atlas, 0, q1.tolist(), q0.tolist(), traj, N, step,
            carry=lambda t, q_next, q_curr: as_vector(t.forward(np.array(q_curr))).tolist(),
            point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart,
-                                                             q=np.array(q)),
-           switch_margin=DEFAULT_SWITCH_MARGIN)
+                                                             q=np.array(q)))
     return reference_momenta(Ld, atlas, traj)
 
 
@@ -141,7 +140,7 @@ def reference_integrate_hamiltonian(Ld, atlas, q0, p0, N, cfg):
 
     traj = DiscreteTrajectory(h=Ld.h, points=[point(0, 0, q0, p0)])
     return _march(atlas, 0, q0.tolist(), p0.tolist(), traj, N, step,
-                  carry=carry, point=point, switch_margin=DEFAULT_SWITCH_MARGIN)
+                  carry=carry, point=point)
 
 
 def assert_same_bits(traj, ref):

@@ -349,6 +349,21 @@ def test_rk4_rejects_nan_step():
         rk4_integrate(lambda x: x, [1.0], float("nan"), 3)
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
+def test_rk4_refuses_a_step_count_that_is_not_an_integer(steps):
+    # 2.5 used to raise numpy's TypeError, True to run one step
+    with pytest.raises(ValueError, match="^steps must be an integer, got "):
+        rk4_integrate(lambda x: x, [1.0], 0.1, steps)
+
+
+def test_rk4_takes_a_numpy_integer_step_count():
+    for steps in (np.int64(3), np.int32(3)):
+        assert rk4_integrate(lambda x: x, [1.0], 0.1, steps).shape == (4, 1)
+    for steps in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="^steps must be >= 1$"):
+            rk4_integrate(lambda x: x, [1.0], 0.1, steps)
+
+
 # The numpy RK4 loop and field formulas the float-level kernel replaced, kept
 # as the reference that it must reproduce bit for bit.  Their dot products,
 # matvecs and 2x2 solves are conftest's, which round per operation for n <= 2
@@ -795,6 +810,13 @@ def test_divergence_flat_hamiltonian_zero(harmonic_flat):
 def test_divergence_conformal_value(harmonic):
     f = make_lcshe_field(harmonic.hamiltonian, harmonic.atlas, 0)
     assert abs(divergence_numeric(f, np.array([0.0, 1.0]), 1e-5) - 0.1) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf])
+def test_divergence_refuses_a_step_that_is_not_positive_and_finite(eps):
+    # NaN passed the old eps <= 0 check and returned NaN
+    with pytest.raises(ValueError, match="^eps must be positive and finite, got "):
+        divergence_numeric(lambda x: x, np.array([0.3, 0.8]), eps)
 
 
 @pytest.mark.parametrize("system_fn", [harmonic_1d, planar_2d])

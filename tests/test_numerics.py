@@ -140,6 +140,13 @@ def test_fd_jacobian_linear():
     assert np.allclose(J, M, atol=1e-9)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-6, np.nan, np.inf])
+def test_fd_jacobian_refuses_a_step_that_is_not_positive_and_finite(eps):
+    # eps = 0 used to return [[nan]] with a RuntimeWarning
+    with pytest.raises(ValueError, match="^eps must be positive and finite, got "):
+        fd_jacobian(lambda x: x ** 2, [1.0], eps)
+
+
 def _reference_central_differences(F, x, eps):
     """The column-by-column central-difference loop the kernel replaced."""
     cols = []

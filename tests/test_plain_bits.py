@@ -19,7 +19,7 @@ from lcsdyn import (DiscreteTrajectory, StepperConfig,
                     get_system, integrate, integrate_hamiltonian, ld_step, rd_step,
                     transition_apply, with_constant_sigma)
 from lcsdyn.numerics import as_vector, fd_jacobian, newton_solve, solve_linear
-from lcsdyn.variational import DEFAULT_SWITCH_MARGIN, _march
+from lcsdyn.variational import _march
 from conftest import (PartsHamiltonian, array_dp_minus_dq0, array_dp_plus_dq1,
                       reference_dot, reference_matvec)
 
@@ -162,8 +162,7 @@ def reference_integrate(Ld, atlas, q0, q1, N, cfg):
     _march(atlas, 0, q1.tolist(), q0.tolist(), traj, N, step,
            carry=lambda t, q_next, q_curr: as_vector(t.forward(np.array(q_curr))).tolist(),
            point=lambda k, chart, q, q_prev: TrajectoryPoint(k=k, chart=chart,
-                                                             q=np.array(q)),
-           switch_margin=DEFAULT_SWITCH_MARGIN)
+                                                             q=np.array(q)))
     pts = traj.points
     for k, pt in enumerate(pts[:-1]):
         nxt = pts[k + 1]
@@ -197,7 +196,7 @@ def reference_integrate_hamiltonian(Hd, atlas, q0, p0, N, cfg):
 
     traj = DiscreteTrajectory(h=Hd.h, points=[point(0, 0, q0, p0)])
     return _march(atlas, 0, as_vector(q0).tolist(), as_vector(p0).tolist(), traj, N, step,
-                  carry=carry, point=point, switch_margin=DEFAULT_SWITCH_MARGIN)
+                  carry=carry, point=point)
 
 
 def _bits(x) -> bytes:

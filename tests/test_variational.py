@@ -9,6 +9,7 @@ from lcsdyn import (ConformalAtlas, IntegrationError, StepperConfig,
                     free_rotor_circle, harmonic_1d, integrate, integrate_hamiltonian,
                     make_lcel_field, midpoint_rule, planar_2d, rk4_integrate,
                     rotor_extended_chart, stationarity_residual, with_constant_sigma)
+from lcsdyn import atlas as atlas_module
 from lcsdyn.numerics import _newton
 from lcsdyn.variational import _three_point_system, action_sum
 from conftest import bare_trajectory
@@ -152,13 +153,16 @@ def test_variational_consistency_scaled_tolerance(harmonic):
     assert stationarity_residual(Ld, harmonic.atlas, traj) <= 10.0 * cfg.tol
 
 
-def test_chart_independence_of_switch_threshold(tight_cfg):
-    rotor = free_rotor_circle(0.1)
-    Ld = conformal_midpoint_rule(rotor.lagrangian, rotor.atlas, 0, 0.05)
+def test_chart_independence_of_switch_threshold(tight_cfg, monkeypatch):
+    # each chart reads the margin once, so every margin gets a fresh system
     runs = {}
     for margin in (0.05, 0.1, 0.15):
-        runs[margin] = integrate(Ld, rotor.atlas, 0, [0.0], [0.05], 160,
-                                 tight_cfg, switch_margin=margin)
+        monkeypatch.setattr(atlas_module, "SWITCH_MARGIN", margin)
+        rotor = free_rotor_circle(0.1)
+        Ld = conformal_midpoint_rule(rotor.lagrangian, rotor.atlas, 0, 0.05)
+        runs[margin] = integrate(Ld, rotor.atlas, 0, [0.0], [0.05], 160, tight_cfg)
+    # the three margins switch at three different lattice points
+    assert len({tuple(traj.charts()) for traj in runs.values()}) == 3
     # map every point to an absolute angle by unwinding the 2 pi transitions
     def unwound(traj):
         out, offset, prev = [], 0.0, None
@@ -282,25 +286,6 @@ def test_a_point_that_is_not_a_vector_is_named(entry, tight_cfg):
     name = {"integrate_q1": "q1", "dlcel_step": "q_prev"}.get(entry, "q0")
     with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, got shape \(1, 2\)"):
         run()
-
-
-@pytest.mark.parametrize("margin", [-0.2, 0.5, 0.7, float("nan")])
-def test_integrate_refuses_a_switch_margin_outside_its_range(margin, tight_cfg):
-    # a negative margin grows the core past the chart, so the march kept points
-    # beyond chart 0's upper bound; 0.5 or more, or NaN, leaves the core empty,
-    # so no switch was possible and the march reported no usable transition
-    rotor = free_rotor_circle(-0.1)
-    Ld = conformal_midpoint_rule(rotor.lagrangian, rotor.atlas, 0, 0.05)
-    with pytest.raises(ValueError, match="^switch_margin must lie in"):
-        integrate(Ld, rotor.atlas, 0, [0.5], [0.55], 200, tight_cfg, switch_margin=margin)
-
-
-def test_integrate_takes_a_zero_switch_margin(tight_cfg):
-    # the core is then the whole chart; the harmonic oscillator never leaves it
-    harmonic = harmonic_1d()
-    Ld = conformal_midpoint_rule(harmonic.lagrangian, harmonic.atlas, 0, 0.05)
-    traj = integrate(Ld, harmonic.atlas, 0, [0.5], [0.55], 50, tight_cfg, switch_margin=0.0)
-    assert len(traj) == 51 and traj.n_switches() == 0
 
 
 def test_march_entry_points_name_a_wrong_length_argument(tight_cfg):
