@@ -217,6 +217,13 @@ class ConformalAtlas:
                 return c
         raise KeyError(f"unknown chart id {chart_id}")
 
+    def _chart_of_dim(self, chart_id: int, n: int) -> Chart:
+        """The chart, or ``ValueError`` naming n unless its dimension is n."""
+        c = self.chart(chart_id)
+        if c.dim != n:
+            raise ValueError(f"n = {n} does not match chart {chart_id}, of dimension {c.dim}")
+        return c
+
     def require_inside(self, chart_id: int, q: Vector, name: str = "q") -> Chart:
         """The chart, or, naming q as ``name``, ``ValueError`` unless q is a
         vector of its dimension and ``DomainError`` unless it lies in its domain."""
@@ -260,8 +267,13 @@ class ConformalAtlas:
 
 
 def _forward(t: TransitionMap, q: list) -> list:
-    """A float list carried through the transition map ``t``, which takes an array."""
-    return as_vector(t.forward(np.array(q))).tolist()
+    """A float list carried through the transition map ``t``, which takes an
+    array; ``ValueError`` naming ``t`` unless it gives as many components."""
+    q_new = as_vector(t.forward(np.array(q)))
+    if q_new.shape != (len(q),):
+        raise ValueError(f"transition {t.from_chart}->{t.to_chart}: forward gave shape "
+                         f"{q_new.shape}, expected ({len(q)},)")
+    return q_new.tolist()
 
 
 def lee_form(atlas: ConformalAtlas, chart: int, q: Vector) -> np.ndarray:
@@ -288,7 +300,7 @@ def transition_apply(atlas: ConformalAtlas, from_chart: int, to_chart: int,
     q = _of_length(q, atlas.chart(from_chart).dim, "q")
     momentum = _of_length(momentum, q.size, "momentum")
     t = atlas.require_transition(from_chart, to_chart, q)
-    q_new = as_vector(t.forward(q))
+    q_new = np.array(_forward(t, q.tolist()))
     p_new = _covector(t, q, momentum)
     if momentum_kind == "r":
         s_from = atlas.chart(from_chart).sigma(q)
@@ -344,7 +356,7 @@ def cocycle_check(atlas: ConformalAtlas) -> CocycleReport:
         pts = np.vstack([pts, 0.5 * (lo + hi)])
         s_from = atlas.chart(t.from_chart).sigma
         s_to = atlas.chart(t.to_chart).sigma
-        offsets = np.array([s_from(q) - s_to(as_vector(t.forward(q))) for q in pts])
+        offsets = np.array([s_from(q) - s_to(np.array(_forward(t, q.tolist()))) for q in pts])
         mean = float(np.mean(offsets))
         entries.append(OverlapCocycle(
             from_chart=t.from_chart, to_chart=t.to_chart, n_samples=_COCYCLE_SAMPLES,

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import unpacked
 from .atlas import ConformalAtlas
-from .errors import DomainError, IntegrationError, RegularityError
+from .errors import DomainError, IntegrationError
 from .numerics import (StepperConfig, _dot, _newton, _of_length, _require_steps, _rows,
                        _solver, as_vector, fd_jacobian)
 
@@ -161,20 +163,12 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
 
     ``field`` is called exactly four times per step, each time on a fresh
     float64 array of shape ``(d,)``, and must return an array-like of ``d``
-    real components.  A field made by :func:`make_lcel_field` or
-    :func:`make_lcshe_field` is called through its private entry
-    ``field._kernel`` instead, which takes the d state components as
-    separate floats and gives the same bits without the arrays: the rates as
-    d floats, or, for a Lagrangian field of one or two degrees of freedom,
-    only the acceleration (one float or two), whose q-rate is the stage's own
-    v.  The stages are combined in Python floats, component by component, in
-    the order ``x + (h/2) k`` and ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.
-    A two- or four-component state (one or two degrees of freedom) is held
-    as two or four floats and stored straight into the preallocated result:
-    the same arithmetic without the per-component lists.  For an
-    acceleration kernel the loop holds (q, v) and steps q by the stage
-    velocities themselves, ``q + (h/6) (((v + 2 v2) + 2 v3) + v4)``, bit for
-    bit what the rate form computes from ``[v, a]``.
+    real components.  The stages are combined in Python floats, component by
+    component, in the order ``x + (h/2) k`` and
+    ``x + (h/6) (((k1 + 2 k2) + 2 k3) + k4)``.  A field made by
+    :func:`make_lcel_field` or :func:`make_lcshe_field` is not called: its
+    private ``field._stepper = (d, run)`` runs the steps (see
+    :func:`_kernel_field`), with the same bits and errors.
 
     Raises ``ValueError`` when ``x0`` is not one-dimensional, when ``h`` is
     not a positive finite number, when ``steps`` is not an integer >= 1 and
@@ -193,8 +187,6 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
     shape = (d,)
     out = _rows(steps + 1, d)
     out[0] = x0
-    x = out[0].tolist()
-    half, sixth = 0.5 * h, h / 6.0
 
     def stage(*y: float) -> list:
         k = np.asarray(field(np.array(y)), dtype=float)
@@ -205,105 +197,41 @@ def rk4_integrate(field: Callable[[Vector], Vector], x0: Vector, h: float,
             k = k.reshape(shape)
         return k.tolist()
 
-    def nonfinite(k: int) -> IntegrationError:
-        return IntegrationError(f"non-finite state at step {k + 1}",
-                                partial=out[:k + 1], index=k + 1)
-
-    accel = False
-    entry = getattr(field, "_kernel", None)
+    entry = getattr(field, "_stepper", None)
     # a state of another length goes to the public field, which raises
-    if entry is not None and entry[0] == d:
-        _, stage, accel = entry
-    # for d = 2 or 4, row k + 1 of out is flat[d k + d] .. flat[d k + 2d - 1]:
-    # element stores instead of a numpy row assignment
-    flat = memoryview(out).cast("B").cast("d") if d in (2, 4) else None
-    try:
-        if d == 2 and accel:
-            q, v = x
-            for k in range(steps):
-                a1 = stage(q, v)
-                v2 = v + half * a1
-                a2 = stage(q + half * v, v2)
-                v3 = v + half * a2
-                a3 = stage(q + half * v2, v3)
-                v4 = v + h * a3
-                a4 = stage(q + h * v3, v4)
-                q = q + sixth * (((v + 2.0 * v2) + 2.0 * v3) + v4)
-                v = v + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-                if not (math.isfinite(q) and math.isfinite(v)):
-                    raise nonfinite(k)
-                flat[2 * k + 2] = q
-                flat[2 * k + 3] = v
-        elif d == 2:
-            a, b = x
-            for k in range(steps):
-                a1, b1 = stage(a, b)
-                a2, b2 = stage(a + half * a1, b + half * b1)
-                a3, b3 = stage(a + half * a2, b + half * b2)
-                a4, b4 = stage(a + h * a3, b + h * b3)
-                a = a + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-                b = b + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise nonfinite(k)
-                flat[2 * k + 2] = a
-                flat[2 * k + 3] = b
-        elif d == 4 and accel:
-            q0, q1, v0, v1 = x
-            for k in range(steps):
-                a1, b1 = stage(q0, q1, v0, v1)
-                u2, w2 = v0 + half * a1, v1 + half * b1
-                a2, b2 = stage(q0 + half * v0, q1 + half * v1, u2, w2)
-                u3, w3 = v0 + half * a2, v1 + half * b2
-                a3, b3 = stage(q0 + half * u2, q1 + half * w2, u3, w3)
-                u4, w4 = v0 + h * a3, v1 + h * b3
-                a4, b4 = stage(q0 + h * u3, q1 + h * w3, u4, w4)
-                q0 = q0 + sixth * (((v0 + 2.0 * u2) + 2.0 * u3) + u4)
-                q1 = q1 + sixth * (((v1 + 2.0 * w2) + 2.0 * w3) + w4)
-                v0 = v0 + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-                v1 = v1 + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                if not (math.isfinite(q0) and math.isfinite(q1)
-                        and math.isfinite(v0) and math.isfinite(v1)):
-                    raise nonfinite(k)
-                i = 4 * k + 4
-                flat[i] = q0
-                flat[i + 1] = q1
-                flat[i + 2] = v0
-                flat[i + 3] = v1
-        elif d == 4:
-            a, b, c, e = x
-            for k in range(steps):
-                a1, b1, c1, e1 = stage(a, b, c, e)
-                a2, b2, c2, e2 = stage(a + half * a1, b + half * b1,
-                                       c + half * c1, e + half * e1)
-                a3, b3, c3, e3 = stage(a + half * a2, b + half * b2,
-                                       c + half * c2, e + half * e2)
-                a4, b4, c4, e4 = stage(a + h * a3, b + h * b3, c + h * c3, e + h * e3)
-                a = a + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-                b = b + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                c = c + sixth * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
-                e = e + sixth * (((e1 + 2.0 * e2) + 2.0 * e3) + e4)
-                if not (math.isfinite(a) and math.isfinite(b)
-                        and math.isfinite(c) and math.isfinite(e)):
-                    raise nonfinite(k)
-                i = 4 * k + 4
-                flat[i] = a
-                flat[i + 1] = b
-                flat[i + 2] = c
-                flat[i + 3] = e
-        else:
-            for k in range(steps):
-                k1 = stage(*x)
-                k2 = stage(*[a + half * b for a, b in zip(x, k1)])
-                k3 = stage(*[a + half * b for a, b in zip(x, k2)])
-                k4 = stage(*[a + h * b for a, b in zip(x, k3)])
-                x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-                if not all(map(math.isfinite, x)):
-                    raise nonfinite(k)
-                out[k + 1] = x
-    except DomainError as e:
-        raise IntegrationError(str(e), partial=out[:k + 1], index=k + 1) from e
+    run = entry[1] if entry is not None and entry[0] == d else partial(_rk4_steps, stage)
+    k, error = run(out[0].tolist(), h, steps, memoryview(out.reshape(-1)))
+    if error is not None:
+        raise IntegrationError(str(error), partial=out[:k + 1], index=k + 1) from error
+    if k < steps:
+        raise IntegrationError(f"non-finite state at step {k + 1}",
+                               partial=out[:k + 1], index=k + 1)
     return out
+
+
+def _rk4_steps(stage: Callable[..., list], x: list, h: float, steps: int,
+               flat) -> tuple:
+    """RK4 steps from the float list x on ``stage`` (the d state components as
+    separate floats -> the d rates), row k stored at ``flat[d k]`` on.
+    Returns ``(steps, None)``, or ``(k, None)`` when the state of step k + 1
+    is not finite, or ``(k, error)`` when step k + 1 raised a DomainError.
+    """
+    half, sixth, d = 0.5 * h, h / 6.0, len(x)
+    try:
+        for k in range(steps):
+            k1 = stage(*x)
+            k2 = stage(*[a + half * b for a, b in zip(x, k1)])
+            k3 = stage(*[a + half * b for a, b in zip(x, k2)])
+            k4 = stage(*[a + h * b for a, b in zip(x, k3)])
+            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
+                return k, None
+            for i, a in enumerate(x, d * k + d):
+                flat[i] = a
+    except DomainError as error:
+        return k, error
+    return steps, None
 
 
 def divergence_numeric(field: Callable[[Vector], Vector], x: Vector,
@@ -312,15 +240,13 @@ def divergence_numeric(field: Callable[[Vector], Vector], x: Vector,
     return float(np.trace(fd_jacobian(field, as_vector(x), eps)))
 
 
-def _kernel_field(kernel: Callable, n: int, accel: bool = False
+def _kernel_field(kernel: Callable, n: int, run: Callable | None = None
                   ) -> Callable[[Vector], np.ndarray]:
-    """The public field ``x -> ndarray`` around a float kernel, which it carries
-    as ``_kernel = (2n, kernel, accel)`` for :func:`rk4_integrate`.
-
-    ``kernel`` takes the 2n state components as separate floats and returns
-    the 2n rates, or with ``accel`` (n <= 2) the acceleration only: a float
-    for n = 1, a list of two for n = 2, the q-rate being the state's own v.  An
-    ``x`` that is not a vector of 2n components raises ``ValueError``.
+    """The public field ``x -> ndarray`` around a float kernel (the 2n state
+    components as separate floats -> the 2n rates), carrying its RK4 stepper
+    as ``_stepper = (2n, run)``: ``run`` as :func:`_rk4_steps` runs, by
+    default that loop on the kernel.  An ``x`` that is not a vector of 2n
+    components raises ``ValueError``.
     """
     d, shape = 2 * n, (2 * n,)
 
@@ -328,13 +254,9 @@ def _kernel_field(kernel: Callable, n: int, accel: bool = False
         x = as_vector(x)
         if x.shape != shape:
             _of_length(x, d, "x")  # raises, naming the shape or the length
-        xs = x.tolist()
-        if not accel:
-            return np.array(kernel(*xs))
-        a = kernel(*xs)
-        return np.array(xs[1:] + [a] if n == 1 else xs[2:] + a)
+        return np.array(kernel(*x.tolist()))
 
-    field._kernel = (d, kernel, accel)
+    field._stepper = (d, run or partial(_rk4_steps, kernel))
     return field
 
 
@@ -343,50 +265,24 @@ def make_lcshe_field(H: ContinuousHamiltonian, atlas: ConformalAtlas, chart: int
     """Flatten the conformal Hamilton equations to a field on x = (q, p).
 
     The chart, its Lee form when it is constant, and ``H``'s jet are resolved
-    once, and ``pdot`` is assembled on Python floats, by a kernel that takes
+    once, and ``pdot`` is assembled on Python floats by a kernel that takes
     the state as separate floats and returns the rates (see
-    :func:`_kernel_field`): reference integrations call this field hundreds
-    of thousands of times.  For n = 1 and n = 2 the kernel is chosen here and
-    works on unpacked scalars, its dot products written out as
-    ``numerics._dot`` forms them (``0.0 + a0 b0 + a1 b1``, Python's double
-    arithmetic in that order, no fused operation).  For n >= 3 the dot
-    products stay numpy calls.  A jet that returns another number of values
-    (see :func:`_jet_parts`), or a Lee form without n components, raises
-    ``ValueError``.
+    :func:`_kernel_field`): reference integrations step this field hundreds
+    of thousands of times.  For n = 1 and n = 2 the kernel and its RK4
+    stepper come from :func:`unpacked.hamilton`, on unpacked scalars; for
+    n >= 3 the dot products stay numpy calls.  ``H`` of another n than the
+    chart's dimension raises ``ValueError``, and so do a jet that returns
+    another number of values (see :func:`_jet_parts`) and a Lee form without
+    n components, when the field meets them.
     """
     n = H.n
-    jet = H.jet
-    # the kernels test the box inline, calling require_inside only for its
-    # message, and read phi, a declared constant Lee form, or else lee(q)
-    ch = atlas.chart(chart)
+    ch = atlas._chart_of_dim(chart, n)
+    if n <= 2:
+        kernel, run = unpacked.hamilton(H, atlas, chart)
+        return _kernel_field(kernel, n, run)
+    # the kernel tests the box inline, calling require_inside only for its
+    # message, and reads phi, a declared constant Lee form, or else lee(q)
     (lo, hi), phi, lee = ch._bounds, ch._lee, ch._floats[1]
-    if n == 1:
-        (lo,), (hi,) = lo, hi
-
-        def scalar_rates(q: float, p: float) -> tuple:
-            if not lo <= q <= hi:
-                atlas.require_inside(chart, np.array([q]))
-            hval, g, qd = jet(q, p)
-            (f,) = phi or lee([q])
-            # numpy rounds a one-element dot like 0.0 + a*b
-            s_p, s_phi = 0.0 + p * qd, 0.0 + f * qd
-            return qd, -g - (f * s_p - p * s_phi) + hval * f
-
-        return _kernel_field(scalar_rates, 1)
-
-    if n == 2:
-        (lo0, lo1), (hi0, hi1) = lo, hi
-
-        def planar_rates(q0: float, q1: float, p0: float, p1: float) -> tuple:
-            if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
-                atlas.require_inside(chart, np.array([q0, q1]))
-            hval, g0, g1, d0, d1 = jet(q0, q1, p0, p1)
-            f0, f1 = phi or lee([q0, q1])
-            s_p, s_phi = 0.0 + p0 * d0 + p1 * d1, 0.0 + f0 * d0 + f1 * d1
-            return (d0, d1, -g0 - (f0 * s_p - p0 * s_phi) + hval * f0,
-                    -g1 - (f1 * s_p - p1 * s_phi) + hval * f1)
-
-        return _kernel_field(planar_rates, 2)
 
     def rates(*xs: float) -> list:
         q, ps = list(xs[:n]), list(xs[n:])
@@ -406,73 +302,21 @@ def make_lcel_field(L: ContinuousLagrangian, atlas: ConformalAtlas, chart: int
     """Flatten the conformal Euler-Lagrange equations to a field on x = (q, v).
 
     Like :func:`make_lcshe_field`, the right-hand side is assembled on Python
-    floats from one jet evaluation, by a kernel on unpacked scalars when
-    n <= 2 (the n = 2 dot product and rows of ``hess_vq @ v`` written out as
-    ``numerics._dot`` forms them), and a jet that returns another number of
-    values, or a Lee form without n components, raises ``ValueError``.  The
-    n <= 2 kernels return the acceleration alone, which :func:`rk4_integrate`
-    steps in its second-order loops.  When n = 1 with a constant Lee form and
-    declared Hessians of nonzero mass, the kernel holds the Lee form and both
-    Hessians as closure floats.  The acceleration solves
-    ``hess_vv a = rhs`` by one division when n = 1 and otherwise as
-    ``numerics._solve_floats`` solves (in closed form behind its screen when
-    n = 2), raising :class:`RegularityError` as it does.  Under ``constant_hessians``
-    the resolved ``hess_vv`` and ``hess_vq`` are read here, once, as floats
-    (n = 1), nested lists or, for ``hess_vq`` when n >= 3, the array, and for
-    n >= 2 ``hess_vv`` becomes a ``numerics._solver``, which screens a 2x2
-    one here, once; otherwise both are read, and the solve screened, at
-    every call.
+    floats from one jet evaluation, by the kernel and stepper of
+    :func:`unpacked.euler_lagrange` when n <= 2.  For n >= 3 the acceleration
+    solves ``hess_vv a = rhs`` as ``numerics._solve_floats`` solves, raising
+    :class:`RegularityError` as it does.  Under ``constant_hessians`` the
+    resolved ``hess_vv`` and ``hess_vq`` are read once, when the field is
+    built; otherwise both are read, and the solve screened, at every call.
+    The errors are those of :func:`make_lcshe_field`.
     """
     n = L.n
-    jet = L.jet
-    hessians = L.hessians
-    ch = atlas.chart(chart)
+    ch = atlas._chart_of_dim(chart, n)
+    if n <= 2:
+        kernel, run = unpacked.euler_lagrange(L, atlas, chart)
+        return _kernel_field(kernel, n, run)
     (lo, hi), phi, lee = ch._bounds, ch._lee, ch._floats[1]
-    if n == 1:
-        (lo,), (hi,) = lo, hi
-        mb = None if hessians is None else (hessians[1].item(0), hessians[2].item(0))
-        if phi is not None and mb is not None and mb[0] != 0.0:
-            # the reference case (AC5's 100k steps): every constant a closure float
-            (f,), (m, b) = phi, mb
-
-            def scalar_accel(q: float, v: float) -> float:
-                if not lo <= q <= hi:
-                    atlas.require_inside(chart, np.array([q]))
-                lval, g, c, _, _ = jet(q, v)
-                return (g - (0.0 + b * v) + (0.0 + f * v) * c - lval * f) / m
-        else:
-            def scalar_accel(q: float, v: float) -> float:
-                if not lo <= q <= hi:
-                    atlas.require_inside(chart, np.array([q]))
-                lval, g, c, M, hvq = jet(q, v)
-                (f,) = phi or lee([q])
-                m, b = mb or (M.item(0), hvq.item(0))
-                if m == 0.0:
-                    raise RegularityError("singular 1x1 velocity Hessian",
-                                          condition=float("inf"))
-                # one-element dot and matmul round like 0.0 + a*b (see make_lcshe_field)
-                hv, s = 0.0 + b * v, 0.0 + f * v
-                return (g - hv + s * c - lval * f) / m
-
-        return _kernel_field(scalar_accel, 1, accel=True)
-
-    if n == 2:
-        (lo0, lo1), (hi0, hi1) = lo, hi
-        SB = None if hessians is None else (_solver(hessians[1].tolist(), 1e12),
-                                            hessians[2].tolist())
-
-        def planar_accel(q0: float, q1: float, v0: float, v1: float) -> list:
-            if not (lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1):
-                atlas.require_inside(chart, np.array([q0, q1]))
-            lval, g0, g1, c0, c1, M, hvq = jet(q0, q1, v0, v1)
-            f0, f1 = phi or lee([q0, q1])
-            solve, ((m00, m01), (m10, m11)) = SB or (_solver(M.tolist(), 1e12), hvq.tolist())
-            s = 0.0 + f0 * v0 + f1 * v1
-            return solve([g0 - (0.0 + m00 * v0 + m01 * v1) + s * c0 - lval * f0,
-                          g1 - (0.0 + m10 * v0 + m11 * v1) + s * c1 - lval * f1])
-
-        return _kernel_field(planar_accel, 2, accel=True)
-
+    hessians = L.hessians
     SB = None if hessians is None else (_solver(hessians[1].tolist(), 1e12), hessians[2])
 
     def rates(*xs: float) -> list:

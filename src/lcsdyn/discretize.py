@@ -419,7 +419,7 @@ def conformal_midpoint_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     zero Hessian as they were declared.
     """
     _check_step(h)
-    ch, (base_d1d2, base_same) = atlas.chart(chart), _midpoint_bases(L, h)
+    ch, (base_d1d2, base_same) = atlas._chart_of_dim(chart, L.n), _midpoint_bases(L, h)
     pair, (sigma, grad, hess) = _midpoint_pair(L, h), ch._floats
 
     def same_from(extra, k):
@@ -487,7 +487,8 @@ def conformal_trapezoidal_rule(L: ContinuousLagrangian, atlas: ConformalAtlas,
     its zero Hessian without evaluating anything.
     """
     _check_step(h)
-    ch, (base_d1d2, halves, node, half_vv) = atlas.chart(chart), _trapezoidal_bases(L, h)
+    ch = atlas._chart_of_dim(chart, L.n)
+    base_d1d2, halves, node, half_vv = _trapezoidal_bases(L, h)
     sigma, grad, hess = ch._floats
     at_q0 = _first_point_memo(sigma, grad, hess)
 

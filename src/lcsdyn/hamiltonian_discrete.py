@@ -283,7 +283,7 @@ def build_right_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
     and d2 = q_{k+1} when sigma is constant.
     """
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
-    sigma, grad, hess = atlas.chart(chart)._floats
+    sigma, grad, hess = atlas._chart_of_dim(chart, Ld.n)._floats
 
     def partials(q0, P, q1):
         s0, s1 = sigma(q0), sigma(q1)
@@ -323,7 +323,7 @@ def build_left_hamiltonian(Ld: DiscreteLagrangian, atlas: ConformalAtlas,
                            chart: int) -> DiscreteHamiltonian:
     """Left discrete Hamiltonian H-(q_{k+1}, p_k); mirror of the right builder."""
     source = LagrangianSource(Ld=Ld, atlas=atlas, chart=chart)
-    sigma, grad, hess = atlas.chart(chart)._floats
+    sigma, grad, hess = atlas._chart_of_dim(chart, Ld.n)._floats
 
     def partials(q1, P, q0):
         E = float(np.exp(sigma(q1) - sigma(q0)))

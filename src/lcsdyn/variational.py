@@ -297,7 +297,7 @@ def _into_chart(atlas: ConformalAtlas, q: Vector, from_chart: int, to_chart: int
                 ) -> np.ndarray:
     if from_chart == to_chart:
         return q
-    return as_vector(atlas.require_transition(from_chart, to_chart, q).forward(q))
+    return np.array(_forward(atlas.require_transition(from_chart, to_chart, q), q.tolist()))
 
 
 def _action(Ld: DiscreteLagrangian, atlas: ConformalAtlas, charts: list[int],

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, TransitionMap,
-                    cocycle_check, free_rotor_circle, harmonic_1d, lee_form,
-                    transition_apply)
+from lcsdyn import (Chart, ConformalAtlas, DomainError, RegularityError, StepperConfig,
+                    TransitionMap, build_right_hamiltonian, cocycle_check,
+                    conformal_midpoint_rule, free_rotor_circle, harmonic_1d, integrate,
+                    integrate_hamiltonian, lee_form, transition_apply)
 from lcsdyn.atlas import SWITCH_MARGIN
 from lcsdyn.numerics import fd_jacobian
 from conftest import rotor_with_transition_jacobian
@@ -279,3 +282,22 @@ def test_transition_apply_names_a_wrong_length_momentum():
             transition_apply(rotor.atlas, 0, 1, [2.5], [1.0, 2.0], kind)
         with pytest.raises(ValueError, match="momentum must be one-dimensional"):
             transition_apply(rotor.atlas, 0, 1, [2.5], [[1.0]], kind)
+
+
+def test_a_forward_of_the_wrong_length_is_named():
+    # Every forward of the rotor atlas padded by one component used to end a
+    # march at its first chart switch in a bare unpacking error from a jet,
+    # naming neither the transition nor the point.
+    rotor = free_rotor_circle(-0.1)
+    padded = ConformalAtlas(charts=rotor.atlas.charts, transitions=tuple(
+        dataclasses.replace(t, forward=lambda q, f=t.forward: np.append(f(q), 0.0))
+        for t in rotor.atlas.transitions))
+    cfg = StepperConfig(tol=1e-12)
+    Ld = conformal_midpoint_rule(rotor.lagrangian, padded, 0, 0.05)
+    for run in (lambda: integrate(Ld, padded, 0, [0.5], [0.55], 200, cfg),
+                lambda: integrate_hamiltonian(build_right_hamiltonian(Ld, padded, 0), padded,
+                                              0, [0.5], [1.0], 200, cfg),
+                lambda: transition_apply(padded, 0, 1, [3.0], [1.0], "p")):
+        with pytest.raises(ValueError, match=r"^transition 0->1: forward gave shape \(2,\), "
+                                             r"expected \(1,\)$"):
+            run()

@@ -14,7 +14,8 @@ from lcsdyn import (Chart, ConformalAtlas, ContinuousHamiltonian,
                     make_lcel_field, make_lcshe_field, numerics, planar_2d,
                     rk4_integrate, solve_linear)
 from lcsdyn.discretize import (conformal_midpoint_rule, conformal_trapezoidal_rule,
-                               midpoint_rule, trapezoidal_rule)
+                               exact_discrete_lagrangian, midpoint_rule, trapezoidal_rule)
+from lcsdyn.hamiltonian_discrete import build_left_hamiltonian, build_right_hamiltonian
 from lcsdyn.errors import DomainError
 from lcsdyn.systems import CATALOG
 from conftest import (curved_harmonic, curved_planar, harmonic_3d, hollow,
@@ -160,10 +161,9 @@ def _planar_leaving_fields():
     ids=["non_finite", "leaves_chart", "planar_non_finite", "planar_leaves_chart"])
 @pytest.mark.parametrize("entry", ["floats", "array"])
 def test_rk4_two_component_failure_contract(fields, x0, h, match, entry):
-    # Through the float entry and through a plain callable returning an
-    # ndarray, a failing one- or two-DOF run (the d = 2 and d = 4 loops)
-    # reports the failing step, and its partial rows are bitwise those of the
-    # same run stopped just before it.
+    # Through the field's stepper and through a plain callable returning an
+    # ndarray, a failing one- or two-DOF run reports the failing step, and its
+    # partial rows are bitwise those of the same run stopped just before it.
     for field in fields():
         stage = field if entry == "floats" else (lambda x, f=field: f(x))
         with pytest.raises(IntegrationError, match=match) as exc:
@@ -268,6 +268,27 @@ def test_fields_reject_wrong_length_gradients():
             field(np.array([0.5, -0.3, 0.2, 0.1]))
         with pytest.raises(ValueError):
             rk4_integrate(field, np.array([0.5, -0.3, 0.2, 0.1]), 1e-3, 2)
+
+
+def test_a_system_on_a_chart_of_another_dimension_is_refused():
+    # A field or a chart-taking rule of n degrees of freedom built on a chart
+    # of another dimension used to be accepted, and to fail at its first call
+    # with an unpacking, IndexError or zip() error; it now fails when built.
+    one, two, three = harmonic_1d(), planar_2d(), harmonic_3d()
+    for system, atlas, dim in ((one, two.atlas, 2), (two, one.atlas, 1), (three, two.atlas, 2)):
+        L, n = system.lagrangian, system.n
+        Ld = conformal_midpoint_rule(L, system.atlas, 0, 0.1)
+        builds = [lambda: make_lcel_field(L, atlas, 0),
+                  lambda: make_lcshe_field(system.hamiltonian, atlas, 0),
+                  lambda: conformal_midpoint_rule(L, atlas, 0, 0.1),
+                  lambda: conformal_trapezoidal_rule(L, atlas, 0, 0.1),
+                  lambda: exact_discrete_lagrangian(L, atlas, 0, 0.1),
+                  lambda: build_right_hamiltonian(Ld, atlas, 0),
+                  lambda: build_left_hamiltonian(Ld, atlas, 0)]
+        for build in builds:
+            with pytest.raises(ValueError, match=rf"^n = {n} does not match chart 0, "
+                                                 rf"of dimension {dim}$"):
+                build()
 
 
 def test_a_jet_of_the_wrong_count_is_named():
@@ -589,9 +610,9 @@ def _fields(system, jets=lambda jet: jet):
 
 @pytest.mark.parametrize("system_fn", SCALAR_PATH_SYSTEMS)
 def test_rk4_float_entry_equals_public_field(system_fn):
-    # A wrapper without ``_kernel`` (as a tracing wrapper is) takes the public
-    # array path; both must give the same bits.  Each field call is one jet
-    # call.  A Lagrangian kernel returns the acceleration only.
+    # A wrapper without ``_stepper`` (as a tracing wrapper is) takes the public
+    # array path; both must give the same bits.  Each stage of the stepper,
+    # on constant or varying data, is one jet call.
     system = system_fn()
     n = system.n
     calls = []
@@ -602,9 +623,9 @@ def test_rk4_float_entry_equals_public_field(system_fn):
             return jet(*x)
         return wrapper
 
-    for field, accel in zip(_fields(system, counted), (True, False)):
-        d, kernel, is_accel = field._kernel
-        assert (d, is_accel) == (2 * n, accel) and callable(kernel)
+    for field in _fields(system, counted):
+        d, run = field._stepper
+        assert d == 2 * n and callable(run)
         for x0 in _starts(n):
             calls.clear()
             got = rk4_integrate(field, x0, 1e-3, 400)
@@ -613,17 +634,16 @@ def test_rk4_float_entry_equals_public_field(system_fn):
             assert got.tobytes() == want.tobytes()
 
 
-def _failing_jet(at):
-    """A jet wrapper whose call number ``at`` after ``count.clear()`` returns an
-    infinite grad_q, which makes the state of the step holding that call
-    non-finite when it is the step's fourth stage."""
+def _poisoned_jet(at, value):
+    """A jet wrapper whose call number ``at`` after ``count.clear()`` returns
+    ``value`` for every component of grad_q."""
     count = []
 
     def wrap(jet):
         def wrapped(*x):
             count.append(1)
             parts, n = jet(*x), len(x) // 2
-            return parts if len(count) != at else (parts[0], *[math.inf] * n, *parts[n + 1:])
+            return parts if len(count) != at else (parts[0], *[value] * n, *parts[n + 1:])
         return wrapped
 
     return wrap, count
@@ -631,32 +651,40 @@ def _failing_jet(at):
 
 @pytest.mark.parametrize("system_fn", SCALAR_PATH_SYSTEMS)
 def test_rk4_scalar_path_fails_as_the_array_path(system_fn):
-    # A non-finite state (the fourth stage of step 30 poisoned) and a stage
-    # outside the chart (from near the upper corner, moving out) raise the
-    # same IntegrationError on the scalar path and through a plain wrapper:
-    # the same message, index and partial bytes, and for the chart a
-    # DomainError as its cause.
+    # Stage s (1 to 4) of step 30 gets an infinite or a huge grad_q.  Infinite,
+    # it makes that stage non-finite, which for s = 4 makes the state of step
+    # 30 non-finite.  Huge, it throws a later stage out of the chart: stage
+    # s + 2 for s = 1 and 2, and stage s - 2 of step 31 for s = 3 and 4 (the
+    # stage whose check fails makes no jet call), so that every inline chart
+    # check of each stepper is met.  The stepper and a plain wrapper raise the
+    # same IntegrationError: the same message, index, partial bytes and
+    # cause, after the same jet calls.
     system = system_fn()
     n = system.n
-    wrap, count = _failing_jet(4 * 30)
-    upper = system.atlas.chart(0).upper
-    leaving = np.concatenate([upper - 0.25, np.full(n, 10.0)])
-    for field in _fields(system, wrap):
-        for x0, h, index, cause in ((_starts(n)[1], 1e-3, 30, type(None)),
-                                    (leaving, 0.01, None, DomainError)):
+    x0 = _starts(n)[1]
+    exits = [set(), set()]
+    for value, s in itertools.product((math.inf, 1e12), range(1, 5)):
+        wrap, count = _poisoned_jet(4 * 29 + s, value)
+        for field, stages in zip(_fields(system, wrap), exits):
             errors = []
             for stage in (field, lambda x: field(x)):
                 count.clear()
                 with pytest.raises(IntegrationError) as exc:
-                    rk4_integrate(stage, x0, h, 200)
-                errors.append(exc.value)
-            scalar, array = errors
-            assert type(scalar.__cause__) is type(array.__cause__) is cause
+                    rk4_integrate(stage, x0, 1e-3, 200)
+                errors.append((exc.value, len(count)))
+            (scalar, calls), (array, array_calls) = errors
+            assert calls == array_calls
+            assert type(scalar.__cause__) is type(array.__cause__)
             assert str(scalar) == str(array)
             assert scalar.index == array.index
-            assert index is None or scalar.index == index
             assert scalar.partial.tobytes() == array.partial.tobytes()
             assert scalar.partial.shape == (scalar.index, 2 * n)
+            if value == math.inf and s == 4:
+                assert str(scalar) == "non-finite state at step 30"
+            if value == 1e12:
+                assert type(scalar.__cause__) is DomainError
+                stages.add(calls % 4 + 1)
+    assert exits == [{1, 2, 3, 4}] * 2
 
 
 @pytest.mark.parametrize("lee", [0.1, None], ids=["constant_lee", "varying_lee"])
